@@ -7,7 +7,6 @@ package repro
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"runtime"
 	"sync"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/controller"
 	"repro/internal/dataplane"
+	"repro/internal/experiments"
 	"repro/internal/flowtable"
 	"repro/internal/intent"
 	"repro/internal/packet"
@@ -127,92 +127,31 @@ func BenchmarkE1FlowSetup(b *testing.B) {
 
 // --- E2: lookup scaling ------------------------------------------------------
 
-// e2Fixture mirrors the experiment's structures at one size.
-type e2Fixture struct {
-	linear *flowtable.Table
-	tuple  *flowtable.TupleSpace
-	exact  *flowtable.Exact[int]
-	lpm    *flowtable.LPM[int]
-	frames []*packet.Frame
-	keys   []packet.FlowKey
-	addrs  []uint32
-}
-
-func buildE2(b *testing.B, n int) *e2Fixture {
-	b.Helper()
-	fx := &e2Fixture{
-		linear: flowtable.NewTable(0),
-		tuple:  flowtable.NewTupleSpace(),
-		exact:  flowtable.NewExact[int](n),
-		lpm:    flowtable.NewLPM[int](),
-	}
-	now := time.Unix(0, 0)
-	rng := rand.New(rand.NewSource(int64(n)))
-	var prefixes []uint32
-	for i := 0; i < n; i++ {
-		p := rng.Uint32() &^ 0xff // distinct-ish random /24s
-		prefixes = append(prefixes, p)
-		m := zof.MatchAll()
-		m.Wildcards &^= zof.WEtherType
-		m.EtherType = packet.EtherTypeIPv4
-		m.IPDst = packet.IPv4FromUint32(p)
-		m.DstPrefix = 24
-		e := &flowtable.Entry{Match: m, Priority: uint16(i % 8),
-			Actions: []zof.Action{zof.Output(1)}}
-		_ = fx.linear.Add(e, false, now)
-		fx.tuple.Insert(e)
-		fx.lpm.Insert(p, 24, i)
-	}
-	buf := packet.NewBuffer(128)
-	for i := 0; i < 512; i++ {
-		p := prefixes[i%len(prefixes)]
-		dst := packet.IPv4FromUint32(p | uint32(i&0xff))
-		buf.Reset()
-		udp := packet.UDP{SrcPort: uint16(i), DstPort: 80}
-		udp.SerializeTo(buf)
-		ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
-			Src: packet.IPv4Addr{1, 2, 3, 4}, Dst: dst}
-		ip.SerializeTo(buf)
-		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-		eth.SerializeTo(buf)
-		var f packet.Frame
-		if err := packet.Decode(append([]byte(nil), buf.Bytes()...), &f); err != nil {
-			b.Fatal(err)
-		}
-		fx.frames = append(fx.frames, &f)
-		key := packet.ExtractFlowKey(&f)
-		fx.keys = append(fx.keys, key)
-		fx.exact.Put(key, i)
-		fx.addrs = append(fx.addrs, dst.Uint32())
-	}
-	return fx
-}
-
 // BenchmarkE2Lookup sweeps structure x size; the experiment's figure is
 // the ns/op of each sub-benchmark.
 func BenchmarkE2Lookup(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
-		fx := buildE2(b, n)
+		fx := experiments.BuildLookupFixture(n, int64(n))
 		now := time.Unix(0, 0)
-		nf := len(fx.frames)
+		nf := len(fx.Frames)
 		b.Run(fmt.Sprintf("linear-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fx.linear.Lookup(fx.frames[i%nf], 1, 64, now)
+				fx.Linear.Lookup(fx.Frames[i%nf], 1, 64, now)
 			}
 		})
 		b.Run(fmt.Sprintf("tuple-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fx.tuple.Lookup(fx.frames[i%nf], 1)
+				fx.Tuple.Lookup(fx.Frames[i%nf], 1)
 			}
 		})
 		b.Run(fmt.Sprintf("lpm-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fx.lpm.Lookup(fx.addrs[i%nf])
+				fx.LPM.Lookup(fx.Addrs[i%nf])
 			}
 		})
 		b.Run(fmt.Sprintf("exact-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fx.exact.Get(fx.keys[i%nf])
+				fx.Exact.Get(fx.Keys[i%nf])
 			}
 		})
 	}
@@ -221,29 +160,29 @@ func BenchmarkE2Lookup(b *testing.B) {
 // BenchmarkE2aMicroCache is the ablation: the authoritative table
 // fronted by the microflow cache versus bare.
 func BenchmarkE2aMicroCache(b *testing.B) {
-	fx := buildE2(b, 10000)
+	fx := experiments.BuildLookupFixture(10000, 10000)
 	now := time.Unix(0, 0)
-	nf := len(fx.frames)
+	nf := len(fx.Frames)
 	b.Run("bare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fx.linear.Lookup(fx.frames[i%nf], 1, 64, now)
+			fx.Linear.Lookup(fx.Frames[i%nf], 1, 64, now)
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		cache := flowtable.NewMicroCache(1 << 16)
-		gen := fx.linear.Gen()
+		gen := fx.Linear.Gen()
 		// Warm every microflow so the measurement reflects the steady
 		// state (one authoritative lookup per flow, then cache hits).
-		for _, f := range fx.frames {
+		for _, f := range fx.Frames {
 			key := flowtable.MakeCacheKey(f, 1)
-			cache.Put(key, gen, fx.linear.Lookup(f, 1, 64, now))
+			cache.Put(key, gen, fx.Linear.Lookup(f, 1, 64, now))
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f := fx.frames[i%nf]
+			f := fx.Frames[i%nf]
 			key := flowtable.MakeCacheKey(f, 1)
 			if _, ok := cache.Get(key, gen); !ok {
-				e := fx.linear.Lookup(f, 1, 64, now)
+				e := fx.Linear.Lookup(f, 1, 64, now)
 				cache.Put(key, gen, e)
 			}
 		}

@@ -133,14 +133,8 @@ func main() {
 			fail(err)
 		}
 		t.Fprint(os.Stdout)
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
+		if err := writeJSON(*jsonOut, res); err != nil {
+			fail(err)
 		}
 	}
 	if run("e8") {
@@ -155,14 +149,8 @@ func main() {
 			fail(err)
 		}
 		t.Fprint(os.Stdout)
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
+		if err := writeJSON(*jsonOut, res); err != nil {
+			fail(err)
 		}
 	}
 	if run("e9") {
@@ -178,14 +166,8 @@ func main() {
 			fail(err)
 		}
 		t.Fprint(os.Stdout)
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
+		if err := writeJSON(*jsonOut, res); err != nil {
+			fail(err)
 		}
 	}
 	if run("e10") {
@@ -202,14 +184,8 @@ func main() {
 			fail(err)
 		}
 		t.Fprint(os.Stdout)
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
+		if err := writeJSON(*jsonOut, res); err != nil {
+			fail(err)
 		}
 	}
 	if run("e11") {
@@ -224,14 +200,8 @@ func main() {
 			fail(err)
 		}
 		t.Fprint(os.Stdout)
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
+		if err := writeJSON(*jsonOut, res); err != nil {
+			fail(err)
 		}
 	}
 	if run("e12") {
@@ -246,14 +216,8 @@ func main() {
 			fail(err)
 		}
 		t.Fprint(os.Stdout)
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
+		if err := writeJSON(*jsonOut, res); err != nil {
+			fail(err)
 		}
 	}
 	if run("e14") {
@@ -269,14 +233,8 @@ func main() {
 			fail(err)
 		}
 		t.Fprint(os.Stdout)
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
+		if err := writeJSON(*jsonOut, res); err != nil {
+			fail(err)
 		}
 	}
 	if run("e15") {
@@ -293,18 +251,25 @@ func main() {
 			fail(err)
 		}
 		t.Fprint(os.Stdout)
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				fail(err)
-			}
+		if err := writeJSON(*jsonOut, res); err != nil {
+			fail(err)
 		}
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "zbench: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline;
+// an empty path (no -json flag) writes nothing.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

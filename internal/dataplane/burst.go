@@ -19,8 +19,6 @@ import (
 // duration of the call, exactly like HandleFrame: never mutated (COW on
 // rewrite) and never retained.
 type burst struct {
-	one [1][]byte // scratch so HandleFrame can wrap a 1-frame burst
-
 	// Per frame, index-aligned with the caller's frames slice. A nil
 	// exec marks a frame that died on ingress (port down, malformed).
 	execs  []*exec
@@ -47,8 +45,8 @@ type burst struct {
 	tab  []int32
 	used []int32
 
-	// Scratch vector of packet views for ProcessBurst when a run of
-	// same-microflow frames steers into an NF stage.
+	// Scratch vector of packet views for steer when a run of
+	// same-microflow frames enters an NF stage.
 	pkts []*nf.Packet
 }
 
@@ -130,7 +128,6 @@ func putBurst(b *burst) {
 		b.pkts[i] = nil
 	}
 	b.pkts = b.pkts[:0]
-	b.one[0] = nil
 	burstPool.Put(b)
 }
 
@@ -177,7 +174,7 @@ func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte,
 			b.execs[i] = nil
 			continue
 		}
-		x := getExec(s, pl)
+		x := getExec(s, pl, now)
 		if err := packet.Decode(data, &x.frame); err != nil {
 			x.release()
 			b.execs[i] = nil
@@ -266,11 +263,11 @@ func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte,
 
 	// Execute in arrival order so per-port frame and packet-in ordering
 	// match the frame-at-a-time path exactly. A run of consecutive
-	// frames of one microflow whose rule leads with an nf action is
-	// vectored through the stage's ProcessBurst — the packets share the
-	// tuple by construction (same cache key), so the stage does one
-	// state lookup for the whole run — then each frame resumes the
-	// rule's remaining actions individually.
+	// frames of one microflow whose rule leads with an nf action enters
+	// the stage as one vector — the packets share the tuple by
+	// construction (same cache key), so the stage does one state lookup
+	// for the whole run — then each frame resumes the rule's remaining
+	// actions individually.
 	for i := 0; i < len(frames); {
 		x := b.execs[i]
 		if x == nil {
@@ -286,32 +283,14 @@ func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte,
 				for j < len(frames) && (b.execs[j] == nil || b.group[j] == g) {
 					j++
 				}
-				b.pkts = b.pkts[:0]
-				for k := i; k < j; k++ {
-					xx := b.execs[k]
-					if xx == nil {
-						continue
-					}
-					xx.now = now
-					p := &xx.pkt
-					p.InPort = inPort
-					p.Data = frames[k]
-					p.Frame = &xx.frame
-					p.Mem = xx
-					p.Now = now
-					p.Explain = false
-					p.Note = ""
-					p.Verdict = nf.VerdictContinue
-					b.pkts = append(b.pkts, p)
-				}
-				st.ProcessBurst(b.pkts)
+				b.pkts = steer(st, inPort, b.execs[i:j], frames[i:j], b.pkts[:0])
 				for k := i; k < j; k++ {
 					xx := b.execs[k]
 					if xx == nil {
 						continue
 					}
 					if xx.pkt.Verdict != nf.VerdictDrop {
-						xx.runFrom(inPort, xx.pkt.Data, e, now, 1)
+						xx.runFrom(inPort, xx.pkt.Data, e, 1)
 					}
 					xx.release()
 					b.execs[k] = nil
@@ -320,7 +299,7 @@ func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte,
 				continue
 			}
 		}
-		x.run(inPort, frames[i], e, now)
+		x.runFrom(inPort, frames[i], e, 0)
 		x.release()
 		b.execs[i] = nil
 	}

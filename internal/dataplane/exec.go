@@ -51,9 +51,11 @@ type exec struct {
 	// it so conntrack timestamps cost no extra clock reads.
 	now time.Time
 
-	// pkt is the embedded nf.Packet handed to NF stages — embedded so
-	// steering a frame into a stage allocates nothing.
+	// pkt is the nf.Packet view handed to NF stages, and vec the
+	// 1-vector a mid-rule or explain-mode stage call carries it in —
+	// both embedded so steering a frame into a stage allocates nothing.
 	pkt nf.Packet
+	vec [1]*nf.Packet
 
 	// trace, when non-nil, puts the execution in explain mode: matches,
 	// rewrites and group selection run exactly as live, but nothing
@@ -64,9 +66,9 @@ type exec struct {
 
 var execPool = sync.Pool{New: func() any { return new(exec) }}
 
-func getExec(s *Switch, pl *pipeline) *exec {
+func getExec(s *Switch, pl *pipeline, now time.Time) *exec {
 	x := execPool.Get().(*exec)
-	x.sw, x.pl, x.owned = s, pl, nil
+	x.sw, x.pl, x.owned, x.now = s, pl, nil, now
 	return x
 }
 
@@ -135,6 +137,34 @@ func (x *exec) Shrink(data []byte, off int) []byte {
 	return x.reframe(bp)
 }
 
+// steer is the one way into an NF stage: it points the packet view of
+// every exec in xs at its current bytes in datas (index-aligned; nil
+// execs, frames that died on ingress, are skipped), collects the views
+// into vec and runs st over the vector. The burst loop brings a run of
+// one microflow, apply and Trace a vector of one. Verdicts and the
+// possibly rewritten or reframed bytes come back in each exec's pkt.
+func steer(st nf.Stage, inPort uint32, xs []*exec, datas [][]byte, vec []*nf.Packet) []*nf.Packet {
+	for k, x := range xs {
+		if x == nil {
+			continue
+		}
+		// Field by field: a struct literal would be built on the stack
+		// and copied over, once per packet per stage.
+		p := &x.pkt
+		p.InPort = inPort
+		p.Data = datas[k]
+		p.Frame = &x.frame
+		p.Mem = x
+		p.Now = x.now
+		p.Explain = x.trace != nil
+		p.Note = ""
+		p.Verdict = nf.VerdictContinue
+		vec = append(vec, p)
+	}
+	st.ProcessBurst(vec)
+	return vec
+}
+
 // runStage hands the frame to the NF stage registered under id. It
 // returns the (possibly rewritten or reframed) bytes and whether the
 // stage consumed the frame. A missing stage — unregistered mid-flight —
@@ -148,24 +178,18 @@ func (x *exec) runStage(inPort uint32, data []byte, id uint32) ([]byte, bool) {
 		}
 		return data, false
 	}
+	xs, datas := [1]*exec{x}, [1][]byte{data}
+	steer(st, inPort, xs[:], datas[:], x.vec[:0])
 	p := &x.pkt
-	p.InPort = inPort
-	p.Data = data
-	p.Frame = &x.frame
-	p.Mem = x
-	p.Now = x.now
-	p.Explain = x.trace != nil
-	p.Note = ""
-	v := st.Process(p)
 	if x.trace != nil {
 		x.trace.Stages = append(x.trace.Stages, TraceStage{
-			ID: id, Module: st.Name(), Verdict: v.String(), Note: p.Note,
+			ID: id, Module: st.Name(), Verdict: p.Verdict.String(), Note: p.Note,
 		})
-		if v == nf.VerdictDrop && x.trace.Verdict == "" {
+		if p.Verdict == nf.VerdictDrop && x.trace.Verdict == "" {
 			x.trace.Verdict = "dropped: nf " + st.Name()
 		}
 	}
-	return p.Data, v == nf.VerdictDrop
+	return p.Data, p.Verdict == nf.VerdictDrop
 }
 
 // apply executes an action list against the frame bytes. It returns
@@ -241,9 +265,8 @@ func (x *exec) apply(inPort uint32, data []byte, acts []zof.Action, depth int) (
 				// Each bucket works on its own pooled copy and nested
 				// exec so rewrites do not leak between buckets or back
 				// into this execution's frame.
-				bx := getExec(x.sw, x.pl)
+				bx := getExec(x.sw, x.pl, x.now)
 				bx.trace = x.trace
-				bx.now = x.now
 				bp := bufGet(len(data))
 				copy(*bp, data)
 				bx.owned = bp
@@ -320,18 +343,12 @@ func (x *exec) packetIn(inPort uint32, data []byte, tableID, reason uint8, cooki
 	}
 }
 
-// run pushes a decoded frame through the multi-table pipeline starting
-// at table 0 with the given first-table result.
-func (x *exec) run(inPort uint32, data []byte, entry *flowtable.Entry, now time.Time) {
-	x.runFrom(inPort, data, entry, now, 0)
-}
-
-// runFrom is run with the first skip actions of the first entry
-// already executed — the burst engine uses it after vectoring a run of
-// frames through a leading nf action, resuming each frame at the
-// action after it.
-func (x *exec) runFrom(inPort uint32, data []byte, entry *flowtable.Entry, now time.Time, skip int) {
-	x.now = now
+// runFrom pushes a decoded frame through the multi-table pipeline
+// starting at table 0 with the given first-table result, the first
+// skip actions of that entry already executed: 0 for a frame that has
+// run nothing yet, 1 when the burst engine resumes a frame after
+// vectoring its run through the rule's leading nf action.
+func (x *exec) runFrom(inPort uint32, data []byte, entry *flowtable.Entry, skip int) {
 	tableID := 0
 	for {
 		if entry == nil {
@@ -352,6 +369,6 @@ func (x *exec) runFrom(inPort uint32, data []byte, entry *flowtable.Entry, now t
 		if tableID >= len(x.pl.tables) {
 			return
 		}
-		entry = x.pl.tables[tableID].Lookup(&x.frame, inPort, len(data), now)
+		entry = x.pl.tables[tableID].Lookup(&x.frame, inPort, len(data), x.now)
 	}
 }

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -20,8 +21,7 @@ var natPub = packet.IPv4Addr{203, 0, 113, 1}
 type countStage struct {
 	name   string
 	drop   bool
-	procs  atomic.Uint64 // scalar Process calls
-	seen   atomic.Uint64 // packets, either path
+	seen   atomic.Uint64 // packets
 	bursts atomic.Uint64
 
 	mu   sync.Mutex
@@ -29,14 +29,6 @@ type countStage struct {
 }
 
 func (c *countStage) Name() string { return c.name }
-func (c *countStage) Process(p *nf.Packet) nf.Verdict {
-	c.procs.Add(1)
-	c.seen.Add(1)
-	if c.drop {
-		return nf.VerdictDrop
-	}
-	return nf.VerdictContinue
-}
 func (c *countStage) ProcessBurst(ps []*nf.Packet) {
 	c.bursts.Add(1)
 	c.seen.Add(uint64(len(ps)))
@@ -51,7 +43,7 @@ func (c *countStage) ProcessBurst(ps []*nf.Packet) {
 	}
 }
 func (c *countStage) StateSummary() nf.StateSummary {
-	return nf.StateSummary{Counters: map[string]uint64{"procs": c.procs.Load()}}
+	return nf.StateSummary{Counters: map[string]uint64{"bursts": c.bursts.Load()}}
 }
 func (c *countStage) vecSizes() []int {
 	c.mu.Lock()
@@ -222,9 +214,6 @@ func TestNFStageBurstBatching(t *testing.T) {
 	if got := st.vecSizes(); !reflect.DeepEqual(got, []int{32}) {
 		t.Fatalf("vector sizes = %v, want [32]", got)
 	}
-	if st.procs.Load() != 0 {
-		t.Errorf("scalar Process called %d times on the burst path", st.procs.Load())
-	}
 	if caps[2].count() != 32 {
 		t.Fatalf("tx = %d", caps[2].count())
 	}
@@ -272,13 +261,18 @@ func TestNFStageRegisterUnregisterDuringTraffic(t *testing.T) {
 	}
 	// Churn the stage map under live traffic: the RCU snapshot means
 	// in-flight frames see either the old or new map, never a torn one.
+	// With a registry attached the churn also registers and removes the
+	// stage's gauge between registry snapshots.
 	sw.HandleFrame(1, frames[0])
+	reg := obs.NewRegistry()
+	sw.RegisterMetrics(reg, "dp")
 	probe := &countStage{name: "churn"}
 	for i := 0; i < 200; i++ {
 		if err := sw.RegisterStage(2, probe); err != nil {
 			t.Error(err)
 			break
 		}
+		reg.Snapshot()
 		sw.UnregisterStage(2)
 	}
 	close(stop)
@@ -397,6 +391,73 @@ func TestNFStageMetricsRegistered(t *testing.T) {
 	sw.HandleFrame(1, udpFrame(t, hostA, hostB, 1, 2, "m"))
 	if v, _ := reg.Value("dataplane.42.nf.conntrack.entries"); v != 1 {
 		t.Errorf("conntrack entries gauge = %d", v)
+	}
+
+	// A stage registered after the registry was attached gets its gauge
+	// too, and loses it when it is unregistered.
+	const late = "dataplane.42.nf.late.entries"
+	if err := sw.RegisterStage(3, &countStage{name: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reg.Value(late); !ok {
+		t.Errorf("metric %s not registered for a stage added after RegisterMetrics", late)
+	}
+	sw.UnregisterStage(3)
+	if _, ok := reg.Value(late); ok {
+		t.Errorf("metric %s still registered after UnregisterStage", late)
+	}
+	if _, ok := reg.Value("dataplane.42.nf.nat.entries"); !ok {
+		t.Error("unregistering one stage removed another's gauge")
+	}
+}
+
+// TestNFChainFrameBurstParity pins "a frame is a 1-vector" on the full
+// chain: the same frames through [nf:ct, nf:nat, nf:encap, output] as
+// N HandleFrame calls and as one HandleBurst leave byte-identical
+// egress, in order, and equal stage counters.
+func TestNFChainFrameBurstParity(t *testing.T) {
+	build := func() (*Switch, *capture, []nf.Stage) {
+		sw, caps := testSwitch(t, Config{DropOnMiss: true})
+		ct := nf.NewConntrack(nf.ConntrackConfig{Idle: time.Minute})
+		stages := []nf.Stage{ct,
+			nf.NewNAT(nf.NATConfig{CT: ct, PublicIP: natPub, PortLo: 20000, PortHi: 29999}),
+			nf.NewTunnelEncap(nf.TunnelConfig{VNI: 7,
+				LocalIP: packet.IPv4Addr{172, 16, 0, 1}, RemoteIP: packet.IPv4Addr{172, 16, 0, 2}})}
+		for i, st := range stages {
+			if err := sw.RegisterStage(uint32(i+1), st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addFlow(t, sw, zof.MatchAll(), 10, zof.NF(1), zof.NF(2), zof.NF(3), zof.Output(2))
+		return sw, caps[2], stages
+	}
+	// Five flows interleaved in runs of varying length, so the burst
+	// engine sees multi-frame vectors, singletons and revisited flows.
+	var frames [][]byte
+	for i := 0; i < 48; i++ {
+		flow := (i / 3) % 5
+		frames = append(frames, udpFrame(t, hostA, hostB, uint16(4000+flow), 80, fmt.Sprintf("payload-%02d", i)))
+	}
+
+	swF, capF, stF := build()
+	for _, fr := range frames {
+		swF.HandleFrame(1, fr)
+	}
+	swB, capB, stB := build()
+	swB.HandleBurst(1, frames)
+
+	if capF.count() != len(frames) || capB.count() != len(frames) {
+		t.Fatalf("egress: frame path %d, burst path %d, want %d", capF.count(), capB.count(), len(frames))
+	}
+	for i := range capF.frames {
+		if !bytes.Equal(capF.frames[i], capB.frames[i]) {
+			t.Fatalf("egress frame %d differs between the frame and burst paths", i)
+		}
+	}
+	for i := range stF {
+		if f, b := stF[i].StateSummary(), stB[i].StateSummary(); !reflect.DeepEqual(f, b) {
+			t.Errorf("%s summary: frame path %+v, burst path %+v", stF[i].Name(), f, b)
+		}
 	}
 }
 

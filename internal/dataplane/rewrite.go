@@ -7,18 +7,15 @@ import (
 	"repro/internal/zof"
 )
 
-// rewrite applies one set-field action to the frame bytes, keeps
-// x.frame in sync, and fixes checksums. Rewrites are copy-on-write:
+// rewrite applies one set-field action to the frame bytes, keeping
+// x.frame in sync; the IP and transport edits, with their checksum
+// fix-ups, are the packet rewrite kernel's. Rewrites are copy-on-write:
 // the first one moves borrowed bytes into a buffer the exec owns
 // (ensureOwned), so the caller's slice — possibly still being flooded
 // to other switches — is never mutated. It returns the (possibly new)
 // frame slice.
 func (x *exec) rewrite(data []byte, a *zof.Action) []byte {
 	f := &x.frame
-	ethEnd := packet.EthernetHeaderLen
-	if f.Has(packet.LayerVLAN) {
-		ethEnd += packet.Dot1QHeaderLen
-	}
 	switch a.Type {
 	case zof.ActSetEthSrc:
 		data = x.ensureOwned(data)
@@ -64,104 +61,31 @@ func (x *exec) rewrite(data []byte, a *zof.Action) []byte {
 	case zof.ActSetIPSrc:
 		if f.Has(packet.LayerIPv4) {
 			data = x.ensureOwned(data)
-			copy(data[ethEnd+12:ethEnd+16], a.IP[:])
-			f.IPv4.Src = a.IP
-			x.fixIPChecksum(data, ethEnd)
-			x.fixL4Checksum(data, ethEnd)
+			f.SetIPv4Src(data, a.IP)
 		}
 	case zof.ActSetIPDst:
 		if f.Has(packet.LayerIPv4) {
 			data = x.ensureOwned(data)
-			copy(data[ethEnd+16:ethEnd+20], a.IP[:])
-			f.IPv4.Dst = a.IP
-			x.fixIPChecksum(data, ethEnd)
-			x.fixL4Checksum(data, ethEnd)
+			f.SetIPv4Dst(data, a.IP)
 		}
 	case zof.ActSetTOS:
 		if f.Has(packet.LayerIPv4) {
 			data = x.ensureOwned(data)
-			data[ethEnd+1] = a.TOS
-			f.IPv4.TOS = a.TOS
-			x.fixIPChecksum(data, ethEnd)
+			f.SetIPv4TOS(data, a.TOS)
 		}
 	case zof.ActSetTPSrc:
-		if off, ok := x.l4Offset(ethEnd); ok {
+		if f.Has(packet.LayerIPv4) && f.Has(packet.LayerTCP|packet.LayerUDP) {
 			data = x.ensureOwned(data)
-			binary.BigEndian.PutUint16(data[off:off+2], a.TP)
-			if f.Has(packet.LayerTCP) {
-				f.TCP.SrcPort = a.TP
-			} else {
-				f.UDP.SrcPort = a.TP
-			}
-			x.fixL4Checksum(data, ethEnd)
+			f.SetL4Src(data, a.TP)
 		}
 	case zof.ActSetTPDst:
-		if off, ok := x.l4Offset(ethEnd); ok {
+		if f.Has(packet.LayerIPv4) && f.Has(packet.LayerTCP|packet.LayerUDP) {
 			data = x.ensureOwned(data)
-			binary.BigEndian.PutUint16(data[off+2:off+4], a.TP)
-			if f.Has(packet.LayerTCP) {
-				f.TCP.DstPort = a.TP
-			} else {
-				f.UDP.DstPort = a.TP
-			}
-			x.fixL4Checksum(data, ethEnd)
+			f.SetL4Dst(data, a.TP)
 		}
 	case zof.ActSetQueue:
 		// Queues are an accounting notion in this datapath; nothing to
 		// rewrite.
 	}
 	return data
-}
-
-// l4Offset returns the byte offset of the TCP/UDP header.
-func (x *exec) l4Offset(ethEnd int) (int, bool) {
-	f := &x.frame
-	if !f.Has(packet.LayerIPv4) || (!f.Has(packet.LayerTCP) && !f.Has(packet.LayerUDP)) {
-		return 0, false
-	}
-	return ethEnd + f.IPv4.HeaderLen(), true
-}
-
-// fixIPChecksum recomputes the IPv4 header checksum in place.
-func (x *exec) fixIPChecksum(data []byte, ethEnd int) {
-	hl := x.frame.IPv4.HeaderLen()
-	h := data[ethEnd : ethEnd+hl]
-	h[10], h[11] = 0, 0
-	sum := packet.Checksum(h, 0)
-	binary.BigEndian.PutUint16(h[10:12], sum)
-	x.frame.IPv4.Checksum = sum
-}
-
-// fixL4Checksum recomputes the TCP/UDP checksum in place. A UDP
-// checksum of zero (disabled) stays zero.
-func (x *exec) fixL4Checksum(data []byte, ethEnd int) {
-	f := &x.frame
-	off, ok := x.l4Offset(ethEnd)
-	if !ok {
-		return
-	}
-	seg := data[off:]
-	// Trim to the IP total length so trailing padding is excluded.
-	segLen := int(f.IPv4.Length) - f.IPv4.HeaderLen()
-	if segLen >= 0 && segLen <= len(seg) {
-		seg = seg[:segLen]
-	}
-	switch {
-	case f.Has(packet.LayerTCP):
-		seg[16], seg[17] = 0, 0
-		sum := packet.TransportChecksum(seg, f.IPv4.Src, f.IPv4.Dst, packet.ProtoTCP)
-		binary.BigEndian.PutUint16(seg[16:18], sum)
-		f.TCP.Checksum = sum
-	case f.Has(packet.LayerUDP):
-		if binary.BigEndian.Uint16(seg[6:8]) == 0 {
-			return // checksum disabled
-		}
-		seg[6], seg[7] = 0, 0
-		sum := packet.TransportChecksum(seg, f.IPv4.Src, f.IPv4.Dst, packet.ProtoUDP)
-		if sum == 0 {
-			sum = 0xffff
-		}
-		binary.BigEndian.PutUint16(seg[6:8], sum)
-		f.UDP.Checksum = sum
-	}
 }

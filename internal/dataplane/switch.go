@@ -11,6 +11,7 @@ import (
 	"repro/internal/flowtable"
 	"repro/internal/metrics"
 	"repro/internal/nf"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/zof"
 )
@@ -60,6 +61,7 @@ type Switch struct {
 	stages      map[uint32]nf.Stage
 	controllers map[int]func(zof.Message)
 	nextSink    int
+	metrics     *obs.Scope // set by RegisterMetrics; stage gauges follow the stage map
 
 	// roles is the switch-global controller-role coordinator shared by
 	// every control connection (see roles.go).
@@ -289,6 +291,7 @@ func (s *Switch) RegisterStage(id uint32, st nf.Stage) error {
 	}
 	s.stages[id] = st
 	s.publishLocked()
+	s.publishStageGaugeLocked(st)
 	return nil
 }
 
@@ -299,11 +302,15 @@ func (s *Switch) RegisterStage(id uint32, st nf.Stage) error {
 func (s *Switch) UnregisterStage(id uint32) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.stages[id]; !ok {
+	st, ok := s.stages[id]
+	if !ok {
 		return false
 	}
 	delete(s.stages, id)
 	s.publishLocked()
+	if s.metrics != nil {
+		s.metrics.Scope("nf." + st.Name()).Unregister("entries")
+	}
 	return true
 }
 
@@ -373,8 +380,8 @@ func (s *Switch) HandleFrame(inPort uint32, data []byte) {
 		return
 	}
 	b := getBurst(1)
-	b.one[0] = data
-	s.runBurst(pl, p, inPort, b.one[:1], b)
+	one := [1][]byte{data}
+	s.runBurst(pl, p, inPort, one[:], b)
 	putBurst(b)
 }
 
@@ -488,8 +495,7 @@ func (s *Switch) validateActionsLocked(acts []zof.Action) error {
 // (packet-out, buffered release). Caller holds s.mu; the execution uses
 // the current snapshot like any datapath frame would.
 func (s *Switch) inject(inPort uint32, data []byte, acts []zof.Action) {
-	x := getExec(s, s.pl.Load())
-	x.now = s.cfg.Clock()
+	x := getExec(s, s.pl.Load(), s.cfg.Clock())
 	if packet.Decode(data, &x.frame) == nil {
 		x.apply(inPort, data, acts, 0)
 	}

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 
+	"repro/internal/nf"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/zof"
@@ -159,9 +160,8 @@ func (s *Switch) Trace(inPort uint32, data []byte) *PacketTrace {
 		tr.Verdict = "dropped: in port down"
 		return tr
 	}
-	x := getExec(s, pl)
+	x := getExec(s, pl, s.cfg.Clock())
 	x.trace = tr
-	x.now = s.cfg.Clock()
 	if err := packet.Decode(data, &x.frame); err != nil {
 		x.release()
 		tr.Verdict = "dropped: malformed frame"
@@ -169,7 +169,7 @@ func (s *Switch) Trace(inPort uint32, data []byte) *PacketTrace {
 	}
 	tr.Frame = frameSummary(&x.frame)
 
-	// The loop mirrors run(): rewrites landed by apply are visible to
+	// The loop mirrors runFrom(): rewrites landed by apply are visible to
 	// the next table's match, exactly like the live resubmit path.
 	tableID := 0
 	entry := pl.tables[0].Peek(&x.frame, inPort)
@@ -236,7 +236,10 @@ func (s *Switch) Trace(inPort uint32, data []byte) *PacketTrace {
 // (e.g. "dataplane.3"), as callback gauges reading the live atomics:
 // packet-in totals, microflow-cache effectiveness, and per-table
 // lookup/match/occupancy figures named
-// <prefix>.flowtable.<table>.<stat>.
+// <prefix>.flowtable.<table>.<stat>, and one <prefix>.nf.<name>.entries
+// gauge per NF stage — the stages registered now and, because the
+// switch keeps the scope, every stage registered (or unregistered)
+// afterwards.
 func (s *Switch) RegisterMetrics(r *obs.Registry, prefix string) {
 	sc := r.Scope(prefix)
 	sc.RegisterFunc("packet_ins", func() int64 { return int64(s.PacketIns.Load()) })
@@ -252,9 +255,19 @@ func (s *Switch) RegisterMetrics(r *obs.Registry, prefix string) {
 		ts.RegisterFunc("matches", func() int64 { return int64(t.Matches()) })
 		ts.RegisterFunc("active", func() int64 { return int64(t.Len()) })
 	}
-	for _, st := range s.pl.Load().stages {
-		st := st
-		sc.Scope("nf."+st.Name()).RegisterFunc("entries",
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.metrics = &sc
+	for _, st := range s.stages {
+		s.publishStageGaugeLocked(st)
+	}
+}
+
+// publishStageGaugeLocked registers st's live-state gauge if a metrics
+// registry is attached. Caller holds s.mu.
+func (s *Switch) publishStageGaugeLocked(st nf.Stage) {
+	if s.metrics != nil {
+		s.metrics.Scope("nf."+st.Name()).RegisterFunc("entries",
 			func() int64 { return int64(st.StateSummary().Entries) })
 	}
 }

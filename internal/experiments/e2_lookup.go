@@ -16,30 +16,31 @@ type E2Config struct {
 	Measure time.Duration // wall time per point (default 200ms)
 }
 
-// lookupFixture holds one populated structure set plus probe frames.
-type lookupFixture struct {
-	linear *flowtable.Table
-	tuple  *flowtable.TupleSpace
-	exact  *flowtable.Exact[int]
-	lpm    *flowtable.LPM[int]
-	cached *flowtable.MicroCache
+// LookupFixture holds one populated structure set plus probe frames.
+// The E2 experiment and the repo's BenchmarkE2* share it.
+type LookupFixture struct {
+	Linear *flowtable.Table
+	Tuple  *flowtable.TupleSpace
+	Exact  *flowtable.Exact[int]
+	LPM    *flowtable.LPM[int]
+	Cached *flowtable.MicroCache
 
-	frames []*packet.Frame
-	keys   []packet.FlowKey
-	addrs  []uint32
+	Frames []*packet.Frame
+	Keys   []packet.FlowKey
+	Addrs  []uint32
 }
 
-// buildLookupFixture installs n rules into every structure. Rules are
+// BuildLookupFixture installs n rules into every structure. Rules are
 // /24 destination prefixes (LPM/linear/tuple) and exact 5-tuples
 // (exact map); probes are frames that hit.
-func buildLookupFixture(n int, seed int64) *lookupFixture {
+func BuildLookupFixture(n int, seed int64) *LookupFixture {
 	rng := rand.New(rand.NewSource(seed))
-	fx := &lookupFixture{
-		linear: flowtable.NewTable(0),
-		tuple:  flowtable.NewTupleSpace(),
-		exact:  flowtable.NewExact[int](n),
-		lpm:    flowtable.NewLPM[int](),
-		cached: flowtable.NewMicroCache(1 << 17),
+	fx := &LookupFixture{
+		Linear: flowtable.NewTable(0),
+		Tuple:  flowtable.NewTupleSpace(),
+		Exact:  flowtable.NewExact[int](n),
+		LPM:    flowtable.NewLPM[int](),
+		Cached: flowtable.NewMicroCache(1 << 17),
 	}
 	now := time.Unix(0, 0)
 	prefixes := make([]uint32, n)
@@ -53,9 +54,9 @@ func buildLookupFixture(n int, seed int64) *lookupFixture {
 		m.DstPrefix = 24
 		e := &flowtable.Entry{Match: m, Priority: uint16(i % 8),
 			Actions: []zof.Action{zof.Output(1)}}
-		_ = fx.linear.Add(e, false, now)
-		fx.tuple.Insert(e)
-		fx.lpm.Insert(p, 24, i)
+		_ = fx.Linear.Add(e, false, now)
+		fx.Tuple.Insert(e)
+		fx.LPM.Insert(p, 24, i)
 	}
 	// Probe set: 1024 frames landing inside random installed prefixes.
 	buf := packet.NewBuffer(128)
@@ -74,11 +75,11 @@ func buildLookupFixture(n int, seed int64) *lookupFixture {
 		if packet.Decode(append([]byte(nil), buf.Bytes()...), &f) != nil {
 			continue
 		}
-		fx.frames = append(fx.frames, &f)
+		fx.Frames = append(fx.Frames, &f)
 		key := packet.ExtractFlowKey(&f)
-		fx.keys = append(fx.keys, key)
-		fx.exact.Put(key, i)
-		fx.addrs = append(fx.addrs, dst.Uint32())
+		fx.Keys = append(fx.Keys, key)
+		fx.Exact.Put(key, i)
+		fx.Addrs = append(fx.Addrs, dst.Uint32())
 	}
 	return fx
 }
@@ -121,31 +122,31 @@ func E2Lookup(cfg E2Config) *Table {
 		},
 	}
 	for _, n := range cfg.Sizes {
-		fx := buildLookupFixture(n, int64(n))
+		fx := BuildLookupFixture(n, int64(n))
 		now := time.Unix(0, 0)
-		nf := len(fx.frames)
+		nf := len(fx.Frames)
 
 		linear := measureRate(cfg.Measure, func(i int) {
-			fx.linear.Lookup(fx.frames[i%nf], 1, 64, now)
+			fx.Linear.Lookup(fx.Frames[i%nf], 1, 64, now)
 		})
 		tuple := measureRate(cfg.Measure, func(i int) {
-			fx.tuple.Lookup(fx.frames[i%nf], 1)
+			fx.Tuple.Lookup(fx.Frames[i%nf], 1)
 		})
 		lpm := measureRate(cfg.Measure, func(i int) {
-			fx.lpm.Lookup(fx.addrs[i%nf])
+			fx.LPM.Lookup(fx.Addrs[i%nf])
 		})
 		exact := measureRate(cfg.Measure, func(i int) {
-			fx.exact.Get(fx.keys[i%nf])
+			fx.Exact.Get(fx.Keys[i%nf])
 		})
 		// Micro-cache: warm it once, then measure hits.
-		gen := fx.linear.Gen()
-		for i, f := range fx.frames {
+		gen := fx.Linear.Gen()
+		for i, f := range fx.Frames {
 			key := flowtable.MakeCacheKey(f, 1)
-			fx.cached.Put(key, gen, fx.linear.Entries()[i%fx.linear.Len()])
+			fx.Cached.Put(key, gen, fx.Linear.Entries()[i%fx.Linear.Len()])
 		}
 		cache := measureRate(cfg.Measure, func(i int) {
-			key := flowtable.MakeCacheKey(fx.frames[i%nf], 1)
-			fx.cached.Get(key, gen)
+			key := flowtable.MakeCacheKey(fx.Frames[i%nf], 1)
+			fx.Cached.Get(key, gen)
 		})
 		t.AddRow(fmt.Sprintf("%d", n),
 			f0(linear), f0(tuple), f0(lpm), f0(exact), f0(cache))

@@ -64,15 +64,11 @@ func (e *Entry) Bytes() uint64 { return e.bytes.Load() }
 // LastUsed returns the time of the entry's most recent hit.
 func (e *Entry) LastUsed() time.Time { return time.Unix(0, e.lastUsed.Load()) }
 
-// Touch records a hit of n bytes at time now. Safe for concurrent use;
-// the microflow-cached fast path calls it without any table lock.
-func (e *Entry) Touch(now time.Time, bytes int) {
-	e.TouchN(now, 1, uint64(bytes))
-}
-
 // TouchN records a group of packets frames totalling bytes bytes at
-// time now — the burst datapath's amortized form of Touch: one atomic
-// add per counter covers every frame of a microflow group.
+// time now: one atomic add per counter covers every frame of a
+// microflow group (a single frame is a group of one). Safe for
+// concurrent use; the microflow-cached fast path calls it without any
+// table lock.
 func (e *Entry) TouchN(now time.Time, packets, bytes uint64) {
 	n := now.UnixNano()
 	// Skip the store when the clock has not advanced (virtual-time
@@ -128,8 +124,6 @@ type stripedCounter [counterStripes]struct {
 	n atomic.Uint64
 	_ [56]byte // pad to a cache line
 }
-
-func (c *stripedCounter) add(hint uint32) { c[hint%counterStripes].n.Add(1) }
 
 func (c *stripedCounter) addN(hint uint32, n uint64) { c[hint%counterStripes].n.Add(n) }
 
@@ -193,19 +187,11 @@ func (t *Table) Lookups() uint64 { return t.lookups.load() }
 // Matches returns the number of lookups that hit (table stats).
 func (t *Table) Matches() uint64 { return t.matches.load() }
 
-// NoteLookup accounts one lookup against the table counters without
-// performing it — the datapath's microflow-cache hit path. hint picks
-// the counter stripe; callers pass the ingress port.
-func (t *Table) NoteLookup(hint uint32, matched bool) {
-	t.lookups.add(hint)
-	if matched {
-		t.matches.add(hint)
-	}
-}
-
-// NoteLookupN accounts n lookups with one matched verdict in a single
-// striped-counter add — the burst datapath's cache-hit accounting,
-// where a whole microflow group shares one cached answer.
+// NoteLookupN accounts n lookups with one matched verdict against the
+// table counters, in a single striped-counter add, without performing
+// them — the datapath's microflow-cache hit path, where a whole
+// microflow group shares one cached answer. hint picks the counter
+// stripe; callers pass the ingress port.
 func (t *Table) NoteLookupN(hint uint32, matched bool, n uint64) {
 	t.lookups.addN(hint, n)
 	if matched {
@@ -339,20 +325,31 @@ func (t *Table) deleteIf(pred func(*Entry) bool) []*Entry {
 	return removed
 }
 
+// find is the table's one classifier: the highest-priority entry of a
+// view's entries matching the frame on inPort, or nil. Entries are in
+// descending priority order, so the first match wins. It touches no
+// counter; Lookup, LookupBatch and Peek differ only in the accounting
+// they add around it.
+func find(entries []*Entry, f *packet.Frame, inPort uint32) *Entry {
+	for _, e := range entries {
+		if e.Match.MatchesFrame(f, inPort) {
+			return e
+		}
+	}
+	return nil
+}
+
 // Lookup returns the highest-priority entry matching the frame on
 // inPort, updating its counters, or nil. bytes is the frame length for
 // byte counters. Lock-free: it walks the published view and may run
 // concurrently with mutations, observing either the old or new state.
 func (t *Table) Lookup(f *packet.Frame, inPort uint32, bytes int, now time.Time) *Entry {
-	for _, e := range t.view.Load().entries {
-		if e.Match.MatchesFrame(f, inPort) {
-			e.Touch(now, bytes)
-			t.NoteLookup(inPort, true)
-			return e
-		}
+	e := find(t.view.Load().entries, f, inPort)
+	if e != nil {
+		e.TouchN(now, 1, uint64(bytes))
 	}
-	t.NoteLookup(inPort, false)
-	return nil
+	t.NoteLookupN(inPort, e != nil, 1)
+	return e
 }
 
 // BatchLookup is one microflow group's lookup in a Table.LookupBatch:
@@ -381,15 +378,12 @@ func (t *Table) LookupBatch(reqs []BatchLookup, inPort uint32, now time.Time) {
 	var total, matched uint64
 	for i := range reqs {
 		r := &reqs[i]
-		r.Entry = nil
 		total += r.Packets
-		for _, e := range entries {
-			if e.Match.MatchesFrame(r.Frame, inPort) {
-				e.TouchN(now, r.Packets, r.Bytes)
-				r.Entry = e
-				matched += r.Packets
-				break
-			}
+		e := find(entries, r.Frame, inPort)
+		r.Entry = e
+		if e != nil {
+			e.TouchN(now, r.Packets, r.Bytes)
+			matched += r.Packets
 		}
 	}
 	t.lookups.addN(inPort, total)
@@ -403,12 +397,7 @@ func (t *Table) LookupBatch(reqs []BatchLookup, inPort uint32, now time.Time) {
 // effects. The explain-mode pipeline tracer (dataplane.Switch.Trace)
 // uses it so tracing a packet never perturbs flow or table statistics.
 func (t *Table) Peek(f *packet.Frame, inPort uint32) *Entry {
-	for _, e := range t.view.Load().entries {
-		if e.Match.MatchesFrame(f, inPort) {
-			return e
-		}
-	}
-	return nil
+	return find(t.view.Load().entries, f, inPort)
 }
 
 // Sweep removes all entries expired at now and returns them paired with

@@ -67,7 +67,7 @@ func TestTablePriorityOrder(t *testing.T) {
 func TestTableAddReplacesIdentical(t *testing.T) {
 	tbl := NewTable(0)
 	a := dstMatch(packet.IPv4Addr{10, 0, 0, 0}, 8, 10)
-	a.Touch(t0, 100) // counters reset on replacement
+	a.TouchN(t0, 1, 100) // counters reset on replacement
 	if err := tbl.Add(a, false, t0); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTableModify(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		e.Touch(t0, 1)
+		e.TouchN(t0, 1, 1)
 	}
 	m := zof.MatchAll()
 	m.IPDst = packet.IPv4Addr{10, 0, 0, 0}

@@ -25,10 +25,10 @@ type PipeConfig struct {
 	RateMbps   float64
 	BurstBytes int
 
-	// BurstSize, when positive, makes the link deliver in batches: the
-	// pump coalesces up to this many already-queued frames into one
-	// [][]byte delivery (NewBatchPipe), the wire analogue of NIC RX
-	// coalescing. Zero keeps per-frame delivery.
+	// BurstSize bounds the batches the link delivers in: the pump
+	// coalesces up to this many already-queued frames into one [][]byte
+	// delivery, the wire analogue of NIC RX coalescing. Zero means 1:
+	// every batch is a single frame.
 	BurstSize int
 }
 
@@ -44,15 +44,14 @@ var framePool = sync.Pool{New: func() any {
 // dropped, which is what bounds broadcast storms in looped topologies.
 //
 // Queued frames live in pooled buffers returned to the pool after
-// delivery, so the deliver callback must not retain its argument past
-// the call (the switch pipeline and host delivery both copy what they
-// keep).
+// delivery, so the deliver callback must not retain the batch slice or
+// any frame in it past the call (the switch pipeline and host delivery
+// both copy what they keep).
 type Pipe struct {
-	ch           chan *[]byte
-	quit         chan struct{}
-	deliver      func([]byte)
-	deliverBatch func([][]byte) // set on batch pipes instead of deliver
-	cfg          PipeConfig
+	ch      chan *[]byte
+	quit    chan struct{}
+	deliver func([][]byte)
+	cfg     PipeConfig
 	rng     *rand.Rand
 	rngMu   sync.Mutex
 	down    atomic.Bool
@@ -64,29 +63,17 @@ type Pipe struct {
 	Dropped atomic.Uint64 // tail + loss + down drops
 }
 
-// NewPipe starts the pump delivering into deliver.
+// NewPipe is NewBatchPipe at burst 1 for a frame-at-a-time receiver.
 func NewPipe(cfg PipeConfig, deliver func([]byte)) *Pipe {
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 256
-	}
-	p := &Pipe{
-		ch:      make(chan *[]byte, cfg.QueueLen),
-		quit:    make(chan struct{}),
-		deliver: deliver,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-	}
-	p.wg.Add(1)
-	go p.pump()
-	return p
+	cfg.BurstSize = 1
+	return NewBatchPipe(cfg, func(batch [][]byte) { deliver(batch[0]) })
 }
 
-// NewBatchPipe starts a pump that coalesces queued frames into batches
-// of up to cfg.BurstSize (default 32) and delivers each batch with one
-// deliverBatch call. Send-side semantics (loss, tail drop, counters)
-// are identical to NewPipe; delay and rate shaping apply once per
-// batch, over its total bytes — back-to-back frames on a wire share
-// the serialization wait anyway.
+// NewBatchPipe starts the pump: it coalesces queued frames into batches
+// of up to cfg.BurstSize (0 means 1) and delivers each batch with one
+// deliverBatch call. Loss and tail drop apply per frame at Send; delay
+// and rate shaping apply once per batch, over its total bytes —
+// back-to-back frames on a wire share the serialization wait anyway.
 //
 // Batch slices and every frame in them are pooled and reclaimed when
 // deliverBatch returns: the callee must not retain the outer slice or
@@ -96,26 +83,27 @@ func NewBatchPipe(cfg PipeConfig, deliverBatch func([][]byte)) *Pipe {
 		cfg.QueueLen = 256
 	}
 	if cfg.BurstSize <= 0 {
-		cfg.BurstSize = 32
+		cfg.BurstSize = 1
 	}
 	p := &Pipe{
-		ch:           make(chan *[]byte, cfg.QueueLen),
-		quit:         make(chan struct{}),
-		deliverBatch: deliverBatch,
-		cfg:          cfg,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		ch:      make(chan *[]byte, cfg.QueueLen),
+		quit:    make(chan struct{}),
+		deliver: deliverBatch,
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	p.wg.Add(1)
-	go p.pumpBatch()
+	go p.pump()
 	return p
 }
 
-// pumpBatch is the batch-mode pump: block for one frame, sweep up
+// pump is the link's one goroutine: block for one frame, sweep up
 // whatever else is already queued (up to BurstSize), shape and deliver
 // the lot as one batch. Under load the queue stays occupied and bursts
-// fill out; at low rate every batch is a single frame — batching cost
-// appears exactly when there is work to amortize it over.
-func (p *Pipe) pumpBatch() {
+// fill out; at low rate, or at BurstSize 1, every batch is a single
+// frame — batching cost appears exactly when there is work to amortize
+// it over. The token bucket is consumed only by this goroutine.
+func (p *Pipe) pump() {
 	defer p.wg.Done()
 	bps := make([]*[]byte, 0, p.cfg.BurstSize)
 	batch := make([][]byte, 0, p.cfg.BurstSize)
@@ -177,67 +165,13 @@ func (p *Pipe) pumpBatch() {
 			if p.down.Load() {
 				p.Dropped.Add(uint64(len(bps)))
 			} else {
-				p.deliverBatch(batch)
+				p.deliver(batch)
 			}
 			for i, b := range bps {
 				framePool.Put(b)
 				bps[i] = nil
 				batch[i] = nil
 			}
-		}
-	}
-}
-
-func (p *Pipe) pump() {
-	defer p.wg.Done()
-	// Token bucket state (consumed only by this goroutine).
-	burst := float64(p.cfg.BurstBytes)
-	if burst <= 0 {
-		burst = 1500
-	}
-	tokens := burst
-	bytesPerSec := p.cfg.RateMbps * 1e6 / 8
-	last := time.Now()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case bp := <-p.ch:
-			data := *bp
-			if bytesPerSec > 0 {
-				now := time.Now()
-				tokens += now.Sub(last).Seconds() * bytesPerSec
-				last = now
-				if tokens > burst {
-					tokens = burst
-				}
-				if need := float64(len(data)) - tokens; need > 0 {
-					wait := time.Duration(need / bytesPerSec * float64(time.Second))
-					select {
-					case <-p.quit:
-						return
-					case <-time.After(wait):
-					}
-					now = time.Now()
-					tokens += now.Sub(last).Seconds() * bytesPerSec
-					last = now
-				}
-				tokens -= float64(len(data))
-			}
-			if p.cfg.Delay > 0 {
-				select {
-				case <-p.quit:
-					return
-				case <-time.After(p.cfg.Delay):
-				}
-			}
-			if p.down.Load() {
-				p.Dropped.Add(1)
-				framePool.Put(bp)
-				continue
-			}
-			p.deliver(data)
-			framePool.Put(bp)
 		}
 	}
 }

@@ -22,7 +22,7 @@ type Config struct {
 // a bidirectional Pipe pair per link, and hosts attached at the edge.
 //
 // Every pipe delivers from its own pump goroutine straight into
-// Switch.HandleFrame, which is lock-free: frames arriving on different
+// Switch.HandleBurst, which is lock-free: frames arriving on different
 // links of the same switch genuinely forward in parallel, like packets
 // hitting different ports of real silicon.
 type Network struct {
@@ -75,15 +75,10 @@ func Build(g *topo.Graph, cfg Config) *Network {
 		pb := swB.AddPort(l.BPort, fmt.Sprintf("s%d-eth%d", l.B, l.BPort), uint32(l.Capacity))
 		a, b, aport, bport := l.A, l.B, l.APort, l.BPort
 		w := &wire{key: l.Key()}
-		if cfg.Link.BurstSize > 0 {
-			// Burst-mode links deliver coalesced batches straight into the
-			// switch's batched pipeline walk.
-			w.ab = NewBatchPipe(cfg.Link, func(frames [][]byte) { n.Switches[b].HandleBurst(bport, frames) })
-			w.ba = NewBatchPipe(cfg.Link, func(frames [][]byte) { n.Switches[a].HandleBurst(aport, frames) })
-		} else {
-			w.ab = NewPipe(cfg.Link, func(data []byte) { n.Switches[b].HandleFrame(bport, data) })
-			w.ba = NewPipe(cfg.Link, func(data []byte) { n.Switches[a].HandleFrame(aport, data) })
-		}
+		// Links deliver coalesced batches (of one frame at BurstSize 0)
+		// straight into the switch's batched pipeline walk.
+		w.ab = NewBatchPipe(cfg.Link, func(frames [][]byte) { n.Switches[b].HandleBurst(bport, frames) })
+		w.ba = NewBatchPipe(cfg.Link, func(frames [][]byte) { n.Switches[a].HandleBurst(aport, frames) })
 		pa.SetTx(func(data []byte) { w.ab.Send(data) })
 		pb.SetTx(func(data []byte) { w.ba.Send(data) })
 		n.links[w.key] = w
@@ -140,14 +135,8 @@ func (n *Network) AttachHost(name string, node topo.NodeID, ip packet.IPv4Addr, 
 	h := NewHost(name, ip)
 	port := sw.AddPort(portNo, fmt.Sprintf("s%d-%s", node, name), 1000)
 
-	var toHost, toSwitch *Pipe
-	if cfg.BurstSize > 0 {
-		toHost = NewBatchPipe(cfg, h.DeliverBatch)
-		toSwitch = NewBatchPipe(cfg, func(frames [][]byte) { sw.HandleBurst(portNo, frames) })
-	} else {
-		toHost = NewPipe(cfg, h.Deliver)
-		toSwitch = NewPipe(cfg, func(data []byte) { sw.HandleFrame(portNo, data) })
-	}
+	toHost := NewBatchPipe(cfg, h.DeliverBatch)
+	toSwitch := NewBatchPipe(cfg, func(frames [][]byte) { sw.HandleBurst(portNo, frames) })
 	port.SetTx(func(data []byte) { toHost.Send(data) })
 	h.SetTx(toSwitch.Send)
 

@@ -173,30 +173,31 @@ func NewConntrack(cfg ConntrackConfig) *Conntrack {
 // Name implements Stage.
 func (ct *Conntrack) Name() string { return ct.name }
 
+// find returns the entry tracking k in either direction. Caller holds
+// sh.mu.
+func (sh *ctShard) find(k ConnKey) (c *conn, reply bool) {
+	if c = sh.conns[k]; c != nil {
+		return c, false
+	}
+	c = sh.conns[k.Reverse()]
+	return c, c != nil
+}
+
 // lookup finds the entry for k in either direction, creating it when
-// absent (and allowed). It returns nil when the frame must pass
-// untracked (table full).
-func (ct *Conntrack) lookup(k ConnKey, now int64, create bool) (c *conn, reply, created bool) {
+// absent. It returns nil when the frame must pass untracked (table
+// full).
+func (ct *Conntrack) lookup(k ConnKey, now int64) (c *conn, reply, created bool) {
 	sh := &ct.shards[k.shard()]
 	sh.mu.Lock()
-	if c = sh.conns[k]; c != nil {
-		sh.mu.Unlock()
-		return c, false, false
+	c, reply = sh.find(k)
+	if c == nil && (ct.max <= 0 || int(ct.entries.Load()) < ct.max) {
+		c, created = &conn{key: k, created: now}, true
+		c.lastSeen.Store(now)
+		sh.conns[k] = c
+		ct.entries.Add(1)
 	}
-	if c = sh.conns[k.Reverse()]; c != nil {
-		sh.mu.Unlock()
-		return c, true, false
-	}
-	if !create || (ct.max > 0 && int(ct.entries.Load()) >= ct.max) {
-		sh.mu.Unlock()
-		return nil, false, false
-	}
-	c = &conn{key: k, created: now}
-	c.lastSeen.Store(now)
-	sh.conns[k] = c
-	ct.entries.Add(1)
 	sh.mu.Unlock()
-	return c, false, true
+	return c, reply, created
 }
 
 // peek is lookup without creation or accounting — the NAT module and
@@ -205,18 +206,20 @@ func (ct *Conntrack) peek(k ConnKey) (c *conn, reply bool) {
 	sh := &ct.shards[k.shard()]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if c = sh.conns[k]; c != nil {
-		return c, false
-	}
-	if c = sh.conns[k.Reverse()]; c != nil {
-		return c, true
-	}
-	return nil, false
+	return sh.find(k)
 }
 
-// track is the shared body of Process/ProcessBurst: one lookup, one
-// aggregate touch for pkts frames totalling bytes.
-func (ct *Conntrack) track(p *Packet, pkts, bytes uint64) {
+// ProcessBurst implements Stage. The packets share a microflow key, so
+// one lookup and one aggregate touch cover the whole vector. Conntrack
+// never drops: it observes.
+func (ct *Conntrack) ProcessBurst(ps []*Packet) {
+	pkts := uint64(len(ps))
+	var bytes uint64
+	for _, p := range ps {
+		bytes += uint64(len(p.Data))
+		p.Verdict = VerdictContinue
+	}
+	p := ps[0]
 	k, ok := keyFromFrame(p.Frame)
 	if !ok {
 		if p.Explain {
@@ -243,7 +246,7 @@ func (ct *Conntrack) track(p *Packet, pkts, bytes uint64) {
 		}
 		return
 	}
-	c, reply, created := ct.lookup(k, now, true)
+	c, reply, created := ct.lookup(k, now)
 	if c == nil {
 		ct.full.Add(pkts)
 		return
@@ -260,23 +263,6 @@ func (ct *Conntrack) track(p *Packet, pkts, bytes uint64) {
 		c.established.Store(true)
 	}
 	c.touchN(now, pkts, bytes)
-}
-
-// Process implements Stage. Conntrack never drops: it observes.
-func (ct *Conntrack) Process(p *Packet) Verdict {
-	ct.track(p, 1, uint64(len(p.Data)))
-	return VerdictContinue
-}
-
-// ProcessBurst implements Stage: the packets share a microflow key, so
-// one lookup and one aggregate touch cover the whole vector.
-func (ct *Conntrack) ProcessBurst(ps []*Packet) {
-	var bytes uint64
-	for _, p := range ps {
-		bytes += uint64(len(p.Data))
-		p.Verdict = VerdictContinue
-	}
-	ct.track(ps[0], uint64(len(ps)), bytes)
 }
 
 // Tick implements Ticker: sweep idled-out entries.

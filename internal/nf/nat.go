@@ -125,10 +125,12 @@ func (n *NAT) bind(c *conn, proto uint8) *natBinding {
 }
 
 // plan resolves what to do with a run of same-tuple packets: one
-// lookup serves the whole vector. drop names the counter to move per
-// dropped frame; nil drop with nil bindings means pass untouched.
+// lookup serves the whole vector. drop and pass name the counter to
+// move per frame dropped or passed untouched; all nil means pass
+// uncounted.
 type natPlan struct {
 	drop *atomic.Uint64
+	pass *atomic.Uint64
 	out  *natBinding // rewrite src -> public (outbound)
 	in   *natBinding // rewrite dst -> private (inbound)
 }
@@ -138,10 +140,8 @@ func (n *NAT) resolve(p *Packet) natPlan {
 	if !ok {
 		if p.Explain {
 			p.Note = "untracked (not IPv4 TCP/UDP)"
-		} else {
-			n.untracked.Add(1)
 		}
-		return natPlan{}
+		return natPlan{pass: &n.untracked}
 	}
 	if k.Dst == n.publicIP { // inbound: un-NAT toward the private host
 		n.mu.Lock()
@@ -190,18 +190,22 @@ func (n *NAT) apply(p *Packet, pl natPlan) Verdict {
 			pl.drop.Add(1)
 		}
 		return VerdictDrop
+	case pl.pass != nil:
+		if !p.Explain {
+			pl.pass.Add(1)
+		}
 	case pl.out != nil:
 		p.Data = p.Mem.EnsureOwned(p.Data)
-		setIPSrc(p.Data, p.Frame, pl.out.ip)
-		setTPSrc(p.Data, p.Frame, pl.out.port)
+		p.Frame.SetIPv4Src(p.Data, pl.out.ip)
+		p.Frame.SetL4Src(p.Data, pl.out.port)
 		if !p.Explain {
 			n.translated.Add(1)
 		}
 	case pl.in != nil:
 		b := pl.in
 		p.Data = p.Mem.EnsureOwned(p.Data)
-		setIPDst(p.Data, p.Frame, b.c.key.Src)
-		setTPDst(p.Data, p.Frame, b.c.key.SrcPort)
+		p.Frame.SetIPv4Dst(p.Data, b.c.key.Src)
+		p.Frame.SetL4Dst(p.Data, b.c.key.SrcPort)
 		if !p.Explain {
 			// The inbound path bypasses the conntrack stage, so the
 			// reply traffic keeps the entry alive from here.
@@ -211,11 +215,6 @@ func (n *NAT) apply(p *Packet, pl natPlan) Verdict {
 		}
 	}
 	return VerdictContinue
-}
-
-// Process implements Stage.
-func (n *NAT) Process(p *Packet) Verdict {
-	return n.apply(p, n.resolve(p))
 }
 
 // ProcessBurst implements Stage: resolve once for the shared tuple,

@@ -8,9 +8,11 @@
 // conntrack entries, NAT bindings — lives here, outside the audit
 // contract, introspected through StateSummary instead of diffed.
 //
-// Stages run on the datapath fast path: Process must not allocate in
-// steady state, must never block beyond a short mutex, and must honor
-// Explain mode (record the decision in Note, mutate nothing).
+// Stages run on the datapath fast path and have one way in: a vector of
+// packets. A single frame is a vector of length one. ProcessBurst must
+// not allocate in steady state, must never block beyond a short mutex,
+// and must honor Explain mode (record the decision in Note, mutate
+// nothing).
 package nf
 
 import (
@@ -74,7 +76,8 @@ type Packet struct {
 	Explain bool
 	Note    string
 
-	// Verdict is filled per packet by ProcessBurst.
+	// Verdict is the stage's decision, filled per packet by
+	// ProcessBurst.
 	Verdict Verdict
 }
 
@@ -83,13 +86,12 @@ type Packet struct {
 // datapath invokes stages from every ingress goroutine at once.
 type Stage interface {
 	Name() string
-	// Process runs the stage on one frame.
-	Process(p *Packet) Verdict
-	// ProcessBurst runs the stage over a vector of packets that share
-	// the ingress port and microflow key (the burst engine groups by
-	// cache key before steering), filling each Packet.Verdict. Sharing
-	// the key is the amortization contract: one state lookup covers
-	// the whole vector.
+	// ProcessBurst runs the stage over a non-empty vector of packets
+	// that share the ingress port and microflow key (the burst engine
+	// groups by cache key before steering; a mid-rule or explain-mode
+	// call brings a vector of one), filling each Packet.Verdict.
+	// Sharing the key is the amortization contract: one state lookup
+	// covers the whole vector.
 	ProcessBurst(ps []*Packet)
 	// StateSummary reports the module's dynamic state for
 	// introspection (REST, experiments); it may allocate.

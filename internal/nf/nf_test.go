@@ -57,12 +57,18 @@ func pkt(t testing.TB, data []byte, now time.Time) *Packet {
 	return &Packet{InPort: 1, Data: data, Frame: f, Mem: testMem{}, Now: now}
 }
 
+// run1 drives st over the 1-vector {p} and returns the verdict.
+func run1(st Stage, p *Packet) Verdict {
+	st.ProcessBurst([]*Packet{p})
+	return p.Verdict
+}
+
 func TestConntrackBidirectional(t *testing.T) {
 	ct := NewConntrack(ConntrackConfig{Idle: time.Minute})
 	t0 := time.Unix(100, 0)
 
 	orig := pkt(t, udpFrame(t, tHostA, tHostB, 4242, 80, "syn"), t0)
-	if v := ct.Process(orig); v != VerdictContinue {
+	if v := run1(ct, orig); v != VerdictContinue {
 		t.Fatalf("verdict = %v", v)
 	}
 	if ct.Entries() != 1 {
@@ -78,7 +84,7 @@ func TestConntrackBidirectional(t *testing.T) {
 
 	// The reply direction lands on the same entry and establishes it.
 	reply := pkt(t, udpFrame(t, tHostB, tHostA, 80, 4242, "ack"), t0.Add(time.Millisecond))
-	ct.Process(reply)
+	run1(ct, reply)
 	if ct.Entries() != 1 {
 		t.Fatalf("entries after reply = %d", ct.Entries())
 	}
@@ -96,8 +102,8 @@ func TestConntrackBidirectional(t *testing.T) {
 func TestConntrackExpirySweep(t *testing.T) {
 	ct := NewConntrack(ConntrackConfig{Idle: 50 * time.Millisecond})
 	t0 := time.Unix(100, 0)
-	ct.Process(pkt(t, udpFrame(t, tHostA, tHostB, 1, 2, "a"), t0))
-	ct.Process(pkt(t, udpFrame(t, tHostB, tHostA, 9, 9, "b"), t0.Add(40*time.Millisecond)))
+	run1(ct, pkt(t, udpFrame(t, tHostA, tHostB, 1, 2, "a"), t0))
+	run1(ct, pkt(t, udpFrame(t, tHostB, tHostA, 9, 9, "b"), t0.Add(40*time.Millisecond)))
 
 	// Within the horizon nothing expires.
 	if removed, _ := ct.Sweep(t0.Add(45 * time.Millisecond)); removed != 0 {
@@ -122,8 +128,8 @@ func TestConntrackExpirySweep(t *testing.T) {
 func TestConntrackMaxConnsPassesUntracked(t *testing.T) {
 	ct := NewConntrack(ConntrackConfig{Idle: time.Minute, MaxConns: 1})
 	t0 := time.Unix(100, 0)
-	ct.Process(pkt(t, udpFrame(t, tHostA, tHostB, 1, 2, "a"), t0))
-	if v := ct.Process(pkt(t, udpFrame(t, tHostA, tHostB, 3, 4, "b"), t0)); v != VerdictContinue {
+	run1(ct, pkt(t, udpFrame(t, tHostA, tHostB, 1, 2, "a"), t0))
+	if v := run1(ct, pkt(t, udpFrame(t, tHostA, tHostB, 3, 4, "b"), t0)); v != VerdictContinue {
 		t.Fatalf("overflow verdict = %v, want continue (fail open)", v)
 	}
 	if ct.Entries() != 1 {
@@ -138,7 +144,7 @@ func TestConntrackExplainCreatesNothing(t *testing.T) {
 	ct := NewConntrack(ConntrackConfig{Idle: time.Minute})
 	p := pkt(t, udpFrame(t, tHostA, tHostB, 1, 2, "x"), time.Unix(100, 0))
 	p.Explain = true
-	ct.Process(p)
+	run1(ct, p)
 	if ct.Entries() != 0 {
 		t.Fatalf("explain created an entry")
 	}
@@ -157,8 +163,8 @@ func TestNATTranslatesBothWays(t *testing.T) {
 
 	// Outbound: conntrack first (owns the entry), then NAT.
 	out := pkt(t, udpFrame(t, tHostA, tHostB, 4242, 80, "req"), t0)
-	ct.Process(out)
-	if v := nat.Process(out); v != VerdictContinue {
+	run1(ct, out)
+	if v := run1(nat, out); v != VerdictContinue {
 		t.Fatalf("outbound verdict = %v", v)
 	}
 	if out.Frame.IPv4.Src != tPub {
@@ -179,7 +185,7 @@ func TestNATTranslatesBothWays(t *testing.T) {
 	// Inbound: reply addressed to the public endpoint comes back to the
 	// private host, and keeps the entry alive (established).
 	in := pkt(t, udpFrame(t, tHostB, tPub, 80, natPort, "resp"), t0.Add(time.Millisecond))
-	if v := nat.Process(in); v != VerdictContinue {
+	if v := run1(nat, in); v != VerdictContinue {
 		t.Fatalf("inbound verdict = %v", v)
 	}
 	if in.Frame.IPv4.Dst != tHostA || in.Frame.UDP.DstPort != 4242 {
@@ -191,7 +197,7 @@ func TestNATTranslatesBothWays(t *testing.T) {
 
 	// Inbound to an unbound port is refused.
 	stray := pkt(t, udpFrame(t, tHostB, tPub, 80, 31000, "stray"), t0)
-	if v := nat.Process(stray); v != VerdictDrop {
+	if v := run1(nat, stray); v != VerdictDrop {
 		t.Fatalf("stray verdict = %v", v)
 	}
 	s := nat.StateSummary()
@@ -204,7 +210,7 @@ func TestNATRequiresConntrackEntry(t *testing.T) {
 	ct := NewConntrack(ConntrackConfig{Idle: time.Minute})
 	nat := NewNAT(NATConfig{CT: ct, PublicIP: tPub})
 	p := pkt(t, udpFrame(t, tHostA, tHostB, 1, 2, "x"), time.Unix(100, 0))
-	if v := nat.Process(p); v != VerdictDrop {
+	if v := run1(nat, p); v != VerdictDrop {
 		t.Fatalf("verdict = %v, want drop for untracked flow", v)
 	}
 	if s := nat.StateSummary(); s.Counters["unbound"] != 1 {
@@ -219,8 +225,8 @@ func TestNATPortExhaustionAndRelease(t *testing.T) {
 
 	send := func(sp uint16, at time.Time) Verdict {
 		p := pkt(t, udpFrame(t, tHostA, tHostB, sp, 80, "x"), at)
-		ct.Process(p)
-		return nat.Process(p)
+		run1(ct, p)
+		return run1(nat, p)
 	}
 	if send(1, t0) != VerdictContinue || send(2, t0) != VerdictContinue {
 		t.Fatal("pool-backed connections dropped")
@@ -253,11 +259,11 @@ func TestNATExplainAllocatesNothing(t *testing.T) {
 	nat := NewNAT(NATConfig{CT: ct, PublicIP: tPub})
 	t0 := time.Unix(100, 0)
 	live := pkt(t, udpFrame(t, tHostA, tHostB, 7, 80, "x"), t0)
-	ct.Process(live) // entry exists, no binding yet
+	run1(ct, live) // entry exists, no binding yet
 
 	p := pkt(t, udpFrame(t, tHostA, tHostB, 7, 80, "x"), t0)
 	p.Explain = true
-	if v := nat.Process(p); v != VerdictContinue {
+	if v := run1(nat, p); v != VerdictContinue {
 		t.Fatalf("explain verdict = %v", v)
 	}
 	if nat.Bindings() != 0 {
@@ -281,7 +287,7 @@ func TestTunnelRoundTrip(t *testing.T) {
 	t0 := time.Unix(100, 0)
 
 	p := pkt(t, append([]byte(nil), inner...), t0)
-	if v := enc.Process(p); v != VerdictContinue {
+	if v := run1(enc, p); v != VerdictContinue {
 		t.Fatalf("encap verdict = %v", v)
 	}
 	if len(p.Data) != len(inner)+TunnelOverhead {
@@ -301,7 +307,7 @@ func TestTunnelRoundTrip(t *testing.T) {
 	entropyPort := f.UDP.SrcPort
 
 	// Decap restores the exact inner bytes.
-	if v := dec.Process(p); v != VerdictContinue {
+	if v := run1(dec, p); v != VerdictContinue {
 		t.Fatalf("decap verdict = %v", v)
 	}
 	if !bytes.Equal(p.Data, inner) {
@@ -313,7 +319,7 @@ func TestTunnelRoundTrip(t *testing.T) {
 
 	// Same inner flow -> same outer source port (stable ECMP entropy).
 	q := pkt(t, append([]byte(nil), inner...), t0)
-	enc.Process(q)
+	run1(enc, q)
 	if q.Frame.UDP.SrcPort != entropyPort {
 		t.Errorf("entropy port unstable: %d then %d", entropyPort, q.Frame.UDP.SrcPort)
 	}
@@ -326,18 +332,86 @@ func TestTunnelDecapRejectsForeignFrames(t *testing.T) {
 	t0 := time.Unix(100, 0)
 
 	// Plain UDP to another port is not this tunnel's traffic.
-	if v := dec.Process(pkt(t, udpFrame(t, tHostA, tHostB, 1, 80, "x"), t0)); v != VerdictDrop {
+	if v := run1(dec, pkt(t, udpFrame(t, tHostA, tHostB, 1, 80, "x"), t0)); v != VerdictDrop {
 		t.Fatalf("non-vxlan verdict = %v", v)
 	}
 	// A valid encap under a different VNI is rejected too.
 	other := NewTunnelEncap(TunnelConfig{VNI: 7, LocalIP: cfg.LocalIP, RemoteIP: cfg.RemoteIP})
 	p := pkt(t, udpFrame(t, tHostA, tHostB, 1, 80, "x"), t0)
-	other.Process(p)
-	if v := dec.Process(p); v != VerdictDrop {
+	run1(other, p)
+	if v := run1(dec, p); v != VerdictDrop {
 		t.Fatalf("wrong-vni verdict = %v", v)
 	}
 	s := dec.StateSummary()
 	if s.Counters["not_vxlan"] != 1 || s.Counters["bad_vni"] != 1 {
 		t.Errorf("summary = %+v", s)
+	}
+}
+
+// udp6Frame builds an IPv6/UDP frame whose addresses are all ones, so
+// bytes misread as a VXLAN header carry the VNI flag and VNI 0xffffff.
+func udp6Frame(dp uint16, payload []byte) []byte {
+	var ones packet.IPv6Addr
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	b := packet.NewBuffer(64)
+	b.AppendBytes(payload)
+	udp := packet.UDP{SrcPort: 0x1234, DstPort: dp}
+	udp.SerializeTo(b)
+	ip := packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: ones, Dst: ones}
+	ip.SerializeTo(b)
+	eth := packet.Ethernet{EtherType: packet.EtherTypeIPv6}
+	eth.SerializeTo(b)
+	return append([]byte(nil), b.Bytes()...)
+}
+
+// TestTunnelDecapIgnoresStaleIPv4View: the datapath reuses one pooled
+// packet.Frame across decodes, so after an IPv4 frame the IPv4 fields
+// are left over when an IPv6 frame is decoded into it. Decap must gate
+// on the layer bit, not read offsets out of the stale header.
+func TestTunnelDecapIgnoresStaleIPv4View(t *testing.T) {
+	dec := NewTunnelDecap(TunnelConfig{VNI: 0xffffff})
+	f := &packet.Frame{}
+	if err := packet.Decode(udpFrame(t, tHostA, tHostB, 1, 80, "first"), f); err != nil {
+		t.Fatal(err)
+	}
+	data := udp6Frame(DefaultVXLANPort, make([]byte, 64))
+	if err := packet.Decode(data, f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Has(packet.LayerIPv4) || !f.Has(packet.LayerUDP) {
+		t.Fatalf("fixture layers = %b", f.Layers)
+	}
+	orig := append([]byte(nil), data...)
+	p := &Packet{InPort: 1, Data: data, Frame: f, Mem: testMem{}, Now: time.Unix(100, 0)}
+	if v := run1(dec, p); v != VerdictDrop {
+		t.Fatalf("IPv6/UDP:4789 verdict = %v, want drop", v)
+	}
+	if !bytes.Equal(p.Data, orig) {
+		t.Error("decap touched the bytes of a frame it rejected")
+	}
+	if s := dec.StateSummary(); s.Counters["not_vxlan"] != 1 || s.Counters["bad_vni"] != 0 || s.Counters["decapped"] != 0 {
+		t.Errorf("summary = %+v", s)
+	}
+}
+
+// TestNATCountsUntrackedPerFrame: a vector of n untrackable frames
+// moves the untracked counter by n, as n vectors of one would.
+func TestNATCountsUntrackedPerFrame(t *testing.T) {
+	ct := NewConntrack(ConntrackConfig{Idle: time.Minute})
+	nat := NewNAT(NATConfig{CT: ct, PublicIP: tPub})
+	var ps []*Packet
+	for i := 0; i < 3; i++ {
+		ps = append(ps, pkt(t, udp6Frame(80, []byte("v6")), time.Unix(100, 0)))
+	}
+	nat.ProcessBurst(ps)
+	for i, p := range ps {
+		if p.Verdict != VerdictContinue {
+			t.Errorf("packet %d verdict = %v", i, p.Verdict)
+		}
+	}
+	if s := nat.StateSummary(); s.Counters["untracked"] != 3 {
+		t.Errorf("untracked = %d, want 3", s.Counters["untracked"])
 	}
 }

@@ -61,65 +61,61 @@ func NewTunnelEncap(cfg TunnelConfig) *TunnelEncap {
 // Name implements Stage.
 func (t *TunnelEncap) Name() string { return t.cfg.Name + "-encap" }
 
-// Process implements Stage.
-func (t *TunnelEncap) Process(p *Packet) Verdict {
-	inner := len(p.Data)
-	// Outer UDP source-port entropy from the inner flow, before the
-	// decoded view flips to the outer headers.
-	srcPort := 49152 | uint16(packet.ExtractFlowKey(p.Frame).SymmetricHash()&0x3fff)
-
-	data := p.Mem.Grow(p.Data, TunnelOverhead)
-	h := data[:TunnelOverhead]
-
-	// Outer Ethernet.
-	copy(h[0:6], t.cfg.RemoteMAC[:])
-	copy(h[6:12], t.cfg.LocalMAC[:])
-	binary.BigEndian.PutUint16(h[12:14], packet.EtherTypeIPv4)
-
-	// Outer IPv4 (option-less, DF, TTL 64).
-	ip := h[14:34]
-	ip[0] = 0x45
-	ip[1] = 0
-	binary.BigEndian.PutUint16(ip[2:4], uint16(packet.IPv4MinHeaderLen+packet.UDPHeaderLen+vxlanHeaderLen+inner))
-	binary.BigEndian.PutUint16(ip[4:6], 0)
-	binary.BigEndian.PutUint16(ip[6:8], uint16(packet.IPv4DontFragment)<<13)
-	ip[8] = 64
-	ip[9] = packet.ProtoUDP
-	ip[10], ip[11] = 0, 0
-	copy(ip[12:16], t.cfg.LocalIP[:])
-	copy(ip[16:20], t.cfg.RemoteIP[:])
-	binary.BigEndian.PutUint16(ip[10:12], packet.Checksum(ip, 0))
-
-	// Outer UDP; checksum 0 (legal for UDP/IPv4, and what VXLAN uses).
-	udp := h[34:42]
-	binary.BigEndian.PutUint16(udp[0:2], srcPort)
-	binary.BigEndian.PutUint16(udp[2:4], t.cfg.UDPPort)
-	binary.BigEndian.PutUint16(udp[4:6], uint16(packet.UDPHeaderLen+vxlanHeaderLen+inner))
-	udp[6], udp[7] = 0, 0
-
-	// VXLAN header: flags + 24-bit VNI.
-	vx := h[42:50]
-	binary.BigEndian.PutUint32(vx[0:4], uint32(vxlanFlagVNI)<<24)
-	binary.BigEndian.PutUint32(vx[4:8], (t.cfg.VNI&0xffffff)<<8)
-
-	p.Data = data
-	// The decoded view now describes the outer packet; the inner frame
-	// is opaque payload to downstream match/output actions.
-	_ = packet.Decode(data, p.Frame)
-	if p.Explain {
-		p.Note = fmt.Sprintf("vni %d %s -> %s", t.cfg.VNI, t.cfg.LocalIP, t.cfg.RemoteIP)
-	} else {
-		t.encapped.Add(1)
-		t.bytes.Add(TunnelOverhead)
-	}
-	return VerdictContinue
-}
-
-// ProcessBurst implements Stage. Encap rewrites every frame anyway;
-// the shared-tuple contract buys nothing here, so it is a plain loop.
+// ProcessBurst implements Stage. Encap reframes every packet and never
+// drops; the shared-tuple contract buys nothing here, so it is a plain
+// loop.
 func (t *TunnelEncap) ProcessBurst(ps []*Packet) {
 	for _, p := range ps {
-		p.Verdict = t.Process(p)
+		inner := len(p.Data)
+		// Outer UDP source-port entropy from the inner flow, before the
+		// decoded view flips to the outer headers.
+		srcPort := 49152 | uint16(packet.ExtractFlowKey(p.Frame).SymmetricHash()&0x3fff)
+
+		data := p.Mem.Grow(p.Data, TunnelOverhead)
+		h := data[:TunnelOverhead]
+
+		// Outer Ethernet.
+		copy(h[0:6], t.cfg.RemoteMAC[:])
+		copy(h[6:12], t.cfg.LocalMAC[:])
+		binary.BigEndian.PutUint16(h[12:14], packet.EtherTypeIPv4)
+
+		// Outer IPv4 (option-less, DF, TTL 64).
+		ip := h[14:34]
+		ip[0] = 0x45
+		ip[1] = 0
+		binary.BigEndian.PutUint16(ip[2:4], uint16(packet.IPv4MinHeaderLen+packet.UDPHeaderLen+vxlanHeaderLen+inner))
+		binary.BigEndian.PutUint16(ip[4:6], 0)
+		binary.BigEndian.PutUint16(ip[6:8], uint16(packet.IPv4DontFragment)<<13)
+		ip[8] = 64
+		ip[9] = packet.ProtoUDP
+		ip[10], ip[11] = 0, 0
+		copy(ip[12:16], t.cfg.LocalIP[:])
+		copy(ip[16:20], t.cfg.RemoteIP[:])
+		binary.BigEndian.PutUint16(ip[10:12], packet.Checksum(ip, 0))
+
+		// Outer UDP; checksum 0 (legal for UDP/IPv4, and what VXLAN uses).
+		udp := h[34:42]
+		binary.BigEndian.PutUint16(udp[0:2], srcPort)
+		binary.BigEndian.PutUint16(udp[2:4], t.cfg.UDPPort)
+		binary.BigEndian.PutUint16(udp[4:6], uint16(packet.UDPHeaderLen+vxlanHeaderLen+inner))
+		udp[6], udp[7] = 0, 0
+
+		// VXLAN header: flags + 24-bit VNI.
+		vx := h[42:50]
+		binary.BigEndian.PutUint32(vx[0:4], uint32(vxlanFlagVNI)<<24)
+		binary.BigEndian.PutUint32(vx[4:8], (t.cfg.VNI&0xffffff)<<8)
+
+		p.Data = data
+		// The decoded view now describes the outer packet; the inner frame
+		// is opaque payload to downstream match/output actions.
+		_ = packet.Decode(data, p.Frame)
+		if p.Explain {
+			p.Note = fmt.Sprintf("vni %d %s -> %s", t.cfg.VNI, t.cfg.LocalIP, t.cfg.RemoteIP)
+		} else {
+			t.encapped.Add(1)
+			t.bytes.Add(TunnelOverhead)
+		}
+		p.Verdict = VerdictContinue
 	}
 }
 
@@ -150,10 +146,20 @@ func NewTunnelDecap(cfg TunnelConfig) *TunnelDecap {
 // Name implements Stage.
 func (t *TunnelDecap) Name() string { return t.cfg.Name + "-decap" }
 
-// Process implements Stage.
-func (t *TunnelDecap) Process(p *Packet) Verdict {
+// ProcessBurst implements Stage.
+func (t *TunnelDecap) ProcessBurst(ps []*Packet) {
+	for _, p := range ps {
+		p.Verdict = t.decap(p)
+	}
+}
+
+// decap strips one packet's outer headers, or says why it is not this
+// tunnel's. The outer packet must be IPv4: the decoded view's IPv4
+// fields are only valid (not left over from the pooled Frame's last
+// decode) when the layer bit is set.
+func (t *TunnelDecap) decap(p *Packet) Verdict {
 	f := p.Frame
-	if !f.Has(packet.LayerUDP) || f.UDP.DstPort != t.cfg.UDPPort {
+	if !f.Has(packet.LayerIPv4) || !f.Has(packet.LayerUDP) || f.UDP.DstPort != t.cfg.UDPPort {
 		if p.Explain {
 			p.Note = "not a vxlan frame, drop"
 		} else {
@@ -161,7 +167,7 @@ func (t *TunnelDecap) Process(p *Packet) Verdict {
 		}
 		return VerdictDrop
 	}
-	off := ethEnd(f) + f.IPv4.HeaderLen() + packet.UDPHeaderLen
+	off := f.L3Offset() + f.IPv4.HeaderLen() + packet.UDPHeaderLen
 	if len(p.Data) < off+vxlanHeaderLen+packet.EthernetHeaderLen {
 		if p.Explain {
 			p.Note = "truncated vxlan frame, drop"
@@ -195,13 +201,6 @@ func (t *TunnelDecap) Process(p *Packet) Verdict {
 		t.decapped.Add(1)
 	}
 	return VerdictContinue
-}
-
-// ProcessBurst implements Stage.
-func (t *TunnelDecap) ProcessBurst(ps []*Packet) {
-	for _, p := range ps {
-		p.Verdict = t.Process(p)
-	}
 }
 
 // StateSummary implements Stage.

@@ -307,5 +307,8 @@ func (s Scope) RegisterFunc(name string, fn func() int64) {
 	s.r.RegisterFunc(s.prefix+"."+name, fn)
 }
 
+// Unregister removes name under the scope prefix, if present.
+func (s Scope) Unregister(name string) { s.r.Unregister(s.prefix + "." + name) }
+
 // Observe is shorthand for Histogram(name).Observe(d).
 func (s Scope) Observe(name string, d time.Duration) { s.Histogram(name).Observe(d) }
