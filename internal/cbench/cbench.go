@@ -7,6 +7,7 @@
 package cbench
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -95,21 +96,43 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// fakeSwitch state for one emulated datapath session.
-func runSwitch(cfg Config, dpid uint64, seed int64, stop time.Time,
-	responses *atomic.Uint64, lat *metrics.Histogram) error {
+// Switch is one emulated datapath: a zof session past the handshake
+// that fires packet-ins and matches the controller's responses to them.
+// Run drives N of them; BenchmarkE1FlowSetup drives one by hand.
+type Switch struct {
+	conn     *zof.Conn
+	gen      *workload.FlowGen
+	buf      *packet.Buffer
+	inflight map[uint32]time.Time // bufferID -> send time
+	nextBuf  uint32
+}
 
-	raw, err := net.Dial("tcp", cfg.Addr)
+// Dial connects a four-port switch dpid to the controller at addr and
+// answers its features request. Packet-ins are drawn from a population
+// of hosts hosts, seeded by seed.
+func Dial(addr string, dpid uint64, hosts int, seed int64) (*Switch, error) {
+	raw, err := net.Dial("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("cbench dial: %w", err)
+		return nil, fmt.Errorf("cbench dial: %w", err)
 	}
 	conn := zof.NewConn(raw)
-	defer conn.Close()
+	if err := handshake(conn, dpid); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return &Switch{
+		conn:     conn,
+		gen:      workload.NewFlowGen(hosts, 1.2, seed),
+		buf:      packet.NewBuffer(256),
+		inflight: map[uint32]time.Time{},
+		nextBuf:  1,
+	}, nil
+}
+
+func handshake(conn *zof.Conn, dpid uint64) error {
 	if err := conn.Handshake(); err != nil {
 		return fmt.Errorf("cbench handshake: %w", err)
 	}
-
-	// Answer the features request.
 	fr := &zof.FeaturesReply{DPID: dpid, NumTables: 1,
 		Capabilities: zof.CapFlowStats}
 	for p := uint32(1); p <= 4; p++ {
@@ -124,50 +147,38 @@ func runSwitch(cfg Config, dpid uint64, seed int64, stop time.Time,
 			return err
 		}
 		if _, ok := msg.(*zof.FeaturesRequest); ok {
-			if err := conn.SendXID(fr, h.XID); err != nil {
-				return err
-			}
-			break
+			return conn.SendXID(fr, h.XID)
 		}
 	}
+}
 
-	gen := workload.NewFlowGen(cfg.Hosts, 1.2, seed)
-	buf := packet.NewBuffer(256)
-	inflight := map[uint32]time.Time{} // bufferID -> send time
-	nextBuf := uint32(1)
+// Close tears the session down.
+func (s *Switch) Close() error { return s.conn.Close() }
 
-	send := func() error {
-		spec := gen.Next()
-		frame := spec.Frame(buf, 32)
-		id := nextBuf
-		nextBuf++
-		pi := &zof.PacketIn{
-			BufferID: id,
-			TotalLen: uint16(len(frame)),
-			InPort:   uint32(1 + id%4),
-			Reason:   zof.ReasonNoMatch,
-			Data:     frame,
-		}
-		inflight[id] = time.Now()
-		_, err := conn.Send(pi)
-		return err
-	}
+// Send fires one packet-in for the next generated flow.
+func (s *Switch) Send() error {
+	frame := s.gen.Next().Frame(s.buf, 32)
+	id := s.nextBuf
+	s.nextBuf++
+	s.inflight[id] = time.Now()
+	_, err := s.conn.Send(&zof.PacketIn{
+		BufferID: id,
+		TotalLen: uint16(len(frame)),
+		InPort:   uint32(1 + id%4),
+		Reason:   zof.ReasonNoMatch,
+		Data:     frame,
+	})
+	return err
+}
 
-	// Prime the window.
-	for i := 0; i < cfg.Window; i++ {
-		if err := send(); err != nil {
-			return err
-		}
-	}
-	deadline := stop.Add(500 * time.Millisecond)
-	_ = raw.SetReadDeadline(deadline)
-	for time.Now().Before(stop) {
-		msg, h, err := conn.Receive()
+// Await blocks until the controller answers an outstanding packet-in
+// (a FlowMod or PacketOut naming its buffer) and returns that
+// packet-in's round-trip time. Echo requests are answered on the way.
+func (s *Switch) Await() (time.Duration, error) {
+	for {
+		msg, h, err := s.conn.Receive()
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				return nil // controller saturated past the deadline
-			}
-			return err
+			return 0, err
 		}
 		var bufID uint32 = zof.NoBuffer
 		switch m := msg.(type) {
@@ -176,18 +187,44 @@ func runSwitch(cfg Config, dpid uint64, seed int64, stop time.Time,
 		case *zof.PacketOut:
 			bufID = m.BufferID
 		case *zof.EchoRequest:
-			_ = conn.SendXID(&zof.EchoReply{Data: m.Data}, h.XID)
-			continue
-		default:
-			continue
+			_ = s.conn.SendXID(&zof.EchoReply{Data: m.Data}, h.XID)
 		}
-		if t0, ok := inflight[bufID]; ok {
-			delete(inflight, bufID)
-			lat.Observe(time.Since(t0))
-			responses.Add(1)
-			if err := send(); err != nil {
-				return err
+		if t0, ok := s.inflight[bufID]; ok {
+			delete(s.inflight, bufID)
+			return time.Since(t0), nil
+		}
+	}
+}
+
+// runSwitch keeps cfg.Window packet-ins outstanding on one emulated
+// switch until stop.
+func runSwitch(cfg Config, dpid uint64, seed int64, stop time.Time,
+	responses *atomic.Uint64, lat *metrics.Histogram) error {
+
+	s, err := Dial(cfg.Addr, dpid, cfg.Hosts, seed)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	for i := 0; i < cfg.Window; i++ {
+		if err := s.Send(); err != nil {
+			return err
+		}
+	}
+	_ = s.conn.SetReadDeadline(stop.Add(500 * time.Millisecond))
+	for time.Now().Before(stop) {
+		rtt, err := s.Await()
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				return nil // controller saturated past the deadline
 			}
+			return err
+		}
+		lat.Observe(rtt)
+		responses.Add(1)
+		if err := s.Send(); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -77,6 +78,19 @@ func e10Match(i int) zof.Match {
 
 const e10Priority = 500
 
+// e10Add is the FlowAdd every phase programs: rule index i under the
+// given cookie, forwarding to the sink port.
+func e10Add(i int, cookie uint64) *zof.FlowMod {
+	return &zof.FlowMod{
+		Command:  zof.FlowAdd,
+		Match:    e10Match(i),
+		Priority: e10Priority,
+		Cookie:   cookie,
+		BufferID: zof.NoBuffer,
+		Actions:  []zof.Action{zof.Output(2)},
+	}
+}
+
 // Cookie markers (low 48 bits; the session epoch occupies the top 16)
 // let the proxy's fault policy target exactly the transactional op it
 // should reject or crash on, leaving audits and reinstalls untouched.
@@ -84,14 +98,6 @@ const (
 	e10RejectCookie = 0xE10BAD
 	e10CrashCookie  = 0xE10DEAD
 )
-
-// e10Switch builds a two-port datapath.
-func e10Switch(dpid uint64) *dataplane.Switch {
-	sw := dataplane.NewSwitch(dataplane.Config{DPID: dpid})
-	sw.AddPort(1, "in", 1000)
-	sw.AddPort(2, "out", 1000).SetTx(func([]byte) {})
-	return sw
-}
 
 // e10Canon renders a switch's flow table in canonical (sorted,
 // counter-free) form, so two captures compare byte-identical exactly
@@ -113,10 +119,14 @@ func e10Canon(sc *controller.SwitchConn) (string, error) {
 	return strings.Join(lines, "\n"), nil
 }
 
-// e10CanonAll captures every connected switch's canonical table.
-func e10CanonAll(ctl *controller.Controller) (map[uint64]string, error) {
+// e10CanonAll captures the canonical table of every connected switch
+// but skip (0: none).
+func e10CanonAll(ctl *controller.Controller, skip uint64) (map[uint64]string, error) {
 	out := make(map[uint64]string)
 	for _, sc := range ctl.Switches() {
+		if sc.DPID() == skip {
+			continue
+		}
 		s, err := e10Canon(sc)
 		if err != nil {
 			return nil, fmt.Errorf("stats from %#x: %w", sc.DPID(), err)
@@ -130,16 +140,26 @@ func e10CanonAll(ctl *controller.Controller) (map[uint64]string, error) {
 // returning the elapsed time and whether it converged.
 func e10WaitTable(ctl *controller.Controller, dpid uint64, want string, deadline time.Duration) (time.Duration, bool) {
 	start := time.Now()
-	end := start.Add(deadline)
-	for time.Now().Before(end) {
-		if sc, ok := ctl.Switch(dpid); ok {
-			if got, err := e10Canon(sc); err == nil && got == want {
-				return time.Since(start), true
-			}
+	ok := poll(deadline, func() bool {
+		sc, up := ctl.Switch(dpid)
+		if !up {
+			return false
 		}
-		time.Sleep(2 * time.Millisecond)
+		got, err := e10Canon(sc)
+		return err == nil && got == want
+	})
+	return time.Since(start), ok
+}
+
+func runE10(p Params) (*Table, any, error) {
+	cfg := E10Config{}
+	if p.Quick {
+		cfg.Switches = 3
+		cfg.Txns = 25
+		cfg.OpsPerSwitch = 2
+		cfg.PreRules = 4
 	}
-	return time.Since(start), false
+	return E10Transactions(cfg)
 }
 
 // E10Transactions measures the transactional flow-programming stack:
@@ -163,7 +183,6 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	if cfg.AuditInterval <= 0 {
 		cfg.AuditInterval = 50 * time.Millisecond
 	}
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 	res := &E10Result{
 		Switches:        cfg.Switches,
 		OpsPerSwitch:    cfg.OpsPerSwitch,
@@ -187,14 +206,14 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	}
 	defer proxy.Close()
 	const victim = uint64(1)
-	sess := dataplane.StartSession(e10Switch(victim), dataplane.SessionConfig{
+	sess := dataplane.StartSession(twoPortSwitch(dataplane.Config{DPID: victim}), dataplane.SessionConfig{
 		Addr:       proxy.Addr(),
 		MinBackoff: 10 * time.Millisecond,
 		Seed:       1,
 	})
 	defer func() { sess.Close() }()
 	for i := 2; i <= cfg.Switches; i++ {
-		dp, err := dataplane.Connect(e10Switch(uint64(i)), ctl.Addr(), 2*time.Second)
+		dp, err := dataplane.Connect(twoPortSwitch(dataplane.Config{DPID: uint64(i)}), ctl.Addr(), 2*time.Second)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -209,14 +228,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	pre := ctl.NewTxn()
 	for _, sc := range ctl.Switches() {
 		for r := 0; r < cfg.PreRules; r++ {
-			pre.Flow(sc.DPID(), &zof.FlowMod{
-				Command:  zof.FlowAdd,
-				Match:    e10Match(r),
-				Priority: e10Priority,
-				Cookie:   uint64(0xE10000 + r),
-				BufferID: zof.NoBuffer,
-				Actions:  []zof.Action{zof.Output(2)},
-			})
+			pre.Flow(sc.DPID(), e10Add(r, uint64(0xE10000+r)))
 		}
 	}
 	if err := pre.Commit(); err != nil {
@@ -230,14 +242,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 		txn := ctl.NewTxn()
 		for _, sc := range ctl.Switches() {
 			for j := 0; j < cfg.OpsPerSwitch; j++ {
-				txn.Flow(sc.DPID(), &zof.FlowMod{
-					Command:  zof.FlowAdd,
-					Match:    e10Match(1000 + j),
-					Priority: e10Priority,
-					Cookie:   uint64(0xE11000 + t),
-					BufferID: zof.NoBuffer,
-					Actions:  []zof.Action{zof.Output(2)},
-				})
+				txn.Flow(sc.DPID(), e10Add(1000+j, uint64(0xE11000+t)))
 			}
 		}
 		if err := txn.Commit(); err != nil {
@@ -245,8 +250,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 		}
 	}
 	lat := ctl.Metrics().Histogram("controller.txn.latency")
-	commits, _ := ctl.Metrics().Value("controller.txn.commits")
-	res.TxnsCommitted = uint64(commits)
+	res.TxnsCommitted = metric(ctl, "controller.txn.commits")
 	res.CommitP50MS = ms(lat.Quantile(0.50))
 	res.CommitP95MS = ms(lat.Quantile(0.95))
 	res.CommitMeanMS = ms(lat.Mean())
@@ -254,7 +258,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	// Phase B — injected rejection. The relay answers one marked
 	// FlowMod with a table-full Error; the commit must abort, roll every
 	// participant back, and leave all tables byte-identical.
-	before, err := e10CanonAll(ctl)
+	before, err := e10CanonAll(ctl, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -268,14 +272,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	})
 	rtxn := ctl.NewTxn()
 	for _, sc := range ctl.Switches() {
-		rtxn.Flow(sc.DPID(), &zof.FlowMod{
-			Command:  zof.FlowAdd,
-			Match:    e10Match(2000 + int(sc.DPID())),
-			Priority: e10Priority,
-			Cookie:   e10RejectCookie,
-			BufferID: zof.NoBuffer,
-			Actions:  []zof.Action{zof.Output(2)},
-		})
+		rtxn.Flow(sc.DPID(), e10Add(2000+int(sc.DPID()), e10RejectCookie))
 	}
 	rerr := rtxn.Commit()
 	proxy.SetFlowModPolicy(nil)
@@ -284,11 +281,11 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 		res.RejectAborted = len(terr.Rejections) > 0
 		res.RejectRolledBack = terr.RolledBack
 	}
-	after, err := e10CanonAll(ctl)
+	after, err := e10CanonAll(ctl, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	res.RejectTablesIntact = canonEqual(before, after)
+	res.RejectTablesIntact = maps.Equal(before, after)
 
 	// Phase C — mid-commit crash. The relay severs the victim's session
 	// on the first marked op; the victim's datapath restarts empty. The
@@ -312,33 +309,13 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	}()
 	ctxn := ctl.NewTxn()
 	for _, sc := range ctl.Switches() {
-		ctxn.Flow(sc.DPID(), &zof.FlowMod{
-			Command:  zof.FlowAdd,
-			Match:    e10Match(3000 + int(sc.DPID())),
-			Priority: e10Priority,
-			Cookie:   e10CrashCookie,
-			BufferID: zof.NoBuffer,
-			Actions:  []zof.Action{zof.Output(2)},
-		})
+		ctxn.Flow(sc.DPID(), e10Add(3000+int(sc.DPID()), e10CrashCookie))
 	}
 	cerr := ctxn.Commit()
 	res.CrashAborted = cerr != nil && errors.As(cerr, &terr)
 	<-killed
 	proxy.SetFlowModPolicy(nil)
-	survivors, err := func() (map[uint64]string, error) {
-		out := make(map[uint64]string)
-		for _, sc := range ctl.Switches() {
-			if sc.DPID() == victim {
-				continue
-			}
-			s, err := e10Canon(sc)
-			if err != nil {
-				return nil, err
-			}
-			out[sc.DPID()] = s
-		}
-		return out, nil
-	}()
+	survivors, err := e10CanonAll(ctl, victim)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -351,7 +328,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	// Restart the victim empty and measure convergence back to the
 	// pre-transaction table, byte for byte (the auditor re-adds the
 	// recorded rules verbatim, cookies included).
-	vsw := e10Switch(victim)
+	vsw := twoPortSwitch(dataplane.Config{DPID: victim})
 	sess = dataplane.StartSession(vsw, dataplane.SessionConfig{
 		Addr:       proxy.Addr(),
 		MinBackoff: 10 * time.Millisecond,
@@ -372,20 +349,23 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("victim not connected after restart")
 	}
-	discard := func(zof.Message, uint32) {}
-	vsw.Process(&zof.FlowMod{
+	drift := []*zof.FlowMod{{
 		Command:  zof.FlowDeleteStrict,
 		Match:    e10Match(0),
 		Priority: e10Priority,
 		BufferID: zof.NoBuffer,
-	}, 0x7001, discard)
-	vsw.Process(&zof.FlowMod{
+	}, {
 		Command:  zof.FlowAdd,
 		Match:    e10Match(5000),
 		Priority: e10Priority,
 		Cookie:   0xA11E4,
 		BufferID: zof.NoBuffer,
-	}, 0x7002, discard)
+	}}
+	for _, fm := range drift {
+		if err := installFlow(vsw, fm); err != nil {
+			return nil, nil, fmt.Errorf("drift injection: %w", err)
+		}
+	}
 	if got, err := e10Canon(vsc); err != nil || got == before[victim] {
 		return nil, nil, fmt.Errorf("drift injection not visible (err=%v)", err)
 	}
@@ -399,28 +379,17 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 
 	// Phase E — quiescence: with tables converged, further audit passes
 	// must repair nothing.
-	mv := func(name string) uint64 {
-		v, _ := ctl.Metrics().Value(name)
-		return uint64(v)
-	}
-	repairs := func() uint64 {
-		return mv("controller.audit.missing") + mv("controller.audit.mismatched") + mv("controller.audit.alien")
-	}
-	base := repairs()
+	base := auditRepairs(ctl)
 	time.Sleep(4 * cfg.AuditInterval)
-	res.QuiescentRepairs = repairs() - base
-	res.Audits = mv("controller.audit.audits")
+	res.QuiescentRepairs = auditRepairs(ctl) - base
+	res.Audits = metric(ctl, "controller.audit.audits")
 
-	tbl := &Table{
-		ID:     "E10",
-		Title:  "transactional flow programming: commit, rollback, anti-entropy",
-		Header: []string{"metric", "value"},
-		Notes: []string{
-			fmt.Sprintf("%d switches (1 behind a fault relay), %d ops/switch per txn, %d pre-rules, audit every %v",
-				cfg.Switches, cfg.OpsPerSwitch, cfg.PreRules, cfg.AuditInterval),
-			"rollback intact = flow tables byte-identical (canonical FlowStats) to pre-transaction state",
-			"crash converge = mid-commit session death + empty restart → intent restored by reconnect + auditor",
-		},
+	tbl := newTable("e10", "metric", "value")
+	tbl.Notes = []string{
+		fmt.Sprintf("%d switches (1 behind a fault relay), %d ops/switch per txn, %d pre-rules, audit every %v",
+			cfg.Switches, cfg.OpsPerSwitch, cfg.PreRules, cfg.AuditInterval),
+		"rollback intact = flow tables byte-identical (canonical FlowStats) to pre-transaction state",
+		"crash converge = mid-commit session death + empty restart → intent restored by reconnect + auditor",
 	}
 	tbl.AddRow("commit p50 / p95 / mean", fmt.Sprintf("%.2f / %.2f / %.2f ms", res.CommitP50MS, res.CommitP95MS, res.CommitMeanMS))
 	tbl.AddRow("commits", fmt.Sprintf("%d (%d switches x %d ops)", res.TxnsCommitted, cfg.Switches, cfg.OpsPerSwitch))
@@ -430,17 +399,4 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	tbl.AddRow("drift repair", fmt.Sprintf("%.1f ms (%.2f audit intervals)", res.DriftRepairMS, res.DriftAuditIntervals))
 	tbl.AddRow("quiescent repairs", fmt.Sprintf("%d (over %d audits)", res.QuiescentRepairs, res.Audits))
 	return tbl, res, nil
-}
-
-// canonEqual compares two canonical table captures.
-func canonEqual(a, b map[uint64]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }

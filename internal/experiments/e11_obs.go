@@ -51,15 +51,14 @@ type E11Result struct {
 // given tracing mode, reporting throughput plus what the recorder and
 // the per-app latency histogram captured.
 func e11Run(cfg E11Config, mode obs.TraceMode) (cbench.Result, int, float64, error) {
-	ctl, err := controller.New(controller.Config{
+	ctl, err := cbenchTarget(controller.Config{
 		EventQueue:  1 << 16,
 		TraceBuffer: cfg.TraceBuffer,
-	})
+	}, apps.NewLearningSwitch())
 	if err != nil {
 		return cbench.Result{}, 0, 0, err
 	}
 	defer ctl.Close()
-	ctl.Use(apps.NewLearningSwitch())
 	ctl.Tracing().SetSampleEvery(cfg.SampleEvery)
 	ctl.Tracing().SetMode(mode)
 	res, err := cbench.Run(cbench.Config{
@@ -77,6 +76,15 @@ func e11Run(cfg E11Config, mode obs.TraceMode) (cbench.Result, int, float64, err
 		appP95 = float64(h.Quantile(0.95).Nanoseconds()) / 1e3
 	}
 	return res, recorded, appP95, nil
+}
+
+func runE11(p Params) (*Table, any, error) {
+	cfg := E11Config{}
+	if p.Quick {
+		cfg.Switches = 4
+		cfg.Duration = 500 * time.Millisecond
+	}
+	return E11ObservabilityOverhead(cfg)
 }
 
 // E11ObservabilityOverhead measures the dispatch-throughput cost of
@@ -107,17 +115,13 @@ func E11ObservabilityOverhead(cfg E11Config) (*Table, *E11Result, error) {
 		DurationMS:  cfg.Duration.Milliseconds(),
 		SampleEvery: cfg.SampleEvery,
 	}
-	tbl := &Table{
-		ID:     "E11",
-		Title:  "observability overhead: dispatch throughput vs tracing mode (cbench, learning app)",
-		Header: []string{"mode", "rps", "overhead", "p50/p99", "recorded", "app p95"},
-		Notes: []string{
-			fmt.Sprintf("sampled = every %dth event stamped; full = every event; ring capacity %d",
-				cfg.SampleEvery, cfg.TraceBuffer),
-			fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d; %d switches, window %d, %v per mode",
-				res.GOMAXPROCS, res.NumCPU, cfg.Switches, cfg.Window, cfg.Duration),
-			"overhead is throughput lost vs mode=off; targets: sampled <3%, full <15%",
-		},
+	tbl := newTable("e11", "mode", "rps", "overhead", "p50/p99", "recorded", "app p95")
+	tbl.Notes = []string{
+		fmt.Sprintf("sampled = every %dth event stamped; full = every event; ring capacity %d",
+			cfg.SampleEvery, cfg.TraceBuffer),
+		fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d; %d switches, window %d, %v per mode",
+			res.GOMAXPROCS, res.NumCPU, cfg.Switches, cfg.Window, cfg.Duration),
+		"overhead is throughput lost vs mode=off; targets: sampled <3%, full <15%",
 	}
 
 	var baseline float64
@@ -129,8 +133,8 @@ func E11ObservabilityOverhead(cfg E11Config) (*Table, *E11Result, error) {
 		pt := E11Point{
 			Mode:     mode.String(),
 			RPS:      r.PerSecond(),
-			P50MS:    float64(r.Latency.Quantile(0.50).Nanoseconds()) / 1e6,
-			P99MS:    float64(r.Latency.Quantile(0.99).Nanoseconds()) / 1e6,
+			P50MS:    ms(r.Latency.Quantile(0.50)),
+			P99MS:    ms(r.Latency.Quantile(0.99)),
 			Recorded: recorded,
 			AppP95US: appP95,
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,15 @@ type E12Result struct {
 	Points    []E12Point `json:"points"`
 }
 
+func runE12(p Params) (*Table, any, error) {
+	cfg := E12Config{}
+	if p.Quick {
+		cfg.Workers = []int{1, 2}
+		cfg.Measure = 100 * time.Millisecond
+	}
+	return E12BurstScaling(cfg)
+}
+
 // E12BurstScaling compares the three ingress disciplines end to end:
 // per-frame HandleFrame calls ("frame"), direct batched pipeline walks
 // ("burst"), and the full run-to-completion path through per-port
@@ -62,26 +72,11 @@ func E12BurstScaling(cfg E12Config) (*Table, *E12Result, error) {
 	if cfg.Measure <= 0 {
 		cfg.Measure = 500 * time.Millisecond
 	}
-	maxW := 0
-	for _, w := range cfg.Workers {
-		if w > maxW {
-			maxW = w
-		}
-	}
-
-	res := &E12Result{NumCPU: runtime.NumCPU(), MeasureMS: cfg.Measure.Milliseconds()}
-	if res.NumCPU < maxW {
-		res.Warning = fmt.Sprintf(
-			"num_cpu=%d < max workers=%d: multi-worker points timeshare cores; speedup_vs_1 reflects scheduling, not scaling",
-			res.NumCPU, maxW)
-	}
-	tbl := &Table{
-		ID:     "E12",
-		Title:  "burst-mode datapath scaling (frame vs burst vs ring ingress)",
-		Header: []string{"mode", "procs", "workers", "burst", "frames/s", "speedup"},
-		Notes: []string{fmt.Sprintf("NumCPU=%d; burst=%d frames; speedup within (mode, procs) column",
-			res.NumCPU, cfg.Burst)},
-	}
+	res := &E12Result{NumCPU: runtime.NumCPU(), MeasureMS: cfg.Measure.Milliseconds(),
+		Warning: CoresWarning(runtime.NumCPU(), slices.Max(cfg.Workers))}
+	tbl := newTable("e12", "mode", "procs", "workers", "burst", "frames/s", "speedup")
+	tbl.Notes = []string{fmt.Sprintf("NumCPU=%d; burst=%d frames; speedup within (mode, procs) column",
+		res.NumCPU, cfg.Burst)}
 	if res.Warning != "" {
 		tbl.Notes = append(tbl.Notes, "WARNING: "+res.Warning)
 	}
@@ -114,53 +109,19 @@ func E12BurstScaling(cfg E12Config) (*Table, *E12Result, error) {
 	return tbl, res, nil
 }
 
-// e12Point measures one cell: nw ingress lanes (the E7 fixture: one
-// flow, one ingress and one sink port per lane) driven in the given
+// e12Point measures one cell: nw ingress lanes (LaneSwitch: one flow,
+// one ingress and one sink port per lane) driven in the given
 // mode for the measurement window, returning aggregate frames/s.
 func e12Point(mode string, nw, burstN int, measure time.Duration) (float64, error) {
-	sw, frames, err := e7Switch(nw)
+	sw, frames, err := LaneSwitch(nw)
 	if err != nil {
 		return 0, err
 	}
 	switch mode {
-	case "frame", "burst":
-		var stop atomic.Bool
-		counts := make([]uint64, nw)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				in, fr := uint32(w+1), frames[w]
-				var n uint64
-				if mode == "frame" {
-					for !stop.Load() {
-						sw.HandleFrame(in, fr)
-						n++
-					}
-				} else {
-					batch := make([][]byte, burstN)
-					for i := range batch {
-						batch[i] = fr
-					}
-					for !stop.Load() {
-						sw.HandleBurst(in, batch)
-						n += uint64(burstN)
-					}
-				}
-				counts[w] = n
-			}(w)
-		}
-		time.Sleep(measure)
-		stop.Store(true)
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		var total uint64
-		for _, n := range counts {
-			total += n
-		}
-		return float64(total) / elapsed, nil
+	case "frame":
+		return measureLanes(sw, frames, nw, 0, measure), nil
+	case "burst":
+		return measureLanes(sw, frames, nw, burstN, measure), nil
 	case "ring":
 		wp := dataplane.NewWorkerPool(sw, dataplane.WorkerPoolConfig{
 			Workers: nw, RingSize: 1024, Burst: burstN})

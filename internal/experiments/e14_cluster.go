@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,12 +51,12 @@ type E14Failover struct {
 
 // E14Result is the machine-readable output (BENCH_e14.json).
 type E14Result struct {
-	Switches    int          `json:"switches"`
-	Rules       int          `json:"rules"`
-	LeaseTTLMS  float64      `json:"lease_ttl_ms"`
-	HeartbeatMS float64      `json:"heartbeat_ms"`
-	Crash       E14Failover  `json:"crash"`
-	Partition   E14Failover  `json:"partition"`
+	Switches    int         `json:"switches"`
+	Rules       int         `json:"rules"`
+	LeaseTTLMS  float64     `json:"lease_ttl_ms"`
+	HeartbeatMS float64     `json:"heartbeat_ms"`
+	Crash       E14Failover `json:"crash"`
+	Partition   E14Failover `json:"partition"`
 	// Aggregate packet-in dispatch throughput, switches spread across
 	// the two-instance cluster vs all homed on a single controller.
 	SingleEPS  float64 `json:"single_eps"`
@@ -141,34 +140,6 @@ func (m *e14Member) stop() {
 	m.ctl.Close()
 }
 
-func e14Switch(dpid uint64) *dataplane.Switch {
-	sw := dataplane.NewSwitch(dataplane.Config{DPID: dpid})
-	sw.AddPort(1, "in", 1000)
-	sw.AddPort(2, "out", 1000).SetTx(func([]byte) {})
-	return sw
-}
-
-// e14Converged reports whether dpid's table at ctl holds exactly want
-// rules, all under the live session's epoch.
-func e14Converged(ctl *controller.Controller, dpid uint64, want int) bool {
-	sc, ok := ctl.Switch(dpid)
-	if !ok || !sc.Active() {
-		return false
-	}
-	rep, err := sc.Stats(&zof.StatsRequest{
-		Kind: zof.StatsFlow, TableID: 0xff, Match: zof.MatchAll(),
-	}, time.Second)
-	if err != nil || len(rep.Flows) != want {
-		return false
-	}
-	for _, f := range rep.Flows {
-		if controller.CookieEpoch(f.Cookie) != sc.Epoch() {
-			return false
-		}
-	}
-	return true
-}
-
 // e14Describe summarizes per-switch table state for failure messages.
 func e14Describe(ctl *controller.Controller, dpids []uint64) string {
 	var b []byte
@@ -195,24 +166,6 @@ func e14Describe(ctl *controller.Controller, dpids []uint64) string {
 	return string(b)
 }
 
-func e14WaitAll(ctl *controller.Controller, dpids []uint64, want int, deadline time.Duration) bool {
-	end := time.Now().Add(deadline)
-	for time.Now().Before(end) {
-		all := true
-		for _, d := range dpids {
-			if !e14Converged(ctl, d, want) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return false
-}
-
 // e14Frame builds a table-miss UDP frame from a stable population of
 // 64 hosts: after warmup every injection is a pure packet-in dispatch,
 // with no host-learning churn feeding the replication stream (e9Frame
@@ -220,32 +173,6 @@ func e14WaitAll(ctl *controller.Controller, dpids []uint64, want int, deadline t
 // measurement into a host-delta broadcast benchmark).
 func e14Frame(i int) []byte {
 	return e9Frame(i % 64)
-}
-
-// e14Traffic drives miss-frames into every switch until stopped —
-// packet-ins while a master is active, forwarding-path load while the
-// control plane is changing hands.
-func e14Traffic(switches []*dataplane.Switch, gap time.Duration) (stop func()) {
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, sw := range switches {
-		wg.Add(1)
-		go func(sw *dataplane.Switch) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-quit:
-					return
-				default:
-				}
-				sw.HandleFrame(1, e14Frame(i))
-				if gap > 0 {
-					time.Sleep(gap)
-				}
-			}
-		}(sw)
-	}
-	return func() { close(quit); wg.Wait() }
 }
 
 // e14Orphan installs one rule per switch outside any app's intent on
@@ -274,7 +201,6 @@ func e14Orphan(ctl *controller.Controller, dpids []uint64) error {
 // (instance alive but unreachable: east-west and southbound
 // blackholed, then healed to observe the stand-down).
 func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 	var out E14Failover
 
 	m0, err := e14NewMember(0, 2, cfg, e14Installer{n: cfg.Rules})
@@ -318,7 +244,7 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 	sessions := make([]*dataplane.Session, cfg.Switches)
 	for i := range switches {
 		dpids[i] = uint64(i + 1)
-		switches[i] = e14Switch(dpids[i])
+		switches[i] = twoPortSwitch(dataplane.Config{DPID: dpids[i]})
 		sessions[i] = dataplane.StartSession(switches[i], dataplane.SessionConfig{
 			Addrs:         []string{firstEndpoint, m1.ctl.Addr()},
 			MinBackoff:    10 * time.Millisecond,
@@ -330,17 +256,17 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 		})
 		defer sessions[i].Close()
 	}
-	if !e14WaitAll(m0.ctl, dpids, cfg.Rules, 10*time.Second) {
+	if !waitConverged(m0.ctl, dpids, cfg.Rules, 10*time.Second) {
 		return out, fmt.Errorf("initial convergence on instance 0 failed")
 	}
 	if err := e14Orphan(m0.ctl, dpids); err != nil {
 		return out, err
 	}
-	if !e14WaitAll(m0.ctl, dpids, cfg.Rules+1, 5*time.Second) {
+	if !waitConverged(m0.ctl, dpids, cfg.Rules+1, 5*time.Second) {
 		return out, fmt.Errorf("orphan install did not settle")
 	}
 
-	stopTraffic := e14Traffic(switches, 500*time.Microsecond)
+	stopTraffic := missTraffic(switches, e14Frame, 500*time.Microsecond)
 	defer stopTraffic()
 
 	// Take the master away.
@@ -350,7 +276,7 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 	} else {
 		m0.stop()
 	}
-	if !e14WaitAll(m1.ctl, dpids, cfg.Rules, 20*time.Second) {
+	if !waitConverged(m1.ctl, dpids, cfg.Rules, 20*time.Second) {
 		return out, fmt.Errorf("takeover convergence on instance 1 failed: %s",
 			e14Describe(m1.ctl, dpids))
 	}
@@ -362,18 +288,14 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 		det += s.LastDetection()
 	}
 	out.DetectMS = ms(det / time.Duration(len(sessions)))
-	stale, _ := m1.ctl.Metrics().Value("controller.liveness.stale_flows")
-	out.StaleFlushed = uint64(stale)
+	out.StaleFlushed = metric(m1.ctl, "controller.liveness.stale_flows")
 	out.RulesRetained = uint64(cfg.Switches * cfg.Rules)
 
 	if partition {
 		// Heal: the deposed master learns the higher terms from the
 		// first heartbeats through and stands down everywhere.
 		part.Heal()
-		end := time.Now().Add(10 * time.Second)
-		for m0.in.Deposals() < uint64(cfg.Switches) && time.Now().Before(end) {
-			time.Sleep(2 * time.Millisecond)
-		}
+		poll(10*time.Second, func() bool { return m0.in.Deposals() >= uint64(cfg.Switches) })
 		out.Deposals = m0.in.Deposals()
 	}
 	out.Converged = true
@@ -388,7 +310,7 @@ func e14Throughput(cfg E14Config) (single, clustered float64, err error) {
 		switches := make([]*dataplane.Switch, cfg.Switches)
 		for i := range switches {
 			dpids[i] = uint64(i + 1)
-			switches[i] = e14Switch(dpids[i])
+			switches[i] = twoPortSwitch(dataplane.Config{DPID: dpids[i]})
 			addrs := make([]string, len(members))
 			for j := range members {
 				k := j
@@ -405,18 +327,15 @@ func e14Throughput(cfg E14Config) (single, clustered float64, err error) {
 			})
 			defer sess.Close()
 		}
-		deadline := time.Now().Add(10 * time.Second)
 		for _, d := range dpids {
-			homed := false
-			for !homed && time.Now().Before(deadline) {
+			homed := poll(10*time.Second, func() bool {
 				for _, m := range members {
-					if e14Converged(m.ctl, d, cfg.Rules) {
-						homed = true
-						break
+					if converged(m.ctl, d, cfg.Rules) {
+						return true
 					}
 				}
-				time.Sleep(2 * time.Millisecond)
-			}
+				return false
+			})
 			if !homed {
 				return 0, fmt.Errorf("switch %d never converged on a master", d)
 			}
@@ -425,7 +344,7 @@ func e14Throughput(cfg E14Config) (single, clustered float64, err error) {
 		for _, c := range counters {
 			before += c.Load()
 		}
-		stop := e14Traffic(switches, 0)
+		stop := missTraffic(switches, e14Frame, 0)
 		time.Sleep(cfg.LoadDuration)
 		stop()
 		var after uint64
@@ -466,6 +385,16 @@ func e14Throughput(cfg E14Config) (single, clustered float64, err error) {
 	return single, clustered, err
 }
 
+func runE14(p Params) (*Table, any, error) {
+	cfg := E14Config{}
+	if p.Quick {
+		cfg.Switches = 2
+		cfg.Rules = 4
+		cfg.LoadDuration = 200 * time.Millisecond
+	}
+	return E14ClusterFailover(cfg)
+}
+
 // E14ClusterFailover measures the distributed-control contract from
 // DESIGN.md "Cluster failover contract": lease-based mastership with
 // term fencing, replicated-NIB warm standbys, and epoch-selective
@@ -496,8 +425,8 @@ func E14ClusterFailover(cfg E14Config) (*Table, *E14Result, error) {
 	res := &E14Result{
 		Switches:    cfg.Switches,
 		Rules:       cfg.Rules,
-		LeaseTTLMS:  float64(cfg.LeaseTTL.Nanoseconds()) / 1e6,
-		HeartbeatMS: float64(cfg.HeartbeatInterval.Nanoseconds()) / 1e6,
+		LeaseTTLMS:  ms(cfg.LeaseTTL),
+		HeartbeatMS: ms(cfg.HeartbeatInterval),
 	}
 	var err error
 	if res.Crash, err = e14Scenario(cfg, false); err != nil {
@@ -513,18 +442,14 @@ func E14ClusterFailover(cfg E14Config) (*Table, *E14Result, error) {
 		res.SpeedupX = res.ClusterEPS / res.SingleEPS
 	}
 
-	tbl := &Table{
-		ID:     "E14",
-		Title:  "controller cluster: master failover and aggregate dispatch",
-		Header: []string{"scenario", "takeover", "detect", "claim", "takeovers", "deposals", "flushed", "retained", "ok"},
-		Notes: []string{
-			fmt.Sprintf("%d switches × %d rules; lease TTL %v, heartbeat %v, session probe %v × %d misses",
-				cfg.Switches, cfg.Rules, cfg.LeaseTTL, cfg.HeartbeatInterval, cfg.ProbeInterval, cfg.ProbeMisses),
-			"takeover = fault onset → all switches converged on the new master's epoch, under traffic",
-			"flushed counts only the dead master's orphan rules — intent is adopted in place, never wiped",
-			fmt.Sprintf("aggregate dispatch: single %.0f ev/s, cluster %.0f ev/s (%.2fx)",
-				res.SingleEPS, res.ClusterEPS, res.SpeedupX),
-		},
+	tbl := newTable("e14", "scenario", "takeover", "detect", "claim", "takeovers", "deposals", "flushed", "retained", "ok")
+	tbl.Notes = []string{
+		fmt.Sprintf("%d switches × %d rules; lease TTL %v, heartbeat %v, session probe %v × %d misses",
+			cfg.Switches, cfg.Rules, cfg.LeaseTTL, cfg.HeartbeatInterval, cfg.ProbeInterval, cfg.ProbeMisses),
+		"takeover = fault onset → all switches converged on the new master's epoch, under traffic",
+		"flushed counts only the dead master's orphan rules — intent is adopted in place, never wiped",
+		fmt.Sprintf("aggregate dispatch: single %.0f ev/s, cluster %.0f ev/s (%.2fx)",
+			res.SingleEPS, res.ClusterEPS, res.SpeedupX),
 	}
 	row := func(name string, f E14Failover) {
 		tbl.AddRow(name,

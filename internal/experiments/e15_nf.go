@@ -110,34 +110,21 @@ type E15Result struct {
 // range so every generated flow takes the outbound path.
 var e15Pub = packet.IPv4Addr{192, 0, 2, 1}
 
-// e15Switch builds a one-in-one-out switch whose single rule walks the
-// given stages before forwarding; a nil register hook means plain.
-func e15Switch(stages map[uint32]nf.Stage, ids []uint32) (*dataplane.Switch, error) {
-	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1, DropOnMiss: true})
-	sw.AddPort(1, "in", 1000)
-	sw.AddPort(2, "out", 1000).SetTx(func([]byte) {})
-	for id, st := range stages {
-		if err := sw.RegisterStage(id, st); err != nil {
+// e15Switch builds a one-in-one-out switch whose single rule walks
+// chain (registered as stages 1..len) before forwarding; an empty chain
+// is plain forwarding.
+func e15Switch(chain []nf.Stage) (*dataplane.Switch, error) {
+	sw := twoPortSwitch(dataplane.Config{DPID: 1, DropOnMiss: true})
+	acts := make([]zof.Action, 0, len(chain)+1)
+	for i, st := range chain {
+		if err := sw.RegisterStage(uint32(i+1), st); err != nil {
 			return nil, err
 		}
-	}
-	acts := make([]zof.Action, 0, len(ids)+1)
-	for _, id := range ids {
-		acts = append(acts, zof.NF(id))
+		acts = append(acts, zof.NF(uint32(i+1)))
 	}
 	acts = append(acts, zof.Output(2))
-	var repErr error
-	sw.Process(&zof.FlowMod{Command: zof.FlowAdd, Match: zof.MatchAll(), Priority: 10,
-		BufferID: zof.NoBuffer, Actions: acts}, 1,
-		func(rep zof.Message, _ uint32) {
-			if e, ok := rep.(*zof.Error); ok {
-				repErr = fmt.Errorf("flow add: %s", e.Detail)
-			}
-		})
-	if repErr != nil {
-		return nil, repErr
-	}
-	return sw, nil
+	return sw, installFlow(sw, &zof.FlowMod{Command: zof.FlowAdd, Match: zof.MatchAll(), Priority: 10,
+		BufferID: zof.NoBuffer, Actions: acts})
 }
 
 // e15Frames draws the zipf-churned frame stream: a population of Flows
@@ -175,34 +162,29 @@ func e15Measure(sw *dataplane.Switch, frames [][]byte, order []int, d, tickEvery
 			}
 		}
 	}()
-	var n uint64
-	start := time.Now()
-	deadline := start.Add(d)
+	defer close(done)
+	mask := len(order) - 1
 	if burst <= 1 {
-		for i := 0; ; i++ {
-			sw.HandleFrame(1, frames[order[i&(len(order)-1)]])
-			n++
-			if n&0x3ff == 0 && time.Now().After(deadline) {
-				break
-			}
-		}
-	} else {
-		vec := make([][]byte, burst)
-		for i := 0; ; {
-			for j := 0; j < burst; j++ {
-				vec[j] = frames[order[i&(len(order)-1)]]
-				i++
-			}
-			sw.HandleBurst(1, vec)
-			n += uint64(burst)
-			if time.Now().After(deadline) {
-				break
-			}
-		}
+		return measureRate(d, func(i int) { sw.HandleFrame(1, frames[order[i&mask]]) })
 	}
-	elapsed := time.Since(start).Seconds()
-	close(done)
-	return float64(n) / elapsed
+	vec := make([][]byte, burst)
+	return float64(burst) * measureRate(d, func(i int) {
+		for j := range vec {
+			vec[j] = frames[order[(i*burst+j)&mask]]
+		}
+		sw.HandleBurst(1, vec)
+	})
+}
+
+func runE15(p Params) (*Table, any, error) {
+	cfg := E15Config{Seed: p.Seed}
+	if p.Quick {
+		cfg.Flows = 500
+		cfg.Measure = 100 * time.Millisecond
+		cfg.OverlayFlows = 8
+		cfg.OverlayRounds = 2
+	}
+	return E15StatefulNF(cfg)
 }
 
 // E15StatefulNF measures the cost and state behavior of the composable
@@ -213,7 +195,6 @@ func e15Measure(sw *dataplane.Switch, frames [][]byte, order []int, d, tickEvery
 // underneath them.
 func E15StatefulNF(cfg E15Config) (*Table, *E15Result, error) {
 	cfg.fill()
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 	res := &E15Result{
 		Flows:     cfg.Flows,
 		Skew:      cfg.Skew,
@@ -229,33 +210,20 @@ func E15StatefulNF(cfg E15Config) (*Table, *E15Result, error) {
 		LocalMAC:  packet.MACFromUint64(0x02e1500000a1),
 		RemoteMAC: packet.MACFromUint64(0x02e1500000b1),
 	}
-	type variant struct {
-		name  string
-		build func() (map[uint32]nf.Stage, []uint32, *nf.Conntrack, *nf.NAT)
-		burst int
-	}
-	ctNat := func() (map[uint32]nf.Stage, []uint32, *nf.Conntrack, *nf.NAT) {
+	// Each variant walks a prefix of the full chain [conntrack, nat, encap].
+	var base float64
+	for _, v := range []struct {
+		name          string
+		stages, burst int
+	}{
+		{"plain", 0, 0},
+		{"conntrack", 1, 0},
+		{"ct+nat+encap", 3, 0},
+		{fmt.Sprintf("ct+nat+encap burst%d", cfg.Burst), 3, cfg.Burst},
+	} {
 		ct := nf.NewConntrack(nf.ConntrackConfig{Idle: cfg.Idle})
 		nat := nf.NewNAT(nf.NATConfig{CT: ct, PublicIP: e15Pub})
-		return map[uint32]nf.Stage{1: ct, 2: nat, 3: nf.NewTunnelEncap(tun)},
-			[]uint32{1, 2, 3}, ct, nat
-	}
-	variants := []variant{
-		{name: "plain", build: func() (map[uint32]nf.Stage, []uint32, *nf.Conntrack, *nf.NAT) {
-			return nil, nil, nil, nil
-		}},
-		{name: "conntrack", build: func() (map[uint32]nf.Stage, []uint32, *nf.Conntrack, *nf.NAT) {
-			ct := nf.NewConntrack(nf.ConntrackConfig{Idle: cfg.Idle})
-			return map[uint32]nf.Stage{1: ct}, []uint32{1}, ct, nil
-		}},
-		{name: "ct+nat+encap", build: ctNat},
-		{name: fmt.Sprintf("ct+nat+encap burst%d", cfg.Burst), build: ctNat, burst: cfg.Burst},
-	}
-
-	var base float64
-	for _, v := range variants {
-		stages, ids, ct, nat := v.build()
-		sw, err := e15Switch(stages, ids)
+		sw, err := e15Switch([]nf.Stage{ct, nat, nf.NewTunnelEncap(tun)}[:v.stages])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -268,7 +236,7 @@ func E15StatefulNF(cfg E15Config) (*Table, *E15Result, error) {
 		}
 		res.Variants = append(res.Variants, ev)
 		// Churn accounting comes from the scalar full-chain run.
-		if ct != nil && nat != nil && v.burst == 0 {
+		if v.stages == 3 && v.burst == 0 {
 			s := ct.StateSummary()
 			res.Occupancy = s.Entries
 			res.Created = s.Counters["created"]
@@ -287,19 +255,15 @@ func E15StatefulNF(cfg E15Config) (*Table, *E15Result, error) {
 		return nil, nil, err
 	}
 
-	tbl := &Table{
-		ID:     "E15",
-		Title:  "stateful NF stages: per-frame cost and audited overlay",
-		Header: []string{"variant", "frames/s", "overhead"},
-		Notes: []string{
-			fmt.Sprintf("%d zipf(%.1f) flows, conntrack idle %v; occupancy %d, created %d, expired %d",
-				cfg.Flows, cfg.Skew, cfg.Idle, res.Occupancy, res.Created, res.Expired),
-			fmt.Sprintf("expiry lag max %.2fms avg %.2fms; nat allocated %d released %d exhausted %d",
-				res.ExpiryLagMaxMS, res.ExpiryLagAvgMS, res.NATAllocated, res.NATReleased, res.NATExhausted),
-			fmt.Sprintf("overlay: %d sent, %d echoed, %d replies; %d audits, %d false repairs; drained in %.0fms",
-				res.OverlaySent, res.OverlayEchoed, res.OverlayReplies,
-				res.AuditsRun, res.AuditFalseRepairs, res.DrainMS),
-		},
+	tbl := newTable("e15", "variant", "frames/s", "overhead")
+	tbl.Notes = []string{
+		fmt.Sprintf("%d zipf(%.1f) flows, conntrack idle %v; occupancy %d, created %d, expired %d",
+			cfg.Flows, cfg.Skew, cfg.Idle, res.Occupancy, res.Created, res.Expired),
+		fmt.Sprintf("expiry lag max %.2fms avg %.2fms; nat allocated %d released %d exhausted %d",
+			res.ExpiryLagMaxMS, res.ExpiryLagAvgMS, res.NATAllocated, res.NATReleased, res.NATExhausted),
+		fmt.Sprintf("overlay: %d sent, %d echoed, %d replies; %d audits, %d false repairs; drained in %.0fms",
+			res.OverlaySent, res.OverlayEchoed, res.OverlayReplies,
+			res.AuditsRun, res.AuditFalseRepairs, res.DrainMS),
 	}
 	for _, v := range res.Variants {
 		over := "-"
@@ -411,15 +375,10 @@ func e15Overlay(cfg E15Config, res *E15Result) error {
 		hostB.SendUDP(src, dp, sp, payload)
 	}
 
-	audit := func(name string) uint64 {
-		v, _ := n.Controller.Metrics().Value("controller.audit." + name)
-		return uint64(v)
-	}
-	falseRepairs := func() uint64 { return audit("missing") + audit("mismatched") + audit("alien") }
 	// Let at least one audit pass see the freshly installed intent
 	// before we baseline.
 	time.Sleep(2 * cfg.AuditInterval)
-	repairs0, audits0 := falseRepairs(), audit("audits")
+	repairs0, audits0 := auditRepairs(n.Controller), metric(n.Controller, "controller.audit.audits")
 
 	// Churn: rounds of fresh connections, spaced so audits interleave
 	// with entry creation and expiry.
@@ -431,10 +390,7 @@ func e15Overlay(cfg E15Config, res *E15Result) error {
 		}
 		time.Sleep(2 * cfg.AuditInterval)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for hostA.RxUDP.Load() < sent && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	poll(5*time.Second, func() bool { return hostA.RxUDP.Load() >= sent })
 	res.OverlaySent = sent
 	res.OverlayEchoed = hostB.RxUDP.Load()
 	res.OverlayReplies = hostA.RxUDP.Load()
@@ -443,16 +399,11 @@ func e15Overlay(cfg E15Config, res *E15Result) error {
 	// the steering rules stay untouched.
 	start := time.Now()
 	res.DrainMS = -1
-	drainDeadline := start.Add(cfg.OverlayIdle + 2*time.Second)
-	for time.Now().Before(drainDeadline) {
-		if ct.Entries() == 0 && nat.Bindings() == 0 {
-			res.DrainMS = float64(time.Since(start).Nanoseconds()) / 1e6
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	if poll(cfg.OverlayIdle+2*time.Second, func() bool { return ct.Entries() == 0 && nat.Bindings() == 0 }) {
+		res.DrainMS = ms(time.Since(start))
 	}
 	time.Sleep(2 * cfg.AuditInterval)
-	res.AuditFalseRepairs = falseRepairs() - repairs0
-	res.AuditsRun = audit("audits") - audits0
+	res.AuditFalseRepairs = auditRepairs(n.Controller) - repairs0
+	res.AuditsRun = metric(n.Controller, "controller.audit.audits") - audits0
 	return nil
 }

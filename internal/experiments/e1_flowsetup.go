@@ -17,6 +17,19 @@ type E1Config struct {
 	Duration     time.Duration // per configuration
 }
 
+// e1Serial is the controller both E1 and E1a load.
+var e1Serial = controller.Config{EventQueue: 1 << 16, DispatchWorkers: 1}
+
+func runE1(p Params) (*Table, any, error) {
+	cfg := E1Config{}
+	if p.Quick {
+		cfg.SwitchCounts = []int{1, 4, 16}
+		cfg.Duration = 500 * time.Millisecond
+	}
+	t, err := E1FlowSetup(cfg)
+	return t, nil, err
+}
+
 // E1FlowSetup measures controller flow-setup capacity cbench-style: N
 // emulated switches flood packet-ins at a controller running the L2
 // learning app; we record response throughput and latency quantiles.
@@ -35,30 +48,16 @@ func E1FlowSetup(cfg E1Config) (*Table, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 2 * time.Second
 	}
-	t := &Table{
-		ID:     "E1",
-		Title:  "reactive flow setup (cbench-style), learning app",
-		Header: []string{"switches", "window", "responses/s", "p50", "p95", "p99"},
-		Notes: []string{
-			fmt.Sprintf("window=%d outstanding packet-ins per switch, %v per point",
-				cfg.Window, cfg.Duration),
-			"expected shape: throughput pins at the serialized dispatcher; latency grows ~linearly with switches past saturation (queueing), sub-ms at low fan-in",
-			"dispatch pinned to 1 worker (serial baseline); see E8 for sharded scaling",
-		},
+	t := newTable("e1", "switches", "window", "responses/s", "p50", "p95", "p99")
+	t.Notes = []string{
+		fmt.Sprintf("window=%d outstanding packet-ins per switch, %v per point",
+			cfg.Window, cfg.Duration),
+		"expected shape: throughput pins at the serialized dispatcher; latency grows ~linearly with switches past saturation (queueing), sub-ms at low fan-in",
+		"dispatch pinned to 1 worker (serial baseline); see E8 for sharded scaling",
 	}
 	for _, n := range cfg.SwitchCounts {
-		ctl, err := controller.New(controller.Config{EventQueue: 1 << 16, DispatchWorkers: 1})
-		if err != nil {
-			return nil, err
-		}
-		ctl.Use(apps.NewLearningSwitch())
-		res, err := cbench.Run(cbench.Config{
-			Addr:     ctl.Addr(),
-			Switches: n,
-			Window:   cfg.Window,
-			Duration: cfg.Duration,
-		})
-		ctl.Close()
+		res, err := cbenchRun(e1Serial, apps.NewLearningSwitch(),
+			cbench.Config{Switches: n, Window: cfg.Window, Duration: cfg.Duration})
 		if err != nil {
 			return nil, fmt.Errorf("E1 with %d switches: %w", n, err)
 		}
@@ -74,6 +73,15 @@ func E1FlowSetup(cfg E1Config) (*Table, error) {
 	return t, nil
 }
 
+func runE1a(p Params) (*Table, any, error) {
+	var d time.Duration
+	if p.Quick {
+		d = 500 * time.Millisecond
+	}
+	t, err := E1aProactiveVsReactive(d)
+	return t, nil, err
+}
+
 // E1aProactiveVsReactive is the ablation: the same load answered by a
 // null app that installs a single proactive wildcard rule (so every
 // packet-in is answered with a drop flow-mod without any learning
@@ -82,29 +90,17 @@ func E1aProactiveVsReactive(duration time.Duration) (*Table, error) {
 	if duration <= 0 {
 		duration = 2 * time.Second
 	}
-	t := &Table{
-		ID:     "E1a",
-		Title:  "app-logic cost: learning app vs null responder",
-		Header: []string{"app", "responses/s", "p95"},
-	}
-	for _, mode := range []string{"learning", "null"} {
-		ctl, err := controller.New(controller.Config{EventQueue: 1 << 16, DispatchWorkers: 1})
+	t := newTable("e1a", "app", "responses/s", "p95")
+	for _, c := range []struct {
+		mode string
+		app  controller.App
+	}{{"learning", apps.NewLearningSwitch()}, {"null", nullResponder{}}} {
+		res, err := cbenchRun(e1Serial, c.app,
+			cbench.Config{Switches: 16, Window: 8, Duration: duration})
 		if err != nil {
 			return nil, err
 		}
-		if mode == "learning" {
-			ctl.Use(apps.NewLearningSwitch())
-		} else {
-			ctl.Use(nullResponder{})
-		}
-		res, err := cbench.Run(cbench.Config{
-			Addr: ctl.Addr(), Switches: 16, Window: 8, Duration: duration,
-		})
-		ctl.Close()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(mode, f0(res.PerSecond()), res.Latency.Quantile(0.95).String())
+		t.AddRow(c.mode, f0(res.PerSecond()), res.Latency.Quantile(0.95).String())
 	}
 	return t, nil
 }

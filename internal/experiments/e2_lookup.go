@@ -21,7 +21,7 @@ type E2Config struct {
 type LookupFixture struct {
 	Linear *flowtable.Table
 	Tuple  *flowtable.TupleSpace
-	Exact  *flowtable.Exact[int]
+	Exact  map[packet.FlowKey]int
 	LPM    *flowtable.LPM[int]
 	Cached *flowtable.MicroCache
 
@@ -38,7 +38,7 @@ func BuildLookupFixture(n int, seed int64) *LookupFixture {
 	fx := &LookupFixture{
 		Linear: flowtable.NewTable(0),
 		Tuple:  flowtable.NewTupleSpace(),
-		Exact:  flowtable.NewExact[int](n),
+		Exact:  make(map[packet.FlowKey]int, n),
 		LPM:    flowtable.NewLPM[int](),
 		Cached: flowtable.NewMicroCache(1 << 17),
 	}
@@ -59,29 +59,58 @@ func BuildLookupFixture(n int, seed int64) *LookupFixture {
 		fx.LPM.Insert(p, 24, i)
 	}
 	// Probe set: 1024 frames landing inside random installed prefixes.
-	buf := packet.NewBuffer(128)
 	for i := 0; i < 1024; i++ {
 		p := prefixes[rng.Intn(len(prefixes))]
 		dst := packet.IPv4FromUint32(p | uint32(rng.Intn(256)))
 		src := packet.IPv4FromUint32(rng.Uint32())
-		buf.Reset()
-		udp := packet.UDP{SrcPort: uint16(rng.Intn(65536)), DstPort: 80}
-		udp.SerializeTo(buf)
-		ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: src, Dst: dst}
-		ip.SerializeTo(buf)
-		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-		eth.SerializeTo(buf)
 		var f packet.Frame
-		if packet.Decode(append([]byte(nil), buf.Bytes()...), &f) != nil {
+		if packet.Decode(udpFrame(0, src, dst, uint16(rng.Intn(65536))), &f) != nil {
 			continue
 		}
 		fx.Frames = append(fx.Frames, &f)
 		key := packet.ExtractFlowKey(&f)
 		fx.Keys = append(fx.Keys, key)
-		fx.Exact.Put(key, i)
+		fx.Exact[key] = i
 		fx.Addrs = append(fx.Addrs, dst.Uint32())
 	}
 	return fx
+}
+
+// LookupOp is one structure's lookup of probe i (probes wrap).
+type LookupOp struct {
+	Name   string // sub-benchmark prefix under BenchmarkE2Lookup
+	Lookup func(i int)
+}
+
+// Ops returns the per-structure lookups E2Lookup rates and
+// BenchmarkE2Lookup times, in table-column order.
+func (fx *LookupFixture) Ops() []LookupOp {
+	now := time.Unix(0, 0)
+	nf := len(fx.Frames)
+	return []LookupOp{
+		{"linear", func(i int) { fx.Linear.Lookup(fx.Frames[i%nf], 1, 64, now) }},
+		{"tuple", func(i int) { fx.Tuple.Lookup(fx.Frames[i%nf], 1) }},
+		{"lpm", func(i int) { fx.LPM.Lookup(fx.Addrs[i%nf]) }},
+		{"exact", func(i int) { _ = fx.Exact[fx.Keys[i%nf]] }},
+	}
+}
+
+// CachedOp is the authoritative table fronted by the microflow cache:
+// every probe's microflow is warmed first, so the op measures the steady
+// state (one authoritative lookup per flow, then cache hits).
+func (fx *LookupFixture) CachedOp() LookupOp {
+	now := time.Unix(0, 0)
+	gen := fx.Linear.Gen()
+	for _, f := range fx.Frames {
+		fx.Cached.Put(flowtable.MakeCacheKey(f, 1), gen, fx.Linear.Lookup(f, 1, 64, now))
+	}
+	return LookupOp{"cached", func(i int) {
+		f := fx.Frames[i%len(fx.Frames)]
+		key := flowtable.MakeCacheKey(f, 1)
+		if _, ok := fx.Cached.Get(key, gen); !ok {
+			fx.Cached.Put(key, gen, fx.Linear.Lookup(f, 1, 64, now))
+		}
+	}}
 }
 
 // measureRate runs fn repeatedly for roughly d and returns ops/sec.
@@ -105,6 +134,15 @@ func measureRate(d time.Duration, fn func(i int)) float64 {
 	return float64(ops) / time.Since(start).Seconds()
 }
 
+func runE2(p Params) (*Table, any, error) {
+	cfg := E2Config{}
+	if p.Quick {
+		cfg.Sizes = []int{100, 1000, 10000}
+		cfg.Measure = 50 * time.Millisecond
+	}
+	return E2Lookup(cfg), nil, nil
+}
+
 // E2Lookup sweeps table sizes for every structure. Shape: exact-map and
 // LPM rates are flat-ish in table size; tuple space pays per-shape
 // probes; the linear scan decays as ~1/N.
@@ -112,44 +150,18 @@ func E2Lookup(cfg E2Config) *Table {
 	if len(cfg.Sizes) == 0 {
 		cfg.Sizes = []int{100, 1000, 10000, 100000}
 	}
-	t := &Table{
-		ID:     "E2",
-		Title:  "flow table lookup scaling (lookups/sec)",
-		Header: []string{"entries", "linear", "tuple-space", "lpm-trie", "exact-map", "micro-cache"},
-		Notes: []string{
-			"probes hit installed /24 dst rules; exact map keyed by 5-tuple",
-			"expected shape: exact ≥ cache ≥ lpm ≥ tuple ≫ linear; linear decays ~1/N",
-		},
+	t := newTable("e2", "entries", "linear", "tuple-space", "lpm-trie", "exact-map", "micro-cache")
+	t.Notes = []string{
+		"probes hit installed /24 dst rules; exact map keyed by 5-tuple",
+		"expected shape: exact ≥ cache ≥ lpm ≥ tuple ≫ linear; linear decays ~1/N",
 	}
 	for _, n := range cfg.Sizes {
 		fx := BuildLookupFixture(n, int64(n))
-		now := time.Unix(0, 0)
-		nf := len(fx.Frames)
-
-		linear := measureRate(cfg.Measure, func(i int) {
-			fx.Linear.Lookup(fx.Frames[i%nf], 1, 64, now)
-		})
-		tuple := measureRate(cfg.Measure, func(i int) {
-			fx.Tuple.Lookup(fx.Frames[i%nf], 1)
-		})
-		lpm := measureRate(cfg.Measure, func(i int) {
-			fx.LPM.Lookup(fx.Addrs[i%nf])
-		})
-		exact := measureRate(cfg.Measure, func(i int) {
-			fx.Exact.Get(fx.Keys[i%nf])
-		})
-		// Micro-cache: warm it once, then measure hits.
-		gen := fx.Linear.Gen()
-		for i, f := range fx.Frames {
-			key := flowtable.MakeCacheKey(f, 1)
-			fx.Cached.Put(key, gen, fx.Linear.Entries()[i%fx.Linear.Len()])
+		row := []string{fmt.Sprintf("%d", n)}
+		for _, op := range append(fx.Ops(), fx.CachedOp()) {
+			row = append(row, f0(measureRate(cfg.Measure, op.Lookup)))
 		}
-		cache := measureRate(cfg.Measure, func(i int) {
-			key := flowtable.MakeCacheKey(fx.Frames[i%nf], 1)
-			fx.Cached.Get(key, gen)
-		})
-		t.AddRow(fmt.Sprintf("%d", n),
-			f0(linear), f0(tuple), f0(lpm), f0(exact), f0(cache))
+		t.AddRow(row...)
 	}
 	return t
 }

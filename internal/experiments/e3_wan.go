@@ -15,6 +15,15 @@ type E3Config struct {
 	Seed   int64
 }
 
+func runE3(p Params) (*Table, any, error) {
+	cfg := E3Config{Seed: p.Seed}
+	if p.Quick {
+		cfg.Scales = []float64{0.4, 0.8, 1.2, 2.0}
+	}
+	t, err := E3Utilization(cfg)
+	return t, nil, err
+}
+
 // E3Utilization reproduces the B4/SWAN headline figure: demand on the
 // 12-site WAN is swept from light to oversubscribed; at each point we
 // compare centralized TE (k-path max-min) against shortest-path
@@ -33,15 +42,11 @@ func E3Utilization(cfg E3Config) (*Table, error) {
 	// Base matrix sized so scale 1.0 sits at the interesting knee.
 	base := workload.Gravity(g, 10000, cfg.Seed+3)
 
-	t := &Table{
-		ID:    "E3",
-		Title: "WAN delivered traffic and utilization: TE vs shortest path",
-		Header: []string{"scale", "demand", "TE-deliv", "SP-deliv",
-			"TE-frac", "SP-frac", "gain", "TE-meanU", "SP-meanU"},
-		Notes: []string{
-			fmt.Sprintf("12-site WAN, 1000 Mbps links, gravity demands, k=%d paths", cfg.KPaths),
-			"expected shape: gain ~1 at low load, rising to ~1.3x past the knee; TE meanU -> ~0.9",
-		},
+	t := newTable("e3", "scale", "demand", "TE-deliv", "SP-deliv",
+		"TE-frac", "SP-frac", "gain", "TE-meanU", "SP-meanU")
+	t.Notes = []string{
+		fmt.Sprintf("12-site WAN, 1000 Mbps links, gravity demands, k=%d paths", cfg.KPaths),
+		"expected shape: gain ~1 at low load, rising to ~1.3x past the knee; TE meanU -> ~0.9",
 	}
 	for _, s := range cfg.Scales {
 		m := base.Scale(s)
@@ -64,6 +69,15 @@ func E3Utilization(cfg E3Config) (*Table, error) {
 	return t, nil
 }
 
+func runE3a(p Params) (*Table, any, error) {
+	var ks []int
+	if p.Quick {
+		ks = []int{1, 4}
+	}
+	t, err := E3aPathDiversity(ks, p.Seed)
+	return t, nil, err
+}
+
 // E3aPathDiversity is the ablation over k: what path diversity buys.
 // Shape: the worst-off commodity's satisfaction (the max-min
 // objective) improves monotonically with k and flattens by k=4, while
@@ -79,14 +93,10 @@ func E3aPathDiversity(ks []int, seed int64) (*Table, error) {
 	m := workload.Gravity(g, 12000, seed+3)
 	sp := te.SolveShortestPath(g, m, 0)
 
-	t := &Table{
-		ID:     "E3a",
-		Title:  "ablation: path diversity k (demand 12000)",
-		Header: []string{"k", "delivered", "min-satisfaction", "gain-vs-SP", "meanU"},
-		Notes: []string{
-			"min-satisfaction = worst-off commodity's granted/demanded (the max-min objective)",
-			"expected shape: min-satisfaction monotone in k, flattening by k=4; total may dip",
-		},
+	t := newTable("e3a", "k", "delivered", "min-satisfaction", "gain-vs-SP", "meanU")
+	t.Notes = []string{
+		"min-satisfaction = worst-off commodity's granted/demanded (the max-min objective)",
+		"expected shape: min-satisfaction monotone in k, flattening by k=4; total may dip",
 	}
 	for _, k := range ks {
 		alloc, err := te.Solve(g, m, te.Config{KPaths: k})

@@ -18,6 +18,27 @@ type E4Config struct {
 	Seed      int64
 }
 
+// WANTransition is one demand shift to plan: a gravity matrix on g and
+// its 0.8-perturbation, each solved by TE at the given scratch headroom.
+func WANTransition(g *topo.Graph, demand, scratch float64, seed, shiftSeed int64) (old, target *te.Allocation, err error) {
+	m1 := workload.Gravity(g, demand, seed)
+	m2 := workload.Perturb(m1, 0.8, shiftSeed)
+	if old, err = te.Solve(g, m1, te.Config{KPaths: 4, Headroom: scratch}); err != nil {
+		return nil, nil, err
+	}
+	target, err = te.Solve(g, m2, te.Config{KPaths: 4, Headroom: scratch})
+	return old, target, err
+}
+
+func runE4(p Params) (*Table, any, error) {
+	cfg := E4Config{Seed: p.Seed}
+	if p.Quick {
+		cfg.Trials = 3
+	}
+	t, err := E4Update(cfg)
+	return t, nil, err
+}
+
 // E4Update reproduces the SWAN/zUpdate safety table: random demand
 // shifts on the WAN are applied (a) naively in one asynchronous shot
 // and (b) via the interpolating planner. We count transitions with
@@ -38,27 +59,17 @@ func E4Update(cfg E4Config) (*Table, error) {
 	g, _ := topo.WAN(1000)
 	caps := update.Capacities(g)
 
-	t := &Table{
-		ID:    "E4",
-		Title: "congestion-free updates: naive vs planned transitions",
-		Header: []string{"scratch", "trials", "naive-overloaded", "planner-failed",
-			"max-steps", "avg-steps", "bound"},
-		Notes: []string{
-			fmt.Sprintf("WAN gravity transitions, demand %.0f, %d trials each", cfg.Demand, cfg.Trials),
-			"expected shape: naive overloads most hot transitions; planner never does with s>=0.10",
-		},
+	t := newTable("e4", "scratch", "trials", "naive-overloaded", "planner-failed",
+		"max-steps", "avg-steps", "bound")
+	t.Notes = []string{
+		fmt.Sprintf("WAN gravity transitions, demand %.0f, %d trials each", cfg.Demand, cfg.Trials),
+		"expected shape: naive overloads most hot transitions; planner never does with s>=0.10",
 	}
 	for _, s := range cfg.Scratches {
 		naiveBad, planFail, maxSteps, sumSteps, planned := 0, 0, 0, 0, 0
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed := cfg.Seed + int64(trial)*31
-			m1 := workload.Gravity(g, cfg.Demand, seed)
-			m2 := workload.Perturb(m1, 0.8, seed+1000)
-			old, err := te.Solve(g, m1, te.Config{KPaths: 4, Headroom: s})
-			if err != nil {
-				return nil, err
-			}
-			new_, err := te.Solve(g, m2, te.Config{KPaths: 4, Headroom: s})
+			old, new_, err := WANTransition(g, cfg.Demand, s, seed, seed+1000)
 			if err != nil {
 				return nil, err
 			}

@@ -16,12 +16,39 @@ type E5Config struct {
 	Seed     int64
 }
 
-// nopInstaller measures pure control-plane recompile cost.
-type nopInstaller struct{ ops int }
+// IntentMesh submits one intent per unordered pair of ends to a fresh
+// manager over g and returns it with the id of the last intent (ids
+// run 1..last).
+func IntentMesh(g *topo.Graph, ends []topo.NodeID, inst intent.Installer) (*intent.Manager, intent.ID, error) {
+	mgr := intent.NewManager(g, inst)
+	id := intent.ID(0)
+	for i := 0; i < len(ends); i++ {
+		for j := i + 1; j < len(ends); j++ {
+			id++
+			m := zof.MatchAll()
+			m.Wildcards &^= zof.WEthSrc | zof.WEthDst
+			m.EthSrc[4], m.EthSrc[5] = byte(i), byte(j)
+			m.EthDst[4], m.EthDst[5] = byte(j), byte(i)
+			if err := mgr.Submit(intent.Intent{
+				ID:    id,
+				Src:   intent.Endpoint{Node: ends[i], Port: 100},
+				Dst:   intent.Endpoint{Node: ends[j], Port: 100},
+				Match: m, Priority: 10,
+			}); err != nil {
+				return nil, 0, fmt.Errorf("intent %d: %w", id, err)
+			}
+		}
+	}
+	return mgr, id, nil
+}
 
-func (n *nopInstaller) Apply(ops []intent.RuleOp) error {
-	n.ops += len(ops)
-	return nil
+func runE5(p Params) (*Table, any, error) {
+	cfg := E5Config{Seed: p.Seed}
+	if p.Quick {
+		cfg.Failures = 3
+	}
+	t, err := E5Recovery(cfg)
+	return t, nil, err
 }
 
 // E5Recovery measures failure recovery across topologies: submit an
@@ -35,15 +62,11 @@ func E5Recovery(cfg E5Config) (*Table, error) {
 	if cfg.Failures <= 0 {
 		cfg.Failures = 10
 	}
-	t := &Table{
-		ID:    "E5",
-		Title: "failure recovery: intent recompile vs spanning-tree flush",
-		Header: []string{"topology", "intents", "failures", "reroute-p50", "reroute-p99",
-			"rules-touched/fail", "mean-stretch", "lost", "stp-recompute", "stp-flush"},
-		Notes: []string{
-			"stp-flush counts flows invalidated by full L2 reconvergence (all of them)",
-			"expected shape: sub-ms recompiles, stretch ~1, churn ≪ full flush",
-		},
+	t := newTable("e5", "topology", "intents", "failures", "reroute-p50", "reroute-p99",
+		"rules-touched/fail", "mean-stretch", "lost", "stp-recompute", "stp-flush")
+	t.Notes = []string{
+		"stp-flush counts flows invalidated by full L2 reconvergence (all of them)",
+		"expected shape: sub-ms recompiles, stretch ~1, churn ≪ full flush",
 	}
 	type topoCase struct {
 		name  string
@@ -64,28 +87,18 @@ func E5Recovery(cfg E5Config) (*Table, error) {
 		{"wan-12", wan, siteIDs},
 	} {
 		rng := rand.New(rand.NewSource(cfg.Seed + 7))
-		inst := &nopInstaller{}
-		mgr := intent.NewManager(tc.graph, inst)
-		id := intent.ID(0)
-		for i := 0; i < len(tc.ends); i++ {
-			for j := i + 1; j < len(tc.ends); j++ {
-				id++
-				m := zof.MatchAll()
-				m.Wildcards &^= zof.WEthSrc | zof.WEthDst
-				m.EthSrc[4], m.EthSrc[5] = byte(i), byte(j)
-				m.EthDst[4], m.EthDst[5] = byte(j), byte(i)
-				if err := mgr.Submit(intent.Intent{
-					ID:    id,
-					Src:   intent.Endpoint{Node: tc.ends[i], Port: 100},
-					Dst:   intent.Endpoint{Node: tc.ends[j], Port: 100},
-					Match: m, Priority: 10,
-				}); err != nil {
-					return nil, fmt.Errorf("%s intent %d: %w", tc.name, id, err)
-				}
-			}
+		// Rule ops are counted, not installed: the measurement is pure
+		// control-plane recompile cost.
+		ops := 0
+		mgr, id, err := IntentMesh(tc.graph, tc.ends, intent.InstallerFunc(func(o []intent.RuleOp) error {
+			ops += len(o)
+			return nil
+		}))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}
-		installedOps := inst.ops
-		inst.ops = 0
+		installedOps := ops
+		ops = 0
 
 		links := tc.graph.Links()
 		lost := 0
@@ -123,7 +136,7 @@ func E5Recovery(cfg E5Config) (*Table, error) {
 			fmt.Sprintf("%d", cfg.Failures),
 			mgr.Recompiles.Quantile(0.5).String(),
 			mgr.Recompiles.Quantile(0.99).String(),
-			fmt.Sprintf("%d", inst.ops/(2*cfg.Failures)), // ops per down+up pair
+			fmt.Sprintf("%d", ops/(2*cfg.Failures)), // ops per down+up pair
 			f2(meanStretch),
 			fmt.Sprintf("%d", lost),
 			stpPer.String(),

@@ -7,42 +7,21 @@ import (
 	"repro/internal/packet"
 )
 
-// buildUDPFrame builds a frame of roughly the requested size.
-func buildUDPFrame(size int) []byte {
-	payload := size - packet.EthernetHeaderLen - packet.IPv4MinHeaderLen - packet.UDPHeaderLen
-	if payload < 0 {
-		payload = 0
-	}
-	b := packet.NewBuffer(64)
-	b.Append(payload)
-	udp := packet.UDP{SrcPort: 5353, DstPort: 53}
-	udp.SerializeToWithChecksum(b, packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{10, 0, 0, 2})
-	ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
-		Src: packet.IPv4Addr{10, 0, 0, 1}, Dst: packet.IPv4Addr{10, 0, 0, 2}}
-	ip.SerializeTo(b)
-	eth := packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2},
-		Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4}
-	eth.SerializeTo(b)
-	return append([]byte(nil), b.Bytes()...)
+// CodecBench is one measured operation of the packet substrate.
+type CodecBench struct {
+	Name string // sub-benchmark name under BenchmarkE6Codec
+	Op   string // row label in the E6 table
+	Run  func(*testing.B)
 }
 
-// E6Codec measures the packet substrate: decode, decode+flow-key, and
-// full-stack serialize, per frame size, with allocations per op.
-// Shape: zero allocations on the decode paths; decode throughput in
-// the millions per second per core for small frames.
-func E6Codec() *Table {
-	t := &Table{
-		ID:     "E6",
-		Title:  "packet codec throughput",
-		Header: []string{"frame", "op", "ns/op", "allocs/op", "Mops/s"},
-		Notes:  []string{"expected shape: 0 allocs/op on decode; small-frame decode > 10 Mops/s"},
-	}
-	sizes := []int{64, 512, 1500}
-	for _, size := range sizes {
-		wire := buildUDPFrame(size)
-		label := fmt.Sprintf("%dB", size)
-
-		decode := testing.Benchmark(func(b *testing.B) {
+// CodecBenches returns the E6 operations for one frame size: decode,
+// decode+flow-key, and full-stack serialize. E6Codec times them with
+// testing.Benchmark; BenchmarkE6Codec runs them as sub-benchmarks.
+func CodecBenches(size int) []CodecBench {
+	wire := udpFrame(size, packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{10, 0, 0, 2}, 5353)
+	payload := len(wire) - packet.EthernetHeaderLen - packet.IPv4MinHeaderLen - packet.UDPHeaderLen
+	return []CodecBench{
+		{"decode", "decode", func(b *testing.B) {
 			var f packet.Frame
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -50,10 +29,8 @@ func E6Codec() *Table {
 					b.Fatal(err)
 				}
 			}
-		})
-		addBenchRow(t, label, "decode", decode)
-
-		flowkey := testing.Benchmark(func(b *testing.B) {
+		}},
+		{"flowkey", "decode+flowkey", func(b *testing.B) {
 			var f packet.Frame
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -63,14 +40,8 @@ func E6Codec() *Table {
 				k := packet.ExtractFlowKey(&f)
 				_ = k.FastHash()
 			}
-		})
-		addBenchRow(t, label, "decode+flowkey", flowkey)
-
-		payload := size - 42
-		if payload < 0 {
-			payload = 0
-		}
-		serialize := testing.Benchmark(func(b *testing.B) {
+		}},
+		{"serialize", "serialize", func(b *testing.B) {
 			buf := packet.NewBuffer(64)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -83,17 +54,29 @@ func E6Codec() *Table {
 				eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
 				eth.SerializeTo(buf)
 			}
-		})
-		addBenchRow(t, label, "serialize", serialize)
+		}},
 	}
-	return t
 }
 
-func addBenchRow(t *Table, frame, op string, r testing.BenchmarkResult) {
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	mops := 0.0
-	if ns > 0 {
-		mops = 1000 / ns
+func runE6(Params) (*Table, any, error) { return E6Codec(), nil, nil }
+
+// E6Codec measures the packet substrate: decode, decode+flow-key, and
+// full-stack serialize, per frame size, with allocations per op.
+// Shape: zero allocations on the decode paths; decode throughput in
+// the millions per second per core for small frames.
+func E6Codec() *Table {
+	t := newTable("e6", "frame", "op", "ns/op", "allocs/op", "Mops/s")
+	t.Notes = []string{"expected shape: 0 allocs/op on decode; small-frame decode > 10 Mops/s"}
+	for _, size := range []int{64, 512, 1500} {
+		for _, cb := range CodecBenches(size) {
+			r := testing.Benchmark(cb.Run)
+			ns := float64(r.T.Nanoseconds()) / float64(r.N)
+			mops := 0.0
+			if ns > 0 {
+				mops = 1000 / ns
+			}
+			t.AddRow(fmt.Sprintf("%dB", size), cb.Op, f1(ns), fmt.Sprintf("%d", r.AllocsPerOp()), f2(mops))
+		}
 	}
-	t.AddRow(frame, op, f1(ns), fmt.Sprintf("%d", r.AllocsPerOp()), f2(mops))
+	return t
 }

@@ -3,13 +3,8 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
-
-	"repro/internal/dataplane"
-	"repro/internal/packet"
-	"repro/internal/zof"
 )
 
 // E7Config parameterizes the parallel-pipeline experiment.
@@ -38,46 +33,13 @@ type E7Result struct {
 	Points     []E7Point `json:"points"`
 }
 
-// e7Switch builds a switch with n disjoint forwarding lanes: lane i
-// receives its own microflow on ingress port i+1 and a dedicated flow
-// entry outputs it to egress port 1001+i (tx is a no-op sink). Disjoint
-// lanes mean the measurement exposes pipeline serialization, not
-// artificial contention on one entry's counters.
-func e7Switch(n int) (*dataplane.Switch, [][]byte, error) {
-	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1, DropOnMiss: true})
-	frames := make([][]byte, n)
-	for w := 0; w < n; w++ {
-		in, out := uint32(w+1), uint32(1001+w)
-		sw.AddPort(in, fmt.Sprintf("in%d", w), 1000)
-		sw.AddPort(out, fmt.Sprintf("out%d", w), 1000).SetTx(func([]byte) {})
-		m := zof.MatchAll()
-		m.Wildcards &^= zof.WInPort
-		m.InPort = in
-		var repErr error
-		sw.Process(&zof.FlowMod{Command: zof.FlowAdd, Match: m, Priority: 10,
-			BufferID: zof.NoBuffer, Actions: []zof.Action{zof.Output(out)}}, 1,
-			func(rep zof.Message, _ uint32) {
-				if e, ok := rep.(*zof.Error); ok {
-					repErr = fmt.Errorf("flow add: %s", e.Detail)
-				}
-			})
-		if repErr != nil {
-			return nil, nil, repErr
-		}
-		buf := packet.NewBuffer(64)
-		buf.Append(22)
-		src := packet.IPv4Addr{10, 1, byte(w >> 8), byte(w)}
-		dst := packet.IPv4Addr{10, 2, byte(w >> 8), byte(w)}
-		udp := packet.UDP{SrcPort: uint16(4000 + w), DstPort: 53}
-		udp.SerializeToWithChecksum(buf, src, dst)
-		ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: src, Dst: dst}
-		ip.SerializeTo(buf)
-		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
-		eth.SerializeTo(buf)
-		frames[w] = append([]byte(nil), buf.Bytes()...)
-		sw.HandleFrame(in, frames[w]) // warm the microflow cache
+func runE7(p Params) (*Table, any, error) {
+	cfg := E7Config{}
+	if p.Quick {
+		cfg.Workers = []int{1, 4}
+		cfg.Measure = 100 * time.Millisecond
 	}
-	return sw, frames, nil
+	return E7PipelineParallel(cfg)
 }
 
 // E7PipelineParallel measures lock-free datapath throughput versus the
@@ -91,19 +53,12 @@ func E7PipelineParallel(cfg E7Config) (*Table, *E7Result, error) {
 	if cfg.Measure <= 0 {
 		cfg.Measure = 500 * time.Millisecond
 	}
-	maxW, seen := 0, map[int]bool{}
-	workers := cfg.Workers[:0:0]
-	for _, nw := range cfg.Workers {
-		if nw < 1 || seen[nw] {
-			continue
-		}
-		seen[nw] = true
-		workers = append(workers, nw)
-		if nw > maxW {
-			maxW = nw
-		}
+	workers := WorkerSweep(cfg.Workers...)
+	if len(workers) == 0 {
+		return nil, nil, fmt.Errorf("E7: no worker count >= 1 in %v", cfg.Workers)
 	}
-	sw, frames, err := e7Switch(maxW)
+	maxW := slices.Max(workers)
+	sw, frames, err := LaneSwitch(maxW)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -123,51 +78,18 @@ func E7PipelineParallel(cfg E7Config) (*Table, *E7Result, error) {
 		GOMAXPROCS: procs,
 		NumCPU:     runtime.NumCPU(),
 		MeasureMS:  cfg.Measure.Milliseconds(),
+		Warning:    CoresWarning(min(procs, runtime.NumCPU()), maxW),
 	}
-	if cores := min(procs, res.NumCPU); cores < maxW {
-		res.Warning = fmt.Sprintf(
-			"effective cores=%d < max workers=%d: multi-worker points timeshare cores; speedup_vs_1 reflects scheduling, not scaling",
-			cores, maxW)
-	}
-	tbl := &Table{
-		ID:     "E7",
-		Title:  "parallel pipeline scaling (one switch, N ingress goroutines)",
-		Header: []string{"workers", "frames/s", "speedup"},
-		Notes: []string{fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d; speedup is bounded by available cores",
-			res.GOMAXPROCS, res.NumCPU)},
-	}
+	tbl := newTable("e7", "workers", "frames/s", "speedup")
+	tbl.Notes = []string{fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d; speedup is bounded by available cores",
+		res.GOMAXPROCS, res.NumCPU)}
 	if res.Warning != "" {
 		tbl.Notes = append(tbl.Notes, "WARNING: "+res.Warning)
 	}
 
 	var base float64
 	for _, nw := range workers {
-		var stop atomic.Bool
-		counts := make([]uint64, nw)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				in, fr := uint32(w+1), frames[w]
-				var n uint64
-				for !stop.Load() {
-					sw.HandleFrame(in, fr)
-					n++
-				}
-				counts[w] = n
-			}(w)
-		}
-		time.Sleep(cfg.Measure)
-		stop.Store(true)
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		var total uint64
-		for _, n := range counts {
-			total += n
-		}
-		fps := float64(total) / elapsed
+		fps := measureLanes(sw, frames, nw, 0, cfg.Measure)
 		if base == 0 {
 			base = fps
 		}

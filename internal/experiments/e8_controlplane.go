@@ -48,20 +48,13 @@ type E8Result struct {
 	Points     []E8Point `json:"points"`
 }
 
-// e8Run drives one cbench load against a fresh controller.
-func e8Run(cfg controller.Config, switches, window int, d time.Duration) (cbench.Result, error) {
-	ctl, err := controller.New(cfg)
-	if err != nil {
-		return cbench.Result{}, err
+func runE8(p Params) (*Table, any, error) {
+	cfg := E8Config{}
+	if p.Quick {
+		cfg.SwitchCounts = []int{1, 4, 16}
+		cfg.Duration = 500 * time.Millisecond
 	}
-	defer ctl.Close()
-	ctl.Use(apps.NewLearningSwitch())
-	return cbench.Run(cbench.Config{
-		Addr:     ctl.Addr(),
-		Switches: switches,
-		Window:   window,
-		Duration: d,
-	})
+	return E8ControlPlaneScaling(cfg)
 }
 
 // E8ControlPlaneScaling sweeps cbench switch counts against the serial
@@ -79,10 +72,7 @@ func E8ControlPlaneScaling(cfg E8Config) (*Table, *E8Result, error) {
 		cfg.Duration = 2 * time.Second
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-		if cfg.Workers < 4 {
-			cfg.Workers = 4
-		}
+		cfg.Workers = max(4, runtime.GOMAXPROCS(0))
 	}
 	res := &E8Result{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -91,16 +81,12 @@ func E8ControlPlaneScaling(cfg E8Config) (*Table, *E8Result, error) {
 		Window:     cfg.Window,
 		DurationMS: cfg.Duration.Milliseconds(),
 	}
-	tbl := &Table{
-		ID:     "E8",
-		Title:  "control-plane scaling: serial vs sharded dispatch (cbench, learning app)",
-		Header: []string{"switches", "serial rps", "sharded rps", "speedup", "serial p50/p99", "sharded p50/p99"},
-		Notes: []string{
-			fmt.Sprintf("serial = 1 worker + per-message flush; sharded = %d workers + coalesced writes", cfg.Workers),
-			fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d; speedup is bounded by available cores (≈1.0 on one core)",
-				res.GOMAXPROCS, res.NumCPU),
-			fmt.Sprintf("window=%d outstanding packet-ins per switch, %v per point per mode", cfg.Window, cfg.Duration),
-		},
+	tbl := newTable("e8", "switches", "serial rps", "sharded rps", "speedup", "serial p50/p99", "sharded p50/p99")
+	tbl.Notes = []string{
+		fmt.Sprintf("serial = 1 worker + per-message flush; sharded = %d workers + coalesced writes", cfg.Workers),
+		fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d; speedup is bounded by available cores (≈1.0 on one core)",
+			res.GOMAXPROCS, res.NumCPU),
+		fmt.Sprintf("window=%d outstanding packet-ins per switch, %v per point per mode", cfg.Window, cfg.Duration),
 	}
 
 	serialCfg := controller.Config{
@@ -114,13 +100,13 @@ func E8ControlPlaneScaling(cfg E8Config) (*Table, *E8Result, error) {
 		FlushDelay:      0, // flush-on-idle coalescing
 	}
 
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 	for _, n := range cfg.SwitchCounts {
-		ser, err := e8Run(serialCfg, n, cfg.Window, cfg.Duration)
+		load := cbench.Config{Switches: n, Window: cfg.Window, Duration: cfg.Duration}
+		ser, err := cbenchRun(serialCfg, apps.NewLearningSwitch(), load)
 		if err != nil {
 			return nil, nil, fmt.Errorf("E8 serial with %d switches: %w", n, err)
 		}
-		shd, err := e8Run(shardedCfg, n, cfg.Window, cfg.Duration)
+		shd, err := cbenchRun(shardedCfg, apps.NewLearningSwitch(), load)
 		if err != nil {
 			return nil, nil, fmt.Errorf("E8 sharded with %d switches: %w", n, err)
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
@@ -98,87 +97,27 @@ func (r *e9Recorder) drain() {
 	}
 }
 
-// e9Switch builds a fresh datapath with two ports (traffic in, sink
-// out) for DPID 1.
-func e9Switch() *dataplane.Switch {
-	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
-	sw.AddPort(1, "in", 1000)
-	sw.AddPort(2, "out", 1000).SetTx(func([]byte) {})
-	return sw
-}
-
 // e9Frame builds a UDP frame whose destination matches none of the ACL
 // rules, so every injection is a table miss → packet-in while the
-// channel is up (the "active traffic" the recovery runs under).
+// channel is up (the "active traffic" the recovery runs under). Every i
+// is a new source station.
 func e9Frame(i int) []byte {
-	buf := packet.NewBuffer(64)
-	buf.Append(22)
-	src := packet.IPv4Addr{10, 9, byte(i >> 8), byte(i)}
-	dst := packet.IPv4Addr{10, 10, 0, 1}
-	udp := packet.UDP{SrcPort: uint16(7000 + i%512), DstPort: 53}
-	udp.SerializeToWithChecksum(buf, src, dst)
-	ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: src, Dst: dst}
-	ip.SerializeTo(buf)
-	eth := packet.Ethernet{
-		Src:       packet.MACFromUint64(0x0A0900000000 | uint64(i&0xffff)),
-		Dst:       packet.MACFromUint64(0x0A0A00000001),
-		EtherType: packet.EtherTypeIPv4,
-	}
-	eth.SerializeTo(buf)
-	return append([]byte(nil), buf.Bytes()...)
+	return udpFrame(64, packet.IPv4Addr{10, 9, byte(i >> 8), byte(i)},
+		packet.IPv4Addr{10, 10, 0, 1}, uint16(7000+i%512))
 }
 
-// e9Converged reports whether the switch's flow table holds exactly
-// want rules, all stamped with the live session's epoch.
-func e9Converged(sc *controller.SwitchConn, want int) bool {
-	rep, err := sc.Stats(&zof.StatsRequest{
-		Kind: zof.StatsFlow, TableID: 0xff, Match: zof.MatchAll(),
-	}, time.Second)
-	if err != nil || len(rep.Flows) != want {
-		return false
-	}
-	for _, f := range rep.Flows {
-		if controller.CookieEpoch(f.Cookie) != sc.Epoch() {
-			return false
-		}
-	}
-	return true
-}
-
-// e9WaitConverged polls e9Converged until it holds or the deadline
-// passes, returning the elapsed time and whether it converged.
-func e9WaitConverged(ctl *controller.Controller, want int, since time.Time, deadline time.Duration) (time.Duration, bool) {
-	end := time.Now().Add(deadline)
-	for time.Now().Before(end) {
-		if sc, ok := ctl.Switch(1); ok && e9Converged(sc, want) {
-			return time.Since(since), true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return time.Since(since), false
-}
-
-func e9WaitUp(rec *e9Recorder, timeout time.Duration) (controller.SwitchUp, bool) {
+// waitFor receives one event from ch, or gives up after timeout.
+func waitFor[T any](ch <-chan T, timeout time.Duration) (ev T, ok bool) {
 	select {
-	case ev := <-rec.ups:
+	case ev = <-ch:
 		return ev, true
 	case <-time.After(timeout):
-		return controller.SwitchUp{}, false
-	}
-}
-
-func e9WaitDown(rec *e9Recorder, timeout time.Duration) bool {
-	select {
-	case <-rec.downs:
-		return true
-	case <-time.After(timeout):
-		return false
+		return ev, false
 	}
 }
 
 // e9Point runs one configuration through the full lifecycle.
 func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9Point, error) {
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 	pt := E9Point{
 		MissBudget:    misses,
 		BackoffMS:     ms(backoff),
@@ -208,16 +147,15 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	}
 	defer proxy.Close()
 
-	var target atomic.Pointer[dataplane.Switch]
-	target.Store(e9Switch())
-	sess := dataplane.StartSession(target.Load(), dataplane.SessionConfig{
+	sw := twoPortSwitch(dataplane.Config{DPID: 1})
+	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
 		Addr:       proxy.Addr(),
 		MinBackoff: backoff,
 		Seed:       1,
 	})
 	defer sess.Close()
 
-	if _, ok := e9WaitUp(rec, 5*time.Second); !ok {
+	if _, ok := waitFor(rec.ups, 5*time.Second); !ok {
 		return pt, fmt.Errorf("initial SwitchUp not observed")
 	}
 	ids := make([]uint64, 0, rules)
@@ -227,27 +165,14 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 		m.EthDst = packet.MACFromUint64(0x0A0000000000 | uint64(i))
 		ids = append(ids, acl.Deny(ctl, m))
 	}
-	if _, ok := e9WaitConverged(ctl, rules, time.Now(), 5*time.Second); !ok {
+	if !waitConverged(ctl, []uint64{1}, rules, 5*time.Second) {
 		return pt, fmt.Errorf("initial rule install did not converge")
 	}
 
 	// Active traffic for the whole lifecycle: misses → packet-ins while
 	// the channel is up, plain forwarding-path load while it is not.
-	stopTraffic := make(chan struct{})
-	trafficDone := make(chan struct{})
-	go func() {
-		defer close(trafficDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stopTraffic:
-				return
-			default:
-			}
-			target.Load().HandleFrame(1, e9Frame(i))
-			time.Sleep(500 * time.Microsecond)
-		}
-	}()
-	defer func() { close(stopTraffic); <-trafficDone }()
+	stopTraffic := missTraffic([]*dataplane.Switch{sw}, e9Frame, 500*time.Microsecond)
+	defer func() { stopTraffic() }()
 
 	// Phase 1 — detection: blackhole the control channel (bytes silently
 	// discarded, nothing closed: a half-open session) and wait for the
@@ -255,12 +180,11 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	rec.drain()
 	t0 := time.Now()
 	proxy.Blackhole(true)
-	if !e9WaitDown(rec, pi*time.Duration(misses+4)+2*time.Second) {
+	if _, ok := waitFor(rec.downs, pi*time.Duration(misses+4)+2*time.Second); !ok {
 		return pt, fmt.Errorf("liveness eviction not observed")
 	}
 	pt.DetectWallMS = ms(time.Since(t0))
-	det, _ := ctl.Metrics().Value("controller.liveness.last_detection_ns")
-	pt.DetectMS = ms(time.Duration(det))
+	pt.DetectMS = ms(time.Duration(metric(ctl, "controller.liveness.last_detection_ns")))
 
 	// While partitioned, retire a quarter of the rules. The switch still
 	// holds them; only post-reconnect reconciliation can flush them.
@@ -276,7 +200,7 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	proxy.Blackhole(false)
 	t1 := time.Now()
 	proxy.DropConnections()
-	up, ok := e9WaitUp(rec, 10*time.Second)
+	up, ok := waitFor(rec.ups, 10*time.Second)
 	if !ok {
 		return pt, fmt.Errorf("reconnect SwitchUp not observed")
 	}
@@ -284,40 +208,49 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 		return pt, fmt.Errorf("reconnect SwitchUp lacked Reconnect flag")
 	}
 	pt.ReconnectMS = ms(time.Since(t1))
-	flap, ok := e9WaitConverged(ctl, want, t1, 10*time.Second)
-	if !ok {
+	if !waitConverged(ctl, []uint64{1}, want, 10*time.Second) {
 		return pt, fmt.Errorf("flow state did not converge after flap")
 	}
-	pt.FlapConvergeMS = ms(flap)
-	stale, _ := ctl.Metrics().Value("controller.liveness.stale_flows")
-	pt.StaleFlushed = uint64(stale)
+	pt.FlapConvergeMS = ms(time.Since(t1))
+	pt.StaleFlushed = metric(ctl, "controller.liveness.stale_flows")
 
 	// Phase 3 — crash-restart: kill the session and the switch, bring up
 	// a new datapath with the same DPID and an empty table, and measure
 	// convergence from nothing, still under traffic.
 	rec.drain()
 	sess.Close()
-	if !e9WaitDown(rec, 10*time.Second) {
+	if _, ok := waitFor(rec.downs, 10*time.Second); !ok {
 		return pt, fmt.Errorf("SwitchDown after crash not observed")
 	}
-	target.Store(e9Switch())
+	stopTraffic()
+	sw = twoPortSwitch(dataplane.Config{DPID: 1})
+	stopTraffic = missTraffic([]*dataplane.Switch{sw}, e9Frame, 500*time.Microsecond)
 	t2 := time.Now()
-	sess2 := dataplane.StartSession(target.Load(), dataplane.SessionConfig{
+	sess2 := dataplane.StartSession(sw, dataplane.SessionConfig{
 		Addr:       proxy.Addr(),
 		MinBackoff: backoff,
 		Seed:       2,
 	})
 	defer sess2.Close()
-	if _, ok := e9WaitUp(rec, 10*time.Second); !ok {
+	if _, ok := waitFor(rec.ups, 10*time.Second); !ok {
 		return pt, fmt.Errorf("post-restart SwitchUp not observed")
 	}
-	crash, ok := e9WaitConverged(ctl, want, t2, 10*time.Second)
-	if !ok {
+	if !waitConverged(ctl, []uint64{1}, want, 10*time.Second) {
 		return pt, fmt.Errorf("flow state did not converge after restart")
 	}
-	pt.CrashConvergeMS = ms(crash)
+	pt.CrashConvergeMS = ms(time.Since(t2))
 	pt.Converged = true
 	return pt, nil
+}
+
+func runE9(p Params) (*Table, any, error) {
+	cfg := E9Config{}
+	if p.Quick {
+		cfg.MissBudgets = []int{2}
+		cfg.Backoffs = []time.Duration{10 * time.Millisecond}
+		cfg.Rules = 8
+	}
+	return E9FaultRecovery(cfg)
 }
 
 // E9FaultRecovery sweeps liveness miss budgets and reconnect backoffs
@@ -339,18 +272,14 @@ func E9FaultRecovery(cfg E9Config) (*Table, *E9Result, error) {
 		cfg.Rules = 16
 	}
 	res := &E9Result{
-		ProbeIntervalMS: float64(cfg.ProbeInterval.Nanoseconds()) / 1e6,
+		ProbeIntervalMS: ms(cfg.ProbeInterval),
 		Rules:           cfg.Rules,
 	}
-	tbl := &Table{
-		ID:     "E9",
-		Title:  "control-channel fault recovery: detection, reconnect, convergence",
-		Header: []string{"misses", "backoff", "detect (bound)", "wall", "reconnect", "flap conv", "crash conv", "stale", "ok"},
-		Notes: []string{
-			fmt.Sprintf("probe interval %v; %d ACL rules as reconcilable state; 1/4 retired mid-partition", cfg.ProbeInterval, cfg.Rules),
-			"detect = first missed probe → eviction, bound = interval × misses; wall adds the wait for the next probe tick",
-			"flap keeps the flow table populated (stale epochs flushed); crash restarts with an empty table under traffic",
-		},
+	tbl := newTable("e9", "misses", "backoff", "detect (bound)", "wall", "reconnect", "flap conv", "crash conv", "stale", "ok")
+	tbl.Notes = []string{
+		fmt.Sprintf("probe interval %v; %d ACL rules as reconcilable state; 1/4 retired mid-partition", cfg.ProbeInterval, cfg.Rules),
+		"detect = first missed probe → eviction, bound = interval × misses; wall adds the wait for the next probe tick",
+		"flap keeps the flow table populated (stale epochs flushed); crash restarts with an empty table under traffic",
 	}
 	for _, mb := range cfg.MissBudgets {
 		for _, bo := range cfg.Backoffs {

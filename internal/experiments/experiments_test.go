@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -284,5 +288,128 @@ func TestE14QuickFailover(t *testing.T) {
 	}
 	if tbl.ID != "E14" || len(tbl.Rows) != 2 {
 		t.Errorf("table: id=%s rows=%d", tbl.ID, len(tbl.Rows))
+	}
+}
+
+// TestRegistryIDs pins the registry's shape: ids are what a user types
+// at `zbench -exp`, so they are unique and lower-case, every row can
+// run, and every experiment is written up under a heading of its own in
+// EXPERIMENTS.md.
+func TestRegistryIDs(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range Registry() {
+		if seen[e.ID] {
+			t.Errorf("id %q registered twice", e.ID)
+		}
+		seen[e.ID] = true
+		if e.ID != strings.ToLower(e.ID) || !strings.HasPrefix(e.ID, "e") {
+			t.Errorf("id %q is not a lower-case e-number", e.ID)
+		}
+		if e.Title == "" || e.Run == nil {
+			t.Errorf("%s: row incomplete", e.ID)
+		}
+		heading := regexp.MustCompile(`(?m)^#{2,3} E` + e.ID[1:] + ` — `)
+		if !heading.Match(doc) {
+			t.Errorf("%s has no heading in EXPERIMENTS.md", e.ID)
+		}
+		if tbl := newTable(e.ID); tbl.Title != e.Title || !strings.EqualFold(tbl.ID, e.ID) {
+			t.Errorf("%s: newTable gave %q / %q", e.ID, tbl.ID, tbl.Title)
+		}
+	}
+	if len(seen) != 16 {
+		t.Errorf("registry holds %d experiments, want 16", len(seen))
+	}
+}
+
+// TestRegistryQuickRuns smoke-runs, through the registry and with
+// -quick parameters, the experiments no TestE* shape test covers, and
+// checks the envelope each would write.
+func TestRegistryQuickRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs five experiments end to end")
+	}
+	want := map[string]bool{"e1a": true, "e7": true, "e8": true, "e11": true, "e15": true}
+	dir := t.TempDir()
+	for _, e := range Registry() {
+		if !want[e.ID] {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			rep, err := e.Report(Params{Quick: true, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Table.Rows) == 0 {
+				t.Fatal("table has no rows")
+			}
+			for i, row := range rep.Table.Rows {
+				if len(row) != len(rep.Table.Header) {
+					t.Errorf("row %d has %d cells, header has %d", i, len(row), len(rep.Table.Header))
+				}
+			}
+			if err := rep.WriteFile(dir); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "BENCH_"+e.ID+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got struct {
+				ID  string `json:"id"`
+				Env *struct {
+					NumCPU     int    `json:"num_cpu"`
+					GOMAXPROCS int    `json:"gomaxprocs"`
+					Go         string `json:"go"`
+				} `json:"env"`
+				Quick bool `json:"quick"`
+				Table *struct {
+					Header []string   `json:"header"`
+					Rows   [][]string `json:"rows"`
+				} `json:"table"`
+				Result json.RawMessage `json:"result"`
+			}
+			if err := json.Unmarshal(data, &got); err != nil {
+				t.Fatalf("report does not re-parse: %v", err)
+			}
+			if got.ID != e.ID || !got.Quick {
+				t.Errorf("id = %q quick = %v", got.ID, got.Quick)
+			}
+			if got.Env == nil || got.Env.NumCPU < 1 || got.Env.GOMAXPROCS < 1 || got.Env.Go == "" {
+				t.Errorf("env incomplete: %+v", got.Env)
+			}
+			if got.Table == nil || len(got.Table.Header) == 0 || len(got.Table.Rows) != len(rep.Table.Rows) {
+				t.Errorf("table incomplete: %+v", got.Table)
+			}
+			// E7 onward carry their typed E*Result; E1–E6 have only the table.
+			if typed := e.ID != "e1a"; typed != (string(got.Result) != "null") {
+				t.Errorf("result = %s, want non-null: %v", got.Result, typed)
+			}
+		})
+	}
+}
+
+// TestPrepareDirRejectsBeforeRunning: a -json path that cannot hold
+// files must fail up front, not after minutes of measurement.
+func TestPrepareDirRejectsBeforeRunning(t *testing.T) {
+	dir := t.TempDir()
+	if err := PrepareDir(filepath.Join(dir, "new", "nested")); err != nil {
+		t.Errorf("creatable directory rejected: %v", err)
+	}
+	file := filepath.Join(dir, "out.json")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := PrepareDir(file); err == nil {
+		t.Error("a regular file was accepted as the -json directory")
+	}
+	if err := PrepareDir(filepath.Join(file, "sub")); err == nil {
+		t.Error("a path under a regular file was accepted")
+	}
+	if left, _ := os.ReadDir(filepath.Join(dir, "new", "nested")); len(left) != 0 {
+		t.Errorf("probe left %d files behind", len(left))
 	}
 }

@@ -1,24 +1,38 @@
 // Package experiments implements the synthetic evaluation suite
-// declared in DESIGN.md (E1-E7): each experiment drives the platform
-// with a generated workload and renders the table or data series the
-// corresponding SIGCOMM'13-style evaluation would report. cmd/zbench
-// is the CLI front end; the root bench_test.go wraps the same code in
-// testing.B harnesses.
+// declared in DESIGN.md (E1-E12, E14, E15 and the E1a/E3a ablations):
+// each experiment drives the platform with a generated workload and
+// renders the table or data series the corresponding SIGCOMM'13-style
+// evaluation would report. The experiments sit behind one registry with
+// three front ends: cmd/zbench loops over it, the root bench_test.go
+// wraps the same fixtures in testing.B harnesses, and this package's
+// tests run it.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 )
 
-// Table is one experiment's rendered result.
+// Table is one experiment's rendered result. Inside a Report only the
+// cells are serialized; the id and title sit on the envelope.
 type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	ID     string     `json:"-"`
+	Title  string     `json:"-"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Notes  []string   `json:"notes"`
+}
+
+// newTable starts the table of registry row id ("e3a" renders as "E3a").
+func newTable(id string, header ...string) *Table {
+	for _, e := range Registry() {
+		if e.ID == id {
+			return &Table{ID: "E" + id[1:], Title: e.Title, Header: header}
+		}
+	}
+	panic("experiments: no registry row for " + id)
 }
 
 // AddRow appends a formatted row.
@@ -70,3 +84,7 @@ func (t *Table) Fprint(w io.Writer) {
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
+
+// ms renders a duration as fractional milliseconds, the unit of every
+// E*Result latency field.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

@@ -1,10 +1,10 @@
 // Package flowtable implements the match-action tables at the heart of
 // the data plane: an authoritative priority-ordered table with OpenFlow
 // add/modify/delete semantics and idle/hard timeouts, a microflow cache
-// in the style of Open vSwitch, an exact-match hash table, an IPv4
-// longest-prefix-match trie, and tuple-space search for wildcard rules.
-// The alternative structures exist both as substrates for the apps and
-// as the comparison set for the lookup-scaling experiment (E2).
+// in the style of Open vSwitch, an IPv4 longest-prefix-match trie, and
+// tuple-space search for wildcard rules. The live datapath uses the
+// table and the cache; the trie and tuple-space search are the
+// comparison set for the lookup-scaling experiment (E2).
 //
 // Concurrency model: Table follows the read-copy-update discipline of
 // the software datapath. Mutations (Add/Modify/Delete/Sweep) must be

@@ -287,31 +287,6 @@ func TestMicroCache(t *testing.T) {
 	}
 }
 
-func TestExact(t *testing.T) {
-	ex := NewExact[int](16)
-	k1 := packet.FlowKey{Proto: packet.ProtoTCP, SrcPort: 1, DstPort: 2}
-	k2 := k1.Reverse()
-	ex.Put(k1, 100)
-	ex.Put(k2, 200)
-	if v, ok := ex.Get(k1); !ok || v != 100 {
-		t.Fatalf("get k1 = %d %v", v, ok)
-	}
-	if v, ok := ex.Get(k2); !ok || v != 200 {
-		t.Fatalf("get k2 = %d %v", v, ok)
-	}
-	if ex.Len() != 2 {
-		t.Fatalf("len = %d", ex.Len())
-	}
-	count := 0
-	ex.Range(func(packet.FlowKey, int) bool { count++; return true })
-	if count != 2 {
-		t.Errorf("range visited %d", count)
-	}
-	if !ex.Delete(k1) || ex.Delete(k1) {
-		t.Error("delete semantics wrong")
-	}
-}
-
 func TestLPMBasics(t *testing.T) {
 	lpm := NewLPM[string]()
 	ins := func(a, b, c, d byte, plen int, v string) {

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,14 +75,13 @@ func (h *Histogram) Observe(d time.Duration) {
 func (h *Histogram) ObserveValue(ns uint64) {
 	idx := 0
 	if ns > 0 {
-		idx = 63 - leadingZeros(ns)
+		idx = bits.Len64(ns) - 1
 		if idx >= histBuckets {
 			idx = histBuckets - 1
 		}
 	}
-	h.buckets[idx].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
+	// Extremes first: Quantile clamps to them, so a reader that sees the
+	// sample counted must already see it bounded.
 	for {
 		old := h.min.Load()
 		if ns >= old || h.min.CompareAndSwap(old, ns) {
@@ -94,34 +94,9 @@ func (h *Histogram) ObserveValue(ns uint64) {
 			break
 		}
 	}
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	if x <= 0x00000000FFFFFFFF {
-		n += 32
-		x <<= 32
-	}
-	if x <= 0x0000FFFFFFFFFFFF {
-		n += 16
-		x <<= 16
-	}
-	if x <= 0x00FFFFFFFFFFFFFF {
-		n += 8
-		x <<= 8
-	}
-	if x <= 0x0FFFFFFFFFFFFFFF {
-		n += 4
-		x <<= 4
-	}
-	if x <= 0x3FFFFFFFFFFFFFFF {
-		n += 2
-		x <<= 2
-	}
-	if x <= 0x7FFFFFFFFFFFFFFF {
-		n++
-	}
-	return n
+	h.buckets[idx].Add(1)
+	h.count.Add(1)
+	h.sum.Add(ns)
 }
 
 // Count returns the number of observations.
@@ -147,8 +122,9 @@ func (h *Histogram) Min() time.Duration {
 // Max returns the largest observation.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
-// Quantile estimates the p-quantile (p in [0,1]) at bucket resolution,
-// returning the upper bound of the containing bucket.
+// Quantile estimates the p-quantile (p in [0,1]) at bucket resolution:
+// the upper bound of the containing bucket, clamped to [Min(), Max()]
+// so no estimate lies outside the observed range.
 func (h *Histogram) Quantile(p float64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {
@@ -168,7 +144,7 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	for i := 0; i < histBuckets; i++ {
 		cum += h.buckets[i].Load()
 		if cum >= target {
-			return time.Duration(uint64(1) << uint(i+1))
+			return min(max(time.Duration(uint64(1)<<uint(i+1)), h.Min()), h.Max())
 		}
 	}
 	return h.Max()

@@ -90,6 +90,30 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 	}
 }
 
+// A quantile is an estimate of an observed value, so it must lie within
+// the observed range — the bucket's upper bound alone overshoots Max
+// whenever the top bucket is sparsely filled (one 1100ns sample used to
+// report p50 = p99 = 2048ns beside max = 1100ns).
+func TestHistogramQuantileWithinObservedRange(t *testing.T) {
+	for _, samples := range [][]time.Duration{
+		{1100},
+		{0},
+		{3, 1100},
+		{700, 900, 1100},
+		{time.Microsecond, 50 * time.Microsecond, 33 * time.Millisecond},
+	} {
+		h := NewHistogram()
+		for _, d := range samples {
+			h.Observe(d)
+		}
+		for _, p := range []float64{0, 0.5, 0.99, 1} {
+			if q := h.Quantile(p); q < h.Min() || q > h.Max() {
+				t.Errorf("%v: quantile(%v) = %v outside [%v, %v]", samples, p, q, h.Min(), h.Max())
+			}
+		}
+	}
+}
+
 func TestHistogramNegativeAndZero(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(-time.Second) // clamped, must not panic
