@@ -303,26 +303,3 @@ func BenchmarkE12BurstForwarding(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkE12RingIngress measures the full run-to-completion path:
-// producer enqueues into a per-port ring, a worker drains bursts and
-// walks them through the pipeline. Single lane, so producer and worker
-// timeshare on a single-core host — frames/s is the end-to-end number.
-func BenchmarkE12RingIngress(b *testing.B) {
-	sw, frames := laneSwitch(b, 1)
-	wp := dataplane.NewWorkerPool(sw, dataplane.WorkerPoolConfig{Workers: 1, Burst: 32})
-	r := wp.AddPort(1)
-	wp.Start()
-	defer wp.Stop()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		for !r.Enqueue(frames[0]) {
-			runtime.Gosched()
-		}
-	}
-	wp.Flush()
-	if el := time.Since(start).Seconds(); el > 0 {
-		b.ReportMetric(float64(b.N)/el, "frames/s")
-	}
-}

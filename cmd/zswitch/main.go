@@ -27,27 +27,11 @@ func main() {
 	tick := flag.Duration("tick", time.Second, "flow-timeout sweep period")
 	flag.Parse()
 
-	sw := dataplane.NewSwitch(dataplane.Config{
-		DPID:      *dpid,
-		NumTables: *tables,
-	})
-	created := make([]*dataplane.Port, 0, *ports)
-	for i := 1; i <= *ports; i++ {
-		created = append(created, sw.AddPort(uint32(i), "", 1000))
-	}
-	// Loopback pairing: frames leaving port 2k-1 arrive on port 2k and
-	// vice versa.
-	for i := 0; i+1 < len(created); i += 2 {
-		a, b := uint32(i+1), uint32(i+2)
-		created[i].SetTx(func(data []byte) { sw.HandleFrame(b, data) })
-		created[i+1].SetTx(func(data []byte) { sw.HandleFrame(a, data) })
-	}
-
-	dp, err := dataplane.Connect(sw, *controllerAddr, 5*time.Second)
+	sw, sess, err := start(*controllerAddr, *dpid, *ports, *tables)
 	if err != nil {
 		log.Fatalf("zswitch: %v", err)
 	}
-	defer dp.Close()
+	defer sess.Close()
 	log.Printf("zswitch: dpid %#x connected to %s with %d ports", *dpid, *controllerAddr, *ports)
 
 	stopTick := make(chan struct{})
@@ -69,8 +53,37 @@ func main() {
 	select {
 	case <-sig:
 		log.Print("zswitch: shutting down")
-	case <-dp.Done():
-		log.Print("zswitch: controller session ended")
+	case <-sess.Done():
+		log.Print("zswitch: session manager stopped")
 	}
 	close(stopTick)
+}
+
+// start builds the loopback-wired switch and attaches it through the
+// reconnecting session manager, so the datapath outlives a controller
+// restart. The first attach is fail-fast: no session within 5s is an
+// error, as a mistyped -controller should be.
+func start(controllerAddr string, dpid uint64, ports, tables int) (*dataplane.Switch, *dataplane.Session, error) {
+	sw := dataplane.NewSwitch(dataplane.Config{
+		DPID:      dpid,
+		NumTables: tables,
+	})
+	created := make([]*dataplane.Port, 0, ports)
+	for i := 1; i <= ports; i++ {
+		created = append(created, sw.AddPort(uint32(i), "", 1000))
+	}
+	// Loopback pairing: frames leaving port 2k-1 arrive on port 2k and
+	// vice versa.
+	for i := 0; i+1 < len(created); i += 2 {
+		a, b := uint32(i+1), uint32(i+2)
+		created[i].SetTx(func(data []byte) { sw.HandleFrame(b, data) })
+		created[i+1].SetTx(func(data []byte) { sw.HandleFrame(a, data) })
+	}
+
+	sess := dataplane.StartSession(sw, dataplane.SessionConfig{Addr: controllerAddr, Logf: log.Printf})
+	if err := sess.WaitConnected(5 * time.Second); err != nil {
+		sess.Close()
+		return nil, nil, err
+	}
+	return sw, sess, nil
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/controller"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/topo"
@@ -31,8 +30,8 @@ type LearningSwitch struct {
 	// installs counts flows installed toward learned destinations;
 	// floods counts spanning-tree packet-out floods. Published as
 	// apps.l2-learning.* via RegisterMetrics.
-	installs metrics.Counter
-	floods   metrics.Counter
+	installs obs.Counter
+	floods   obs.Counter
 }
 
 // NewLearningSwitch returns the app.

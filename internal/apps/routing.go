@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/controller"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/topo"
@@ -32,7 +31,7 @@ type Routing struct {
 
 	// routes counts paths installed (one per routed MAC pair per
 	// packet-in). Published as apps.spf-routing.* via RegisterMetrics.
-	routes metrics.Counter
+	routes obs.Counter
 }
 
 type pairKey struct {

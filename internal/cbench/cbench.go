@@ -14,7 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/workload"
 	"repro/internal/zof"
@@ -41,7 +41,7 @@ type Config struct {
 type Result struct {
 	Responses uint64
 	Duration  time.Duration
-	Latency   *metrics.Histogram
+	Latency   *obs.Histogram
 }
 
 // PerSecond returns responses/second.
@@ -69,7 +69,7 @@ func Run(cfg Config) (Result, error) {
 	if cfg.FirstDPID == 0 {
 		cfg.FirstDPID = 1000
 	}
-	res := Result{Latency: metrics.NewHistogram()}
+	res := Result{Latency: obs.NewHistogram()}
 	var responses atomic.Uint64
 
 	var wg sync.WaitGroup
@@ -199,7 +199,7 @@ func (s *Switch) Await() (time.Duration, error) {
 // runSwitch keeps cfg.Window packet-ins outstanding on one emulated
 // switch until stop.
 func runSwitch(cfg Config, dpid uint64, seed int64, stop time.Time,
-	responses *atomic.Uint64, lat *metrics.Histogram) error {
+	responses *atomic.Uint64, lat *obs.Histogram) error {
 
 	s, err := Dial(cfg.Addr, dpid, cfg.Hosts, seed)
 	if err != nil {

@@ -13,31 +13,31 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/zof"
 )
 
 // AuditStats are the anti-entropy auditor's counters.
 type AuditStats struct {
 	// Audits counts completed per-switch audit passes.
-	Audits metrics.Counter
+	Audits obs.Counter
 	// Failures counts passes abandoned because the stats query failed.
-	Failures metrics.Counter
+	Failures obs.Counter
 	// Skipped counts passes skipped because a transaction held the
 	// switch.
-	Skipped metrics.Counter
+	Skipped obs.Counter
 	// Missing counts intended flows found absent and re-added.
-	Missing metrics.Counter
+	Missing obs.Counter
 	// Mismatched counts flows present with the wrong cookie, actions or
 	// timeouts, re-added (FlowAdd replaces in place).
-	Mismatched metrics.Counter
+	Mismatched obs.Counter
 	// Alien counts flows present on the switch with no intent backing
 	// them, deleted.
-	Alien metrics.Counter
+	Alien obs.Counter
 	// Expired counts intended entries with idle/hard timeouts that were
 	// gone from the switch and therefore retired from the store rather
 	// than repaired.
-	Expired metrics.Counter
+	Expired obs.Counter
 }
 
 // AuditReport summarizes one audit pass over one switch.

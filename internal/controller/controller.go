@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/zof"
@@ -122,11 +121,11 @@ type Mastership interface {
 // DispatchStats are the control plane's event-path health counters.
 type DispatchStats struct {
 	// Dispatched counts events handed to the app chain.
-	Dispatched metrics.Counter
+	Dispatched obs.Counter
 	// Dropped counts events discarded because their shard's queue was
 	// full — the overload signal: a saturated control plane sheds
 	// packet-ins rather than deadlocking connection readers.
-	Dropped metrics.Counter
+	Dropped obs.Counter
 }
 
 // switchMap is the RCU-published registry snapshot: readers load the
@@ -190,7 +189,7 @@ type Controller struct {
 	// asyncErrors counts Error replies that matched no pending request
 	// and no transaction watcher (satellite visibility for
 	// fire-and-forget failures).
-	asyncErrors metrics.Counter
+	asyncErrors obs.Counter
 	// detectNanos records, for the most recent liveness eviction, the
 	// time from the send of the first probe of the fatal miss streak to
 	// the eviction decision (E9's detection-latency measurement).
@@ -263,7 +262,7 @@ func New(cfg Config) (*Controller, error) {
 		tracers:   make(map[uint64]TracerFunc),
 		nfs:       make(map[uint64]NFIntrospector),
 	}
-	c.txnStats.Latency = metrics.NewHistogram()
+	c.txnStats.Latency = obs.NewHistogram()
 	c.registerMetrics()
 	empty := make(switchMap)
 	c.switches.Store(&empty)
@@ -271,7 +270,6 @@ func New(cfg Config) (*Controller, error) {
 	c.apps.Store(&noApps)
 	c.disc = newDiscovery(c)
 	c.loopWG.Add(1 + len(c.shards))
-	go c.acceptLoop()
 	for i := range c.shards {
 		c.shards[i] = make(chan queuedEvent, cfg.EventQueue)
 		// Lifecycle events are rare (a handful per switch session); a
@@ -279,6 +277,9 @@ func New(cfg Config) (*Controller, error) {
 		c.ctlShards[i] = make(chan queuedEvent, 64)
 		go c.dispatchLoop(c.ctlShards[i], c.shards[i])
 	}
+	// Accept only once every shard exists: a switch already redialing
+	// this address registers the instant the listener is served.
+	go c.acceptLoop()
 	if cfg.Discovery {
 		c.disc.start(cfg.DiscoveryInterval)
 	}

@@ -3,7 +3,6 @@ package controller
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -123,7 +122,7 @@ func (c *Controller) registerMetrics() {
 // map on the hot path.
 type appEntry struct {
 	app App
-	lat *metrics.Histogram
+	lat *obs.Histogram
 }
 
 // queuedEvent is an event riding a dispatch shard. Untraced events

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/zof"
 )
 
@@ -14,17 +14,17 @@ import (
 // flushes.
 type LivenessStats struct {
 	// Probes counts liveness echoes sent.
-	Probes metrics.Counter
+	Probes obs.Counter
 	// Misses counts probes that timed out or round-tripped a corrupt
 	// payload.
-	Misses metrics.Counter
+	Misses obs.Counter
 	// Evictions counts peers declared dead after a full miss budget.
-	Evictions metrics.Counter
+	Evictions obs.Counter
 	// StaleFlows counts flow entries flushed by post-reconnect cookie
 	// reconciliation.
-	StaleFlows metrics.Counter
+	StaleFlows obs.Counter
 	// Reconciles counts completed reconciliation passes.
-	Reconciles metrics.Counter
+	Reconciles obs.Counter
 }
 
 // probeLoop is the per-switch liveness prober: every ProbeInterval it

@@ -217,13 +217,6 @@ func (s *SwitchConn) PacketOut(po *zof.PacketOut) error {
 	return s.Send(po)
 }
 
-// InstallGroup sends a GroupMod, recording it in the intended-state
-// store first.
-func (s *SwitchConn) InstallGroup(gm *zof.GroupMod) error {
-	s.record(gm)
-	return s.Send(gm)
-}
-
 // sendWatched writes msgs as one batch without stamping or recording —
 // the transaction engine's raw send: stamping happened at staging, and
 // the store only commits after the barrier fence. The XIDs are

@@ -20,7 +20,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/zof"
 )
 
@@ -42,18 +42,18 @@ func (e AsyncError) Error() string {
 // TxnStats are the transaction engine's health counters.
 type TxnStats struct {
 	// Commits counts transactions that fenced successfully.
-	Commits metrics.Counter
+	Commits obs.Counter
 	// Aborts counts transactions that failed (rejection, transport
 	// error, or barrier timeout) and attempted rollback.
-	Aborts metrics.Counter
+	Aborts obs.Counter
 	// Rollbacks counts aborts whose inverse ops were barrier-verified.
-	Rollbacks metrics.Counter
+	Rollbacks obs.Counter
 	// RollbackFailures counts aborts whose rollback could not be fully
 	// verified on a still-connected switch; the anti-entropy auditor is
 	// the backstop.
-	RollbackFailures metrics.Counter
+	RollbackFailures obs.Counter
 	// Latency distributes successful commit times (stage → fence).
-	Latency *metrics.Histogram
+	Latency *obs.Histogram
 }
 
 // TxnError reports a failed commit.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/flowtable"
-	"repro/internal/metrics"
 	"repro/internal/nf"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -71,7 +70,7 @@ type Switch struct {
 	pl         atomic.Pointer[pipeline]
 	cache      *flowtable.MicroCache
 	buffers    *packetBuffers
-	burstSizes *metrics.Histogram // frames per HandleBurst call
+	burstSizes *obs.Histogram // frames per HandleBurst call
 
 	// PacketIns counts packets sent to the controller (test aid).
 	PacketIns atomic.Uint64
@@ -91,7 +90,7 @@ func NewSwitch(cfg Config) *Switch {
 	s := &Switch{
 		cfg:         cfg,
 		cache:       flowtable.NewMicroCache(0),
-		burstSizes:  metrics.NewHistogram(),
+		burstSizes:  obs.NewHistogram(),
 		groups:      make(map[uint32]*GroupDesc),
 		ports:       make(map[uint32]*Port),
 		stages:      make(map[uint32]nf.Stage),

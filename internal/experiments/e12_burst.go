@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/dataplane"
 )
 
 // E12Config parameterizes the burst-mode datapath scaling experiment.
@@ -21,7 +17,7 @@ type E12Config struct {
 
 // E12Point is one measured (mode, GOMAXPROCS, workers) cell.
 type E12Point struct {
-	Mode         string  `json:"mode"` // "frame", "burst" or "ring"
+	Mode         string  `json:"mode"` // "frame" or "burst"
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	Workers      int     `json:"workers"`
 	Burst        int     `json:"burst"`
@@ -50,12 +46,12 @@ func runE12(p Params) (*Table, any, error) {
 	return E12BurstScaling(cfg)
 }
 
-// E12BurstScaling compares the three ingress disciplines end to end:
-// per-frame HandleFrame calls ("frame"), direct batched pipeline walks
-// ("burst"), and the full run-to-completion path through per-port
-// ingress rings and a WorkerPool ("ring"). Each is swept over worker
-// count and GOMAXPROCS; speedups are computed within a (mode, procs)
-// column so batching gains and core scaling are never conflated.
+// E12BurstScaling compares the two ways a caller hands the switch
+// frames: per-frame HandleFrame calls ("frame") and batched pipeline
+// walks through HandleBurst ("burst"). Each is swept over worker
+// count (one caller goroutine per lane) and GOMAXPROCS; speedups are
+// computed within a (mode, procs) column so batching gains and core
+// scaling are never conflated.
 func E12BurstScaling(cfg E12Config) (*Table, *E12Result, error) {
 	if len(cfg.Workers) == 0 {
 		cfg.Workers = []int{1, 2, 4}
@@ -85,77 +81,33 @@ func E12BurstScaling(cfg E12Config) (*Table, *E12Result, error) {
 	defer runtime.GOMAXPROCS(orig)
 	for _, procs := range cfg.Procs {
 		runtime.GOMAXPROCS(procs)
-		for _, mode := range []string{"frame", "burst", "ring"} {
+		// measureLanes: burst 0 is HandleFrame per frame.
+		for _, m := range []struct {
+			name  string
+			burst int
+		}{{"frame", 0}, {"burst", cfg.Burst}} {
 			base := 0.0
 			for _, nw := range cfg.Workers {
 				if nw < 1 {
 					continue
 				}
-				fps, err := e12Point(mode, nw, cfg.Burst, cfg.Measure)
+				// A fresh LaneSwitch per cell: one flow, one ingress and
+				// one sink port per lane.
+				sw, frames, err := LaneSwitch(nw)
 				if err != nil {
 					return nil, nil, err
 				}
+				fps := measureLanes(sw, frames, nw, m.burst, cfg.Measure)
 				if base == 0 {
 					base = fps
 				}
-				pt := E12Point{Mode: mode, GOMAXPROCS: procs, Workers: nw, Burst: cfg.Burst,
+				pt := E12Point{Mode: m.name, GOMAXPROCS: procs, Workers: nw, Burst: cfg.Burst,
 					FramesPerSec: fps, SpeedupVs1: fps / base}
 				res.Points = append(res.Points, pt)
-				tbl.AddRow(mode, fmt.Sprintf("%d", procs), fmt.Sprintf("%d", nw),
+				tbl.AddRow(m.name, fmt.Sprintf("%d", procs), fmt.Sprintf("%d", nw),
 					fmt.Sprintf("%d", cfg.Burst), f0(fps), f2(pt.SpeedupVs1)+"x")
 			}
 		}
 	}
 	return tbl, res, nil
-}
-
-// e12Point measures one cell: nw ingress lanes (LaneSwitch: one flow,
-// one ingress and one sink port per lane) driven in the given
-// mode for the measurement window, returning aggregate frames/s.
-func e12Point(mode string, nw, burstN int, measure time.Duration) (float64, error) {
-	sw, frames, err := LaneSwitch(nw)
-	if err != nil {
-		return 0, err
-	}
-	switch mode {
-	case "frame":
-		return measureLanes(sw, frames, nw, 0, measure), nil
-	case "burst":
-		return measureLanes(sw, frames, nw, burstN, measure), nil
-	case "ring":
-		wp := dataplane.NewWorkerPool(sw, dataplane.WorkerPoolConfig{
-			Workers: nw, RingSize: 1024, Burst: burstN})
-		for w := 0; w < nw; w++ {
-			wp.AddPort(uint32(w + 1))
-		}
-		wp.Start()
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				r := wp.Ring(uint32(w + 1))
-				fr := frames[w]
-				for !stop.Load() {
-					if !r.Enqueue(fr) {
-						// Ring full: yield instead of spinning the quantum
-						// away dropping — essential when producer and worker
-						// timeshare one core.
-						runtime.Gosched()
-					}
-				}
-			}(w)
-		}
-		start := time.Now()
-		before := wp.Stats().Frames
-		time.Sleep(measure)
-		after := wp.Stats().Frames
-		elapsed := time.Since(start).Seconds()
-		stop.Store(true)
-		wg.Wait()
-		wp.Stop()
-		return float64(after-before) / elapsed, nil
-	}
-	return 0, fmt.Errorf("e12: unknown mode %q", mode)
 }

@@ -216,7 +216,7 @@ func TestE12QuickBurstScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 proc setting x 3 modes; frame/burst modes sweep workers too.
+	// 1 proc setting x exactly two modes x two worker counts.
 	modes := map[string]int{}
 	for _, p := range res.Points {
 		modes[p.Mode]++
@@ -227,10 +227,8 @@ func TestE12QuickBurstScaling(t *testing.T) {
 			t.Errorf("%s w=%d: gomaxprocs = %d, want 1", p.Mode, p.Workers, p.GOMAXPROCS)
 		}
 	}
-	for _, mode := range []string{"frame", "burst", "ring"} {
-		if modes[mode] != 2 {
-			t.Errorf("mode %s has %d points, want 2", mode, modes[mode])
-		}
+	if len(modes) != 2 || modes["frame"] != 2 || modes["burst"] != 2 {
+		t.Errorf("points per mode = %v, want exactly frame:2 burst:2", modes)
 	}
 	if res.NumCPU < 2 && res.Warning == "" {
 		t.Error("cores < max workers but no warning set")

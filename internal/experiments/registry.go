@@ -44,7 +44,7 @@ func Registry() []Experiment {
 		{"e9", "control-channel fault recovery: detection, reconnect, convergence", runE9},
 		{"e10", "transactional flow programming: commit, rollback, anti-entropy", runE10},
 		{"e11", "observability overhead: dispatch throughput vs tracing mode (cbench, learning app)", runE11},
-		{"e12", "burst-mode datapath scaling (frame vs burst vs ring ingress)", runE12},
+		{"e12", "burst-mode datapath scaling (frame vs burst ingress)", runE12},
 		{"e14", "controller cluster: master failover and aggregate dispatch", runE14},
 		{"e15", "stateful NF stages: per-frame cost and audited overlay", runE15},
 	}

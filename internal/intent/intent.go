@@ -13,7 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/zof"
 )
@@ -93,7 +93,7 @@ type Manager struct {
 	records   map[ID]*record
 
 	// Recompiles tracks per-event recompilation latency.
-	Recompiles *metrics.Histogram
+	Recompiles *obs.Histogram
 }
 
 // NewManager builds a manager over an initial topology snapshot.
@@ -102,7 +102,7 @@ func NewManager(g *topo.Graph, inst Installer) *Manager {
 		graph:      g.Clone(),
 		installer:  inst,
 		records:    make(map[ID]*record),
-		Recompiles: metrics.NewHistogram(),
+		Recompiles: obs.NewHistogram(),
 	}
 }
 

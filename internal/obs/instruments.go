@@ -1,14 +1,9 @@
-// Package metrics provides the small, allocation-light instruments the
-// platform and its experiment harness use: atomic counters and gauges,
-// log-bucketed latency histograms with quantile estimation, and
-// windowed rate meters.
-package metrics
+package obs
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -24,18 +19,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value reads the count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets spans 1ns..~17.6min in 60 half-decade-ish buckets: bucket
 // i covers [2^i, 2^(i+1)) nanoseconds.
@@ -154,46 +137,4 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
 		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.Max())
-}
-
-// Rate is a windowed event-rate meter.
-type Rate struct {
-	mu     sync.Mutex
-	window time.Duration
-	events []time.Time
-}
-
-// NewRate meters events over the trailing window.
-func NewRate(window time.Duration) *Rate {
-	if window <= 0 {
-		window = time.Second
-	}
-	return &Rate{window: window}
-}
-
-// Mark records an event at time now.
-func (r *Rate) Mark(now time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = append(r.events, now)
-	r.trim(now)
-}
-
-// PerSecond returns the event rate over the trailing window ending now.
-func (r *Rate) PerSecond(now time.Time) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.trim(now)
-	return float64(len(r.events)) / r.window.Seconds()
-}
-
-func (r *Rate) trim(now time.Time) {
-	cutoff := now.Add(-r.window)
-	i := 0
-	for i < len(r.events) && r.events[i].Before(cutoff) {
-		i++
-	}
-	if i > 0 {
-		r.events = append(r.events[:0], r.events[i:]...)
-	}
 }

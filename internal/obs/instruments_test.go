@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"sync"
@@ -6,18 +6,12 @@ import (
 	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
 	c.Add(9)
 	if c.Value() != 10 {
 		t.Errorf("counter = %d", c.Value())
-	}
-	var g Gauge
-	g.Set(5)
-	g.Add(-2)
-	if g.Value() != 3 {
-		t.Errorf("gauge = %d", g.Value())
 	}
 }
 
@@ -138,20 +132,5 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 2000 {
 		t.Errorf("count = %d", h.Count())
-	}
-}
-
-func TestRate(t *testing.T) {
-	r := NewRate(time.Second)
-	base := time.Unix(100, 0)
-	for i := 0; i < 10; i++ {
-		r.Mark(base.Add(time.Duration(i) * 50 * time.Millisecond))
-	}
-	if got := r.PerSecond(base.Add(500 * time.Millisecond)); got != 10 {
-		t.Errorf("rate = %v, want 10", got)
-	}
-	// 2 seconds later everything aged out.
-	if got := r.PerSecond(base.Add(3 * time.Second)); got != 0 {
-		t.Errorf("aged rate = %v", got)
 	}
 }

@@ -15,17 +15,12 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if c2 := r.Counter("a.b.c"); c2 != c1 {
 		t.Fatal("Counter did not return the registered instrument")
 	}
-	g := r.Gauge("a.g")
-	g.Set(-7)
 	h := r.Histogram("a.h")
 	h.Observe(time.Millisecond)
 	r.RegisterFunc("a.f", func() int64 { return 42 })
 
 	if v, ok := r.Value("a.b.c"); !ok || v != 3 {
 		t.Errorf("counter value = %d, %v", v, ok)
-	}
-	if v, ok := r.Value("a.g"); !ok || v != -7 {
-		t.Errorf("gauge value = %d, %v", v, ok)
 	}
 	if v, ok := r.Value("a.f"); !ok || v != 42 {
 		t.Errorf("func value = %d, %v", v, ok)
@@ -37,7 +32,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Error("Value on unregistered name reported ok")
 	}
 	names := r.Names()
-	want := []string{"a.b.c", "a.f", "a.g", "a.h"}
+	want := []string{"a.b.c", "a.f", "a.h"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)
 	}
@@ -53,10 +48,10 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Counter("x")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Gauge on a counter name did not panic")
+			t.Fatal("Histogram on a counter name did not panic")
 		}
 	}()
-	r.Gauge("x")
+	r.Histogram("x")
 }
 
 func TestRegistrySnapshotJSON(t *testing.T) {
@@ -102,7 +97,7 @@ func TestObsRegistryConcurrency(t *testing.T) {
 				r.Histogram("shared.lat").Observe(time.Duration(i) * time.Microsecond)
 				r.RegisterFunc(fmt.Sprintf("w%d.f%d", w, i), func() int64 { return int64(i) })
 				sc := r.Scope(fmt.Sprintf("w%d.scope", w))
-				sc.Gauge("g").Set(int64(i))
+				sc.Counter("c").Inc()
 			}
 		}(w)
 	}
@@ -135,7 +130,7 @@ func TestObsRegistryConcurrency(t *testing.T) {
 	if v, _ := r.Value("shared.count"); v != writers*perWriter {
 		t.Errorf("shared.count = %d, want %d", v, writers*perWriter)
 	}
-	// writers*(counter+func) + shared counter + shared hist + per-writer scope gauge
+	// writers*(counter+func) + shared counter + shared hist + per-writer scope counter
 	want := writers*perWriter*2 + 2 + writers
 	if got := r.Len(); got != want {
 		t.Errorf("Len = %d, want %d", got, want)

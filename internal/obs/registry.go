@@ -13,14 +13,11 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Metric kinds as they appear in snapshots.
 const (
 	KindCounter   = "counter"
-	KindGauge     = "gauge"
 	KindHistogram = "histogram"
 	KindFunc      = "func" // callback gauge: value computed at snapshot time
 )
@@ -29,15 +26,14 @@ const (
 // set, per kind.
 type entry struct {
 	kind    string
-	counter *metrics.Counter
-	gauge   *metrics.Gauge
-	hist    *metrics.Histogram
+	counter *Counter
+	hist    *Histogram
 	fn      func() int64
 }
 
 // Registry is the central name → instrument table. Registration and
 // reads are safe for concurrent use from any goroutine; the instruments
-// themselves are the lock-free atomics of the metrics package, so
+// themselves are lock-free atomics (Counter, Histogram), so
 // recording into a registered instrument never touches the registry
 // lock. Names should be dotted hierarchical paths; registering a name
 // twice replaces the previous instrument (last wins — re-registration
@@ -56,14 +52,14 @@ func NewRegistry() *Registry {
 // registering a fresh one if absent. It panics if name holds an
 // instrument of a different kind — two subsystems disagreeing on a
 // name's kind is a wiring bug, not a runtime condition.
-func (r *Registry) Counter(name string) *metrics.Counter {
+func (r *Registry) Counter(name string) *Counter {
 	r.mu.RLock()
 	e := r.entries[name]
 	r.mu.RUnlock()
 	if e == nil {
 		r.mu.Lock()
 		if e = r.entries[name]; e == nil {
-			e = &entry{kind: KindCounter, counter: &metrics.Counter{}}
+			e = &entry{kind: KindCounter, counter: &Counter{}}
 			r.entries[name] = e
 		}
 		r.mu.Unlock()
@@ -74,36 +70,16 @@ func (r *Registry) Counter(name string) *metrics.Counter {
 	return e.counter
 }
 
-// Gauge returns the gauge registered under name, creating one if
-// absent. Panics on a kind mismatch (see Counter).
-func (r *Registry) Gauge(name string) *metrics.Gauge {
-	r.mu.RLock()
-	e := r.entries[name]
-	r.mu.RUnlock()
-	if e == nil {
-		r.mu.Lock()
-		if e = r.entries[name]; e == nil {
-			e = &entry{kind: KindGauge, gauge: &metrics.Gauge{}}
-			r.entries[name] = e
-		}
-		r.mu.Unlock()
-	}
-	if e.kind != KindGauge {
-		panic("obs: " + name + " registered as " + e.kind + ", not gauge")
-	}
-	return e.gauge
-}
-
 // Histogram returns the histogram registered under name, creating one
 // if absent. Panics on a kind mismatch (see Counter).
-func (r *Registry) Histogram(name string) *metrics.Histogram {
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()
 	e := r.entries[name]
 	r.mu.RUnlock()
 	if e == nil {
 		r.mu.Lock()
 		if e = r.entries[name]; e == nil {
-			e = &entry{kind: KindHistogram, hist: metrics.NewHistogram()}
+			e = &entry{kind: KindHistogram, hist: NewHistogram()}
 			r.entries[name] = e
 		}
 		r.mu.Unlock()
@@ -117,21 +93,14 @@ func (r *Registry) Histogram(name string) *metrics.Histogram {
 // RegisterCounter adopts an existing counter under name — how
 // subsystems whose instruments predate the registry (DispatchStats,
 // LivenessStats, …) join it without changing their hot paths.
-func (r *Registry) RegisterCounter(name string, c *metrics.Counter) {
+func (r *Registry) RegisterCounter(name string, c *Counter) {
 	r.mu.Lock()
 	r.entries[name] = &entry{kind: KindCounter, counter: c}
 	r.mu.Unlock()
 }
 
-// RegisterGauge adopts an existing gauge under name.
-func (r *Registry) RegisterGauge(name string, g *metrics.Gauge) {
-	r.mu.Lock()
-	r.entries[name] = &entry{kind: KindGauge, gauge: g}
-	r.mu.Unlock()
-}
-
 // RegisterHistogram adopts an existing histogram under name.
-func (r *Registry) RegisterHistogram(name string, h *metrics.Histogram) {
+func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	r.mu.Lock()
 	r.entries[name] = &entry{kind: KindHistogram, hist: h}
 	r.mu.Unlock()
@@ -173,8 +142,8 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// Value reads the instantaneous scalar value of name: counters and
-// gauges read their atomics, func gauges invoke their callback, and
+// Value reads the instantaneous scalar value of name: counters read
+// their atomic, func gauges invoke their callback, and
 // histograms report their observation count. ok is false for an
 // unregistered name.
 func (r *Registry) Value(name string) (v int64, ok bool) {
@@ -191,8 +160,6 @@ func (e *entry) value() int64 {
 	switch e.kind {
 	case KindCounter:
 		return int64(e.counter.Value())
-	case KindGauge:
-		return e.gauge.Value()
 	case KindFunc:
 		return e.fn()
 	case KindHistogram:
@@ -213,7 +180,7 @@ type HistogramValue struct {
 }
 
 // MetricValue is one instrument's snapshot: Kind plus either the scalar
-// Value (counter, gauge, func) or the Hist distribution.
+// Value (counter, func) or the Hist distribution.
 type MetricValue struct {
 	Kind  string          `json:"kind"`
 	Value int64           `json:"value"`
@@ -282,23 +249,20 @@ func (s Scope) Scope(prefix string) Scope {
 }
 
 // Counter is Registry.Counter under the scope prefix.
-func (s Scope) Counter(name string) *metrics.Counter { return s.r.Counter(s.prefix + "." + name) }
-
-// Gauge is Registry.Gauge under the scope prefix.
-func (s Scope) Gauge(name string) *metrics.Gauge { return s.r.Gauge(s.prefix + "." + name) }
+func (s Scope) Counter(name string) *Counter { return s.r.Counter(s.prefix + "." + name) }
 
 // Histogram is Registry.Histogram under the scope prefix.
-func (s Scope) Histogram(name string) *metrics.Histogram {
+func (s Scope) Histogram(name string) *Histogram {
 	return s.r.Histogram(s.prefix + "." + name)
 }
 
 // RegisterCounter adopts c under the scope prefix.
-func (s Scope) RegisterCounter(name string, c *metrics.Counter) {
+func (s Scope) RegisterCounter(name string, c *Counter) {
 	s.r.RegisterCounter(s.prefix+"."+name, c)
 }
 
 // RegisterHistogram adopts h under the scope prefix.
-func (s Scope) RegisterHistogram(name string, h *metrics.Histogram) {
+func (s Scope) RegisterHistogram(name string, h *Histogram) {
 	s.r.RegisterHistogram(s.prefix+"."+name, h)
 }
 

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -264,29 +263,6 @@ func TestPortToward(t *testing.T) {
 	}
 	if _, ok := g.PortToward(1, 3); ok {
 		t.Error("non-adjacent PortToward should fail")
-	}
-}
-
-func TestMaxFlow(t *testing.T) {
-	// Two disjoint unit paths 1->4 plus a direct link: flow = 3 units.
-	g := New()
-	g.AddLink(Link{A: 1, B: 2, APort: 1, BPort: 1, Capacity: 1})
-	g.AddLink(Link{A: 2, B: 4, APort: 2, BPort: 1, Capacity: 1})
-	g.AddLink(Link{A: 1, B: 3, APort: 2, BPort: 1, Capacity: 1})
-	g.AddLink(Link{A: 3, B: 4, APort: 2, BPort: 2, Capacity: 1})
-	g.AddLink(Link{A: 1, B: 4, APort: 3, BPort: 3, Capacity: 1})
-	if f := g.MaxFlow(1, 4); math.Abs(f-3) > 1e-9 {
-		t.Fatalf("max flow = %v, want 3", f)
-	}
-	// Bottleneck in the middle.
-	g2 := Linear(3, 100)
-	l, _ := g2.Link(LinkKey{A: 1, B: 2, APort: 1, BPort: 1})
-	l.Capacity = 10
-	if f := g2.MaxFlow(1, 3); math.Abs(f-10) > 1e-9 {
-		t.Fatalf("bottleneck flow = %v, want 10", f)
-	}
-	if g.MaxFlow(1, 1) != 0 {
-		t.Error("self flow should be 0")
 	}
 }
 

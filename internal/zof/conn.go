@@ -2,7 +2,6 @@ package zof
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -10,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // closeFlushWindow bounds the best-effort flush of coalesced writes
@@ -25,14 +24,14 @@ const closeFlushWindow = 250 * time.Millisecond
 type ConnStats struct {
 	// TxMsgs and TxBytes count messages and frame bytes buffered for
 	// transmission.
-	TxMsgs  metrics.Counter
-	TxBytes metrics.Counter
+	TxMsgs  obs.Counter
+	TxBytes obs.Counter
 	// RxMsgs and RxBytes count messages and frame bytes received.
-	RxMsgs  metrics.Counter
-	RxBytes metrics.Counter
+	RxMsgs  obs.Counter
+	RxBytes obs.Counter
 	// Flushes counts write-buffer flushes — with coalescing enabled,
 	// TxMsgs/Flushes is the achieved batching factor.
-	Flushes metrics.Counter
+	Flushes obs.Counter
 }
 
 // Conn frames zof messages over a byte stream. One goroutine may call
@@ -173,27 +172,6 @@ func (c *Conn) SendBatch(msgs ...Message) error {
 		}
 	}
 	return c.flushLocked()
-}
-
-// SendBatchTracked is SendBatch for callers that need to correlate
-// asynchronous Error replies with individual messages: it returns the
-// XID assigned to each message, in order. On error the slice holds the
-// XIDs of the messages framed so far.
-func (c *Conn) SendBatchTracked(msgs ...Message) ([]uint32, error) {
-	if len(msgs) == 0 {
-		return nil, nil
-	}
-	xids := make([]uint32, 0, len(msgs))
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	for _, m := range msgs {
-		xid := c.NextXID()
-		if err := c.writeLocked(m, xid); err != nil {
-			return xids, err
-		}
-		xids = append(xids, xid)
-	}
-	return xids, c.flushLocked()
 }
 
 // SendBatchXIDs frames msgs with caller-assigned XIDs (one per
@@ -378,13 +356,4 @@ func (c *Conn) Handshake() error {
 		return ErrHandshakeState
 	}
 	return nil
-}
-
-// PeekHeaderLength parses just the length field of a header; exposed for
-// tests that exercise framing directly.
-func PeekHeaderLength(b []byte) (int, error) {
-	if len(b) < 4 {
-		return 0, ErrShortMessage
-	}
-	return int(binary.BigEndian.Uint16(b[2:4])), nil
 }

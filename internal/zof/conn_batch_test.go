@@ -59,18 +59,14 @@ func TestMarshalAppendMatchesMarshal(t *testing.T) {
 		}
 	}
 	for i, msg := range batchCorpus() {
-		n, err := PeekHeaderLength(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, h, err := Unmarshal(stream[:n])
+		got, h, err := Unmarshal(stream)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if h.XID != uint32(i+1) || got.Type() != msg.Type() {
 			t.Fatalf("frame %d: type %v xid %d", i, got.Type(), h.XID)
 		}
-		stream = stream[n:]
+		stream = stream[h.Length:]
 	}
 	if len(stream) != 0 {
 		t.Fatalf("%d trailing bytes", len(stream))
@@ -194,44 +190,6 @@ func BenchmarkMarshalAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = out
-	}
-}
-
-// TestSendBatchTracked returns the fresh XID assigned to each message
-// in the burst, in order, and the peer observes exactly those XIDs.
-func TestSendBatchTracked(t *testing.T) {
-	a, b := tcpPair(t)
-	ca, cb := NewConn(a), NewConn(b)
-	defer ca.Close()
-	defer cb.Close()
-
-	msgs := batchCorpus()
-	xids, err := ca.SendBatchTracked(msgs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(xids) != len(msgs) {
-		t.Fatalf("xids = %d, want %d", len(xids), len(msgs))
-	}
-	seen := map[uint32]bool{}
-	for i := range msgs {
-		got, h, err := cb.Receive()
-		if err != nil {
-			t.Fatalf("receive %d: %v", i, err)
-		}
-		if got.Type() != msgs[i].Type() {
-			t.Fatalf("message %d: type %v, want %v", i, got.Type(), msgs[i].Type())
-		}
-		if h.XID != xids[i] {
-			t.Errorf("message %d: xid %d, want %d", i, h.XID, xids[i])
-		}
-		if seen[h.XID] {
-			t.Errorf("xid %d reused", h.XID)
-		}
-		seen[h.XID] = true
-	}
-	if xids2, err := ca.SendBatchTracked(); err != nil || len(xids2) != 0 {
-		t.Fatalf("empty tracked batch: %v %v", xids2, err)
 	}
 }
 
