@@ -84,7 +84,7 @@ func benchLookup(b *testing.B, name string, lookup func(i int)) {
 // the ns/op of each sub-benchmark.
 func BenchmarkE2Lookup(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
-		for _, op := range experiments.BuildLookupFixture(n, int64(n)).Ops() {
+		for _, op := range experiments.BuildLookupFixture(n, 1, int64(n)).Ops() {
 			benchLookup(b, fmt.Sprintf("%s-%d", op.Name, n), op.Lookup)
 		}
 	}
@@ -93,8 +93,8 @@ func BenchmarkE2Lookup(b *testing.B) {
 // BenchmarkE2aMicroCache is the ablation: the authoritative table
 // fronted by the microflow cache versus bare.
 func BenchmarkE2aMicroCache(b *testing.B) {
-	fx := experiments.BuildLookupFixture(10000, 10000)
-	benchLookup(b, "bare", fx.Ops()[0].Lookup) // the linear table alone
+	fx := experiments.BuildLookupFixture(10000, 1, 10000)
+	benchLookup(b, "bare", fx.Ops()[0].Lookup) // the table alone
 	benchLookup(b, "cached", fx.CachedOp().Lookup)
 }
 

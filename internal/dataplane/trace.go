@@ -235,7 +235,8 @@ func (s *Switch) Trace(inPort uint32, data []byte) *PacketTrace {
 // RegisterMetrics publishes the switch's counters into r under prefix
 // (e.g. "dataplane.3"), as callback gauges reading the live atomics:
 // packet-in totals, microflow-cache effectiveness, and per-table
-// lookup/match/occupancy figures named
+// lookup/match/occupancy figures plus the number of mask shapes
+// installed (what a lookup in that table costs), named
 // <prefix>.flowtable.<table>.<stat>, and one <prefix>.nf.<name>.entries
 // gauge per NF stage — the stages registered now and, because the
 // switch keeps the scope, every stage registered (or unregistered)
@@ -254,6 +255,7 @@ func (s *Switch) RegisterMetrics(r *obs.Registry, prefix string) {
 		ts.RegisterFunc("lookups", func() int64 { return int64(t.Lookups()) })
 		ts.RegisterFunc("matches", func() int64 { return int64(t.Matches()) })
 		ts.RegisterFunc("active", func() int64 { return int64(t.Len()) })
+		ts.RegisterFunc("tuples", func() int64 { return int64(t.Shapes()) })
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -296,4 +296,12 @@ func TestSwitchRegisterMetrics(t *testing.T) {
 	if v, _ := reg.Value("dataplane.42.flowtable.0.lookups"); v != 1 {
 		t.Errorf("lookups = %d", v)
 	}
+	// A second mask shape is a second probe per lookup: the gauge moves.
+	inPort := zof.MatchAll()
+	inPort.Wildcards &^= zof.WInPort
+	inPort.InPort = 1
+	addFlow(t, sw, inPort, 2, zof.Output(2))
+	if v, ok := reg.Value("dataplane.42.flowtable.0.tuples"); !ok || v != 2 {
+		t.Errorf("tuples = %d (registered %v), want 2", v, ok)
+	}
 }

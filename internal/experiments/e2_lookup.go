@@ -16,47 +16,43 @@ type E2Config struct {
 	Measure time.Duration // wall time per point (default 200ms)
 }
 
-// LookupFixture holds one populated structure set plus probe frames.
-// The E2 experiment and the repo's BenchmarkE2* share it.
+// LookupFixture holds one populated flow table, the exact-match map it
+// is read against and the probe frames. The E2 experiment and the
+// repo's BenchmarkE2* share it.
 type LookupFixture struct {
-	Linear *flowtable.Table
-	Tuple  *flowtable.TupleSpace
+	Table  *flowtable.Table
 	Exact  map[packet.FlowKey]int
-	LPM    *flowtable.LPM[int]
 	Cached *flowtable.MicroCache
 
 	Frames []*packet.Frame
 	Keys   []packet.FlowKey
-	Addrs  []uint32
 }
 
-// BuildLookupFixture installs n rules into every structure. Rules are
-// /24 destination prefixes (LPM/linear/tuple) and exact 5-tuples
-// (exact map); probes are frames that hit.
-func BuildLookupFixture(n int, seed int64) *LookupFixture {
+// BuildLookupFixture installs n destination-prefix rules spread evenly
+// over shapes mask shapes — /24, then /23, /22, … each its own hash
+// table in the index, so a lookup costs up to shapes probes — and n
+// exact 5-tuples in the map; probes are frames that hit.
+func BuildLookupFixture(n, shapes int, seed int64) *LookupFixture {
 	rng := rand.New(rand.NewSource(seed))
 	fx := &LookupFixture{
-		Linear: flowtable.NewTable(0),
-		Tuple:  flowtable.NewTupleSpace(),
+		Table:  flowtable.NewTable(0),
 		Exact:  make(map[packet.FlowKey]int, n),
-		LPM:    flowtable.NewLPM[int](),
 		Cached: flowtable.NewMicroCache(1 << 17),
 	}
 	now := time.Unix(0, 0)
 	prefixes := make([]uint32, n)
 	for i := 0; i < n; i++ {
-		p := rng.Uint32() &^ 0xff // /24
+		plen := uint8(24 - i%shapes)
+		p := rng.Uint32() &^ (1<<(32-plen) - 1)
 		prefixes[i] = p
 		m := zof.MatchAll()
 		m.Wildcards &^= zof.WEtherType
 		m.EtherType = packet.EtherTypeIPv4
 		m.IPDst = packet.IPv4FromUint32(p)
-		m.DstPrefix = 24
+		m.DstPrefix = plen
 		e := &flowtable.Entry{Match: m, Priority: uint16(i % 8),
 			Actions: []zof.Action{zof.Output(1)}}
-		_ = fx.Linear.Add(e, false, now)
-		fx.Tuple.Insert(e)
-		fx.LPM.Insert(p, 24, i)
+		_ = fx.Table.Add(e, false, now) // unbounded, no overlap check: cannot fail
 	}
 	// Probe set: 1024 frames landing inside random installed prefixes.
 	for i := 0; i < 1024; i++ {
@@ -71,7 +67,6 @@ func BuildLookupFixture(n int, seed int64) *LookupFixture {
 		key := packet.ExtractFlowKey(&f)
 		fx.Keys = append(fx.Keys, key)
 		fx.Exact[key] = i
-		fx.Addrs = append(fx.Addrs, dst.Uint32())
 	}
 	return fx
 }
@@ -83,14 +78,12 @@ type LookupOp struct {
 }
 
 // Ops returns the per-structure lookups E2Lookup rates and
-// BenchmarkE2Lookup times, in table-column order.
+// BenchmarkE2Lookup times: the table, then the exact map.
 func (fx *LookupFixture) Ops() []LookupOp {
 	now := time.Unix(0, 0)
 	nf := len(fx.Frames)
 	return []LookupOp{
-		{"linear", func(i int) { fx.Linear.Lookup(fx.Frames[i%nf], 1, 64, now) }},
-		{"tuple", func(i int) { fx.Tuple.Lookup(fx.Frames[i%nf], 1) }},
-		{"lpm", func(i int) { fx.LPM.Lookup(fx.Addrs[i%nf]) }},
+		{"table", func(i int) { fx.Table.Lookup(fx.Frames[i%nf], 1, 64, now) }},
 		{"exact", func(i int) { _ = fx.Exact[fx.Keys[i%nf]] }},
 	}
 }
@@ -100,15 +93,15 @@ func (fx *LookupFixture) Ops() []LookupOp {
 // state (one authoritative lookup per flow, then cache hits).
 func (fx *LookupFixture) CachedOp() LookupOp {
 	now := time.Unix(0, 0)
-	gen := fx.Linear.Gen()
+	gen := fx.Table.Gen()
 	for _, f := range fx.Frames {
-		fx.Cached.Put(flowtable.MakeCacheKey(f, 1), gen, fx.Linear.Lookup(f, 1, 64, now))
+		fx.Cached.Put(flowtable.MakeCacheKey(f, 1), gen, fx.Table.Lookup(f, 1, 64, now))
 	}
 	return LookupOp{"cached", func(i int) {
 		f := fx.Frames[i%len(fx.Frames)]
 		key := flowtable.MakeCacheKey(f, 1)
 		if _, ok := fx.Cached.Get(key, gen); !ok {
-			fx.Cached.Put(key, gen, fx.Linear.Lookup(f, 1, 64, now))
+			fx.Cached.Put(key, gen, fx.Table.Lookup(f, 1, 64, now))
 		}
 	}}
 }
@@ -143,22 +136,30 @@ func runE2(p Params) (*Table, any, error) {
 	return E2Lookup(cfg), nil, nil
 }
 
-// E2Lookup sweeps table sizes for every structure. Shape: exact-map and
-// LPM rates are flat-ish in table size; tuple space pays per-shape
-// probes; the linear scan decays as ~1/N.
+// e2Shapes is the many-shapes column: lookup cost in the index is
+// O(mask shapes), and this is the factor the one-shape column hides.
+const e2Shapes = 8
+
+// E2Lookup sweeps table size × mask shapes. Shape: no column decays
+// with table size the way a scan does (a colder cache is all that 1000×
+// the rules cost); the table pays per shape probed, so the 8-shape
+// column sits below the 1-shape one; the exact map bounds what a single
+// hash probe can do, and the microflow cache — key, hash, shard lock,
+// map — costs about what a handful of shapes cost.
 func E2Lookup(cfg E2Config) *Table {
 	if len(cfg.Sizes) == 0 {
 		cfg.Sizes = []int{100, 1000, 10000, 100000}
 	}
-	t := newTable("e2", "entries", "linear", "tuple-space", "lpm-trie", "exact-map", "micro-cache")
+	t := newTable("e2", "entries", "table(1 shape)", fmt.Sprintf("table(%d shapes)", e2Shapes), "exact-map", "micro-cache")
 	t.Notes = []string{
-		"probes hit installed /24 dst rules; exact map keyed by 5-tuple",
-		"expected shape: exact ≥ cache ≥ lpm ≥ tuple ≫ linear; linear decays ~1/N",
+		"probes hit installed dst-prefix rules (/24; /24../17 in the 8-shape column); exact map keyed by 5-tuple",
+		"expected shape: exact ≫ table(1) > table(8); no column decays ~1/N; the micro-cache buys nothing until a lookup probes several shapes",
 	}
 	for _, n := range cfg.Sizes {
-		fx := BuildLookupFixture(n, int64(n))
+		fx := BuildLookupFixture(n, 1, int64(n))
+		one, many := fx.Ops(), BuildLookupFixture(n, e2Shapes, int64(n)).Ops()
 		row := []string{fmt.Sprintf("%d", n)}
-		for _, op := range append(fx.Ops(), fx.CachedOp()) {
+		for _, op := range []LookupOp{one[0], many[0], one[1], fx.CachedOp()} {
 			row = append(row, f0(measureRate(cfg.Measure, op.Lookup)))
 		}
 		t.AddRow(row...)

@@ -60,12 +60,19 @@ func TestE2ShapeHolds(t *testing.T) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	small, big := tbl.Rows[0], tbl.Rows[1]
-	// Linear decays with size; exact does not collapse.
-	if parseF(t, big[1]) >= parseF(t, small[1]) {
-		t.Errorf("linear did not decay: %v -> %v", small[1], big[1])
+	// The table does not decay with size the way a scan would: 50x the
+	// rules cost what a colder cache costs, not 50x the time.
+	for _, col := range []int{1, 2} {
+		if parseF(t, big[col]) < parseF(t, small[col])/10 {
+			t.Errorf("%s decays with table size: %v -> %v", tbl.Header[col], small[col], big[col])
+		}
 	}
-	if parseF(t, big[4]) < parseF(t, big[1]) {
-		t.Errorf("exact (%v) slower than linear (%v) at 5000 entries", big[4], big[1])
+	// It pays per shape probed: eight shapes cost more than one.
+	if parseF(t, big[2]) >= parseF(t, big[1]) {
+		t.Errorf("8 shapes (%v) not slower than 1 shape (%v) at 5000 entries", big[2], big[1])
+	}
+	if parseF(t, big[3]) < parseF(t, big[1]) {
+		t.Errorf("exact (%v) slower than the table (%v) at 5000 entries", big[3], big[1])
 	}
 }
 

@@ -25,3 +25,25 @@ func TestLookupBatchZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestTableLookupBatchZeroAlloc pins the other half of the miss path:
+// what the microflow cache could not answer, the index answers without
+// allocating either.
+func TestTableLookupBatchZeroAlloc(t *testing.T) {
+	tbl, frames := benchTable(t, 64)
+	reqs := make([]BatchLookup, 16)
+	for i := range reqs {
+		reqs[i] = BatchLookup{Frame: frames[i*3], Packets: 2, Bytes: 128}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		tbl.LookupBatch(reqs, 1, t0)
+	})
+	if allocs != 0 {
+		t.Fatalf("Table.LookupBatch allocates %.1f/op, want 0", allocs)
+	}
+	for i, r := range reqs {
+		if r.Entry == nil {
+			t.Fatalf("request %d missed", i)
+		}
+	}
+}

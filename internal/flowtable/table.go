@@ -1,24 +1,26 @@
 // Package flowtable implements the match-action tables at the heart of
-// the data plane: an authoritative priority-ordered table with OpenFlow
-// add/modify/delete semantics and idle/hard timeouts, a microflow cache
-// in the style of Open vSwitch, an IPv4 longest-prefix-match trie, and
-// tuple-space search for wildcard rules. The live datapath uses the
-// table and the cache; the trie and tuple-space search are the
-// comparison set for the lookup-scaling experiment (E2).
+// the data plane: an authoritative table with OpenFlow add/modify/delete
+// semantics and idle/hard timeouts, classified by a priority-aware
+// tuple-space index (index.go) whose answer is always the one a scan of
+// the rules in priority order would give, and a microflow cache in the
+// style of Open vSwitch in front of it.
 //
 // Concurrency model: Table follows the read-copy-update discipline of
 // the software datapath. Mutations (Add/Modify/Delete/Sweep) must be
 // externally serialized — the switch's control mutex does this — and
-// each mutation publishes a fresh immutable view of the entry list
-// through an atomic pointer. Lookup, Entries, Gen, Len and Stats read
-// that view and are safe to call concurrently with mutations and with
-// each other; they never block a writer and a writer never blocks
-// them. Hit accounting uses atomics (per-entry counters, per-table
-// striped counters) so the read path stays contention-free.
+// each mutation publishes a fresh immutable view of the index through
+// an atomic pointer; the index is a persistent structure, so the new
+// view shares everything the mutation did not touch with the old one.
+// Lookup, Entries, Gen, Len and Stats read that view and are safe to
+// call concurrently with mutations and with each other; they never
+// block a writer and a writer never blocks them. Hit accounting uses
+// atomics (per-entry counters, per-table striped counters) so the read
+// path stays contention-free.
 package flowtable
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -53,6 +55,11 @@ type Entry struct {
 	packets  atomic.Uint64
 	bytes    atomic.Uint64
 	lastUsed atomic.Int64 // unix nanos
+
+	// seq is the entry's install order within its table: set by Add,
+	// inherited by whatever replaces the entry in place, immutable once
+	// published. Ties between equal priorities go to the lower seq.
+	seq uint64
 }
 
 // Packets returns the entry's packet counter.
@@ -95,6 +102,7 @@ func (e *Entry) cloneForModify(actions []zof.Action, cookie uint64) *Entry {
 		IdleTimeout: e.IdleTimeout,
 		HardTimeout: e.HardTimeout,
 		Created:     e.Created,
+		seq:         e.seq,
 	}
 	ne.packets.Store(e.packets.Load())
 	ne.bytes.Store(e.bytes.Load())
@@ -135,22 +143,32 @@ func (c *stripedCounter) load() uint64 {
 	return sum
 }
 
-// tableView is one immutable published state of a table: the entries
-// in priority order plus the generation that produced them. Readers
-// load it once and work against a consistent snapshot.
+// tableView is one immutable published state of a table: the index
+// (one tuple per mask shape, in descending order of highest priority),
+// the entry count and the generation that produced them. Readers load
+// it once and work against a consistent snapshot.
 type tableView struct {
-	entries []*Entry
-	gen     uint64
+	tuples []tuple
+	n      int
+	gen    uint64
+
+	// snap caches Entries() for this view: built from the index by the
+	// first reader that asks, at most once per generation.
+	snap atomic.Pointer[[]*Entry]
 }
 
-// Table is the authoritative flow table: entries ordered by descending
-// priority (stable within equal priority), linear lookup. Mutations
-// must be externally serialized; reads go through the published view
-// and are lock-free (see the package comment).
+// Table is the authoritative flow table. The highest-priority matching
+// entry wins a lookup, the earlier install among equal priorities.
+// Mutations must be externally serialized; reads go through the
+// published view and are lock-free (see the package comment).
 type Table struct {
-	entries []*Entry // writer-owned; never aliased by a view
+	// entries is the writer's own list in before order — what Modify,
+	// wildcard deletes and Sweep scan. Never aliased by a view, so it is
+	// edited in place.
+	entries []*Entry
 	maxSize int
 	gen     uint64 // bumped on every mutation; consumed by MicroCache
+	seq     uint64 // last Entry.seq handed out
 
 	view atomic.Pointer[tableView]
 
@@ -165,18 +183,24 @@ func NewTable(maxSize int) *Table {
 	return t
 }
 
-// publish snapshots the writer's entry list into a fresh view. The
-// clone is what makes in-place edits of t.entries safe: no reader ever
-// holds the writer's backing array.
-func (t *Table) publish() {
-	t.view.Store(&tableView{
-		entries: append([]*Entry(nil), t.entries...),
-		gen:     t.gen,
-	})
+// publish makes tuples, the index of the writer's current entry list,
+// the table's next generation.
+func (t *Table) publish(tuples []tuple) {
+	t.gen++
+	t.view.Store(&tableView{tuples: tuples, n: len(t.entries), gen: t.gen})
+}
+
+// pos returns where e sits, or would be inserted, in the writer's list.
+func (t *Table) pos(e *Entry) int {
+	return sort.Search(len(t.entries), func(i int) bool { return !before(t.entries[i], e) })
 }
 
 // Len returns the number of installed entries.
-func (t *Table) Len() int { return len(t.view.Load().entries) }
+func (t *Table) Len() int { return t.view.Load().n }
+
+// Shapes returns the number of distinct mask shapes installed: the
+// number of hash probes a lookup may have to make.
+func (t *Table) Shapes() int { return len(t.view.Load().tuples) }
 
 // Gen returns the mutation generation, used for cache invalidation.
 func (t *Table) Gen() uint64 { return t.view.Load().gen }
@@ -201,28 +225,39 @@ func (t *Table) NoteLookupN(hint uint32, matched bool, n uint64) {
 
 // Entries returns the live entries in priority order as an immutable
 // snapshot; callers must not mutate it. Safe under concurrent
-// mutation — the slice is never updated in place.
-func (t *Table) Entries() []*Entry { return t.view.Load().entries }
+// mutation: the snapshot is read out of the published index, not the
+// writer's list, and kept with the view for the next caller.
+func (t *Table) Entries() []*Entry {
+	v := t.view.Load()
+	if s := v.snap.Load(); s != nil {
+		return *s
+	}
+	s := make([]*Entry, 0, v.n)
+	for _, tp := range v.tuples {
+		s = tp.root.appendAll(s)
+	}
+	slices.SortFunc(s, order)
+	v.snap.Store(&s)
+	return s
+}
 
 // Add installs a new entry per OpenFlow FlowAdd: an existing entry with
 // identical match and priority is replaced (counters reset); with
-// checkOverlap set, an entry whose match could overlap an existing one
-// at equal priority is refused.
+// checkOverlap set, an entry whose match overlaps an existing one's at
+// equal priority is refused.
 func (t *Table) Add(e *Entry, checkOverlap bool, now time.Time) error {
 	e.Created = now
 	e.lastUsed.Store(now.UnixNano())
-	for i, old := range t.entries {
-		if old.Priority == e.Priority && old.Match == e.Match {
-			t.entries[i] = e
-			t.gen++
-			t.publish()
-			return nil
-		}
+	tuples := t.view.Load().tuples
+	if old := identical(tuples, &e.Match, e.Priority); old != nil {
+		e.seq = old.seq
+		t.entries[t.pos(old)] = e
+		t.publish(edited(tuples, old, e))
+		return nil
 	}
 	if checkOverlap {
 		for _, old := range t.entries {
-			if old.Priority == e.Priority &&
-				(old.Match.Subsumes(&e.Match) || e.Match.Subsumes(&old.Match)) {
+			if old.Priority == e.Priority && old.Match.Overlaps(&e.Match) {
 				return ErrOverlap
 			}
 		}
@@ -230,15 +265,11 @@ func (t *Table) Add(e *Entry, checkOverlap bool, now time.Time) error {
 	if t.maxSize > 0 && len(t.entries) >= t.maxSize {
 		return ErrTableFull
 	}
-	// Insert keeping descending priority order, after equal priorities.
-	i := sort.Search(len(t.entries), func(i int) bool {
-		return t.entries[i].Priority < e.Priority
-	})
-	t.entries = append(t.entries, nil)
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = e
-	t.gen++
-	t.publish()
+	// Last of its priority: the highest seq so far.
+	t.seq++
+	e.seq = t.seq
+	t.entries = slices.Insert(t.entries, t.pos(e), e)
+	t.publish(edited(tuples, nil, e))
 	return nil
 }
 
@@ -247,16 +278,17 @@ func (t *Table) Add(e *Entry, checkOverlap bool, now time.Time) error {
 // replaced by a copy (read-copy-update) so in-flight lookups keep a
 // consistent action list. It returns the number of entries changed.
 func (t *Table) Modify(m zof.Match, actions []zof.Action, cookie uint64) int {
+	tuples := t.view.Load().tuples
 	n := 0
 	for i, e := range t.entries {
 		if m.Subsumes(&e.Match) {
 			t.entries[i] = e.cloneForModify(actions, cookie)
+			tuples = edited(tuples, e, t.entries[i])
 			n++
 		}
 	}
 	if n > 0 {
-		t.gen++
-		t.publish()
+		t.publish(tuples)
 	}
 	return n
 }
@@ -264,21 +296,19 @@ func (t *Table) Modify(m zof.Match, actions []zof.Action, cookie uint64) int {
 // Delete removes every entry subsumed by m (any priority) and returns
 // the removed entries for FlowRemoved generation.
 func (t *Table) Delete(m zof.Match) []*Entry {
-	return t.deleteIf(func(e *Entry) bool { return m.Subsumes(&e.Match) })
+	return t.DeleteFunc(func(e *Entry) bool { return m.Subsumes(&e.Match) })
 }
 
 // DeleteStrict removes only the entry whose match and priority are
 // exactly m and priority.
 func (t *Table) DeleteStrict(m zof.Match, priority uint16) []*Entry {
-	return t.deleteIf(func(e *Entry) bool {
-		return e.Priority == priority && e.Match == m
-	})
+	return t.deleteOne(m, priority, nil)
 }
 
 // DeleteByCookie removes every entry subsumed by m whose cookie equals
 // cookie exactly (zof.FlagCookieFilter semantics).
 func (t *Table) DeleteByCookie(m zof.Match, cookie uint64) []*Entry {
-	return t.deleteIf(func(e *Entry) bool {
+	return t.DeleteFunc(func(e *Entry) bool {
 		return e.Cookie == cookie && m.Subsumes(&e.Match)
 	})
 }
@@ -288,63 +318,57 @@ func (t *Table) DeleteByCookie(m zof.Match, cookie uint64) []*Entry {
 // reconciliation uses: a delete aimed at a stale entry cannot remove a
 // fresh one installed under the same match with a different cookie.
 func (t *Table) DeleteStrictByCookie(m zof.Match, priority uint16, cookie uint64) []*Entry {
-	return t.deleteIf(func(e *Entry) bool {
-		return e.Cookie == cookie && e.Priority == priority && e.Match == m
-	})
+	return t.deleteOne(m, priority, &cookie)
 }
 
-// DeleteFunc removes every entry for which pred returns true and
-// returns the removed entries. It is the general-purpose deletion
-// primitive the datapath uses for cross-cutting sweeps, e.g. cascading
-// a group delete onto the flows that reference the group.
-func (t *Table) DeleteFunc(pred func(*Entry) bool) []*Entry {
-	return t.deleteIf(pred)
+// deleteOne is the strict delete: rule identity names at most one
+// entry, which the index finds without a scan.
+func (t *Table) deleteOne(m zof.Match, priority uint16, cookie *uint64) []*Entry {
+	tuples := t.view.Load().tuples
+	e := identical(tuples, &m, priority)
+	if e == nil || cookie != nil && e.Cookie != *cookie {
+		return nil
+	}
+	i := t.pos(e)
+	t.entries = slices.Delete(t.entries, i, i+1)
+	t.publish(edited(tuples, e, nil))
+	return []*Entry{e}
 }
 
 // Capacity returns the table's configured entry bound (0 = unbounded).
 func (t *Table) Capacity() int { return t.maxSize }
 
-func (t *Table) deleteIf(pred func(*Entry) bool) []*Entry {
+// DeleteFunc removes every entry for which pred returns true and
+// returns the removed entries. It is the general-purpose deletion
+// primitive the datapath uses for cross-cutting sweeps, e.g. cascading
+// a group delete onto the flows that reference the group. However many
+// entries go, readers see one new view: all of them gone, or none.
+func (t *Table) DeleteFunc(pred func(*Entry) bool) []*Entry {
+	tuples := t.view.Load().tuples
 	var removed []*Entry
 	kept := t.entries[:0]
 	for _, e := range t.entries {
 		if pred(e) {
 			removed = append(removed, e)
+			tuples = edited(tuples, e, nil)
 		} else {
 			kept = append(kept, e)
 		}
 	}
-	for i := len(kept); i < len(t.entries); i++ {
-		t.entries[i] = nil
-	}
+	clear(t.entries[len(kept):])
 	t.entries = kept
 	if len(removed) > 0 {
-		t.gen++
-		t.publish()
+		t.publish(tuples)
 	}
 	return removed
 }
 
-// find is the table's one classifier: the highest-priority entry of a
-// view's entries matching the frame on inPort, or nil. Entries are in
-// descending priority order, so the first match wins. It touches no
-// counter; Lookup, LookupBatch and Peek differ only in the accounting
-// they add around it.
-func find(entries []*Entry, f *packet.Frame, inPort uint32) *Entry {
-	for _, e := range entries {
-		if e.Match.MatchesFrame(f, inPort) {
-			return e
-		}
-	}
-	return nil
-}
-
 // Lookup returns the highest-priority entry matching the frame on
 // inPort, updating its counters, or nil. bytes is the frame length for
-// byte counters. Lock-free: it walks the published view and may run
+// byte counters. Lock-free: it probes the published view and may run
 // concurrently with mutations, observing either the old or new state.
 func (t *Table) Lookup(f *packet.Frame, inPort uint32, bytes int, now time.Time) *Entry {
-	e := find(t.view.Load().entries, f, inPort)
+	e := classify(t.view.Load().tuples, f, inPort)
 	if e != nil {
 		e.TouchN(now, 1, uint64(bytes))
 	}
@@ -374,12 +398,12 @@ func (t *Table) LookupBatch(reqs []BatchLookup, inPort uint32, now time.Time) {
 	if len(reqs) == 0 {
 		return
 	}
-	entries := t.view.Load().entries
+	tuples := t.view.Load().tuples
 	var total, matched uint64
 	for i := range reqs {
 		r := &reqs[i]
 		total += r.Packets
-		e := find(entries, r.Frame, inPort)
+		e := classify(tuples, r.Frame, inPort)
 		r.Entry = e
 		if e != nil {
 			e.TouchN(now, r.Packets, r.Bytes)
@@ -397,29 +421,20 @@ func (t *Table) LookupBatch(reqs []BatchLookup, inPort uint32, now time.Time) {
 // effects. The explain-mode pipeline tracer (dataplane.Switch.Trace)
 // uses it so tracing a packet never perturbs flow or table statistics.
 func (t *Table) Peek(f *packet.Frame, inPort uint32) *Entry {
-	return find(t.view.Load().entries, f, inPort)
+	return classify(t.view.Load().tuples, f, inPort)
 }
 
 // Sweep removes all entries expired at now and returns them paired with
 // their FlowRemoved reason.
 func (t *Table) Sweep(now time.Time) []Removed {
 	var out []Removed
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		if ok, reason := e.Expired(now); ok {
+	t.DeleteFunc(func(e *Entry) bool {
+		ok, reason := e.Expired(now)
+		if ok {
 			out = append(out, Removed{Entry: e, Reason: reason})
-		} else {
-			kept = append(kept, e)
 		}
-	}
-	for i := len(kept); i < len(t.entries); i++ {
-		t.entries[i] = nil
-	}
-	t.entries = kept
-	if len(out) > 0 {
-		t.gen++
-		t.publish()
-	}
+		return ok
+	})
 	return out
 }
 

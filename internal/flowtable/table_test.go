@@ -1,7 +1,6 @@
 package flowtable
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -98,6 +97,19 @@ func TestTableOverlapCheck(t *testing.T) {
 	narrow.Priority = 11
 	if err := tbl.Add(narrow, true, t0); err != nil {
 		t.Fatalf("err = %v", err)
+	}
+	// Neither subsumes the other, yet a frame for 10.x arriving on port 1
+	// satisfies both: that is an overlap.
+	inPort := zof.MatchAll()
+	inPort.Wildcards &^= zof.WInPort
+	inPort.InPort = 1
+	if err := tbl.Add(&Entry{Match: inPort, Priority: 10}, true, t0); err != ErrOverlap {
+		t.Fatalf("in_port=1 against ip_dst=10.0.0.0/8 at equal priority: err = %v, want ErrOverlap", err)
+	}
+	// Disjoint in a field both specify: no overlap.
+	other := dstMatch(packet.IPv4Addr{11, 0, 0, 0}, 8, 10)
+	if err := tbl.Add(other, true, t0); err != nil {
+		t.Fatalf("11/8 against 10/8: err = %v", err)
 	}
 }
 
@@ -284,224 +296,6 @@ func TestMicroCache(t *testing.T) {
 	}
 	if cache.Hits() == 0 || cache.Misses() == 0 {
 		t.Errorf("hit/miss counters = %d/%d", cache.Hits(), cache.Misses())
-	}
-}
-
-func TestLPMBasics(t *testing.T) {
-	lpm := NewLPM[string]()
-	ins := func(a, b, c, d byte, plen int, v string) {
-		lpm.InsertAddr(packet.IPv4Addr{a, b, c, d}, plen, v)
-	}
-	ins(0, 0, 0, 0, 0, "default")
-	ins(10, 0, 0, 0, 8, "ten8")
-	ins(10, 1, 0, 0, 16, "ten1-16")
-	ins(10, 1, 2, 0, 24, "ten12-24")
-	ins(10, 1, 2, 3, 32, "host")
-
-	cases := []struct {
-		addr packet.IPv4Addr
-		want string
-		plen int
-	}{
-		{packet.IPv4Addr{10, 1, 2, 3}, "host", 32},
-		{packet.IPv4Addr{10, 1, 2, 4}, "ten12-24", 24},
-		{packet.IPv4Addr{10, 1, 9, 9}, "ten1-16", 16},
-		{packet.IPv4Addr{10, 9, 9, 9}, "ten8", 8},
-		{packet.IPv4Addr{11, 0, 0, 1}, "default", 0},
-	}
-	for _, c := range cases {
-		v, plen, ok := lpm.LookupAddr(c.addr)
-		if !ok || v != c.want || plen != c.plen {
-			t.Errorf("lookup %v = %q/%d ok=%v, want %q/%d", c.addr, v, plen, ok, c.want, c.plen)
-		}
-	}
-	if lpm.Len() != 5 {
-		t.Errorf("len = %d", lpm.Len())
-	}
-	// Delete the /24; its covered host route must survive, its range
-	// falls back to the /16.
-	if !lpm.Delete(packet.IPv4Addr{10, 1, 2, 0}.Uint32(), 24) {
-		t.Fatal("delete /24 failed")
-	}
-	if v, _, _ := lpm.LookupAddr(packet.IPv4Addr{10, 1, 2, 4}); v != "ten1-16" {
-		t.Errorf("after delete, lookup = %q", v)
-	}
-	if v, _, _ := lpm.LookupAddr(packet.IPv4Addr{10, 1, 2, 3}); v != "host" {
-		t.Errorf("host route lost: %q", v)
-	}
-	if lpm.Delete(packet.IPv4Addr{10, 1, 2, 0}.Uint32(), 24) {
-		t.Error("double delete succeeded")
-	}
-	if lpm.Len() != 4 {
-		t.Errorf("len after delete = %d", lpm.Len())
-	}
-}
-
-func TestLPMWalkOrder(t *testing.T) {
-	lpm := NewLPM[int]()
-	lpm.Insert(0x0a000000, 8, 1)  // 10/8
-	lpm.Insert(0x0a010000, 16, 2) // 10.1/16
-	lpm.Insert(0x09000000, 8, 3)  // 9/8
-	var seen []int
-	lpm.Walk(func(prefix uint32, plen int, v int) bool {
-		seen = append(seen, v)
-		return true
-	})
-	// Lexicographic: 9/8, 10/8 (shorter first on same path), 10.1/16.
-	want := []int{3, 1, 2}
-	if len(seen) != 3 || seen[0] != want[0] || seen[1] != want[1] || seen[2] != want[2] {
-		t.Errorf("walk order = %v, want %v", seen, want)
-	}
-	// Early stop.
-	n := 0
-	lpm.Walk(func(uint32, int, int) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("walk did not stop: %d", n)
-	}
-}
-
-// TestLPMPropertyLongest cross-checks the trie against brute force on
-// random prefix sets.
-func TestLPMPropertyLongest(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		type pfx struct {
-			p    uint32
-			plen int
-		}
-		lpm := NewLPM[int]()
-		var prefixes []pfx
-		for i := 0; i < 100; i++ {
-			plen := rng.Intn(33)
-			p := rng.Uint32() & maskOf(uint8(plen))
-			lpm.Insert(p, plen, plen)
-			prefixes = append(prefixes, pfx{p, plen})
-		}
-		for q := 0; q < 200; q++ {
-			addr := rng.Uint32()
-			if rng.Intn(2) == 0 && len(prefixes) > 0 {
-				// Half the probes land inside a random prefix.
-				pf := prefixes[rng.Intn(len(prefixes))]
-				addr = pf.p | (rng.Uint32() &^ maskOf(uint8(pf.plen)))
-			}
-			bestLen, found := -1, false
-			for _, pf := range prefixes {
-				if addr&maskOf(uint8(pf.plen)) == pf.p {
-					found = true
-					if pf.plen > bestLen {
-						bestLen = pf.plen
-					}
-				}
-			}
-			v, plen, ok := lpm.Lookup(addr)
-			if ok != found {
-				t.Fatalf("trial %d addr %#x: ok=%v want %v", trial, addr, ok, found)
-			}
-			if found && (plen != bestLen || v != bestLen) {
-				t.Fatalf("trial %d addr %#x: got /%d want /%d", trial, addr, plen, bestLen)
-			}
-		}
-	}
-}
-
-// randomEntry builds a random match with a representative shape mix.
-func randomEntry(rng *rand.Rand) *Entry {
-	m := zof.MatchAll()
-	if rng.Intn(2) == 0 {
-		m.Wildcards &^= zof.WInPort
-		m.InPort = uint32(rng.Intn(4) + 1)
-	}
-	if rng.Intn(3) == 0 {
-		m.Wildcards &^= zof.WEthDst
-		m.EthDst = packet.MACFromUint64(uint64(rng.Intn(8)))
-	}
-	if rng.Intn(2) == 0 {
-		m.Wildcards &^= zof.WEtherType
-		m.EtherType = packet.EtherTypeIPv4
-		m.DstPrefix = uint8(rng.Intn(5)) * 8
-		m.IPDst = packet.IPv4FromUint32(rng.Uint32() & maskOf(m.DstPrefix))
-		if rng.Intn(2) == 0 {
-			m.Wildcards &^= zof.WIPProto
-			m.IPProto = packet.ProtoUDP
-			if rng.Intn(2) == 0 {
-				m.Wildcards &^= zof.WTPDst
-				m.TPDst = uint16(rng.Intn(4))
-			}
-		}
-	}
-	return &Entry{Match: m, Priority: uint16(rng.Intn(8)), Actions: []zof.Action{zof.Output(1)}}
-}
-
-// TestTupleSpaceAgreesWithLinear is the core cross-check: on random rule
-// sets and random frames, tuple space search returns a match of the same
-// priority as the authoritative linear table (the entry itself can
-// differ when equal-priority rules overlap; matching priority is the
-// datapath-visible contract).
-func TestTupleSpaceAgreesWithLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		tbl := NewTable(0)
-		ts := NewTupleSpace()
-		for i := 0; i < 60; i++ {
-			e := randomEntry(rng)
-			// The linear table treats identical matches as replacement;
-			// mirror into tuple space only if the add succeeded as new
-			// or replacement — both insert semantics match.
-			if err := tbl.Add(e, false, t0); err != nil {
-				t.Fatal(err)
-			}
-			ts.Insert(e)
-		}
-		for q := 0; q < 200; q++ {
-			src := packet.IPv4FromUint32(rng.Uint32())
-			dst := packet.IPv4FromUint32(rng.Uint32() & 0x0f0f0f0f)
-			f := mkFrame(t, src, dst, uint16(rng.Intn(4)), uint16(rng.Intn(4)))
-			inPort := uint32(rng.Intn(4) + 1)
-			lin := tbl.Lookup(f, inPort, 64, t0)
-			tup := ts.Lookup(f, inPort)
-			switch {
-			case lin == nil && tup == nil:
-			case lin == nil || tup == nil:
-				t.Fatalf("trial %d: linear=%v tuple=%v", trial, lin, tup)
-			case lin.Priority != tup.Priority:
-				t.Fatalf("trial %d: priorities differ: linear %d tuple %d (match %v vs %v)",
-					trial, lin.Priority, tup.Priority, lin.Match, tup.Match)
-			}
-		}
-	}
-}
-
-func TestTupleSpaceDelete(t *testing.T) {
-	ts := NewTupleSpace()
-	e := dstMatch(packet.IPv4Addr{10, 0, 0, 0}, 8, 5)
-	ts.Insert(e)
-	if ts.Len() != 1 || ts.Shapes() != 1 {
-		t.Fatalf("len/shapes = %d/%d", ts.Len(), ts.Shapes())
-	}
-	if ts.Delete(&e.Match, 99) {
-		t.Fatal("delete with wrong priority succeeded")
-	}
-	if !ts.Delete(&e.Match, 5) {
-		t.Fatal("delete failed")
-	}
-	if ts.Delete(&e.Match, 5) {
-		t.Fatal("double delete succeeded")
-	}
-	if ts.Len() != 0 || ts.Shapes() != 0 {
-		t.Errorf("len/shapes after delete = %d/%d", ts.Len(), ts.Shapes())
-	}
-}
-
-func TestTupleSpaceVLANGuard(t *testing.T) {
-	// A rule pinning a VLAN must not match untagged frames.
-	ts := NewTupleSpace()
-	m := zof.MatchAll()
-	m.Wildcards &^= zof.WVLAN
-	m.VLAN = 0 // even VLAN 0 must not match untagged traffic
-	ts.Insert(&Entry{Match: m, Priority: 9})
-	f := mkFrame(t, packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 1)
-	if ts.Lookup(f, 1) != nil {
-		t.Error("VLAN rule matched untagged frame")
 	}
 }
 

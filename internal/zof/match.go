@@ -74,8 +74,9 @@ func ExactMatch(f *packet.Frame, inPort uint32) Match {
 	return m
 }
 
-// prefixMask returns the IPv4 mask for a prefix length.
-func prefixMask(n uint8) uint32 {
+// PrefixMask returns the IPv4 mask for a prefix length; lengths past 32
+// (legal in a Match built in process) mean 32.
+func PrefixMask(n uint8) uint32 {
 	if n == 0 {
 		return 0
 	}
@@ -112,12 +113,12 @@ func (m *Match) MatchesFrame(f *packet.Frame, inPort uint32) bool {
 		}
 	}
 	if m.SrcPrefix > 0 {
-		if !hasIP || f.IPv4.Src.Uint32()&prefixMask(m.SrcPrefix) != m.IPSrc.Uint32()&prefixMask(m.SrcPrefix) {
+		if !hasIP || f.IPv4.Src.Uint32()&PrefixMask(m.SrcPrefix) != m.IPSrc.Uint32()&PrefixMask(m.SrcPrefix) {
 			return false
 		}
 	}
 	if m.DstPrefix > 0 {
-		if !hasIP || f.IPv4.Dst.Uint32()&prefixMask(m.DstPrefix) != m.IPDst.Uint32()&prefixMask(m.DstPrefix) {
+		if !hasIP || f.IPv4.Dst.Uint32()&PrefixMask(m.DstPrefix) != m.IPDst.Uint32()&PrefixMask(m.DstPrefix) {
 			return false
 		}
 	}
@@ -171,7 +172,7 @@ func (m *Match) Subsumes(o *Match) bool {
 		return false
 	}
 	if m.SrcPrefix > 0 {
-		mask := prefixMask(m.SrcPrefix)
+		mask := PrefixMask(m.SrcPrefix)
 		if m.IPSrc.Uint32()&mask != o.IPSrc.Uint32()&mask {
 			return false
 		}
@@ -180,12 +181,35 @@ func (m *Match) Subsumes(o *Match) bool {
 		return false
 	}
 	if m.DstPrefix > 0 {
-		mask := prefixMask(m.DstPrefix)
+		mask := PrefixMask(m.DstPrefix)
 		if m.IPDst.Uint32()&mask != o.IPDst.Uint32()&mask {
 			return false
 		}
 	}
 	return true
+}
+
+// Overlaps reports whether m and o overlap in OpenFlow's CHECK_OVERLAP
+// sense: no field that both specify differs (IP prefixes compared at the
+// shorter length), so a single packet could satisfy both. Symmetric, and
+// implied by Subsumes in either direction.
+func (m *Match) Overlaps(o *Match) bool {
+	both := ^(m.Wildcards | o.Wildcards) // fields neither wildcards
+	switch {
+	case both&WInPort != 0 && m.InPort != o.InPort,
+		both&WEthSrc != 0 && m.EthSrc != o.EthSrc,
+		both&WEthDst != 0 && m.EthDst != o.EthDst,
+		both&WEtherType != 0 && m.EtherType != o.EtherType,
+		both&WVLAN != 0 && m.VLAN != o.VLAN,
+		both&WIPProto != 0 && m.IPProto != o.IPProto,
+		both&WTPSrc != 0 && m.TPSrc != o.TPSrc,
+		both&WTPDst != 0 && m.TPDst != o.TPDst:
+		return false
+	}
+	src := PrefixMask(min(m.SrcPrefix, o.SrcPrefix))
+	dst := PrefixMask(min(m.DstPrefix, o.DstPrefix))
+	return m.IPSrc.Uint32()&src == o.IPSrc.Uint32()&src &&
+		m.IPDst.Uint32()&dst == o.IPDst.Uint32()&dst
 }
 
 // appendTo encodes the fixed 40-byte form.

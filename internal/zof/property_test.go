@@ -113,6 +113,49 @@ func TestPropertySubsumesImpliesMatches(t *testing.T) {
 	}
 }
 
+// TestPropertyOverlaps ties Overlaps to the other two match operations:
+// it is symmetric, Subsumes in either direction implies it, and two
+// matches satisfied by one frame overlap (the converse is not promised:
+// Overlaps judges field by field, as CHECK_OVERLAP does).
+func TestPropertyOverlaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	matches := make([]Match, 80)
+	for i := range matches {
+		matches[i] = randMatch(rng)
+	}
+	frames := make([]*packet.Frame, 200)
+	for i := range frames {
+		frames[i] = randFrame(t, rng)
+	}
+	overlapping, disjoint := 0, 0
+	for i := range matches {
+		for j := range matches {
+			a, b := &matches[i], &matches[j]
+			got := a.Overlaps(b)
+			if got != b.Overlaps(a) {
+				t.Fatalf("Overlaps not symmetric:\n a=%v\n b=%v", a, b)
+			}
+			if a.Subsumes(b) && !got {
+				t.Fatalf("a subsumes b but does not overlap it:\n a=%v\n b=%v", a, b)
+			}
+			if got {
+				overlapping++
+				continue
+			}
+			disjoint++
+			for _, f := range frames {
+				inPort := uint32(rng.Intn(4) + 1)
+				if a.MatchesFrame(f, inPort) && b.MatchesFrame(f, inPort) {
+					t.Fatalf("one frame satisfies two matches that do not overlap:\n a=%v\n b=%v", a, b)
+				}
+			}
+		}
+	}
+	if overlapping < 200 || disjoint < 200 {
+		t.Fatalf("%d overlapping and %d disjoint pairs; universe too sparse", overlapping, disjoint)
+	}
+}
+
 // TestPropertyMatchRoundTripPreservesSemantics: encode/decode of a
 // match must not change which frames it matches.
 func TestPropertyMatchRoundTripPreservesSemantics(t *testing.T) {
