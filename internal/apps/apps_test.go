@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/dataplane"
+	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/zof"
 )
@@ -166,7 +167,9 @@ func TestLoadBalancerPickSticky(t *testing.T) {
 		t.Fatal("no backend")
 	}
 	// Record a decision; subsequent picks for the same flow are sticky.
-	lb.decisions[packet.ExtractFlowKey(f)] = b1
+	var key packet.FlowKey
+	key.Extract(f)
+	lb.decisions[key] = b1
 	for i := 0; i < 5; i++ {
 		if got, _ := lb.pick(f); got != b1 {
 			t.Fatal("pick not sticky")
@@ -197,6 +200,68 @@ func TestLoadBalancerPickSticky(t *testing.T) {
 	lb.SetBackends()
 	if _, ok := lb.pick(f); ok {
 		t.Fatal("pick from empty pool")
+	}
+}
+
+// TestLoadBalancerReleasesBufferLast pins the order of the NAT rule
+// pair on the wire: the FlowMod that carries the packet-in's BufferID
+// releases the buffered request when the switch installs it, so every
+// rule the reply needs must already be ahead of it in the batch.
+func TestLoadBalancerReleasesBufferLast(t *testing.T) {
+	vip, backend, client := packet.IPv4Addr{10, 0, 0, 100}, packet.IPv4Addr{10, 0, 0, 11}, packet.IPv4Addr{10, 0, 0, 1}
+	ctl, err := controller.New(controller.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctl.Close() })
+	ctl.Use(NewLoadBalancer(vip, backend))
+	proxy, err := netem.NewControlProxy(ctl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	var mu sync.Mutex
+	var buffers []uint32 // BufferID of each FlowMod, in wire order
+	proxy.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
+		mu.Lock()
+		buffers = append(buffers, fm.BufferID)
+		mu.Unlock()
+		return netem.FlowModPass, 0
+	})
+	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
+	sw.AddPort(1, "client", 1000)
+	sw.AddPort(2, "backend", 1000)
+	dp, err := dataplane.Connect(sw, proxy.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dp.Close() })
+	if err := ctl.WaitForSwitches(1, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// The backend announces itself so the NIB can place it.
+	sw.HandleFrame(2, arpFrame(packet.MAC{2, 0, 0, 0, 0, 11}, backend, client))
+	waitCond(t, 2*time.Second, func() bool { _, ok := ctl.NIB().HostByIP(backend); return ok })
+
+	b := packet.NewBuffer(64)
+	b.AppendBytes([]byte("request"))
+	udp := packet.UDP{SrcPort: 4242, DstPort: 80}
+	udp.SerializeToWithChecksum(b, client, vip)
+	ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: client, Dst: vip}
+	ip.SerializeTo(b)
+	eth := packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 100}, Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4}
+	eth.SerializeTo(b)
+	sw.HandleFrame(1, b.Bytes())
+	waitCond(t, 2*time.Second, func() bool { return sw.FlowCount() == 2 })
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(buffers) != 2 {
+		t.Fatalf("VIP packet-in produced %d FlowMods, want the NAT pair", len(buffers))
+	}
+	if buffers[0] != zof.NoBuffer || buffers[1] == zof.NoBuffer {
+		t.Fatalf("BufferIDs in wire order = %#x: the buffer-releasing rule must be the last of the batch", buffers)
 	}
 }
 

@@ -137,11 +137,17 @@ func (lb *LoadBalancer) PacketIn(c *controller.Controller, ev controller.PacketI
 		Command: zof.FlowAdd, Match: rev, Priority: lb.Priority,
 		IdleTimeout: lb.IdleTimeout, BufferID: zof.NoBuffer, Actions: revActs,
 	}
-	// The NAT rule pair is one burst: one write, one syscall.
-	_ = sc.SendBatch(fwdMod, revMod)
+	// The NAT rule pair is one burst: one write, one syscall. Order is
+	// the contract: the rule carrying the packet-in's BufferID releases
+	// the buffered request as it installs, so it goes last — were it
+	// first, the backend's reply could reach the switch before the
+	// reverse rule and leave un-NATed, from the backend's own address.
+	_ = sc.SendBatch(revMod, fwdMod)
 
+	var key packet.FlowKey
+	key.Extract(&f)
 	lb.mu.Lock()
-	lb.decisions[packet.ExtractFlowKey(&f)] = backend
+	lb.decisions[key] = backend
 	lb.mu.Unlock()
 	return true
 }
@@ -153,7 +159,8 @@ func (lb *LoadBalancer) pick(f *packet.Frame) (packet.IPv4Addr, bool) {
 	if len(lb.backends) == 0 {
 		return packet.IPv4Addr{}, false
 	}
-	key := packet.ExtractFlowKey(f)
+	var key packet.FlowKey
+	key.Extract(f)
 	if b, ok := lb.decisions[key]; ok {
 		// Only reuse if still in the pool.
 		for _, cand := range lb.backends {

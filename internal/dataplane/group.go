@@ -77,5 +77,7 @@ func (g *GroupDesc) pick(hash uint64, portUp func(uint32) bool) ([]Bucket, error
 
 // selectHash derives the flow hash Select groups shard on.
 func selectHash(f *packet.Frame) uint64 {
-	return packet.ExtractFlowKey(f).SymmetricHash()
+	var k packet.FlowKey
+	k.Extract(f)
+	return k.SymmetricHash()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -282,7 +283,15 @@ func TestNFStageRegisterUnregisterDuringTraffic(t *testing.T) {
 	}
 }
 
+// TestNFConntrackExpiryDuringBursts races sweeps against the bursts
+// that re-create the entries: conntrack alone, and with a NAT stage
+// behind it taking the entries conntrack hands over.
 func TestNFConntrackExpiryDuringBursts(t *testing.T) {
+	t.Run("conntrack", conntrackExpiryDuringBursts)
+	t.Run("nat-behind", handOffNeverOutlivesItsEntry)
+}
+
+func conntrackExpiryDuringBursts(t *testing.T) {
 	sw, caps := testSwitch(t, Config{DropOnMiss: true, Clock: time.Now})
 	ct := nf.NewConntrack(nf.ConntrackConfig{Idle: time.Millisecond})
 	if err := sw.RegisterStage(1, ct); err != nil {
@@ -327,6 +336,129 @@ func TestNFConntrackExpiryDuringBursts(t *testing.T) {
 	sw.Tick(time.Now())
 	if ct.Entries() != 0 {
 		t.Fatalf("entries after drain = %d", ct.Entries())
+	}
+}
+
+// hookStage runs before and after around the stage it wraps; the
+// packets, and whatever one stage leaves on them for the next, pass
+// through untouched.
+type hookStage struct {
+	nf.Stage
+	before, after func(ps []*nf.Packet)
+}
+
+func (h hookStage) ProcessBurst(ps []*nf.Packet) {
+	if h.before != nil {
+		h.before(ps)
+	}
+	h.Stage.ProcessBurst(ps)
+	if h.after != nil {
+		h.after(ps)
+	}
+}
+
+// handOffNeverOutlivesItsEntry hammers the conntrack -> NAT
+// hand-off against expiry: conntrack leaves the entry it resolved on
+// every packet of a run and NAT, entered once per frame, uses it instead
+// of a second lookup, while a sweeper with a one-nanosecond idle horizon
+// removes entries (and returns their public ports to the pool) between
+// the two stages and between one frame of a run and the next. Whenever
+// a whole sweep ran between a run leaving conntrack and one of its
+// frames entering NAT, the entry is gone and its port released — only
+// this goroutine creates entries, so nothing re-created it — and the
+// frame must be the counted unbound drop a lookup would have made it,
+// never an egress carrying a port the pool has back. Every 16th stage
+// call waits for such a sweep, so both the never-bound and the
+// bound-then-released case happen a thousand times a run.
+func handOffNeverOutlivesItsEntry(t *testing.T) {
+	sw, caps := testSwitch(t, Config{DropOnMiss: true, Clock: time.Now})
+	ct := nf.NewConntrack(nf.ConntrackConfig{Idle: time.Nanosecond})
+	nat := nf.NewNAT(nf.NATConfig{CT: ct, PublicIP: natPub, PortLo: 20000, PortHi: 20999})
+
+	// The sweeper numbers its sweeps; begun and ended bracket each one.
+	var begun, ended atomic.Uint64
+	var calls int
+	awaitSweep := func([]*nf.Packet) {
+		if calls++; calls%16 == 0 {
+			for n := begun.Load(); ended.Load() <= n; {
+				runtime.Gosched()
+			}
+		}
+	}
+	var leftCT uint64 // sweeps begun when the run left conntrack; ingress goroutine only
+	var gone bool     // a whole sweep ran since
+	var sweptBetween, translatedStale int
+	if err := sw.RegisterStage(1, hookStage{Stage: ct, after: func(ps []*nf.Packet) {
+		leftCT = begun.Load()
+		awaitSweep(ps)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.RegisterStage(2, hookStage{Stage: nat,
+		before: func([]*nf.Packet) { gone = ended.Load() > leftCT },
+		after: func(ps []*nf.Packet) {
+			if gone {
+				sweptBetween++
+				if ps[0].Verdict != nf.VerdictDrop {
+					translatedStale++
+				}
+			}
+			awaitSweep(ps)
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	addFlow(t, sw, zof.MatchAll(), 10, zof.NF(1), zof.NF(2), zof.Output(2))
+
+	frames := make([][]byte, 64)
+	for i := range frames {
+		frames[i] = udpFrame(t, hostA, hostB, uint16(2000+i), 80, "churn")
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := uint64(1); ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+				begun.Store(n)
+				ct.Sweep(time.Now())
+				ended.Store(n)
+			}
+		}
+	}()
+	const bursts = 2000
+	run := make([][]byte, 8) // one microflow: conntrack sees it as one vector
+	for i := 0; i < bursts; i++ {
+		for j := range run {
+			run[j] = frames[i%len(frames)]
+		}
+		sw.HandleBurst(1, run)
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d of %d frames had their entry swept on the way to NAT", sweptBetween, bursts*8)
+
+	if sweptBetween < bursts*8/16 {
+		t.Errorf("only %d frames had their entry swept on the way to NAT; every 16th stage call waits for it", sweptBetween)
+	}
+	if translatedStale != 0 {
+		t.Errorf("%d frames were translated through an entry swept before they reached NAT", translatedStale)
+	}
+	s := nat.StateSummary().Counters
+	if s["exhausted"] != 0 || uint64(caps[2].count())+s["unbound"] != bursts*8 {
+		t.Errorf("egress %d + unbound %d != %d offered (exhausted %d)", caps[2].count(), s["unbound"], bursts*8, s["exhausted"])
+	}
+	if s["allocated"]-s["released"] != uint64(nat.Bindings()) {
+		t.Errorf("allocated %d - released %d != %d bindings", s["allocated"], s["released"], nat.Bindings())
+	}
+	// Quiescence: every entry expires and takes its binding along — a
+	// port bound to an entry already swept would stay out of the pool.
+	ct.Sweep(time.Now().Add(time.Second))
+	if ct.Entries() != 0 || nat.Bindings() != 0 {
+		t.Errorf("after the last sweep: %d entries, %d bindings", ct.Entries(), nat.Bindings())
 	}
 }
 

@@ -81,7 +81,7 @@ var (
 	hostB = packet.IPv4Addr{10, 0, 0, 2}
 )
 
-func addFlow(t *testing.T, sw *Switch, m zof.Match, prio uint16, acts ...zof.Action) {
+func addFlow(t testing.TB, sw *Switch, m zof.Match, prio uint16, acts ...zof.Action) {
 	t.Helper()
 	var gotErr *zof.Error
 	sw.Process(&zof.FlowMod{

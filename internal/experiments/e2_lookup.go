@@ -64,7 +64,8 @@ func BuildLookupFixture(n, shapes int, seed int64) *LookupFixture {
 			continue
 		}
 		fx.Frames = append(fx.Frames, &f)
-		key := packet.ExtractFlowKey(&f)
+		var key packet.FlowKey
+		key.Extract(&f)
 		fx.Keys = append(fx.Keys, key)
 		fx.Exact[key] = i
 	}

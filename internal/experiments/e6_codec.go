@@ -37,7 +37,8 @@ func CodecBenches(size int) []CodecBench {
 				if err := packet.Decode(wire, &f); err != nil {
 					b.Fatal(err)
 				}
-				k := packet.ExtractFlowKey(&f)
+				var k packet.FlowKey
+				k.Extract(&f)
 				_ = k.FastHash()
 			}
 		}},

@@ -16,32 +16,29 @@ type CacheKey struct {
 	EthDst packet.MAC
 }
 
-// MakeCacheKey derives the microflow key of a decoded frame.
-func MakeCacheKey(f *packet.Frame, inPort uint32) CacheKey {
-	return CacheKey{
-		Flow:   packet.ExtractFlowKey(f),
-		InPort: inPort,
-		EthSrc: f.Eth.Src,
-		EthDst: f.Eth.Dst,
-	}
+// MakeCacheKey derives the microflow key of a decoded frame. It inlines,
+// and the flow key is cut in place, so the caller's slot is written once.
+func MakeCacheKey(f *packet.Frame, inPort uint32) (k CacheKey) {
+	k.Flow.Extract(f)
+	k.InPort, k.EthSrc, k.EthDst = inPort, f.Eth.Src, f.Eth.Dst
+	return k
 }
 
-// hash mixes every key field into the shard selector. The flow key
-// carries the 5-tuple; port and MACs are folded in FNV-style so flows
+// Hash extends the flow key's hash with the L2 fields, so flows
 // differing only in L2 addressing or ingress land on distinct shards.
-func (k *CacheKey) hash() uint64 {
-	const prime64 = 1099511628211
-	h := k.Flow.FastHash()
-	h = (h ^ uint64(k.InPort)) * prime64
-	h = (h ^ macBits(k.EthSrc)) * prime64
-	h = (h ^ macBits(k.EthDst)) * prime64
-	return h
+// The burst datapath calls it once per frame while grouping by
+// microflow and hands the result to LookupBatch/PutHashed. The MACs and
+// the ingress port, exactly two words, take two multiply-xorshift
+// rounds beside the flow hash's chain; the round that joins them brings
+// the second word's top bits down to the shard and slot selectors.
+func (k *CacheKey) Hash() uint64 {
+	const mul = 0xff51afd7ed558ccd // odd: each round is a bijection
+	src, dst := macBits(k.EthSrc), macBits(k.EthDst)
+	l2 := (src | dst<<48) * mul
+	l2 = (l2 ^ l2>>32 ^ (dst>>16 | uint64(k.InPort)<<32)) * mul
+	h := (k.Flow.FastHash() ^ l2 ^ l2>>32) * mul
+	return h ^ h>>32
 }
-
-// Hash exposes the key's shard-selector hash. The burst datapath hashes
-// each key once while grouping frames by microflow and hands the result
-// to LookupBatch/PutHashed, so the cache never re-derives it.
-func (k *CacheKey) Hash() uint64 { return k.hash() }
 
 func macBits(m packet.MAC) uint64 {
 	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
@@ -100,7 +97,7 @@ func NewMicroCache(max int) *MicroCache {
 // The second result reports whether the cache had an authoritative
 // answer (which may be a cached miss: entry == nil, ok == true).
 func (c *MicroCache) Get(key CacheKey, gen uint64) (*Entry, bool) {
-	return c.getHashed(&key, key.hash(), gen)
+	return c.getHashed(&key, key.Hash(), gen)
 }
 
 func (c *MicroCache) getHashed(key *CacheKey, hash, gen uint64) (*Entry, bool) {
@@ -132,7 +129,7 @@ func (c *MicroCache) LookupBatch(gen uint64, keys []CacheKey, hashes []uint64, e
 
 // Put records the table's answer for key at generation gen.
 func (c *MicroCache) Put(key CacheKey, gen uint64, e *Entry) {
-	c.putHashed(&key, key.hash(), gen, e)
+	c.putHashed(&key, key.Hash(), gen, e)
 }
 
 // PutHashed is Put with the key's hash precomputed (see LookupBatch).

@@ -1,6 +1,8 @@
 package flowtable
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -296,6 +298,63 @@ func TestMicroCache(t *testing.T) {
 	}
 	if cache.Hits() == 0 || cache.Misses() == 0 {
 		t.Errorf("hit/miss counters = %d/%d", cache.Hits(), cache.Misses())
+	}
+}
+
+// TestCacheKeyHashCoversEveryField changes one field of the microflow
+// key at a time and demands the hash move — and, because the L2 words
+// are folded in after the flow hash's finalizer, that keys differing
+// only in one L2 field still spread over the 64 cache shards (low 6
+// bits) and the burst grouping table (low 7) within a factor of 1.5 of
+// uniform.
+func TestCacheKeyHashCoversEveryField(t *testing.T) {
+	base := MakeCacheKey(mkFrame(t, packet.IPv4Addr{10, 1, 2, 3}, packet.IPv4Addr{172, 16, 4, 5}, 4242, 53), 7)
+	edits := map[string]func(k *CacheKey, x uint32){
+		"Flow":   func(k *CacheKey, x uint32) { k.Flow.VLAN ^= uint16(x) },
+		"InPort": func(k *CacheKey, x uint32) { k.InPort ^= x },
+	}
+	for i := range base.EthSrc {
+		i := i
+		edits[fmt.Sprintf("EthSrc[%d]", i)] = func(k *CacheKey, x uint32) { k.EthSrc[i] ^= byte(x) }
+		edits[fmt.Sprintf("EthDst[%d]", i)] = func(k *CacheKey, x uint32) { k.EthDst[i] ^= byte(x) }
+	}
+	if want := reflect.TypeOf(base).NumField() + 2*(len(base.EthSrc)-1); len(edits) != want {
+		t.Fatalf("%d edits for %d fields: CacheKey grew a field this test does not flip", len(edits), want)
+	}
+	for name, edit := range edits {
+		for _, x := range []uint32{0x01, 0x80, 0xff, 0x01010101, 0x80808080} {
+			k := base
+			if edit(&k, x); k.Hash() == base.Hash() {
+				t.Errorf("%s ^ %#x leaves the hash unchanged", name, x)
+			}
+		}
+	}
+
+	const n = 16384
+	vary := map[string]func(k *CacheKey, i int){
+		"InPort":      func(k *CacheKey, i int) { k.InPort = uint32(i) },
+		"InPort high": func(k *CacheKey, i int) { k.InPort = uint32(i) << 16 },
+		"EthSrc":      func(k *CacheKey, i int) { k.EthSrc = packet.MACFromUint64(uint64(i)) },
+		"EthSrc OUI":  func(k *CacheKey, i int) { k.EthSrc = packet.MACFromUint64(uint64(i) << 32) },
+		"EthDst":      func(k *CacheKey, i int) { k.EthDst = packet.MACFromUint64(uint64(i)) },
+		"EthDst OUI":  func(k *CacheKey, i int) { k.EthDst = packet.MACFromUint64(uint64(i) << 32) },
+	}
+	for name, set := range vary {
+		for _, bits := range []uint{6, 7} {
+			load := make([]int, 1<<bits)
+			for i := 0; i < n; i++ {
+				k := base
+				set(&k, i)
+				load[k.Hash()&(1<<bits-1)]++
+			}
+			mean := float64(n) / float64(len(load))
+			for b, c := range load {
+				if float64(c) < mean/1.5 || float64(c) > 1.5*mean {
+					t.Errorf("sequential %s, low %d bits: bucket %d holds %d keys, mean %.0f", name, bits, b, c, mean)
+					break
+				}
+			}
+		}
 	}
 }
 

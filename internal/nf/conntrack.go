@@ -52,23 +52,12 @@ func (k ConnKey) String() string {
 }
 
 // shard places both directions of a connection in the same shard, so
-// a reply lookup never needs a second shard visit: hash the unordered
-// pair of (addr,port) endpoints, exactly the trick FlowKey's
-// SymmetricHash plays, then fold in the protocol.
+// a reply lookup never needs a second shard visit.
 func (k ConnKey) shard() int {
-	a := uint64(k.Src[0])<<40 | uint64(k.Src[1])<<32 | uint64(k.Src[2])<<24 |
-		uint64(k.Src[3])<<16 | uint64(k.SrcPort)
-	b := uint64(k.Dst[0])<<40 | uint64(k.Dst[1])<<32 | uint64(k.Dst[2])<<24 |
-		uint64(k.Dst[3])<<16 | uint64(k.DstPort)
-	if a > b {
-		a, b = b, a
-	}
-	x := a*0x9e3779b97f4a7c15 + b + uint64(k.Proto)
-	// MurmurHash3 finalizer: avalanche so adjacent hosts spread.
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int(x & (ctShards - 1))
+	fk := packet.FlowKey{EtherType: packet.EtherTypeIPv4, Proto: k.Proto, SrcPort: k.SrcPort, DstPort: k.DstPort}
+	copy(fk.SrcIP[:], k.Src[:])
+	copy(fk.DstIP[:], k.Dst[:])
+	return int(fk.SymmetricHash() & (ctShards - 1))
 }
 
 // keyFromFrame extracts the conntrack tuple. Only IPv4 TCP/UDP flows
@@ -100,6 +89,7 @@ type conn struct {
 	bytes       atomic.Uint64
 	established atomic.Bool // saw reply direction
 	nat         atomic.Pointer[natBinding]
+	owner       atomic.Pointer[Conntrack] // the table holding the entry; nil once Sweep removed it
 }
 
 func (c *conn) touchN(now int64, pkts, bytes uint64) {
@@ -192,6 +182,7 @@ func (ct *Conntrack) lookup(k ConnKey, now int64) (c *conn, reply, created bool)
 	c, reply = sh.find(k)
 	if c == nil && (ct.max <= 0 || int(ct.entries.Load()) < ct.max) {
 		c, created = &conn{key: k, created: now}, true
+		c.owner.Store(ct)
 		c.lastSeen.Store(now)
 		sh.conns[k] = c
 		ct.entries.Add(1)
@@ -263,6 +254,9 @@ func (ct *Conntrack) ProcessBurst(ps []*Packet) {
 		c.established.Store(true)
 	}
 	c.touchN(now, pkts, bytes)
+	for _, p := range ps {
+		p.conn = c
+	}
 }
 
 // Tick implements Ticker: sweep idled-out entries.
@@ -282,6 +276,7 @@ func (ct *Conntrack) Sweep(now time.Time) (removed int, maxLag time.Duration) {
 				continue
 			}
 			delete(sh.conns, k)
+			c.owner.Store(nil) // before onExpire: a holder of c must not bind it now
 			removed++
 			lag := nowNS - (last + ct.idle.Nanoseconds())
 			if d := time.Duration(lag); d > maxLag {

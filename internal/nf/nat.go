@@ -91,29 +91,32 @@ func (n *NAT) Name() string { return n.name }
 
 // release is the conntrack onExpire hook; it runs under the expiring
 // entry's shard lock, so nothing here may call back into conntrack.
+// The binding is read under n.mu: Sweep disowned c first, so a bind
+// that got in before is seen here and a later one sees no owner.
 func (n *NAT) release(c *conn) {
-	b := c.nat.Load()
-	if b == nil {
-		return
-	}
 	n.mu.Lock()
-	if n.byPort[natKey{b.proto, b.port}] == b {
+	defer n.mu.Unlock()
+	if b := c.nat.Load(); b != nil && n.byPort[natKey{b.proto, b.port}] == b {
 		delete(n.byPort, natKey{b.proto, b.port})
 		n.free = append(n.free, b.port)
 		n.released.Add(1)
 	}
-	n.mu.Unlock()
 }
 
 // bind allocates (or finds, if a racing frame won) the binding for c.
-func (n *NAT) bind(c *conn, proto uint8) *natBinding {
+// An entry Sweep removed meanwhile is not bound: release has run or is
+// waiting for n.mu, and would never see a port handed out now.
+func (n *NAT) bind(c *conn, proto uint8) natPlan {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if c.owner.Load() == nil {
+		return natPlan{drop: &n.unbound}
+	}
 	if b := c.nat.Load(); b != nil {
-		return b
+		return natPlan{out: b}
 	}
 	if len(n.free) == 0 {
-		return nil
+		return natPlan{drop: &n.exhausted}
 	}
 	port := n.free[len(n.free)-1]
 	n.free = n.free[:len(n.free)-1]
@@ -121,7 +124,7 @@ func (n *NAT) bind(c *conn, proto uint8) *natBinding {
 	n.byPort[natKey{proto, port}] = b
 	c.nat.Store(b)
 	n.allocated.Add(1)
-	return b
+	return natPlan{out: b}
 }
 
 // plan resolves what to do with a run of same-tuple packets: one
@@ -158,8 +161,14 @@ func (n *NAT) resolve(p *Packet) natPlan {
 		}
 		return natPlan{in: b}
 	}
-	// Outbound: the conntrack stage ahead of us owns entry creation.
-	c, _ := n.ct.peek(k)
+	// Outbound: the conntrack stage ahead of us owns entry creation and
+	// left the entry on the packet. Trust it only when a lookup would
+	// return it: still in our conntrack's table, and the same tuple in
+	// either direction (no rewrite between the stages).
+	c := p.conn
+	if c == nil || c.owner.Load() != n.ct || (c.key != k && c.key != k.Reverse()) {
+		c, _ = n.ct.peek(k)
+	}
 	if c == nil {
 		if p.Explain {
 			p.Note = "no conntrack entry, drop"
@@ -172,9 +181,7 @@ func (n *NAT) resolve(p *Packet) natPlan {
 			p.Note = "would-allocate " + n.publicIP.String() + " port"
 			return natPlan{}
 		}
-		if b = n.bind(c, k.Proto); b == nil {
-			return natPlan{drop: &n.exhausted}
-		}
+		return n.bind(c, k.Proto)
 	}
 	if p.Explain {
 		p.Note = fmt.Sprintf("snat %s:%d -> %s:%d", k.Src, k.SrcPort, b.ip, b.port)

@@ -79,6 +79,10 @@ type Packet struct {
 	// Verdict is the stage's decision, filled per packet by
 	// ProcessBurst.
 	Verdict Verdict
+
+	// conn is the entry a conntrack stage resolved for this packet, left
+	// for the NAT stage behind it; NAT.resolve says when to trust it.
+	conn *conn
 }
 
 // Stage is a stateful network function pluggable into the datapath

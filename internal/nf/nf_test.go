@@ -415,3 +415,59 @@ func TestNATCountsUntrackedPerFrame(t *testing.T) {
 		t.Errorf("untracked = %d, want 3", s.Counters["untracked"])
 	}
 }
+
+// TestNATHandOffFallsBackToLookup pins when NAT may trust the entry the
+// conntrack stage left on the packet: only when it is what a lookup in
+// NAT's own conntrack would return for the packet as it is now. A
+// rewrite between the stages, a sweep between the stages, and an entry
+// from some other conntrack each send NAT back to the lookup.
+func TestNATHandOffFallsBackToLookup(t *testing.T) {
+	ct := NewConntrack(ConntrackConfig{Idle: time.Minute})
+	nat := NewNAT(NATConfig{CT: ct, PublicIP: tPub})
+	t0 := time.Unix(100, 0)
+	unbound := func() uint64 { return nat.StateSummary().Counters["unbound"] }
+
+	// A set-field action between nf:ct and nf:nat changes the source
+	// port: the entry conntrack resolved is not this packet's any more,
+	// and nothing tracks the new tuple.
+	p := pkt(t, udpFrame(t, tHostA, tHostB, 1, 80, "x"), t0)
+	run1(ct, p)
+	p.Frame.SetL4Src(p.Data, 7)
+	if v := run1(nat, p); v != VerdictDrop || unbound() != 1 || nat.Bindings() != 0 {
+		t.Fatalf("rewritten to an untracked tuple: verdict %v, unbound %d, bindings %d; want the lookup's drop", v, unbound(), nat.Bindings())
+	}
+	// Once the new tuple is tracked, NAT binds that entry, not the one
+	// handed over.
+	q := pkt(t, udpFrame(t, tHostA, tHostB, 7, 80, "x"), t0)
+	run1(ct, q)
+	if run1(nat, q) != VerdictContinue {
+		t.Fatal("tracked flow dropped")
+	}
+	p = pkt(t, udpFrame(t, tHostA, tHostB, 1, 80, "x"), t0)
+	run1(ct, p)
+	p.Frame.SetL4Src(p.Data, 7)
+	if v := run1(nat, p); v != VerdictContinue || p.Frame.UDP.SrcPort != q.Frame.UDP.SrcPort || nat.Bindings() != 1 {
+		t.Fatalf("rewritten to a tracked tuple: verdict %v, public port %d (its entry's is %d), bindings %d",
+			v, p.Frame.UDP.SrcPort, q.Frame.UDP.SrcPort, nat.Bindings())
+	}
+
+	// Swept between the stages, bound or not: the port is back in the
+	// pool and the frame is the drop a lookup makes it.
+	for _, sp := range []uint16{7, 9} {
+		p = pkt(t, udpFrame(t, tHostA, tHostB, sp, 80, "x"), t0)
+		run1(ct, p)
+		ct.Sweep(t0.Add(time.Hour))
+		before := unbound()
+		if v := run1(nat, p); v != VerdictDrop || unbound() != before+1 || nat.Bindings() != 0 {
+			t.Fatalf("port %d swept between the stages: verdict %v, unbound +%d, bindings %d", sp, v, unbound()-before, nat.Bindings())
+		}
+	}
+
+	// Tracked, but by a conntrack this NAT does not ride.
+	other := NewConntrack(ConntrackConfig{Idle: time.Minute})
+	p = pkt(t, udpFrame(t, tHostA, tHostB, 11, 80, "x"), t0)
+	run1(other, p)
+	if v := run1(nat, p); v != VerdictDrop || other.Entries() != 1 || nat.Bindings() != 0 {
+		t.Fatalf("entry of a foreign conntrack: verdict %v, bindings %d", v, nat.Bindings())
+	}
+}

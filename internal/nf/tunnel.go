@@ -47,15 +47,38 @@ func (c *TunnelConfig) fill() {
 // symmetric hash, the standard trick that lets the underlay ECMP
 // distinct overlay flows without parsing past the outer header.
 type TunnelEncap struct {
-	cfg      TunnelConfig
+	cfg TunnelConfig
+	// hdr is the outer header with everything but the two lengths, the
+	// entropy port and the IPv4 checksum filled in; ipSum is the IPv4
+	// header's ones'-complement sum with those fields zero.
+	hdr      [TunnelOverhead]byte
+	ipSum    uint32
 	encapped atomic.Uint64
 	bytes    atomic.Uint64 // overhead bytes added
 }
 
-// NewTunnelEncap builds the encap stage.
+// NewTunnelEncap builds the encap stage and its outer-header template:
+// VXLAN flags + 24-bit VNI, UDP with checksum 0 (legal for UDP/IPv4,
+// and what VXLAN uses), option-less IPv4 with DF and TTL 64, Ethernet.
 func NewTunnelEncap(cfg TunnelConfig) *TunnelEncap {
 	cfg.fill()
-	return &TunnelEncap{cfg: cfg}
+	t := &TunnelEncap{cfg: cfg}
+	b := packet.NewBuffer(TunnelOverhead)
+	vx := b.Append(vxlanHeaderLen)
+	binary.BigEndian.PutUint32(vx[0:4], uint32(vxlanFlagVNI)<<24)
+	binary.BigEndian.PutUint32(vx[4:8], (cfg.VNI&0xffffff)<<8)
+	udp := packet.UDP{DstPort: cfg.UDPPort}
+	udp.SerializeTo(b)
+	ip := packet.IPv4{Flags: packet.IPv4DontFragment, TTL: 64, Protocol: packet.ProtoUDP, Src: cfg.LocalIP, Dst: cfg.RemoteIP}
+	ip.SerializeTo(b)
+	eth := packet.Ethernet{Dst: cfg.RemoteMAC, Src: cfg.LocalMAC, EtherType: packet.EtherTypeIPv4}
+	eth.SerializeTo(b)
+	h := t.hdr[:]
+	copy(h, b.Bytes())
+	clear(h[16:18]) // IPv4 total length, stamped per frame
+	clear(h[24:26]) // IPv4 header checksum, likewise
+	t.ipSum = uint32(^packet.Checksum(h[14:34], 0))
+	return t
 }
 
 // Name implements Stage.
@@ -66,44 +89,21 @@ func (t *TunnelEncap) Name() string { return t.cfg.Name + "-encap" }
 // loop.
 func (t *TunnelEncap) ProcessBurst(ps []*Packet) {
 	for _, p := range ps {
-		inner := len(p.Data)
 		// Outer UDP source-port entropy from the inner flow, before the
 		// decoded view flips to the outer headers.
-		srcPort := 49152 | uint16(packet.ExtractFlowKey(p.Frame).SymmetricHash()&0x3fff)
+		var k packet.FlowKey
+		k.Extract(p.Frame)
+		srcPort := 49152 | uint16(k.SymmetricHash()&0x3fff)
 
+		ipLen := uint32(TunnelOverhead - packet.EthernetHeaderLen + len(p.Data))
 		data := p.Mem.Grow(p.Data, TunnelOverhead)
 		h := data[:TunnelOverhead]
-
-		// Outer Ethernet.
-		copy(h[0:6], t.cfg.RemoteMAC[:])
-		copy(h[6:12], t.cfg.LocalMAC[:])
-		binary.BigEndian.PutUint16(h[12:14], packet.EtherTypeIPv4)
-
-		// Outer IPv4 (option-less, DF, TTL 64).
-		ip := h[14:34]
-		ip[0] = 0x45
-		ip[1] = 0
-		binary.BigEndian.PutUint16(ip[2:4], uint16(packet.IPv4MinHeaderLen+packet.UDPHeaderLen+vxlanHeaderLen+inner))
-		binary.BigEndian.PutUint16(ip[4:6], 0)
-		binary.BigEndian.PutUint16(ip[6:8], uint16(packet.IPv4DontFragment)<<13)
-		ip[8] = 64
-		ip[9] = packet.ProtoUDP
-		ip[10], ip[11] = 0, 0
-		copy(ip[12:16], t.cfg.LocalIP[:])
-		copy(ip[16:20], t.cfg.RemoteIP[:])
-		binary.BigEndian.PutUint16(ip[10:12], packet.Checksum(ip, 0))
-
-		// Outer UDP; checksum 0 (legal for UDP/IPv4, and what VXLAN uses).
-		udp := h[34:42]
-		binary.BigEndian.PutUint16(udp[0:2], srcPort)
-		binary.BigEndian.PutUint16(udp[2:4], t.cfg.UDPPort)
-		binary.BigEndian.PutUint16(udp[4:6], uint16(packet.UDPHeaderLen+vxlanHeaderLen+inner))
-		udp[6], udp[7] = 0, 0
-
-		// VXLAN header: flags + 24-bit VNI.
-		vx := h[42:50]
-		binary.BigEndian.PutUint32(vx[0:4], uint32(vxlanFlagVNI)<<24)
-		binary.BigEndian.PutUint32(vx[4:8], (t.cfg.VNI&0xffffff)<<8)
+		copy(h, t.hdr[:])
+		binary.BigEndian.PutUint16(h[16:18], uint16(ipLen)) // IPv4 total length
+		sum := t.ipSum + ipLen                              // at most 0x1fffe: one fold
+		binary.BigEndian.PutUint16(h[24:26], ^uint16(sum&0xffff+sum>>16))
+		binary.BigEndian.PutUint16(h[34:36], srcPort)
+		binary.BigEndian.PutUint16(h[38:40], uint16(ipLen-packet.IPv4MinHeaderLen)) // UDP length
 
 		p.Data = data
 		// The decoded view now describes the outer packet; the inner frame

@@ -1,5 +1,7 @@
 package packet
 
+import "encoding/binary"
+
 // FlowKey identifies a flow for exact-match tables and load balancing.
 // It is a comparable value type, so it can key a map directly — the same
 // design pressure that made gopacket use fixed arrays for Endpoints.
@@ -14,10 +16,11 @@ type FlowKey struct {
 	DstPort   uint16
 }
 
-// ExtractFlowKey derives the flow key from a decoded frame.
-func ExtractFlowKey(f *Frame) FlowKey {
-	var k FlowKey
-	k.EtherType = f.EtherType()
+// Extract sets k to the flow key of a decoded frame, in place: the
+// datapath cuts each frame's key straight into the slot that holds it,
+// where a 42-byte return by value and a copy would cost more.
+func (k *FlowKey) Extract(f *Frame) {
+	*k = FlowKey{EtherType: f.EtherType()}
 	if f.Has(LayerVLAN) {
 		k.VLAN = f.VLAN.VLAN
 	}
@@ -42,7 +45,6 @@ func ExtractFlowKey(f *Frame) FlowKey {
 	case f.Has(LayerICMPv4):
 		k.SrcPort = uint16(f.ICMP.Type)<<8 | uint16(f.ICMP.Code)
 	}
-	return k
 }
 
 // Reverse returns the key of the opposite direction.
@@ -52,57 +54,52 @@ func (k FlowKey) Reverse() FlowKey {
 	return k
 }
 
-// FastHash returns a 64-bit FNV-1a hash of the key. Like gopacket's
-// FastHash it is symmetric-friendly only via explicit Reverse; distinct
-// directions hash differently, which exact-match tables want.
-func (k FlowKey) FastHash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	for _, b := range k.SrcIP {
-		mix(b)
-	}
-	for _, b := range k.DstIP {
-		mix(b)
-	}
-	mix(byte(k.EtherType >> 8))
-	mix(byte(k.EtherType))
-	mix(byte(k.VLAN >> 8))
-	mix(byte(k.VLAN))
-	mix(k.Proto)
-	mix(byte(k.SrcPort >> 8))
-	mix(byte(k.SrcPort))
-	mix(byte(k.DstPort >> 8))
-	mix(byte(k.DstPort))
-	return h
+// Multipliers of the word mixer: the 64-bit golden ratio and
+// MurmurHash3's first finalizer constant. Both are odd, so multiplying
+// by either is a bijection on uint64.
+const (
+	mulGolden = 0x9e3779b97f4a7c15
+	mulMurmur = 0xff51afd7ed558ccd
+)
+
+// hashEndpoint mixes one (address, port) endpoint into a word: the port
+// spread over the whole word so it cannot cancel address bits, then the
+// address as two little-endian words, a multiply-xorshift round each
+// (the xorshift pulls a product's well-mixed high half over its weak
+// low half).
+func hashEndpoint(ip *[16]byte, port uint16) uint64 {
+	h := (uint64(port)*mulGolden ^ binary.LittleEndian.Uint64(ip[:8])) * mulMurmur
+	h = (h ^ h>>32 ^ binary.LittleEndian.Uint64(ip[8:])) * mulMurmur
+	return h ^ h>>32
+}
+
+// finish makes a flow hash of two endpoint hashes and the fields both
+// directions share, through MurmurHash3's fmix64 finalizer: every
+// output bit depends on every input bit, so consumers may cut a shard
+// or bucket index anywhere.
+func (k *FlowKey) finish(a, b uint64) uint64 {
+	x := (a*mulGolden + b) ^ (uint64(k.EtherType)<<32 | uint64(k.VLAN)<<16 | uint64(k.Proto))
+	x ^= x >> 33
+	x *= mulMurmur
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
+
+// FastHash returns a 64-bit hash of the key, mixed a machine word at a
+// time; the two endpoints are independent multiply chains the CPU
+// overlaps. Like gopacket's FastHash it is symmetric-friendly only via
+// explicit Reverse; distinct directions hash differently, which
+// exact-match tables want. The hashes read the key in place: copying a
+// 42-byte receiver costs more than mixing it.
+func (k *FlowKey) FastHash() uint64 {
+	return k.finish(hashEndpoint(&k.SrcIP, k.SrcPort), hashEndpoint(&k.DstIP, k.DstPort))
 }
 
 // SymmetricHash hashes both directions of the flow to the same value,
-// the property load balancers need so A->B and B->A shard together.
-// The finalizer mix matters: both directional FNV hashes always share
-// parity (they digest the same byte multiset), so a linear combination
-// would never be odd and any mod-2^k shard would see half the space.
-func (k FlowKey) SymmetricHash() uint64 {
-	a, b := k.FastHash(), k.Reverse().FastHash()
-	if a > b {
-		a, b = b, a
-	}
-	return fmix64(a*0x9e3779b97f4a7c15 + b)
-}
-
-// fmix64 is the MurmurHash3 64-bit finalizer; it avalanches every input
-// bit across the output.
-func fmix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
+// the property load balancers need so A->B and B->A shard together:
+// the two endpoint hashes enter the finalizer in sorted order.
+func (k *FlowKey) SymmetricHash() uint64 {
+	a, b := hashEndpoint(&k.SrcIP, k.SrcPort), hashEndpoint(&k.DstIP, k.DstPort)
+	return k.finish(min(a, b), max(a, b))
 }

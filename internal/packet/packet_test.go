@@ -306,7 +306,8 @@ func TestFlowKeyExtraction(t *testing.T) {
 	if err := Decode(wire, &f); err != nil {
 		t.Fatal(err)
 	}
-	k := ExtractFlowKey(&f)
+	var k FlowKey
+	k.Extract(&f)
 	if k.Proto != ProtoUDP || k.SrcPort != 5000 || k.DstPort != 53 {
 		t.Errorf("key = %+v", k)
 	}

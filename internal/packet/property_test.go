@@ -2,6 +2,8 @@ package packet
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -238,17 +240,156 @@ func TestQuickChecksumIncremental(t *testing.T) {
 	}
 }
 
-// Ensure FlowKey is usable as a map key with the distribution FastHash
-// promises (sanity, not statistics).
-func TestFlowKeyHashDispersion(t *testing.T) {
-	seen := map[uint64]bool{}
-	var k FlowKey
-	for i := 0; i < 1000; i++ {
-		k.SrcPort = uint16(i)
-		seen[k.FastHash()] = true
+// hashPopulations are the key sets the datapath's hash consumers see:
+// the two adversarially regular ones (only the last address byte, or
+// only the source port, counts up) and the benchmark's shape (random
+// 10.1/16 clients to random 172.16/16 servers on five service ports).
+func hashPopulations(n int) map[string][]FlowKey {
+	base := FlowKey{EtherType: EtherTypeIPv4, Proto: ProtoTCP, SrcPort: 40000, DstPort: 80}
+	copy(base.SrcIP[:], []byte{10, 0, 0, 0})
+	copy(base.DstIP[:], []byte{10, 9, 9, 9})
+	pops := map[string][]FlowKey{}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < n; i++ {
+		host := base
+		host.SrcIP[2], host.SrcIP[3] = byte(i>>8), byte(i)
+		pops["sequential hosts"] = append(pops["sequential hosts"], host)
+
+		port := base
+		port.SrcPort = uint16(1024 + i)
+		pops["sequential ports"] = append(pops["sequential ports"], port)
+
+		b := base
+		copy(b.SrcIP[:], []byte{10, 1, byte(rng.Intn(256)), byte(1 + rng.Intn(254))})
+		copy(b.DstIP[:], []byte{172, 16, byte(rng.Intn(256)), byte(1 + rng.Intn(254))})
+		b.SrcPort = uint16(1024 + rng.Intn(60000))
+		b.DstPort = []uint16{80, 443, 53, 8080, 5000}[rng.Intn(5)]
+		pops["benchmark clients"] = append(pops["benchmark clients"], b)
 	}
-	if len(seen) < 990 {
-		t.Errorf("only %d distinct hashes of 1000", len(seen))
+	return pops
+}
+
+// checkHashFill asserts that hashes, cut to their low bits bits, load
+// their buckets like a uniform hash would. With a mean load of 100 or
+// more, every bucket is within a factor of 1.5 of the mean (five
+// standard deviations at the sizes used here); with less, at least 95 %
+// as many buckets are occupied as uniform throwing expects,
+// B(1-(1-1/B)^n).
+func checkHashFill(t *testing.T, name string, bits uint, hashes []uint64) {
+	t.Helper()
+	load := make([]int, 1<<bits)
+	for _, h := range hashes {
+		load[h&(1<<bits-1)]++
+	}
+	mean := float64(len(hashes)) / float64(len(load))
+	if mean >= 100 {
+		for b, n := range load {
+			if float64(n) < mean/1.5 || float64(n) > 1.5*mean {
+				t.Errorf("%s, low %d bits: bucket %d holds %d keys, mean %.0f", name, bits, b, n, mean)
+				return
+			}
+		}
+		return
+	}
+	occupied := 0
+	for _, n := range load {
+		if n > 0 {
+			occupied++
+		}
+	}
+	want := float64(len(load)) * (1 - math.Pow(1-1/float64(len(load)), float64(len(hashes))))
+	if float64(occupied) < 0.95*want {
+		t.Errorf("%s, low %d bits: %d buckets occupied, uniform expects %.0f", name, bits, occupied, want)
+	}
+}
+
+// TestFlowKeyHashDispersion holds the hashes to the contract their
+// consumers rely on: the low 6 bits pick a microcache or conntrack
+// shard, the low 7 a slot of the burst grouping table at 32 frames,
+// the low 14 the tunnel's entropy port.
+func TestFlowKeyHashDispersion(t *testing.T) {
+	const n = 16384
+	for name, keys := range hashPopulations(n) {
+		fast, sym := make([]uint64, n), make([]uint64, n)
+		distinctKeys, distinctHashes := map[FlowKey]bool{}, map[uint64]bool{}
+		for i := range keys {
+			k := &keys[i]
+			fast[i], sym[i] = k.FastHash(), k.SymmetricHash()
+			distinctKeys[*k], distinctHashes[fast[i]] = true, true
+		}
+		if len(distinctHashes) != len(distinctKeys) {
+			t.Errorf("%s: %d distinct FastHash values of %d distinct keys", name, len(distinctHashes), len(distinctKeys))
+		}
+		for _, bits := range []uint{6, 7, 14} {
+			checkHashFill(t, name+" FastHash", bits, fast)
+			checkHashFill(t, name+" SymmetricHash", bits, sym)
+		}
+	}
+}
+
+// TestQuickHashDirections: the symmetric hash is direction-free and the
+// fast hash is not, for IPv4, IPv6, ARP and ICMP keys alike.
+func TestQuickHashDirections(t *testing.T) {
+	f := func(src, dst [16]byte, sp, dp, vlan uint16, kind uint8) bool {
+		k := FlowKey{SrcIP: src, DstIP: dst, VLAN: vlan & 0xfff, Proto: ProtoTCP, SrcPort: sp, DstPort: dp}
+		switch kind % 4 {
+		case 0: // IPv4: addresses in the first four bytes
+			k.EtherType = EtherTypeIPv4
+			k.SrcIP, k.DstIP = [16]byte{}, [16]byte{}
+			copy(k.SrcIP[:4], src[:])
+			copy(k.DstIP[:4], dst[:])
+		case 1:
+			k.EtherType = EtherTypeIPv6
+		case 2: // ARP: sender and target address, nothing else
+			k = FlowKey{EtherType: EtherTypeARP}
+			copy(k.SrcIP[:4], src[:])
+			copy(k.DstIP[:4], dst[:])
+		case 3: // ICMP: type and code ride in SrcPort
+			k.EtherType, k.Proto, k.DstPort = EtherTypeIPv4, ProtoICMP, 0
+		}
+		r := k.Reverse()
+		if k.SymmetricHash() != r.SymmetricHash() {
+			return false
+		}
+		return k == r || k.FastHash() != r.FastHash()
+	}
+	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(23))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFlowKeyHashCoversEveryField changes one field at a time, one bit
+// and then all bits, and demands both hashes move: a field dropped from
+// the packed word, or a byte of an address no load covers, fails here.
+func TestFlowKeyHashCoversEveryField(t *testing.T) {
+	base := FlowKey{EtherType: EtherTypeIPv6, VLAN: 100, Proto: ProtoUDP, SrcPort: 4242, DstPort: 53}
+	for i := range base.SrcIP {
+		base.SrcIP[i], base.DstIP[i] = byte(0x20+i), byte(0xa0+i)
+	}
+	edits := map[string]func(k *FlowKey, x byte){
+		"EtherType": func(k *FlowKey, x byte) { k.EtherType ^= uint16(x) << 8 },
+		"VLAN":      func(k *FlowKey, x byte) { k.VLAN ^= uint16(x) },
+		"Proto":     func(k *FlowKey, x byte) { k.Proto ^= x },
+		"SrcPort":   func(k *FlowKey, x byte) { k.SrcPort ^= uint16(x) << 8 },
+		"DstPort":   func(k *FlowKey, x byte) { k.DstPort ^= uint16(x) },
+	}
+	for i := range base.SrcIP {
+		i := i
+		edits[fmt.Sprintf("SrcIP[%d]", i)] = func(k *FlowKey, x byte) { k.SrcIP[i] ^= x }
+		edits[fmt.Sprintf("DstIP[%d]", i)] = func(k *FlowKey, x byte) { k.DstIP[i] ^= x }
+	}
+	if want := reflect.TypeOf(base).NumField() + 2*(len(base.SrcIP)-1); len(edits) != want {
+		t.Fatalf("%d edits for %d fields: FlowKey grew a field this test does not flip", len(edits), want)
+	}
+	for name, edit := range edits {
+		for _, x := range []byte{0x01, 0x80, 0xff} {
+			k := base
+			edit(&k, x)
+			if k.FastHash() == base.FastHash() || k.SymmetricHash() == base.SymmetricHash() {
+				t.Errorf("%s ^ %#02x leaves a hash unchanged", name, x)
+			}
+		}
 	}
 }
 
