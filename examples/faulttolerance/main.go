@@ -38,7 +38,7 @@ func main() {
 	if err := net.DiscoverLinks(4, 5*time.Second); err != nil {
 		log.Fatalf("discovery: %v", err)
 	}
-	fmt.Printf("discovered %d links\n", net.Controller.NIB().Graph().NumLinks())
+	fmt.Printf("discovered %d links\n", net.Controller.NIB().Topology().NumLinks())
 
 	h1, err := net.AddHost("h1", 1, packet.IPv4Addr{10, 0, 0, 1})
 	if err != nil {

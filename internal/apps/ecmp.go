@@ -56,10 +56,10 @@ func (e *ECMPRouting) PacketIn(c *controller.Controller, ev controller.PacketInE
 	if !ok {
 		return false
 	}
-	g := c.NIB().Graph()
+	snap := c.NIB().Topology()
 	// Install along the shortest path; at every hop with ECMP
 	// diversity, a select group spreads over all equal-cost next hops.
-	path, ok := g.ShortestPath(topo.NodeID(ev.DPID), topo.NodeID(dst.DPID))
+	path, ok := snap.Path(topo.NodeID(ev.DPID), topo.NodeID(dst.DPID))
 	if !ok {
 		return false
 	}
@@ -95,18 +95,13 @@ func (e *ECMPRouting) PacketIn(c *controller.Controller, ev controller.PacketInE
 		if uint64(node) == dst.DPID {
 			action = zof.Output(dst.Port)
 		} else {
-			hops := g.ECMPNextHops(node, topo.NodeID(dst.DPID))
+			hops := snap.ECMPNextHops(node, topo.NodeID(dst.DPID))
 			switch len(hops) {
 			case 0:
 				uncache()
 				return false
 			case 1:
-				port, ok := g.PortToward(node, hops[0])
-				if !ok {
-					uncache()
-					return false
-				}
-				action = zof.Output(port)
+				action = zof.Output(hops[0].Port)
 			default:
 				gid, installed := e.ensureGroup(uint64(node), f.Eth.Dst)
 				if !installed {
@@ -117,18 +112,10 @@ func (e *ECMPRouting) PacketIn(c *controller.Controller, ev controller.PacketInE
 						GroupID:   gid,
 					}
 					for _, hop := range hops {
-						port, ok := g.PortToward(node, hop)
-						if !ok {
-							continue
-						}
 						gm.Buckets = append(gm.Buckets, zof.GroupBucket{
 							Weight:  1,
-							Actions: []zof.Action{zof.Output(port)},
+							Actions: []zof.Action{zof.Output(hop.Port)},
 						})
-					}
-					if len(gm.Buckets) == 0 {
-						uncache()
-						return false
 					}
 					txn.Group(uint64(node), gm)
 				}

@@ -6,6 +6,7 @@
 package apps
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -135,39 +136,20 @@ func (l *LearningSwitch) floodPacket(c *controller.Controller, sc *controller.Sw
 }
 
 // FloodPorts returns the ports of dpid that are safe to flood: host
-// (non-switch) ports plus inter-switch ports on the spanning tree of
-// the discovered topology. Before discovery has seen any links, every
-// up port qualifies (the topology is then presumed loop-free).
+// (non-switch) ports plus inter-switch ports on the spanning forest of
+// the discovered topology (memoised in the published snapshot). Before
+// discovery has seen any links, every up port qualifies (the topology
+// is then presumed loop-free).
 func FloodPorts(c *controller.Controller, dpid uint64) []uint32 {
 	nib := c.NIB()
-	g := nib.Graph()
-	var root topo.NodeID
-	nodes := g.Nodes()
-	if len(nodes) > 0 {
-		root = nodes[0]
-	}
-	tree := g.SpanningTree(root)
-
-	node := topo.NodeID(dpid)
+	onTree := nib.Topology().FloodPorts(topo.NodeID(dpid))
 	var out []uint32
 	for _, p := range nib.Ports(dpid) {
 		if !p.Up() {
 			continue
 		}
-		if !nib.IsSwitchPort(dpid, p.No) {
-			out = append(out, p.No)
-			continue
-		}
-		// Inter-switch: only if on the spanning tree.
-		onTree := false
-		for _, lnk := range g.Neighbors(node) {
-			_, local, _, ok := lnk.Other(node)
-			if ok && local == p.No && tree[lnk.Key()] {
-				onTree = true
-				break
-			}
-		}
-		if onTree {
+		// Inter-switch: only if on the spanning forest.
+		if !nib.IsSwitchPort(dpid, p.No) || slices.Contains(onTree, p.No) {
 			out = append(out, p.No)
 		}
 	}

@@ -178,12 +178,11 @@ func (lb *LoadBalancer) portToward(c *controller.Controller, dpid uint64, bh con
 	if bh.DPID == dpid {
 		return bh.Port, true
 	}
-	g := c.NIB().Graph()
-	path, ok := g.ShortestPath(topoNode(dpid), topoNode(bh.DPID))
-	if !ok || path.Len() == 0 {
+	route, ok := c.NIB().Topology().Path(topoNode(dpid), topoNode(bh.DPID))
+	if !ok || len(route.Ports) == 0 {
 		return 0, false
 	}
-	return g.PortToward(topoNode(dpid), path.Nodes[1])
+	return route.Ports[0], true
 }
 
 // SwitchUp implements controller.SwitchHandler. The balancer is fully

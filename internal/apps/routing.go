@@ -12,10 +12,12 @@ import (
 )
 
 // Routing is the reactive shortest-path L3-ish forwarder: on the first
-// packet of a flow toward a known host it computes the shortest path
-// through the discovered topology and installs MAC-pair flows on every
-// switch along it, then releases the packet. On topology changes it
-// flushes the affected flows so the next packet re-routes.
+// packet of a flow toward a known host it reads the shortest path off
+// the published topology and installs MAC-pair flows on every switch
+// along it, then releases the packet — behind the downstream hops'
+// barrier replies, so the frame never meets a half-installed path and
+// a flow costs one packet-in. On topology changes it flushes the
+// affected flows so the next packet re-routes.
 type Routing struct {
 	// Flushes counts LinkDown-triggered network-wide flushes (tests).
 	Flushes atomic.Uint64
@@ -30,8 +32,71 @@ type Routing struct {
 	Priority    uint16
 
 	// routes counts paths installed (one per routed MAC pair per
-	// packet-in). Published as apps.spf-routing.* via RegisterMetrics.
-	routes obs.Counter
+	// packet-in); fenceFailed counts set-ups abandoned because a hop
+	// had no live session, refused the send or died before its barrier
+	// reply — no ingress rule, the frame left to the buffer ring.
+	// Published as apps.spf-routing.* via RegisterMetrics.
+	routes      obs.Counter
+	fenceFailed obs.Counter
+}
+
+// setup is one path install in flight: the downstream hops' barrier
+// replies are counted in on their connections' readers, and the last
+// one to arrive releases the buffered frame — or does not, if any hop
+// failed.
+type setup struct {
+	r       *Routing
+	key     pairKey
+	match   zof.Match
+	hops    []*controller.SwitchConn // path order; hops[0] took the packet-in
+	holders []uint64                 // the hops' DPIDs
+	ports   []uint32                 // ports[i]: hop i's port toward hop i+1
+	dstPort uint32                   // the last hop's port to the host
+	buffer  uint32                   // the packet-in's BufferID
+
+	left   atomic.Int32
+	failed atomic.Bool
+}
+
+// rule is hop i's FlowMod.
+func (s *setup) rule(i int, buffer uint32) *zof.FlowMod {
+	out := s.dstPort
+	if i < len(s.ports) {
+		out = s.ports[i]
+	}
+	return &zof.FlowMod{
+		Command:     zof.FlowAdd,
+		Match:       s.match,
+		Priority:    s.r.Priority,
+		IdleTimeout: s.r.IdleTimeout,
+		BufferID:    buffer,
+		Actions:     []zof.Action{zof.Output(out)},
+	}
+}
+
+// arrive takes one downstream hop's fence result.
+func (s *setup) arrive(err error) {
+	if err != nil {
+		s.failed.Store(true)
+	}
+	if s.left.Add(-1) == 0 {
+		s.release()
+	}
+}
+
+// release installs the packet-in switch's rule. It carries the
+// BufferID, so installing it forwards the buffered frame: it goes last
+// and only onto a whole path.
+func (s *setup) release() {
+	r := s.r
+	if s.failed.Load() || s.hops[0].SendBatch(s.rule(0, s.buffer)) != nil {
+		r.fenceFailed.Inc()
+		return
+	}
+	r.mu.Lock()
+	r.installed[s.key] = s.holders
+	r.mu.Unlock()
+	r.routes.Inc()
 }
 
 type pairKey struct {
@@ -49,6 +114,7 @@ func (r *Routing) Name() string { return "spf-routing" }
 // RegisterMetrics implements controller.MetricsRegistrant.
 func (r *Routing) RegisterMetrics(sc obs.Scope) {
 	sc.RegisterCounter("routes", &r.routes)
+	sc.RegisterCounter("fence_failed", &r.fenceFailed)
 	sc.RegisterFunc("flushes", func() int64 { return int64(r.Flushes.Load()) })
 	sc.RegisterFunc("pairs", func() int64 {
 		r.mu.Lock()
@@ -72,72 +138,48 @@ func (r *Routing) PacketIn(c *controller.Controller, ev controller.PacketInEvent
 	if !ok {
 		return false // unknown destination: fall through to flooding
 	}
-	g := c.NIB().Graph()
-	path, ok := g.ShortestPath(topo.NodeID(ev.DPID), topo.NodeID(dst.DPID))
+	route, ok := c.NIB().Topology().Path(topo.NodeID(ev.DPID), topo.NodeID(dst.DPID))
 	if !ok {
 		return false
 	}
-	match := zof.MatchAll()
-	match.Wildcards &^= zof.WEthSrc | zof.WEthDst
-	match.EthSrc = f.Eth.Src
-	match.EthDst = f.Eth.Dst
-
-	key := pairKey{f.Eth.Src, f.Eth.Dst}
-	var holders []uint64
 	if r.Debugf != nil {
-		r.Debugf("routing: install %v->%v via %v (pktin @%d)", f.Eth.Src, f.Eth.Dst, path.Nodes, ev.DPID)
+		r.Debugf("routing: install %v->%v via %v (pktin @%d)", f.Eth.Src, f.Eth.Dst, route.Nodes, ev.DPID)
 	}
-
-	// Install hop by hop, destination-first so the path is consistent
-	// by the time the packet is released. Messages to one switch are
-	// collected and sent as one batch (one flush): simple paths visit
-	// a switch once, but multi-rule installs (and any future
-	// multi-table programs) coalesce for free.
-	perSwitch := make(map[uint64][]zof.Message, len(path.Nodes))
-	for i := len(path.Nodes) - 1; i >= 0; i-- {
-		node := path.Nodes[i]
-		var outPort uint32
-		if i == len(path.Nodes)-1 {
-			outPort = dst.Port // egress to the host
-		} else {
-			p, ok := g.PortToward(node, path.Nodes[i+1])
-			if !ok {
-				return false
-			}
-			outPort = p
-		}
-		if _, ok := c.Switch(uint64(node)); !ok {
-			continue
-		}
-		fm := &zof.FlowMod{
-			Command:     zof.FlowAdd,
-			Match:       match,
-			Priority:    r.Priority,
-			IdleTimeout: r.IdleTimeout,
-			BufferID:    zof.NoBuffer,
-			Actions:     []zof.Action{zof.Output(outPort)},
-		}
-		// Release the buffered packet at the packet-in switch.
-		if uint64(node) == ev.DPID {
-			fm.BufferID = ev.Msg.BufferID
-		}
-		if perSwitch[uint64(node)] == nil {
-			holders = append(holders, uint64(node))
-		}
-		perSwitch[uint64(node)] = append(perSwitch[uint64(node)], fm)
+	s := &setup{
+		r:       r,
+		key:     pairKey{f.Eth.Src, f.Eth.Dst},
+		match:   zof.MatchAll(),
+		hops:    make([]*controller.SwitchConn, len(route.Nodes)),
+		holders: make([]uint64, len(route.Nodes)),
+		ports:   route.Ports,
+		dstPort: dst.Port,
+		buffer:  ev.Msg.BufferID,
 	}
-	// Destination-first order across switches: holders was appended
-	// walking the path backward, so send in that order, packet-in
-	// switch (the releaser) last.
-	for _, node := range holders {
-		if sc, ok := c.Switch(node); ok {
-			_ = sc.SendBatch(perSwitch[node]...)
+	s.match.Wildcards &^= zof.WEthSrc | zof.WEthDst
+	s.match.EthSrc = f.Eth.Src
+	s.match.EthDst = f.Eth.Dst
+	// Every hop needs a live session before anything is sent anywhere:
+	// a path with a hole in it is not worth releasing a frame into.
+	for i, node := range route.Nodes {
+		s.holders[i] = uint64(node)
+		if s.hops[i], ok = c.Switch(uint64(node)); !ok {
+			r.fenceFailed.Inc()
+			return true
 		}
 	}
-	r.mu.Lock()
-	r.installed[key] = holders
-	r.mu.Unlock()
-	r.routes.Inc()
+	// Each downstream hop gets its rule and a barrier in one flush; the
+	// replies come back on the hops' own readers, so this shard is free
+	// for the next packet-in while the fence is out.
+	down := len(s.hops) - 1
+	if down == 0 {
+		s.release()
+		return true
+	}
+	s.left.Store(int32(down))
+	arrive := s.arrive
+	for i := down; i > 0; i-- {
+		s.hops[i].SendFenced(arrive, s.rule(i, zof.NoBuffer))
+	}
 	return true
 }
 

@@ -184,9 +184,8 @@ func (c *Controller) HTTPHandler() http.Handler {
 		writeJSON(w, out)
 	})
 	a.handle("GET", "/v1/links", func(w http.ResponseWriter, r *http.Request, _ map[string]string) {
-		g := c.nib.Graph()
 		var out []linkJSON
-		for _, l := range g.Links() {
+		for _, l := range c.nib.Topology().Links() {
 			out = append(out, linkJSON{
 				A: uint64(l.A), APort: l.APort,
 				B: uint64(l.B), BPort: l.BPort,

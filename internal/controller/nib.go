@@ -2,6 +2,7 @@ package controller
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/packet"
 	"repro/internal/topo"
@@ -23,7 +24,6 @@ type NIB struct {
 	mu       sync.RWMutex
 	switches map[uint64]zof.FeaturesReply
 	ports    map[uint64]map[uint32]zof.PortInfo
-	graph    *topo.Graph
 	hosts    map[packet.MAC]HostInfo
 	byIP     map[packet.IPv4Addr]packet.MAC
 	// infraPorts is the sticky switch-port classification: once a port
@@ -33,11 +33,18 @@ type NIB struct {
 	// just after a link removal would mislearn a host location from an
 	// interior port — a real cross-connection ordering race.
 	infraPorts map[uint64]map[uint32]bool
+
+	// graph is the writers' working copy (guarded by mu); topology is
+	// what readers see — an immutable snapshot republished, under the
+	// next version, by every mutation that changes the graph and by no
+	// other. Packet-in handlers load it and never take mu for topology.
+	graph    *topo.Graph
+	topology atomic.Pointer[topo.Snapshot]
 }
 
 // NewNIB returns an empty NIB.
 func NewNIB() *NIB {
-	return &NIB{
+	n := &NIB{
 		switches:   make(map[uint64]zof.FeaturesReply),
 		ports:      make(map[uint64]map[uint32]zof.PortInfo),
 		graph:      topo.New(),
@@ -45,6 +52,13 @@ func NewNIB() *NIB {
 		byIP:       make(map[packet.IPv4Addr]packet.MAC),
 		infraPorts: make(map[uint64]map[uint32]bool),
 	}
+	n.topology.Store(n.graph.Snapshot(0))
+	return n
+}
+
+// publishLocked republishes the topology after a change to the graph.
+func (n *NIB) publishLocked() {
+	n.topology.Store(n.graph.Snapshot(n.topology.Load().Version() + 1))
 }
 
 func (n *NIB) addSwitch(f zof.FeaturesReply) {
@@ -56,7 +70,10 @@ func (n *NIB) addSwitch(f zof.FeaturesReply) {
 		pm[p.No] = p
 	}
 	n.ports[f.DPID] = pm
-	n.graph.AddNode(topo.NodeID(f.DPID))
+	if !n.graph.HasNode(topo.NodeID(f.DPID)) {
+		n.graph.AddNode(topo.NodeID(f.DPID))
+		n.publishLocked()
+	}
 }
 
 func (n *NIB) removeSwitch(dpid uint64) {
@@ -65,11 +82,10 @@ func (n *NIB) removeSwitch(dpid uint64) {
 	delete(n.switches, dpid)
 	delete(n.ports, dpid)
 	delete(n.infraPorts, dpid)
-	// Remove incident links from the graph.
-	for _, l := range n.graph.Links() {
-		if l.A == topo.NodeID(dpid) || l.B == topo.NodeID(dpid) {
-			n.graph.RemoveLink(l.Key())
-		}
+	// The node goes with its links: a ghost left in the graph would
+	// root the flood tree at an island once it is the lowest DPID.
+	if n.graph.RemoveNode(topo.NodeID(dpid)) {
+		n.publishLocked()
 	}
 	// Hosts attached to the departed switch are unreachable and their
 	// locations stale; drop them (and their IP index entries) so a
@@ -96,11 +112,16 @@ func (n *NIB) setPort(dpid uint64, p zof.PortInfo) {
 	}
 	pm[p.No] = p
 	// Propagate link-down onto any incident graph link.
-	for _, l := range n.graph.Links() {
-		if (l.A == topo.NodeID(dpid) && l.APort == p.No) ||
-			(l.B == topo.NodeID(dpid) && l.BPort == p.No) {
-			l.Down = !p.Up()
+	node, down, flipped := topo.NodeID(dpid), !p.Up(), false
+	for _, l := range n.graph.Neighbors(node) {
+		onPort := (l.A == node && l.APort == p.No) || (l.B == node && l.BPort == p.No)
+		if onPort && l.Down != down {
+			l.Down = down
+			flipped = true
 		}
+	}
+	if flipped {
+		n.publishLocked()
 	}
 }
 
@@ -111,13 +132,14 @@ func (n *NIB) addLink(a uint64, ap uint32, b uint64, bp uint32) bool {
 	n.markInfraLocked(b, bp)
 	l := topo.Link{A: topo.NodeID(a), B: topo.NodeID(b), APort: ap, BPort: bp, Metric: 1, Capacity: 1000}
 	if existing, ok := n.graph.Link(l.Key()); ok {
-		if existing.Down {
-			existing.Down = false
-			return true
+		if !existing.Down {
+			return false // re-discovered live link: nothing to republish
 		}
-		return false
+		existing.Down = false
+	} else {
+		n.graph.AddLink(l)
 	}
-	n.graph.AddLink(l)
+	n.publishLocked()
 	return true
 }
 
@@ -125,7 +147,11 @@ func (n *NIB) removeLink(a uint64, ap uint32, b uint64, bp uint32) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	l := topo.Link{A: topo.NodeID(a), B: topo.NodeID(b), APort: ap, BPort: bp}
-	return n.graph.RemoveLink(l.Key())
+	if !n.graph.RemoveLink(l.Key()) {
+		return false
+	}
+	n.publishLocked()
+	return true
 }
 
 // learnHost records a host sighting; returns true if new or moved.
@@ -228,13 +254,17 @@ func (n *NIB) Port(dpid uint64, no uint32) (zof.PortInfo, bool) {
 	return p, ok
 }
 
-// Graph returns a snapshot copy of the inter-switch topology. Apps may
-// freely mutate the copy (e.g. to simulate failures in planning).
-func (n *NIB) Graph() *topo.Graph {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.graph.Clone()
-}
+// Topology returns the published inter-switch topology: immutable,
+// version-stamped, with the shortest-path trees and the flood forest
+// derived from it memoised inside. This is what a packet-in handler
+// routes on — one atomic load, no lock, no copy.
+func (n *NIB) Topology() *topo.Snapshot { return n.topology.Load() }
+
+// Graph returns a private mutable copy of the inter-switch topology,
+// for planners that want a graph they may break (simulated failures,
+// what-if metrics). It copies the whole graph: nothing on a packet-in
+// path should call it — route on Topology instead.
+func (n *NIB) Graph() *topo.Graph { return n.Topology().Graph() }
 
 // Host looks a host up by MAC.
 func (n *NIB) Host(mac packet.MAC) (HostInfo, bool) {

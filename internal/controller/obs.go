@@ -105,7 +105,10 @@ func (c *Controller) registerMetrics() {
 
 	r.RegisterFunc("controller.nib.switches", func() int64 { return int64(len(c.nib.Switches())) })
 	r.RegisterFunc("controller.nib.hosts", func() int64 { return int64(len(c.nib.Hosts())) })
-	r.RegisterFunc("controller.nib.links", func() int64 { return int64(len(c.nib.Graph().Links())) })
+	r.RegisterFunc("controller.nib.links", func() int64 { return int64(c.nib.Topology().NumLinks()) })
+	// The topology snapshot's generation: a gauge that keeps moving is
+	// a churning fabric (every step drops the memoised trees).
+	r.RegisterFunc("controller.nib.version", func() int64 { return int64(c.nib.Topology().Version()) })
 
 	r.RegisterCounter("zof.conn.tx_msgs", &c.connStats.TxMsgs)
 	r.RegisterCounter("zof.conn.tx_bytes", &c.connStats.TxBytes)

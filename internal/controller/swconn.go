@@ -63,8 +63,13 @@ type SwitchConn struct {
 	// (set under the controller's mu, read by ActivateSwitch).
 	reconnect bool
 
-	mu      sync.Mutex
-	pending map[uint32]chan zof.Message
+	mu sync.Mutex
+	// pending routes the reply carrying an XID to whoever awaits it — a
+	// blocked request or a fence's callback, one mechanism for both.
+	// The handler is called once, off the map: with the reply on the
+	// connection's reader, or with nil by close when the session ends
+	// first. It must not block.
+	pending map[uint32]func(zof.Message)
 	watches map[uint32]*errCollector // txn XIDs → async-error collector
 	closed  bool
 }
@@ -153,7 +158,7 @@ func handshake(conn *zof.Conn, timeout time.Duration) (*SwitchConn, error) {
 			conn:     conn,
 			features: *fr,
 			done:     make(chan struct{}),
-			pending:  make(map[uint32]chan zof.Message),
+			pending:  make(map[uint32]func(zof.Message)),
 			watches:  make(map[uint32]*errCollector),
 		}, nil
 	}
@@ -264,22 +269,37 @@ func (s *SwitchConn) noteAsyncError(xid uint32, e *zof.Error) bool {
 	return true
 }
 
+// expect routes the reply to a fresh XID into onReply (see pending);
+// ok is false, and nothing is registered, when the session has closed.
+func (s *SwitchConn) expect(onReply func(zof.Message)) (xid uint32, ok bool) {
+	xid = s.conn.NextXID()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, false
+	}
+	s.pending[xid] = onReply
+	return xid, true
+}
+
+// take removes xid's reply handler and returns it; nil means someone
+// else — the reader, close, the requester giving up — already has.
+func (s *SwitchConn) take(xid uint32) func(zof.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := s.pending[xid]
+	delete(s.pending, xid)
+	return h
+}
+
 // request sends msg and blocks for the reply carrying the same xid.
 func (s *SwitchConn) request(msg zof.Message, timeout time.Duration) (zof.Message, error) {
-	ch := make(chan zof.Message, 1)
-	xid := s.conn.NextXID()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	ch := make(chan zof.Message, 1) // the handler's one send never blocks
+	xid, ok := s.expect(func(rep zof.Message) { ch <- rep })
+	if !ok {
 		return nil, zof.ErrConnClosed
 	}
-	s.pending[xid] = ch
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.pending, xid)
-		s.mu.Unlock()
-	}()
+	defer s.take(xid)
 	if err := s.conn.SendXID(msg, xid); err != nil {
 		return nil, err
 	}
@@ -290,8 +310,8 @@ func (s *SwitchConn) request(msg zof.Message, timeout time.Duration) (zof.Messag
 		timer = t.C
 	}
 	select {
-	case rep, ok := <-ch:
-		if !ok {
+	case rep := <-ch:
+		if rep == nil {
 			return nil, zof.ErrConnClosed
 		}
 		if e, isErr := rep.(*zof.Error); isErr {
@@ -300,6 +320,49 @@ func (s *SwitchConn) request(msg zof.Message, timeout time.Duration) (zof.Messag
 		return rep, nil
 	case <-timer:
 		return nil, fmt.Errorf("request %v to %#x timed out", msg.Type(), s.dpid)
+	}
+}
+
+// SendFenced is SendBatch with a BarrierRequest behind the messages in
+// the same batch — one flush — that returns without waiting. done runs
+// exactly once: with nil when the BarrierReply arrives, by which time
+// the datapath has processed every message of the batch, or with the
+// failure when the send fails or the session closes first. It runs on
+// this connection's reader goroutine (the closer's when the session
+// ends, the caller's when the send fails), possibly under controller
+// locks: it must not block or wait on the controller. There is no
+// timer: a datapath that stops answering without closing is the
+// liveness prober's to evict (Config.ProbeInterval), and the eviction
+// fails the fence.
+func (s *SwitchConn) SendFenced(done func(error), msgs ...zof.Message) {
+	fence, ok := s.expect(func(rep zof.Message) {
+		switch m := rep.(type) {
+		case nil:
+			done(zof.ErrConnClosed)
+		case *zof.BarrierReply:
+			done(nil)
+		case *zof.Error:
+			done(m)
+		default:
+			done(zof.ErrTypeMismatch)
+		}
+	})
+	if !ok {
+		done(zof.ErrConnClosed)
+		return
+	}
+	batch := make([]zof.Message, len(msgs)+1)
+	xids := make([]uint32, len(batch))
+	for i, m := range msgs {
+		if fm, ok := m.(*zof.FlowMod); ok {
+			s.stamp(fm)
+		}
+		batch[i], xids[i] = m, s.conn.NextXID()
+	}
+	batch[len(msgs)], xids[len(msgs)] = &zof.BarrierRequest{}, fence
+	s.record(msgs...)
+	if err := s.conn.SendBatchXIDs(batch, xids); err != nil && s.take(fence) != nil {
+		done(err)
 	}
 }
 
@@ -367,21 +430,16 @@ func (s *SwitchConn) SetRole(role uint32, gen uint64, timeout time.Duration) (*z
 	return rr, nil
 }
 
-// resolve hands an incoming reply to a blocked request, if any.
+// resolve hands an incoming reply to whoever awaits its XID, if anyone.
 func (s *SwitchConn) resolve(xid uint32, msg zof.Message) bool {
-	s.mu.Lock()
-	ch, ok := s.pending[xid]
-	if ok {
-		delete(s.pending, xid)
+	h := s.take(xid)
+	if h != nil {
+		h(msg)
 	}
-	s.mu.Unlock()
-	if ok {
-		ch <- msg
-	}
-	return ok
+	return h != nil
 }
 
-// close tears the connection down and fails all pending requests.
+// close tears the connection down and fails everything pending.
 func (s *SwitchConn) close() {
 	s.mu.Lock()
 	if s.closed {
@@ -390,11 +448,11 @@ func (s *SwitchConn) close() {
 	}
 	s.closed = true
 	pend := s.pending
-	s.pending = make(map[uint32]chan zof.Message)
+	s.pending = make(map[uint32]func(zof.Message))
 	s.mu.Unlock()
 	close(s.done)
-	for _, ch := range pend {
-		close(ch)
+	for _, h := range pend {
+		h(nil)
 	}
 	s.conn.Close()
 }

@@ -94,12 +94,12 @@ func (n *Network) DiscoverLinks(want int, timeout time.Duration) error {
 	for {
 		n.Controller.Probe()
 		time.Sleep(10 * time.Millisecond)
-		if n.Controller.NIB().Graph().NumLinks() >= want {
+		got := n.Controller.NIB().Topology().NumLinks()
+		if got >= want {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("discovered %d links, want %d",
-				n.Controller.NIB().Graph().NumLinks(), want)
+			return fmt.Errorf("discovered %d links, want %d", got, want)
 		}
 	}
 }

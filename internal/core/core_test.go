@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -416,5 +417,93 @@ func TestSwitchDownCleansNIB(t *testing.T) {
 	})
 	if n.Controller.NIB().HasSwitch(1) != true {
 		t.Error("switch 1 vanished too")
+	}
+}
+
+// pktinCounter sits first in the app chain and counts every packet-in
+// the apps see — LLDP never reaches them — without consuming any.
+type pktinCounter struct{ n atomic.Int64 }
+
+func (*pktinCounter) Name() string { return "pktin-counter" }
+func (p *pktinCounter) PacketIn(*controller.Controller, controller.PacketInEvent) bool {
+	p.n.Add(1)
+	return false
+}
+
+// TestRoutingFenceOnePacketInPerFlow: on a k=4 fat-tree over real TCP
+// sessions, N first frames of never-seen pairs cost exactly N
+// packet-ins fleet-wide — the released frame waits for its path
+// instead of out-running it and being punted again at a later hop —
+// and every frame is delivered exactly once.
+func TestRoutingFenceOnePacketInPerFlow(t *testing.T) {
+	g, edges, err := topo.FatTree(4, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &pktinCounter{}
+	n, err := Start(Options{
+		Graph: g,
+		Apps:  []controller.App{counter, apps.NewRouting(), apps.NewLearningSwitch()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	if err := n.DiscoverLinks(g.NumLinks(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.AddHost("b", edges[len(edges)-1], ip(10, 0, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The NIB learns where B is without B flooding anything.
+	at, _ := n.Emu.Attachment("b")
+	n.Controller.NIB().ApplyHost(controller.HostInfo{MAC: b.MAC, IP: b.IP, DPID: uint64(at.Switch), Port: at.Port})
+	const flows, window, injectPort = 256, 16, 99
+	delivered := make(chan uint16, flows)
+	b.OnUDP = func(_ packet.IPv4Addr, srcPort, _ uint16, _ []byte) { delivered <- srcPort }
+	ingress := edges[:4]
+	for _, e := range ingress {
+		n.Emu.Switches[e].AddPort(injectPort, "inject", 1000).SetTx(func([]byte) {})
+	}
+	inject := func(i int) {
+		src := ip(10, 1, byte(i>>8), byte(i))
+		buf := packet.NewBuffer(64)
+		udp := packet.UDP{SrcPort: uint16(i), DstPort: 7}
+		udp.SerializeToWithChecksum(buf, src, b.IP)
+		hdr := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: src, Dst: b.IP}
+		hdr.SerializeTo(buf)
+		eth := packet.Ethernet{Dst: b.MAC, Src: packet.MAC{2, 1, 0, 0, byte(i >> 8), byte(i)}, EtherType: packet.EtherTypeIPv4}
+		eth.SerializeTo(buf)
+		n.Emu.Switches[ingress[i%len(ingress)]].HandleFrame(injectPort, buf.Bytes())
+	}
+	seen := make(map[uint16]bool, flows)
+	next := 0
+	for ; next < window; next++ {
+		inject(next)
+	}
+	for len(seen) < flows {
+		select {
+		case id := <-delivered:
+			if seen[id] {
+				t.Fatalf("flow %d delivered twice", id)
+			}
+			seen[id] = true
+			if next < flows {
+				inject(next)
+				next++
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d first frames delivered", len(seen), flows)
+		}
+	}
+	if err := n.Controller.Barrier(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter.n.Load(); got != flows {
+		t.Errorf("%d first frames cost %d packet-ins, want %d", flows, got, flows)
+	}
+	if got := b.RxUDP.Load(); got != flows {
+		t.Errorf("host received %d datagrams, want %d", got, flows)
 	}
 }

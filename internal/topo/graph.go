@@ -6,7 +6,9 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -62,7 +64,10 @@ func (k LinkKey) String() string {
 	return fmt.Sprintf("%d:%d-%d:%d", k.A, k.APort, k.B, k.BPort)
 }
 
-// Graph is a mutable multigraph. The zero value is empty and usable.
+// Graph is a mutable multigraph. Each node's adjacency list is kept
+// sorted by (peer, local port, remote port), so every traversal — and
+// with it every equal-cost tie-break — is a function of the graph's
+// content, not of the order its links were added in.
 type Graph struct {
 	nodes map[NodeID]bool
 	adj   map[NodeID][]*Link
@@ -112,11 +117,46 @@ func (g *Graph) AddLink(l Link) *Link {
 		g.removeAdj(old)
 	}
 	g.links[key] = &cp
-	g.adj[l.A] = append(g.adj[l.A], &cp)
+	g.insertAdj(l.A, &cp)
 	if l.B != l.A {
-		g.adj[l.B] = append(g.adj[l.B], &cp)
+		g.insertAdj(l.B, &cp)
 	}
 	return &cp
+}
+
+// insertAdj places l in n's adjacency list at its sorted position.
+func (g *Graph) insertAdj(n NodeID, l *Link) {
+	list := g.adj[n]
+	i, _ := slices.BinarySearchFunc(list, l, func(a, b *Link) int { return adjCompare(n, a, b) })
+	g.adj[n] = slices.Insert(list, i, l)
+}
+
+// adjCompare orders two links incident to n by (peer, local port,
+// remote port).
+func adjCompare(n NodeID, a, b *Link) int {
+	ap, al, ar, _ := a.Other(n)
+	bp, bl, br, _ := b.Other(n)
+	switch {
+	case ap != bp:
+		return cmp.Compare(ap, bp)
+	case al != bl:
+		return cmp.Compare(al, bl)
+	}
+	return cmp.Compare(ar, br)
+}
+
+// RemoveNode deletes n and every link incident to it, reporting
+// presence.
+func (g *Graph) RemoveNode(n NodeID) bool {
+	if !g.nodes[n] {
+		return false
+	}
+	for _, l := range slices.Clone(g.adj[n]) {
+		g.RemoveLink(l.Key())
+	}
+	delete(g.adj, n)
+	delete(g.nodes, n)
+	return true
 }
 
 // RemoveLink deletes the link with key k, reporting presence.

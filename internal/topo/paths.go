@@ -47,12 +47,12 @@ func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
 func (q *pq) Pop() any          { old := *q; n := len(old); x := old[n-1]; *q = old[:n-1]; return x }
 
-// dijkstra computes distances and a single predecessor from src,
-// skipping down links and any node in banned, and any link in
-// bannedLinks.
-func (g *Graph) dijkstra(src NodeID, banned map[NodeID]bool, bannedLinks map[LinkKey]bool) (map[NodeID]float64, map[NodeID]NodeID) {
+// dijkstra computes distances from src and, per reached node, the link
+// it was reached over (its far end is the predecessor), skipping down
+// links and any node in banned, and any link in bannedLinks.
+func (g *Graph) dijkstra(src NodeID, banned map[NodeID]bool, bannedLinks map[LinkKey]bool) (map[NodeID]float64, map[NodeID]*Link) {
 	dist := map[NodeID]float64{src: 0}
-	prev := map[NodeID]NodeID{}
+	prev := map[NodeID]*Link{}
 	done := map[NodeID]bool{}
 	q := &pq{{src, 0}}
 	for q.Len() > 0 {
@@ -72,7 +72,7 @@ func (g *Graph) dijkstra(src NodeID, banned map[NodeID]bool, bannedLinks map[Lin
 			nd := it.dist + l.metric()
 			if old, ok := dist[peer]; !ok || nd < old {
 				dist[peer] = nd
-				prev[peer] = it.node
+				prev[peer] = l
 				heap.Push(q, pqItem{peer, nd})
 			}
 		}
@@ -120,7 +120,7 @@ func (g *Graph) shortestPathAvoiding(src, dst NodeID, banned map[NodeID]bool, ba
 		if n == src {
 			break
 		}
-		n = prev[n]
+		n, _, _, _ = prev[n].Other(n)
 	}
 	// Reverse in place.
 	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
@@ -255,6 +255,13 @@ func (g *Graph) PathLinks(p Path) ([]*Link, bool) {
 	return out, true
 }
 
+// NextHop is a neighbor on some minimum-cost path and the local port
+// of the link leading to it.
+type NextHop struct {
+	Peer NodeID
+	Port uint32
+}
+
 // ECMPNextHops returns every neighbor of src that lies on some
 // minimum-cost path to dst, in ascending node order.
 func (g *Graph) ECMPNextHops(src, dst NodeID) []NodeID {
@@ -262,26 +269,35 @@ func (g *Graph) ECMPNextHops(src, dst NodeID) []NodeID {
 		return nil
 	}
 	distFromDst, _ := g.dijkstra(dst, nil, nil)
+	var hops []NodeID
+	for _, h := range g.ecmpNextHops(src, distFromDst) {
+		hops = append(hops, h.Peer)
+	}
+	return hops
+}
+
+// ecmpNextHops picks, given every node's distance from the
+// destination, the neighbors of src one link closer to it. The sorted
+// adjacency yields them in ascending peer order, each through its
+// lowest-numbered cheapest link.
+func (g *Graph) ecmpNextHops(src NodeID, distFromDst map[NodeID]float64) []NextHop {
 	dSrc, ok := distFromDst[src]
 	if !ok {
 		return nil
 	}
-	var hops []NodeID
-	seen := map[NodeID]bool{}
+	var hops []NextHop
 	for _, l := range g.adj[src] {
 		if l.Down {
 			continue
 		}
-		peer, _, _, _ := l.Other(src)
-		if seen[peer] {
+		peer, port, _, _ := l.Other(src)
+		if len(hops) > 0 && hops[len(hops)-1].Peer == peer {
 			continue
 		}
 		if d, ok := distFromDst[peer]; ok && d+l.metric() == dSrc {
-			hops = append(hops, peer)
-			seen[peer] = true
+			hops = append(hops, NextHop{peer, port})
 		}
 	}
-	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
 	return hops
 }
 
@@ -289,10 +305,16 @@ func (g *Graph) ECMPNextHops(src, dst NodeID) []NodeID {
 // at root, the flood-safe subset of the topology.
 func (g *Graph) SpanningTree(root NodeID) map[LinkKey]bool {
 	tree := map[LinkKey]bool{}
-	if !g.HasNode(root) {
-		return tree
+	if g.HasNode(root) {
+		g.span(root, map[NodeID]bool{}, func(l *Link) { tree[l.Key()] = true })
 	}
-	visited := map[NodeID]bool{root: true}
+	return tree
+}
+
+// span walks root's component breadth-first over live links, marking
+// nodes in visited and reporting each tree link once.
+func (g *Graph) span(root NodeID, visited map[NodeID]bool, onTree func(*Link)) {
+	visited[root] = true
 	queue := []NodeID{root}
 	for len(queue) > 0 {
 		n := queue[0]
@@ -306,9 +328,8 @@ func (g *Graph) SpanningTree(root NodeID) map[LinkKey]bool {
 				continue
 			}
 			visited[peer] = true
-			tree[l.Key()] = true
+			onTree(l)
 			queue = append(queue, peer)
 		}
 	}
-	return tree
 }
