@@ -1,22 +1,18 @@
 package repro
 
 // testing.B front end of the synthetic evaluation suite (DESIGN.md
-// E1-E7 and E12, plus the ablations the design calls out). cmd/zbench
+// E1-E6, plus the ablations the design calls out). cmd/zbench
 // renders the same experiments as full tables; these benches make each
 // one reproducible under `go test -bench`, on the fixtures
 // internal/experiments and internal/cbench own.
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cbench"
 	"repro/internal/controller"
-	"repro/internal/dataplane"
 	"repro/internal/experiments"
 	"repro/internal/intent"
 	"repro/internal/te"
@@ -206,100 +202,5 @@ func BenchmarkE6Codec(b *testing.B) {
 		for _, cb := range experiments.CodecBenches(size) {
 			b.Run(fmt.Sprintf("%s-%dB", cb.Name, size), cb.Run)
 		}
-	}
-}
-
-// --- Bonus: datapath pipeline ------------------------------------------------
-
-// BenchmarkPipelineForwarding measures the software switch's full
-// receive-match-forward path with an installed flow (microflow-cache
-// hot path).
-func BenchmarkPipelineForwarding(b *testing.B) {
-	sw, frames := laneSwitch(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.HandleFrame(1, frames[0])
-	}
-}
-
-// --- E7: parallel pipeline scaling -------------------------------------------
-
-// laneSwitch is experiments.LaneSwitch for a benchmark.
-func laneSwitch(b *testing.B, n int) (*dataplane.Switch, [][]byte) {
-	b.Helper()
-	sw, frames, err := experiments.LaneSwitch(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sw, frames
-}
-
-// BenchmarkE7PipelineParallel measures the lock-free datapath: N worker
-// goroutines each pump their own microflow through one shared switch.
-// frames/s is the headline (scaling vs workers-1); allocs/op must stay
-// 0 on this single-output forward path.
-func BenchmarkE7PipelineParallel(b *testing.B) {
-	for _, nw := range experiments.WorkerSweep(1, 4, 8, runtime.GOMAXPROCS(0)) {
-		b.Run(fmt.Sprintf("workers-%d", nw), func(b *testing.B) {
-			sw, frames := laneSwitch(b, nw)
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				n := b.N / nw
-				if w == 0 {
-					n += b.N % nw
-				}
-				wg.Add(1)
-				go func(w, n int) {
-					defer wg.Done()
-					in := uint32(w + 1)
-					for i := 0; i < n; i++ {
-						sw.HandleFrame(in, frames[w])
-					}
-				}(w, n)
-			}
-			wg.Wait()
-			if el := time.Since(start).Seconds(); el > 0 {
-				b.ReportMetric(float64(b.N)/el, "frames/s")
-			}
-			// Scaling numbers are meaningless without knowing how many
-			// procs backed them (the E7 harness blind spot): record it.
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			if w := experiments.CoresWarning(runtime.NumCPU(), nw); w != "" {
-				b.Logf("WARNING: %s", w)
-			}
-		})
-	}
-}
-
-// --- E12: burst-mode datapath --------------------------------------------------
-
-// BenchmarkE12BurstForwarding measures the batched pipeline walk: one
-// lane, bursts of B frames of one microflow through HandleBurst —
-// one snapshot load, one grouped cache lookup and one aggregated
-// counter update per burst. ns/op is per burst; frames/s is the
-// comparable headline against BenchmarkPipelineForwarding's per-frame
-// path. allocs/op must stay 0: the burst scratch is pooled.
-func BenchmarkE12BurstForwarding(b *testing.B) {
-	for _, burst := range []int{1, 32, 256} {
-		b.Run(fmt.Sprintf("burst-%d", burst), func(b *testing.B) {
-			sw, frames := laneSwitch(b, 1)
-			batch := make([][]byte, burst)
-			for i := range batch {
-				batch[i] = frames[0]
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				sw.HandleBurst(1, batch)
-			}
-			if el := time.Since(start).Seconds(); el > 0 {
-				b.ReportMetric(float64(b.N*burst)/el, "frames/s")
-			}
-		})
 	}
 }

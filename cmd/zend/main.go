@@ -30,65 +30,102 @@ import (
 	"repro/internal/topo"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:6653", "southbound listen address")
-	appList := flag.String("apps", "learning", "comma-separated: learning,routing,acl,lb,stats")
-	discovery := flag.Bool("discovery", true, "run periodic LLDP topology discovery")
-	topoFile := flag.String("topo", "", "JSON topology (required with -emulate)")
-	emulate := flag.Bool("emulate", false, "also emulate the topology in-process")
-	vip := flag.String("vip", "10.0.0.100", "load balancer VIP (with apps=lb)")
-	httpAddr := flag.String("http", "", "northbound REST listen address (empty = disabled)")
-	debugAddr := flag.String("debug", "", "pprof/metrics debug listen address (empty = disabled)")
-	traceMode := flag.String("trace", "off", "control-loop tracing: off, sampled, full")
-	flag.Parse()
+// options is what the command line resolves to. Everything in it is
+// validated before anything listens.
+type options struct {
+	cfg       controller.Config
+	appList   string
+	apps      []controller.App
+	trace     obs.TraceMode
+	graph     *topo.Graph // non-nil with -emulate
+	httpAddr  string
+	debugAddr string
+}
 
-	var appObjs []controller.App
+// parseFlags defines zend's flags on fs and turns args into options,
+// rejecting a bad -trace, -vip, -apps or -topo without opening a socket.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	addr := fs.String("addr", "127.0.0.1:6653", "southbound listen address")
+	appList := fs.String("apps", "learning", "comma-separated: learning,routing,acl,lb,stats")
+	discovery := fs.Bool("discovery", true, "run periodic LLDP topology discovery")
+	topoFile := fs.String("topo", "", "JSON topology (required with -emulate)")
+	emulate := fs.Bool("emulate", false, "also emulate the topology in-process")
+	vip := fs.String("vip", "10.0.0.100", "load balancer VIP (with apps=lb)")
+	httpAddr := fs.String("http", "", "northbound REST listen address (empty = disabled)")
+	debugAddr := fs.String("debug", "", "pprof/metrics debug listen address (empty = disabled)")
+	traceMode := fs.String("trace", "off", "control-loop tracing: off, sampled, full")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	o := &options{
+		cfg:       controller.Config{Addr: *addr, Discovery: *discovery, Logf: log.Printf},
+		appList:   *appList,
+		httpAddr:  *httpAddr,
+		debugAddr: *debugAddr,
+	}
+	var ok bool
+	if o.trace, ok = obs.ParseTraceMode(*traceMode); !ok {
+		return nil, fmt.Errorf("bad -trace %q (want off, sampled or full)", *traceMode)
+	}
 	for _, name := range strings.Split(*appList, ",") {
 		switch strings.TrimSpace(name) {
 		case "learning":
-			appObjs = append(appObjs, apps.NewLearningSwitch())
+			o.apps = append(o.apps, apps.NewLearningSwitch())
 		case "routing":
-			appObjs = append(appObjs, apps.NewRouting())
+			o.apps = append(o.apps, apps.NewRouting())
 		case "acl":
-			appObjs = append(appObjs, apps.NewACL())
+			o.apps = append(o.apps, apps.NewACL())
 		case "lb":
 			ip, err := parseIPv4(*vip)
 			if err != nil {
-				log.Fatalf("zend: %v", err)
+				return nil, err
 			}
-			appObjs = append(appObjs, apps.NewLoadBalancer(ip))
+			o.apps = append(o.apps, apps.NewLoadBalancer(ip))
 		case "stats":
-			appObjs = append(appObjs, apps.NewStatsMonitor())
+			o.apps = append(o.apps, apps.NewStatsMonitor())
 		case "":
 		default:
-			log.Fatalf("zend: unknown app %q", name)
+			return nil, fmt.Errorf("unknown app %q", name)
 		}
 	}
+	if *emulate {
+		if *topoFile == "" {
+			return nil, fmt.Errorf("-emulate requires -topo")
+		}
+		f, err := os.Open(*topoFile)
+		if err != nil {
+			return nil, err
+		}
+		o.graph, err = topo.ReadJSON(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("-topo %s: %w", *topoFile, err)
+		}
+	}
+	return o, nil
+}
 
-	cfg := controller.Config{
-		Addr:      *addr,
-		Discovery: *discovery,
-		Logf:      log.Printf,
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatalf("zend: %v", err)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	serveREST := func(ctl *controller.Controller) {
-		mode, ok := obs.ParseTraceMode(*traceMode)
-		if !ok {
-			log.Fatalf("zend: bad -trace %q (want off, sampled or full)", *traceMode)
-		}
-		ctl.Tracing().SetMode(mode)
-		if *httpAddr != "" {
-			addr, _, err := ctl.ServeHTTP(*httpAddr)
+		ctl.Tracing().SetMode(o.trace)
+		if o.httpAddr != "" {
+			addr, _, err := ctl.ServeHTTP(o.httpAddr)
 			if err != nil {
 				log.Fatalf("zend: %v", err)
 			}
 			log.Printf("zend: northbound REST on http://%s/v1/", addr)
 		}
-		if *debugAddr != "" {
-			addr, _, err := ctl.ServeDebug(*debugAddr)
+		if o.debugAddr != "" {
+			addr, _, err := ctl.ServeDebug(o.debugAddr)
 			if err != nil {
 				log.Fatalf("zend: %v", err)
 			}
@@ -96,23 +133,11 @@ func main() {
 		}
 	}
 
-	if *emulate {
-		if *topoFile == "" {
-			log.Fatal("zend: -emulate requires -topo")
-		}
-		f, err := os.Open(*topoFile)
-		if err != nil {
-			log.Fatalf("zend: %v", err)
-		}
-		g, err := topo.ReadJSON(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("zend: %v", err)
-		}
+	if g := o.graph; g != nil {
 		n, err := core.Start(core.Options{
 			Graph:      g,
-			Apps:       appObjs,
-			Controller: cfg,
+			Apps:       o.apps,
+			Controller: o.cfg,
 		})
 		if err != nil {
 			log.Fatalf("zend: %v", err)
@@ -131,14 +156,14 @@ func main() {
 		return
 	}
 
-	ctl, err := controller.New(cfg)
+	ctl, err := controller.New(o.cfg)
 	if err != nil {
 		log.Fatalf("zend: %v", err)
 	}
 	defer ctl.Close()
-	ctl.Use(appObjs...)
+	ctl.Use(o.apps...)
 	serveREST(ctl)
-	log.Printf("zend: controller listening on %s, apps: %s", ctl.Addr(), *appList)
+	log.Printf("zend: controller listening on %s, apps: %s", ctl.Addr(), o.appList)
 	<-sig
 	log.Print("zend: shutting down")
 }

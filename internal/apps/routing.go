@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/controller"
@@ -24,10 +23,6 @@ type Routing struct {
 	// Debugf, when set, traces install/flush decisions (tests).
 	Debugf func(format string, args ...any)
 
-	mu sync.Mutex
-	// installed tracks which (dpid) hold flows for a MAC pair so that
-	// link failures can surgically flush.
-	installed   map[pairKey][]uint64
 	IdleTimeout uint16
 	Priority    uint16
 
@@ -46,10 +41,8 @@ type Routing struct {
 // failed.
 type setup struct {
 	r       *Routing
-	key     pairKey
 	match   zof.Match
 	hops    []*controller.SwitchConn // path order; hops[0] took the packet-in
-	holders []uint64                 // the hops' DPIDs
 	ports   []uint32                 // ports[i]: hop i's port toward hop i+1
 	dstPort uint32                   // the last hop's port to the host
 	buffer  uint32                   // the packet-in's BufferID
@@ -93,19 +86,12 @@ func (s *setup) release() {
 		r.fenceFailed.Inc()
 		return
 	}
-	r.mu.Lock()
-	r.installed[s.key] = s.holders
-	r.mu.Unlock()
 	r.routes.Inc()
-}
-
-type pairKey struct {
-	src, dst packet.MAC
 }
 
 // NewRouting returns the app.
 func NewRouting() *Routing {
-	return &Routing{installed: make(map[pairKey][]uint64), IdleTimeout: 300, Priority: 200}
+	return &Routing{IdleTimeout: 300, Priority: 200}
 }
 
 // Name implements controller.App.
@@ -116,11 +102,6 @@ func (r *Routing) RegisterMetrics(sc obs.Scope) {
 	sc.RegisterCounter("routes", &r.routes)
 	sc.RegisterCounter("fence_failed", &r.fenceFailed)
 	sc.RegisterFunc("flushes", func() int64 { return int64(r.Flushes.Load()) })
-	sc.RegisterFunc("pairs", func() int64 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return int64(len(r.installed))
-	})
 }
 
 // PacketIn implements controller.PacketInHandler.
@@ -147,10 +128,8 @@ func (r *Routing) PacketIn(c *controller.Controller, ev controller.PacketInEvent
 	}
 	s := &setup{
 		r:       r,
-		key:     pairKey{f.Eth.Src, f.Eth.Dst},
 		match:   zof.MatchAll(),
 		hops:    make([]*controller.SwitchConn, len(route.Nodes)),
-		holders: make([]uint64, len(route.Nodes)),
 		ports:   route.Ports,
 		dstPort: dst.Port,
 		buffer:  ev.Msg.BufferID,
@@ -161,7 +140,6 @@ func (r *Routing) PacketIn(c *controller.Controller, ev controller.PacketInEvent
 	// Every hop needs a live session before anything is sent anywhere:
 	// a path with a hole in it is not worth releasing a frame into.
 	for i, node := range route.Nodes {
-		s.holders[i] = uint64(node)
 		if s.hops[i], ok = c.Switch(uint64(node)); !ok {
 			r.fenceFailed.Inc()
 			return true
@@ -187,18 +165,14 @@ func (r *Routing) PacketIn(c *controller.Controller, ev controller.PacketInEvent
 func (r *Routing) LinkUp(c *controller.Controller, ev controller.LinkUp) {}
 
 // LinkDown flushes every switch so paths recompute on demand. Flushing
-// network-wide (not just the switches known to hold affected flows)
-// closes the race where an install triggered by an event queued before
-// the failure notification lands on a switch the tracker has not
-// recorded yet.
+// network-wide (not just the switches on affected paths) also covers
+// an install triggered by an event queued before the failure
+// notification.
 func (r *Routing) LinkDown(c *controller.Controller, ev controller.LinkDown) {
 	r.Flushes.Add(1)
 	if r.Debugf != nil {
 		r.Debugf("routing: flush-all on LinkDown %d:%d-%d:%d", ev.SrcDPID, ev.SrcPort, ev.DstDPID, ev.DstPort)
 	}
-	r.mu.Lock()
-	r.installed = make(map[pairKey][]uint64)
-	r.mu.Unlock()
 	for _, sc := range c.Switches() {
 		m := zof.MatchAll() // wildcard delete of everything reactive
 		_ = sc.InstallFlow(&zof.FlowMod{Command: zof.FlowDelete, Match: m,
@@ -206,41 +180,5 @@ func (r *Routing) LinkDown(c *controller.Controller, ev controller.LinkDown) {
 	}
 }
 
-// SwitchUp implements controller.SwitchHandler. On a reconnect the
-// switch's flow table is about to be reconciled against the new
-// session epoch, so any pair recorded as held there must be forgotten:
-// the next packet of those flows re-routes and reinstalls under the
-// fresh session.
-func (r *Routing) SwitchUp(c *controller.Controller, ev controller.SwitchUp) {
-	if !ev.Reconnect {
-		return
-	}
-	r.forget(ev.DPID)
-}
-
-// SwitchDown implements controller.SwitchHandler: flows on a dead
-// switch are gone with it, so drop the pairs it held.
-func (r *Routing) SwitchDown(c *controller.Controller, ev controller.SwitchDown) {
-	r.forget(ev.DPID)
-}
-
-// forget drops every tracked pair whose holders include dpid. The
-// whole pair is dropped (not just the one hop) because a path missing
-// one switch is broken end to end; remaining hops idle-time out or are
-// flushed by the next install.
-func (r *Routing) forget(dpid uint64) {
-	r.mu.Lock()
-	for key, holders := range r.installed {
-		for _, h := range holders {
-			if h == dpid {
-				delete(r.installed, key)
-				break
-			}
-		}
-	}
-	r.mu.Unlock()
-}
-
 var _ controller.PacketInHandler = (*Routing)(nil)
 var _ controller.LinkHandler = (*Routing)(nil)
-var _ controller.SwitchHandler = (*Routing)(nil)

@@ -90,7 +90,7 @@ func (c *Controller) AuditSwitch(sc *SwitchConn) (AuditReport, error) {
 		Kind:    zof.StatsFlow,
 		TableID: 0xff,
 		Match:   zof.MatchAll(),
-	}, c.cfg.AuditTimeout)
+	}, auditTimeout)
 	if err != nil {
 		c.auditStats.Failures.Inc()
 		return rep, err
@@ -147,7 +147,7 @@ func (c *Controller) AuditSwitch(sc *SwitchConn) (AuditReport, error) {
 			c.auditStats.Failures.Inc()
 			return rep, err
 		}
-		if err := sc.Barrier(c.cfg.AuditTimeout); err != nil {
+		if err := sc.Barrier(auditTimeout); err != nil {
 			c.auditStats.Failures.Inc()
 			return rep, err
 		}

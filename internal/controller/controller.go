@@ -15,31 +15,37 @@ import (
 	"repro/internal/zof"
 )
 
+// Fixed timings and retry budgets no deployment has needed to vary.
+const (
+	// handshakeTimeout bounds the per-connection handshake.
+	handshakeTimeout = 5 * time.Second
+	// discoveryInterval is the LLDP probing period.
+	discoveryInterval = 500 * time.Millisecond
+	// reconcileTimeout bounds the flow-stats query of the
+	// post-reconnect cookie reconciliation pass.
+	reconcileTimeout = 5 * time.Second
+	// txnRetries is how many times a transaction re-attempts a failed
+	// fence barrier (the ops themselves are never re-sent — GroupAdd is
+	// not idempotent).
+	txnRetries = 1
+	// auditTimeout bounds the stats query and repair barrier of one
+	// audit pass.
+	auditTimeout = 2 * time.Second
+)
+
 // Config tunes a Controller.
 type Config struct {
 	// Addr is the southbound listen address, e.g. "127.0.0.1:0".
 	Addr string
-	// HandshakeTimeout bounds the per-connection handshake.
-	HandshakeTimeout time.Duration
 	// EventQueue is each dispatch shard's buffer; 0 means 4096.
 	EventQueue int
 	// DispatchWorkers is the number of sharded dispatch goroutines.
 	// Events are keyed by DPID, so one switch's events always land on
 	// one shard (per-switch FIFO), while different switches dispatch
-	// in parallel. 0 means min(GOMAXPROCS, 16); 1 restores the fully
-	// serialized dispatcher.
+	// in parallel. 0 means min(GOMAXPROCS, 16).
 	DispatchWorkers int
-	// FlushDelay tunes southbound write coalescing on switch
-	// connections: 0 enables flush-on-idle (a flusher goroutine
-	// batches whatever accumulates while it waits for the write lock),
-	// positive adds a delay window for more batching, negative
-	// disables coalescing (flush per message, the pre-sharding
-	// behavior).
-	FlushDelay time.Duration
-	// Discovery enables periodic LLDP topology probing.
+	// Discovery enables LLDP topology probing every discoveryInterval.
 	Discovery bool
-	// DiscoveryInterval is the probing period (default 500ms).
-	DiscoveryInterval time.Duration
 	// ProbeInterval enables per-switch liveness probing: every interval
 	// the controller round-trips an Echo with a sequence-stamped payload
 	// on each connection. 0 disables probing (the default — short-lived
@@ -51,23 +57,13 @@ type Config struct {
 	// probes evict the peer exactly like a read error (SwitchDown, NIB
 	// cleanup, pending requests failed fast). Default 3.
 	ProbeMisses int
-	// ReconcileTimeout bounds the flow-stats query of the post-reconnect
-	// cookie reconciliation pass; default 5s.
-	ReconcileTimeout time.Duration
 	// TxnTimeout bounds each barrier attempt of a transaction's commit
 	// fence and rollback verification; default 5s.
 	TxnTimeout time.Duration
-	// TxnRetries is how many times a transaction re-attempts a failed
-	// fence barrier (the ops themselves are never re-sent — GroupAdd is
-	// not idempotent). Default 1.
-	TxnRetries int
 	// AuditInterval enables the anti-entropy auditor: every interval the
 	// controller diffs each switch's flow table against its intended
 	// state and repairs drift. 0 disables auditing (the default).
 	AuditInterval time.Duration
-	// AuditTimeout bounds the stats query and repair barrier of one
-	// audit pass; default 2s.
-	AuditTimeout time.Duration
 	// EpochOffset and EpochStride partition the 16-bit session-epoch
 	// space across a controller cluster: instance i of a cluster of up
 	// to EpochStride members sets Offset=i, Stride=members, and every
@@ -210,29 +206,14 @@ func New(cfg Config) (*Controller, error) {
 			cfg.DispatchWorkers = 16
 		}
 	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
-	}
-	if cfg.DiscoveryInterval <= 0 {
-		cfg.DiscoveryInterval = 500 * time.Millisecond
-	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = cfg.ProbeInterval
 	}
 	if cfg.ProbeMisses <= 0 {
 		cfg.ProbeMisses = 3
 	}
-	if cfg.ReconcileTimeout <= 0 {
-		cfg.ReconcileTimeout = 5 * time.Second
-	}
 	if cfg.TxnTimeout <= 0 {
 		cfg.TxnTimeout = 5 * time.Second
-	}
-	if cfg.TxnRetries <= 0 {
-		cfg.TxnRetries = 1
-	}
-	if cfg.AuditTimeout <= 0 {
-		cfg.AuditTimeout = 2 * time.Second
 	}
 	if cfg.EpochStride == 0 {
 		cfg.EpochStride = 1
@@ -281,7 +262,7 @@ func New(cfg Config) (*Controller, error) {
 	// this address registers the instant the listener is served.
 	go c.acceptLoop()
 	if cfg.Discovery {
-		c.disc.start(cfg.DiscoveryInterval)
+		c.disc.start(discoveryInterval)
 	}
 	if cfg.AuditInterval > 0 {
 		c.loopWG.Add(1)
@@ -539,17 +520,15 @@ func (c *Controller) serve(raw net.Conn) {
 	// Every southbound connection feeds the same fleet-wide wire
 	// counters (zof.conn.* in the registry).
 	conn.SetStats(&c.connStats)
-	sc, err := handshake(conn, c.cfg.HandshakeTimeout)
+	sc, err := handshake(conn, handshakeTimeout)
 	if err != nil {
 		c.cfg.Logf("handshake with %v failed: %v", raw.RemoteAddr(), err)
 		conn.Close()
 		return
 	}
 	// Handshake traffic flushed per message; steady-state southbound
-	// writes coalesce unless disabled.
-	if c.cfg.FlushDelay >= 0 {
-		conn.SetAutoFlush(c.cfg.FlushDelay)
-	}
+	// writes coalesce (flush-on-idle).
+	conn.SetAutoFlush(0)
 	reconnect, ok := c.registerSwitch(sc)
 	if !ok {
 		sc.close()

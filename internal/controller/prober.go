@@ -106,19 +106,19 @@ func (c *Controller) reconcileFlows(sc *SwitchConn) {
 	c.post(flowSync{dpid: sc.dpid, done: marker})
 	select {
 	case <-marker:
-		_ = sc.Barrier(c.cfg.ReconcileTimeout)
+		_ = sc.Barrier(reconcileTimeout)
 	case <-sc.done:
 		return
 	case <-c.quit:
 		return
-	case <-time.After(c.cfg.ReconcileTimeout):
+	case <-time.After(reconcileTimeout):
 		// Saturated shard dropped the marker; reconcile anyway.
 	}
 	rep, err := sc.Stats(&zof.StatsRequest{
 		Kind:    zof.StatsFlow,
 		TableID: 0xff,
 		Match:   zof.MatchAll(),
-	}, c.cfg.ReconcileTimeout)
+	}, reconcileTimeout)
 	if err != nil {
 		c.cfg.Logf("reconcile %#x: flow stats: %v", sc.dpid, err)
 		return

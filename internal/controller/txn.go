@@ -145,8 +145,8 @@ type participant struct {
 
 // Commit stamps, stages and sends every op, fences the result with
 // concurrent barriers (each attempt bounded by Config.TxnTimeout and
-// retried Config.TxnRetries times), and either commits the intended
-// state or rolls the switches back. It returns nil on success and a
+// retried txnRetries times), and either commits the intended state or
+// rolls the switches back. It returns nil on success and a
 // *TxnError on failure. The ops themselves are never re-sent on retry
 // — FlowAdd is idempotent but GroupAdd is not — so a lost op surfaces
 // as a fence failure and the auditor repairs any residue.
@@ -276,7 +276,7 @@ func (t *Txn) Commit() error {
 // connection stops retrying immediately.
 func (t *Txn) barrierRetry(sc *SwitchConn) error {
 	var err error
-	for i := 0; i <= t.c.cfg.TxnRetries; i++ {
+	for i := 0; i <= txnRetries; i++ {
 		if err = sc.Barrier(t.c.cfg.TxnTimeout); err == nil {
 			return nil
 		}

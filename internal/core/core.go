@@ -26,9 +26,10 @@ type Options struct {
 	Controller controller.Config
 	// Emu tunes the emulation (link delay/loss, switch config).
 	Emu netem.Config
-	// ConnectTimeout bounds each switch's session setup (default 5s).
-	ConnectTimeout time.Duration
 }
+
+// connectTimeout bounds each switch's session setup.
+const connectTimeout = 5 * time.Second
 
 // Network is a running zen deployment: control plane + emulated data
 // plane, fully connected.
@@ -44,9 +45,6 @@ func Start(opts Options) (*Network, error) {
 	if opts.Graph == nil {
 		return nil, fmt.Errorf("core: Options.Graph is required")
 	}
-	if opts.ConnectTimeout <= 0 {
-		opts.ConnectTimeout = 5 * time.Second
-	}
 	ctl, err := controller.New(opts.Controller)
 	if err != nil {
 		return nil, err
@@ -58,7 +56,7 @@ func Start(opts Options) (*Network, error) {
 
 	for _, node := range opts.Graph.Nodes() {
 		sw := emu.Switches[node]
-		dp, err := dataplane.Connect(sw, ctl.Addr(), opts.ConnectTimeout)
+		dp, err := dataplane.Connect(sw, ctl.Addr(), connectTimeout)
 		if err != nil {
 			n.Stop()
 			return nil, fmt.Errorf("connecting switch %d: %w", node, err)
@@ -75,7 +73,7 @@ func Start(opts Options) (*Network, error) {
 		// API (GET /v1/nf/{dpid} and /v1/nf/{dpid}/conntrack).
 		ctl.RegisterNFIntrospector(sw.DPID(), sw)
 	}
-	if err := ctl.WaitForSwitches(opts.Graph.NumNodes(), opts.ConnectTimeout); err != nil {
+	if err := ctl.WaitForSwitches(opts.Graph.NumNodes(), connectTimeout); err != nil {
 		n.Stop()
 		return nil, err
 	}

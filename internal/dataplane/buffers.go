@@ -25,11 +25,11 @@ type bufferedPacket struct {
 	valid  bool
 }
 
-func newPacketBuffers(n int) *packetBuffers {
-	if n <= 0 {
-		n = 256
-	}
-	return &packetBuffers{slots: make([]bufferedPacket, n)}
+// bufferSlots is the ring's size.
+const bufferSlots = 256
+
+func newPacketBuffers() *packetBuffers {
+	return &packetBuffers{slots: make([]bufferedPacket, bufferSlots)}
 }
 
 // put parks a copy of the packet and returns its buffer id (never

@@ -211,7 +211,7 @@ func (x *exec) apply(inPort uint32, data []byte, acts []zof.Action, depth int) (
 			case zof.PortController:
 				maxLen := int(a.MaxLen)
 				if maxLen <= 0 {
-					maxLen = x.sw.cfg.MissSendLen
+					maxLen = missSendLen
 				}
 				x.packetIn(inPort, data, 0, zof.ReasonAction, 0, maxLen)
 			case zof.PortFlood:
@@ -305,7 +305,7 @@ func (x *exec) miss(inPort uint32, data []byte, tableID uint8) {
 	if x.sw.cfg.DropOnMiss || len(x.pl.sinks) == 0 {
 		return
 	}
-	x.packetIn(inPort, data, tableID, zof.ReasonNoMatch, 0, x.sw.cfg.MissSendLen)
+	x.packetIn(inPort, data, tableID, zof.ReasonNoMatch, 0, missSendLen)
 }
 
 // packetIn parks the packet and notifies every controller sink. The

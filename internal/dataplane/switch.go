@@ -15,16 +15,18 @@ import (
 	"repro/internal/zof"
 )
 
+// missSendLen is how many bytes of a packet a table-miss packet-in
+// carries.
+const missSendLen = 128
+
 // Config tunes a Switch.
 type Config struct {
-	DPID        uint64
-	NumTables   int   // default 1
-	TableSize   int   // max entries per table; 0 = unbounded
-	TableSizes  []int // per-table capacity override; index = table id, 0 = unbounded
-	DropOnMiss  bool  // true: drop instead of packet-in on table miss
-	MissSendLen int   // bytes of packet carried in packet-in; default 128
-	Buffers     int   // packet buffer slots; default 256
-	Clock       func() time.Time
+	DPID       uint64
+	NumTables  int   // default 1
+	TableSize  int   // max entries per table; 0 = unbounded
+	TableSizes []int // per-table capacity override; index = table id, 0 = unbounded
+	DropOnMiss bool  // true: drop instead of packet-in on table miss
+	Clock      func() time.Time
 }
 
 // pipeline is the immutable fast-path view of the switch: everything a
@@ -81,9 +83,6 @@ func NewSwitch(cfg Config) *Switch {
 	if cfg.NumTables <= 0 {
 		cfg.NumTables = 1
 	}
-	if cfg.MissSendLen <= 0 {
-		cfg.MissSendLen = 128
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -94,7 +93,7 @@ func NewSwitch(cfg Config) *Switch {
 		groups:      make(map[uint32]*GroupDesc),
 		ports:       make(map[uint32]*Port),
 		stages:      make(map[uint32]nf.Stage),
-		buffers:     newPacketBuffers(cfg.Buffers),
+		buffers:     newPacketBuffers(),
 		controllers: make(map[int]func(zof.Message)),
 	}
 	for i := 0; i < cfg.NumTables; i++ {

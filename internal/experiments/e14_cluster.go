@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -20,7 +19,6 @@ type E14Config struct {
 	HeartbeatInterval time.Duration // east-west heartbeat period (default 60ms)
 	ProbeInterval     time.Duration // switch-side session probe period (default 20ms)
 	ProbeMisses       int           // probe misses before the session evicts (default 2)
-	LoadDuration      time.Duration // packet-in throughput window (default 500ms)
 }
 
 // E14Failover is one master-loss scenario measured end to end.
@@ -57,11 +55,6 @@ type E14Result struct {
 	HeartbeatMS float64     `json:"heartbeat_ms"`
 	Crash       E14Failover `json:"crash"`
 	Partition   E14Failover `json:"partition"`
-	// Aggregate packet-in dispatch throughput, switches spread across
-	// the two-instance cluster vs all homed on a single controller.
-	SingleEPS  float64 `json:"single_eps"`
-	ClusterEPS float64 `json:"cluster_eps"`
-	SpeedupX   float64 `json:"speedup_x"`
 }
 
 // e14Installer pushes n intent rules on every SwitchUp — the app-level
@@ -86,15 +79,6 @@ func (a e14Installer) SwitchUp(c *controller.Controller, ev controller.SwitchUp)
 }
 func (a e14Installer) SwitchDown(c *controller.Controller, ev controller.SwitchDown) {}
 
-// e14Counter consumes packet-ins and counts them (dispatch throughput).
-type e14Counter struct{ n *atomic.Uint64 }
-
-func (a e14Counter) Name() string { return "e14-counter" }
-func (a e14Counter) PacketIn(c *controller.Controller, ev controller.PacketInEvent) bool {
-	a.n.Add(1)
-	return true
-}
-
 // e14Logf, when set from a test, receives the cluster runtime's logs
 // (takeovers, deposals, reconciles). Nil in benchmark runs.
 var e14Logf func(string, ...any)
@@ -106,17 +90,19 @@ type e14Member struct {
 	in  *cluster.Instance
 }
 
-func e14NewMember(id, size int, cfg E14Config, apps ...controller.App) (*e14Member, error) {
+// e14NewMember starts instance id of the two-instance cluster, running
+// the intent installer.
+func e14NewMember(id int, cfg E14Config) (*e14Member, error) {
 	hooks := &cluster.Hooks{}
 	ctl, err := controller.New(controller.Config{
 		EpochOffset: uint64(id),
-		EpochStride: uint64(size),
+		EpochStride: 2,
 		Mastership:  hooks,
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctl.Use(apps...)
+	ctl.Use(e14Installer{n: cfg.Rules})
 	in, err := cluster.New(cluster.Config{
 		ID:                id,
 		Controller:        ctl,
@@ -169,7 +155,7 @@ func e14Describe(ctl *controller.Controller, dpids []uint64) string {
 // e14Frame builds a table-miss UDP frame from a stable population of
 // 64 hosts: after warmup every injection is a pure packet-in dispatch,
 // with no host-learning churn feeding the replication stream (e9Frame
-// mints a fresh src MAC per frame, which would turn a throughput
+// mints a fresh src MAC per frame, which would turn a failover
 // measurement into a host-delta broadcast benchmark).
 func e14Frame(i int) []byte {
 	return e9Frame(i % 64)
@@ -203,12 +189,12 @@ func e14Orphan(ctl *controller.Controller, dpids []uint64) error {
 func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 	var out E14Failover
 
-	m0, err := e14NewMember(0, 2, cfg, e14Installer{n: cfg.Rules})
+	m0, err := e14NewMember(0, cfg)
 	if err != nil {
 		return out, err
 	}
 	defer m0.stop()
-	m1, err := e14NewMember(1, 2, cfg, e14Installer{n: cfg.Rules})
+	m1, err := e14NewMember(1, cfg)
 	if err != nil {
 		return out, err
 	}
@@ -302,95 +288,11 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 	return out, nil
 }
 
-// e14Throughput measures aggregate packet-in dispatch: S switches all
-// homed on one controller, then spread across a two-instance cluster.
-func e14Throughput(cfg E14Config) (single, clustered float64, err error) {
-	run := func(members []*e14Member, counters []*atomic.Uint64, rotate bool) (float64, error) {
-		dpids := make([]uint64, cfg.Switches)
-		switches := make([]*dataplane.Switch, cfg.Switches)
-		for i := range switches {
-			dpids[i] = uint64(i + 1)
-			switches[i] = twoPortSwitch(dataplane.Config{DPID: dpids[i]})
-			addrs := make([]string, len(members))
-			for j := range members {
-				k := j
-				if rotate {
-					k = (i + j) % len(members)
-				}
-				addrs[j] = members[k].ctl.Addr()
-			}
-			sess := dataplane.StartSession(switches[i], dataplane.SessionConfig{
-				Addrs:       addrs,
-				MinBackoff:  10 * time.Millisecond,
-				DialTimeout: time.Second,
-				Seed:        int64(i + 1),
-			})
-			defer sess.Close()
-		}
-		for _, d := range dpids {
-			homed := poll(10*time.Second, func() bool {
-				for _, m := range members {
-					if converged(m.ctl, d, cfg.Rules) {
-						return true
-					}
-				}
-				return false
-			})
-			if !homed {
-				return 0, fmt.Errorf("switch %d never converged on a master", d)
-			}
-		}
-		var before uint64
-		for _, c := range counters {
-			before += c.Load()
-		}
-		stop := missTraffic(switches, e14Frame, 0)
-		time.Sleep(cfg.LoadDuration)
-		stop()
-		var after uint64
-		for _, c := range counters {
-			after += c.Load()
-		}
-		return float64(after-before) / cfg.LoadDuration.Seconds(), nil
-	}
-
-	// Single instance: a one-member "cluster" carrying every switch.
-	c0 := &atomic.Uint64{}
-	solo, err := e14NewMember(0, 1, cfg, e14Installer{n: cfg.Rules}, e14Counter{n: c0})
-	if err != nil {
-		return 0, 0, err
-	}
-	single, err = run([]*e14Member{solo}, []*atomic.Uint64{c0}, false)
-	solo.stop()
-	if err != nil {
-		return 0, 0, err
-	}
-
-	// Two instances, switches spread across them.
-	ca, cb := &atomic.Uint64{}, &atomic.Uint64{}
-	ma, err := e14NewMember(0, 2, cfg, e14Installer{n: cfg.Rules}, e14Counter{n: ca})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer ma.stop()
-	mb, err := e14NewMember(1, 2, cfg, e14Installer{n: cfg.Rules}, e14Counter{n: cb})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer mb.stop()
-	peers := map[int]string{0: ma.in.Addr(), 1: mb.in.Addr()}
-	ma.in.Join(peers)
-	mb.in.Join(peers)
-	clustered, err = run([]*e14Member{ma, mb}, []*atomic.Uint64{ca, cb}, true)
-	return single, clustered, err
-}
-
 func runE14(p Params) (*Table, any, error) {
 	cfg := E14Config{}
 	if p.Quick {
 		cfg.Switches = 2
 		cfg.Rules = 4
-		cfg.LoadDuration = 200 * time.Millisecond
 	}
 	return E14ClusterFailover(cfg)
 }
@@ -398,8 +300,7 @@ func runE14(p Params) (*Table, any, error) {
 // E14ClusterFailover measures the distributed-control contract from
 // DESIGN.md "Cluster failover contract": lease-based mastership with
 // term fencing, replicated-NIB warm standbys, and epoch-selective
-// reconciliation, under both a crashed and a partitioned master, plus
-// the aggregate dispatch throughput the second instance buys.
+// reconciliation, under both a crashed and a partitioned master.
 func E14ClusterFailover(cfg E14Config) (*Table, *E14Result, error) {
 	if cfg.Switches <= 0 {
 		cfg.Switches = 4
@@ -419,9 +320,6 @@ func E14ClusterFailover(cfg E14Config) (*Table, *E14Result, error) {
 	if cfg.ProbeMisses <= 0 {
 		cfg.ProbeMisses = 2
 	}
-	if cfg.LoadDuration <= 0 {
-		cfg.LoadDuration = 500 * time.Millisecond
-	}
 	res := &E14Result{
 		Switches:    cfg.Switches,
 		Rules:       cfg.Rules,
@@ -435,12 +333,6 @@ func E14ClusterFailover(cfg E14Config) (*Table, *E14Result, error) {
 	if res.Partition, err = e14Scenario(cfg, true); err != nil {
 		return nil, nil, fmt.Errorf("E14 partition: %w", err)
 	}
-	if res.SingleEPS, res.ClusterEPS, err = e14Throughput(cfg); err != nil {
-		return nil, nil, fmt.Errorf("E14 throughput: %w", err)
-	}
-	if res.SingleEPS > 0 {
-		res.SpeedupX = res.ClusterEPS / res.SingleEPS
-	}
 
 	tbl := newTable("e14", "scenario", "takeover", "detect", "claim", "takeovers", "deposals", "flushed", "retained", "ok")
 	tbl.Notes = []string{
@@ -448,8 +340,6 @@ func E14ClusterFailover(cfg E14Config) (*Table, *E14Result, error) {
 			cfg.Switches, cfg.Rules, cfg.LeaseTTL, cfg.HeartbeatInterval, cfg.ProbeInterval, cfg.ProbeMisses),
 		"takeover = fault onset → all switches converged on the new master's epoch, under traffic",
 		"flushed counts only the dead master's orphan rules — intent is adopted in place, never wiped",
-		fmt.Sprintf("aggregate dispatch: single %.0f ev/s, cluster %.0f ev/s (%.2fx)",
-			res.SingleEPS, res.ClusterEPS, res.SpeedupX),
 	}
 	row := func(name string, f E14Failover) {
 		tbl.AddRow(name,

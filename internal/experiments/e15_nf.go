@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/apps"
@@ -13,22 +12,13 @@ import (
 	"repro/internal/nf"
 	"repro/internal/packet"
 	"repro/internal/topo"
-	"repro/internal/workload"
 	"repro/internal/zof"
 )
 
-// E15Config parameterizes the stateful-NF experiment.
+// E15Config parameterizes the stateful-NF experiment: a NAT + tunnel
+// overlay end to end, audited.
 type E15Config struct {
-	// Part 1 — per-frame NF cost under zipf churn on a bare switch.
-	Flows     int           // zipf flow population (default 3000)
-	Skew      float64       // zipf exponent (default 1.2)
-	Seed      int64         // workload seed (default 1)
-	Measure   time.Duration // wall time per variant (default 400ms)
-	Idle      time.Duration // conntrack idle horizon (default 40ms)
-	TickEvery time.Duration // sweep period while measuring (default 5ms)
-	Burst     int           // vector size for the burst point (default 64)
-
-	// Part 2 — NAT + tunnel overlay end to end, audited.
+	TickEvery     time.Duration // switch sweep period (default 5ms)
 	OverlayFlows  int           // distinct overlay connections per round (default 24)
 	OverlayRounds int           // rounds of fresh connections (default 3)
 	OverlayIdle   time.Duration // conntrack idle on the overlay edge (default 150ms)
@@ -36,26 +26,8 @@ type E15Config struct {
 }
 
 func (cfg *E15Config) fill() {
-	if cfg.Flows <= 0 {
-		cfg.Flows = 3000
-	}
-	if cfg.Skew <= 1 {
-		cfg.Skew = 1.2
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Measure <= 0 {
-		cfg.Measure = 400 * time.Millisecond
-	}
-	if cfg.Idle <= 0 {
-		cfg.Idle = 40 * time.Millisecond
-	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 5 * time.Millisecond
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = 64
 	}
 	if cfg.OverlayFlows <= 0 {
 		cfg.OverlayFlows = 24
@@ -71,33 +43,8 @@ func (cfg *E15Config) fill() {
 	}
 }
 
-// E15Variant is one measured rule shape.
-type E15Variant struct {
-	Name         string  `json:"name"`
-	FramesPerSec float64 `json:"frames_per_sec"`
-	OverheadPct  float64 `json:"overhead_pct"` // vs the plain variant
-}
-
 // E15Result is the machine-readable output (BENCH_e15.json).
 type E15Result struct {
-	Flows     int     `json:"flows"`
-	Skew      float64 `json:"skew"`
-	IdleMS    float64 `json:"idle_ms"`
-	MeasureMS int64   `json:"measure_ms"`
-
-	Variants []E15Variant `json:"variants"`
-
-	// Churn accounting from the full-chain scalar run.
-	Occupancy      int     `json:"conntrack_occupancy"`
-	Created        uint64  `json:"conns_created"`
-	Expired        uint64  `json:"conns_expired"`
-	ExpiryLagMaxMS float64 `json:"expiry_lag_max_ms"`
-	ExpiryLagAvgMS float64 `json:"expiry_lag_avg_ms"`
-	NATAllocated   uint64  `json:"nat_allocated"`
-	NATReleased    uint64  `json:"nat_released"`
-	NATExhausted   uint64  `json:"nat_exhausted"`
-
-	// Overlay (part 2).
 	OverlaySent       uint64  `json:"overlay_sent"`
 	OverlayEchoed     uint64  `json:"overlay_echoed"`  // datagrams that crossed NAT+tunnel to the far host
 	OverlayReplies    uint64  `json:"overlay_replies"` // echoes that made it back through un-NAT
@@ -106,176 +53,48 @@ type E15Result struct {
 	DrainMS           float64 `json:"drain_ms"` // -1: state never drained
 }
 
-// e15Pub is the NAT public address; outside the 10.0.0.0/8 workload
-// range so every generated flow takes the outbound path.
+// e15Pub is the NAT public address; outside the hosts' 10.0.0.0/8, so
+// only hostB's replies (dst == e15Pub) take the inbound path.
 var e15Pub = packet.IPv4Addr{192, 0, 2, 1}
 
-// e15Switch builds a one-in-one-out switch whose single rule walks
-// chain (registered as stages 1..len) before forwarding; an empty chain
-// is plain forwarding.
-func e15Switch(chain []nf.Stage) (*dataplane.Switch, error) {
-	sw := twoPortSwitch(dataplane.Config{DPID: 1, DropOnMiss: true})
-	acts := make([]zof.Action, 0, len(chain)+1)
-	for i, st := range chain {
-		if err := sw.RegisterStage(uint32(i+1), st); err != nil {
-			return nil, err
-		}
-		acts = append(acts, zof.NF(uint32(i+1)))
-	}
-	acts = append(acts, zof.Output(2))
-	return sw, installFlow(sw, &zof.FlowMod{Command: zof.FlowAdd, Match: zof.MatchAll(), Priority: 10,
-		BufferID: zof.NoBuffer, Actions: acts})
-}
-
-// e15Frames draws the zipf-churned frame stream: a population of Flows
-// five-tuples, then an access order where popular flows recur fast
-// enough to stay resident and the tail idles out between visits.
-func e15Frames(cfg E15Config) (frames [][]byte, order []int) {
-	fg := workload.NewFlowGen(cfg.Flows, cfg.Skew, cfg.Seed)
-	buf := packet.NewBuffer(64)
-	frames = make([][]byte, cfg.Flows)
-	for i := range frames {
-		frames[i] = append([]byte(nil), fg.Next().Frame(buf, 64)...)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 15))
-	zipf := rand.NewZipf(rng, cfg.Skew, 1, uint64(cfg.Flows-1))
-	order = make([]int, 1<<16)
-	for i := range order {
-		order[i] = int(zipf.Uint64())
-	}
-	return frames, order
-}
-
-// e15Measure pumps the stream through sw for d while ticking sweeps,
-// and reports frames/s. burst > 1 uses the vectorized ingress path.
-func e15Measure(sw *dataplane.Switch, frames [][]byte, order []int, d, tickEvery time.Duration, burst int) float64 {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(tickEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-t.C:
-				sw.Tick(now)
-			}
-		}
-	}()
-	defer close(done)
-	mask := len(order) - 1
-	if burst <= 1 {
-		return measureRate(d, func(i int) { sw.HandleFrame(1, frames[order[i&mask]]) })
-	}
-	vec := make([][]byte, burst)
-	return float64(burst) * measureRate(d, func(i int) {
-		for j := range vec {
-			vec[j] = frames[order[(i*burst+j)&mask]]
-		}
-		sw.HandleBurst(1, vec)
-	})
-}
-
 func runE15(p Params) (*Table, any, error) {
-	cfg := E15Config{Seed: p.Seed}
+	cfg := E15Config{}
 	if p.Quick {
-		cfg.Flows = 500
-		cfg.Measure = 100 * time.Millisecond
 		cfg.OverlayFlows = 8
 		cfg.OverlayRounds = 2
 	}
 	return E15StatefulNF(cfg)
 }
 
-// E15StatefulNF measures the cost and state behavior of the composable
-// NF stage layer: part 1 runs zipf-churned traffic through successively
-// longer stage chains on one switch; part 2 stands up a NAT'd VXLAN
-// overlay across a 3-switch fabric and verifies the intended-state
-// auditor never "repairs" steering rules while conntrack state churns
-// underneath them.
+// E15StatefulNF measures the state behavior of the composable NF stage
+// layer: it stands up a NAT'd VXLAN overlay across a 3-switch fabric
+// and verifies the intended-state auditor never "repairs" steering
+// rules while conntrack state churns underneath them. (Per-frame stage
+// cost is zenbench's nf_chain workload.)
 func E15StatefulNF(cfg E15Config) (*Table, *E15Result, error) {
 	cfg.fill()
-	res := &E15Result{
-		Flows:     cfg.Flows,
-		Skew:      cfg.Skew,
-		IdleMS:    ms(cfg.Idle),
-		MeasureMS: cfg.Measure.Milliseconds(),
-	}
-	frames, order := e15Frames(cfg)
-
-	tun := nf.TunnelConfig{
-		VNI:       42,
-		LocalIP:   packet.IPv4Addr{10, 200, 0, 1},
-		RemoteIP:  packet.IPv4Addr{10, 200, 0, 2},
-		LocalMAC:  packet.MACFromUint64(0x02e1500000a1),
-		RemoteMAC: packet.MACFromUint64(0x02e1500000b1),
-	}
-	// Each variant walks a prefix of the full chain [conntrack, nat, encap].
-	var base float64
-	for _, v := range []struct {
-		name          string
-		stages, burst int
-	}{
-		{"plain", 0, 0},
-		{"conntrack", 1, 0},
-		{"ct+nat+encap", 3, 0},
-		{fmt.Sprintf("ct+nat+encap burst%d", cfg.Burst), 3, cfg.Burst},
-	} {
-		ct := nf.NewConntrack(nf.ConntrackConfig{Idle: cfg.Idle})
-		nat := nf.NewNAT(nf.NATConfig{CT: ct, PublicIP: e15Pub})
-		sw, err := e15Switch([]nf.Stage{ct, nat, nf.NewTunnelEncap(tun)}[:v.stages])
-		if err != nil {
-			return nil, nil, err
-		}
-		fps := e15Measure(sw, frames, order, cfg.Measure, cfg.TickEvery, v.burst)
-		ev := E15Variant{Name: v.name, FramesPerSec: fps}
-		if base == 0 {
-			base = fps
-		} else {
-			ev.OverheadPct = (base - fps) / base * 100
-		}
-		res.Variants = append(res.Variants, ev)
-		// Churn accounting comes from the scalar full-chain run.
-		if v.stages == 3 && v.burst == 0 {
-			s := ct.StateSummary()
-			res.Occupancy = s.Entries
-			res.Created = s.Counters["created"]
-			res.Expired = s.Counters["expired"]
-			lagMax, lagAvg := ct.ExpiryLag()
-			res.ExpiryLagMaxMS = ms(lagMax)
-			res.ExpiryLagAvgMS = ms(lagAvg)
-			ns := nat.StateSummary()
-			res.NATAllocated = ns.Counters["allocated"]
-			res.NATReleased = ns.Counters["released"]
-			res.NATExhausted = ns.Counters["exhausted"]
-		}
-	}
-
+	res := &E15Result{}
 	if err := e15Overlay(cfg, res); err != nil {
 		return nil, nil, err
 	}
-
-	tbl := newTable("e15", "variant", "frames/s", "overhead")
+	tbl := newTable("e15", "sent", "echoed", "replies", "audits", "false repairs", "drain")
 	tbl.Notes = []string{
-		fmt.Sprintf("%d zipf(%.1f) flows, conntrack idle %v; occupancy %d, created %d, expired %d",
-			cfg.Flows, cfg.Skew, cfg.Idle, res.Occupancy, res.Created, res.Expired),
-		fmt.Sprintf("expiry lag max %.2fms avg %.2fms; nat allocated %d released %d exhausted %d",
-			res.ExpiryLagMaxMS, res.ExpiryLagAvgMS, res.NATAllocated, res.NATReleased, res.NATExhausted),
-		fmt.Sprintf("overlay: %d sent, %d echoed, %d replies; %d audits, %d false repairs; drained in %.0fms",
-			res.OverlaySent, res.OverlayEchoed, res.OverlayReplies,
-			res.AuditsRun, res.AuditFalseRepairs, res.DrainMS),
+		fmt.Sprintf("%d rounds × %d fresh connections, conntrack idle %v, audit every %v",
+			cfg.OverlayRounds, cfg.OverlayFlows, cfg.OverlayIdle, cfg.AuditInterval),
+		"drain = last reply → conntrack and NAT both empty on their own clock; steering rules untouched throughout",
 	}
-	for _, v := range res.Variants {
-		over := "-"
-		if v.OverheadPct != 0 {
-			over = fmt.Sprintf("%.1f%%", v.OverheadPct)
-		}
-		tbl.AddRow(v.Name, f0(v.FramesPerSec), over)
-	}
+	tbl.AddRow(
+		fmt.Sprintf("%d", res.OverlaySent),
+		fmt.Sprintf("%d", res.OverlayEchoed),
+		fmt.Sprintf("%d", res.OverlayReplies),
+		fmt.Sprintf("%d", res.AuditsRun),
+		fmt.Sprintf("%d", res.AuditFalseRepairs),
+		fmt.Sprintf("%.0fms", res.DrainMS),
+	)
 	return tbl, res, nil
 }
 
-// e15Overlay runs part 2: hostA -(SNAT, VXLAN)-> core -> hostB and
+// e15Overlay runs the scenario: hostA -(SNAT, VXLAN)-> core -> hostB and
 // back, with the auditor watching the steering rules the whole time.
 func e15Overlay(cfg E15Config, res *E15Result) error {
 	nfp := apps.NewNFPolicy()

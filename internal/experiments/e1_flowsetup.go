@@ -17,9 +17,6 @@ type E1Config struct {
 	Duration     time.Duration // per configuration
 }
 
-// e1Serial is the controller both E1 and E1a load.
-var e1Serial = controller.Config{EventQueue: 1 << 16, DispatchWorkers: 1}
-
 func runE1(p Params) (*Table, any, error) {
 	cfg := E1Config{}
 	if p.Quick {
@@ -33,11 +30,9 @@ func runE1(p Params) (*Table, any, error) {
 // E1FlowSetup measures controller flow-setup capacity cbench-style: N
 // emulated switches flood packet-ins at a controller running the L2
 // learning app; we record response throughput and latency quantiles.
-// Shape: throughput grows with switches until the single dispatch loop
-// saturates; p95 latency stays well under 10ms (the Maple yardstick).
-// The controller is pinned to one dispatch worker so the measurement
-// keeps its documented serialized-dispatcher shape; E8 is the scaling
-// experiment that sweeps the sharded dispatcher against this baseline.
+// Shape: throughput grows with switches until the dispatch shards
+// saturate the cores; p95 latency stays well under 10ms (the Maple
+// yardstick). The controller is the one zend builds: default Config.
 func E1FlowSetup(cfg E1Config) (*Table, error) {
 	if len(cfg.SwitchCounts) == 0 {
 		cfg.SwitchCounts = []int{1, 4, 16, 64}
@@ -52,11 +47,11 @@ func E1FlowSetup(cfg E1Config) (*Table, error) {
 	t.Notes = []string{
 		fmt.Sprintf("window=%d outstanding packet-ins per switch, %v per point",
 			cfg.Window, cfg.Duration),
-		"expected shape: throughput pins at the serialized dispatcher; latency grows ~linearly with switches past saturation (queueing), sub-ms at low fan-in",
-		"dispatch pinned to 1 worker (serial baseline); see E8 for sharded scaling",
+		"expected shape: throughput climbs until the dispatch shards saturate the cores; latency grows ~linearly with switches past saturation (queueing), sub-ms at low fan-in",
+		"controller at its defaults (DPID-sharded dispatch, coalesced writes) — the one zend builds",
 	}
 	for _, n := range cfg.SwitchCounts {
-		res, err := cbenchRun(e1Serial, apps.NewLearningSwitch(),
+		res, err := cbenchRun(apps.NewLearningSwitch(),
 			cbench.Config{Switches: n, Window: cfg.Window, Duration: cfg.Duration})
 		if err != nil {
 			return nil, fmt.Errorf("E1 with %d switches: %w", n, err)
@@ -95,7 +90,7 @@ func E1aProactiveVsReactive(duration time.Duration) (*Table, error) {
 		mode string
 		app  controller.App
 	}{{"learning", apps.NewLearningSwitch()}, {"null", nullResponder{}}} {
-		res, err := cbenchRun(e1Serial, c.app,
+		res, err := cbenchRun(c.app,
 			cbench.Config{Switches: 16, Window: 8, Duration: duration})
 		if err != nil {
 			return nil, err

@@ -213,46 +213,10 @@ func TestE10QuickTransactions(t *testing.T) {
 	}
 }
 
-func TestE12QuickBurstScaling(t *testing.T) {
-	tbl, res, err := E12BurstScaling(E12Config{
-		Workers: []int{1, 2},
-		Procs:   []int{1},
-		Burst:   8,
-		Measure: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 proc setting x exactly two modes x two worker counts.
-	modes := map[string]int{}
-	for _, p := range res.Points {
-		modes[p.Mode]++
-		if p.FramesPerSec <= 0 {
-			t.Errorf("%s w=%d: frames/s = %f", p.Mode, p.Workers, p.FramesPerSec)
-		}
-		if p.GOMAXPROCS != 1 {
-			t.Errorf("%s w=%d: gomaxprocs = %d, want 1", p.Mode, p.Workers, p.GOMAXPROCS)
-		}
-	}
-	if len(modes) != 2 || modes["frame"] != 2 || modes["burst"] != 2 {
-		t.Errorf("points per mode = %v, want exactly frame:2 burst:2", modes)
-	}
-	if res.NumCPU < 2 && res.Warning == "" {
-		t.Error("cores < max workers but no warning set")
-	}
-	if tbl.ID != "E12" || len(tbl.Rows) != len(res.Points) {
-		t.Errorf("table: id=%s rows=%d points=%d", tbl.ID, len(tbl.Rows), len(res.Points))
-	}
-}
-
 func TestE14QuickFailover(t *testing.T) {
 	e14Logf = t.Logf
 	defer func() { e14Logf = nil }()
-	tbl, res, err := E14ClusterFailover(E14Config{
-		Switches:     2,
-		Rules:        4,
-		LoadDuration: 200 * time.Millisecond,
-	})
+	tbl, res, err := E14ClusterFailover(E14Config{Switches: 2, Rules: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,10 +252,34 @@ func TestE14QuickFailover(t *testing.T) {
 	if res.Partition.Deposals != uint64(res.Switches) {
 		t.Errorf("deposals = %d, want %d", res.Partition.Deposals, res.Switches)
 	}
-	if res.SingleEPS <= 0 || res.ClusterEPS <= 0 {
-		t.Errorf("throughput missing: single=%f cluster=%f", res.SingleEPS, res.ClusterEPS)
-	}
 	if tbl.ID != "E14" || len(tbl.Rows) != 2 {
+		t.Errorf("table: id=%s rows=%d", tbl.ID, len(tbl.Rows))
+	}
+}
+
+// TestE15QuickOverlay pins DESIGN.md's "zero false audit repairs while
+// conntrack churns": every datagram crosses NAT + tunnel and comes
+// back, audits ran during the churn, none repaired a steering rule,
+// and the dynamic state drained on its own.
+func TestE15QuickOverlay(t *testing.T) {
+	tbl, res, err := E15StatefulNF(E15Config{OverlayFlows: 8, OverlayRounds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OverlaySent != 16 || res.OverlayEchoed != res.OverlaySent || res.OverlayReplies != res.OverlaySent {
+		t.Errorf("overlay: sent %d echoed %d replies %d, want 16 of each",
+			res.OverlaySent, res.OverlayEchoed, res.OverlayReplies)
+	}
+	if res.AuditsRun == 0 {
+		t.Error("no audit pass ran during the churn window")
+	}
+	if res.AuditFalseRepairs != 0 {
+		t.Errorf("audit false repairs = %d, want 0", res.AuditFalseRepairs)
+	}
+	if res.DrainMS < 0 {
+		t.Error("conntrack/NAT state never drained")
+	}
+	if tbl.ID != "E15" || len(tbl.Rows) != 1 {
 		t.Errorf("table: id=%s rows=%d", tbl.ID, len(tbl.Rows))
 	}
 }
@@ -325,8 +313,8 @@ func TestRegistryIDs(t *testing.T) {
 			t.Errorf("%s: newTable gave %q / %q", e.ID, tbl.ID, tbl.Title)
 		}
 	}
-	if len(seen) != 16 {
-		t.Errorf("registry holds %d experiments, want 16", len(seen))
+	if len(seen) != 13 {
+		t.Errorf("registry holds %d experiments, want 13", len(seen))
 	}
 }
 
@@ -335,9 +323,9 @@ func TestRegistryIDs(t *testing.T) {
 // checks the envelope each would write.
 func TestRegistryQuickRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs five experiments end to end")
+		t.Skip("runs three experiments end to end")
 	}
-	want := map[string]bool{"e1a": true, "e7": true, "e8": true, "e11": true, "e15": true}
+	want := map[string]bool{"e1a": true, "e11": true, "e15": true}
 	dir := t.TempDir()
 	for _, e := range Registry() {
 		if !want[e.ID] {
@@ -389,7 +377,7 @@ func TestRegistryQuickRuns(t *testing.T) {
 			if got.Table == nil || len(got.Table.Header) == 0 || len(got.Table.Rows) != len(rep.Table.Rows) {
 				t.Errorf("table incomplete: %+v", got.Table)
 			}
-			// E7 onward carry their typed E*Result; E1–E6 have only the table.
+			// E9 onward carry their typed E*Result; E1–E6 have only the table.
 			if typed := e.ID != "e1a"; typed != (string(got.Result) != "null") {
 				t.Errorf("result = %s, want non-null: %v", got.Result, typed)
 			}

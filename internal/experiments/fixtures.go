@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cbench"
@@ -15,8 +13,7 @@ import (
 	"repro/internal/zof"
 )
 
-// Fixtures more than one experiment (or an experiment and its
-// bench_test.go twin) stands on. Each is written once, here.
+// Fixtures the experiments stand on. Each is written once, here.
 
 // udpFrame returns a private copy of a size-byte Ethernet/IPv4/UDP
 // frame from src:sport to dst:53; anything below the 42 header bytes
@@ -49,78 +46,6 @@ func installFlow(sw *dataplane.Switch, fm *zof.FlowMod) error {
 	return err
 }
 
-// LaneSwitch builds a switch with n disjoint forwarding lanes: lane i
-// receives its own microflow on ingress port i+1 and a dedicated flow
-// entry outputs it to egress port 1001+i (tx is a no-op sink). Disjoint
-// lanes keep entry counters, cache shards and ports uncontended, so a
-// measurement exposes pipeline serialization, not artificial contention
-// on one entry's counters. frames[i] is lane i's frame, its microflow
-// already warm in the cache.
-func LaneSwitch(n int) (*dataplane.Switch, [][]byte, error) {
-	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1, DropOnMiss: true})
-	frames := make([][]byte, n)
-	for w := 0; w < n; w++ {
-		in, out := uint32(w+1), uint32(1001+w)
-		sw.AddPort(in, fmt.Sprintf("in%d", w), 1000)
-		sw.AddPort(out, fmt.Sprintf("out%d", w), 1000).SetTx(func([]byte) {})
-		m := zof.MatchAll()
-		m.Wildcards &^= zof.WInPort
-		m.InPort = in
-		if err := installFlow(sw, &zof.FlowMod{Command: zof.FlowAdd, Match: m, Priority: 10,
-			BufferID: zof.NoBuffer, Actions: []zof.Action{zof.Output(out)}}); err != nil {
-			return nil, nil, err
-		}
-		frames[w] = udpFrame(64, packet.IPv4Addr{10, 1, byte(w >> 8), byte(w)},
-			packet.IPv4Addr{10, 2, byte(w >> 8), byte(w)}, uint16(4000+w))
-		sw.HandleFrame(in, frames[w])
-	}
-	return sw, frames, nil
-}
-
-// measureLanes pumps the first nw lanes of a LaneSwitch from one
-// goroutine each for d and returns aggregate frames/s. burst 0 calls
-// HandleFrame per frame; burst > 0 hands HandleBurst vectors of that
-// many copies of the lane's frame.
-func measureLanes(sw *dataplane.Switch, frames [][]byte, nw, burst int, d time.Duration) float64 {
-	var stop atomic.Bool
-	counts := make([]uint64, nw)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			in, fr := uint32(w+1), frames[w]
-			var n uint64
-			if burst == 0 {
-				for !stop.Load() {
-					sw.HandleFrame(in, fr)
-					n++
-				}
-			} else {
-				batch := make([][]byte, burst)
-				for i := range batch {
-					batch[i] = fr
-				}
-				for !stop.Load() {
-					sw.HandleBurst(in, batch)
-					n += uint64(burst)
-				}
-			}
-			counts[w] = n
-		}(w)
-	}
-	time.Sleep(d)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	var total uint64
-	for _, n := range counts {
-		total += n
-	}
-	return float64(total) / elapsed
-}
-
 // missTraffic injects frame(0), frame(1), … on port 1 of every switch,
 // one goroutine each with gap between frames, until stop is called:
 // packet-ins while a controller is attached, forwarding-path load while
@@ -146,29 +71,6 @@ func missTraffic(switches []*dataplane.Switch, frame func(i int) []byte, gap tim
 		}(sw)
 	}
 	return func() { close(quit); wg.Wait() }
-}
-
-// WorkerSweep returns the worker counts a scaling sweep visits: counts
-// in the order given, without repeats or values below 1.
-func WorkerSweep(counts ...int) []int {
-	var sweep []int
-	for _, n := range counts {
-		if n >= 1 && !slices.Contains(sweep, n) {
-			sweep = append(sweep, n)
-		}
-	}
-	return sweep
-}
-
-// CoresWarning is the caveat a worker sweep carries when the host
-// cannot back it: empty when cores cover maxWorkers.
-func CoresWarning(cores, maxWorkers int) string {
-	if cores >= maxWorkers {
-		return ""
-	}
-	return fmt.Sprintf(
-		"cores=%d < max workers=%d: multi-worker points timeshare cores; speedup_vs_1 reflects scheduling, not scaling",
-		cores, maxWorkers)
 }
 
 // converged reports whether dpid's flow table, read through ctl, holds
@@ -243,9 +145,9 @@ func cbenchTarget(cc controller.Config, app controller.App) (*controller.Control
 }
 
 // cbenchRun drives load (Addr filled in here) against a fresh
-// controller running app.
-func cbenchRun(cc controller.Config, app controller.App, load cbench.Config) (cbench.Result, error) {
-	ctl, err := cbenchTarget(cc, app)
+// controller, at its defaults, running app.
+func cbenchRun(app controller.App, load cbench.Config) (cbench.Result, error) {
+	ctl, err := cbenchTarget(controller.Config{}, app)
 	if err != nil {
 		return cbench.Result{}, err
 	}

@@ -18,7 +18,7 @@ type Params struct {
 }
 
 // Experiment is one row of the registry. Run returns the rendered table
-// and, for E7 onward, the typed E*Result the committed BENCH_<id>.json
+// and, for E9 onward, the typed E*Result the committed BENCH_<id>.json
 // files hold; E1–E6 return a nil result.
 type Experiment struct {
 	ID    string // lower-case, as typed at `zbench -exp`
@@ -39,14 +39,11 @@ func Registry() []Experiment {
 		{"e4", "congestion-free updates: naive vs planned transitions", runE4},
 		{"e5", "failure recovery: intent recompile vs spanning-tree flush", runE5},
 		{"e6", "packet codec throughput", runE6},
-		{"e7", "parallel pipeline scaling (one switch, N ingress goroutines)", runE7},
-		{"e8", "control-plane scaling: serial vs sharded dispatch (cbench, learning app)", runE8},
 		{"e9", "control-channel fault recovery: detection, reconnect, convergence", runE9},
 		{"e10", "transactional flow programming: commit, rollback, anti-entropy", runE10},
 		{"e11", "observability overhead: dispatch throughput vs tracing mode (cbench, learning app)", runE11},
-		{"e12", "burst-mode datapath scaling (frame vs burst ingress)", runE12},
-		{"e14", "controller cluster: master failover and aggregate dispatch", runE14},
-		{"e15", "stateful NF stages: per-frame cost and audited overlay", runE15},
+		{"e14", "controller cluster: master failover under crash and partition", runE14},
+		{"e15", "stateful NF stages: audited NAT+VXLAN overlay under conntrack churn", runE15},
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package experiments implements the synthetic evaluation suite
-// declared in DESIGN.md (E1-E12, E14, E15 and the E1a/E3a ablations):
-// each experiment drives the platform with a generated workload and
-// renders the table or data series the corresponding SIGCOMM'13-style
-// evaluation would report. The experiments sit behind one registry with
+// declared in DESIGN.md (E1-E6, E9-E11, E14, E15 and the E1a/E3a
+// ablations): each experiment drives the platform with a generated
+// workload and renders the table or data series the corresponding
+// SIGCOMM'13-style evaluation would report. The experiments sit behind
+// one registry with
 // three front ends: cmd/zbench loops over it, the root bench_test.go
 // wraps the same fixtures in testing.B harnesses, and this package's
 // tests run it.

@@ -12,6 +12,9 @@ import (
 	"time"
 )
 
+// bucketBytes is the token bucket's depth: one MTU.
+const bucketBytes = 1500
+
 // PipeConfig shapes one direction of a link.
 type PipeConfig struct {
 	Delay    time.Duration // propagation delay per frame
@@ -20,10 +23,9 @@ type PipeConfig struct {
 	Seed     int64         // loss RNG seed (deterministic tests)
 
 	// RateMbps, when positive, serializes frames through a token
-	// bucket at this line rate; BurstBytes tokens (default one MTU,
-	// 1500) may be sent back-to-back.
-	RateMbps   float64
-	BurstBytes int
+	// bucket at this line rate; bucketBytes tokens may be sent
+	// back-to-back.
+	RateMbps float64
 
 	// BurstSize bounds the batches the link delivers in: the pump
 	// coalesces up to this many already-queued frames into one [][]byte
@@ -107,11 +109,7 @@ func (p *Pipe) pump() {
 	defer p.wg.Done()
 	bps := make([]*[]byte, 0, p.cfg.BurstSize)
 	batch := make([][]byte, 0, p.cfg.BurstSize)
-	burst := float64(p.cfg.BurstBytes)
-	if burst <= 0 {
-		burst = 1500
-	}
-	tokens := burst
+	tokens := float64(bucketBytes)
 	bytesPerSec := p.cfg.RateMbps * 1e6 / 8
 	last := time.Now()
 	for {
@@ -139,8 +137,8 @@ func (p *Pipe) pump() {
 				now := time.Now()
 				tokens += now.Sub(last).Seconds() * bytesPerSec
 				last = now
-				if tokens > burst {
-					tokens = burst
+				if tokens > bucketBytes {
+					tokens = bucketBytes
 				}
 				if need := float64(total) - tokens; need > 0 {
 					wait := time.Duration(need / bytesPerSec * float64(time.Second))
