@@ -62,6 +62,42 @@ func TestAuditRepairsDrift(t *testing.T) {
 	}
 }
 
+// TestSendIsRecordedIntent: a FlowAdd sent with the bare Send verb is
+// the controller's own rule like any other — stamped with the session
+// epoch and in the intended-state store before it is on the wire — so
+// the auditor finds nothing alien and the rule stays installed.
+func TestSendIsRecordedIntent(t *testing.T) {
+	ctl, _ := txnHarness(t, Config{}, dataplane.Config{DPID: 1})
+	sc, _ := ctl.Switch(1)
+	if err := sc.Send(&zof.FlowMod{Command: zof.FlowAdd, Match: txnMatch(0),
+		Priority: 100, Cookie: 7, BufferID: zof.NoBuffer,
+		Actions: []zof.Action{zof.Output(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Barrier(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ctl.AuditSwitch(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Alien != 0 || rep.Repairs() != 0 {
+		t.Errorf("report = %+v: the auditor repaired the controller's own rule", rep)
+	}
+	intended := ctl.IntendedFlows(1)
+	if len(intended) != 1 {
+		t.Fatalf("%d intended flows, want 1", len(intended))
+	}
+	for _, f := range intended {
+		if CookieEpoch(f.Cookie) != sc.Epoch() {
+			t.Errorf("cookie %#x carries epoch %d, want the session's %d", f.Cookie, CookieEpoch(f.Cookie), sc.Epoch())
+		}
+	}
+	if got := tableSnapshot(t, sc); got == "" {
+		t.Error("the rule is gone from the switch after the audit")
+	}
+}
+
 // TestAuditRetiresExpired: an intended rule carrying an idle timeout
 // that is gone from the switch expired legitimately — the auditor must
 // retire it from the store, not resurrect it.

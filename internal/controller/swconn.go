@@ -164,8 +164,13 @@ func handshake(conn *zof.Conn, timeout time.Duration) (*SwitchConn, error) {
 	}
 }
 
-// Send fires a message without awaiting any reply.
+// Send fires a message without awaiting any reply. The write is
+// coalesced, not flushed per message. Like every exported send verb it
+// states intent first: a FlowAdd is stamped with the session epoch (see
+// stamp) and every mod is recorded in the intended-state store before
+// the write.
 func (s *SwitchConn) Send(msg zof.Message) error {
+	s.intend(msg)
 	_, err := s.conn.Send(msg)
 	return err
 }
@@ -174,17 +179,21 @@ func (s *SwitchConn) Send(msg zof.Message) error {
 // mods — framed back to back and flushed once, so the burst costs one
 // syscall instead of one per message. Apps that emit several messages
 // per event (routing installs, LB rule pairs, discovery probes) should
-// prefer it over message-at-a-time sends. FlowAdds in the burst are
-// stamped with the session epoch (see InstallFlow), and every mod is
-// recorded in the intended-state store before the write.
+// prefer it over message-at-a-time sends. The burst is stamped and
+// recorded like a Send.
 func (s *SwitchConn) SendBatch(msgs ...zof.Message) error {
+	s.intend(msgs...)
+	return s.conn.SendBatch(msgs...)
+}
+
+// intend stamps the FlowAdds among msgs and records every mod.
+func (s *SwitchConn) intend(msgs ...zof.Message) {
 	for _, m := range msgs {
 		if fm, ok := m.(*zof.FlowMod); ok {
 			s.stamp(fm)
 		}
 	}
 	s.record(msgs...)
-	return s.conn.SendBatch(msgs...)
 }
 
 // record mirrors outgoing mods into the intended-state store. The
@@ -207,20 +216,12 @@ func (s *SwitchConn) stamp(fm *zof.FlowMod) {
 	}
 }
 
-// InstallFlow sends a FlowMod. FlowAdds are stamped with the session
-// epoch in the cookie's upper 16 bits, so every flow this connection
-// installs is attributable to this session. The mod is recorded in the
-// intended-state store before the write.
-func (s *SwitchConn) InstallFlow(fm *zof.FlowMod) error {
-	s.stamp(fm)
-	s.record(fm)
-	return s.Send(fm)
-}
+// InstallFlow sends a FlowMod; every flow this connection installs is
+// attributable to this session by its cookie's upper 16 bits.
+func (s *SwitchConn) InstallFlow(fm *zof.FlowMod) error { return s.Send(fm) }
 
 // PacketOut injects a packet.
-func (s *SwitchConn) PacketOut(po *zof.PacketOut) error {
-	return s.Send(po)
-}
+func (s *SwitchConn) PacketOut(po *zof.PacketOut) error { return s.Send(po) }
 
 // sendWatched writes msgs as one batch without stamping or recording —
 // the transaction engine's raw send: stamping happened at staging, and
@@ -354,13 +355,10 @@ func (s *SwitchConn) SendFenced(done func(error), msgs ...zof.Message) {
 	batch := make([]zof.Message, len(msgs)+1)
 	xids := make([]uint32, len(batch))
 	for i, m := range msgs {
-		if fm, ok := m.(*zof.FlowMod); ok {
-			s.stamp(fm)
-		}
 		batch[i], xids[i] = m, s.conn.NextXID()
 	}
 	batch[len(msgs)], xids[len(msgs)] = &zof.BarrierRequest{}, fence
-	s.record(msgs...)
+	s.intend(msgs...)
 	if err := s.conn.SendBatchXIDs(batch, xids); err != nil && s.take(fence) != nil {
 		done(err)
 	}

@@ -2,18 +2,19 @@ package dataplane
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/flowtable"
 	"repro/internal/nf"
 	"repro/internal/packet"
-	"repro/internal/zof"
 )
 
-// burst is the pooled working state of one HandleBurst call: per-frame
-// execution contexts and microflow keys, the grouping of frames by key,
-// and the scratch the batched cache/table lookups fill in. Bursts are
-// pooled and every slice keeps its capacity across uses, so the steady
-// state allocates nothing regardless of burst size.
+// burst is the pooled working state of one HandleBurst call: the execs
+// its frames run on, per-frame microflow keys, the grouping of frames by
+// key, and the scratch the batched cache/table lookups fill in. Bursts
+// are pooled — the package's one sync.Pool — and every slice, exec and
+// exec buffer keeps its capacity across uses, so the steady state
+// allocates nothing regardless of burst size.
 //
 // The frame bytes themselves are borrowed from the caller for the
 // duration of the call, exactly like HandleFrame: never mutated (COW on
@@ -45,9 +46,35 @@ type burst struct {
 	tab  []int32
 	used []int32
 
-	// Scratch vector of packet views for steer when a run of
-	// same-microflow frames enters an NF stage.
-	pkts []*nf.Packet
+	// Every exec the burst has ever made, handed out and taken back in
+	// stack order: arena[:top] are in use — one per live frame, taken at
+	// ingress and held to the end of the call, and above them one per
+	// group bucket being executed, popped when the bucket returns (so
+	// the group-depth guard bounds the arena). inject and Trace take one
+	// from a burst of no frames.
+	arena []*exec
+	top   int
+}
+
+// take hands out the next exec, borrowing no bytes yet.
+func (b *burst) take(s *Switch, pl *pipeline, now time.Time) *exec {
+	if b.top == len(b.arena) {
+		b.arena = append(b.arena, &exec{b: b})
+	}
+	x := b.arena[b.top]
+	b.top++
+	x.sw, x.pl, x.now, x.own = s, pl, now, 0
+	return x
+}
+
+// pop takes back the exec handed out last, dropping what it references:
+// the snapshot, the trace, and the packet view with the conntrack entry
+// one stage left on it for the next.
+func (b *burst) pop() {
+	b.top--
+	x := b.arena[b.top]
+	x.pkt = nf.Packet{}
+	x.sw, x.pl, x.trace = nil, nil, nil
 }
 
 // burstGroup is one microflow within a burst: every frame sharing a
@@ -82,7 +109,6 @@ func (b *burst) grow(n int) {
 		b.reqs = make([]flowtable.BatchLookup, 0, n)
 		b.reqGroup = make([]int32, 0, n)
 		b.used = make([]int32, 0, n)
-		b.pkts = make([]*nf.Packet, 0, n)
 		tn := 1
 		for tn < 2*n {
 			tn <<= 1
@@ -105,18 +131,18 @@ func (b *burst) grow(n int) {
 	b.reqs = b.reqs[:0]
 	b.reqGroup = b.reqGroup[:0]
 	b.used = b.used[:0]
-	b.pkts = b.pkts[:0]
 }
 
-// putBurst resets the grouping table and drops entry references before
-// returning the burst to the pool (pooled structs must not pin flow
-// entries past the call).
+// putBurst resets the grouping table, takes every exec back and drops
+// entry references before returning the burst to the pool (pooled
+// structs must not pin flow entries, snapshots or conntrack entries
+// past the call).
 func putBurst(b *burst) {
 	for _, slot := range b.used {
 		b.tab[slot] = -1
 	}
-	for i := range b.execs {
-		b.execs[i] = nil
+	for b.top > 0 {
+		b.pop()
 	}
 	for i := range b.entries {
 		b.entries[i] = nil
@@ -124,10 +150,6 @@ func putBurst(b *burst) {
 	for i := range b.reqs {
 		b.reqs[i] = flowtable.BatchLookup{}
 	}
-	for i := range b.pkts {
-		b.pkts[i] = nil
-	}
-	b.pkts = b.pkts[:0]
 	burstPool.Put(b)
 }
 
@@ -137,7 +159,7 @@ func putBurst(b *burst) {
 // extracted microflow key, and one MicroCache/flowtable lookup per
 // distinct key — the hash and shard visit amortized across every frame
 // of the group. Execution then proceeds frame by frame in arrival
-// order through the pooled exec path, so action semantics, packet-in
+// order on the burst's own execs, so action semantics, packet-in
 // ordering and trace/explain parity are identical to len(frames)
 // HandleFrame calls; only the lookup and accounting costs shrink.
 //
@@ -174,9 +196,9 @@ func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte,
 			b.execs[i] = nil
 			continue
 		}
-		x := getExec(s, pl, now)
+		x := b.take(s, pl, now)
 		if err := packet.Decode(data, &x.frame); err != nil {
-			x.release()
+			b.pop()
 			b.execs[i] = nil
 			continue // malformed frames die here, like on real silicon
 		}
@@ -262,45 +284,10 @@ func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte,
 	}
 
 	// Execute in arrival order so per-port frame and packet-in ordering
-	// match the frame-at-a-time path exactly. A run of consecutive
-	// frames of one microflow whose rule leads with an nf action enters
-	// the stage as one vector — the packets share the tuple by
-	// construction (same cache key), so the stage does one state lookup
-	// for the whole run — then each frame resumes the rule's remaining
-	// actions individually.
-	for i := 0; i < len(frames); {
-		x := b.execs[i]
-		if x == nil {
-			i++
-			continue
+	// match the frame-at-a-time path exactly.
+	for i, x := range b.execs {
+		if x != nil {
+			x.runFrom(inPort, frames[i], b.entries[b.group[i]])
 		}
-		g := b.group[i]
-		e := b.entries[g]
-		if e != nil && len(e.Actions) > 0 && e.Actions[0].Type == zof.ActNF {
-			if st := pl.stages[e.Actions[0].Port]; st != nil {
-				// Extend the run: same microflow, dead frames skipped.
-				j := i + 1
-				for j < len(frames) && (b.execs[j] == nil || b.group[j] == g) {
-					j++
-				}
-				b.pkts = steer(st, inPort, b.execs[i:j], frames[i:j], b.pkts[:0])
-				for k := i; k < j; k++ {
-					xx := b.execs[k]
-					if xx == nil {
-						continue
-					}
-					if xx.pkt.Verdict != nf.VerdictDrop {
-						xx.runFrom(inPort, xx.pkt.Data, e, 1)
-					}
-					xx.release()
-					b.execs[k] = nil
-				}
-				i = j
-				continue
-			}
-		}
-		x.runFrom(inPort, frames[i], e, 0)
-		x.release()
-		b.execs[i] = nil
 	}
 }

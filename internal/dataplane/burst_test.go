@@ -212,6 +212,133 @@ func TestHandleBurstGroupsShareLookup(t *testing.T) {
 	}
 }
 
+// TestBurstOwnsItsBuffers pins the copy-on-write contract of the execs
+// a burst owns: the rule [set_tp_src, group:all{[set_tp_dst, output:2],
+// [group:all{[set_vlan, output:3]}]}, output:4] makes every frame's exec
+// copy once, fan out into nested execs two deep and reframe in the
+// innermost, and then transmit its own bytes again. Every egress must be
+// byte-equal to what a fresh switch emits for that frame alone, port 4's
+// frames must carry the parent's edit and neither bucket's, and the
+// caller's slices must come back untouched — for one burst, and for two
+// goroutines bursting at once (run under -race).
+func TestBurstOwnsItsBuffers(t *testing.T) {
+	build := func() (*Switch, map[uint32]*capture) {
+		sw, caps := testSwitch(t, Config{DropOnMiss: true})
+		caps[4] = &capture{}
+		sw.AddPort(4, "", 1000).SetTx(caps[4].tx)
+		sw.AddGroup(GroupDesc{ID: 2, Type: GroupAll, Buckets: []Bucket{
+			{Actions: []zof.Action{zof.SetVLAN(9), zof.Output(3)}},
+		}})
+		sw.AddGroup(GroupDesc{ID: 1, Type: GroupAll, Buckets: []Bucket{
+			{Actions: []zof.Action{zof.SetTPDst(2222), zof.Output(2)}},
+			{Actions: []zof.Action{zof.Group(2)}},
+		}})
+		addFlow(t, sw, zof.MatchAll(), 1, zof.SetTPSrc(1111), zof.Group(1), zof.Output(4))
+		return sw, caps
+	}
+	// 32 frames of four interleaved microflows, every payload distinct.
+	mkBurst := func(src packet.IPv4Addr) [][]byte {
+		frames := make([][]byte, 32)
+		for i := range frames {
+			frames[i] = udpFrame(t, src, hostB, uint16(40+i%4), 50, fmt.Sprintf("own-%02d", i))
+		}
+		return frames
+	}
+	clone := func(frames [][]byte) [][]byte {
+		out := make([][]byte, len(frames))
+		for i, fr := range frames {
+			out[i] = append([]byte(nil), fr...)
+		}
+		return out
+	}
+	// alone is the reference: each frame through a switch of its own.
+	alone := func(frames [][]byte) map[uint32][][]byte {
+		want := map[uint32][][]byte{}
+		for i, fr := range frames {
+			sw, caps := build()
+			sw.HandleFrame(1, fr)
+			for port := uint32(2); port <= 4; port++ {
+				out := caps[port].last(t)
+				f := mustDecode(t, out)
+				wantDst, wantVLAN := uint16(50), port == 3
+				if port == 2 {
+					wantDst = 2222
+				}
+				if f.UDP.SrcPort != 1111 || f.UDP.DstPort != wantDst || f.Has(packet.LayerVLAN) != wantVLAN ||
+					(wantVLAN && f.VLAN.VLAN != 9) || string(f.Payload) != fmt.Sprintf("own-%02d", i) {
+					t.Fatalf("frame %d alone, port %d: udp :%d>:%d vlan=%v payload %q", i, port,
+						f.UDP.SrcPort, f.UDP.DstPort, f.Has(packet.LayerVLAN), f.Payload)
+				}
+				want[port] = append(want[port], out)
+			}
+		}
+		return want
+	}
+	// same checks that got is want, rounds times over.
+	same := func(who string, port uint32, got, want [][]byte, rounds int) {
+		t.Helper()
+		if len(got) != rounds*len(want) {
+			t.Fatalf("%s, port %d: %d frames out, want %d", who, port, len(got), rounds*len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i%len(want)]) {
+				t.Fatalf("%s, port %d: egress frame %d differs from the frame sent alone", who, port, i)
+			}
+		}
+	}
+
+	frames := mkBurst(hostA)
+	orig, want := clone(frames), alone(frames)
+	sw, caps := build()
+	sw.HandleBurst(1, frames)
+	for port := uint32(2); port <= 4; port++ {
+		same("one burst", port, caps[port].frames, want[port], 1)
+	}
+	for i := range frames {
+		if !bytes.Equal(frames[i], orig[i]) {
+			t.Fatalf("the caller's frame %d was written to", i)
+		}
+	}
+
+	// Two ingress goroutines, told apart on egress by source address.
+	const rounds = 50
+	srcs := []packet.IPv4Addr{{10, 0, 1, 1}, {10, 0, 2, 1}}
+	sw, caps = build()
+	var wg sync.WaitGroup
+	wants := make([]map[uint32][][]byte, len(srcs))
+	for g, src := range srcs {
+		frames := mkBurst(src)
+		wants[g] = alone(frames)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			orig := clone(frames)
+			for r := 0; r < rounds; r++ {
+				sw.HandleBurst(1, frames)
+			}
+			for i := range frames {
+				if !bytes.Equal(frames[i], orig[i]) {
+					t.Errorf("%v: the caller's frame %d was written to", src, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for port := uint32(2); port <= 4; port++ {
+		got := make([][][]byte, len(srcs))
+		for _, out := range caps[port].frames {
+			for g, src := range srcs {
+				if mustDecode(t, out).IPv4.Src == src {
+					got[g] = append(got[g], out)
+				}
+			}
+		}
+		for g, src := range srcs {
+			same(src.String(), port, got[g], wants[g][port], rounds)
+		}
+	}
+}
+
 // TestConcurrentBurstUnderControlChurn is the burst-mode companion of
 // TestConcurrentPipelineUnderControlChurn: HandleBurst from many
 // goroutines races flow mods, group add/delete, port flaps, stats and

@@ -1,7 +1,6 @@
 package dataplane
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/flowtable"
@@ -10,163 +9,104 @@ import (
 	"repro/internal/zof"
 )
 
-// bufPool recycles frame-sized byte buffers for the copy-on-write and
-// fan-out paths, so steady-state forwarding allocates nothing.
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2048)
-	return &b
-}}
-
-// bufGet returns a pooled buffer resliced to n bytes.
-func bufGet(n int) *[]byte {
-	bp := bufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-func bufPut(bp *[]byte) { bufPool.Put(bp) }
-
 // exec is one pipeline execution: the decoded frame, the pipeline
-// snapshot it runs against, and (if a rewrite or fan-out forced a
-// copy) the pooled buffer this execution owns. Execs are pooled so the
-// hot path allocates nothing; many run concurrently, one per in-flight
-// frame (group buckets get their own nested exec).
+// snapshot it runs against, and the two buffers a rewrite or fan-out
+// copies the frame into. Execs belong to a burst, which hands them out
+// and takes them back in stack order (take, pop), so the hot path
+// allocates nothing; many run concurrently, one burst per in-flight
+// call (group buckets take a nested exec from the same burst).
 //
-// Frame-data ownership: an exec starts out borrowing the caller's
-// bytes and never mutates them. The first in-place rewrite copies the
-// frame into a pooled buffer (ensureOwned) — move semantics for the
-// common single-output forward, copy only when the pipeline actually
-// writes or a group fans the frame out. Outputs hand ports a borrowed
-// reference; the Port tx contract (see SetTx) forbids retaining it.
+// Frame-data ownership: a frame's bytes are the caller's or one of its
+// exec's two buffers. An exec starts out borrowing the caller's bytes
+// and never mutates them. The first in-place rewrite copies the frame
+// into one buffer (ensureOwned) — move semantics for the common
+// single-output forward, copy only when the pipeline actually writes or
+// a group fans the frame out — and an edit that changes the framing
+// fills the other buffer from the current bytes (next). Outputs hand
+// ports a borrowed reference; the Port tx contract (see SetTx) forbids
+// retaining it.
 type exec struct {
 	sw    *Switch
 	pl    *pipeline
+	b     *burst // owner; nested bucket execs come from it
 	frame packet.Frame
-	owned *[]byte // pooled buffer this exec owns, or nil while borrowing
+
+	// bufs are made on first use, 2 KiB each, and keep their capacity
+	// for the life of the burst. own says where the frame's bytes are:
+	// 0 while borrowing the caller's, else in bufs[own-1].
+	bufs [2][]byte
+	own  uint8
 
 	// now is the burst timestamp the execution runs at; NF stages get
 	// it so conntrack timestamps cost no extra clock reads.
 	now time.Time
 
-	// pkt is the nf.Packet view handed to NF stages, and vec the
-	// 1-vector a mid-rule or explain-mode stage call carries it in —
-	// both embedded so steering a frame into a stage allocates nothing.
+	// pkt is the nf.Packet view handed to NF stages, embedded so
+	// entering a stage allocates nothing.
 	pkt nf.Packet
-	vec [1]*nf.Packet
 
 	// trace, when non-nil, puts the execution in explain mode: matches,
 	// rewrites and group selection run exactly as live, but nothing
 	// leaves the switch — outputs and packet-ins are recorded into the
-	// trace instead of delivered, and no port or buffer state changes.
+	// trace instead of delivered, no port or buffer state changes, and
+	// tables are read with the counter-free Peek.
 	trace *PacketTrace
 }
 
-var execPool = sync.Pool{New: func() any { return new(exec) }}
-
-func getExec(s *Switch, pl *pipeline, now time.Time) *exec {
-	x := execPool.Get().(*exec)
-	x.sw, x.pl, x.owned, x.now = s, pl, nil, now
-	return x
-}
-
-// release returns the exec and any owned buffer to their pools. No
-// frame bytes may be referenced after release — everything sent out a
-// port was either copied by the tx or fully delivered.
-func (x *exec) release() {
-	if x.owned != nil {
-		bufPut(x.owned)
-		x.owned = nil
+// next makes the buffer that does not hold the frame current, sized to
+// n bytes, and returns it for the caller to fill from the old bytes —
+// which stay intact meanwhile, whether borrowed or in the other buffer.
+func (x *exec) next(n int) []byte {
+	x.own = x.own&1 + 1
+	buf := x.bufs[x.own-1]
+	if cap(buf) < n {
+		buf = make([]byte, max(n, 2048))
 	}
-	x.pkt = nf.Packet{}
-	x.sw, x.pl, x.trace = nil, nil, nil
-	execPool.Put(x)
+	x.bufs[x.own-1] = buf[:n]
+	return buf[:n]
 }
 
-// ensureOwned makes data writable: if the exec already owns it, data
-// is returned as-is; otherwise the bytes move into a pooled buffer.
+// ensureOwned makes data writable: bytes already in the exec's current
+// buffer are returned as they are, anything else is copied into one.
 // The decoded frame keeps aliasing the original payload bytes, which
-// is sound because rewrites only edit headers (and the VLAN paths that
+// is sound because rewrites only edit headers (and the paths that
 // change framing re-decode).
 func (x *exec) ensureOwned(data []byte) []byte {
-	if x.owned != nil && len(data) > 0 && len(*x.owned) > 0 && &data[0] == &(*x.owned)[0] {
-		return data
+	if x.own != 0 && len(data) > 0 {
+		if cur := x.bufs[x.own-1]; len(cur) > 0 && &data[0] == &cur[0] {
+			return data
+		}
 	}
-	bp := bufGet(len(data))
-	copy(*bp, data)
-	if x.owned != nil {
-		bufPut(x.owned)
-	}
-	x.owned = bp
-	return *bp
+	buf := x.next(len(data))
+	copy(buf, data)
+	return buf
 }
 
-// reframe swaps in a pooled replacement buffer of a different size
-// (VLAN push/strip), releasing the previously owned buffer if any.
-// The caller has already copied what it needs out of the old bytes.
-func (x *exec) reframe(bp *[]byte) []byte {
-	if x.owned != nil {
-		bufPut(x.owned)
-	}
-	x.owned = bp
-	return *bp
-}
-
-// exec implements nf.Mem, lending NF stages the pooled copy-on-write
-// buffer discipline of the native rewrite actions.
+// exec implements nf.Mem, lending NF stages the copy-on-write buffer
+// discipline of the native rewrite actions.
 
 // EnsureOwned implements nf.Mem.
 func (x *exec) EnsureOwned(data []byte) []byte { return x.ensureOwned(data) }
 
 // Grow implements nf.Mem: an owned buffer with head fresh bytes in
-// front of data (tunnel encap). The copy happens before reframe
-// releases any previously owned buffer.
+// front of data (tunnel encap).
 func (x *exec) Grow(data []byte, head int) []byte {
-	bp := bufGet(len(data) + head)
-	copy((*bp)[head:], data)
-	return x.reframe(bp)
+	buf := x.next(len(data) + head)
+	copy(buf[head:], data)
+	return buf
 }
 
 // Shrink implements nf.Mem: an owned buffer holding data[off:]
 // (tunnel decap).
 func (x *exec) Shrink(data []byte, off int) []byte {
-	bp := bufGet(len(data) - off)
-	copy(*bp, data[off:])
-	return x.reframe(bp)
+	buf := x.next(len(data) - off)
+	copy(buf, data[off:])
+	return buf
 }
 
-// steer is the one way into an NF stage: it points the packet view of
-// every exec in xs at its current bytes in datas (index-aligned; nil
-// execs, frames that died on ingress, are skipped), collects the views
-// into vec and runs st over the vector. The burst loop brings a run of
-// one microflow, apply and Trace a vector of one. Verdicts and the
-// possibly rewritten or reframed bytes come back in each exec's pkt.
-func steer(st nf.Stage, inPort uint32, xs []*exec, datas [][]byte, vec []*nf.Packet) []*nf.Packet {
-	for k, x := range xs {
-		if x == nil {
-			continue
-		}
-		// Field by field: a struct literal would be built on the stack
-		// and copied over, once per packet per stage.
-		p := &x.pkt
-		p.InPort = inPort
-		p.Data = datas[k]
-		p.Frame = &x.frame
-		p.Mem = x
-		p.Now = x.now
-		p.Explain = x.trace != nil
-		p.Note = ""
-		p.Verdict = nf.VerdictContinue
-		vec = append(vec, p)
-	}
-	st.ProcessBurst(vec)
-	return vec
-}
-
-// runStage hands the frame to the NF stage registered under id. It
-// returns the (possibly rewritten or reframed) bytes and whether the
+// runStage is the one way into an NF stage: it points the exec's packet
+// view at the current bytes and hands it to the stage registered under
+// id. It returns the (possibly rewritten or reframed) bytes and whether the
 // stage consumed the frame. A missing stage — unregistered mid-flight —
 // is a pass-through: the steering rule is controller-owned intent that
 // outlives the module, and fail-open keeps it inert rather than a drop.
@@ -178,9 +118,19 @@ func (x *exec) runStage(inPort uint32, data []byte, id uint32) ([]byte, bool) {
 		}
 		return data, false
 	}
-	xs, datas := [1]*exec{x}, [1][]byte{data}
-	steer(st, inPort, xs[:], datas[:], x.vec[:0])
+	// Field by field: a struct literal would be built on the stack and
+	// copied over, once per frame per stage — and would drop conn, the
+	// hand-off from one stage of a rule to the next.
 	p := &x.pkt
+	p.InPort = inPort
+	p.Data = data
+	p.Frame = &x.frame
+	p.Mem = x
+	p.Now = x.now
+	p.Explain = x.trace != nil
+	p.Note = ""
+	p.Verdict = nf.VerdictContinue
+	st.Process(p)
 	if x.trace != nil {
 		x.trace.Stages = append(x.trace.Stages, TraceStage{
 			ID: id, Module: st.Name(), Verdict: p.Verdict.String(), Note: p.Note,
@@ -262,18 +212,16 @@ func (x *exec) apply(inPort uint32, data []byte, acts []zof.Action, depth int) (
 				x.trace.noteGroup(g, buckets)
 			}
 			for bi := range buckets {
-				// Each bucket works on its own pooled copy and nested
-				// exec so rewrites do not leak between buckets or back
-				// into this execution's frame.
-				bx := getExec(x.sw, x.pl, x.now)
+				// Each bucket works on its own copy in a nested exec so
+				// rewrites do not leak between buckets or back into this
+				// execution's frame.
+				bx := x.b.take(x.sw, x.pl, x.now)
 				bx.trace = x.trace
-				bp := bufGet(len(data))
-				copy(*bp, data)
-				bx.owned = bp
-				if packet.Decode(*bp, &bx.frame) == nil {
-					bx.apply(inPort, *bp, buckets[bi].Actions, depth+1)
+				bd := bx.ensureOwned(data)
+				if packet.Decode(bd, &bx.frame) == nil {
+					bx.apply(inPort, bd, buckets[bi].Actions, depth+1)
 				}
-				bx.release()
+				x.b.pop()
 			}
 		default:
 			data = x.rewrite(data, a)
@@ -302,10 +250,17 @@ func (x *exec) portUp(no uint32) bool {
 
 // miss implements the table-miss policy.
 func (x *exec) miss(inPort uint32, data []byte, tableID uint8) {
-	if x.sw.cfg.DropOnMiss || len(x.pl.sinks) == 0 {
-		return
+	drop := x.sw.cfg.DropOnMiss || len(x.pl.sinks) == 0
+	if tr := x.trace; tr != nil {
+		tr.Steps = append(tr.Steps, TraceStep{Table: int(tableID)})
+		tr.Verdict = "packet-in: table miss"
+		if drop {
+			tr.Verdict = "dropped: table miss"
+		}
 	}
-	x.packetIn(inPort, data, tableID, zof.ReasonNoMatch, 0, missSendLen)
+	if !drop {
+		x.packetIn(inPort, data, tableID, zof.ReasonNoMatch, 0, missSendLen)
+	}
 }
 
 // packetIn parks the packet and notifies every controller sink. The
@@ -344,31 +299,34 @@ func (x *exec) packetIn(inPort uint32, data []byte, tableID, reason uint8, cooki
 }
 
 // runFrom pushes a decoded frame through the multi-table pipeline
-// starting at table 0 with the given first-table result, the first
-// skip actions of that entry already executed: 0 for a frame that has
-// run nothing yet, 1 when the burst engine resumes a frame after
-// vectoring its run through the rule's leading nf action.
-func (x *exec) runFrom(inPort uint32, data []byte, entry *flowtable.Entry, skip int) {
-	tableID := 0
-	for {
+// starting at table 0 with the given first-table result. Rewrites landed
+// by apply are visible to the next table's match. In explain mode every
+// table's decision is recorded as a TraceStep and later tables are read
+// with Peek, so no flow or table counter moves.
+func (x *exec) runFrom(inPort uint32, data []byte, entry *flowtable.Entry) {
+	for tableID := 0; ; {
 		if entry == nil {
 			x.miss(inPort, data, uint8(tableID))
 			return
 		}
-		acts := entry.Actions
-		if skip > 0 {
-			acts = acts[skip:]
-			skip = 0
-		}
 		var resubmit bool
-		data, resubmit = x.apply(inPort, data, acts, 0)
+		data, resubmit = x.apply(inPort, data, entry.Actions, 0)
+		if x.trace != nil {
+			x.trace.noteStep(tableID, entry, resubmit)
+		}
 		if !resubmit {
 			return
 		}
-		tableID++
-		if tableID >= len(x.pl.tables) {
+		if tableID++; tableID >= len(x.pl.tables) {
+			if x.trace != nil {
+				x.trace.Verdict = "dropped: resubmit past last table"
+			}
 			return
 		}
-		entry = x.pl.tables[tableID].Lookup(&x.frame, inPort, len(data), x.now)
+		if x.trace != nil {
+			entry = x.pl.tables[tableID].Peek(&x.frame, inPort)
+		} else {
+			entry = x.pl.tables[tableID].Lookup(&x.frame, inPort, len(data), x.now)
+		}
 	}
 }

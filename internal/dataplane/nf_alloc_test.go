@@ -12,8 +12,8 @@ import (
 
 // TestNFConntrackHitZeroAlloc pins the steady-state allocation count
 // of the batched walk through a conntrack stage at zero on the hit
-// path: the stage resolves the whole vector with one shard lookup and
-// touches counters in place, so steering traffic through nf:1 costs no
+// path: the stage resolves each frame with one shard lookup and touches
+// counters in place, so steering traffic through nf:1 costs no
 // allocations once the entry exists. Excluded from race builds, where
 // allocation counts reflect instrumentation rather than the datapath.
 func TestNFConntrackHitZeroAlloc(t *testing.T) {

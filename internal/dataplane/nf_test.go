@@ -18,38 +18,23 @@ import (
 
 var natPub = packet.IPv4Addr{203, 0, 113, 1}
 
-// countStage records how the datapath invokes it.
+// countStage counts the packets the datapath hands it.
 type countStage struct {
-	name   string
-	drop   bool
-	seen   atomic.Uint64 // packets
-	bursts atomic.Uint64
-
-	mu   sync.Mutex
-	vecs []int // ProcessBurst vector sizes, in order
+	name string
+	drop bool
+	seen atomic.Uint64
 }
 
 func (c *countStage) Name() string { return c.name }
-func (c *countStage) ProcessBurst(ps []*nf.Packet) {
-	c.bursts.Add(1)
-	c.seen.Add(uint64(len(ps)))
-	c.mu.Lock()
-	c.vecs = append(c.vecs, len(ps))
-	c.mu.Unlock()
-	for _, p := range ps {
-		p.Verdict = nf.VerdictContinue
-		if c.drop {
-			p.Verdict = nf.VerdictDrop
-		}
+func (c *countStage) Process(p *nf.Packet) {
+	c.seen.Add(1)
+	p.Verdict = nf.VerdictContinue
+	if c.drop {
+		p.Verdict = nf.VerdictDrop
 	}
 }
 func (c *countStage) StateSummary() nf.StateSummary {
-	return nf.StateSummary{Counters: map[string]uint64{"bursts": c.bursts.Load()}}
-}
-func (c *countStage) vecSizes() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int(nil), c.vecs...)
+	return nf.StateSummary{Counters: map[string]uint64{"seen": c.seen.Load()}}
 }
 
 // ctNatSwitch is the canonical NF chain: conntrack then NAT, steered
@@ -197,37 +182,6 @@ func TestNFDropConsumesFrame(t *testing.T) {
 	}
 }
 
-func TestNFStageBurstBatching(t *testing.T) {
-	sw, caps := testSwitch(t, Config{DropOnMiss: true})
-	st := &countStage{name: "vec"}
-	if err := sw.RegisterStage(1, st); err != nil {
-		t.Fatal(err)
-	}
-	addFlow(t, sw, zof.MatchAll(), 10, zof.NF(1), zof.Output(2))
-
-	// One microflow, one burst: a single ProcessBurst covers the vector.
-	frA := udpFrame(t, hostA, hostB, 100, 200, "a")
-	burst := make([][]byte, 32)
-	for i := range burst {
-		burst[i] = frA
-	}
-	sw.HandleBurst(1, burst)
-	if got := st.vecSizes(); !reflect.DeepEqual(got, []int{32}) {
-		t.Fatalf("vector sizes = %v, want [32]", got)
-	}
-	if caps[2].count() != 32 {
-		t.Fatalf("tx = %d", caps[2].count())
-	}
-
-	// Two microflows in one burst: the engine batches per run.
-	frB := udpFrame(t, hostA, hostB, 101, 200, "b")
-	mixed := append(append([][]byte{}, burst[:16]...), frB, frB, frB, frB)
-	sw.HandleBurst(1, mixed)
-	if got := st.vecSizes(); !reflect.DeepEqual(got, []int{32, 16, 4}) {
-		t.Fatalf("vector sizes = %v, want [32 16 4]", got)
-	}
-}
-
 func TestNFStageRegisterUnregisterDuringTraffic(t *testing.T) {
 	sw, _ := testSwitch(t, Config{DropOnMiss: true, Clock: time.Now})
 	ct := nf.NewConntrack(nf.ConntrackConfig{Idle: time.Minute})
@@ -340,35 +294,36 @@ func conntrackExpiryDuringBursts(t *testing.T) {
 }
 
 // hookStage runs before and after around the stage it wraps; the
-// packets, and whatever one stage leaves on them for the next, pass
+// packet, and whatever one stage leaves on it for the next, passes
 // through untouched.
 type hookStage struct {
 	nf.Stage
-	before, after func(ps []*nf.Packet)
+	before, after func(p *nf.Packet)
 }
 
-func (h hookStage) ProcessBurst(ps []*nf.Packet) {
+func (h hookStage) Process(p *nf.Packet) {
 	if h.before != nil {
-		h.before(ps)
+		h.before(p)
 	}
-	h.Stage.ProcessBurst(ps)
+	h.Stage.Process(p)
 	if h.after != nil {
-		h.after(ps)
+		h.after(p)
 	}
 }
 
 // handOffNeverOutlivesItsEntry hammers the conntrack -> NAT
 // hand-off against expiry: conntrack leaves the entry it resolved on
-// every packet of a run and NAT, entered once per frame, uses it instead
-// of a second lookup, while a sweeper with a one-nanosecond idle horizon
-// removes entries (and returns their public ports to the pool) between
-// the two stages and between one frame of a run and the next. Whenever
-// a whole sweep ran between a run leaving conntrack and one of its
-// frames entering NAT, the entry is gone and its port released — only
-// this goroutine creates entries, so nothing re-created it — and the
-// frame must be the counted unbound drop a lookup would have made it,
-// never an egress carrying a port the pool has back. Every 16th stage
-// call waits for such a sweep, so both the never-bound and the
+// the packet and NAT uses it instead of a second lookup, while a sweeper
+// with a one-nanosecond idle horizon removes entries (and returns their
+// public ports to the pool) between the two stages and between one
+// frame and the next. Whenever a whole sweep ran between a frame
+// leaving conntrack and entering NAT, the entry is gone and its port
+// released — only this goroutine creates entries, so nothing re-created
+// it — and the frame must be the counted unbound drop a lookup would
+// have made it, never an egress carrying a port the pool has back.
+// Every 15th stage call waits for such a sweep — an odd period, because
+// the calls alternate conntrack, NAT, and an even one would only ever
+// wait between frames — so both the never-bound and the
 // bound-then-released case happen a thousand times a run.
 func handOffNeverOutlivesItsEntry(t *testing.T) {
 	sw, caps := testSwitch(t, Config{DropOnMiss: true, Clock: time.Now})
@@ -378,32 +333,32 @@ func handOffNeverOutlivesItsEntry(t *testing.T) {
 	// The sweeper numbers its sweeps; begun and ended bracket each one.
 	var begun, ended atomic.Uint64
 	var calls int
-	awaitSweep := func([]*nf.Packet) {
-		if calls++; calls%16 == 0 {
+	awaitSweep := func(*nf.Packet) {
+		if calls++; calls%15 == 0 {
 			for n := begun.Load(); ended.Load() <= n; {
 				runtime.Gosched()
 			}
 		}
 	}
-	var leftCT uint64 // sweeps begun when the run left conntrack; ingress goroutine only
+	var leftCT uint64 // sweeps begun when the frame left conntrack; ingress goroutine only
 	var gone bool     // a whole sweep ran since
 	var sweptBetween, translatedStale int
-	if err := sw.RegisterStage(1, hookStage{Stage: ct, after: func(ps []*nf.Packet) {
+	if err := sw.RegisterStage(1, hookStage{Stage: ct, after: func(p *nf.Packet) {
 		leftCT = begun.Load()
-		awaitSweep(ps)
+		awaitSweep(p)
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.RegisterStage(2, hookStage{Stage: nat,
-		before: func([]*nf.Packet) { gone = ended.Load() > leftCT },
-		after: func(ps []*nf.Packet) {
+		before: func(*nf.Packet) { gone = ended.Load() > leftCT },
+		after: func(p *nf.Packet) {
 			if gone {
 				sweptBetween++
-				if ps[0].Verdict != nf.VerdictDrop {
+				if p.Verdict != nf.VerdictDrop {
 					translatedStale++
 				}
 			}
-			awaitSweep(ps)
+			awaitSweep(p)
 		}}); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +385,7 @@ func handOffNeverOutlivesItsEntry(t *testing.T) {
 		}
 	}()
 	const bursts = 2000
-	run := make([][]byte, 8) // one microflow: conntrack sees it as one vector
+	run := make([][]byte, 8) // one microflow: each frame's hand-off is its own
 	for i := 0; i < bursts; i++ {
 		for j := range run {
 			run[j] = frames[i%len(frames)]
@@ -442,7 +397,7 @@ func handOffNeverOutlivesItsEntry(t *testing.T) {
 	t.Logf("%d of %d frames had their entry swept on the way to NAT", sweptBetween, bursts*8)
 
 	if sweptBetween < bursts*8/16 {
-		t.Errorf("only %d frames had their entry swept on the way to NAT; every 16th stage call waits for it", sweptBetween)
+		t.Errorf("only %d frames had their entry swept on the way to NAT; every 30th stage call waits for it there", sweptBetween)
 	}
 	if translatedStale != 0 {
 		t.Errorf("%d frames were translated through an entry swept before they reached NAT", translatedStale)
@@ -543,8 +498,8 @@ func TestNFStageMetricsRegistered(t *testing.T) {
 	}
 }
 
-// TestNFChainFrameBurstParity pins "a frame is a 1-vector" on the full
-// chain: the same frames through [nf:ct, nf:nat, nf:encap, output] as
+// TestNFChainFrameBurstParity pins "a frame is a 1-frame burst" on the
+// full chain: the same frames through [nf:ct, nf:nat, nf:encap, output] as
 // N HandleFrame calls and as one HandleBurst leave byte-identical
 // egress, in order, and equal stage counters.
 func TestNFChainFrameBurstParity(t *testing.T) {
@@ -564,7 +519,7 @@ func TestNFChainFrameBurstParity(t *testing.T) {
 		return sw, caps[2], stages
 	}
 	// Five flows interleaved in runs of varying length, so the burst
-	// engine sees multi-frame vectors, singletons and revisited flows.
+	// engine sees multi-frame groups, singletons and revisited flows.
 	var frames [][]byte
 	for i := 0; i < 48; i++ {
 		flow := (i / 3) % 5

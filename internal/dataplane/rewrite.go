@@ -35,27 +35,25 @@ func (x *exec) rewrite(data []byte, a *zof.Action) []byte {
 			binary.BigEndian.PutUint16(data[14:16], tci)
 			f.VLAN.VLAN = a.VLAN & 0x0fff
 		} else {
-			// Push a tag: insert 4 bytes after the MAC addresses, into a
-			// pooled replacement buffer.
-			bp := bufGet(len(data) + 4)
-			nd := *bp
+			// Push a tag: insert 4 bytes after the MAC addresses, into
+			// the exec's other buffer.
+			nd := x.next(len(data) + 4)
 			copy(nd, data[:12])
 			binary.BigEndian.PutUint16(nd[12:14], packet.EtherTypeVLAN)
 			binary.BigEndian.PutUint16(nd[14:16], a.VLAN&0x0fff)
 			binary.BigEndian.PutUint16(nd[16:18], f.Eth.EtherType)
 			copy(nd[18:], data[14:])
-			data = x.reframe(bp)
+			data = nd
 			// Re-decode to refresh every layer offset/alias.
 			_ = packet.Decode(data, f)
 		}
 	case zof.ActStripVLAN:
 		if f.Has(packet.LayerVLAN) {
-			bp := bufGet(len(data) - 4)
-			nd := *bp
+			nd := x.next(len(data) - 4)
 			copy(nd, data[:12])
 			binary.BigEndian.PutUint16(nd[12:14], f.VLAN.EtherType)
 			copy(nd[14:], data[18:])
-			data = x.reframe(bp)
+			data = nd
 			_ = packet.Decode(data, f)
 		}
 	case zof.ActSetIPSrc:

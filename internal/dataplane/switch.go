@@ -346,6 +346,48 @@ func (s *Switch) ConntrackEntries() []nf.ConnInfo {
 	return out
 }
 
+// RegisterMetrics publishes the switch's counters into r under prefix
+// (e.g. "dataplane.3"), as callback gauges reading the live atomics:
+// packet-in totals, microflow-cache effectiveness, and per-table
+// lookup/match/occupancy figures plus the number of mask shapes
+// installed (what a lookup in that table costs), named
+// <prefix>.flowtable.<table>.<stat>, and one <prefix>.nf.<name>.entries
+// gauge per NF stage — the stages registered now and, because the
+// switch keeps the scope, every stage registered (or unregistered)
+// afterwards.
+func (s *Switch) RegisterMetrics(r *obs.Registry, prefix string) {
+	sc := r.Scope(prefix)
+	sc.RegisterFunc("packet_ins", func() int64 { return int64(s.PacketIns.Load()) })
+	sc.RegisterFunc("flows", func() int64 { return int64(s.FlowCount()) })
+	sc.RegisterFunc("microcache.hits", func() int64 { return int64(s.cache.Hits()) })
+	sc.RegisterFunc("microcache.misses", func() int64 { return int64(s.cache.Misses()) })
+	sc.RegisterFunc("microcache.flows", func() int64 { return int64(s.cache.Len()) })
+	sc.RegisterHistogram("burst.sizes", s.burstSizes)
+	for i, t := range s.pl.Load().tables {
+		t := t
+		ts := sc.Scope(fmt.Sprintf("flowtable.%d", i))
+		ts.RegisterFunc("lookups", func() int64 { return int64(t.Lookups()) })
+		ts.RegisterFunc("matches", func() int64 { return int64(t.Matches()) })
+		ts.RegisterFunc("active", func() int64 { return int64(t.Len()) })
+		ts.RegisterFunc("tuples", func() int64 { return int64(t.Shapes()) })
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.metrics = &sc
+	for _, st := range s.stages {
+		s.publishStageGaugeLocked(st)
+	}
+}
+
+// publishStageGaugeLocked registers st's live-state gauge if a metrics
+// registry is attached. Caller holds s.mu.
+func (s *Switch) publishStageGaugeLocked(st nf.Stage) {
+	if s.metrics != nil {
+		s.metrics.Scope("nf."+st.Name()).RegisterFunc("entries",
+			func() int64 { return int64(st.StateSummary().Entries) })
+	}
+}
+
 // FlowCount returns the number of entries across tables (test aid).
 func (s *Switch) FlowCount() int {
 	n := 0
@@ -361,8 +403,8 @@ func (s *Switch) FlowCount() int {
 //
 // This is the lock-free fast path: any number of goroutines may call
 // HandleFrame concurrently. Each call loads the current pipeline
-// snapshot, takes a pooled execution context, and traverses tables,
-// groups and ports without acquiring the switch mutex. Control-plane
+// snapshot, takes a pooled burst and an exec from it, and traverses
+// tables, groups and ports without acquiring the switch mutex. Control-plane
 // mutations racing with a traversal are seen either entirely or not at
 // all (per-structure RCU views).
 //
@@ -493,11 +535,12 @@ func (s *Switch) validateActionsLocked(acts []zof.Action) error {
 // (packet-out, buffered release). Caller holds s.mu; the execution uses
 // the current snapshot like any datapath frame would.
 func (s *Switch) inject(inPort uint32, data []byte, acts []zof.Action) {
-	x := getExec(s, s.pl.Load(), s.cfg.Clock())
+	b := getBurst(0)
+	x := b.take(s, s.pl.Load(), s.cfg.Clock())
 	if packet.Decode(data, &x.frame) == nil {
 		x.apply(inPort, data, acts, 0)
 	}
-	x.release()
+	putBurst(b)
 }
 
 func (s *Switch) flowModLocked(m *zof.FlowMod) error {

@@ -3,8 +3,7 @@ package dataplane
 import (
 	"fmt"
 
-	"repro/internal/nf"
-	"repro/internal/obs"
+	"repro/internal/flowtable"
 	"repro/internal/packet"
 	"repro/internal/zof"
 )
@@ -91,6 +90,23 @@ func (tr *PacketTrace) noteGroup(g *GroupDesc, chosen []Bucket) {
 	tr.Groups = append(tr.Groups, tg)
 }
 
+// noteStep records one table's decision: the rule that matched, the
+// actions it ran and whether they resubmitted to the next table.
+func (tr *PacketTrace) noteStep(table int, e *flowtable.Entry, resubmit bool) {
+	step := TraceStep{
+		Table:    table,
+		Matched:  true,
+		Priority: e.Priority,
+		Cookie:   e.Cookie,
+		Match:    e.Match.String(),
+		Resubmit: resubmit,
+	}
+	for _, a := range e.Actions {
+		step.Actions = append(step.Actions, a.String())
+	}
+	tr.Steps = append(tr.Steps, step)
+}
+
 // String names the group semantics for traces.
 func (t GroupType) String() string {
 	switch t {
@@ -160,56 +176,16 @@ func (s *Switch) Trace(inPort uint32, data []byte) *PacketTrace {
 		tr.Verdict = "dropped: in port down"
 		return tr
 	}
-	x := getExec(s, pl, s.cfg.Clock())
+	b := getBurst(0)
+	defer putBurst(b)
+	x := b.take(s, pl, s.cfg.Clock())
 	x.trace = tr
 	if err := packet.Decode(data, &x.frame); err != nil {
-		x.release()
 		tr.Verdict = "dropped: malformed frame"
 		return tr
 	}
 	tr.Frame = frameSummary(&x.frame)
-
-	// The loop mirrors runFrom(): rewrites landed by apply are visible to
-	// the next table's match, exactly like the live resubmit path.
-	tableID := 0
-	entry := pl.tables[0].Peek(&x.frame, inPort)
-	for {
-		if entry == nil {
-			tr.Steps = append(tr.Steps, TraceStep{Table: tableID})
-			before := len(tr.PacketIns)
-			x.miss(inPort, data, uint8(tableID))
-			if len(tr.PacketIns) > before {
-				tr.Verdict = "packet-in: table miss"
-			} else {
-				tr.Verdict = "dropped: table miss"
-			}
-			break
-		}
-		step := TraceStep{
-			Table:    tableID,
-			Matched:  true,
-			Priority: entry.Priority,
-			Cookie:   entry.Cookie,
-			Match:    entry.Match.String(),
-		}
-		for _, a := range entry.Actions {
-			step.Actions = append(step.Actions, a.String())
-		}
-		var resubmit bool
-		data, resubmit = x.apply(inPort, data, entry.Actions, 0)
-		step.Resubmit = resubmit
-		tr.Steps = append(tr.Steps, step)
-		if !resubmit {
-			break
-		}
-		tableID++
-		if tableID >= len(pl.tables) {
-			tr.Verdict = "dropped: resubmit past last table"
-			break
-		}
-		entry = pl.tables[tableID].Peek(&x.frame, inPort)
-	}
-	x.release()
+	x.runFrom(inPort, data, pl.tables[0].Peek(&x.frame, inPort))
 
 	if tr.Verdict == "" {
 		delivered := 0
@@ -230,46 +206,4 @@ func (s *Switch) Trace(inPort uint32, data []byte) *PacketTrace {
 		}
 	}
 	return tr
-}
-
-// RegisterMetrics publishes the switch's counters into r under prefix
-// (e.g. "dataplane.3"), as callback gauges reading the live atomics:
-// packet-in totals, microflow-cache effectiveness, and per-table
-// lookup/match/occupancy figures plus the number of mask shapes
-// installed (what a lookup in that table costs), named
-// <prefix>.flowtable.<table>.<stat>, and one <prefix>.nf.<name>.entries
-// gauge per NF stage — the stages registered now and, because the
-// switch keeps the scope, every stage registered (or unregistered)
-// afterwards.
-func (s *Switch) RegisterMetrics(r *obs.Registry, prefix string) {
-	sc := r.Scope(prefix)
-	sc.RegisterFunc("packet_ins", func() int64 { return int64(s.PacketIns.Load()) })
-	sc.RegisterFunc("flows", func() int64 { return int64(s.FlowCount()) })
-	sc.RegisterFunc("microcache.hits", func() int64 { return int64(s.cache.Hits()) })
-	sc.RegisterFunc("microcache.misses", func() int64 { return int64(s.cache.Misses()) })
-	sc.RegisterFunc("microcache.flows", func() int64 { return int64(s.cache.Len()) })
-	sc.RegisterHistogram("burst.sizes", s.burstSizes)
-	for i, t := range s.pl.Load().tables {
-		t := t
-		ts := sc.Scope(fmt.Sprintf("flowtable.%d", i))
-		ts.RegisterFunc("lookups", func() int64 { return int64(t.Lookups()) })
-		ts.RegisterFunc("matches", func() int64 { return int64(t.Matches()) })
-		ts.RegisterFunc("active", func() int64 { return int64(t.Len()) })
-		ts.RegisterFunc("tuples", func() int64 { return int64(t.Shapes()) })
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metrics = &sc
-	for _, st := range s.stages {
-		s.publishStageGaugeLocked(st)
-	}
-}
-
-// publishStageGaugeLocked registers st's live-state gauge if a metrics
-// registry is attached. Caller holds s.mu.
-func (s *Switch) publishStageGaugeLocked(st nf.Stage) {
-	if s.metrics != nil {
-		s.metrics.Scope("nf."+st.Name()).RegisterFunc("entries",
-			func() int64 { return int64(st.StateSummary().Entries) })
-	}
 }

@@ -92,9 +92,9 @@ type conn struct {
 	owner       atomic.Pointer[Conntrack] // the table holding the entry; nil once Sweep removed it
 }
 
-func (c *conn) touchN(now int64, pkts, bytes uint64) {
+func (c *conn) touch(now int64, bytes uint64) {
 	c.lastSeen.Store(now)
-	c.packets.Add(pkts)
+	c.packets.Add(1)
 	c.bytes.Add(bytes)
 }
 
@@ -200,24 +200,17 @@ func (ct *Conntrack) peek(k ConnKey) (c *conn, reply bool) {
 	return sh.find(k)
 }
 
-// ProcessBurst implements Stage. The packets share a microflow key, so
-// one lookup and one aggregate touch cover the whole vector. Conntrack
-// never drops: it observes.
-func (ct *Conntrack) ProcessBurst(ps []*Packet) {
-	pkts := uint64(len(ps))
-	var bytes uint64
-	for _, p := range ps {
-		bytes += uint64(len(p.Data))
-		p.Verdict = VerdictContinue
-	}
-	p := ps[0]
+// Process implements Stage. Conntrack never drops: it observes, and
+// leaves the entry it resolved on the packet for a NAT stage behind it.
+func (ct *Conntrack) Process(p *Packet) {
+	p.Verdict = VerdictContinue
 	k, ok := keyFromFrame(p.Frame)
 	if !ok {
 		if p.Explain {
 			p.Note = "untracked (not IPv4 TCP/UDP)"
 			return
 		}
-		ct.untracked.Add(pkts)
+		ct.untracked.Add(1)
 		return
 	}
 	now := p.Now.UnixNano()
@@ -239,24 +232,19 @@ func (ct *Conntrack) ProcessBurst(ps []*Packet) {
 	}
 	c, reply, created := ct.lookup(k, now)
 	if c == nil {
-		ct.full.Add(pkts)
+		ct.full.Add(1)
 		return
 	}
 	if created {
 		ct.misses.Add(1)
-		if pkts > 1 {
-			ct.hits.Add(pkts - 1)
-		}
 	} else {
-		ct.hits.Add(pkts)
+		ct.hits.Add(1)
 	}
 	if reply {
 		c.established.Store(true)
 	}
-	c.touchN(now, pkts, bytes)
-	for _, p := range ps {
-		p.conn = c
-	}
+	c.touch(now, uint64(len(p.Data)))
+	p.conn = c
 }
 
 // Tick implements Ticker: sweep idled-out entries.

@@ -127,10 +127,9 @@ func (n *NAT) bind(c *conn, proto uint8) natPlan {
 	return natPlan{out: b}
 }
 
-// plan resolves what to do with a run of same-tuple packets: one
-// lookup serves the whole vector. drop and pass name the counter to
-// move per frame dropped or passed untouched; all nil means pass
-// uncounted.
+// natPlan is what resolve decided for a packet and apply carries out.
+// drop and pass name the counter to move for a frame dropped or passed
+// untouched; all nil means pass uncounted.
 type natPlan struct {
 	drop *atomic.Uint64
 	pass *atomic.Uint64
@@ -217,21 +216,15 @@ func (n *NAT) apply(p *Packet, pl natPlan) Verdict {
 			// The inbound path bypasses the conntrack stage, so the
 			// reply traffic keeps the entry alive from here.
 			b.c.established.Store(true)
-			b.c.touchN(p.Now.UnixNano(), 1, uint64(len(p.Data)))
+			b.c.touch(p.Now.UnixNano(), uint64(len(p.Data)))
 			n.inbound.Add(1)
 		}
 	}
 	return VerdictContinue
 }
 
-// ProcessBurst implements Stage: resolve once for the shared tuple,
-// rewrite every frame.
-func (n *NAT) ProcessBurst(ps []*Packet) {
-	pl := n.resolve(ps[0])
-	for _, p := range ps {
-		p.Verdict = n.apply(p, pl)
-	}
-}
+// Process implements Stage.
+func (n *NAT) Process(p *Packet) { p.Verdict = n.apply(p, n.resolve(p)) }
 
 // Bindings reports the live binding count.
 func (n *NAT) Bindings() int {

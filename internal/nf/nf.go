@@ -8,11 +8,10 @@
 // conntrack entries, NAT bindings — lives here, outside the audit
 // contract, introspected through StateSummary instead of diffed.
 //
-// Stages run on the datapath fast path and have one way in: a vector of
-// packets. A single frame is a vector of length one. ProcessBurst must
-// not allocate in steady state, must never block beyond a short mutex,
-// and must honor Explain mode (record the decision in Note, mutate
-// nothing).
+// Stages run on the datapath fast path and have one way in: one packet
+// per call. Process must not allocate in steady state, must never block
+// beyond a short mutex, and must honor Explain mode (record the decision
+// in Note, mutate nothing).
 package nf
 
 import (
@@ -43,9 +42,9 @@ func (v Verdict) String() string {
 }
 
 // Mem is the buffer service the datapath execution lends a stage so
-// rewrites stay copy-on-write and pooled: the caller's frame bytes are
-// never mutated, and replacement buffers come from (and return to) the
-// datapath's pools.
+// rewrites stay copy-on-write and allocation-free: the caller's frame
+// bytes are never mutated, and replacement buffers are the execution's
+// own.
 type Mem interface {
 	// EnsureOwned returns a writable alias of data, copying it into an
 	// execution-owned buffer if the bytes are still borrowed.
@@ -60,8 +59,8 @@ type Mem interface {
 
 // Packet is one frame traversing a stage. Data and Frame must be kept
 // in sync: a stage that rewrites bytes updates the decoded view (or
-// re-decodes after reframing). Packets are pooled by the datapath;
-// stages must not retain one past the call.
+// re-decodes after reframing). Packets belong to the datapath's
+// execution; stages must not retain one past the call.
 type Packet struct {
 	InPort uint32
 	Data   []byte        // current frame bytes
@@ -76,8 +75,7 @@ type Packet struct {
 	Explain bool
 	Note    string
 
-	// Verdict is the stage's decision, filled per packet by
-	// ProcessBurst.
+	// Verdict is the stage's decision, filled by Process.
 	Verdict Verdict
 
 	// conn is the entry a conntrack stage resolved for this packet, left
@@ -90,13 +88,8 @@ type Packet struct {
 // datapath invokes stages from every ingress goroutine at once.
 type Stage interface {
 	Name() string
-	// ProcessBurst runs the stage over a non-empty vector of packets
-	// that share the ingress port and microflow key (the burst engine
-	// groups by cache key before steering; a mid-rule or explain-mode
-	// call brings a vector of one), filling each Packet.Verdict.
-	// Sharing the key is the amortization contract: one state lookup
-	// covers the whole vector.
-	ProcessBurst(ps []*Packet)
+	// Process runs the stage over one packet and fills its Verdict.
+	Process(p *Packet)
 	// StateSummary reports the module's dynamic state for
 	// introspection (REST, experiments); it may allocate.
 	StateSummary() StateSummary

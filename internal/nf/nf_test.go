@@ -57,9 +57,9 @@ func pkt(t testing.TB, data []byte, now time.Time) *Packet {
 	return &Packet{InPort: 1, Data: data, Frame: f, Mem: testMem{}, Now: now}
 }
 
-// run1 drives st over the 1-vector {p} and returns the verdict.
+// run1 drives st over p and returns the verdict.
 func run1(st Stage, p *Packet) Verdict {
-	st.ProcessBurst([]*Packet{p})
+	st.Process(p)
 	return p.Verdict
 }
 
@@ -396,16 +396,16 @@ func TestTunnelDecapIgnoresStaleIPv4View(t *testing.T) {
 	}
 }
 
-// TestNATCountsUntrackedPerFrame: a vector of n untrackable frames
-// moves the untracked counter by n, as n vectors of one would.
+// TestNATCountsUntrackedPerFrame: n untrackable frames pass and move
+// the untracked counter by n.
 func TestNATCountsUntrackedPerFrame(t *testing.T) {
 	ct := NewConntrack(ConntrackConfig{Idle: time.Minute})
 	nat := NewNAT(NATConfig{CT: ct, PublicIP: tPub})
 	var ps []*Packet
 	for i := 0; i < 3; i++ {
 		ps = append(ps, pkt(t, udp6Frame(80, []byte("v6")), time.Unix(100, 0)))
+		nat.Process(ps[i])
 	}
-	nat.ProcessBurst(ps)
 	for i, p := range ps {
 		if p.Verdict != VerdictContinue {
 			t.Errorf("packet %d verdict = %v", i, p.Verdict)

@@ -84,39 +84,35 @@ func NewTunnelEncap(cfg TunnelConfig) *TunnelEncap {
 // Name implements Stage.
 func (t *TunnelEncap) Name() string { return t.cfg.Name + "-encap" }
 
-// ProcessBurst implements Stage. Encap reframes every packet and never
-// drops; the shared-tuple contract buys nothing here, so it is a plain
-// loop.
-func (t *TunnelEncap) ProcessBurst(ps []*Packet) {
-	for _, p := range ps {
-		// Outer UDP source-port entropy from the inner flow, before the
-		// decoded view flips to the outer headers.
-		var k packet.FlowKey
-		k.Extract(p.Frame)
-		srcPort := 49152 | uint16(k.SymmetricHash()&0x3fff)
+// Process implements Stage. Encap reframes the packet and never drops.
+func (t *TunnelEncap) Process(p *Packet) {
+	// Outer UDP source-port entropy from the inner flow, before the
+	// decoded view flips to the outer headers.
+	var k packet.FlowKey
+	k.Extract(p.Frame)
+	srcPort := 49152 | uint16(k.SymmetricHash()&0x3fff)
 
-		ipLen := uint32(TunnelOverhead - packet.EthernetHeaderLen + len(p.Data))
-		data := p.Mem.Grow(p.Data, TunnelOverhead)
-		h := data[:TunnelOverhead]
-		copy(h, t.hdr[:])
-		binary.BigEndian.PutUint16(h[16:18], uint16(ipLen)) // IPv4 total length
-		sum := t.ipSum + ipLen                              // at most 0x1fffe: one fold
-		binary.BigEndian.PutUint16(h[24:26], ^uint16(sum&0xffff+sum>>16))
-		binary.BigEndian.PutUint16(h[34:36], srcPort)
-		binary.BigEndian.PutUint16(h[38:40], uint16(ipLen-packet.IPv4MinHeaderLen)) // UDP length
+	ipLen := uint32(TunnelOverhead - packet.EthernetHeaderLen + len(p.Data))
+	data := p.Mem.Grow(p.Data, TunnelOverhead)
+	h := data[:TunnelOverhead]
+	copy(h, t.hdr[:])
+	binary.BigEndian.PutUint16(h[16:18], uint16(ipLen)) // IPv4 total length
+	sum := t.ipSum + ipLen                              // at most 0x1fffe: one fold
+	binary.BigEndian.PutUint16(h[24:26], ^uint16(sum&0xffff+sum>>16))
+	binary.BigEndian.PutUint16(h[34:36], srcPort)
+	binary.BigEndian.PutUint16(h[38:40], uint16(ipLen-packet.IPv4MinHeaderLen)) // UDP length
 
-		p.Data = data
-		// The decoded view now describes the outer packet; the inner frame
-		// is opaque payload to downstream match/output actions.
-		_ = packet.Decode(data, p.Frame)
-		if p.Explain {
-			p.Note = fmt.Sprintf("vni %d %s -> %s", t.cfg.VNI, t.cfg.LocalIP, t.cfg.RemoteIP)
-		} else {
-			t.encapped.Add(1)
-			t.bytes.Add(TunnelOverhead)
-		}
-		p.Verdict = VerdictContinue
+	p.Data = data
+	// The decoded view now describes the outer packet; the inner frame
+	// is opaque payload to downstream match/output actions.
+	_ = packet.Decode(data, p.Frame)
+	if p.Explain {
+		p.Note = fmt.Sprintf("vni %d %s -> %s", t.cfg.VNI, t.cfg.LocalIP, t.cfg.RemoteIP)
+	} else {
+		t.encapped.Add(1)
+		t.bytes.Add(TunnelOverhead)
 	}
+	p.Verdict = VerdictContinue
 }
 
 // StateSummary implements Stage. Encap is stateless; entries stay 0.
@@ -146,12 +142,8 @@ func NewTunnelDecap(cfg TunnelConfig) *TunnelDecap {
 // Name implements Stage.
 func (t *TunnelDecap) Name() string { return t.cfg.Name + "-decap" }
 
-// ProcessBurst implements Stage.
-func (t *TunnelDecap) ProcessBurst(ps []*Packet) {
-	for _, p := range ps {
-		p.Verdict = t.decap(p)
-	}
-}
+// Process implements Stage.
+func (t *TunnelDecap) Process(p *Packet) { p.Verdict = t.decap(p) }
 
 // decap strips one packet's outer headers, or says why it is not this
 // tunnel's. The outer packet must be IPv4: the decoded view's IPv4
