@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/zof"
 )
@@ -9,13 +10,15 @@ import (
 // packetBuffers holds packets parked at the switch awaiting a
 // controller verdict, OpenFlow buffer_id style. A fixed ring: old
 // buffers are overwritten, which is exactly the lossy contract real
-// switches provide. Internally locked — packets are parked by
+// switches provide, and a parked packet lost that way is counted in
+// evicted. Internally locked — packets are parked by
 // concurrent pipeline executions and released by the serialized
 // control path.
 type packetBuffers struct {
-	mu     sync.Mutex
-	slots  []bufferedPacket
-	nextID uint32
+	mu      sync.Mutex
+	slots   []bufferedPacket
+	nextID  uint32
+	evicted atomic.Uint64 // packets overwritten before their verdict came
 }
 
 type bufferedPacket struct {
@@ -42,6 +45,9 @@ func (b *packetBuffers) put(inPort uint32, data []byte) uint32 {
 		b.nextID = 0
 	}
 	slot := &b.slots[id%uint32(len(b.slots))]
+	if slot.valid {
+		b.evicted.Add(1)
+	}
 	slot.id = id
 	slot.inPort = inPort
 	slot.data = append(slot.data[:0], data...)

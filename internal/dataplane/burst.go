@@ -54,6 +54,27 @@ type burst struct {
 	// from a burst of no frames.
 	arena []*exec
 	top   int
+
+	// What the call has transmitted, per egress port — a handful, so a
+	// linear search. putBurst folds it into the port counters.
+	tx []portTx
+}
+
+type portTx struct {
+	port           *Port
+	packets, bytes uint64
+}
+
+// noteTx counts one n-byte frame transmitted on p.
+func (b *burst) noteTx(p *Port, n int) {
+	for i := range b.tx {
+		if b.tx[i].port == p {
+			b.tx[i].packets++
+			b.tx[i].bytes += uint64(n)
+			return
+		}
+	}
+	b.tx = append(b.tx, portTx{p, 1, uint64(n)})
 }
 
 // take hands out the next exec, borrowing no bytes yet.
@@ -133,11 +154,19 @@ func (b *burst) grow(n int) {
 	b.used = b.used[:0]
 }
 
-// putBurst resets the grouping table, takes every exec back and drops
-// entry references before returning the burst to the pool (pooled
-// structs must not pin flow entries, snapshots or conntrack entries
-// past the call).
+// putBurst adds what the call transmitted to the egress ports' counters
+// — one add per port, whoever ran on the burst: frames, inject, nested
+// group buckets — resets the grouping table, takes every exec back and
+// drops entry references before returning the burst to the pool (pooled
+// structs must not pin ports, flow entries, snapshots or conntrack
+// entries past the call).
 func putBurst(b *burst) {
+	for i, t := range b.tx {
+		t.port.txPackets.Add(t.packets)
+		t.port.txBytes.Add(t.bytes)
+		b.tx[i] = portTx{}
+	}
+	b.tx = b.tx[:0]
 	for _, slot := range b.used {
 		b.tab[slot] = -1
 	}
@@ -155,9 +184,10 @@ func putBurst(b *burst) {
 
 // HandleBurst runs a batch of frames arriving on inPort through the
 // pipeline with the batching the run-to-completion model calls for:
-// one pipeline-snapshot load for the whole burst, frames grouped by
-// extracted microflow key, and one MicroCache/flowtable lookup per
-// distinct key — the hash and shard visit amortized across every frame
+// one pipeline-snapshot load and one rx/tx counter update per port for
+// the whole burst, frames grouped by extracted microflow key, and one
+// lookup in the ingress port's MicroCache (else the flow table) per
+// distinct key — the hash and set visit amortized across every frame
 // of the group. Execution then proceeds frame by frame in arrival
 // order on the burst's own execs, so action semantics, packet-in
 // ordering and trace/explain parity are identical to len(frames)
@@ -187,15 +217,16 @@ func (s *Switch) HandleBurst(inPort uint32, frames [][]byte) {
 func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte, b *burst) {
 	now := s.cfg.Clock()
 
-	// Ingress: port accounting, decode, microflow-key extraction. Each
-	// key is hashed exactly once, here; the grouping table and the
-	// cache both consume that hash.
-	live := 0
+	// Ingress: port accounting once for the burst, decode, microflow-key
+	// extraction. Each key is hashed exactly once, here; the grouping
+	// table and the cache both consume that hash.
+	if !p.up.Load() {
+		p.rxDropped.Add(uint64(len(frames)))
+		return
+	}
+	live, rxBytes := 0, 0
 	for i, data := range frames {
-		if !p.recv(len(data)) {
-			b.execs[i] = nil
-			continue
-		}
+		rxBytes += len(data)
 		x := b.take(s, pl, now)
 		if err := packet.Decode(data, &x.frame); err != nil {
 			b.pop()
@@ -207,6 +238,8 @@ func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte,
 		b.hashes[i] = b.keys[i].Hash()
 		live++
 	}
+	p.rxPackets.Add(uint64(len(frames)))
+	p.rxBytes.Add(uint64(rxBytes))
 	if live == 0 {
 		return
 	}
@@ -253,7 +286,7 @@ func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte,
 	ng := len(b.groups)
 	b.entries = b.entries[:ng]
 	b.cached = b.cached[:ng]
-	s.cache.LookupBatch(gen, b.gkeys, b.ghashes, b.entries, b.cached)
+	p.cache.LookupBatch(gen, b.gkeys, b.ghashes, b.entries, b.cached)
 	for g := 0; g < ng; g++ {
 		grp := &b.groups[g]
 		if b.cached[g] {
@@ -279,7 +312,7 @@ func (s *Switch) runBurst(pl *pipeline, p *Port, inPort uint32, frames [][]byte,
 		for i := range b.reqs {
 			g := b.reqGroup[i]
 			b.entries[g] = b.reqs[i].Entry
-			s.cache.PutHashed(b.gkeys[g], b.ghashes[g], gen, b.reqs[i].Entry)
+			p.cache.PutHashed(b.gkeys[g], b.ghashes[g], gen, b.reqs[i].Entry)
 		}
 	}
 

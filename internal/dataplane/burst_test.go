@@ -14,19 +14,29 @@ import (
 	"repro/internal/zof"
 )
 
-// burstParityFixture builds a switch with two steering flows (A-traffic
-// to port 2, B-traffic to port 3) over the standard 3-port test switch.
+// burstParityFixture builds a switch over the standard 3-port test
+// switch plus port 4, wired and down, and port 5, never wired. Traffic
+// to B leaves on port 2, to A on port 3, to 10.0.0.3 on both through a
+// group:all, to 10.0.0.4 and .5 on the ports that drop it.
 func burstParityFixture(t *testing.T) (*Switch, map[uint32]*capture) {
 	t.Helper()
 	sw, caps := testSwitch(t, Config{DropOnMiss: true})
-	mA := zof.MatchAll()
-	mA.IPDst = hostB
-	mA.DstPrefix = 32
-	addFlow(t, sw, mA, 10, zof.Output(2))
-	mB := zof.MatchAll()
-	mB.IPDst = hostA
-	mB.DstPrefix = 32
-	addFlow(t, sw, mB, 10, zof.Output(3))
+	caps[4] = &capture{}
+	sw.AddPort(4, "", 1000).SetTx(caps[4].tx)
+	sw.SetPortDown(4, true)
+	sw.AddPort(5, "", 1000)
+	sw.AddGroup(GroupDesc{ID: 1, Type: GroupAll, Buckets: []Bucket{
+		{Actions: []zof.Action{zof.Output(2)}},
+		{Actions: []zof.Action{zof.Output(3)}},
+	}})
+	for dst, act := range map[packet.IPv4Addr]zof.Action{
+		hostB: zof.Output(2), hostA: zof.Output(3), {10, 0, 0, 3}: zof.Group(1),
+		{10, 0, 0, 4}: zof.Output(4), {10, 0, 0, 5}: zof.Output(5),
+	} {
+		m := zof.MatchAll()
+		m.IPDst, m.DstPrefix = dst, 32
+		addFlow(t, sw, m, 10, act)
+	}
 	return sw, caps
 }
 
@@ -42,15 +52,27 @@ func tableStats(t *testing.T, sw *Switch) (lookups, matches uint64) {
 	return rep.Tables[0].LookupCount, rep.Tables[0].MatchedCount
 }
 
-// TestHandleBurstParity feeds the same mixed traffic — two microflows,
-// a miss and a malformed frame — to one switch per frame and to an
+// TestHandleBurstParity feeds the same mixed traffic — 37 frames: two
+// microflows, a fan-out, frames for a down and for an unwired port, a
+// miss and three malformed frames — to one switch per frame and to an
 // identical switch as a single burst, and asserts every observable
-// (deliveries, port stats, table accounting, flow counters) agrees.
+// (deliveries, every port's stats, table accounting, flow counters)
+// agrees.
 func TestHandleBurstParity(t *testing.T) {
-	toB := udpFrame(t, hostA, hostB, 1000, 2000, "a->b")
-	toA := udpFrame(t, hostB, hostA, 2000, 1000, "b->a")
-	miss := udpFrame(t, hostA, packet.IPv4Addr{10, 9, 9, 9}, 1, 1, "miss")
-	burst := [][]byte{toB, toA, toB, {0xde, 0xad}, miss, toB, toA}
+	kinds := [][]byte{
+		udpFrame(t, hostA, hostB, 1000, 2000, "a->b"),
+		udpFrame(t, hostB, hostA, 2000, 1000, "b->a, a longer frame"),
+		udpFrame(t, hostA, packet.IPv4Addr{10, 0, 0, 3}, 1, 1, "fan-out"),
+		udpFrame(t, hostA, packet.IPv4Addr{10, 0, 0, 4}, 1, 1, "down"),
+		udpFrame(t, hostA, packet.IPv4Addr{10, 0, 0, 5}, 1, 1, "unwired"),
+		udpFrame(t, hostA, packet.IPv4Addr{10, 9, 9, 9}, 1, 1, "miss"),
+		{0xde, 0xad},
+	}
+	burst := make([][]byte, 37)
+	for i := range burst {
+		burst[i] = kinds[i%len(kinds)]
+	}
+	burst[6], burst[13] = kinds[0], kinds[1] // leaves 3 malformed: 20, 27, 34
 
 	swFrame, capsFrame := burstParityFixture(t)
 	for _, f := range burst {
@@ -59,25 +81,93 @@ func TestHandleBurstParity(t *testing.T) {
 	swBurst, capsBurst := burstParityFixture(t)
 	swBurst.HandleBurst(1, burst)
 
-	for port := uint32(1); port <= 3; port++ {
-		if nf, nb := capsFrame[port].count(), capsBurst[port].count(); nf != nb {
-			t.Errorf("port %d: frame path delivered %d, burst path %d", port, nf, nb)
+	for port := uint32(1); port <= 5; port++ {
+		if port <= 4 {
+			if nf, nb := capsFrame[port].count(), capsBurst[port].count(); nf != nb {
+				t.Errorf("port %d: frame path delivered %d, burst path %d", port, nf, nb)
+			}
+		}
+		pF, _ := swFrame.Port(port)
+		pB, _ := swBurst.Port(port)
+		if pF.Stats() != pB.Stats() {
+			t.Errorf("port %d stats diverge: frame=%+v burst=%+v", port, pF.Stats(), pB.Stats())
 		}
 	}
-	pF, _ := swFrame.Port(1)
-	pB, _ := swBurst.Port(1)
-	if pF.Stats() != pB.Stats() {
-		t.Errorf("ingress stats diverge: frame=%+v burst=%+v", pF.Stats(), pB.Stats())
+	stats := func(port uint32) zof.PortStats {
+		p, _ := swBurst.Port(port)
+		return p.Stats()
+	}
+	var rxBytes uint64
+	for _, f := range burst {
+		rxBytes += uint64(len(f))
+	}
+	if st := stats(1); st.RxPackets != 37 || st.RxBytes != rxBytes || st.RxDropped != 0 {
+		t.Errorf("ingress stats = %+v, want 37 packets, %d bytes", st, rxBytes)
+	}
+	// 7 a->b and 5 fan-out frames leave on port 2; 7 b->a and the same
+	// 5 on port 3; 5 frames each die on the down and the unwired port.
+	wantTx := uint64(7*len(kinds[0]) + 5*len(kinds[2]))
+	if st := stats(2); st.TxPackets != 12 || st.TxBytes != wantTx || st.TxDropped != 0 {
+		t.Errorf("port 2 stats = %+v, want 12 packets, %d bytes", st, wantTx)
+	}
+	wantTx = uint64(7*len(kinds[1]) + 5*len(kinds[2]))
+	if st := stats(3); st.TxPackets != 12 || st.TxBytes != wantTx || st.TxDropped != 0 {
+		t.Errorf("port 3 stats = %+v, want 12 packets, %d bytes", st, wantTx)
+	}
+	for port := uint32(4); port <= 5; port++ {
+		if st := stats(port); st.TxDropped != 5 || st.TxPackets != 0 || st.TxBytes != 0 {
+			t.Errorf("port %d stats = %+v, want 5 tx drops and nothing sent", port, st)
+		}
 	}
 	lf, mf := tableStats(t, swFrame)
 	lb, mb := tableStats(t, swBurst)
 	if lf != lb || mf != mb {
 		t.Errorf("table accounting diverges: frame=%d/%d burst=%d/%d", lf, mf, lb, mb)
 	}
-	// 6 decodable frames (3 toB, 2 toA, 1 miss): every one is a lookup,
-	// the 5 steered ones are matches, the malformed frame is neither.
-	if lb != 6 || mb != 5 {
-		t.Errorf("burst accounting = %d lookups / %d matches, want 6/5", lb, mb)
+	// 34 decodable frames: every one is a lookup, all but the 5 misses
+	// are matches, the malformed frames are neither.
+	if lb != 34 || mb != 29 {
+		t.Errorf("burst accounting = %d lookups / %d matches, want 34/29", lb, mb)
+	}
+}
+
+// TestHandleBurstParityReentrant wires port 2 back into the switch at
+// port 3, so every frame port 1 forwards re-enters on another port
+// while its burst is still in flight: when both calls have returned,
+// every port's counters are exact, per frame and per burst alike.
+func TestHandleBurstParityReentrant(t *testing.T) {
+	build := func() *Switch {
+		sw, _ := testSwitch(t, Config{DropOnMiss: true})
+		p2, _ := sw.Port(2)
+		p2.SetTx(func(data []byte) { sw.HandleFrame(3, data) })
+		for in, out := range map[uint32]uint32{1: 2, 3: 1} {
+			m := zof.MatchAll()
+			m.Wildcards &^= zof.WInPort
+			m.InPort = in
+			addFlow(t, sw, m, 10, zof.Output(out))
+		}
+		return sw
+	}
+	burst := make([][]byte, 37)
+	for i := range burst {
+		burst[i] = udpFrame(t, hostA, hostB, uint16(i%5), 7, "loop")
+	}
+	n, bytes := uint64(len(burst)), uint64(len(burst)*len(burst[0]))
+	swFrame, swBurst := build(), build()
+	for _, f := range burst {
+		swFrame.HandleFrame(1, f)
+	}
+	swBurst.HandleBurst(1, burst)
+	for port, want := range map[uint32]zof.PortStats{
+		1: {PortNo: 1, RxPackets: n, RxBytes: bytes, TxPackets: n, TxBytes: bytes},
+		2: {PortNo: 2, TxPackets: n, TxBytes: bytes},
+		3: {PortNo: 3, RxPackets: n, RxBytes: bytes},
+	} {
+		pF, _ := swFrame.Port(port)
+		pB, _ := swBurst.Port(port)
+		if pF.Stats() != want || pB.Stats() != want {
+			t.Errorf("port %d: frame=%+v burst=%+v, want %+v", port, pF.Stats(), pB.Stats(), want)
+		}
 	}
 }
 
@@ -207,7 +297,7 @@ func TestHandleBurstGroupsShareLookup(t *testing.T) {
 	if rep.Flows[0].PacketCount != 74 {
 		t.Fatalf("flow packets = %d, want 74", rep.Flows[0].PacketCount)
 	}
-	if hits := sw.cache.Hits(); hits == 0 {
+	if in, _ := sw.Port(1); in.cache.Hits() == 0 {
 		t.Fatal("second burst did not hit the microflow cache")
 	}
 }

@@ -1,11 +1,13 @@
 package dataplane
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/zof"
 )
@@ -117,6 +119,106 @@ func TestConcurrentPipelineUnderControlChurn(t *testing.T) {
 	// Churn flows all deleted again: only the worker flows remain.
 	if n := sw.FlowCount(); n != workers {
 		t.Errorf("flow count after churn = %d, want %d", n, workers)
+	}
+}
+
+// TestPerPortCacheUnderChurn puts the per-port microflow caches where
+// they can go wrong: three ingress ports driven by a goroutine each,
+// a second goroutine sharing port 1's cache, and a controller
+// alternating a higher-priority rule that diverts half the traffic with
+// its strict delete, so every cache fills with answers that the next
+// FlowMod makes stale. No frame is lost, every group of a burst is one
+// cache lookup, and once the last FlowMod has settled every frame
+// leaves where an ordered scan of the final table says. Run under
+// -race.
+func TestPerPortCacheUnderChurn(t *testing.T) {
+	const rounds, burstSize, flowsPerBurst = 300, 16, 4
+	hostC := packet.IPv4Addr{10, 0, 0, 3}
+	sw := NewSwitch(Config{DropOnMiss: true, Clock: func() time.Time { return testClockBase }})
+	reg := obs.NewRegistry()
+	sw.RegisterMetrics(reg, "dp")
+	var out [2]atomic.Uint64 // frames leaving on ports 11 and 12
+	for i := range out {
+		sw.AddPort(uint32(11+i), "", 1000).SetTx(func([]byte) { out[i].Add(1) })
+	}
+	addFlow(t, sw, zof.MatchAll(), 10, zof.Output(11))
+	divert := zof.MatchAll()
+	divert.IPDst, divert.DstPrefix = hostB, 32
+	mod := func(cmd uint8) {
+		sw.Process(&zof.FlowMod{Command: cmd, Match: divert, Priority: 20, BufferID: zof.NoBuffer,
+			Actions: []zof.Action{zof.Output(12)}}, 1, func(zof.Message, uint32) {})
+	}
+
+	// Worker w offers its own four microflows, two to B and two to C.
+	inPorts := []uint32{1, 2, 3, 1}
+	bursts := make([][][]byte, len(inPorts))
+	for w := range bursts {
+		sw.AddPort(inPorts[w], "", 1000)
+		for i := 0; i < burstSize; i++ {
+			dst := []packet.IPv4Addr{hostB, hostC}[i%2]
+			bursts[w] = append(bursts[w], udpFrame(t, hostA, dst, uint16(100*w+i%flowsPerBurst), 7, "churn"))
+		}
+	}
+	stop := make(chan struct{})
+	var ctl, wg sync.WaitGroup
+	ctl.Add(1)
+	go func() {
+		defer ctl.Done()
+		for {
+			select {
+			case <-stop:
+				mod(zof.FlowAdd) // the final table diverts
+				return
+			default:
+				mod(zof.FlowAdd)
+				mod(zof.FlowDeleteStrict)
+			}
+		}
+	}()
+	for w := range bursts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				sw.HandleBurst(inPorts[w], bursts[w])
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	ctl.Wait()
+
+	sent, groups := uint64(len(bursts)*rounds*burstSize), int64(len(bursts)*rounds*flowsPerBurst)
+	if got := out[0].Load() + out[1].Load(); got != sent {
+		t.Errorf("%d of %d frames left the switch", got, sent)
+	}
+	// The ordered scan: highest priority first, first match wins.
+	var rep *zof.StatsReply
+	sw.Process(&zof.StatsRequest{Kind: zof.StatsFlow, TableID: 0xff, Match: zof.MatchAll()}, 2,
+		func(m zof.Message, _ uint32) { rep = m.(*zof.StatsReply) })
+	sort.Slice(rep.Flows, func(i, j int) bool { return rep.Flows[i].Priority > rep.Flows[j].Priority })
+	for w := range bursts {
+		for i, fr := range bursts[w][:flowsPerBurst] {
+			want := uint32(0)
+			for _, fl := range rep.Flows {
+				if fl.Match.MatchesFrame(mustDecode(t, fr), inPorts[w]) {
+					want = fl.Actions[0].Port
+					break
+				}
+			}
+			before := [2]uint64{out[0].Load(), out[1].Load()}
+			sw.HandleFrame(inPorts[w], fr)
+			groups++
+			if want != 11 && want != 12 || out[want-11].Load() != before[want-11]+1 {
+				t.Errorf("worker %d frame %d: the final table says port %d; counts went %v -> [%d %d]",
+					w, i, want, before, out[0].Load(), out[1].Load())
+			}
+		}
+	}
+	hits, _ := reg.Value("dp.microcache.hits")
+	misses, _ := reg.Value("dp.microcache.misses")
+	if hits+misses != groups || hits == 0 || misses == 0 {
+		t.Errorf("microcache: %d hits + %d misses, %d groups looked up", hits, misses, groups)
 	}
 }
 

@@ -230,15 +230,23 @@ func (x *exec) apply(inPort uint32, data []byte, acts []zof.Action, depth int) (
 	return data, resubmit
 }
 
-// deliver transmits data on p — or, in explain mode, records the
-// would-be transmission without touching the port.
+// deliver transmits data on p if it is up and wired, noting the frame
+// on the burst for putBurst to count — or, in explain mode, records the
+// would-be transmission without touching the port. The tx function must
+// be done with data when it returns (see SetTx).
 func (x *exec) deliver(p *Port, data []byte, kind string) {
 	if x.trace != nil {
 		x.trace.Outputs = append(x.trace.Outputs,
 			TraceOutput{Port: p.no, Kind: kind, Down: !p.Up()})
 		return
 	}
-	p.send(data)
+	tx := p.tx.Load()
+	if tx == nil || !p.up.Load() {
+		p.txDropped.Add(1)
+		return
+	}
+	x.b.noteTx(p, len(data))
+	(*tx)(data)
 }
 
 // portUp reports port liveness for fast-failover group selection,

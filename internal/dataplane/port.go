@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/flowtable"
 	"repro/internal/zof"
 )
 
@@ -16,12 +17,17 @@ import (
 // the far end of the link. Ports are created up; SetDown simulates
 // link failure.
 //
-// The transmit/receive path is lock-free: link state, counters and the
-// tx function are atomics, so concurrent pipeline executions touching
-// different ports never share a lock, and ones sharing a port only
-// share counter cache lines.
+// Link state, counters and the tx function are atomics, so concurrent
+// pipeline executions touching different ports never share a lock, and
+// ones sharing an egress port only share counter cache lines. The
+// counters move once per burst, not per frame (see runBurst, putBurst).
 type Port struct {
 	no uint32 // immutable
+
+	// cache memoizes table-0 lookups for the microflows arriving here.
+	// The goroutine polling the port is the only one that takes its
+	// lock, unless two callers share an ingress port.
+	cache *flowtable.MicroCache
 
 	mu   sync.Mutex // guards info (descriptive state, slow path)
 	info zof.PortInfo
@@ -39,7 +45,7 @@ type Port struct {
 
 // NewPort builds a port; tx may be nil until wired.
 func NewPort(info zof.PortInfo, tx func([]byte)) *Port {
-	p := &Port{no: info.No, info: info}
+	p := &Port{no: info.No, info: info, cache: flowtable.NewMicroCache(0)}
 	p.up.Store(info.Up())
 	if tx != nil {
 		p.tx.Store(&tx)
@@ -101,28 +107,3 @@ func (p *Port) SetDown(down bool) bool {
 
 // Up reports link state.
 func (p *Port) Up() bool { return p.up.Load() }
-
-// send transmits data if the port is up and wired, updating counters.
-// The callee must be done with data when it returns (see SetTx).
-func (p *Port) send(data []byte) {
-	tx := p.tx.Load()
-	if tx == nil || !p.up.Load() {
-		p.txDropped.Add(1)
-		return
-	}
-	p.txPackets.Add(1)
-	p.txBytes.Add(uint64(len(data)))
-	(*tx)(data)
-}
-
-// recv accounts an arriving frame, returning false if the port is down
-// (frame dropped).
-func (p *Port) recv(n int) bool {
-	if !p.up.Load() {
-		p.rxDropped.Add(1)
-		return false
-	}
-	p.rxPackets.Add(1)
-	p.rxBytes.Add(uint64(n))
-	return true
-}

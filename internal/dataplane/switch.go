@@ -70,7 +70,6 @@ type Switch struct {
 
 	// Fast-path state.
 	pl         atomic.Pointer[pipeline]
-	cache      *flowtable.MicroCache
 	buffers    *packetBuffers
 	burstSizes *obs.Histogram // frames per HandleBurst call
 
@@ -88,7 +87,6 @@ func NewSwitch(cfg Config) *Switch {
 	}
 	s := &Switch{
 		cfg:         cfg,
-		cache:       flowtable.NewMicroCache(0),
 		burstSizes:  obs.NewHistogram(),
 		groups:      make(map[uint32]*GroupDesc),
 		ports:       make(map[uint32]*Port),
@@ -348,9 +346,10 @@ func (s *Switch) ConntrackEntries() []nf.ConnInfo {
 
 // RegisterMetrics publishes the switch's counters into r under prefix
 // (e.g. "dataplane.3"), as callback gauges reading the live atomics:
-// packet-in totals, microflow-cache effectiveness, and per-table
-// lookup/match/occupancy figures plus the number of mask shapes
-// installed (what a lookup in that table costs), named
+// packet-in totals, parked packets the buffer ring overwrote before a
+// verdict, microflow-cache effectiveness summed over the ports, and
+// per-table lookup/match/occupancy figures plus the number of mask
+// shapes installed (what a lookup in that table costs), named
 // <prefix>.flowtable.<table>.<stat>, and one <prefix>.nf.<name>.entries
 // gauge per NF stage — the stages registered now and, because the
 // switch keeps the scope, every stage registered (or unregistered)
@@ -358,10 +357,11 @@ func (s *Switch) ConntrackEntries() []nf.ConnInfo {
 func (s *Switch) RegisterMetrics(r *obs.Registry, prefix string) {
 	sc := r.Scope(prefix)
 	sc.RegisterFunc("packet_ins", func() int64 { return int64(s.PacketIns.Load()) })
+	sc.RegisterFunc("buffers.evicted", func() int64 { return int64(s.buffers.evicted.Load()) })
 	sc.RegisterFunc("flows", func() int64 { return int64(s.FlowCount()) })
-	sc.RegisterFunc("microcache.hits", func() int64 { return int64(s.cache.Hits()) })
-	sc.RegisterFunc("microcache.misses", func() int64 { return int64(s.cache.Misses()) })
-	sc.RegisterFunc("microcache.flows", func() int64 { return int64(s.cache.Len()) })
+	sc.RegisterFunc("microcache.hits", s.cacheSum((*flowtable.MicroCache).Hits))
+	sc.RegisterFunc("microcache.misses", s.cacheSum((*flowtable.MicroCache).Misses))
+	sc.RegisterFunc("microcache.flows", s.cacheSum(func(c *flowtable.MicroCache) uint64 { return uint64(c.Len()) }))
 	sc.RegisterHistogram("burst.sizes", s.burstSizes)
 	for i, t := range s.pl.Load().tables {
 		t := t
@@ -376,6 +376,17 @@ func (s *Switch) RegisterMetrics(r *obs.Registry, prefix string) {
 	s.metrics = &sc
 	for _, st := range s.stages {
 		s.publishStageGaugeLocked(st)
+	}
+}
+
+// cacheSum returns a gauge summing stat over the ports' microflow
+// caches.
+func (s *Switch) cacheSum(stat func(*flowtable.MicroCache) uint64) func() int64 {
+	return func() (n int64) {
+		for _, p := range s.pl.Load().portList {
+			n += int64(stat(p.cache))
+		}
+		return n
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/zof"
 )
@@ -194,6 +195,33 @@ func TestSwitchPacketInAndRelease(t *testing.T) {
 	sw.HandleFrame(1, frame)
 	if caps[3].count() != 2 || len(ins) != 1 {
 		t.Fatalf("flow not effective: tx=%d ins=%d", caps[3].count(), len(ins))
+	}
+}
+
+// TestBufferEvictionIsCounted: the buffer ring holds 256 parked
+// packets; a 257th packet-in with no verdict in between overwrites the
+// first, and that loss is counted, not silent.
+func TestBufferEvictionIsCounted(t *testing.T) {
+	for _, n := range []int{bufferSlots, bufferSlots + 1} {
+		sw, _ := testSwitch(t, Config{})
+		var first *zof.PacketIn
+		sw.SetController(func(m zof.Message) {
+			if pi, ok := m.(*zof.PacketIn); ok && first == nil {
+				first = pi
+			}
+		})
+		reg := obs.NewRegistry()
+		sw.RegisterMetrics(reg, "dp")
+		for i := 0; i < n; i++ {
+			sw.HandleFrame(1, udpFrame(t, hostA, hostB, uint16(i), 2000, "parked"))
+		}
+		evicted := int64(n - bufferSlots)
+		if v, ok := reg.Value("dp.buffers.evicted"); !ok || v != evicted {
+			t.Errorf("%d packet-ins: buffers.evicted = %d (registered %v), want %d", n, v, ok, evicted)
+		}
+		if _, _, ok := sw.buffers.take(first.BufferID); ok != (evicted == 0) {
+			t.Errorf("%d packet-ins: take of the first buffer id reports %v", n, ok)
+		}
 	}
 }
 

@@ -22,11 +22,11 @@ func cacheBenchKeys(c *MicroCache, n int, gen uint64) ([]CacheKey, []uint64) {
 
 // BenchmarkCacheLookupBatch proves the burst path's amortization claim:
 // every op resolves a 32-frame burst. The per-frame discipline pays one
-// hash and one locked shard visit per frame (32 Gets); the batched
-// discipline pays them once per distinct flow in the burst — grouping
-// has already collapsed the 32 frames to nflows keys with precomputed
-// hashes, exactly what runBurst hands to LookupBatch. Both sides must
-// report 0 allocs/op.
+// hash, one lock and one set visit per frame (32 Gets); the batched
+// discipline pays the lock once and the rest once per distinct flow in
+// the burst — grouping has already collapsed the 32 frames to nflows
+// keys with precomputed hashes, exactly what runBurst hands to
+// LookupBatch. Both sides must report 0 allocs/op.
 func BenchmarkCacheLookupBatch(b *testing.B) {
 	const burst = 32
 	const gen = 7

@@ -2,7 +2,9 @@ package flowtable
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -287,7 +289,7 @@ func TestMicroCache(t *testing.T) {
 	if !ok || got != nil {
 		t.Fatal("cached miss not returned")
 	}
-	// Eviction keeps the cache bounded (per shard, so overall too).
+	// Eviction keeps the cache bounded.
 	for i := 0; i < 2000; i++ {
 		k := key
 		k.InPort = uint32(i + 10)
@@ -304,9 +306,11 @@ func TestMicroCache(t *testing.T) {
 // TestCacheKeyHashCoversEveryField changes one field of the microflow
 // key at a time and demands the hash move — and, because the L2 words
 // are folded in after the flow hash's finalizer, that keys differing
-// only in one L2 field still spread over the 64 cache shards (low 6
-// bits) and the burst grouping table (low 7) within a factor of 1.5 of
-// uniform.
+// only in one L2 field, or counting up in one flow field, still spread
+// like a uniform hash over the burst
+// grouping table (low 7 bits) and, for the fields that vary inside one
+// port's cache, the widest set index it reaches (65,536 ways in sets of
+// four: low 14) and the ways an eviction picks from (top 2).
 func TestCacheKeyHashCoversEveryField(t *testing.T) {
 	base := MakeCacheKey(mkFrame(t, packet.IPv4Addr{10, 1, 2, 3}, packet.IPv4Addr{172, 16, 4, 5}, 4242, 53), 7)
 	edits := map[string]func(k *CacheKey, x uint32){
@@ -338,19 +342,38 @@ func TestCacheKeyHashCoversEveryField(t *testing.T) {
 		"EthSrc OUI":  func(k *CacheKey, i int) { k.EthSrc = packet.MACFromUint64(uint64(i) << 32) },
 		"EthDst":      func(k *CacheKey, i int) { k.EthDst = packet.MACFromUint64(uint64(i)) },
 		"EthDst OUI":  func(k *CacheKey, i int) { k.EthDst = packet.MACFromUint64(uint64(i) << 32) },
+		"Flow.SrcIP":  func(k *CacheKey, i int) { k.Flow.SrcIP[2], k.Flow.SrcIP[3] = byte(i>>8), byte(i) },
+		"Flow.DstIP":  func(k *CacheKey, i int) { k.Flow.DstIP[2], k.Flow.DstIP[3] = byte(i>>8), byte(i) },
+		"Flow ports":  func(k *CacheKey, i int) { k.Flow.SrcPort, k.Flow.DstPort = uint16(1024+i), uint16(i>>12) },
 	}
 	for name, set := range vary {
-		for _, bits := range []uint{6, 7} {
-			load := make([]int, 1<<bits)
-			for i := 0; i < n; i++ {
-				k := base
-				set(&k, i)
-				load[k.Hash()&(1<<bits-1)]++
+		hashes := make([]uint64, n)
+		for i := range hashes {
+			k := base
+			set(&k, i)
+			hashes[i] = k.Hash()
+		}
+		for what, index := range map[string]func(h uint64) uint64{
+			"low 7 bits":  func(h uint64) uint64 { return h & (1<<7 - 1) },
+			"low 14 bits": func(h uint64) uint64 { return h & (1<<14 - 1) },
+			"top 2 bits":  func(h uint64) uint64 { return h >> 62 },
+		} {
+			if strings.HasPrefix(name, "InPort") && what != "low 7 bits" {
+				continue // a cache belongs to one ingress port
 			}
-			mean := float64(n) / float64(len(load))
+			load := map[uint64]int{}
+			for _, h := range hashes {
+				load[index(h)]++
+			}
+			// Uniform throwing fills B(1-(1-1/B)^n) of B buckets; where the
+			// mean load is high, no bucket strays 1.5× from it either.
+			buckets := float64(index(^uint64(0)) + 1)
+			if want := buckets * (1 - math.Pow(1-1/buckets, n)); float64(len(load)) < 0.95*want {
+				t.Errorf("sequential %s, %s: %d buckets occupied, uniform expects %.0f", name, what, len(load), want)
+			}
 			for b, c := range load {
-				if float64(c) < mean/1.5 || float64(c) > 1.5*mean {
-					t.Errorf("sequential %s, low %d bits: bucket %d holds %d keys, mean %.0f", name, bits, b, c, mean)
+				if mean := n / buckets; mean >= 100 && (float64(c) < mean/1.5 || float64(c) > 1.5*mean) {
+					t.Errorf("sequential %s, %s: bucket %d holds %d keys, mean %.0f", name, what, b, c, mean)
 					break
 				}
 			}

@@ -10,9 +10,9 @@ import (
 	"repro/internal/packet"
 )
 
-// ctShards is the shard count of the connection table. Matching the
-// dataplane MicroCache's 64 shards keeps one cache line of mutexes per
-// shard and makes contention negligible next to the pipeline walk.
+// ctShards is the shard count of the connection table: with a padded
+// mutex per shard, 64 make contention between the ports' polling
+// goroutines negligible next to the pipeline walk.
 const ctShards = 64
 
 // ConnKey is the 5-tuple identity of a tracked connection (IPv4 only —

@@ -304,9 +304,11 @@ func checkHashFill(t *testing.T, name string, bits uint, hashes []uint64) {
 }
 
 // TestFlowKeyHashDispersion holds the hashes to the contract their
-// consumers rely on: the low 6 bits pick a microcache or conntrack
-// shard, the low 7 a slot of the burst grouping table at 32 frames,
-// the low 14 the tunnel's entropy port.
+// consumers rely on: the low 6 bits pick a conntrack shard, the low 7
+// a slot of the burst grouping table at 32 frames, the low 14 the
+// tunnel's entropy port. (The microcache indexes its sets by
+// flowtable's CacheKey.Hash, which folds FastHash in whole; that
+// package's TestCacheKeyHashCoversEveryField holds it to its widths.)
 func TestFlowKeyHashDispersion(t *testing.T) {
 	const n = 16384
 	for name, keys := range hashPopulations(n) {
