@@ -89,7 +89,6 @@ func TestBatchPipeCoalesces(t *testing.T) {
 	}
 	close(gate)
 	p.Drain()
-	time.Sleep(20 * time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
 	max := 0
@@ -125,7 +124,6 @@ func TestBatchPipeDown(t *testing.T) {
 		t.Fatal("send after restore failed")
 	}
 	p.Drain()
-	time.Sleep(10 * time.Millisecond)
 	mu.Lock()
 	defer mu.Unlock()
 	if delivered != 1 {

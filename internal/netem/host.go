@@ -53,7 +53,8 @@ func NewHost(name string, ip packet.IPv4Addr) *Host {
 	}
 }
 
-// SetTx wires the host's uplink.
+// SetTx wires the host's uplink. tx must not retain the frame past
+// the call.
 func (h *Host) SetTx(tx func([]byte) bool) {
 	h.mu.Lock()
 	h.tx = tx
@@ -124,15 +125,7 @@ func (h *Host) handleICMP(f *packet.Frame) {
 	h.learn(f.IPv4.Src, f.Eth.Src)
 	switch f.ICMP.Type {
 	case packet.ICMPv4EchoRequest:
-		b := packet.NewBuffer(128)
-		b.AppendBytes(f.Payload)
-		ic := packet.ICMPv4{Type: packet.ICMPv4EchoReply, ID: f.ICMP.ID, Seq: f.ICMP.Seq}
-		ic.SerializeTo(b)
-		ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: h.IP, Dst: f.IPv4.Src}
-		ip.SerializeTo(b)
-		eth := packet.Ethernet{Dst: f.Eth.Src, Src: h.MAC, EtherType: packet.EtherTypeIPv4}
-		eth.SerializeTo(b)
-		h.send(b.Bytes())
+		h.sendICMP(f.Eth.Src, f.IPv4.Src, packet.ICMPv4EchoReply, f.ICMP.ID, f.ICMP.Seq, f.Payload)
 	case packet.ICMPv4EchoReply:
 		h.mu.Lock()
 		key := pingKey{f.IPv4.Src, f.ICMP.ID, f.ICMP.Seq}
@@ -206,20 +199,46 @@ func marshalARP(eth packet.Ethernet, arp packet.ARP) []byte {
 	return append([]byte(nil), b.Bytes()...)
 }
 
-// SendUDP transmits a datagram to dst, resolving its MAC on demand.
+// txPool holds the buffers datagrams and echoes are serialized into;
+// tx keeps no frame, so a buffer goes back as soon as tx returns.
+var txPool = sync.Pool{New: func() any { return packet.NewBuffer(64) }}
+
+// SendUDP transmits a datagram to dst: with dst's MAC known, from a
+// pooled buffer with nothing allocated, else once resolve learns it.
 func (h *Host) SendUDP(dst packet.IPv4Addr, srcPort, dstPort uint16, payload []byte) {
-	data := append([]byte(nil), payload...)
-	h.resolve(dst, func(mac packet.MAC) {
-		b := packet.NewBuffer(128)
-		b.AppendBytes(data)
-		udp := packet.UDP{SrcPort: srcPort, DstPort: dstPort}
-		udp.SerializeToWithChecksum(b, h.IP, dst)
-		ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: h.IP, Dst: dst}
-		ip.SerializeTo(b)
-		eth := packet.Ethernet{Dst: mac, Src: h.MAC, EtherType: packet.EtherTypeIPv4}
-		eth.SerializeTo(b)
-		h.send(b.Bytes())
-	})
+	h.mu.Lock()
+	mac, known := h.arp[dst]
+	h.mu.Unlock()
+	if !known {
+		data := append([]byte(nil), payload...)
+		h.resolve(dst, func(packet.MAC) { h.SendUDP(dst, srcPort, dstPort, data) })
+		return
+	}
+	b := txPool.Get().(*packet.Buffer)
+	b.Reset()
+	b.AppendBytes(payload)
+	udp := packet.UDP{SrcPort: srcPort, DstPort: dstPort}
+	udp.SerializeToWithChecksum(b, h.IP, dst)
+	h.sendIPv4(b, mac, dst, packet.ProtoUDP)
+}
+
+func (h *Host) sendICMP(mac packet.MAC, dst packet.IPv4Addr, typ uint8, id, seq uint16, payload []byte) {
+	b := txPool.Get().(*packet.Buffer)
+	b.Reset()
+	b.AppendBytes(payload)
+	ic := packet.ICMPv4{Type: typ, ID: id, Seq: seq}
+	ic.SerializeTo(b)
+	h.sendIPv4(b, mac, dst, packet.ProtoICMP)
+}
+
+// sendIPv4 wraps b in IPv4 and Ethernet, sends it and pools b again.
+func (h *Host) sendIPv4(b *packet.Buffer, mac packet.MAC, dst packet.IPv4Addr, proto uint8) {
+	ip := packet.IPv4{TTL: 64, Protocol: proto, Src: h.IP, Dst: dst}
+	ip.SerializeTo(b)
+	eth := packet.Ethernet{Dst: mac, Src: h.MAC, EtherType: packet.EtherTypeIPv4}
+	eth.SerializeTo(b)
+	h.send(b.Bytes())
+	txPool.Put(b)
 }
 
 // Ping sends one ICMP echo request to dst and waits for the reply,
@@ -235,17 +254,7 @@ func (h *Host) Ping(ctx context.Context, dst packet.IPv4Addr) (time.Duration, er
 	h.mu.Unlock()
 
 	start := time.Now()
-	h.resolve(dst, func(mac packet.MAC) {
-		b := packet.NewBuffer(128)
-		b.AppendBytes([]byte("zen-ping"))
-		ic := packet.ICMPv4{Type: packet.ICMPv4EchoRequest, ID: id, Seq: seq}
-		ic.SerializeTo(b)
-		ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoICMP, Src: h.IP, Dst: dst}
-		ip.SerializeTo(b)
-		eth := packet.Ethernet{Dst: mac, Src: h.MAC, EtherType: packet.EtherTypeIPv4}
-		eth.SerializeTo(b)
-		h.send(b.Bytes())
-	})
+	h.resolve(dst, func(mac packet.MAC) { h.sendICMP(mac, dst, packet.ICMPv4EchoRequest, id, seq, []byte("zen-ping")) })
 
 	select {
 	case <-ch:

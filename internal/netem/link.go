@@ -6,7 +6,10 @@
 package netem
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,42 +30,48 @@ type PipeConfig struct {
 	// back-to-back.
 	RateMbps float64
 
-	// BurstSize bounds the batches the link delivers in: the pump
-	// coalesces up to this many already-queued frames into one [][]byte
-	// delivery, the wire analogue of NIC RX coalescing. Zero means 1:
-	// every batch is a single frame.
+	// BurstSize bounds the batches the link delivers in: up to this many
+	// of the pipe's due frames go out in one [][]byte delivery, the wire
+	// analogue of NIC RX coalescing. Zero means 1.
 	BurstSize int
 }
 
-// framePool recycles the queue's frame copies so a busy link allocates
-// nothing per frame at steady state.
-var framePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2048)
-	return &b
-}}
-
-// Pipe is one direction of a link: a bounded queue, a pump goroutine,
-// and delivery into the far end. Frames overflowing the queue are tail
+// Pipe is one direction of a link: a bounded FIFO on a scheduler,
+// delivered into the far end. Frames overflowing the queue are tail
 // dropped, which is what bounds broadcast storms in looped topologies.
 //
-// Queued frames live in pooled buffers returned to the pool after
-// delivery, so the deliver callback must not retain the batch slice or
-// any frame in it past the call (the switch pipeline and host delivery
-// both copy what they keep).
+// Queued frames live in buffers the scheduler reuses after delivery, so
+// the deliver callback must not retain the batch slice or any frame in
+// it past the call (the switch pipeline and host delivery both copy
+// what they keep).
 type Pipe struct {
-	ch      chan *[]byte
-	quit    chan struct{}
+	s       *sched
 	deliver func([][]byte)
 	cfg     PipeConfig
-	rng     *rand.Rand
-	rngMu   sync.Mutex
+	seq     uint64 // orders pipes falling due at the same instant
+	solo    bool   // the pipe owns s: Close stops it
 	down    atomic.Bool
-	closed  atomic.Bool
-	wg      sync.WaitGroup
+
+	// Guarded by s.mu. A pipe with n > 0 that is not in delivery is on
+	// the ready list or the heap.
+	rng    *rand.Rand
+	ring   []queued // n frames from ring[head], wrapping
+	head   int
+	n      int
+	closed bool          // Send refuses; nothing more is delivered
+	next   *Pipe         // ready-list link
+	key    time.Duration // heap key: the head frame's due time
+	tat    time.Duration // when the token bucket is full again
 
 	Sent    atomic.Uint64 // frames accepted into the queue
 	Bytes   atomic.Uint64
 	Dropped atomic.Uint64 // tail + loss + down drops
+}
+
+// queued is a frame and its due time on the scheduler's clock (0: now).
+type queued struct {
+	buf []byte
+	due time.Duration
 }
 
 // NewPipe is NewBatchPipe at burst 1 for a frame-at-a-time receiver.
@@ -71,154 +80,242 @@ func NewPipe(cfg PipeConfig, deliver func([]byte)) *Pipe {
 	return NewBatchPipe(cfg, func(batch [][]byte) { deliver(batch[0]) })
 }
 
-// NewBatchPipe starts the pump: it coalesces queued frames into batches
-// of up to cfg.BurstSize (0 means 1) and delivers each batch with one
-// deliverBatch call. Loss and tail drop apply per frame at Send; delay
-// and rate shaping apply once per batch, over its total bytes —
-// back-to-back frames on a wire share the serialization wait anyway.
+// NewBatchPipe makes a pipe on a scheduler of its own, which Close
+// stops. Frames are delivered in order, in batches of up to
+// cfg.BurstSize (0 means 1). Loss and tail drop apply per frame at
+// Send; delay and rate set the time each frame falls due.
 //
-// Batch slices and every frame in them are pooled and reclaimed when
-// deliverBatch returns: the callee must not retain the outer slice or
-// any frame past the call.
+// deliverBatch runs on the scheduler's goroutine and must not block: on
+// a Network every pipe shares it. The callee must not retain the batch
+// slice or any frame in it past the call.
 func NewBatchPipe(cfg PipeConfig, deliverBatch func([][]byte)) *Pipe {
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 256
-	}
-	if cfg.BurstSize <= 0 {
-		cfg.BurstSize = 1
-	}
-	p := &Pipe{
-		ch:      make(chan *[]byte, cfg.QueueLen),
-		quit:    make(chan struct{}),
-		deliver: deliverBatch,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-	}
-	p.wg.Add(1)
-	go p.pump()
+	p := newSched().pipe(cfg, deliverBatch)
+	p.solo = true
 	return p
 }
 
-// pump is the link's one goroutine: block for one frame, sweep up
-// whatever else is already queued (up to BurstSize), shape and deliver
-// the lot as one batch. Under load the queue stays occupied and bursts
-// fill out; at low rate, or at BurstSize 1, every batch is a single
-// frame — batching cost appears exactly when there is work to amortize
-// it over. The token bucket is consumed only by this goroutine.
-func (p *Pipe) pump() {
-	defer p.wg.Done()
-	bps := make([]*[]byte, 0, p.cfg.BurstSize)
-	batch := make([][]byte, 0, p.cfg.BurstSize)
-	tokens := float64(bucketBytes)
-	bytesPerSec := p.cfg.RateMbps * 1e6 / 8
-	last := time.Now()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case bp := <-p.ch:
-			bps = append(bps[:0], bp)
-		coalesce:
-			for len(bps) < p.cfg.BurstSize {
-				select {
-				case more := <-p.ch:
-					bps = append(bps, more)
-				default:
-					break coalesce
-				}
-			}
-			batch = batch[:0]
-			total := 0
-			for _, b := range bps {
-				batch = append(batch, *b)
-				total += len(*b)
-			}
-			if bytesPerSec > 0 {
-				now := time.Now()
-				tokens += now.Sub(last).Seconds() * bytesPerSec
-				last = now
-				if tokens > bucketBytes {
-					tokens = bucketBytes
-				}
-				if need := float64(total) - tokens; need > 0 {
-					wait := time.Duration(need / bytesPerSec * float64(time.Second))
-					select {
-					case <-p.quit:
-						return
-					case <-time.After(wait):
-					}
-					now = time.Now()
-					tokens += now.Sub(last).Seconds() * bytesPerSec
-					last = now
-				}
-				tokens -= float64(total)
-			}
-			if p.cfg.Delay > 0 {
-				select {
-				case <-p.quit:
-					return
-				case <-time.After(p.cfg.Delay):
-				}
-			}
-			if p.down.Load() {
-				p.Dropped.Add(uint64(len(bps)))
-			} else {
-				p.deliver(batch)
-			}
-			for i, b := range bps {
-				framePool.Put(b)
-				bps[i] = nil
-				batch[i] = nil
-			}
-		}
-	}
-}
-
-// Send enqueues a frame (copying it). Returns false if dropped.
+// Send enqueues a copy of data and reports whether the pipe took it. An
+// idle pipe joins its scheduler's queue and signals the loop, which
+// wakes only if it sleeps; no channel is touched.
 func (p *Pipe) Send(data []byte) bool {
-	if p.down.Load() || p.closed.Load() {
+	if p.down.Load() {
 		p.Dropped.Add(1)
 		return false
 	}
-	if p.cfg.LossProb > 0 {
-		p.rngMu.Lock()
-		lost := p.rng.Float64() < p.cfg.LossProb
-		p.rngMu.Unlock()
-		if lost {
-			p.Dropped.Add(1)
-			return false
-		}
-	}
-	bp := framePool.Get().(*[]byte)
-	*bp = append((*bp)[:0], data...)
-	select {
-	case p.ch <- bp:
-		p.Sent.Add(1)
-		p.Bytes.Add(uint64(len(data)))
-		return true
-	default:
+	s := p.s
+	s.mu.Lock()
+	if p.closed || s.stopped || p.cfg.LossProb > 0 && p.rng.Float64() < p.cfg.LossProb || p.n == len(p.ring) {
+		s.mu.Unlock()
 		p.Dropped.Add(1)
-		framePool.Put(bp)
 		return false
 	}
+	var buf []byte
+	if k := len(s.free); k > 0 {
+		buf, s.free = s.free[k-1], s.free[:k-1]
+	}
+	q, now := queued{buf: append(buf[:0], data...)}, time.Duration(0)
+	if p.cfg.Delay > 0 || p.cfg.RateMbps > 0 {
+		now = time.Since(s.epoch)
+		q.due = p.dueAt(now, len(data))
+	}
+	p.ring[(p.head+p.n)%len(p.ring)] = q
+	if p.n++; p.n == 1 && s.busy != p {
+		s.queue(p, now)
+		s.wake.Broadcast()
+	}
+	s.mu.Unlock()
+	p.Sent.Add(1)
+	p.Bytes.Add(uint64(len(data)))
+	return true
 }
 
-// SetDown marks the direction dead (frames blackholed).
+// dueAt is when a frame of size bytes sent at now may be delivered:
+// max(now+Delay, when the token bucket holds size tokens).
+func (p *Pipe) dueAt(now time.Duration, size int) time.Duration {
+	due := now + p.cfg.Delay
+	if p.cfg.RateMbps > 0 {
+		perByte := 8e3 / p.cfg.RateMbps // ns
+		start := max(now, p.tat-time.Duration(float64(bucketBytes-size)*perByte))
+		p.tat = max(p.tat, start) + time.Duration(float64(size)*perByte)
+		due = max(due, start)
+	}
+	return due
+}
+
+// SetDown marks the direction dead: Send refuses frames and those
+// already queued are dropped at delivery.
 func (p *Pipe) SetDown(down bool) { p.down.Store(down) }
 
-// Close stops the pump; frames still queued are discarded. The channel
-// itself is never closed so a racing Send can not panic.
+// Close discards the frames still queued; once it returns, no frame of
+// the pipe is delivered. It waits for a batch of the pipe in delivery
+// on another goroutine, and may be called from inside a delivery.
 func (p *Pipe) Close() {
-	if p.closed.CompareAndSwap(false, true) {
-		close(p.quit)
+	s := p.s
+	s.mu.Lock()
+	for p.closed = true; p.n > 0; p.n-- {
+		s.free = append(s.free, p.ring[p.head].buf)
+		p.ring[p.head] = queued{}
+		p.head = (p.head + 1) % len(p.ring)
 	}
-	p.wg.Wait()
+	for s.busy == p && s.loop != goid() {
+		s.wake.Wait()
+	}
+	s.mu.Unlock()
+	if p.solo {
+		s.stop()
+	}
 }
 
-// Drain blocks until the queue momentarily empties — a test aid for
-// letting in-flight frames settle on zero-delay pipes.
+// Drain blocks until the pipe has no frame queued and none in delivery:
+// a test aid for letting in-flight frames settle; not for a delivery.
 func (p *Pipe) Drain() {
-	for len(p.ch) > 0 {
-		time.Sleep(time.Millisecond)
+	s := p.s
+	s.mu.Lock()
+	for p.n > 0 && !s.stopped || s.busy == p {
+		s.wake.Wait()
 	}
+	s.mu.Unlock()
+}
+
+// sched is the event loop under a Network's pipes, or a standalone
+// pipe's: one goroutine takes the pipe at the head of a FIFO of pipes
+// with a due frame, delivers up to BurstSize of its due frames with no
+// lock held and, while the pipe has more, puts it back at the tail —
+// each pipe's frames keep their order and pipes take turns. Pipes whose
+// next frame is not due wait in a heap keyed by (due, seq), and the
+// loop sleeps on one timer until the earliest.
+type sched struct {
+	mu         sync.Mutex
+	wake       sync.Cond // the idle loop, Close and Drain wait on it
+	head, tail *Pipe     // the ready list
+	later      dueHeap
+	free       [][]byte    // frame buffers to reuse, so a busy link allocates nothing
+	timer      *time.Timer // wakes the loop when the heap's earliest frame falls due
+	stopped    bool
+	busy       *Pipe  // the pipe whose batch is in delivery
+	loop       uint64 // the loop's goroutine id
+	pipes      atomic.Uint64
+	epoch      time.Time
+	done       chan struct{}
+}
+
+func newSched() *sched {
+	s := &sched{done: make(chan struct{}), epoch: time.Now()}
+	s.wake.L = &s.mu
+	s.timer = time.AfterFunc(time.Hour, func() {
+		s.mu.Lock()
+		s.wake.Broadcast()
+		s.mu.Unlock()
+	})
+	s.timer.Stop()
+	go s.run()
+	return s
+}
+
+// pipe adds a pipe to s.
+func (s *sched) pipe(cfg PipeConfig, deliver func([][]byte)) *Pipe {
+	if cfg.QueueLen <= 0 {
+		cfg.QueueLen = 256
+	}
+	cfg.BurstSize = max(cfg.BurstSize, 1)
+	return &Pipe{s: s, deliver: deliver, cfg: cfg, seq: s.pipes.Add(1),
+		rng: rand.New(rand.NewSource(cfg.Seed)), ring: make([]queued, cfg.QueueLen)}
+}
+
+// queue lists p, which has a frame queued: at the tail of the ready
+// list if that frame is due at now, else on the heap.
+func (s *sched) queue(p *Pipe, now time.Duration) {
+	if p.key = p.ring[p.head].due; p.key > now {
+		heap.Push(&s.later, p)
+	} else if s.tail == nil {
+		s.head, s.tail = p, p
+	} else {
+		s.tail.next, s.tail = p, p
+	}
+}
+
+func (s *sched) run() {
+	defer close(s.done)
+	var batch [][]byte
+	var now time.Duration
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.loop = goid()
+	for !s.stopped {
+		if len(s.later) > 0 {
+			now = time.Since(s.epoch)
+			for len(s.later) > 0 && s.later[0].key <= now {
+				if p := heap.Pop(&s.later).(*Pipe); p.n > 0 { // else closed while it waited
+					s.queue(p, now)
+				}
+			}
+		}
+		p := s.head
+		if p == nil {
+			if len(s.later) > 0 {
+				s.timer.Reset(s.later[0].key - now)
+			}
+			s.wake.Wait()
+			continue
+		}
+		if s.head, p.next = p.next, nil; s.head == nil {
+			s.tail = nil
+		}
+		for p.n > 0 && len(batch) < p.cfg.BurstSize && p.ring[p.head].due <= now {
+			q := p.ring[p.head]
+			p.ring[p.head] = queued{}
+			p.head, p.n = (p.head+1)%len(p.ring), p.n-1
+			batch = append(batch, q.buf)
+		}
+		s.busy = p
+		s.mu.Unlock()
+		if p.down.Load() {
+			p.Dropped.Add(uint64(len(batch)))
+		} else if len(batch) > 0 { // empty if p was closed, or listed by a Send that read a later clock
+			p.deliver(batch)
+		}
+		s.mu.Lock()
+		s.free, batch = append(s.free, batch...), batch[:0]
+		if s.busy = nil; p.n > 0 {
+			s.queue(p, now)
+		}
+		s.wake.Broadcast()
+	}
+}
+
+// stop ends the loop: nothing is delivered once it returns, and Send
+// refuses frames. Called from a delivery, it does not wait for the loop.
+func (s *sched) stop() {
+	s.mu.Lock()
+	s.stopped = true
+	s.wake.Broadcast()
+	onLoop := s.loop == goid()
+	s.mu.Unlock()
+	s.timer.Stop()
+	if !onLoop {
+		<-s.done
+	}
+}
+
+// dueHeap orders the pipes waiting for their head frame by (key, seq).
+type dueHeap []*Pipe
+
+func (h dueHeap) Len() int { return len(h) }
+func (h dueHeap) Less(i, j int) bool {
+	return h[i].key < h[j].key || h[i].key == h[j].key && h[i].seq < h[j].seq
+}
+func (h dueHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *dueHeap) Push(x any)   { *h = append(*h, x.(*Pipe)) }
+func (h *dueHeap) Pop() any {
+	p := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return p
+}
+
+// goid is the calling goroutine's id, read from runtime.Stack's header.
+// Close and stop use it to tell a delivery from a caller that must wait.
+func goid() (id uint64) {
+	var buf [64]byte
+	fmt.Sscanf(string(buf[:runtime.Stack(buf[:], false)]), "goroutine %d", &id)
+	return id
 }

@@ -57,7 +57,6 @@ func TestPipeLossPartial(t *testing.T) {
 		p.Send([]byte("x"))
 	}
 	p.Drain()
-	time.Sleep(10 * time.Millisecond)
 	n := got.Load()
 	if n < 350 || n > 650 {
 		t.Fatalf("50%% loss delivered %d of 1000", n)
@@ -97,7 +96,6 @@ func TestPipeDown(t *testing.T) {
 		t.Fatal("send after restore failed")
 	}
 	p.Drain()
-	time.Sleep(5 * time.Millisecond)
 	if got.Load() != 1 {
 		t.Fatalf("delivered %d", got.Load())
 	}
@@ -149,7 +147,6 @@ func TestPipeUnshapedIsFast(t *testing.T) {
 		p.Send([]byte("x"))
 	}
 	p.Drain()
-	time.Sleep(5 * time.Millisecond)
 	if got.Load() != 500 {
 		t.Fatalf("delivered %d", got.Load())
 	}

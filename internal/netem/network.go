@@ -21,10 +21,12 @@ type Config struct {
 // Network is an emulated topology: one software switch per graph node,
 // a bidirectional Pipe pair per link, and hosts attached at the edge.
 //
-// Every pipe delivers from its own pump goroutine straight into
-// Switch.HandleBurst, which is lock-free: frames arriving on different
-// links of the same switch genuinely forward in parallel, like packets
-// hitting different ports of real silicon.
+// Every link and host pipe is a queue on the network's one scheduler,
+// a single goroutine that delivers due frames a pipe at a time — FIFO
+// per pipe, round-robin across pipes — into Switch.HandleBurst or
+// Host.DeliverBatch, and forwards what those send on in the same loop:
+// no goroutine hand-off per hop. Delay and rate set a frame's due time.
+// So a delivery callback must not block: it would stall every link.
 type Network struct {
 	Graph    *topo.Graph
 	Switches map[topo.NodeID]*dataplane.Switch
@@ -34,9 +36,7 @@ type Network struct {
 	hosts     map[string]*Host
 	hostPorts map[string]HostAttachment
 	nextPort  map[topo.NodeID]uint32
-	pipes     []*Pipe
-	stopTick  chan struct{}
-	tickWG    sync.WaitGroup
+	sched     *sched
 }
 
 // wire is the two pipes realizing one graph link.
@@ -63,6 +63,7 @@ func Build(g *topo.Graph, cfg Config) *Network {
 		hosts:     make(map[string]*Host),
 		hostPorts: make(map[string]HostAttachment),
 		nextPort:  make(map[topo.NodeID]uint32),
+		sched:     newSched(),
 	}
 	for _, node := range g.Nodes() {
 		sc := cfg.SwitchCfg
@@ -77,42 +78,29 @@ func Build(g *topo.Graph, cfg Config) *Network {
 		w := &wire{key: l.Key()}
 		// Links deliver coalesced batches (of one frame at BurstSize 0)
 		// straight into the switch's batched pipeline walk.
-		w.ab = NewBatchPipe(cfg.Link, func(frames [][]byte) { n.Switches[b].HandleBurst(bport, frames) })
-		w.ba = NewBatchPipe(cfg.Link, func(frames [][]byte) { n.Switches[a].HandleBurst(aport, frames) })
+		w.ab = n.sched.pipe(cfg.Link, func(frames [][]byte) { n.Switches[b].HandleBurst(bport, frames) })
+		w.ba = n.sched.pipe(cfg.Link, func(frames [][]byte) { n.Switches[a].HandleBurst(aport, frames) })
 		pa.SetTx(func(data []byte) { w.ab.Send(data) })
 		pb.SetTx(func(data []byte) { w.ba.Send(data) })
 		n.links[w.key] = w
-		n.pipes = append(n.pipes, w.ab, w.ba)
 		// Track highest used port for host attachment.
-		if l.APort > n.nextPort[l.A] {
-			n.nextPort[l.A] = l.APort
-		}
-		if l.BPort > n.nextPort[l.B] {
-			n.nextPort[l.B] = l.BPort
-		}
+		n.nextPort[l.A] = max(n.nextPort[l.A], l.APort)
+		n.nextPort[l.B] = max(n.nextPort[l.B], l.BPort)
 	}
 	if cfg.TickEvery > 0 {
-		n.stopTick = make(chan struct{})
-		n.tickWG.Add(1)
-		go n.ticker(cfg.TickEvery)
-	}
-	return n
-}
-
-func (n *Network) ticker(every time.Duration) {
-	defer n.tickWG.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stopTick:
-			return
-		case now := <-t.C:
+		// The flow-timeout sweep runs on the loop too: a delayed pipe
+		// whose delivery sweeps every switch and sends itself the next tick.
+		var tick *Pipe
+		tick = n.sched.pipe(PipeConfig{Delay: cfg.TickEvery}, func([][]byte) {
+			now := time.Now()
 			for _, sw := range n.Switches {
 				sw.Tick(now)
 			}
-		}
+			tick.Send(nil)
+		})
+		tick.Send(nil)
 	}
+	return n
 }
 
 // AttachHost plugs a new host into switch node with the given IP,
@@ -135,15 +123,14 @@ func (n *Network) AttachHost(name string, node topo.NodeID, ip packet.IPv4Addr, 
 	h := NewHost(name, ip)
 	port := sw.AddPort(portNo, fmt.Sprintf("s%d-%s", node, name), 1000)
 
-	toHost := NewBatchPipe(cfg, h.DeliverBatch)
-	toSwitch := NewBatchPipe(cfg, func(frames [][]byte) { sw.HandleBurst(portNo, frames) })
+	toHost := n.sched.pipe(cfg, h.DeliverBatch)
+	toSwitch := n.sched.pipe(cfg, func(frames [][]byte) { sw.HandleBurst(portNo, frames) })
 	port.SetTx(func(data []byte) { toHost.Send(data) })
 	h.SetTx(toSwitch.Send)
 
 	n.mu.Lock()
 	n.hosts[name] = h
 	n.hostPorts[name] = HostAttachment{Switch: node, Port: portNo, Host: h}
-	n.pipes = append(n.pipes, toHost, toSwitch)
 	n.mu.Unlock()
 	return h, nil
 }
@@ -212,16 +199,6 @@ func (n *Network) LinkStats(k topo.LinkKey) (abSent, abDropped, baSent, baDroppe
 	return w.ab.Sent.Load(), w.ab.Dropped.Load(), w.ba.Sent.Load(), w.ba.Dropped.Load(), nil
 }
 
-// Stop shuts the emulation down, draining in-flight frames.
-func (n *Network) Stop() {
-	if n.stopTick != nil {
-		close(n.stopTick)
-		n.tickWG.Wait()
-	}
-	n.mu.Lock()
-	pipes := append([]*Pipe(nil), n.pipes...)
-	n.mu.Unlock()
-	for _, p := range pipes {
-		p.Close()
-	}
-}
+// Stop shuts the emulation down: once it returns no frame is delivered
+// and every pipe refuses frames.
+func (n *Network) Stop() { n.sched.stop() }
