@@ -28,8 +28,8 @@ type Routing struct {
 
 	// routes counts paths installed (one per routed MAC pair per
 	// packet-in); fenceFailed counts set-ups abandoned because a hop
-	// had no live session, refused the send or died before its barrier
-	// reply — no ingress rule, the frame left to the buffer ring.
+	// had no live session, refused the send, rejected its rule or died
+	// before its barrier reply — no ingress rule; the frame stays buffered.
 	// Published as apps.spf-routing.* via RegisterMetrics.
 	routes      obs.Counter
 	fenceFailed obs.Counter
@@ -67,7 +67,7 @@ func (s *setup) rule(i int, buffer uint32) *zof.FlowMod {
 	}
 }
 
-// arrive takes one downstream hop's fence result.
+// arrive takes one downstream hop's fence result; nil means it took its rule.
 func (s *setup) arrive(err error) {
 	if err != nil {
 		s.failed.Store(true)

@@ -127,6 +127,58 @@ func TestRoutingFenceFailureInstallsNothing(t *testing.T) {
 	}
 }
 
+// TestRoutingRejectedHopInstallsNothing: a downstream hop that answers
+// its FlowMod with an Error fails the set-up like a dead one — the
+// rejection rides the hop's fence, so no ingress rule lands, nothing is
+// recorded as routed, and the Error is not left over as an unclaimed
+// async error.
+func TestRoutingRejectedHopInstallsNothing(t *testing.T) {
+	r := NewRouting()
+	ctl, _ := harness(t, 0, r)
+	proxy, err := netem.NewControlProxy(ctl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+	proxy.SetFlowModPolicy(func(*zof.FlowMod) (netem.FlowModDecision, uint16) {
+		return netem.FlowModReject, zof.ErrCodeTableFull
+	})
+	sw1, _ := connectSwitch(t, ctl.Addr(), 1, 2)
+	connectSwitch(t, ctl.Addr(), 2, 2)
+	sw3, _ := connectSwitch(t, proxy.Addr(), 3, 2) // the hop that refuses
+	if err := ctl.WaitForSwitches(3, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Line 1-2-3; A on 1:1, B on 3:2.
+	nib := ctl.NIB()
+	nib.ApplyLink(1, 2, 2, 1)
+	nib.ApplyLink(2, 2, 3, 1)
+	macA, macB := packet.MAC{2, 0, 0, 0, 0, 0xa}, packet.MAC{2, 0, 0, 0, 0, 0xb}
+	ipA, ipB := packet.IPv4Addr{10, 0, 0, 0xa}, packet.IPv4Addr{10, 0, 0, 0xb}
+	nib.ApplyHost(controller.HostInfo{MAC: macB, IP: ipB, DPID: 3, Port: 2})
+
+	sw1.HandleFrame(1, udpFrame(macA, macB, ipA, ipB))
+	waitCond(t, 2*time.Second, func() bool {
+		return metric(t, ctl, "apps.spf-routing.fence_failed")+metric(t, ctl, "apps.spf-routing.routes") == 1
+	})
+	sc1, _ := ctl.Switch(1)
+	if err := sc1.Barrier(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if failed := metric(t, ctl, "apps.spf-routing.fence_failed"); failed != 1 {
+		t.Errorf("fence_failed = %d, want 1", failed)
+	}
+	if routes := metric(t, ctl, "apps.spf-routing.routes"); routes != 0 {
+		t.Errorf("rejected set-up recorded: routes=%d", routes)
+	}
+	if sw1.FlowCount() != 0 || sw3.FlowCount() != 0 {
+		t.Errorf("after a rejected hop: %d rules on the ingress switch, %d on the refusing hop", sw1.FlowCount(), sw3.FlowCount())
+	}
+	if n := metric(t, ctl, "controller.async_errors"); n != 0 {
+		t.Errorf("the hop's rejection surfaced as %d unclaimed async errors", n)
+	}
+}
+
 // TestRoutingFenceConcurrentClose: packet-ins on four switches — so on
 // every dispatch shard — fence through one downstream connection while
 // it closes. Every packet-in ends exactly one way (routed, fence

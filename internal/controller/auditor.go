@@ -21,7 +21,8 @@ import (
 type AuditStats struct {
 	// Audits counts completed per-switch audit passes.
 	Audits obs.Counter
-	// Failures counts passes abandoned because the stats query failed.
+	// Failures counts passes abandoned because the stats query or the
+	// repair fence failed, or the switch rejected a repair.
 	Failures obs.Counter
 	// Skipped counts passes skipped because a transaction held the
 	// switch.
@@ -57,13 +58,13 @@ func (r AuditReport) Repairs() int { return r.Missing + r.Mismatched + r.Alien }
 var ErrAuditBusy = errors.New("controller: switch busy in a transaction")
 
 // AuditSwitch runs one anti-entropy pass over sc: fetch actual flows,
-// diff against intended, repair. Repairs are sent raw (no re-stamping
-// — they restore the recorded wire state verbatim) and fenced with a
-// barrier. Intended flows carrying idle/hard timeouts that are gone
-// from the switch are treated as legitimately expired and retired from
-// the store instead of re-added, so reactive rules do not resurrect
-// forever. Returns ErrAuditBusy without touching anything when a
-// transaction holds the switch.
+// diff against intended, repair. Repairs are fenced raw (no re-stamping
+// — they restore the recorded wire state verbatim), and a rejected
+// repair fails the pass. Intended flows carrying idle/hard timeouts
+// that are gone from the switch are treated as legitimately expired and
+// retired from the store instead of re-added, so reactive rules do not
+// resurrect forever. Returns ErrAuditBusy without touching anything
+// when a transaction holds the switch.
 func (c *Controller) AuditSwitch(sc *SwitchConn) (AuditReport, error) {
 	rep := AuditReport{DPID: sc.dpid}
 	if !sc.active.Load() {
@@ -143,11 +144,8 @@ func (c *Controller) AuditSwitch(sc *SwitchConn) (AuditReport, error) {
 	}
 
 	if len(repairs) > 0 {
-		if err := sc.conn.SendBatch(repairs...); err != nil {
-			c.auditStats.Failures.Inc()
-			return rep, err
-		}
-		if err := sc.Barrier(auditTimeout); err != nil {
+		r := fenceAll([]*SwitchConn{sc}, [][]zof.Message{repairs}, auditTimeout)[0]
+		if err := joinRejected(r.rejected, r.err); err != nil {
 			c.auditStats.Failures.Inc()
 			return rep, err
 		}

@@ -131,6 +131,34 @@ func TestAuditRetiresExpired(t *testing.T) {
 	}
 }
 
+// TestAuditCountsRejectedRepair: a repair the switch refuses fails the
+// pass. The second of two installs overflows a one-entry table; the
+// switch refuses it, but it stays recorded intent, so the audit re-adds
+// it as missing and the switch refuses again — which must come back as
+// the audit's error and a counted failure, not a clean audit.
+func TestAuditCountsRejectedRepair(t *testing.T) {
+	ctl, _ := txnHarness(t, Config{}, dataplane.Config{DPID: 1, TableSizes: []int{1}})
+	sc, _ := ctl.Switch(1)
+	for i := 0; i < 2; i++ {
+		if err := sc.InstallFlow(fenceRule(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := ctl.AuditSwitch(sc)
+	var ae AsyncError
+	if !errors.As(err, &ae) || ae.Code != zof.ErrCodeTableFull {
+		t.Fatalf("audit = %v, want its repair's table-full rejection", err)
+	}
+	if rep.Missing != 1 {
+		t.Errorf("report = %+v, want missing=1", rep)
+	}
+	audits, _ := ctl.Metrics().Value("controller.audit.audits")
+	failures, _ := ctl.Metrics().Value("controller.audit.failures")
+	if audits != 0 || failures != 1 {
+		t.Errorf("audits=%d failures=%d, want 0 and 1", audits, failures)
+	}
+}
+
 // TestAuditSkipsBusySwitch: a transaction holding the switch makes the
 // auditor step aside rather than misread mid-commit state.
 func TestAuditSkipsBusySwitch(t *testing.T) {

@@ -24,11 +24,7 @@ const (
 	// reconcileTimeout bounds the flow-stats query of the
 	// post-reconnect cookie reconciliation pass.
 	reconcileTimeout = 5 * time.Second
-	// txnRetries is how many times a transaction re-attempts a failed
-	// fence barrier (the ops themselves are never re-sent — GroupAdd is
-	// not idempotent).
-	txnRetries = 1
-	// auditTimeout bounds the stats query and repair barrier of one
+	// auditTimeout bounds the stats query and the repair fence of one
 	// audit pass.
 	auditTimeout = 2 * time.Second
 )
@@ -57,8 +53,10 @@ type Config struct {
 	// probes evict the peer exactly like a read error (SwitchDown, NIB
 	// cleanup, pending requests failed fast). Default 3.
 	ProbeMisses int
-	// TxnTimeout bounds each barrier attempt of a transaction's commit
-	// fence and rollback verification; default 5s.
+	// TxnTimeout bounds each of a transaction's two waits once — for
+	// its commit fences, then for its rollback fences — with no retry: a
+	// second barrier on the ordered stream would only answer after the
+	// first. Default 5s.
 	TxnTimeout time.Duration
 	// AuditInterval enables the anti-entropy auditor: every interval the
 	// controller diffs each switch's flow table against its intended
@@ -88,7 +86,7 @@ type Config struct {
 	// POST /v1/trace/mode.
 	TraceBuffer int
 	// ErrorHandler receives asynchronous zof.Error replies that belong
-	// to no pending request and no transaction — the fire-and-forget
+	// to no pending request and no in-flight fence — the fire-and-forget
 	// failures that used to vanish. Called from the connection's read
 	// goroutine: do not block. Nil logs them via Logf instead.
 	ErrorHandler func(AsyncError)
@@ -183,8 +181,7 @@ type Controller struct {
 	txnStats   TxnStats
 	auditStats AuditStats
 	// asyncErrors counts Error replies that matched no pending request
-	// and no transaction watcher (satellite visibility for
-	// fire-and-forget failures).
+	// and no in-flight fence (visibility for fire-and-forget failures).
 	asyncErrors obs.Counter
 	// detectNanos records, for the most recent liveness eviction, the
 	// time from the send of the first probe of the fatal miss streak to
@@ -581,11 +578,11 @@ func (c *Controller) serve(raw net.Conn) {
 		case *zof.Hello:
 			// ignore
 		case *zof.Error:
-			// A reply to a synchronous request resolves it; a reply to a
-			// transaction op lands in its fence window; anything else is a
+			// A reply to a blocked request resolves it; a reply to a
+			// fenced op joins that fence's rejections; anything else is a
 			// fire-and-forget failure the controller surfaces instead of
 			// dropping.
-			if sc.resolve(h.XID, msg) || sc.noteAsyncError(h.XID, m) {
+			if sc.resolve(h.XID, msg) || sc.reject(h.XID, m) {
 				break
 			}
 			c.asyncErrors.Inc()
@@ -833,25 +830,19 @@ func (c *Controller) learnFromPacketIn(pi PacketInEvent) {
 	}
 }
 
-// Barrier synchronizes with every connected datapath. Barriers are
-// issued concurrently — a fleet-wide fence costs one RTT (plus the
-// slowest switch), not the sum — and the per-switch failures are
-// joined. It reads the lock-free registry snapshot, so a slow datapath
-// never stalls dispatch or registration.
+// Barrier synchronizes with every connected datapath. Every switch is
+// fenced at once — a fleet-wide fence costs one RTT (plus the slowest
+// switch), not the sum — and the per-switch failures are joined. It
+// reads the lock-free registry snapshot, so a slow datapath never
+// stalls dispatch or registration.
 func (c *Controller) Barrier(timeout time.Duration) error {
 	switches := c.Switches()
-	errs := make([]error, len(switches))
-	var wg sync.WaitGroup
-	for i, s := range switches {
-		wg.Add(1)
-		go func(i int, s *SwitchConn) {
-			defer wg.Done()
-			if err := s.Barrier(timeout); err != nil {
-				errs[i] = fmt.Errorf("barrier to %#x: %w", s.dpid, err)
-			}
-		}(i, s)
+	var errs []error
+	for i, r := range fenceAll(switches, make([][]zof.Message, len(switches)), timeout) {
+		if r.err != nil {
+			errs = append(errs, fmt.Errorf("barrier to %#x: %w", switches[i].dpid, r.err))
+		}
 	}
-	wg.Wait()
 	return errors.Join(errs...)
 }
 

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,6 +48,55 @@ func TestSendFencedRepliesBehindTheBatch(t *testing.T) {
 	// The same map still serves blocking requests.
 	if err := sc.Barrier(2 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Error("fence callback ran twice")
+	}
+}
+
+// TestSendFencedCollectsRejections: the callback gets exactly the
+// Errors its own batch drew — here the middle rule's dangling group
+// reference — and none of them leaks to the controller's async-error
+// path. A clean fence behind it on the same connection gets nil.
+func TestSendFencedCollectsRejections(t *testing.T) {
+	var handled atomic.Int32
+	ctl, _ := txnHarness(t, Config{ErrorHandler: func(AsyncError) { handled.Add(1) }}, dataplane.Config{DPID: 1})
+	sc, _ := ctl.Switch(1)
+	bad := fenceRule(2)
+	bad.Actions = []zof.Action{zof.Group(404)}
+	got := make(chan error, 2)
+	// Nothing else writes on this connection, so the batch takes the
+	// next XIDs in order: base+1 .. base+3, then the barrier.
+	base := sc.conn.NextXID()
+	sc.SendFenced(func(err error) { got <- err }, fenceRule(1), bad, fenceRule(3))
+	var err error
+	select {
+	case err = <-got:
+	case <-time.After(2 * time.Second):
+		t.Fatal("fence callback never ran")
+	}
+	joined, ok := err.(interface{ Unwrap() []error })
+	var ae AsyncError
+	if !ok || len(joined.Unwrap()) != 1 || !errors.As(joined.Unwrap()[0], &ae) ||
+		ae.XID != base+2 || ae.Code != zof.ErrCodeBadGroup || ae.DPID != 1 {
+		t.Fatalf("fence = %v, want exactly xid %d's bad-group rejection", err, base+2)
+	}
+	if n, _ := ctl.Metrics().Value("controller.async_errors"); n != 0 || handled.Load() != 0 {
+		t.Errorf("rejection leaked: async_errors=%d, handler called %d times", n, handled.Load())
+	}
+	if n := pendingReplies(sc); n != 0 {
+		t.Errorf("%d reply handlers left pending", n)
+	}
+
+	clean := make(chan error, 1)
+	sc.SendFenced(func(err error) { clean <- err }, fenceRule(4))
+	select {
+	case err := <-clean:
+		if err != nil {
+			t.Fatalf("clean fence = %v, want nil", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("clean fence callback never ran")
 	}
 	if len(got) != 0 {
 		t.Error("fence callback ran twice")

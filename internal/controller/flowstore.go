@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/zof"
@@ -238,19 +239,19 @@ func (fs *FlowStore) Len() int {
 	return len(fs.st.flows)
 }
 
-// stage computes, without committing anything, the inverse operation
-// block for each op in order: the messages that, sent in reverse block
-// order after all of ops landed, restore the intended state that held
-// before the transaction. Each block's inverse is computed against the
-// state produced by the preceding ops (a cloned working copy), so
-// chains like delete-then-readd invert correctly.
-func (fs *FlowStore) stage(ops []zof.Message) [][]zof.Message {
+// stage computes, without committing anything, the undo batch for ops:
+// the messages that, sent after all of ops landed, restore the intended
+// state that held before the transaction — each op's inverse, the last
+// op's first. Each inverse is computed against the state produced by
+// the preceding ops (a cloned working copy), so chains like
+// delete-then-readd invert correctly.
+func (fs *FlowStore) stage(ops []zof.Message) []zof.Message {
 	fs.mu.Lock()
 	work := fs.st.clone()
 	fs.mu.Unlock()
-	inverse := make([][]zof.Message, 0, len(ops))
-	for _, op := range ops {
-		inverse = append(inverse, invertOp(&work, op))
+	inverse := make([][]zof.Message, len(ops))
+	for i, op := range ops {
+		inverse[i] = invertOp(&work, op)
 		switch mod := op.(type) {
 		case *zof.FlowMod:
 			work.applyFlowMod(mod)
@@ -258,7 +259,8 @@ func (fs *FlowStore) stage(ops []zof.Message) [][]zof.Message {
 			work.applyGroupMod(mod)
 		}
 	}
-	return inverse
+	slices.Reverse(inverse)
+	return slices.Concat(inverse...)
 }
 
 // invertOp returns the messages undoing op given pre-op state st.

@@ -2,8 +2,10 @@ package controller
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,34 +67,41 @@ type SwitchConn struct {
 
 	mu sync.Mutex
 	// pending routes the reply carrying an XID to whoever awaits it — a
-	// blocked request or a fence's callback, one mechanism for both.
-	// The handler is called once, off the map: with the reply on the
-	// connection's reader, or with nil by close when the session ends
-	// first. It must not block.
-	pending map[uint32]func(zof.Message)
-	watches map[uint32]*errCollector // txn XIDs → async-error collector
+	// blocked request or a fence, one mechanism for both — and, for a
+	// fence, the Errors its batch draws ahead of the barrier.
+	pending map[uint32]waiter
 	closed  bool
 }
 
-// errCollector accumulates the async Error replies observed for one
-// transaction's tracked XIDs.
-type errCollector struct {
-	mu   sync.Mutex
-	errs []AsyncError
+// waiter awaits the reply to one XID: a blocked request's reply
+// channel, or a fence's callback, which also owns its batch's op XIDs
+// (ops) and collects their Errors (rejected) until the reply.
+type waiter struct {
+	reply    chan<- zof.Message
+	done     func(rejected []AsyncError, err error)
+	ops      []uint32
+	rejected []AsyncError
 }
 
-func (w *errCollector) add(e AsyncError) {
-	w.mu.Lock()
-	w.errs = append(w.errs, e)
-	w.mu.Unlock()
-}
-
-func (w *errCollector) take() []AsyncError {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := w.errs
-	w.errs = nil
-	return out
+// answer hands w its reply, once, off the map: on the connection's
+// reader, or with nil from close when the session ends first. It never
+// blocks: a reply channel has room for the one send, and a fence's
+// callback must not block.
+func (w waiter) answer(rep zof.Message) {
+	if w.done == nil {
+		w.reply <- rep
+		return
+	}
+	switch m := rep.(type) {
+	case nil:
+		w.done(w.rejected, zof.ErrConnClosed)
+	case *zof.BarrierReply:
+		w.done(w.rejected, nil)
+	case *zof.Error:
+		w.done(w.rejected, m)
+	default:
+		w.done(w.rejected, zof.ErrTypeMismatch)
+	}
 }
 
 // DPID returns the datapath id.
@@ -158,8 +167,7 @@ func handshake(conn *zof.Conn, timeout time.Duration) (*SwitchConn, error) {
 			conn:     conn,
 			features: *fr,
 			done:     make(chan struct{}),
-			pending:  make(map[uint32]func(zof.Message)),
-			watches:  make(map[uint32]*errCollector),
+			pending:  make(map[uint32]waiter),
 		}, nil
 	}
 }
@@ -223,81 +231,48 @@ func (s *SwitchConn) InstallFlow(fm *zof.FlowMod) error { return s.Send(fm) }
 // PacketOut injects a packet.
 func (s *SwitchConn) PacketOut(po *zof.PacketOut) error { return s.Send(po) }
 
-// sendWatched writes msgs as one batch without stamping or recording —
-// the transaction engine's raw send: stamping happened at staging, and
-// the store only commits after the barrier fence. The XIDs are
-// allocated and routed into w before anything reaches the wire, so an
-// instant Error reply cannot slip past the watcher. Callers must
-// unwatchXIDs the returned XIDs when done.
-func (s *SwitchConn) sendWatched(w *errCollector, msgs ...zof.Message) ([]uint32, error) {
-	xids := make([]uint32, len(msgs))
-	for i := range xids {
-		xids[i] = s.conn.NextXID()
-	}
-	s.watchXIDs(xids, w)
-	return xids, s.conn.SendBatchXIDs(msgs, xids)
-}
-
-// watchXIDs routes any async Error reply carrying one of xids into w
-// instead of the controller's unsolicited-error path.
-func (s *SwitchConn) watchXIDs(xids []uint32, w *errCollector) {
-	s.mu.Lock()
-	for _, x := range xids {
-		s.watches[x] = w
-	}
-	s.mu.Unlock()
-}
-
-// unwatchXIDs removes the routes installed by watchXIDs.
-func (s *SwitchConn) unwatchXIDs(xids []uint32) {
-	s.mu.Lock()
-	for _, x := range xids {
-		delete(s.watches, x)
-	}
-	s.mu.Unlock()
-}
-
-// noteAsyncError hands an Error reply to the transaction watching its
-// XID, if any.
-func (s *SwitchConn) noteAsyncError(xid uint32, e *zof.Error) bool {
-	s.mu.Lock()
-	w := s.watches[xid]
-	s.mu.Unlock()
-	if w == nil {
-		return false
-	}
-	w.add(AsyncError{DPID: s.dpid, XID: xid, Code: e.Code, Detail: e.Detail})
-	return true
-}
-
-// expect routes the reply to a fresh XID into onReply (see pending);
-// ok is false, and nothing is registered, when the session has closed.
-func (s *SwitchConn) expect(onReply func(zof.Message)) (xid uint32, ok bool) {
-	xid = s.conn.NextXID()
+// expect routes the reply to xid into w (see pending); false, with
+// nothing registered, means the session has closed.
+func (s *SwitchConn) expect(xid uint32, w waiter) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, false
+	if !s.closed {
+		s.pending[xid] = w
 	}
-	s.pending[xid] = onReply
-	return xid, true
+	return !s.closed
 }
 
-// take removes xid's reply handler and returns it; nil means someone
-// else — the reader, close, the requester giving up — already has.
-func (s *SwitchConn) take(xid uint32) func(zof.Message) {
+// take removes xid's waiter and returns it; false means someone else —
+// the reader, close, a waiter giving up — already has.
+func (s *SwitchConn) take(xid uint32) (waiter, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.pending[xid]
+	w, ok := s.pending[xid]
 	delete(s.pending, xid)
-	return h
+	return w, ok
+}
+
+// reject files an Error with the in-flight fence whose batch holds its
+// XID; false means no fence owns it. The scan runs on the Error path
+// only — replies are map hits.
+func (s *SwitchConn) reject(xid uint32, e *zof.Error) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for fence, w := range s.pending {
+		if slices.Contains(w.ops, xid) {
+			w.rejected = append(w.rejected, AsyncError{DPID: s.dpid, XID: xid, Code: e.Code, Detail: e.Detail})
+			s.pending[fence] = w
+			return true
+		}
+	}
+	return false
 }
 
 // request sends msg and blocks for the reply carrying the same xid.
 func (s *SwitchConn) request(msg zof.Message, timeout time.Duration) (zof.Message, error) {
-	ch := make(chan zof.Message, 1) // the handler's one send never blocks
-	xid, ok := s.expect(func(rep zof.Message) { ch <- rep })
-	if !ok {
+	ch := make(chan zof.Message, 1) // the one answer never blocks
+	xid := s.conn.NextXID()
+	if !s.expect(xid, waiter{reply: ch}) {
 		return nil, zof.ErrConnClosed
 	}
 	defer s.take(xid)
@@ -327,41 +302,107 @@ func (s *SwitchConn) request(msg zof.Message, timeout time.Duration) (zof.Messag
 // SendFenced is SendBatch with a BarrierRequest behind the messages in
 // the same batch — one flush — that returns without waiting. done runs
 // exactly once: with nil when the BarrierReply arrives, by which time
-// the datapath has processed every message of the batch, or with the
-// failure when the send fails or the session closes first. It runs on
-// this connection's reader goroutine (the closer's when the session
-// ends, the caller's when the send fails), possibly under controller
-// locks: it must not block or wait on the controller. There is no
-// timer: a datapath that stops answering without closing is the
-// liveness prober's to evict (Config.ProbeInterval), and the eviction
-// fails the fence.
+// the datapath has processed and accepted every message of the batch;
+// with the datapath's rejections joined into one error when it refused
+// any (zof is ordered and an Error reuses the offending XID, so they
+// all arrive ahead of the reply); or with the failure when the send
+// fails or the session closes first. It runs on this connection's
+// reader goroutine (the closer's when the session ends, the caller's
+// when the send fails), possibly under controller locks: it must not
+// block or wait on the controller. There is no timer: a datapath that
+// stops answering without closing is the liveness prober's to evict
+// (Config.ProbeInterval), and the eviction fails the fence.
 func (s *SwitchConn) SendFenced(done func(error), msgs ...zof.Message) {
-	fence, ok := s.expect(func(rep zof.Message) {
-		switch m := rep.(type) {
-		case nil:
-			done(zof.ErrConnClosed)
-		case *zof.BarrierReply:
-			done(nil)
-		case *zof.Error:
-			done(m)
-		default:
-			done(zof.ErrTypeMismatch)
-		}
-	})
-	if !ok {
-		done(zof.ErrConnClosed)
-		return
-	}
+	s.intend(msgs...)
+	s.fence(func(rejected []AsyncError, err error) { done(joinRejected(rejected, err)) }, msgs...)
+}
+
+// fence is SendFenced's mechanism, shared by every writer that must
+// learn its batch landed: msgs go out as they are — no stamping, no
+// recording — with a BarrierRequest behind them in one flush, and done
+// gets the batch's rejections with the barrier's outcome. It returns
+// the barrier's XID, which a waiter giving up takes back out of pending
+// so that done never runs.
+func (s *SwitchConn) fence(done func(rejected []AsyncError, err error), msgs ...zof.Message) uint32 {
 	batch := make([]zof.Message, len(msgs)+1)
 	xids := make([]uint32, len(batch))
 	for i, m := range msgs {
 		batch[i], xids[i] = m, s.conn.NextXID()
 	}
-	batch[len(msgs)], xids[len(msgs)] = &zof.BarrierRequest{}, fence
-	s.intend(msgs...)
-	if err := s.conn.SendBatchXIDs(batch, xids); err != nil && s.take(fence) != nil {
-		done(err)
+	xid := s.conn.NextXID()
+	batch[len(msgs)], xids[len(msgs)] = &zof.BarrierRequest{}, xid
+	if !s.expect(xid, waiter{done: done, ops: xids[:len(msgs)]}) {
+		done(nil, zof.ErrConnClosed)
+		return xid
 	}
+	if err := s.conn.SendBatchXIDs(batch, xids); err != nil {
+		if w, ok := s.take(xid); ok {
+			done(w.rejected, err)
+		}
+	}
+	return xid
+}
+
+// fenceResult is one fence's outcome: the Errors its batch drew, and
+// the barrier's failure.
+type fenceResult struct {
+	rejected []AsyncError
+	err      error
+}
+
+// fenceAll fences batches[i] on conns[i], all at once, and waits for
+// every outcome under one timer (none when timeout ≤ 0). A fence still
+// out at the deadline is taken back, so its callback never runs, and
+// fails with a timeout. This is how a blocking writer brings its own
+// deadline to the timerless fence.
+func fenceAll(conns []*SwitchConn, batches [][]zof.Message, timeout time.Duration) []fenceResult {
+	type answer struct {
+		i int
+		fenceResult
+	}
+	answers := make(chan answer, len(conns)) // no callback ever blocks
+	res := make([]fenceResult, len(conns))
+	xids := make([]uint32, len(conns))
+	for i, sc := range conns {
+		xids[i] = sc.fence(func(rejected []AsyncError, err error) {
+			answers <- answer{i, fenceResult{rejected, err}}
+		}, batches[i]...)
+	}
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
+	for left := len(conns); left > 0; {
+		select {
+		case a := <-answers:
+			res[a.i] = a.fenceResult
+			left--
+		case <-expired:
+			for i, sc := range conns {
+				// A fence the reader or close took first answers anyway.
+				if w, ok := sc.take(xids[i]); ok {
+					res[i] = fenceResult{w.rejected, fmt.Errorf("timed out after %v", timeout)}
+					left--
+				}
+			}
+		}
+	}
+	return res
+}
+
+// joinRejected is err joined with every rejection; nil when both are
+// empty.
+func joinRejected(rejected []AsyncError, err error) error {
+	if len(rejected) == 0 {
+		return err
+	}
+	errs := []error{err}
+	for _, r := range rejected {
+		errs = append(errs, r)
+	}
+	return errors.Join(errs...)
 }
 
 // Barrier blocks until the datapath has processed everything sent
@@ -430,11 +471,11 @@ func (s *SwitchConn) SetRole(role uint32, gen uint64, timeout time.Duration) (*z
 
 // resolve hands an incoming reply to whoever awaits its XID, if anyone.
 func (s *SwitchConn) resolve(xid uint32, msg zof.Message) bool {
-	h := s.take(xid)
-	if h != nil {
-		h(msg)
+	w, ok := s.take(xid)
+	if ok {
+		w.answer(msg)
 	}
-	return h != nil
+	return ok
 }
 
 // close tears the connection down and fails everything pending.
@@ -446,11 +487,11 @@ func (s *SwitchConn) close() {
 	}
 	s.closed = true
 	pend := s.pending
-	s.pending = make(map[uint32]func(zof.Message))
+	s.pending = make(map[uint32]waiter)
 	s.mu.Unlock()
 	close(s.done)
-	for _, h := range pend {
-		h(nil)
+	for _, w := range pend {
+		w.answer(nil)
 	}
 	s.conn.Close()
 }

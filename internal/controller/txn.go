@@ -1,23 +1,22 @@
 // Transactional flow programming: a Txn stages FlowMods and GroupMods
-// across one or more switches and commits them behind a barrier fence.
-// The zof stream is ordered and error replies reuse the offending
-// message's XID, so by the time a BarrierReply arrives every Error for
-// the ops ahead of it has been delivered — the barrier IS the
-// error-collection window. Any rejection, transport failure, or
-// barrier timeout aborts the commit and triggers an automatic
-// rollback: inverse operations, computed against the intended-state
-// store at staging time, are sent in reverse order and verified by a
-// second barrier. The store itself only commits after a successful
-// fence, so a failed transaction leaves the intended state — and,
-// after rollback (or reconnect plus anti-entropy repair for a dead
-// switch), the physical state — exactly as it was.
+// across one or more switches and commits them as one fenced batch per
+// switch. The zof stream is ordered and error replies reuse the
+// offending message's XID, so by the time a BarrierReply arrives every
+// Error for the ops ahead of it has been delivered — the barrier IS the
+// error-collection window, and the fence hands both over together. Any
+// rejection, transport failure, or fence timeout aborts the commit and
+// triggers an automatic rollback: inverse operations, computed against
+// the intended-state store at staging time, are fenced the same way.
+// The store itself only commits after every fence came back clean, so
+// a failed transaction leaves the intended state — and, after rollback
+// (or reconnect plus anti-entropy repair for a dead switch), the
+// physical state — exactly as it was.
 package controller
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -44,9 +43,9 @@ type TxnStats struct {
 	// Commits counts transactions that fenced successfully.
 	Commits obs.Counter
 	// Aborts counts transactions that failed (rejection, transport
-	// error, or barrier timeout) and attempted rollback.
+	// error, or fence timeout) and attempted rollback.
 	Aborts obs.Counter
-	// Rollbacks counts aborts whose inverse ops were barrier-verified.
+	// Rollbacks counts aborts whose inverse ops were fence-verified.
 	Rollbacks obs.Counter
 	// RollbackFailures counts aborts whose rollback could not be fully
 	// verified on a still-connected switch; the anti-entropy auditor is
@@ -61,10 +60,10 @@ type TxnError struct {
 	// Rejections are the per-op switch errors collected in the fence
 	// window.
 	Rejections []AsyncError
-	// Err is the transport or barrier failure, if any.
+	// Err is the transport or fence failure, if any.
 	Err error
 	// RolledBack is true when every still-connected participant's
-	// inverse ops were applied and barrier-verified. Participants whose
+	// inverse ops were applied and fence-verified. Participants whose
 	// connection died are skipped: their store was never updated, so
 	// reconnect-time reinstall plus the auditor restore pre-transaction
 	// intent.
@@ -131,25 +130,12 @@ func (t *Txn) Pending() int {
 	return n
 }
 
-// participant is one switch's slice of a committing transaction.
-type participant struct {
-	sc      *SwitchConn
-	ops     []zof.Message
-	inverse [][]zof.Message // per-op undo blocks, staging order
-	xids    []uint32
-	watch   *errCollector
-	sent    bool
-	fenceOK bool
-	err     error
-}
-
-// Commit stamps, stages and sends every op, fences the result with
-// concurrent barriers (each attempt bounded by Config.TxnTimeout and
-// retried txnRetries times), and either commits the intended state or
-// rolls the switches back. It returns nil on success and a
-// *TxnError on failure. The ops themselves are never re-sent on retry
-// — FlowAdd is idempotent but GroupAdd is not — so a lost op surfaces
-// as a fence failure and the auditor repairs any residue.
+// Commit stamps and stages every op, fences one batch per switch — all
+// out at once, their outcomes awaited under one Config.TxnTimeout — and
+// either commits the intended state or rolls the switches back. It
+// returns nil on success and a *TxnError on failure. Nothing is ever
+// re-sent — FlowAdd is idempotent but GroupAdd is not — so a lost op
+// surfaces as a fence failure and the auditor repairs any residue.
 func (t *Txn) Commit() error {
 	if t.done {
 		return errTxnDone
@@ -161,95 +147,60 @@ func (t *Txn) Commit() error {
 	start := time.Now()
 	stats := &t.c.txnStats
 
-	// Resolve participants up front: an unknown switch aborts before
-	// anything is sent anywhere.
+	// Resolve participants up front, in ascending DPID order: an unknown
+	// switch aborts before anything is sent anywhere.
 	dpids := make([]uint64, 0, len(t.ops))
 	for dpid := range t.ops {
 		dpids = append(dpids, dpid)
 	}
-	sort.Slice(dpids, func(i, j int) bool { return dpids[i] < dpids[j] })
-	parts := make([]*participant, 0, len(dpids))
-	for _, dpid := range dpids {
+	slices.Sort(dpids)
+	conns := make([]*SwitchConn, len(dpids))
+	ops := make([][]zof.Message, len(dpids))
+	for i, dpid := range dpids {
 		sc, ok := t.c.Switch(dpid)
 		if !ok {
 			stats.Aborts.Inc()
 			stats.Rollbacks.Inc() // vacuous: nothing was sent
 			return &TxnError{Err: fmt.Errorf("switch %#x not connected", dpid), RolledBack: true}
 		}
-		parts = append(parts, &participant{sc: sc, ops: t.ops[dpid]})
+		conns[i], ops[i] = sc, t.ops[dpid]
 	}
 
 	// Serialize against other transactions and the auditor, acquiring
 	// in ascending DPID order so concurrent multi-switch commits cannot
 	// deadlock.
-	for _, p := range parts {
-		p.sc.txnMu.Lock()
+	for _, sc := range conns {
+		sc.txnMu.Lock()
 	}
 	defer func() {
-		for i := len(parts) - 1; i >= 0; i-- {
-			parts[i].sc.txnMu.Unlock()
+		for i := len(conns) - 1; i >= 0; i-- {
+			conns[i].txnMu.Unlock()
 		}
 	}()
 
 	// Stage: stamp FlowAdds with each session's epoch, then compute the
-	// inverse ops against the current intended state.
-	for _, p := range parts {
-		for _, op := range p.ops {
+	// undo batches against the current intended state.
+	undo := make([][]zof.Message, len(conns))
+	for i, sc := range conns {
+		for _, op := range ops[i] {
 			if fm, ok := op.(*zof.FlowMod); ok {
-				p.sc.stamp(fm)
+				sc.stamp(fm)
 			}
 		}
-		p.inverse = p.sc.store.stage(p.ops)
+		undo[i] = sc.store.stage(ops[i])
 	}
 
-	// Send phase: one tracked batch per switch, error watchers armed
-	// before the frames can reach the peer.
-	var sendErr error
-	for _, p := range parts {
-		p.watch = &errCollector{}
-		p.xids, p.err = p.sc.sendWatched(p.watch, p.ops...)
-		p.sent = true
-		if p.err != nil {
-			sendErr = fmt.Errorf("send to %#x: %w", p.sc.dpid, p.err)
-			break
-		}
-	}
-
-	// Fence phase: concurrent barriers over every switch we sent to.
-	var fenceErr error
-	if sendErr == nil {
-		var wg sync.WaitGroup
-		for _, p := range parts {
-			wg.Add(1)
-			go func(p *participant) {
-				defer wg.Done()
-				if err := t.barrierRetry(p.sc); err != nil {
-					p.err = fmt.Errorf("fence on %#x: %w", p.sc.dpid, err)
-					return
-				}
-				p.fenceOK = true
-			}(p)
-		}
-		wg.Wait()
-		for _, p := range parts {
-			if !p.fenceOK {
-				fenceErr = errors.Join(fenceErr, p.err)
-			}
-		}
-	}
-
-	// Collect the fence window's rejections and release the watchers.
 	var rejections []AsyncError
-	for _, p := range parts {
-		if p.watch != nil {
-			rejections = append(rejections, p.watch.take()...)
-			p.sc.unwatchXIDs(p.xids)
+	var fenceErr error
+	for i, r := range fenceAll(conns, ops, t.c.cfg.TxnTimeout) {
+		rejections = append(rejections, r.rejected...)
+		if r.err != nil {
+			fenceErr = errors.Join(fenceErr, fmt.Errorf("fence on %#x: %w", conns[i].dpid, r.err))
 		}
 	}
-
-	if sendErr == nil && fenceErr == nil && len(rejections) == 0 {
-		for _, p := range parts {
-			p.sc.store.commit(p.ops)
+	if fenceErr == nil && len(rejections) == 0 {
+		for i, sc := range conns {
+			sc.store.commit(ops[i])
 		}
 		stats.Commits.Inc()
 		stats.Latency.Observe(time.Since(start))
@@ -258,7 +209,7 @@ func (t *Txn) Commit() error {
 
 	// Abort: undo what may have landed. The store was never touched.
 	stats.Aborts.Inc()
-	rbErr := t.rollback(parts)
+	rbErr := t.rollback(conns, undo)
 	if rbErr == nil {
 		stats.Rollbacks.Inc()
 	} else {
@@ -266,71 +217,31 @@ func (t *Txn) Commit() error {
 	}
 	return &TxnError{
 		Rejections:  rejections,
-		Err:         errors.Join(sendErr, fenceErr),
+		Err:         fenceErr,
 		RolledBack:  rbErr == nil,
 		RollbackErr: rbErr,
 	}
 }
 
-// barrierRetry fences sc, retrying transient timeouts. A dead
-// connection stops retrying immediately.
-func (t *Txn) barrierRetry(sc *SwitchConn) error {
-	var err error
-	for i := 0; i <= txnRetries; i++ {
-		if err = sc.Barrier(t.c.cfg.TxnTimeout); err == nil {
-			return nil
-		}
-		select {
-		case <-sc.Done():
-			return err
-		default:
-		}
-	}
-	return err
-}
-
-// rollback sends every sent participant's inverse blocks in reverse
-// staging order and verifies each with a barrier. Dead connections are
-// skipped: their switch's state is gone or unreachable, and because
-// the store still holds pre-transaction intent, session reinstall and
-// the anti-entropy auditor converge it back. Returns nil when every
-// live participant verified.
-func (t *Txn) rollback(parts []*participant) error {
+// rollback fences every participant's undo batch, all at once under a
+// second TxnTimeout, and returns what it could not verify. A switch
+// whose session died — before or during the rollback — is not a
+// failure: its state is gone or unreachable, and because the store
+// still holds pre-transaction intent, session reinstall and the
+// anti-entropy auditor converge it back.
+func (t *Txn) rollback(conns []*SwitchConn, undo [][]zof.Message) error {
 	var failed error
-	for i := len(parts) - 1; i >= 0; i-- {
-		p := parts[i]
-		if !p.sent {
-			continue
-		}
-		var inv []zof.Message
-		for j := len(p.inverse) - 1; j >= 0; j-- {
-			inv = append(inv, p.inverse[j]...)
-		}
-		if len(inv) == 0 {
-			continue
-		}
+	for i, r := range fenceAll(conns, undo, t.c.cfg.TxnTimeout) {
 		select {
-		case <-p.sc.Done():
-			continue // dead: reconnect + auditor restore intent
+		case <-conns[i].Done():
+			continue
 		default:
 		}
-		w := &errCollector{}
-		xids, err := p.sc.sendWatched(w, inv...)
-		if err == nil {
-			err = t.barrierRetry(p.sc)
+		if r.err != nil {
+			failed = errors.Join(failed, fmt.Errorf("rollback on %#x: %w", conns[i].dpid, r.err))
 		}
-		rej := w.take()
-		p.sc.unwatchXIDs(xids)
-		if err != nil {
-			select {
-			case <-p.sc.Done():
-				continue // died mid-rollback: same recovery path
-			default:
-			}
-			failed = errors.Join(failed, fmt.Errorf("rollback on %#x: %w", p.sc.dpid, err))
-		}
-		for _, r := range rej {
-			failed = errors.Join(failed, fmt.Errorf("rollback op rejected: %w", r))
+		for _, rej := range r.rejected {
+			failed = errors.Join(failed, fmt.Errorf("rollback op rejected: %w", rej))
 		}
 	}
 	return failed

@@ -302,6 +302,82 @@ func TestTxnAsyncErrorHandler(t *testing.T) {
 	}
 }
 
+// TestTxnTimeoutOnMuteSwitch: a participant whose channel swallows
+// everything without closing holds each of Commit's two waits — commit
+// fences, rollback fences — for one TxnTimeout and no longer. The
+// commit aborts naming the timeout, the healthy participant is rolled
+// back byte-identically, and the mute switch's fences are taken back
+// out of the reply map, so nothing can answer them once the channel
+// comes back.
+func TestTxnTimeoutOnMuteSwitch(t *testing.T) {
+	ctl, err := New(Config{TxnTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	proxy, err := netem.NewControlProxy(ctl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	for dpid, addr := range map[uint64]string{1: ctl.Addr(), 2: proxy.Addr()} {
+		sw := dataplane.NewSwitch(dataplane.Config{DPID: dpid})
+		sw.AddPort(1, "p1", 1000)
+		sw.AddPort(2, "p2", 1000)
+		dp, err := dataplane.Connect(sw, addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dp.Close()
+	}
+	if err := ctl.WaitForSwitches(2, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	healthy, _ := ctl.Switch(1)
+	mute, _ := ctl.Switch(2)
+	pre := ctl.NewTxn()
+	for dpid := uint64(1); dpid <= 2; dpid++ {
+		pre.Flow(dpid, fenceRule(0))
+	}
+	if err := pre.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	before := tableSnapshot(t, healthy)
+
+	proxy.Blackhole(true) // switch 2's batches leave and vanish; its session stays up
+	txn := ctl.NewTxn()
+	for dpid := uint64(1); dpid <= 2; dpid++ {
+		txn.Flow(dpid, fenceRule(1))
+	}
+	start := time.Now()
+	err = txn.Commit()
+	took := time.Since(start)
+	var terr *TxnError
+	if !errors.As(err, &terr) || terr.Err == nil || !strings.Contains(terr.Err.Error(), "timed out") {
+		t.Fatalf("commit = %v, want a TxnError naming the timeout", err)
+	}
+	if took > 2*time.Second {
+		t.Errorf("commit took %v on a 100ms TxnTimeout", took)
+	}
+	if got := tableSnapshot(t, healthy); got != before {
+		t.Errorf("healthy switch not rolled back:\n got: %s\nwant: %s", got, before)
+	}
+	if n := pendingReplies(mute); n != 0 {
+		t.Errorf("%d reply handlers left pending on the mute switch", n)
+	}
+
+	proxy.Blackhole(false)
+	if err := mute.Barrier(2 * time.Second); err != nil {
+		t.Fatalf("mute switch's session did not survive: %v", err)
+	}
+	aborts, _ := ctl.Metrics().Value("controller.txn.aborts")
+	commits, _ := ctl.Metrics().Value("controller.txn.commits")
+	if aborts != 1 || commits != 1 || pendingReplies(mute) != 0 {
+		t.Errorf("after the channel came back: aborts=%d commits=%d pending=%d, want 1, 1, 0",
+			aborts, commits, pendingReplies(mute))
+	}
+}
+
 // TestControllerBarrierJoinsErrors: the fleet-wide barrier runs
 // concurrently and reports per-switch failures without masking the
 // healthy majority.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,6 +255,10 @@ func (p *ControlProxy) pump(src, dst net.Conn, srcMu, dstMu *sync.Mutex, ctlToSw
 					switch decision, code := policy(&fm); decision {
 					case FlowModDrop:
 						p.DroppedMods.Add(1)
+						// Let a fault the policy set off (a session kill, say)
+						// land before the frames batched behind this one are
+						// relayed, as it would if they had come in a later write.
+						runtime.Gosched()
 						continue
 					case FlowModReject:
 						p.DroppedMods.Add(1)

@@ -177,8 +177,8 @@ func (c *Conn) SendBatch(msgs ...Message) error {
 // SendBatchXIDs frames msgs with caller-assigned XIDs (one per
 // message, pre-allocated via NextXID) and flushes once. It exists for
 // callers that must register reply routing for the XIDs before the
-// messages can reach the peer — a transaction engine watching for
-// async Error replies cannot afford the window between send and watch.
+// messages can reach the peer — a fenced batch whose Error replies may
+// come back the instant it is written.
 func (c *Conn) SendBatchXIDs(msgs []Message, xids []uint32) error {
 	if len(msgs) != len(xids) {
 		return fmt.Errorf("zof: %d messages with %d xids", len(msgs), len(xids))
