@@ -506,9 +506,22 @@ func (c *Controller) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c.connWG.Add(1)
-		go c.serve(raw)
+		c.Serve(raw)
 	}
+}
+
+// Serve starts a southbound session over conn (an accepted socket, or
+// one end of a netem.StreamPair) and returns at once. After Close it
+// closes conn and starts nothing.
+func (c *Controller) Serve(conn net.Conn) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		conn.Close()
+		return
+	}
+	c.connWG.Add(1)
+	go c.serve(conn)
 }
 
 func (c *Controller) serve(raw net.Conn) {

@@ -1,6 +1,9 @@
 package controller
 
 import (
+	"errors"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -404,5 +407,27 @@ func TestNIBRemoveSwitchCleansLinks(t *testing.T) {
 	}
 	if nib.HasSwitch(2) {
 		t.Fatal("switch still present")
+	}
+}
+
+// TestServeAfterClose pins Serve's teardown contract: a connection
+// handed over after Close is closed, and no session starts (connWG is
+// never added to after Close has waited on it).
+func TestServeAfterClose(t *testing.T) {
+	ctl, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sw, side := net.Pipe()
+	defer sw.Close()
+	ctl.Serve(side)
+	if _, err := side.Write([]byte{0}); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("write on the served end after Close: %v, want it closed", err)
+	}
+	if len(ctl.Switches()) != 0 {
+		t.Fatal("a session registered after Close")
 	}
 }

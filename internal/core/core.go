@@ -1,8 +1,8 @@
 // Package core ties the zen platform together: it stands up a
-// controller, realizes a topology in the emulator, connects every
-// software switch to the controller over real TCP zof sessions, and
-// hands the embedder a single handle. This is the public entry point
-// the examples and experiments build on.
+// controller, realizes a topology in the emulator, attaches every
+// software switch to the controller over an in-process zof stream (no
+// socket inside one process), and hands the embedder a single handle.
+// This is the public entry point the examples and experiments build on.
 package core
 
 import (
@@ -56,7 +56,9 @@ func Start(opts Options) (*Network, error) {
 
 	for _, node := range opts.Graph.Nodes() {
 		sw := emu.Switches[node]
-		dp, err := dataplane.Connect(sw, ctl.Addr(), connectTimeout)
+		sideSwitch, sideCtl := netem.StreamPair()
+		ctl.Serve(sideCtl)
+		dp, err := dataplane.Attach(sw, sideSwitch)
 		if err != nil {
 			n.Stop()
 			return nil, fmt.Errorf("connecting switch %d: %w", node, err)

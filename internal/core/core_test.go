@@ -507,3 +507,22 @@ func TestRoutingFenceOnePacketInPerFlow(t *testing.T) {
 		t.Errorf("host received %d datagrams, want %d", got, flows)
 	}
 }
+
+// TestStartOpensNoSocket checks that core.Start attaches its switches
+// over in-process streams: no switch's session is a TCP connection.
+func TestStartOpensNoSocket(t *testing.T) {
+	n, err := Start(Options{Graph: topo.Linear(3, 1000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	conns := n.Controller.Switches()
+	if len(conns) != 3 {
+		t.Fatalf("%d switches connected, want 3", len(conns))
+	}
+	for _, sc := range conns {
+		if nw := sc.RemoteAddr().Network(); nw == "tcp" {
+			t.Errorf("switch %#x attached over %s", sc.DPID(), nw)
+		}
+	}
+}

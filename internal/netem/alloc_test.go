@@ -3,9 +3,12 @@
 package netem
 
 import (
+	"bufio"
+	"bytes"
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/zof"
 )
 
 // TestHostSendUDPZeroAlloc pins the echo path's host stack: with the
@@ -33,5 +36,28 @@ func TestHostSendUDPZeroAlloc(t *testing.T) {
 	}
 	if got := b.RxUDP.Load(); got != 1001 {
 		t.Errorf("host b decoded %d datagrams, want 1001", got)
+	}
+}
+
+// TestReadFrameZeroAlloc pins the relay's frame reader: once its buffer
+// has grown to the frame size, reading a frame allocates nothing.
+func TestReadFrameZeroAlloc(t *testing.T) {
+	msg, err := zof.Marshal(&zof.EchoRequest{Data: make([]byte, 200)}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(nil)
+	br := bufio.NewReader(src)
+	var buf []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(msg)
+		br.Reset(src)
+		buf, _, err = readFrame(br, buf)
+		if err != nil || len(buf) != len(msg) {
+			t.Fatalf("readFrame: %d bytes, %v", len(buf), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("readFrame allocates %.1f times per frame, want 0", allocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,8 +127,8 @@ func (p *ControlProxy) Blackhole(on bool) { p.blackhole.Store(on) }
 // Blackholed reports the current blackhole state.
 func (p *ControlProxy) Blackholed() bool { return p.blackhole.Load() }
 
-// SetDelay imposes an extra one-way delay on every relayed chunk in
-// both directions (so RTT grows by ~2d). Zero removes it.
+// SetDelay delays every relayed frame d past the read that brought it in,
+// both ways (RTT grows by ~2d): latency, not a rate cap. Zero removes it.
 func (p *ControlProxy) SetDelay(d time.Duration) { p.delayNs.Store(int64(d)) }
 
 // DropConnections severs every live relay abruptly (RSTish: both legs
@@ -192,10 +193,9 @@ func (p *ControlProxy) acceptLoop() {
 }
 
 // readFrame reads one whole zof frame (header + body) from br into
-// buf, returning the frame bytes and parsed header.
+// buf, growing buf in place (only once the length has been checked).
 func readFrame(br *bufio.Reader, buf []byte) ([]byte, zof.Header, error) {
-	buf = buf[:0]
-	buf = append(buf, make([]byte, zof.HeaderLen)...)
+	buf = slices.Grow(buf[:0], zof.HeaderLen)[:zof.HeaderLen]
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return buf, zof.Header{}, err
 	}
@@ -206,12 +206,23 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, zof.Header, error) {
 	if int(h.Length) < zof.HeaderLen || int(h.Length) > zof.MaxMessageLen {
 		return buf, h, zof.ErrMessageTooBig
 	}
-	body := int(h.Length) - zof.HeaderLen
-	buf = append(buf, make([]byte, body)...)
+	buf = slices.Grow(buf, int(h.Length)-zof.HeaderLen)[:h.Length]
 	if _, err := io.ReadFull(br, buf[zof.HeaderLen:]); err != nil {
 		return buf, h, err
 	}
 	return buf, h, nil
+}
+
+// stampReader stamps each frame with the read that completed or buffered it.
+type stampReader struct {
+	io.Reader
+	at time.Time
+}
+
+func (s *stampReader) Read(b []byte) (n int, err error) {
+	n, err = s.Reader.Read(b)
+	s.at = time.Now()
+	return
 }
 
 // pump relays whole zof frames src→dst, honoring blackhole, delay and
@@ -222,7 +233,8 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, zof.Header, error) {
 // dstMu serialize writes to the respective sockets (injected Error
 // replies go back out src).
 func (p *ControlProxy) pump(src, dst net.Conn, srcMu, dstMu *sync.Mutex, ctlToSwitch bool) {
-	br := bufio.NewReaderSize(src, 64<<10)
+	in := &stampReader{Reader: src}
+	br := bufio.NewReaderSize(in, 64<<10)
 	var buf []byte
 	for {
 		frame, h, err := readFrame(br, buf)
@@ -246,7 +258,7 @@ func (p *ControlProxy) pump(src, dst net.Conn, srcMu, dstMu *sync.Mutex, ctlToSw
 			continue
 		}
 		if d := p.delayNs.Load(); d > 0 {
-			time.Sleep(time.Duration(d))
+			time.Sleep(time.Until(in.at.Add(time.Duration(d))))
 		}
 		if ctlToSwitch && h.Type == zof.TypeFlowMod {
 			if policy := p.flowModPolicy(); policy != nil {

@@ -307,3 +307,36 @@ func TestControlProxyFlowModPolicy(t *testing.T) {
 		t.Fatalf("flowmod blocked after policy removal: %v", err)
 	}
 }
+
+// TestControlProxyDelayPipelines checks that SetDelay is latency, not a
+// rate cap: 32 frames written at once come back one delay each way
+// later, not 32 delays later.
+func TestControlProxyDelayPipelines(t *testing.T) {
+	ln := echoServer(t)
+	p, err := NewControlProxy(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	c := dialProxy(t, p)
+
+	const d = 20 * time.Millisecond
+	const frames = 32
+	p.SetDelay(d)
+	var burst []byte
+	for i := 0; i < frames; i++ {
+		burst = append(burst, frame(t, "pipelined")...)
+	}
+	start := time.Now()
+	if _, err := c.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := readFull(c, make([]byte, len(burst))); err != nil {
+		t.Fatal(err)
+	}
+	rtt := time.Since(start)
+	if rtt < 2*d || rtt > 2*d+100*time.Millisecond {
+		t.Errorf("%d frames back after %v, want 2×%v plus slack", frames, rtt, d)
+	}
+}
