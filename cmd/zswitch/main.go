@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -80,7 +81,8 @@ func start(controllerAddr string, dpid uint64, ports, tables int) (*dataplane.Sw
 		created[i+1].SetTx(func(data []byte) { sw.HandleFrame(a, data) })
 	}
 
-	sess := dataplane.StartSession(sw, dataplane.SessionConfig{Addr: controllerAddr, Logf: log.Printf})
+	dial := func() (net.Conn, error) { return net.DialTimeout("tcp", controllerAddr, 5*time.Second) }
+	sess := dataplane.StartSession(sw, dataplane.SessionConfig{Dial: []func() (net.Conn, error){dial}, Logf: log.Printf})
 	if err := sess.WaitConnected(5 * time.Second); err != nil {
 		sess.Close()
 		return nil, nil, err

@@ -215,14 +215,11 @@ func TestLoadBalancerReleasesBufferLast(t *testing.T) {
 	}
 	t.Cleanup(func() { ctl.Close() })
 	ctl.Use(NewLoadBalancer(vip, backend))
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { proxy.Close() })
+	channel := netem.NewChannel(ctl.Serve)
+	t.Cleanup(func() { channel.Close() })
 	var mu sync.Mutex
 	var buffers []uint32 // BufferID of each FlowMod, in wire order
-	proxy.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
+	channel.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
 		mu.Lock()
 		buffers = append(buffers, fm.BufferID)
 		mu.Unlock()
@@ -231,7 +228,11 @@ func TestLoadBalancerReleasesBufferLast(t *testing.T) {
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 	sw.AddPort(1, "client", 1000)
 	sw.AddPort(2, "backend", 1000)
-	dp, err := dataplane.Connect(sw, proxy.Addr(), 2*time.Second)
+	conn, err := channel.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := dataplane.Attach(sw, conn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,14 +27,19 @@ func udpFrame(src, dst packet.MAC, srcIP, dstIP packet.IPv4Addr) []byte {
 	return append([]byte(nil), b.Bytes()...)
 }
 
-// connectSwitch attaches a software switch with ports 1..ports to addr.
-func connectSwitch(t *testing.T, addr string, dpid uint64, ports uint32) (*dataplane.Switch, *dataplane.Datapath) {
+// connectSwitch attaches a software switch with ports 1..ports over a
+// stream from channel.
+func connectSwitch(t *testing.T, channel *netem.Channel, dpid uint64, ports uint32) (*dataplane.Switch, *dataplane.Datapath) {
 	t.Helper()
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: dpid})
 	for p := uint32(1); p <= ports; p++ {
 		sw.AddPort(p, "p", 1000)
 	}
-	dp, err := dataplane.Connect(sw, addr, 2*time.Second)
+	conn, err := channel.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := dataplane.Attach(sw, conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +91,11 @@ func TestFloodPortsSurviveLowestSwitchLeaving(t *testing.T) {
 func TestRoutingFenceFailureInstallsNothing(t *testing.T) {
 	r := NewRouting()
 	ctl, _ := harness(t, 0, r)
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { proxy.Close() })
-	sw1, _ := connectSwitch(t, ctl.Addr(), 1, 2)
-	sw2, _ := connectSwitch(t, ctl.Addr(), 2, 2)
-	sw3, _ := connectSwitch(t, proxy.Addr(), 3, 2) // the hop that will die
+	direct, faulty := netem.NewChannel(ctl.Serve), netem.NewChannel(ctl.Serve)
+	t.Cleanup(func() { faulty.Close() })
+	sw1, _ := connectSwitch(t, direct, 1, 2)
+	sw2, _ := connectSwitch(t, direct, 2, 2)
+	sw3, _ := connectSwitch(t, faulty, 3, 2) // the hop that will die
 	if err := ctl.WaitForSwitches(3, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +107,14 @@ func TestRoutingFenceFailureInstallsNothing(t *testing.T) {
 	ipA, ipB := packet.IPv4Addr{10, 0, 0, 0xa}, packet.IPv4Addr{10, 0, 0, 0xb}
 	nib.ApplyHost(controller.HostInfo{MAC: macB, IP: ipB, DPID: 3, Port: 2})
 
-	proxy.Blackhole(true) // switch 3's batch leaves the controller and vanishes
+	faulty.Blackhole(true) // switch 3's batch leaves the controller and vanishes
 	sw1.HandleFrame(1, udpFrame(macA, macB, ipA, ipB))
 	// Switch 2 holding its rule means the fence is out on both hops.
 	waitCond(t, 2*time.Second, func() bool { return sw2.FlowCount() == 1 })
 	if sw1.FlowCount() != 0 {
 		t.Fatal("ingress rule installed before the fence came back")
 	}
-	proxy.DropConnections()
+	faulty.DropConnections()
 	waitCond(t, 2*time.Second, func() bool { return metric(t, ctl, "apps.spf-routing.fence_failed") == 1 })
 
 	sc1, _ := ctl.Switch(1)
@@ -135,17 +137,14 @@ func TestRoutingFenceFailureInstallsNothing(t *testing.T) {
 func TestRoutingRejectedHopInstallsNothing(t *testing.T) {
 	r := NewRouting()
 	ctl, _ := harness(t, 0, r)
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { proxy.Close() })
-	proxy.SetFlowModPolicy(func(*zof.FlowMod) (netem.FlowModDecision, uint16) {
+	direct, faulty := netem.NewChannel(ctl.Serve), netem.NewChannel(ctl.Serve)
+	t.Cleanup(func() { faulty.Close() })
+	faulty.SetFlowModPolicy(func(*zof.FlowMod) (netem.FlowModDecision, uint16) {
 		return netem.FlowModReject, zof.ErrCodeTableFull
 	})
-	sw1, _ := connectSwitch(t, ctl.Addr(), 1, 2)
-	connectSwitch(t, ctl.Addr(), 2, 2)
-	sw3, _ := connectSwitch(t, proxy.Addr(), 3, 2) // the hop that refuses
+	sw1, _ := connectSwitch(t, direct, 1, 2)
+	connectSwitch(t, direct, 2, 2)
+	sw3, _ := connectSwitch(t, faulty, 3, 2) // the hop that refuses
 	if err := ctl.WaitForSwitches(3, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +187,11 @@ func TestRoutingFenceConcurrentClose(t *testing.T) {
 	r, probe := NewRouting(), &probeApp{}
 	ctl, _ := harness(t, 0, r, probe)
 	const ingress, each = 4, 300
+	direct := netem.NewChannel(ctl.Serve)
 	for dpid := uint64(1); dpid <= ingress; dpid++ {
-		connectSwitch(t, ctl.Addr(), dpid, 2)
+		connectSwitch(t, direct, dpid, 2)
 	}
-	_, hub := connectSwitch(t, ctl.Addr(), 9, ingress+1)
+	_, hub := connectSwitch(t, direct, 9, ingress+1)
 	if err := ctl.WaitForSwitches(ingress+1, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}

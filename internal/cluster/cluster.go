@@ -28,9 +28,6 @@ import (
 type Config struct {
 	// ID is this instance's index in the cluster (0-based, unique).
 	ID int
-	// Addr is the east-west listen address for peer traffic
-	// (e.g. "127.0.0.1:0"; see Instance.Addr for the bound address).
-	Addr string
 	// Controller is the local control plane. Its Config.Mastership
 	// must be a *Hooks bound to this instance, and its
 	// EpochOffset/EpochStride should partition the epoch space by
@@ -49,9 +46,8 @@ type Config struct {
 	// path: an instance silent for PeerMisses×HeartbeatInterval has
 	// its leases expired early, ahead of their TTL (default 3).
 	PeerMisses int
-	// DialTimeout bounds east-west dials (default 1s); RedialBackoff
-	// rate-limits redials to a dead peer (default HeartbeatInterval).
-	DialTimeout   time.Duration
+	// RedialBackoff rate-limits redials to a dead peer (default
+	// HeartbeatInterval).
 	RedialBackoff time.Duration
 	// RoleTimeout bounds the SetRole exchange with a switch during
 	// claim and stand-down (default 2s).
@@ -108,7 +104,6 @@ func (h *Hooks) SwitchGone(dpid uint64) {
 type Instance struct {
 	cfg Config
 	c   *controller.Controller
-	ln  net.Listener
 
 	mu        sync.Mutex
 	leases    map[uint64]*lease
@@ -140,9 +135,9 @@ type Instance struct {
 	wg   sync.WaitGroup
 }
 
-// New starts an instance: east-west listener up, observer app
-// registered, tick loop running. Call Join once every member's address
-// is known, and Hooks.Bind to start receiving mastership events.
+// New starts an instance: observer app registered, tick loop running.
+// Peers reach it through Serve. Call Join once every member's dialer is
+// known, and Hooks.Bind to start receiving mastership events.
 func New(cfg Config) (*Instance, error) {
 	if cfg.Controller == nil {
 		return nil, fmt.Errorf("cluster: Config.Controller is required")
@@ -156,9 +151,6 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.PeerMisses <= 0 {
 		cfg.PeerMisses = 3
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Second
-	}
 	if cfg.RedialBackoff <= 0 {
 		cfg.RedialBackoff = cfg.HeartbeatInterval
 	}
@@ -168,17 +160,9 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster listen: %w", err)
-	}
 	in := &Instance{
 		cfg:       cfg,
 		c:         cfg.Controller,
-		ln:        ln,
 		leases:    make(map[uint64]*lease),
 		acquiring: make(map[uint64]bool),
 		peerSeen:  make(map[int]time.Time),
@@ -189,32 +173,28 @@ func New(cfg Config) (*Instance, error) {
 		quit:      make(chan struct{}),
 	}
 	in.c.Use(observer{in})
-	in.wg.Add(2)
-	go in.acceptLoop()
+	in.wg.Add(1)
 	go in.tickLoop()
 	return in, nil
 }
 
-// Addr returns the bound east-west address.
-func (in *Instance) Addr() string { return in.ln.Addr().String() }
-
 // ID returns the instance's cluster ID.
 func (in *Instance) ID() int { return in.cfg.ID }
 
-// Join installs the peer set (ID → east-west address). Entries for the
-// local ID are ignored. Call once at formation, after every member's
-// listener is up. Joining also fixes the term stride at the cluster
-// size, moving this instance into its private residue class of the
-// term space.
-func (in *Instance) Join(peers map[int]string) {
+// Join installs the peer set (ID → a dialer that reaches the peer's
+// Serve, such as netem.Channel.Dial). Entries for the local ID are
+// ignored. Call once at formation. Joining also fixes the term stride
+// at the cluster size, moving this instance into its private residue
+// class of the term space.
+func (in *Instance) Join(peers map[int]func() (net.Conn, error)) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for id, addr := range peers {
+	for id, dial := range peers {
 		if id == in.cfg.ID {
 			continue
 		}
 		in.peers = append(in.peers,
-			newPeerLink(id, addr, in.cfg.DialTimeout, in.cfg.RedialBackoff, &in.sent))
+			newPeerLink(id, dial, in.cfg.HeartbeatInterval, in.cfg.RedialBackoff, &in.sent))
 	}
 	if s := uint64(len(in.peers) + 1); s > in.stride {
 		in.stride = s
@@ -249,7 +229,6 @@ func (in *Instance) Close() error {
 	peers := append([]*peerLink(nil), in.peers...)
 	in.mu.Unlock()
 	close(in.quit)
-	err := in.ln.Close()
 	for _, c := range conns {
 		c.Close()
 	}
@@ -257,7 +236,7 @@ func (in *Instance) Close() error {
 		p.close()
 	}
 	in.wg.Wait()
-	return err
+	return nil
 }
 
 // IsMaster reports whether this instance currently holds dpid's lease.
@@ -293,11 +272,11 @@ func (in *Instance) Lease(dpid uint64) (LeaseInfo, bool) {
 // Takeovers counts leases this instance claimed away from another
 // holder; Deposals counts leases it lost to one. LastTakeover is the
 // claim-to-activation latency of the most recent takeover.
-func (in *Instance) Takeovers() uint64            { return in.takeovers.Load() }
-func (in *Instance) Deposals() uint64             { return in.deposals.Load() }
-func (in *Instance) LastTakeover() time.Duration  { return time.Duration(in.takeoverNanos.Load()) }
-func (in *Instance) DeltasApplied() uint64        { return in.applied.Load() }
-func (in *Instance) HeartbeatsReceived() uint64   { return in.heartbeatsRecv.Load() }
+func (in *Instance) Takeovers() uint64           { return in.takeovers.Load() }
+func (in *Instance) Deposals() uint64            { return in.deposals.Load() }
+func (in *Instance) LastTakeover() time.Duration { return time.Duration(in.takeoverNanos.Load()) }
+func (in *Instance) DeltasApplied() uint64       { return in.applied.Load() }
+func (in *Instance) HeartbeatsReceived() uint64  { return in.heartbeatsRecv.Load() }
 func (in *Instance) VersionVector() map[int]uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"errors"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/controller"
 	"repro/internal/dataplane"
+	"repro/internal/netem"
 	"repro/internal/zof"
 )
 
@@ -47,7 +51,6 @@ func startMember(t *testing.T, id, size int, apps ...controller.App) *member {
 		LeaseTTL:          240 * time.Millisecond,
 		HeartbeatInterval: 40 * time.Millisecond,
 		PeerMisses:        3,
-		DialTimeout:       500 * time.Millisecond,
 		Logf:              t.Logf,
 	})
 	if err != nil {
@@ -65,11 +68,11 @@ func (m *member) stop() {
 	m.ctl.Close()
 }
 
-// form gives every member every member's east-west address.
+// form gives every member a dialer to every member's Serve.
 func form(members ...*member) {
-	peers := make(map[int]string, len(members))
+	peers := make(map[int]func() (net.Conn, error), len(members))
 	for _, m := range members {
-		peers[m.in.ID()] = m.in.Addr()
+		peers[m.in.ID()] = netem.NewChannel(m.in.Serve).Dial
 	}
 	for _, m := range members {
 		m.in.Join(peers)
@@ -237,10 +240,9 @@ func TestClusterFailover(t *testing.T) {
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 	sw.AddPort(1, "p1", 100)
 	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
-		Addrs:       []string{m0.ctl.Addr(), m1.ctl.Addr()},
-		MinBackoff:  10 * time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
-		DialTimeout: time.Second,
+		Dial:       []func() (net.Conn, error){netem.NewChannel(m0.ctl.Serve).Dial, netem.NewChannel(m1.ctl.Serve).Dial},
+		MinBackoff: 10 * time.Millisecond,
+		MaxBackoff: 100 * time.Millisecond,
 	})
 	defer sess.Close()
 
@@ -337,5 +339,21 @@ func TestClusterReleaseOnSwitchGone(t *testing.T) {
 	l1, _ := m1.in.Lease(4)
 	if l1.Term <= l0.Term {
 		t.Errorf("re-claimed term %d not past released term %d", l1.Term, l0.Term)
+	}
+}
+
+// TestInstanceServeAfterClose pins Serve's teardown contract, the same
+// as Controller.Serve's: a peer stream handed over after Close is
+// closed, and no session starts (wg is never added to after Close has
+// waited on it).
+func TestInstanceServeAfterClose(t *testing.T) {
+	m := startMember(t, 0, 1)
+	m.stop()
+	peer, side := netem.StreamPair()
+	defer peer.Close()
+	m.in.Serve(side)
+	peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := peer.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read from a peer served after Close: %v, want EOF", err)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // TestClusterFencingHammer is the dual-master drill, meant to run
-// under -race: two instances whose east-west links ride netem proxies,
+// under -race: two instances whose east-west links ride netem Channels,
 // one switch connected to BOTH. The partition is cut, so instance 1
 // stops hearing instance 0's heartbeats, declares it dead, and claims
 // the lease at a higher term — while instance 0, alive and still
@@ -24,21 +25,15 @@ func TestClusterFencingHammer(t *testing.T) {
 	m0 := startMember(t, 0, 2, installer{n: 3})
 	m1 := startMember(t, 1, 2, installer{n: 3})
 
-	// East-west through proxies so the control plane can be partitioned
+	// East-west over Channels so the control plane can be partitioned
 	// while both instances keep their southbound switch connections.
-	p01, err := netem.NewControlProxy(m1.in.Addr()) // m0 -> m1
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p01.Close()
-	p10, err := netem.NewControlProxy(m0.in.Addr()) // m1 -> m0
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p10.Close()
-	m0.in.Join(map[int]string{1: p01.Addr()})
-	m1.in.Join(map[int]string{0: p10.Addr()})
-	part := netem.NewPartition(p01, p10)
+	c01 := netem.NewChannel(m1.in.Serve) // m0 -> m1
+	defer c01.Close()
+	c10 := netem.NewChannel(m0.in.Serve) // m1 -> m0
+	defer c10.Close()
+	m0.in.Join(map[int]func() (net.Conn, error){1: c01.Dial})
+	m1.in.Join(map[int]func() (net.Conn, error){0: c10.Dial})
+	part := netem.NewPartition(c01, c10)
 
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 	sw.AddPort(1, "p1", 100)

@@ -12,9 +12,9 @@ import (
 
 // East-west traffic rides the same zof framing as the southbound
 // channel, wrapped in Experimenter messages: the netem fault surface
-// (ControlProxy, Partition) is frame-aware, so cluster peer links can
-// be blackholed, delayed and partitioned with the exact machinery that
-// faults switch channels — no second emulation layer.
+// (Channel, Partition) judges whole zof frames, so cluster peer links
+// can be blackholed, delayed and partitioned with the exact machinery
+// that faults switch channels — no second emulation layer.
 const (
 	// expCluster identifies cluster traffic ("zen!" in ASCII).
 	expCluster uint32 = 0x7a656e21
@@ -68,14 +68,14 @@ type leaseRenewal struct {
 // queue drained by a dedicated sender goroutine. Callers only ever
 // enqueue — the tick loop, a dispatch worker replicating a delta, a
 // claim goroutine: none of them may stall on a dead peer's dial. The
-// sender pays the (deadline-bounded) dial, handshake and write costs
-// alone; a full queue drops the message, which is the protocol's
-// best-effort contract anyway — lost deltas leave a version-vector gap
-// that anti-entropy repairs, lost claims and renewals repeat at the
-// next heartbeat.
+// sender pays the (deadline-bounded) handshake and write costs alone;
+// a full queue drops the message, which is the protocol's best-effort
+// contract anyway — lost deltas leave a version-vector gap that
+// anti-entropy repairs, lost claims and renewals repeat at the next
+// heartbeat.
 type peerLink struct {
 	id   int
-	addr string
+	dial func() (net.Conn, error)
 
 	out     chan *envelope
 	quit    chan struct{}
@@ -90,16 +90,16 @@ type peerLink struct {
 	lastDial time.Time
 }
 
-func newPeerLink(id int, addr string, dialTimeout, redialBackoff time.Duration, sent *atomic.Uint64) *peerLink {
+func newPeerLink(id int, dial func() (net.Conn, error), ioTimeout, redialBackoff time.Duration, sent *atomic.Uint64) *peerLink {
 	p := &peerLink{
 		id:   id,
-		addr: addr,
+		dial: dial,
 		out:  make(chan *envelope, 256),
 		quit: make(chan struct{}),
 		sent: sent,
 	}
 	p.wg.Add(1)
-	go p.sendLoop(dialTimeout, redialBackoff)
+	go p.sendLoop(ioTimeout, redialBackoff)
 	return p
 }
 
@@ -114,14 +114,14 @@ func (p *peerLink) enqueue(env *envelope) {
 	}
 }
 
-func (p *peerLink) sendLoop(dialTimeout, redialBackoff time.Duration) {
+func (p *peerLink) sendLoop(ioTimeout, redialBackoff time.Duration) {
 	defer p.wg.Done()
 	for {
 		select {
 		case <-p.quit:
 			return
 		case env := <-p.out:
-			if p.write(env, dialTimeout, redialBackoff) == nil {
+			if p.write(env, ioTimeout, redialBackoff) == nil {
 				p.sent.Add(1)
 			}
 		}
@@ -129,12 +129,13 @@ func (p *peerLink) sendLoop(dialTimeout, redialBackoff time.Duration) {
 }
 
 // write marshals env into an Experimenter frame and writes it to the
-// peer, dialing first if needed. Every socket operation is bounded by
-// dialTimeout — a partitioned peer must cost a bounded stall, never
-// wedge the sender (a handshake against a blackhole would otherwise
-// block forever waiting for a Hello that was discarded). Errors drop
-// the connection; the next write past the backoff redials.
-func (p *peerLink) write(env *envelope, dialTimeout, redialBackoff time.Duration) error {
+// peer, dialing first if needed. The handshake and every write are
+// bounded by ioTimeout (one heartbeat interval) — a partitioned peer
+// must cost a bounded stall, never wedge the sender (a handshake
+// against a blackhole would otherwise block forever waiting for a Hello
+// that was discarded). Errors drop the connection; the next write past
+// the backoff redials.
+func (p *peerLink) write(env *envelope, ioTimeout, redialBackoff time.Duration) error {
 	data, err := json.Marshal(env)
 	if err != nil {
 		return err
@@ -147,11 +148,11 @@ func (p *peerLink) write(env *envelope, dialTimeout, redialBackoff time.Duration
 			return net.ErrClosed
 		}
 		p.lastDial = time.Now()
-		raw, err := net.DialTimeout("tcp", p.addr, dialTimeout)
+		raw, err := p.dial()
 		if err != nil {
 			return err
 		}
-		raw.SetDeadline(time.Now().Add(dialTimeout))
+		raw.SetDeadline(time.Now().Add(ioTimeout))
 		conn := zof.NewConn(raw)
 		if err := conn.Handshake(); err != nil {
 			conn.Close()
@@ -160,7 +161,7 @@ func (p *peerLink) write(env *envelope, dialTimeout, redialBackoff time.Duration
 		raw.SetDeadline(time.Time{})
 		p.conn, p.raw = conn, raw
 	}
-	p.raw.SetWriteDeadline(time.Now().Add(dialTimeout))
+	p.raw.SetWriteDeadline(time.Now().Add(ioTimeout))
 	_, err = p.conn.Send(msg)
 	p.raw.SetWriteDeadline(time.Time{})
 	if err != nil {
@@ -182,31 +183,35 @@ func (p *peerLink) close() {
 	p.wg.Wait()
 }
 
-// acceptLoop serves inbound peer connections: handshake, then decode
-// every Experimenter frame into an envelope and hand it to the
-// instance. Identity comes from the envelope's From field — links are
-// unidirectional (each instance dials its own outbound side).
-func (in *Instance) acceptLoop() {
-	defer in.wg.Done()
-	for {
-		raw, err := in.ln.Accept()
-		if err != nil {
-			return
-		}
-		in.wg.Add(1)
-		go in.servePeer(raw)
+// Serve starts an inbound peer session over conn and returns at once:
+// handshake, then decode every Experimenter frame into an envelope and
+// hand it to the instance. Identity comes from the envelope's From
+// field — links are unidirectional (each instance dials its own
+// outbound side). After Close it closes conn and starts nothing.
+func (in *Instance) Serve(raw net.Conn) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.closed {
+		raw.Close()
+		return
 	}
+	conn := zof.NewConn(raw)
+	in.inbound[conn] = struct{}{}
+	in.wg.Add(1)
+	go in.servePeer(conn)
 }
 
-func (in *Instance) servePeer(raw net.Conn) {
+func (in *Instance) servePeer(conn *zof.Conn) {
 	defer in.wg.Done()
-	conn := zof.NewConn(raw)
-	defer conn.Close()
+	defer func() {
+		conn.Close()
+		in.mu.Lock()
+		delete(in.inbound, conn)
+		in.mu.Unlock()
+	}()
 	if err := conn.Handshake(); err != nil {
 		return
 	}
-	in.trackConn(conn, true)
-	defer in.trackConn(conn, false)
 	for {
 		msg, _, err := conn.Receive()
 		if err != nil {
@@ -222,17 +227,6 @@ func (in *Instance) servePeer(raw net.Conn) {
 		}
 		in.handle(&env)
 	}
-}
-
-// trackConn keeps inbound connections closable at shutdown.
-func (in *Instance) trackConn(c *zof.Conn, add bool) {
-	in.mu.Lock()
-	if add {
-		in.inbound[c] = struct{}{}
-	} else {
-		delete(in.inbound, c)
-	}
-	in.mu.Unlock()
 }
 
 // peerSnapshot copies the peer list (Join may still be racing early

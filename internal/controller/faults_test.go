@@ -190,6 +190,15 @@ func TestDupDPIDReconnectHammer(t *testing.T) {
 	}
 }
 
+// attach runs sw's session over a new stream on channel.
+func attach(sw *dataplane.Switch, channel *netem.Channel) (*dataplane.Datapath, error) {
+	conn, err := channel.Dial()
+	if err != nil {
+		return nil, err
+	}
+	return dataplane.Attach(sw, conn)
+}
+
 // TestLivenessEviction blackholes the control channel (bytes discarded,
 // nothing closed) and requires the prober to evict within its budget:
 // exactly one SwitchDown, measured detection within interval × misses,
@@ -212,15 +221,12 @@ func TestLivenessEviction(t *testing.T) {
 	defer ctl.Close()
 	ctl.Use(rec)
 
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	channel := netem.NewChannel(ctl.Serve)
+	defer channel.Close()
 
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 3})
 	sw.AddPort(1, "p", 10)
-	dp, err := dataplane.Connect(sw, proxy.Addr(), 2*time.Second)
+	dp, err := attach(sw, channel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +234,7 @@ func TestLivenessEviction(t *testing.T) {
 	waitUntil(t, 2*time.Second, func() bool { u, _ := rec.counts(); return u == 1 })
 	sc, _ := ctl.Switch(3)
 
-	proxy.Blackhole(true)
+	channel.Blackhole(true)
 	// A request issued into the blackhole must fail fast on eviction,
 	// not ride out its own 5s timeout.
 	statsErr := make(chan error, 1)

@@ -112,15 +112,12 @@ func TestSendFencedFailsOnceWhenSessionDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	channel := netem.NewChannel(ctl.Serve)
+	defer channel.Close()
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 	sw.AddPort(1, "p1", 1000)
 	sw.AddPort(2, "p2", 1000)
-	dp, err := dataplane.Connect(sw, proxy.Addr(), 2*time.Second)
+	dp, err := attach(sw, channel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestSendFencedFailsOnceWhenSessionDies(t *testing.T) {
 	}
 	sc, _ := ctl.Switch(1)
 
-	proxy.Blackhole(true) // the batch leaves the controller and never arrives
+	channel.Blackhole(true) // the batch leaves the controller and never arrives
 	const fences = 3
 	var ok, failed atomic.Int32
 	done := func(err error) {
@@ -146,7 +143,7 @@ func TestSendFencedFailsOnceWhenSessionDies(t *testing.T) {
 	if n := pendingReplies(sc); n != fences {
 		t.Fatalf("%d reply handlers pending, want %d", n, fences)
 	}
-	proxy.DropConnections()
+	channel.DropConnections()
 	waitUntil(t, 2*time.Second, func() bool { return failed.Load() == fences })
 	<-sc.Done()
 	if n := pendingReplies(sc); n != 0 {

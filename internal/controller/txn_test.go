@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -315,16 +316,13 @@ func TestTxnTimeoutOnMuteSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	for dpid, addr := range map[uint64]string{1: ctl.Addr(), 2: proxy.Addr()} {
+	healthyCh, muteCh := netem.NewChannel(ctl.Serve), netem.NewChannel(ctl.Serve)
+	defer muteCh.Close()
+	for dpid, channel := range map[uint64]*netem.Channel{1: healthyCh, 2: muteCh} {
 		sw := dataplane.NewSwitch(dataplane.Config{DPID: dpid})
 		sw.AddPort(1, "p1", 1000)
 		sw.AddPort(2, "p2", 1000)
-		dp, err := dataplane.Connect(sw, addr, 2*time.Second)
+		dp, err := attach(sw, channel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +342,7 @@ func TestTxnTimeoutOnMuteSwitch(t *testing.T) {
 	}
 	before := tableSnapshot(t, healthy)
 
-	proxy.Blackhole(true) // switch 2's batches leave and vanish; its session stays up
+	muteCh.Blackhole(true) // switch 2's batches leave and vanish; its session stays up
 	txn := ctl.NewTxn()
 	for dpid := uint64(1); dpid <= 2; dpid++ {
 		txn.Flow(dpid, fenceRule(1))
@@ -366,7 +364,7 @@ func TestTxnTimeoutOnMuteSwitch(t *testing.T) {
 		t.Errorf("%d reply handlers left pending on the mute switch", n)
 	}
 
-	proxy.Blackhole(false)
+	muteCh.Blackhole(false)
 	if err := mute.Barrier(2 * time.Second); err != nil {
 		t.Fatalf("mute switch's session did not survive: %v", err)
 	}
@@ -449,16 +447,13 @@ func TestTxnCommitVsReconnectRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	channel := netem.NewChannel(ctl.Serve)
+	defer channel.Close()
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 	sw.AddPort(1, "p1", 1000)
 	sw.AddPort(2, "p2", 1000)
 	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
-		Addr: proxy.Addr(), MinBackoff: 5 * time.Millisecond, Seed: 1,
+		Dial: []func() (net.Conn, error){channel.Dial}, MinBackoff: 5 * time.Millisecond, Seed: 1,
 	})
 	defer sess.Close()
 	if err := ctl.WaitForSwitches(1, 5*time.Second); err != nil {
@@ -486,7 +481,7 @@ func TestTxnCommitVsReconnectRace(t *testing.T) {
 	}()
 	for i := 0; i < 5; i++ {
 		time.Sleep(30 * time.Millisecond)
-		proxy.DropConnections()
+		channel.DropConnections()
 	}
 	time.Sleep(30 * time.Millisecond)
 	close(stop)
@@ -535,11 +530,8 @@ func TestTxnRollbackUnderMidCommitCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	channel := netem.NewChannel(ctl.Serve)
+	defer channel.Close()
 	mkSwitch := func() *dataplane.Switch {
 		sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 		sw.AddPort(1, "p1", 1000)
@@ -547,7 +539,7 @@ func TestTxnRollbackUnderMidCommitCrash(t *testing.T) {
 		return sw
 	}
 	sess := dataplane.StartSession(mkSwitch(), dataplane.SessionConfig{
-		Addr: proxy.Addr(), MinBackoff: 5 * time.Millisecond, Seed: 1,
+		Dial: []func() (net.Conn, error){channel.Dial}, MinBackoff: 5 * time.Millisecond, Seed: 1,
 	})
 	if err := ctl.WaitForSwitches(1, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -564,22 +556,15 @@ func TestTxnRollbackUnderMidCommitCrash(t *testing.T) {
 	sc, _ := ctl.Switch(1)
 	before := tableSnapshot(t, sc)
 
-	// Sever the session on the first transactional op.
-	crashed := make(chan struct{})
-	var once sync.Once
-	proxy.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
+	// Sever the session on the first transactional op, before anything
+	// written behind it (the barrier) reaches the switch.
+	channel.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
 		if fm.Command == zof.FlowAdd && fm.Cookie&(1<<48-1) == 0xDEAD {
-			once.Do(func() { close(crashed) })
+			channel.DropConnections()
 			return netem.FlowModDrop, 0
 		}
 		return netem.FlowModPass, 0
 	})
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		<-crashed
-		sess.Close()
-	}()
 	txn := ctl.NewTxn()
 	txn.Flow(1, &zof.FlowMod{Command: zof.FlowAdd, Match: txnMatch(50),
 		Priority: 100, Cookie: 0xDEAD, BufferID: zof.NoBuffer,
@@ -587,12 +572,12 @@ func TestTxnRollbackUnderMidCommitCrash(t *testing.T) {
 	if err := txn.Commit(); err == nil {
 		t.Fatal("commit survived a mid-commit crash")
 	}
-	<-killed
-	proxy.SetFlowModPolicy(nil)
+	sess.Close()
+	channel.SetFlowModPolicy(nil)
 
 	// Empty restart: intent must reappear byte-identically.
 	sess2 := dataplane.StartSession(mkSwitch(), dataplane.SessionConfig{
-		Addr: proxy.Addr(), MinBackoff: 5 * time.Millisecond, Seed: 2,
+		Dial: []func() (net.Conn, error){channel.Dial}, MinBackoff: 5 * time.Millisecond, Seed: 2,
 	})
 	defer sess2.Close()
 	waitUntil(t, 10*time.Second, func() bool {

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,18 +40,14 @@ func (s SessionState) String() string {
 
 // SessionConfig tunes a Session.
 type SessionConfig struct {
-	// Addr is the controller's southbound address. Either Addr or
-	// Addrs is required.
-	Addr string
-	// Addrs is the failover endpoint list for clustered controllers:
+	// Dial is the failover endpoint list, one transport dialer per
+	// controller (a TCP dial closure, or netem.Channel.Dial in process):
 	// the manager dials the endpoints in order, sticks with whichever
 	// accepted the session, and advances to the next endpoint when a
 	// dial fails or a live session dies — so a switch whose master
 	// instance crashes re-homes onto a standby without operator help.
-	// When both are set, Addr is tried first.
-	Addrs []string
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
+	// Each dialer bounds its own attempt. At least one is required.
+	Dial []func() (net.Conn, error)
 	// MinBackoff is the delay before the first redial after a failure
 	// or session loss (default 50ms). Subsequent consecutive failures
 	// double it.
@@ -79,7 +75,7 @@ type SessionConfig struct {
 	// declared dead. Default 3.
 	ProbeMisses int
 	// Seed makes the jitter deterministic for tests; 0 derives one from
-	// the address.
+	// the DPID and the clock.
 	Seed int64
 	// OnState, when set, observes every state change; err is non-nil
 	// for transitions caused by a failure. Called from the manager
@@ -102,9 +98,8 @@ type SessionConfig struct {
 // flushes stale flows — so the switch side only has to keep the
 // channel coming back.
 type Session struct {
-	sw        *Switch
-	cfg       SessionConfig
-	endpoints []string
+	sw  *Switch
+	cfg SessionConfig
 
 	mu     sync.Mutex
 	dp     *Datapath
@@ -113,7 +108,6 @@ type Session struct {
 	state    atomic.Int32
 	sessions atomic.Uint64 // established sessions (1 = initial connect)
 	attempts atomic.Uint64 // dials attempted
-	endpoint atomic.Value  // string: address of the current/last dial
 
 	// Switch-side liveness accounting (see SessionConfig.ProbeInterval).
 	probes      atomic.Uint64
@@ -129,9 +123,6 @@ type Session struct {
 // MaxAttempts consecutive dial failures). The first connection attempt
 // starts immediately; use WaitConnected to block for it.
 func StartSession(sw *Switch, cfg SessionConfig) *Session {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
 	if cfg.MinBackoff <= 0 {
 		cfg.MinBackoff = 50 * time.Millisecond
 	}
@@ -152,31 +143,17 @@ func StartSession(sw *Switch, cfg SessionConfig) *Session {
 	if cfg.ProbeMisses <= 0 {
 		cfg.ProbeMisses = 3
 	}
-	endpoints := make([]string, 0, len(cfg.Addrs)+1)
-	if cfg.Addr != "" {
-		endpoints = append(endpoints, cfg.Addr)
-	}
-	endpoints = append(endpoints, cfg.Addrs...)
 	if cfg.Seed == 0 {
-		for _, b := range []byte(strings.Join(endpoints, ",")) {
-			cfg.Seed = cfg.Seed*131 + int64(b)
-		}
-		cfg.Seed += time.Now().UnixNano()
+		cfg.Seed = int64(sw.DPID())*131 + time.Now().UnixNano()
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Session{
-		sw:        sw,
-		cfg:       cfg,
-		endpoints: endpoints,
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	if len(endpoints) > 0 {
-		s.endpoint.Store(endpoints[0])
-	} else {
-		s.endpoint.Store("")
+		sw:   sw,
+		cfg:  cfg,
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	go s.run()
 	return s
@@ -194,11 +171,6 @@ func (s *Session) Sessions() uint64 { return s.sessions.Load() }
 
 // Attempts returns how many dials have been made.
 func (s *Session) Attempts() uint64 { return s.attempts.Load() }
-
-// Endpoint returns the controller address of the current (or most
-// recently attempted) dial — which cluster instance the switch is
-// homed on.
-func (s *Session) Endpoint() string { return s.endpoint.Load().(string) }
 
 // Probes returns how many switch-side liveness probes have been sent.
 func (s *Session) Probes() uint64 { return s.probes.Load() }
@@ -234,7 +206,7 @@ func (s *Session) WaitConnected(timeout time.Duration) error {
 			return fmt.Errorf("session manager stopped")
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("not connected to %v within %v", s.endpoints, timeout)
+			return fmt.Errorf("dpid %#x not connected within %v", s.sw.DPID(), timeout)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -292,8 +264,8 @@ func (s *Session) backoffDelay(n int, rng *rand.Rand) time.Duration {
 func (s *Session) run() {
 	defer close(s.done)
 	defer s.state.Store(int32(SessionStopped))
-	if len(s.endpoints) == 0 {
-		s.cfg.Logf("session: no controller endpoints configured")
+	if len(s.cfg.Dial) == 0 {
+		s.cfg.Logf("session %#x: no controller endpoints configured", s.sw.DPID())
 		return
 	}
 	rng := rand.New(rand.NewSource(s.cfg.Seed))
@@ -305,22 +277,25 @@ func (s *Session) run() {
 			return
 		default:
 		}
-		addr := s.endpoints[idx%len(s.endpoints)]
-		s.endpoint.Store(addr)
+		ep := idx % len(s.cfg.Dial)
 		s.setState(SessionConnecting, failures+1, nil)
 		s.attempts.Add(1)
-		dp, err := Connect(s.sw, addr, s.cfg.DialTimeout)
+		var dp *Datapath
+		raw, err := s.cfg.Dial[ep]()
+		if err == nil {
+			dp, err = Attach(s.sw, raw)
+		}
 		if err != nil {
 			failures++
 			idx++ // this endpoint is down; try the next one
 			if s.cfg.MaxAttempts > 0 && failures >= s.cfg.MaxAttempts {
-				s.cfg.Logf("session %s: giving up after %d attempts: %v", addr, failures, err)
+				s.cfg.Logf("session %#x: giving up after %d attempts: %v", s.sw.DPID(), failures, err)
 				s.setState(SessionStopped, failures, err)
 				return
 			}
 			d := s.backoffDelay(failures, rng)
-			s.cfg.Logf("session %s: dial failed (attempt %d): %v; retrying in %v",
-				addr, failures, err, d)
+			s.cfg.Logf("session %#x: endpoint %d failed (attempt %d): %v; retrying in %v",
+				s.sw.DPID(), ep, failures, err, d)
 			s.setState(SessionBackoff, failures, err)
 			select {
 			case <-s.quit:
@@ -361,8 +336,8 @@ func (s *Session) run() {
 		// hot, then exponential growth on further failures.
 		idx++
 		d := s.backoffDelay(1, rng)
-		s.cfg.Logf("session %s: lost; redialing %s in %v",
-			addr, s.endpoints[idx%len(s.endpoints)], d)
+		s.cfg.Logf("session %#x: endpoint %d lost; redialing endpoint %d in %v",
+			s.sw.DPID(), ep, idx%len(s.cfg.Dial), d)
 		s.setState(SessionBackoff, 1, nil)
 		select {
 		case <-s.quit:
@@ -416,8 +391,8 @@ func (s *Session) probeLoop(dp *Datapath) {
 		if misses >= s.cfg.ProbeMisses {
 			s.evictions.Add(1)
 			s.detectNanos.Store(int64(time.Since(firstMiss)))
-			s.cfg.Logf("session %s: controller mute for %d probes; closing for failover",
-				s.Endpoint(), misses)
+			s.cfg.Logf("session %#x: controller mute for %d probes; closing for failover",
+				s.sw.DPID(), misses)
 			dp.Close()
 			return
 		}

@@ -1,7 +1,9 @@
 package dataplane_test
 
 import (
+	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -60,16 +62,13 @@ func TestSessionReconnects(t *testing.T) {
 	}
 	defer ctl.Close()
 	ctl.Use(rec)
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+	channel := netem.NewChannel(ctl.Serve)
+	defer channel.Close()
 
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 11})
 	sw.AddPort(1, "p", 10)
 	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
-		Addr:       proxy.Addr(),
+		Dial:       []func() (net.Conn, error){channel.Dial},
 		MinBackoff: 5 * time.Millisecond,
 		MaxBackoff: 50 * time.Millisecond,
 		Seed:       1,
@@ -86,7 +85,7 @@ func TestSessionReconnects(t *testing.T) {
 	const drops = 3
 	for i := 0; i < drops; i++ {
 		want := sess.Sessions() + 1
-		proxy.DropConnections()
+		channel.DropConnections()
 		waitFor(t, 5*time.Second, "session re-establishment", func() bool {
 			return sess.Sessions() >= want && sess.Connected()
 		})
@@ -106,15 +105,17 @@ func TestSessionReconnects(t *testing.T) {
 	}
 }
 
-// TestSessionDialBackoffAndGiveUp points the manager at a dead address
+// refused is a dialer whose controller is down.
+func refused() (net.Conn, error) { return nil, syscall.ECONNREFUSED }
+
+// TestSessionDialBackoffAndGiveUp points the manager at a dead endpoint
 // with a small attempt budget: it must retry with backoff, then stop.
 func TestSessionDialBackoffAndGiveUp(t *testing.T) {
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 12})
 	var mu sync.Mutex
 	var states []dataplane.SessionState
 	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
-		Addr:        "127.0.0.1:1", // nothing listens here
-		DialTimeout: 100 * time.Millisecond,
+		Dial:        []func() (net.Conn, error){refused}, // nothing listens here
 		MinBackoff:  time.Millisecond,
 		MaxBackoff:  4 * time.Millisecond,
 		MaxAttempts: 3,
@@ -154,10 +155,9 @@ func TestSessionDialBackoffAndGiveUp(t *testing.T) {
 func TestSessionCloseWhileBackingOff(t *testing.T) {
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 13})
 	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
-		Addr:        "127.0.0.1:1",
-		DialTimeout: 100 * time.Millisecond,
-		MinBackoff:  10 * time.Second, // would stall Close if not interruptible
-		Seed:        1,
+		Dial:       []func() (net.Conn, error){refused},
+		MinBackoff: 10 * time.Second, // would stall Close if not interruptible
+		Seed:       1,
 	})
 	time.Sleep(20 * time.Millisecond) // let the first dial fail
 	done := make(chan struct{})

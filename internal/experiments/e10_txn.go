@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"net"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,7 +39,7 @@ type E10Result struct {
 	CommitP95MS  float64 `json:"commit_p95_ms"`
 	CommitMeanMS float64 `json:"commit_mean_ms"`
 
-	// An injected per-op rejection (proxy writes a table-full Error for
+	// An injected per-op rejection (the channel writes a table-full Error for
 	// one FlowMod) must abort the transaction, roll every participant
 	// back, and leave all flow tables byte-identical to before.
 	RejectAborted      bool `json:"reject_aborted"`
@@ -92,7 +92,7 @@ func e10Add(i int, cookie uint64) *zof.FlowMod {
 }
 
 // Cookie markers (low 48 bits; the session epoch occupies the top 16)
-// let the proxy's fault policy target exactly the transactional op it
+// let the channel's fault policy target exactly the transactional op it
 // should reject or crash on, leaving audits and reinstalls untouched.
 const (
 	e10RejectCookie = 0xE10BAD
@@ -198,22 +198,23 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	}
 	defer ctl.Close()
 
-	// Switch 1 (the fault victim) attaches through a relay that can
-	// reject or sever individual ops; the rest attach directly.
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		return nil, nil, err
-	}
-	defer proxy.Close()
+	// Switch 1 (the fault victim) attaches over a channel that can
+	// reject or sever individual ops; the rest over one that never faults.
+	channel, direct := netem.NewChannel(ctl.Serve), netem.NewChannel(ctl.Serve)
+	defer channel.Close()
 	const victim = uint64(1)
 	sess := dataplane.StartSession(twoPortSwitch(dataplane.Config{DPID: victim}), dataplane.SessionConfig{
-		Addr:       proxy.Addr(),
+		Dial:       []func() (net.Conn, error){channel.Dial},
 		MinBackoff: 10 * time.Millisecond,
 		Seed:       1,
 	})
 	defer func() { sess.Close() }()
 	for i := 2; i <= cfg.Switches; i++ {
-		dp, err := dataplane.Connect(twoPortSwitch(dataplane.Config{DPID: uint64(i)}), ctl.Addr(), 2*time.Second)
+		conn, err := direct.Dial()
+		if err != nil {
+			return nil, nil, err
+		}
+		dp, err := dataplane.Attach(twoPortSwitch(dataplane.Config{DPID: uint64(i)}), conn)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -255,7 +256,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	res.CommitP95MS = ms(lat.Quantile(0.95))
 	res.CommitMeanMS = ms(lat.Mean())
 
-	// Phase B — injected rejection. The relay answers one marked
+	// Phase B — injected rejection. The channel answers one marked
 	// FlowMod with a table-full Error; the commit must abort, roll every
 	// participant back, and leave all tables byte-identical.
 	before, err := e10CanonAll(ctl, 0)
@@ -263,7 +264,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 		return nil, nil, err
 	}
 	var rejected atomic.Bool
-	proxy.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
+	channel.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
 		if fm.Command == zof.FlowAdd && fm.Cookie&(1<<48-1) == e10RejectCookie &&
 			rejected.CompareAndSwap(false, true) {
 			return netem.FlowModReject, zof.ErrCodeTableFull
@@ -275,7 +276,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 		rtxn.Flow(sc.DPID(), e10Add(2000+int(sc.DPID()), e10RejectCookie))
 	}
 	rerr := rtxn.Commit()
-	proxy.SetFlowModPolicy(nil)
+	channel.SetFlowModPolicy(nil)
 	var terr *controller.TxnError
 	if errors.As(rerr, &terr) {
 		res.RejectAborted = len(terr.Rejections) > 0
@@ -287,34 +288,27 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	}
 	res.RejectTablesIntact = maps.Equal(before, after)
 
-	// Phase C — mid-commit crash. The relay severs the victim's session
-	// on the first marked op; the victim's datapath restarts empty. The
+	// Phase C — mid-commit crash. The channel severs the victim's
+	// session on the first marked op, before anything written behind it
+	// reaches the switch; the victim's datapath restarts empty. The
 	// commit must abort with survivors rolled back; the victim's
 	// pre-transaction intent survives in the store and is restored by
 	// reconnect plus anti-entropy repair.
-	crashed := make(chan struct{})
-	var crashOnce sync.Once
-	proxy.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
+	channel.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
 		if fm.Command == zof.FlowAdd && fm.Cookie&(1<<48-1) == e10CrashCookie {
-			crashOnce.Do(func() { close(crashed) })
+			channel.DropConnections()
 			return netem.FlowModDrop, 0
 		}
 		return netem.FlowModPass, 0
 	})
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		<-crashed
-		sess.Close() // mid-commit death: TCP severed, datapath abandoned
-	}()
 	ctxn := ctl.NewTxn()
 	for _, sc := range ctl.Switches() {
 		ctxn.Flow(sc.DPID(), e10Add(3000+int(sc.DPID()), e10CrashCookie))
 	}
 	cerr := ctxn.Commit()
 	res.CrashAborted = cerr != nil && errors.As(cerr, &terr)
-	<-killed
-	proxy.SetFlowModPolicy(nil)
+	sess.Close() // the datapath is abandoned
+	channel.SetFlowModPolicy(nil)
 	survivors, err := e10CanonAll(ctl, victim)
 	if err != nil {
 		return nil, nil, err
@@ -330,7 +324,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	// recorded rules verbatim, cookies included).
 	vsw := twoPortSwitch(dataplane.Config{DPID: victim})
 	sess = dataplane.StartSession(vsw, dataplane.SessionConfig{
-		Addr:       proxy.Addr(),
+		Dial:       []func() (net.Conn, error){channel.Dial},
 		MinBackoff: 10 * time.Millisecond,
 		Seed:       2,
 	})
@@ -386,7 +380,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 
 	tbl := newTable("e10", "metric", "value")
 	tbl.Notes = []string{
-		fmt.Sprintf("%d switches (1 behind a fault relay), %d ops/switch per txn, %d pre-rules, audit every %v",
+		fmt.Sprintf("%d switches (1 on a faultable channel), %d ops/switch per txn, %d pre-rules, audit every %v",
 			cfg.Switches, cfg.OpsPerSwitch, cfg.PreRules, cfg.AuditInterval),
 		"rollback intact = flow tables byte-identical (canonical FlowStats) to pre-transaction state",
 		"crash converge = mid-commit session death + empty restart → intent restored by reconnect + auditor",

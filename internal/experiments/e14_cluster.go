@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"net"
 	"time"
 
 	"repro/internal/cluster"
@@ -29,7 +30,7 @@ type E14Failover struct {
 	TakeoverWallMS float64 `json:"takeover_wall_ms"`
 	// DetectMS is the mean switch-side detection latency (first missed
 	// echo probe → session eviction) across failed-over sessions. Zero
-	// when the fault reset the TCP channel and sessions detected by
+	// when the fault closed the channel and sessions detected by
 	// read error before any probe could miss (crash scenario).
 	DetectMS float64 `json:"detect_ms"`
 	// ClaimMS is the new master's own claim latency: lease claim →
@@ -108,10 +109,7 @@ func e14NewMember(id int, cfg E14Config) (*e14Member, error) {
 		Controller:        ctl,
 		LeaseTTL:          cfg.LeaseTTL,
 		HeartbeatInterval: cfg.HeartbeatInterval,
-		// Keep a partitioned peer cheap: every east-west redial stalls
-		// the tick loop for at most this long.
-		DialTimeout: 150 * time.Millisecond,
-		Logf:        e14Logf,
+		Logf:              e14Logf,
 	})
 	if err != nil {
 		ctl.Close()
@@ -200,31 +198,16 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 	}
 	defer m1.stop()
 
-	// East-west and (for the partition scenario) instance 0's
-	// southbound ride netem proxies so one Cut isolates the master.
-	pe01, err := netem.NewControlProxy(m1.in.Addr())
-	if err != nil {
-		return out, err
-	}
-	defer pe01.Close()
-	pe10, err := netem.NewControlProxy(m0.in.Addr())
-	if err != nil {
-		return out, err
-	}
-	defer pe10.Close()
-	m0.in.Join(map[int]string{1: pe01.Addr()})
-	m1.in.Join(map[int]string{0: pe10.Addr()})
-	south, err := netem.NewControlProxy(m0.ctl.Addr())
-	if err != nil {
-		return out, err
-	}
-	defer south.Close()
-	part := netem.NewPartition(pe01, pe10, south)
-
-	firstEndpoint := m0.ctl.Addr()
-	if partition {
-		firstEndpoint = south.Addr()
-	}
+	// East-west and instance 0's southbound ride netem Channels so one
+	// Cut isolates the master.
+	ew01, ew10 := netem.NewChannel(m1.in.Serve), netem.NewChannel(m0.in.Serve)
+	defer ew01.Close()
+	defer ew10.Close()
+	m0.in.Join(map[int]func() (net.Conn, error){1: ew01.Dial})
+	m1.in.Join(map[int]func() (net.Conn, error){0: ew10.Dial})
+	south0, south1 := netem.NewChannel(m0.ctl.Serve), netem.NewChannel(m1.ctl.Serve)
+	defer south0.Close()
+	part := netem.NewPartition(ew01, ew10, south0)
 	dpids := make([]uint64, cfg.Switches)
 	switches := make([]*dataplane.Switch, cfg.Switches)
 	sessions := make([]*dataplane.Session, cfg.Switches)
@@ -232,10 +215,9 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 		dpids[i] = uint64(i + 1)
 		switches[i] = twoPortSwitch(dataplane.Config{DPID: dpids[i]})
 		sessions[i] = dataplane.StartSession(switches[i], dataplane.SessionConfig{
-			Addrs:         []string{firstEndpoint, m1.ctl.Addr()},
+			Dial:          []func() (net.Conn, error){south0.Dial, south1.Dial},
 			MinBackoff:    10 * time.Millisecond,
 			MaxBackoff:    100 * time.Millisecond,
-			DialTimeout:   300 * time.Millisecond,
 			ProbeInterval: cfg.ProbeInterval,
 			ProbeMisses:   cfg.ProbeMisses,
 			Seed:          int64(i + 1),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"net"
 	"time"
 
 	"repro/internal/apps"
@@ -141,15 +142,12 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	ctl.Use(acl) // before the recorder: an observed SwitchUp implies ACL reinstalled
 	ctl.Use(rec)
 
-	proxy, err := netem.NewControlProxy(ctl.Addr())
-	if err != nil {
-		return pt, err
-	}
-	defer proxy.Close()
+	channel := netem.NewChannel(ctl.Serve)
+	defer channel.Close()
 
 	sw := twoPortSwitch(dataplane.Config{DPID: 1})
 	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
-		Addr:       proxy.Addr(),
+		Dial:       []func() (net.Conn, error){channel.Dial},
 		MinBackoff: backoff,
 		Seed:       1,
 	})
@@ -179,7 +177,7 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	// liveness prober to evict.
 	rec.drain()
 	t0 := time.Now()
-	proxy.Blackhole(true)
+	channel.Blackhole(true)
 	if _, ok := waitFor(rec.downs, pi*time.Duration(misses+4)+2*time.Second); !ok {
 		return pt, fmt.Errorf("liveness eviction not observed")
 	}
@@ -195,11 +193,11 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	want := rules - retired
 
 	// Phase 2 — heal: stop discarding and sever the leaked half-open
-	// connection so the session manager redials through the proxy.
+	// connection so the session manager redials through the channel.
 	rec.drain()
-	proxy.Blackhole(false)
+	channel.Blackhole(false)
 	t1 := time.Now()
-	proxy.DropConnections()
+	channel.DropConnections()
 	up, ok := waitFor(rec.ups, 10*time.Second)
 	if !ok {
 		return pt, fmt.Errorf("reconnect SwitchUp not observed")
@@ -227,7 +225,7 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	stopTraffic = missTraffic([]*dataplane.Switch{sw}, e9Frame, 500*time.Microsecond)
 	t2 := time.Now()
 	sess2 := dataplane.StartSession(sw, dataplane.SessionConfig{
-		Addr:       proxy.Addr(),
+		Dial:       []func() (net.Conn, error){channel.Dial},
 		MinBackoff: backoff,
 		Seed:       2,
 	})

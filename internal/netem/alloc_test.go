@@ -3,12 +3,10 @@
 package netem
 
 import (
-	"bufio"
-	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/packet"
-	"repro/internal/zof"
 )
 
 // TestHostSendUDPZeroAlloc pins the echo path's host stack: with the
@@ -39,25 +37,18 @@ func TestHostSendUDPZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReadFrameZeroAlloc pins the relay's frame reader: once its buffer
-// has grown to the frame size, reading a frame allocates nothing.
-func TestReadFrameZeroAlloc(t *testing.T) {
-	msg, err := zof.Marshal(&zof.EchoRequest{Data: make([]byte, 200)}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := bytes.NewReader(nil)
-	br := bufio.NewReader(src)
-	var buf []byte
-	allocs := testing.AllocsPerRun(100, func() {
-		src.Reset(msg)
-		br.Reset(src)
-		buf, _, err = readFrame(br, buf)
-		if err != nil || len(buf) != len(msg) {
-			t.Fatalf("readFrame: %d bytes, %v", len(buf), err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("readFrame allocates %.1f times per frame, want 0", allocs)
+// TestStreamDeadlineZeroAlloc pins the deadline path a cluster peer
+// takes around every envelope write: setting and clearing a deadline
+// arms no timer, so it allocates nothing.
+func TestStreamDeadlineZeroAlloc(t *testing.T) {
+	a, b := StreamPair()
+	defer a.Close()
+	defer b.Close()
+	at := time.Now().Add(time.Hour)
+	if n := testing.AllocsPerRun(1000, func() {
+		a.SetWriteDeadline(at)
+		a.SetWriteDeadline(time.Time{})
+	}); n != 0 {
+		t.Errorf("deadline set+clear: %v allocs, want 0", n)
 	}
 }

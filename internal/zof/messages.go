@@ -698,8 +698,8 @@ func (m *RoleReply) DecodeBody(b []byte) error {
 // same transport. The cluster's east-west plane (lease claims, NIB
 // deltas, anti-entropy digests) rides these frames so every
 // frame-aware tool built for the southbound channel — the netem
-// ControlProxy's blackholing, partitioning and counters in particular
-// — works on peer links unchanged.
+// Channel's blackholing, partitioning and counters in particular —
+// works on peer links unchanged.
 type Experimenter struct {
 	// Experimenter identifies the extension's owner (like an OpenFlow
 	// experimenter/vendor id); ExpType is the owner-scoped message kind.
