@@ -27,7 +27,9 @@ func harness(t *testing.T, n int, appList ...controller.App) (*controller.Contro
 		sw := dataplane.NewSwitch(dataplane.Config{DPID: uint64(i)})
 		sw.AddPort(1, "p1", 1000)
 		sw.AddPort(2, "p2", 1000)
-		dp, err := dataplane.Connect(sw, ctl.Addr(), 2*time.Second)
+		a, b := netem.StreamPair()
+		ctl.Serve(b)
+		dp, err := dataplane.Attach(sw, a)
 		if err != nil {
 			t.Fatal(err)
 		}

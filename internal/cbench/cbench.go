@@ -173,10 +173,10 @@ func (s *Switch) Send() error {
 
 // Await blocks until the controller answers an outstanding packet-in
 // (a FlowMod or PacketOut naming its buffer) and returns that
-// packet-in's round-trip time. Echo requests are answered on the way.
+// packet-in's round-trip time.
 func (s *Switch) Await() (time.Duration, error) {
 	for {
-		msg, h, err := s.conn.Receive()
+		msg, _, err := s.conn.Receive()
 		if err != nil {
 			return 0, err
 		}
@@ -186,8 +186,6 @@ func (s *Switch) Await() (time.Duration, error) {
 			bufID = m.BufferID
 		case *zof.PacketOut:
 			bufID = m.BufferID
-		case *zof.EchoRequest:
-			_ = s.conn.SendXID(&zof.EchoReply{Data: m.Data}, h.XID)
 		}
 		if t0, ok := s.inflight[bufID]; ok {
 			delete(s.inflight, bufID)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/dataplane"
 	"repro/internal/netem"
+	"repro/internal/packet"
 	"repro/internal/zof"
 )
 
@@ -77,6 +78,13 @@ func form(members ...*member) {
 	for _, m := range members {
 		m.in.Join(peers)
 	}
+}
+
+// attach runs sw's session over an in-process stream served by ctl.
+func attach(sw *dataplane.Switch, ctl *controller.Controller) (*dataplane.Datapath, error) {
+	a, b := netem.StreamPair()
+	ctl.Serve(b)
+	return dataplane.Attach(sw, a)
 }
 
 // installer is a proactive app: n rules pushed on every SwitchUp.
@@ -155,14 +163,14 @@ func TestClusterMastershipFormation(t *testing.T) {
 
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 	sw.AddPort(1, "p1", 100)
-	dp0, err := dataplane.Connect(sw, m0.ctl.Addr(), 2*time.Second)
+	dp0, err := attach(sw, m0.ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dp0.Close()
 	waitUntil(t, 3*time.Second, func() bool { return m0.in.IsMaster(1) })
 
-	dp1, err := dataplane.Connect(sw, m1.ctl.Addr(), 2*time.Second)
+	dp1, err := attach(sw, m1.ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +213,7 @@ func TestClusterNIBReplication(t *testing.T) {
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 9})
 	sw.AddPort(1, "p1", 100)
 	sw.AddPort(2, "p2", 100)
-	dp, err := dataplane.Connect(sw, m0.ctl.Addr(), 2*time.Second)
+	dp, err := attach(sw, m0.ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +319,7 @@ func TestClusterReleaseOnSwitchGone(t *testing.T) {
 	form(m0, m1)
 
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 4})
-	dp, err := dataplane.Connect(sw, m0.ctl.Addr(), 2*time.Second)
+	dp, err := attach(sw, m0.ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +338,7 @@ func TestClusterReleaseOnSwitchGone(t *testing.T) {
 	})
 	// The switch re-homes onto instance 1: an immediate claim at a
 	// higher term, no TTL wait.
-	dp2, err := dataplane.Connect(sw, m1.ctl.Addr(), 2*time.Second)
+	dp2, err := attach(sw, m1.ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,4 +364,26 @@ func TestInstanceServeAfterClose(t *testing.T) {
 	if _, err := peer.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
 		t.Fatalf("read from a peer served after Close: %v, want EOF", err)
 	}
+}
+
+// TestClusterAntiEntropyCatchUp lets one instance log 1,000 host deltas
+// (about 80 KB of JSON) before it has peers, then forms the cluster:
+// the anti-entropy answer is more than one zof frame can hold, so it
+// must travel as several contiguous runs, and the follower converges.
+func TestClusterAntiEntropyCatchUp(t *testing.T) {
+	const deltas = 1000
+	m0 := startMember(t, 0, 2)
+	m1 := startMember(t, 1, 2)
+	for i := 0; i < deltas; i++ {
+		m0.in.appendLocal(Delta{Kind: DeltaHost, Host: &controller.HostInfo{
+			MAC:  packet.MACFromUint64(0x020000000000 | uint64(i)),
+			IP:   packet.IPv4Addr{10, 1, byte(i >> 8), byte(i)},
+			DPID: 1, Port: 1,
+		}})
+	}
+	form(m0, m1)
+	// The version vector moves before the deltas are applied; wait for both.
+	waitUntil(t, 5*time.Second, func() bool {
+		return m1.in.VersionVector()[0] == deltas && m1.in.DeltasApplied() == deltas
+	})
 }

@@ -37,13 +37,13 @@ func TestClusterFencingHammer(t *testing.T) {
 
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 	sw.AddPort(1, "p1", 100)
-	dp0, err := dataplane.Connect(sw, m0.ctl.Addr(), 2*time.Second)
+	dp0, err := attach(sw, m0.ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dp0.Close()
 	waitUntil(t, 3*time.Second, func() bool { return m0.in.IsMaster(1) })
-	dp1, err := dataplane.Connect(sw, m1.ctl.Addr(), 2*time.Second)
+	dp1, err := attach(sw, m1.ctl)
 	if err != nil {
 		t.Fatal(err)
 	}

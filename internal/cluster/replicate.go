@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"strconv"
 
 	"repro/internal/controller"
@@ -144,10 +145,10 @@ func (in *Instance) wantLocked() map[string]uint64 {
 }
 
 // serveRequest answers an anti-entropy request: for every origin where
-// our log extends past the requester's, send the missing suffix. This
-// is the gossip leg — an instance relays logs it merely follows, so a
-// delta reaches everyone even when its origin can no longer talk to
-// them directly.
+// our log extends past the requester's, send the missing suffix, split
+// into runs that each fit one frame. This is the gossip leg — an
+// instance relays logs it merely follows, so a delta reaches everyone
+// even when its origin can no longer talk to them directly.
 func (in *Instance) serveRequest(from int, want map[string]uint64) {
 	type batch struct {
 		origin int
@@ -164,8 +165,31 @@ func (in *Instance) serveRequest(from int, want map[string]uint64) {
 	}
 	in.mu.Unlock()
 	for _, b := range out {
-		in.sendTo(from, &envelope{Kind: kindDeltas, Origin: b.origin, First: b.first, Deltas: b.deltas})
+		for _, run := range runs(b.deltas) {
+			in.sendTo(from, &envelope{Kind: kindDeltas, Origin: b.origin, First: b.first, Deltas: run})
+			b.first += uint64(len(run))
+		}
 	}
+}
+
+// runBytes bounds the JSON of one run of deltas; the rest of a zof frame
+// is left to the headers and the envelope's other fields.
+const runBytes = zof.MaxMessageLen - 1<<10
+
+// runs splits deltas into contiguous runs whose JSON fits in runBytes.
+func runs(deltas []Delta) [][]Delta {
+	var out [][]Delta
+	start, size := 0, 0
+	for i, d := range deltas {
+		b, _ := json.Marshal(d) // plain data: cannot fail
+		n := len(b) + 1         // and its comma
+		if i > start && size+n > runBytes {
+			out = append(out, deltas[start:i])
+			start, size = i, 0
+		}
+		size += n
+	}
+	return append(out, deltas[start:])
 }
 
 // The observer is the instance's window into its own controller: it

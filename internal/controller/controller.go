@@ -50,8 +50,9 @@ type Config struct {
 	// ProbeTimeout bounds each individual probe; 0 means ProbeInterval.
 	ProbeTimeout time.Duration
 	// ProbeMisses is the miss budget: this many consecutive failed
-	// probes evict the peer exactly like a read error (SwitchDown, NIB
-	// cleanup, pending requests failed fast). Default 3.
+	// probes close the connection, evicting the peer exactly like a
+	// read error (SwitchDown, NIB cleanup, pending requests failed
+	// fast). Default 3.
 	ProbeMisses int
 	// TxnTimeout bounds each of a transaction's two waits once — for
 	// its commit fences, then for its rollback fences — with no retry: a
@@ -183,10 +184,6 @@ type Controller struct {
 	// asyncErrors counts Error replies that matched no pending request
 	// and no in-flight fence (visibility for fire-and-forget failures).
 	asyncErrors obs.Counter
-	// detectNanos records, for the most recent liveness eviction, the
-	// time from the send of the first probe of the fatal miss streak to
-	// the eviction decision (E9's detection-latency measurement).
-	detectNanos atomic.Int64
 }
 
 // New starts a controller listening on cfg.Addr.
@@ -202,12 +199,6 @@ func New(cfg Config) (*Controller, error) {
 		if cfg.DispatchWorkers > 16 {
 			cfg.DispatchWorkers = 16
 		}
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
-	}
-	if cfg.ProbeMisses <= 0 {
-		cfg.ProbeMisses = 3
 	}
 	if cfg.TxnTimeout <= 0 {
 		cfg.TxnTimeout = 5 * time.Second
@@ -554,7 +545,7 @@ func (c *Controller) serve(raw net.Conn) {
 	}
 	if c.cfg.ProbeInterval > 0 {
 		c.connWG.Add(1)
-		go c.probeLoop(sc)
+		go c.keepalive(sc)
 	}
 	if c.cfg.Mastership != nil {
 		c.cfg.Mastership.SwitchConnected(sc.dpid, reconnect)
@@ -586,8 +577,6 @@ func (c *Controller) serve(raw net.Conn) {
 			if active {
 				c.post(PortStatusEvent{DPID: sc.dpid, Msg: *m})
 			}
-		case *zof.EchoRequest:
-			_ = sc.conn.SendXID(&zof.EchoReply{Data: m.Data}, h.XID)
 		case *zof.Hello:
 			// ignore
 		case *zof.Error:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dataplane"
+	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/zof"
 )
@@ -80,7 +81,7 @@ func newTestController(t *testing.T, rec *recorder, n int) (*Controller, []*data
 		sw := dataplane.NewSwitch(dataplane.Config{DPID: uint64(i)})
 		sw.AddPort(1, "p1", 1000)
 		sw.AddPort(2, "p2", 1000)
-		dp, err := dataplane.Connect(sw, ctl.Addr(), 2*time.Second)
+		dp, err := attach(sw, netem.NewChannel(ctl.Serve))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestBarrierAndStatsViaSwitchConn(t *testing.T) {
 	if len(rep.Tables) != 1 || rep.Tables[0].ActiveCount != 1 {
 		t.Fatalf("table stats = %+v", rep.Tables)
 	}
-	if err := sc.Echo(2 * time.Second); err != nil {
+	if err := sc.conn.Echo([]byte("zen"), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// An erroring flow-mod (bad table) surfaces as *zof.Error via the
@@ -167,7 +168,7 @@ func TestDuplicateDPIDNewestWins(t *testing.T) {
 
 	sw2 := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 	sw2.AddPort(1, "x", 10)
-	dp2, err := dataplane.Connect(sw2, ctl.Addr(), 2*time.Second)
+	dp2, err := attach(sw2, netem.NewChannel(ctl.Serve))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,14 @@ package controller
 import (
 	"bytes"
 	"errors"
-	"net"
+	"io"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dataplane"
 	"repro/internal/netem"
+	"repro/internal/packet"
 	"repro/internal/zof"
 )
 
@@ -39,7 +40,7 @@ func (r *lifeRec) counts() (int, int) {
 }
 
 // TestEchoPayloadRoundTrip covers both directions of the echo-payload
-// contract: steady-state EchoData verifies the peer returned the bytes,
+// contract: steady-state Echo verifies the peer returned the bytes,
 // and the controller's handshake loop echoes an early EchoRequest's
 // payload instead of replying empty.
 func TestEchoPayloadRoundTrip(t *testing.T) {
@@ -48,32 +49,29 @@ func TestEchoPayloadRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("no switch 1")
 	}
-	if err := sc.EchoData([]byte("liveness-seq-0001"), 2*time.Second); err != nil {
-		t.Fatalf("EchoData: %v", err)
+	if err := sc.conn.Echo([]byte("liveness-seq-0001"), 2*time.Second); err != nil {
+		t.Fatalf("Echo: %v", err)
 	}
 
 	// A raw fake switch interleaves an EchoRequest before answering the
-	// features request; the reply must carry the payload back.
-	raw, err := net.Dial("tcp", ctl.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// features request; the reply must carry the payload back. It speaks
+	// frames below zof.Conn, which keeps echoes to itself.
+	raw, side := netem.StreamPair()
+	ctl.Serve(side)
 	defer raw.Close()
-	conn := zof.NewConn(raw)
-	defer conn.Close()
-	if err := conn.Handshake(); err != nil {
+	if err := writeMsg(raw, &zof.Hello{}); err != nil {
 		t.Fatal(err)
 	}
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
 	_ = raw.SetDeadline(time.Now().Add(2 * time.Second))
 	for {
-		msg, _, err := conn.Receive()
+		msg, _, err := readMsg(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch m := msg.(type) {
 		case *zof.FeaturesRequest:
-			if _, err := conn.Send(&zof.EchoRequest{Data: payload}); err != nil {
+			if err := writeMsg(raw, &zof.EchoRequest{Data: payload}); err != nil {
 				t.Fatal(err)
 			}
 		case *zof.EchoReply:
@@ -83,6 +81,32 @@ func TestEchoPayloadRoundTrip(t *testing.T) {
 			return
 		}
 	}
+}
+
+// writeMsg frames msg onto w, below zof.Conn.
+func writeMsg(w io.Writer, msg zof.Message) error {
+	b, err := zof.Marshal(msg, 1)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
+}
+
+// readMsg reads one frame off r, below zof.Conn.
+func readMsg(r io.Reader) (zof.Message, zof.Header, error) {
+	frame := make([]byte, zof.HeaderLen)
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, zof.Header{}, err
+	}
+	h, err := zof.DecodeHeader(frame)
+	if err != nil {
+		return nil, h, err
+	}
+	frame = append(frame, make([]byte, int(h.Length)-zof.HeaderLen)...)
+	if _, err := io.ReadFull(r, frame[zof.HeaderLen:]); err != nil {
+		return nil, h, err
+	}
+	return zof.Unmarshal(frame)
 }
 
 // TestDupDPIDReconnectTeardown is the regression test for the dup-DPID
@@ -97,7 +121,7 @@ func TestDupDPIDReconnectTeardown(t *testing.T) {
 
 	sw2 := dataplane.NewSwitch(dataplane.Config{DPID: 1})
 	sw2.AddPort(1, "x", 10)
-	dp2, err := dataplane.Connect(sw2, ctl.Addr(), 2*time.Second)
+	dp2, err := attach(sw2, netem.NewChannel(ctl.Serve))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +182,7 @@ func TestDupDPIDReconnectHammer(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		sw := dataplane.NewSwitch(dataplane.Config{DPID: 7})
 		sw.AddPort(1, "p", 10)
-		dp, err := dataplane.Connect(sw, ctl.Addr(), 2*time.Second)
+		dp, err := attach(sw, netem.NewChannel(ctl.Serve))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +357,7 @@ func TestReconnectReconciliation(t *testing.T) {
 
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 5})
 	sw.AddPort(1, "p", 10)
-	dp1, err := dataplane.Connect(sw, ctl.Addr(), 2*time.Second)
+	dp1, err := attach(sw, netem.NewChannel(ctl.Serve))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +372,7 @@ func TestReconnectReconciliation(t *testing.T) {
 	waitUntil(t, 2*time.Second, func() bool { _, d := rec.counts(); return d == 1 })
 	app.retire(1)
 
-	dp2, err := dataplane.Connect(sw, ctl.Addr(), 2*time.Second)
+	dp2, err := attach(sw, netem.NewChannel(ctl.Serve))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,5 +408,37 @@ func TestReconnectReconciliation(t *testing.T) {
 	}
 	if rec, _ := ctl.Metrics().Value("controller.liveness.reconciles"); rec < 1 {
 		t.Error("no reconciliation pass completed")
+	}
+}
+
+// TestStatsPastOneFrameFailsOnlyTheRequest asks a switch holding 700
+// flows for all of them. The reply (about 101 bytes a flow) cannot fit
+// a zof frame, whose length field is 16 bits: the request must fail at
+// once with the switch's Error, and the session must stay up.
+func TestStatsPastOneFrameFailsOnlyTheRequest(t *testing.T) {
+	ctl, sws, _ := newTestController(t, nil, 1)
+	sc, _ := ctl.Switch(1)
+	for i := 0; i < 700; i++ {
+		m := zof.MatchAll()
+		m.Wildcards &^= zof.WEthSrc
+		m.EthSrc = packet.MACFromUint64(uint64(i + 1))
+		sws[0].Process(&zof.FlowMod{Command: zof.FlowAdd, Match: m, Priority: 10,
+			BufferID: zof.NoBuffer, Actions: []zof.Action{zof.Output(2)}}, 1,
+			func(rep zof.Message, _ uint32) { t.Errorf("flow %d: %v", i, rep) })
+	}
+	_, err := sc.Stats(&zof.StatsRequest{Kind: zof.StatsFlow, TableID: 0xff, Match: zof.MatchAll()}, 2*time.Second)
+	var zerr *zof.Error
+	if !errors.As(err, &zerr) {
+		t.Fatalf("700-flow stats: err = %v, want the switch's zof.Error", err)
+	}
+	if cur, ok := ctl.Switch(1); !ok || cur != sc {
+		t.Fatal("the session died with the oversized reply")
+	}
+	if err := sc.Barrier(2 * time.Second); err != nil {
+		t.Fatalf("barrier after the oversized reply: %v", err)
+	}
+	rep, err := sc.Stats(&zof.StatsRequest{Kind: zof.StatsTable}, 2*time.Second)
+	if err != nil || rep.Tables[0].ActiveCount != 700 {
+		t.Fatalf("table stats after the oversized reply: %+v, %v", rep, err)
 	}
 }

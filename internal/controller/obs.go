@@ -87,7 +87,7 @@ func (c *Controller) registerMetrics() {
 	r.RegisterCounter("controller.liveness.evictions", &c.liveness.Evictions)
 	r.RegisterCounter("controller.liveness.stale_flows", &c.liveness.StaleFlows)
 	r.RegisterCounter("controller.liveness.reconciles", &c.liveness.Reconciles)
-	r.RegisterFunc("controller.liveness.last_detection_ns", c.detectNanos.Load)
+	r.RegisterFunc("controller.liveness.last_detection_ns", func() int64 { return int64(c.liveness.LastDetection()) })
 
 	r.RegisterCounter("controller.txn.commits", &c.txnStats.Commits)
 	r.RegisterCounter("controller.txn.aborts", &c.txnStats.Aborts)

@@ -293,7 +293,7 @@ func TestRegistryAdoptsLiveInstruments(t *testing.T) {
 	if v, _ := reg.Value("controller.audit.audits"); uint64(v) != ctl.auditStats.Audits.Value() {
 		t.Errorf("audits disagree: %d", v)
 	}
-	if v, _ := reg.Value("controller.liveness.last_detection_ns"); v != ctl.detectNanos.Load() {
+	if v, _ := reg.Value("controller.liveness.last_detection_ns"); v != int64(ctl.liveness.LastDetection()) {
 		t.Errorf("last detection disagree: %d", v)
 	}
 	if v, ok := reg.Value("controller.dispatch.queued"); !ok || v < 0 {

@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"encoding/binary"
-	"errors"
 	"time"
 
 	"repro/internal/obs"
@@ -10,16 +8,10 @@ import (
 )
 
 // LivenessStats are the fault-tolerance layer's health counters: the
-// prober's probe/miss/eviction counts and the reconciler's stale-flow
-// flushes.
+// keepalive's probe/miss/eviction counts and last detection latency,
+// summed over every switch, and the reconciler's stale-flow flushes.
 type LivenessStats struct {
-	// Probes counts liveness echoes sent.
-	Probes obs.Counter
-	// Misses counts probes that timed out or round-tripped a corrupt
-	// payload.
-	Misses obs.Counter
-	// Evictions counts peers declared dead after a full miss budget.
-	Evictions obs.Counter
+	zof.ProbeStats
 	// StaleFlows counts flow entries flushed by post-reconnect cookie
 	// reconciliation.
 	StaleFlows obs.Counter
@@ -27,60 +19,22 @@ type LivenessStats struct {
 	Reconciles obs.Counter
 }
 
-// probeLoop is the per-switch liveness prober: every ProbeInterval it
-// round-trips an Echo carrying a sequence-stamped payload and verifies
-// the payload came back intact. ProbeMisses consecutive failures evict
-// the peer exactly like a read error — close the connection, which
-// breaks serve's Receive and drives the usual teardown (NIB cleanup,
-// one SwitchDown, pending requests failed fast with ErrConnClosed).
-// This is what turns a half-open TCP session (switch crashed, NAT state
-// lost, channel blackholed) from an invisible hang into a bounded
-// detection: at most ProbeInterval × ProbeMisses after the first lost
-// probe (for ProbeTimeout ≤ ProbeInterval).
-func (c *Controller) probeLoop(sc *SwitchConn) {
+// keepalive runs the channel's prober on sc (Config.ProbeInterval). A
+// full miss budget closes the connection, which breaks serve's Receive
+// and drives the usual teardown (NIB cleanup, one SwitchDown, pending
+// requests failed fast with ErrConnClosed). This is what turns a
+// half-open session (switch crashed, NAT state lost, channel
+// blackholed) from an invisible hang into a bounded detection.
+func (c *Controller) keepalive(sc *SwitchConn) {
 	defer c.connWG.Done()
-	t := time.NewTicker(c.cfg.ProbeInterval)
-	defer t.Stop()
-	var (
-		seq       uint64
-		misses    int
-		firstMiss time.Time
-		payload   [16]byte
-	)
-	binary.BigEndian.PutUint64(payload[:8], sc.dpid)
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-sc.done:
-			return
-		case <-t.C:
-		}
-		seq++
-		binary.BigEndian.PutUint64(payload[8:], seq)
-		sent := time.Now()
-		c.liveness.Probes.Inc()
-		err := sc.EchoData(payload[:], c.cfg.ProbeTimeout)
-		if err == nil {
-			misses = 0
-			continue
-		}
-		if errors.Is(err, zof.ErrConnClosed) {
-			return // torn down elsewhere; teardown owns the eviction
-		}
-		c.liveness.Misses.Inc()
-		if misses == 0 {
-			firstMiss = sent
-		}
-		misses++
-		if misses >= c.cfg.ProbeMisses {
-			c.liveness.Evictions.Inc()
-			c.detectNanos.Store(int64(time.Since(firstMiss)))
-			c.cfg.Logf("liveness: evicting %#x after %d missed echoes (last: %v)",
-				sc.dpid, misses, err)
-			sc.close()
-			return
-		}
+	err := sc.conn.Probe(zof.ProbeConfig{
+		ID:       sc.dpid,
+		Interval: c.cfg.ProbeInterval,
+		Timeout:  c.cfg.ProbeTimeout,
+		Misses:   c.cfg.ProbeMisses,
+	}, &c.liveness.ProbeStats, sc.done)
+	if err != nil {
+		c.cfg.Logf("liveness: evicted %#x after a full miss budget (last: %v)", sc.dpid, err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -146,14 +145,9 @@ func handshake(conn *zof.Conn, timeout time.Duration) (*SwitchConn, error) {
 		}
 		fr, ok := msg.(*zof.FeaturesReply)
 		if !ok {
-			// Tolerate early asynchronous noise (echo, packet-in) but
-			// nothing else before features.
-			switch m := msg.(type) {
-			case *zof.EchoRequest:
-				// Echo the payload like the steady-state path does: the
-				// peer may be verifying the round trip.
-				_ = conn.SendXID(&zof.EchoReply{Data: m.Data}, h.XID)
-				continue
+			// Tolerate early asynchronous noise (packet-in, port status)
+			// but nothing else before features.
+			switch msg.(type) {
 			case *zof.PacketIn, *zof.PortStatus:
 				continue
 			}
@@ -429,31 +423,6 @@ func (s *SwitchConn) Stats(req *zof.StatsRequest, timeout time.Duration) (*zof.S
 		return nil, zof.ErrTypeMismatch
 	}
 	return sr, nil
-}
-
-// Echo round-trips a keepalive.
-func (s *SwitchConn) Echo(timeout time.Duration) error {
-	return s.EchoData([]byte("zen"), timeout)
-}
-
-// EchoData round-trips a keepalive carrying data and verifies the peer
-// echoed the payload back intact — a reply of the right type with the
-// wrong bytes indicates a desynchronized or misbehaving peer and
-// returns zof.ErrEchoPayload. The liveness prober uses per-probe
-// payloads so a stale reply cannot satisfy a fresh probe.
-func (s *SwitchConn) EchoData(data []byte, timeout time.Duration) error {
-	rep, err := s.request(&zof.EchoRequest{Data: data}, timeout)
-	if err != nil {
-		return err
-	}
-	er, ok := rep.(*zof.EchoReply)
-	if !ok {
-		return zof.ErrTypeMismatch
-	}
-	if !bytes.Equal(er.Data, data) {
-		return zof.ErrEchoPayload
-	}
-	return nil
 }
 
 // SetRole claims a controller role on this connection.

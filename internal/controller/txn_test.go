@@ -30,7 +30,7 @@ func txnHarness(t *testing.T, cfg Config, swCfgs ...dataplane.Config) (*Controll
 		sw := dataplane.NewSwitch(sc)
 		sw.AddPort(1, "p1", 1000)
 		sw.AddPort(2, "p2", 1000)
-		dp, err := dataplane.Connect(sw, ctl.Addr(), 2*time.Second)
+		dp, err := attach(sw, netem.NewChannel(ctl.Serve))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/dataplane"
+	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/zof"
 )
@@ -28,6 +29,13 @@ func (p *piCounter) count() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.n
+}
+
+// attach runs sw's session over an in-process stream served by ctl.
+func attach(sw *dataplane.Switch, ctl *controller.Controller) (*dataplane.Datapath, error) {
+	a, b := netem.StreamPair()
+	ctl.Serve(b)
+	return dataplane.Attach(sw, a)
 }
 
 // TestControllerFailover exercises the master/slave HA protocol: one
@@ -53,12 +61,12 @@ func TestControllerFailover(t *testing.T) {
 	sw.AddPort(1, "p1", 1000)
 	sw.AddPort(2, "p2", 1000)
 
-	dpA, err := dataplane.Connect(sw, ctlA.Addr(), 2*time.Second)
+	dpA, err := attach(sw, ctlA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dpA.Close()
-	dpB, err := dataplane.Connect(sw, ctlB.Addr(), 2*time.Second)
+	dpB, err := attach(sw, ctlB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +150,12 @@ func TestBothControllersEqualSeeEverything(t *testing.T) {
 
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 2})
 	sw.AddPort(1, "p1", 1000)
-	dpA, err := dataplane.Connect(sw, ctlA.Addr(), 2*time.Second)
+	dpA, err := attach(sw, ctlA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dpA.Close()
-	dpB, err := dataplane.Connect(sw, ctlB.Addr(), 2*time.Second)
+	dpB, err := attach(sw, ctlB)
 	if err != nil {
 		t.Fatal(err)
 	}

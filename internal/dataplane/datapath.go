@@ -1,19 +1,19 @@
 package dataplane
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/zof"
 )
 
-// Datapath runs one control-channel session of a Switch: it dials the
-// controller, performs the Hello and features handshake from the switch
-// side, pumps controller-to-switch messages into Switch.Process, and
-// forwards the switch's asynchronous messages up the channel. A Switch
+// Datapath runs one control-channel session of a Switch over a
+// transport handed to Attach: it performs the Hello handshake from the
+// switch side, pumps controller-to-switch messages into Switch.Process,
+// and forwards the switch's asynchronous messages up the channel. A Switch
 // may run several Datapaths at once (one per controller instance); the
 // switch-global role coordinator (Switch.claimRole) arbitrates which
 // of them is master.
@@ -28,24 +28,14 @@ type Datapath struct {
 	// read lock-free on the async and mutation paths.
 	role atomic.Uint32
 
-	mu      sync.Mutex
-	pending map[uint32]chan zof.Message // switch-initiated requests (echo)
-	closed  bool
-	done    chan struct{}
+	mu     sync.Mutex
+	closed bool
+	done   chan struct{}
 }
 
-// Connect dials the controller at addr, completes the handshake and
-// starts the session pump. It returns once the switch is operational.
-func Connect(sw *Switch, addr string, timeout time.Duration) (*Datapath, error) {
-	raw, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("dialing controller: %w", err)
-	}
-	return Attach(sw, raw)
-}
-
-// Attach runs the session over an established transport (used by tests
-// and by in-process wiring).
+// Attach runs the session over an established transport — a TCP
+// connection, or one end of an in-process stream — and returns once
+// the handshake is done and the switch is operational.
 func Attach(sw *Switch, raw net.Conn) (*Datapath, error) {
 	conn := zof.NewConn(raw)
 	if err := conn.Handshake(); err != nil {
@@ -53,10 +43,9 @@ func Attach(sw *Switch, raw net.Conn) (*Datapath, error) {
 		return nil, fmt.Errorf("zof handshake: %w", err)
 	}
 	dp := &Datapath{
-		sw:      sw,
-		conn:    conn,
-		pending: make(map[uint32]chan zof.Message),
-		done:    make(chan struct{}),
+		sw:   sw,
+		conn: conn,
+		done: make(chan struct{}),
 	}
 	dp.role.Store(zof.RoleEqual)
 	dp.sinkID = sw.AddControllerSink(dp.sendAsync)
@@ -72,12 +61,7 @@ func (d *Datapath) Close() error {
 		return nil
 	}
 	d.closed = true
-	pend := d.pending
-	d.pending = make(map[uint32]chan zof.Message)
 	d.mu.Unlock()
-	for _, ch := range pend {
-		close(ch)
-	}
 	d.sw.RemoveControllerSink(d.sinkID)
 	d.sw.dropRole(d)
 	return d.conn.Close()
@@ -91,66 +75,6 @@ func (d *Datapath) Done() <-chan struct{} { return d.done }
 // connection claimed mastership with a newer generation — the fencing
 // that protects the flow table from a deposed controller.
 func (d *Datapath) Role() uint32 { return d.role.Load() }
-
-// Echo round-trips an EchoRequest carrying data and verifies the
-// payload came back intact — the switch-side liveness probe. A mute or
-// half-open controller connection times out here; zof.ErrEchoPayload
-// flags a desynchronized peer.
-func (d *Datapath) Echo(data []byte, timeout time.Duration) error {
-	ch := make(chan zof.Message, 1)
-	xid := d.conn.NextXID()
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return zof.ErrConnClosed
-	}
-	d.pending[xid] = ch
-	d.mu.Unlock()
-	defer func() {
-		d.mu.Lock()
-		delete(d.pending, xid)
-		d.mu.Unlock()
-	}()
-	if err := d.conn.SendXID(&zof.EchoRequest{Data: data}, xid); err != nil {
-		return err
-	}
-	var timer <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
-	}
-	select {
-	case rep, ok := <-ch:
-		if !ok {
-			return zof.ErrConnClosed
-		}
-		er, isEcho := rep.(*zof.EchoReply)
-		if !isEcho {
-			return zof.ErrTypeMismatch
-		}
-		if string(er.Data) != string(data) {
-			return zof.ErrEchoPayload
-		}
-		return nil
-	case <-timer:
-		return fmt.Errorf("echo to controller timed out after %v", timeout)
-	}
-}
-
-// resolve hands an incoming reply to a blocked switch-side request.
-func (d *Datapath) resolve(xid uint32, msg zof.Message) bool {
-	d.mu.Lock()
-	ch, ok := d.pending[xid]
-	if ok {
-		delete(d.pending, xid)
-	}
-	d.mu.Unlock()
-	if ok {
-		ch <- msg
-	}
-	return ok
-}
 
 // sendAsync carries switch-originated messages; slave connections are
 // filtered — when a standby controller's connection is demoted, its
@@ -179,8 +103,6 @@ func (d *Datapath) readLoop() {
 				continue
 			}
 			_ = d.conn.SendXID(rep, h.XID)
-		case *zof.EchoReply:
-			d.resolve(h.XID, msg)
 		case *zof.Hello:
 			// Late hellos are tolerated.
 		default:
@@ -189,10 +111,18 @@ func (d *Datapath) readLoop() {
 					Detail: "connection is slave"}, h.XID)
 				continue
 			}
-			d.sw.Process(msg, h.XID, func(rep zof.Message, xid uint32) {
-				_ = d.conn.SendXID(rep, xid)
-			})
+			d.sw.Process(msg, h.XID, d.reply)
 		}
+	}
+}
+
+// reply answers a request. A reply too big for one frame — a flow-stats
+// reply past about 648 single-action flows — fails its request with an
+// Error instead of the session.
+func (d *Datapath) reply(rep zof.Message, xid uint32) {
+	if err := d.conn.SendXID(rep, xid); errors.Is(err, zof.ErrMessageTooBig) {
+		_ = d.conn.SendXID(&zof.Error{Code: zof.ErrCodeBadRequest,
+			Detail: fmt.Sprintf("%v reply: %v", rep.Type(), err)}, xid)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 // fakeController is a bare zof endpoint acting as the controller side.
 type fakeController struct {
 	conn *zof.Conn
+	raw  net.Conn
 }
 
 func startSession(t *testing.T) (*Switch, *Datapath, *fakeController) {
@@ -34,7 +36,7 @@ func startSession(t *testing.T) (*Switch, *Datapath, *fakeController) {
 		c, err := l.Accept()
 		ch <- accepted{c, err}
 	}()
-	// Connect blocks on the Hello exchange, which needs the controller
+	// Attach blocks on the Hello exchange, which needs the controller
 	// side; run it concurrently with the controller handshake.
 	type connected struct {
 		dp  *Datapath
@@ -42,20 +44,25 @@ func startSession(t *testing.T) (*Switch, *Datapath, *fakeController) {
 	}
 	dpCh := make(chan connected, 1)
 	go func() {
-		dp, err := Connect(sw, l.Addr().String(), time.Second)
+		raw, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			dpCh <- connected{nil, err}
+			return
+		}
+		dp, err := Attach(sw, raw)
 		dpCh <- connected{dp, err}
 	}()
 	a := <-ch
 	if a.err != nil {
 		t.Fatal(a.err)
 	}
-	ctrl := &fakeController{conn: zof.NewConn(a.conn)}
+	ctrl := &fakeController{conn: zof.NewConn(a.conn), raw: a.conn}
 	if herr := ctrl.conn.Handshake(); herr != nil {
 		t.Fatalf("controller handshake: %v", herr)
 	}
 	res := <-dpCh
 	if res.err != nil {
-		t.Fatalf("Connect: %v", res.err)
+		t.Fatalf("Attach: %v", res.err)
 	}
 	dp := res.dp
 	t.Cleanup(func() { dp.Close(); ctrl.conn.Close() })
@@ -80,6 +87,40 @@ func (c *fakeController) rpc(t *testing.T, req zof.Message) (zof.Message, []zof.
 			return msg, async
 		}
 		async = append(async, msg)
+	}
+}
+
+// rawRPC is rpc below zof.Conn, which keeps echo replies to itself: it
+// frames req onto the transport and reads frames until the reply.
+func (c *fakeController) rawRPC(t *testing.T, req zof.Message) zof.Message {
+	t.Helper()
+	b, err := zof.Marshal(req, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.raw.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		frame := make([]byte, zof.HeaderLen)
+		if _, err := io.ReadFull(c.raw, frame); err != nil {
+			t.Fatal(err)
+		}
+		h, err := zof.DecodeHeader(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame = append(frame, make([]byte, int(h.Length)-zof.HeaderLen)...)
+		if _, err := io.ReadFull(c.raw, frame[zof.HeaderLen:]); err != nil {
+			t.Fatal(err)
+		}
+		if h.XID == 99 {
+			msg, _, err := zof.Unmarshal(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return msg
+		}
 	}
 }
 
@@ -134,7 +175,7 @@ func TestSessionPacketInFlowsUp(t *testing.T) {
 
 func TestSessionEcho(t *testing.T) {
 	_, _, ctrl := startSession(t)
-	rep, _ := ctrl.rpc(t, &zof.EchoRequest{Data: []byte("zen")})
+	rep := ctrl.rawRPC(t, &zof.EchoRequest{Data: []byte("zen")})
 	er, ok := rep.(*zof.EchoReply)
 	if !ok || string(er.Data) != "zen" {
 		t.Fatalf("echo reply = %#v", rep)

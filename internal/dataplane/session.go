@@ -1,8 +1,6 @@
 package dataplane
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -63,14 +61,12 @@ type SessionConfig struct {
 	// (0 = retry forever). A successful session resets the count.
 	MaxAttempts int
 	// ProbeInterval enables switch-side liveness probing: every
-	// interval the manager round-trips an Echo on the live session and
-	// a full miss budget closes it — turning a mute controller (half-
-	// open TCP, partitioned control network) into a detected failure
-	// that triggers failover dialing instead of an indefinite hang.
-	// 0 disables probing (the default).
+	// interval the manager round-trips an Echo on the live session,
+	// each bounded by the interval, and a full miss budget closes it —
+	// turning a mute controller (half-open TCP, partitioned control
+	// network) into a detected failure that triggers failover dialing
+	// instead of an indefinite hang. 0 disables probing (the default).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each individual probe; 0 means ProbeInterval.
-	ProbeTimeout time.Duration
 	// ProbeMisses is the consecutive-miss budget before the session is
 	// declared dead. Default 3.
 	ProbeMisses int
@@ -110,10 +106,7 @@ type Session struct {
 	attempts atomic.Uint64 // dials attempted
 
 	// Switch-side liveness accounting (see SessionConfig.ProbeInterval).
-	probes      atomic.Uint64
-	probeMisses atomic.Uint64
-	evictions   atomic.Uint64
-	detectNanos atomic.Int64
+	liveness zof.ProbeStats
 
 	quit chan struct{}
 	done chan struct{}
@@ -136,12 +129,6 @@ func StartSession(sw *Switch, cfg SessionConfig) *Session {
 		cfg.Jitter = 0.2
 	} else if cfg.Jitter < 0 {
 		cfg.Jitter = 0
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
-	}
-	if cfg.ProbeMisses <= 0 {
-		cfg.ProbeMisses = 3
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(sw.DPID())*131 + time.Now().UnixNano()
@@ -172,24 +159,11 @@ func (s *Session) Sessions() uint64 { return s.sessions.Load() }
 // Attempts returns how many dials have been made.
 func (s *Session) Attempts() uint64 { return s.attempts.Load() }
 
-// Probes returns how many switch-side liveness probes have been sent.
-func (s *Session) Probes() uint64 { return s.probes.Load() }
-
-// ProbeMisses returns how many probes timed out or failed.
-func (s *Session) ProbeMisses() uint64 { return s.probeMisses.Load() }
-
-// Evictions returns how many sessions the switch-side prober declared
-// dead.
-func (s *Session) Evictions() uint64 { return s.evictions.Load() }
-
 // LastDetection returns, for the most recent prober eviction, the time
 // from the first probe of the fatal miss streak being sent to the
-// session being closed — the switch side's detection latency, bounded
-// by ProbeInterval × ProbeMisses for ProbeTimeout ≤ ProbeInterval.
-// Zero if no eviction has happened.
-func (s *Session) LastDetection() time.Duration {
-	return time.Duration(s.detectNanos.Load())
-}
+// session being closed — the switch side's detection latency, about
+// ProbeInterval × ProbeMisses. Zero if no eviction has happened.
+func (s *Session) LastDetection() time.Duration { return s.liveness.LastDetection() }
 
 // Datapath returns the live session, or nil while disconnected.
 func (s *Session) Datapath() *Datapath {
@@ -317,7 +291,7 @@ func (s *Session) run() {
 		s.sessions.Add(1)
 		s.setState(SessionConnected, 0, nil)
 		if s.cfg.ProbeInterval > 0 {
-			go s.probeLoop(dp)
+			go s.keepalive(dp)
 		}
 
 		select {
@@ -347,54 +321,20 @@ func (s *Session) run() {
 	}
 }
 
-// probeLoop is the switch-side liveness prober for one live session:
-// sequence-stamped echoes every ProbeInterval, a full miss budget
-// closes the session (which wakes run to fail over to the next
-// endpoint). The controller side probes too (controller.Config.
-// ProbeInterval) — but only the switch side can rescue itself from a
-// blackholed channel, since the far end's eviction can never reach it.
-func (s *Session) probeLoop(dp *Datapath) {
-	t := time.NewTicker(s.cfg.ProbeInterval)
-	defer t.Stop()
-	var (
-		seq       uint64
-		misses    int
-		firstMiss time.Time
-		payload   [16]byte
-	)
-	binary.BigEndian.PutUint64(payload[:8], s.sw.DPID())
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-dp.Done():
-			return
-		case <-t.C:
-		}
-		seq++
-		binary.BigEndian.PutUint64(payload[8:], seq)
-		sent := time.Now()
-		s.probes.Add(1)
-		err := dp.Echo(payload[:], s.cfg.ProbeTimeout)
-		if err == nil {
-			misses = 0
-			continue
-		}
-		if errors.Is(err, zof.ErrConnClosed) {
-			return // torn down elsewhere
-		}
-		s.probeMisses.Add(1)
-		if misses == 0 {
-			firstMiss = sent
-		}
-		misses++
-		if misses >= s.cfg.ProbeMisses {
-			s.evictions.Add(1)
-			s.detectNanos.Store(int64(time.Since(firstMiss)))
-			s.cfg.Logf("session %#x: controller mute for %d probes; closing for failover",
-				s.sw.DPID(), misses)
-			dp.Close()
-			return
-		}
+// keepalive runs the channel's prober on one live session: a full miss
+// budget closes the connection, and the datapath's teardown wakes run
+// to fail over to the next endpoint. The controller side probes too
+// (controller.Config.ProbeInterval) — but only the switch side can
+// rescue itself from a blackholed channel, since the far end's eviction
+// can never reach it.
+func (s *Session) keepalive(dp *Datapath) {
+	err := dp.conn.Probe(zof.ProbeConfig{
+		ID:       s.sw.DPID(),
+		Interval: s.cfg.ProbeInterval,
+		Misses:   s.cfg.ProbeMisses,
+	}, &s.liveness, dp.Done())
+	if err != nil {
+		s.cfg.Logf("session %#x: controller mute for a full miss budget (last: %v); closing for failover",
+			s.sw.DPID(), err)
 	}
 }

@@ -84,6 +84,12 @@ func TestSessionReconnects(t *testing.T) {
 
 	const drops = 3
 	for i := 0; i < drops; i++ {
+		// Drop only a session the controller has posted SwitchUp for, or
+		// the count of reconnect SwitchUps below can come up short.
+		waitFor(t, 5*time.Second, "controller-side SwitchUp", func() bool {
+			u, _, _ := rec.counts()
+			return u >= i+1
+		})
 		want := sess.Sessions() + 1
 		channel.DropConnections()
 		waitFor(t, 5*time.Second, "session re-establishment", func() bool {
@@ -102,6 +108,63 @@ func TestSessionReconnects(t *testing.T) {
 	}
 	if sess.Datapath() == nil {
 		t.Error("no live datapath after recovery")
+	}
+}
+
+// TestSessionProbeEvictsBlackholedController blackholes the channel
+// under a live session: only the switch side's prober can notice, since
+// nothing the controller does reaches the switch. It must close the
+// session within its miss budget and redial, and once the channel heals
+// the switch must be back.
+func TestSessionProbeEvictsBlackholedController(t *testing.T) {
+	const (
+		interval = 20 * time.Millisecond
+		misses   = 3
+	)
+	ctl, err := controller.New(controller.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	channel := netem.NewChannel(ctl.Serve)
+	defer channel.Close()
+
+	sw := dataplane.NewSwitch(dataplane.Config{DPID: 14})
+	sw.AddPort(1, "p", 10)
+	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
+		Dial:          []func() (net.Conn, error){channel.Dial},
+		MinBackoff:    5 * time.Millisecond,
+		MaxBackoff:    20 * time.Millisecond,
+		ProbeInterval: interval,
+		ProbeMisses:   misses,
+		Seed:          1,
+	})
+	defer sess.Close()
+	if err := sess.WaitConnected(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if d := sess.LastDetection(); d != 0 {
+		t.Fatalf("detection %v before any fault", d)
+	}
+
+	channel.Blackhole(true)
+	waitFor(t, 2*time.Second, "switch-side eviction and redial", func() bool {
+		return sess.LastDetection() > 0 && sess.Attempts() >= 2
+	})
+	// A switch-side probe times out after one interval, so the streak
+	// may run one interval past interval × misses.
+	if d, bound := sess.LastDetection(), interval*(misses+1); d > bound {
+		t.Errorf("detection %v past %v", d, bound)
+	}
+
+	// Heal, and sever the redial the blackhole left half-open.
+	channel.Blackhole(false)
+	channel.DropConnections()
+	waitFor(t, 5*time.Second, "reconnect after heal", func() bool {
+		return sess.Sessions() >= 2 && sess.Connected()
+	})
+	if err := ctl.WaitForSwitches(1, 2*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -472,8 +472,6 @@ func (s *Switch) Process(msg zof.Message, xid uint32, reply func(zof.Message, ui
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch m := msg.(type) {
-	case *zof.EchoRequest:
-		reply(&zof.EchoReply{Data: m.Data}, xid)
 	case *zof.FeaturesRequest:
 		reply(s.featuresLocked(), xid)
 	case *zof.BarrierRequest:

@@ -153,7 +153,7 @@ var streamContract = []struct {
 		// flush.
 		zc := zof.NewConn(a)
 		zc.SetAutoFlush(time.Hour)
-		if _, err := zc.Send(&zof.EchoRequest{Data: []byte("bye")}); err != nil {
+		if _, err := zc.Send(&zof.Experimenter{Data: []byte("bye")}); err != nil {
 			t.Fatal(err)
 		}
 		zc.Close()
@@ -161,8 +161,8 @@ var streamContract = []struct {
 		if err != nil {
 			t.Fatalf("final flush lost: %v", err)
 		}
-		if er, ok := msg.(*zof.EchoRequest); !ok || string(er.Data) != "bye" {
-			t.Fatalf("received %#v, want the buffered echo", msg)
+		if er, ok := msg.(*zof.Experimenter); !ok || string(er.Data) != "bye" {
+			t.Fatalf("received %#v, want the buffered frame", msg)
 		}
 	}},
 }

@@ -36,6 +36,9 @@ type ConnStats struct {
 
 // Conn frames zof messages over a byte stream. One goroutine may call
 // Receive while any number call Send; writes are serialized internally.
+// The keepalive is the Conn's own business at both ends of the channel:
+// Receive answers EchoRequests and routes EchoReplies to Echo, and Probe
+// is the one miss-budget prober.
 //
 // Write flushing has two modes:
 //
@@ -53,7 +56,12 @@ type Conn struct {
 	br   *bufio.Reader
 	xid  atomic.Uint32
 	once sync.Once
-	err  atomic.Value // error
+	err  atomic.Value  // error
+	dead chan struct{} // closed with the first error (see down)
+
+	// echoes routes an EchoReply to the Echo awaiting its XID.
+	emu    sync.Mutex
+	echoes map[uint32]chan []byte
 
 	wmu     sync.Mutex
 	bw      *bufio.Writer
@@ -75,9 +83,11 @@ type Conn struct {
 // NewConn wraps a net.Conn in immediate-flush mode.
 func NewConn(raw net.Conn) *Conn {
 	return &Conn{
-		raw: raw,
-		br:  bufio.NewReaderSize(raw, 64<<10),
-		bw:  bufio.NewWriterSize(raw, 64<<10),
+		raw:    raw,
+		br:     bufio.NewReaderSize(raw, 64<<10),
+		bw:     bufio.NewWriterSize(raw, 64<<10),
+		dead:   make(chan struct{}),
+		echoes: make(map[uint32]chan []byte),
 	}
 }
 
@@ -252,9 +262,30 @@ func (c *Conn) flushLocked() error {
 	return nil
 }
 
-// Receive blocks for the next message. The returned Message owns its
-// memory; the connection's buffers are reused.
+// Receive blocks for the next message. The keepalive never reaches the
+// caller: an EchoRequest is answered here, with its payload and XID,
+// and an EchoReply goes to the Echo awaiting its XID or is dropped. The
+// returned Message owns its memory; the connection's buffers are reused.
 func (c *Conn) Receive() (Message, Header, error) {
+	for {
+		msg, h, err := c.receive()
+		if err != nil {
+			return nil, h, err
+		}
+		switch m := msg.(type) {
+		case *EchoRequest:
+			// A failed write fails the conn; the next read reports it.
+			_ = c.SendXID(&EchoReply{Data: m.Data}, h.XID)
+		case *EchoReply:
+			c.answerEcho(h.XID, m.Data)
+		default:
+			return msg, h, nil
+		}
+	}
+}
+
+// receive reads and decodes one frame.
+func (c *Conn) receive() (Message, Header, error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return nil, Header{}, c.fail(err)
@@ -262,9 +293,6 @@ func (c *Conn) Receive() (Message, Header, error) {
 	h, err := DecodeHeader(hdr[:])
 	if err != nil {
 		return nil, h, err
-	}
-	if int(h.Length) > MaxMessageLen {
-		return nil, h, ErrMessageTooBig
 	}
 	body := make([]byte, int(h.Length)-HeaderLen)
 	if _, err := io.ReadFull(c.br, body); err != nil {
@@ -296,7 +324,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline
 func (c *Conn) Close() error {
 	var err error
 	c.once.Do(func() {
-		c.err.CompareAndSwap(nil, errBox{ErrConnClosed})
+		c.down(ErrConnClosed)
 		// Bound the final flush — and any in-flight write the flusher
 		// may be blocked behind — so a dead peer cannot stall Close.
 		_ = c.raw.SetWriteDeadline(time.Now().Add(closeFlushWindow))
@@ -337,8 +365,16 @@ func (c *Conn) fail(err error) error {
 	if err == nil {
 		return nil
 	}
-	c.err.CompareAndSwap(nil, errBox{err})
+	c.down(err)
 	return err
+}
+
+// down records err as the first error and, that first time, closes dead,
+// which fails every Echo still waiting and stops the prober.
+func (c *Conn) down(err error) {
+	if c.err.CompareAndSwap(nil, errBox{err}) {
+		close(c.dead)
+	}
 }
 
 // Handshake runs the symmetric Hello exchange. Call it on both ends

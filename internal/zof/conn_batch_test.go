@@ -12,7 +12,7 @@ import (
 func batchCorpus() []Message {
 	return []Message{
 		&Hello{},
-		&EchoRequest{Data: []byte("ping")},
+		&Experimenter{Experimenter: 1, ExpType: 2, Data: []byte("ping")},
 		&FlowMod{Command: FlowAdd, Match: sampleMatch(), Priority: 1000,
 			IdleTimeout: 30, BufferID: NoBuffer, Actions: sampleActions()},
 		&PacketOut{BufferID: NoBuffer, InPort: 2, Actions: sampleActions(), Data: []byte{9, 8, 7}},
@@ -111,7 +111,7 @@ func TestCoalescedSendsDelivered(t *testing.T) {
 
 	const n = 100
 	for i := 0; i < n; i++ {
-		if _, err := ca.Send(&EchoRequest{Data: []byte{byte(i)}}); err != nil {
+		if _, err := ca.Send(&Experimenter{Data: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestCoalescedSendsDelivered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("receive %d: %v", i, err)
 		}
-		req, ok := msg.(*EchoRequest)
+		req, ok := msg.(*Experimenter)
 		if !ok || req.Data[0] != byte(i) {
 			t.Fatalf("message %d: %#v", i, msg)
 		}
@@ -135,7 +135,7 @@ func TestCloseFlushesCoalescedWrites(t *testing.T) {
 	defer cb.Close()
 	ca.SetAutoFlush(10 * time.Second) // flusher will never fire in time
 
-	if _, err := ca.Send(&EchoRequest{Data: []byte("last words")}); err != nil {
+	if _, err := ca.Send(&Experimenter{Data: []byte("last words")}); err != nil {
 		t.Fatal(err)
 	}
 	ca.Close()
@@ -143,7 +143,7 @@ func TestCloseFlushesCoalescedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pending write lost on close: %v", err)
 	}
-	req, ok := msg.(*EchoRequest)
+	req, ok := msg.(*Experimenter)
 	if !ok || string(req.Data) != "last words" {
 		t.Fatalf("got %#v", msg)
 	}

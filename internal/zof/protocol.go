@@ -12,9 +12,10 @@ const Version uint8 = 1
 // HeaderLen is the length of the fixed message header.
 const HeaderLen = 8
 
-// MaxMessageLen bounds a single message; longer frames are rejected so a
-// corrupt peer cannot make us allocate unboundedly.
-const MaxMessageLen = 1 << 20
+// MaxMessageLen bounds a single message, header included: the header's
+// Length field is 16 bits. MarshalAppend refuses anything longer with
+// ErrMessageTooBig rather than write a frame whose length has wrapped.
+const MaxMessageLen = 1<<16 - 1
 
 // MsgType identifies a message body.
 type MsgType uint8
@@ -132,7 +133,7 @@ func MarshalAppend(dst []byte, msg Message, xid uint32) ([]byte, error) {
 	dst = msg.AppendBody(dst)
 	n := len(dst) - start
 	if n > MaxMessageLen {
-		return nil, ErrMessageTooBig
+		return dst[:start], ErrMessageTooBig
 	}
 	hdr := dst[start:]
 	hdr[0] = Version

@@ -375,10 +375,10 @@ func TestConnExchange(t *testing.T) {
 			done <- err
 			return
 		}
-		req := msg.(*EchoRequest)
-		done <- cb.SendXID(&EchoReply{Data: req.Data}, h.XID)
+		req := msg.(*Experimenter)
+		done <- cb.SendXID(&Experimenter{ExpType: 1, Data: req.Data}, h.XID)
 	}()
-	xid, err := ca.Send(&EchoRequest{Data: []byte("abc")})
+	xid, err := ca.Send(&Experimenter{Data: []byte("abc")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestConnExchange(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	rep, ok := msg.(*EchoReply)
+	rep, ok := msg.(*Experimenter)
 	if !ok || h.XID != xid || string(rep.Data) != "abc" {
 		t.Fatalf("reply = %#v xid=%d want %d", msg, h.XID, xid)
 	}
