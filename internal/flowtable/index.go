@@ -2,7 +2,9 @@ package flowtable
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/packet"
 	"repro/internal/zof"
@@ -13,9 +15,9 @@ import (
 // sharing a mask shape live in one hash table keyed by the masked field
 // values, a lookup probes the shapes in descending order of their
 // highest priority and stops once nothing left can beat what it holds.
-// Cost is O(shapes), not O(rules). Every structure below is persistent:
-// a write copies the path it touches and shares the rest with the view
-// readers may still be walking.
+// Cost is O(shapes), not O(rules). A view is a generation: a write
+// edits the tables in place, by leaves stamped with the generations
+// that can see them, and never changes what a published view holds.
 
 // fieldKey packs every field a match can test, and which layers are
 // present to be tested, into five words (layout in keyOfMatch). ANDed
@@ -69,8 +71,8 @@ func maskOf(m *zof.Match) (mask fieldKey) {
 }
 
 // under writes to out the key k has under mask — the fields it does not
-// test zeroed — and returns its hash. The trie consumes the hash four
-// bits a level from the low end, so every round folds high bits down.
+// test zeroed — and returns its hash. A table indexes its buckets by
+// the hash's low bits, so every round folds high bits down.
 func (k *fieldKey) under(mask, out *fieldKey) (h uint64) {
 	for i, w := range k {
 		w &= mask[i]
@@ -126,153 +128,129 @@ func keyOfFrame(f *packet.Frame, inPort uint32) (k fieldKey) {
 // earlier install first within a priority. A replacement inherits the
 // seq of the entry it replaces, so (Priority, seq) is unique per table.
 func order(a, b *Entry) int {
-	return cmp.Or(cmp.Compare(b.Priority, a.Priority), cmp.Compare(a.seq, b.seq))
+	if a.Priority != b.Priority {
+		return int(b.Priority) - int(a.Priority)
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 func before(a, b *Entry) bool { return order(a, b) < 0 }
 
-// leaf is one entry in a tuple's hash table. A list of leaves holds
-// every entry whose key hashes to the same 64 bits, in before order:
-// the entries sharing one masked key (same rule respelt, or equal
-// matches at distinct priorities) and, should they ever occur, full
-// hash collisions. The first leaf with the probe's key is its winner.
+// leaf is one entry in a shape's hash table. A view of generation g
+// sees it when born ≤ g < died (died is 0 while the entry is installed).
+// All else is set before the leaf is reachable and no leaf is unlinked,
+// so a write changes a chain only by leaves its readers cannot see.
 type leaf struct {
 	hash uint64
 	key  fieldKey
 	e    *Entry
+	born uint64
+	died atomic.Uint64
 	next *leaf
 }
 
-func (l *leaf) without(e *Entry) *leaf {
-	if l == nil {
-		return nil
+func (l *leaf) visible(gen uint64) bool {
+	d := l.died.Load()
+	return l.born <= gen && (d == 0 || gen < d)
+}
+
+// shape is one mask shape's hash table: a power-of-two array of
+// unordered leaf chains indexed by the low bits of the key's hash. A
+// write links a leaf at a chain's head or stamps one dead, in place;
+// a crowded shape is rebuilt into a fresh table, and the old one stays
+// as it is for the views that hold it. All after buckets is the writer's.
+type shape struct {
+	buckets []atomic.Pointer[leaf]
+
+	leaves, live int         // leaves in the chains, and how many are installed
+	prios        []prioCount // installed entries per priority, highest first
+
+	// A new shape's one bucket and first priority: one allocation.
+	bucket0 [1]atomic.Pointer[leaf]
+	prio0   [1]prioCount
+}
+
+type prioCount struct {
+	prio uint16
+	n    int
+}
+
+func (s *shape) chain(h uint64) *atomic.Pointer[leaf] {
+	return &s.buckets[h&uint64(len(s.buckets)-1)]
+}
+
+func (s *shape) link(l *leaf) {
+	b := s.chain(l.hash)
+	l.next = b.Load()
+	b.Store(l)
+	s.leaves++
+}
+
+// count moves the number of installed entries at prio by d.
+func (s *shape) count(prio uint16, d int) {
+	s.live += d
+	i, ok := slices.BinarySearchFunc(s.prios, prio, func(c prioCount, p uint16) int { return cmp.Compare(p, c.prio) })
+	switch {
+	case !ok:
+		s.prios = slices.Insert(s.prios, i, prioCount{prio, d})
+	case s.prios[i].n+d == 0:
+		s.prios = slices.Delete(s.prios, i, i+1)
+	default:
+		s.prios[i].n += d
 	}
-	if l.e == e {
-		return l.next
-	}
-	c := *l
-	c.next = l.next.without(e)
-	return &c
 }
 
-func (l *leaf) with(n *leaf) *leaf {
-	if l == nil || before(n.e, l.e) {
-		n.next = l
-		return n
-	}
-	c := *l
-	c.next = l.next.with(n)
-	return &c
-}
+// crowded reports whether s is due a rebuild: more leaves than
+// buckets, or more dead leaves than live ones.
+func (s *shape) crowded() bool { return s.leaves > len(s.buckets) || s.leaves-s.live > s.live }
 
-// A tuple's hash table is a hash trie of fixed fan-out: a branch
-// consumes trieBits of the hash per level and a slot holds either a
-// deeper branch or the leaf list of one hash. No resizing, no
-// rehashing; a write copies one branch per level (path copying).
-const (
-	trieBits = 4
-	trieFan  = 1 << trieBits
-)
-
-type slot struct {
-	sub  *branch
-	leaf *leaf
-}
-
-type branch struct {
-	slots [trieFan]slot
-	max   uint16 // highest priority below this branch
-}
-
-// list returns the leaf list that would hold hash h: the one list on
-// h's path, which may belong to another hash. Nil-safe.
-func (b *branch) list(h uint64) *leaf {
-	for s := h; b != nil; s >>= trieBits {
-		sl := &b.slots[s&(trieFan-1)]
-		if sl.leaf != nil {
-			return sl.leaf
+// rebuilt returns a fresh table of s's installed entries at twice as
+// many buckets as entries, their leaves in one slab. s is not changed.
+func (s *shape) rebuilt() *shape {
+	ns := &shape{buckets: make([]atomic.Pointer[leaf], 1<<bits.Len(uint(2*s.live-1))), live: s.live}
+	ns.prios = append(ns.prio0[:0], s.prios...)
+	slab := make([]leaf, s.live)
+	for i := range s.buckets {
+		for l := s.buckets[i].Load(); l != nil; l = l.next {
+			if l.died.Load() == 0 {
+				nl := &slab[ns.leaves]
+				nl.hash, nl.key, nl.e, nl.born = l.hash, l.key, l.e, l.born
+				ns.link(nl)
+			}
 		}
-		b = sl.sub
+	}
+	return ns
+}
+
+// installed returns s's installed leaf of hash h with exactly match m
+// (raw field equality, not semantic: rule identity is what the
+// controller's flow store keys on) and priority prio, or nil.
+func (s *shape) installed(h uint64, m *zof.Match, prio uint16) *leaf {
+	for l := s.chain(h).Load(); l != nil; l = l.next {
+		if l.hash == h && l.e.Priority == prio && l.e.Match == *m && l.died.Load() == 0 {
+			return l
+		}
 	}
 	return nil
 }
 
-// put returns a copy of b (nil: an empty branch) at depth shift in which
-// old's leaf is gone (old != nil) and e has one (e != nil), or nil if
-// that leaves the branch empty. old and e share hash h and key k.
-func (b *branch) put(h uint64, shift uint, k *fieldKey, old, e *Entry) *branch {
-	nb := &branch{}
-	if b != nil {
-		*nb = *b
-	}
-	sl := &nb.slots[(h>>shift)&(trieFan-1)]
-	if sl.leaf != nil && sl.leaf.hash != h && e != nil {
-		// Another hash owns the slot: move its list one level down and
-		// descend after it; the two part ways within 64/trieBits levels.
-		down := &branch{max: sl.leaf.e.Priority}
-		down.slots[(sl.leaf.hash>>(shift+trieBits))&(trieFan-1)].leaf = sl.leaf
-		*sl = slot{sub: down}
-	}
-	if sl.sub != nil {
-		sl.sub = sl.sub.put(h, shift+trieBits, k, old, e)
-	} else {
-		if old != nil {
-			sl.leaf = sl.leaf.without(old)
-		}
-		if e != nil {
-			sl.leaf = sl.leaf.with(&leaf{hash: h, key: *k, e: e})
-		}
-	}
-	if e != nil {
-		nb.max = max(nb.max, e.Priority)
-		return nb
-	}
-	// A removal may have taken the branch's highest priority, or its
-	// last entry: ask the slots.
-	var any bool
-	nb.max = 0
-	for i := range nb.slots {
-		switch s := &nb.slots[i]; {
-		case s.leaf != nil: // the list's head is its highest
-			nb.max, any = max(nb.max, s.leaf.e.Priority), true
-		case s.sub != nil:
-			nb.max, any = max(nb.max, s.sub.max), true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return nb
-}
-
-// appendAll appends every entry below b to out, in trie order.
-func (b *branch) appendAll(out []*Entry) []*Entry {
-	for i := range b.slots {
-		for l := b.slots[i].leaf; l != nil; l = l.next {
-			out = append(out, l.e)
-		}
-		if sub := b.slots[i].sub; sub != nil {
-			out = sub.appendAll(out)
-		}
-	}
-	return out
-}
-
-// tuple is one mask shape's hash table and the highest priority in it.
+// tuple is one mask shape in a view: its mask, its highest priority at
+// the view's generation and its table.
 type tuple struct {
 	mask fieldKey
-	root *branch
 	max  uint16
+	tab  *shape
 }
 
 // classify is the table's one classifier: the entry the priority-ordered
-// scan of the installed rules would reach first for the frame on inPort
-// (highest priority, earliest install among equals), or nil. tuples are
-// in descending max order, so once the match in hand is strictly above
-// the next tuple's max nothing further can win or tie. It touches no
-// counter; Lookup, LookupBatch and Peek differ only in the accounting
-// they add around it.
-func classify(tuples []tuple, f *packet.Frame, inPort uint32) *Entry {
+// scan of the rules installed at generation gen would reach first for
+// the frame on inPort (highest priority, earliest install among
+// equals), or nil. tuples are in descending max order, so once the
+// match in hand is strictly above the next tuple's max nothing further
+// can win or tie. A chain is unordered, so every leaf of the probe's
+// key is weighed. It touches no counter; Lookup, LookupBatch and Peek
+// differ only in the accounting they add around it.
+func classify(tuples []tuple, gen uint64, f *packet.Frame, inPort uint32) *Entry {
 	var best *Entry
 	fk := keyOfFrame(f, inPort)
 	for i := range tuples {
@@ -282,60 +260,66 @@ func classify(tuples []tuple, f *packet.Frame, inPort uint32) *Entry {
 		}
 		var k fieldKey
 		h := fk.under(&tp.mask, &k)
-		for l := tp.root.list(h); l != nil; l = l.next {
-			if l.hash == h && l.key == k {
-				if best == nil || before(l.e, best) {
-					best = l.e
-				}
-				break
+		for l := tp.tab.chain(h).Load(); l != nil; l = l.next {
+			if l.hash == h && l.key == k && l.visible(gen) && (best == nil || before(l.e, best)) {
+				best = l.e
 			}
 		}
 	}
 	return best
 }
 
-// identical returns the installed entry with exactly match m (raw field
-// equality, not semantic: rule identity is what the controller's flow
-// store keys on) and priority, or nil.
-func identical(tuples []tuple, m *zof.Match, priority uint16) *Entry {
-	mask := maskOf(m)
-	for i := range tuples {
-		if tuples[i].mask != mask {
-			continue
-		}
-		_, h := keyOfMatch(m, &mask)
-		for l := tuples[i].root.list(h); l != nil; l = l.next {
-			if l.e.Priority == priority && l.e.Match == *m {
-				return l.e
+// entriesAt returns the n entries a view of generation gen over tuples
+// holds, in order.
+func entriesAt(tuples []tuple, gen uint64, n int) []*Entry {
+	out := make([]*Entry, 0, n)
+	for _, tp := range tuples {
+		for i := range tp.tab.buckets {
+			for l := tp.tab.buckets[i].Load(); l != nil; l = l.next {
+				if l.visible(gen) {
+					out = append(out, l.e)
+				}
 			}
 		}
-		break
 	}
-	return nil
+	slices.SortFunc(out, order)
+	return out
 }
 
-// edited returns tuples with old's leaf removed (old != nil) and e given
-// one (e != nil); when both are set e takes old's place, and they must
-// share a match. Only the tuple list and one trie path are copied.
-func edited(tuples []tuple, old, e *Entry) []tuple {
-	m := old
-	if m == nil {
-		m = e
-	}
-	tp := tuple{mask: maskOf(&m.Match)}
-	out := make([]tuple, 0, len(tuples)+1)
-	for _, x := range tuples {
-		if x.mask == tp.mask {
-			tp = x
-		} else {
-			out = append(out, x)
+// locate returns the table of m's shape in tuples, the installed leaf
+// of the rule with match m and priority prio (either may be nil) and
+// the rule's key and hash.
+func locate(tuples []tuple, m *zof.Match, prio uint16) (s *shape, l *leaf, k fieldKey, h uint64) {
+	mask := maskOf(m)
+	k, h = keyOfMatch(m, &mask)
+	for _, tp := range tuples {
+		if tp.mask == mask {
+			return tp.tab, tp.tab.installed(h, m, prio), k, h
 		}
 	}
-	k, h := keyOfMatch(&m.Match, &tp.mask)
-	if tp.root = tp.root.put(h, 0, &k, old, e); tp.root == nil {
-		return out
+	return nil, nil, k, h
+}
+
+// settled returns the tuple list of the writer's state once a write has
+// linked and stamped its leaves: each shape's max brought up to date,
+// empty shapes dropped, crowded ones rebuilt, in descending max order.
+// It is tuples itself when none of that changes anything.
+func settled(tuples []tuple) []tuple {
+	if !slices.ContainsFunc(tuples, func(tp tuple) bool {
+		return tp.tab.live == 0 || tp.max != tp.tab.prios[0].prio || tp.tab.crowded()
+	}) {
+		return tuples
 	}
-	tp.max = tp.root.max
-	i, _ := slices.BinarySearchFunc(out, tp.max, func(x tuple, max uint16) int { return int(max) - int(x.max) })
-	return slices.Insert(out, i, tp)
+	out := make([]tuple, 0, len(tuples))
+	for _, tp := range tuples {
+		if s := tp.tab; s.live > 0 {
+			if s.crowded() {
+				tp.tab = s.rebuilt()
+			}
+			tp.max = s.prios[0].prio
+			out = append(out, tp)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b tuple) int { return cmp.Compare(b.max, a.max) })
+	return out
 }

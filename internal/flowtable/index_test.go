@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -256,6 +257,17 @@ type coverage struct {
 	steps, maxRules, maxShapes    int
 	hits, misses, ties, crossTies int // per Peek; ties: another match at the winner's priority (cross: in another shape)
 	replaced, respelt, refused    int // Adds: same identity, same bucket under a new identity, ErrOverlap/ErrTableFull
+	grown, compacted              int // shape tables rebuilt: more leaves than buckets, more dead leaves than live
+}
+
+// heldViews is how many steps' views checkSchedule keeps.
+const heldViews = 9
+
+// held is a view some step published and what the oracle said then.
+type held struct {
+	v       *tableView
+	entries []*Entry // the oracle's list
+	want    []*Entry // the oracle's answer per probe
 }
 
 // checkSchedule runs the schedule in data against a Table and the
@@ -278,6 +290,11 @@ func checkSchedule(t testing.TB, data []byte, cov *coverage) {
 			t.Fatalf("%s: table has %d entries, oracle %d, or they differ in identity or order", what, len(got), len(want))
 		}
 	}
+	// A view is never changed by a later write. The view from before the
+	// step and the one from heldViews-1 steps before that (every view in
+	// its turn, one step old and heldViews old) still give the answers
+	// the oracle gave then and hold the entries it held.
+	views := []held{{v: tbl.view.Load(), want: make([]*Entry, len(probes))}}
 	for op := 0; s.i < len(s.data) && op < maxScheduleOps; op++ {
 		var rec [opLen]int
 		for i := range rec {
@@ -383,10 +400,35 @@ func checkSchedule(t testing.TB, data []byte, cov *coverage) {
 			if tp.max != shapes[tp.mask] || i > 0 && tuples[i-1].max < tp.max {
 				t.Fatalf("op %d tuple %d: max %d after %d, oracle max %d", op, i, tp.max, tuples[max(i, 1)-1].max, shapes[tp.mask])
 			}
+			if tp.tab.crowded() {
+				t.Fatalf("op %d tuple %d: %d leaves (%d live) in %d buckets, left unrebuilt", op, i, tp.tab.leaves, tp.tab.live, len(tp.tab.buckets))
+			}
+			for _, old := range views[len(views)-1].v.tuples {
+				switch {
+				case old.mask != tp.mask || old.tab == tp.tab:
+				case old.tab.leaves > len(old.tab.buckets):
+					cov.grown++
+				default:
+					cov.compacted++
+				}
+			}
+		}
+		for _, h := range []held{views[0], views[len(views)-1]} {
+			for i := range probes {
+				p := &probes[i]
+				if got := classify(h.v.tuples, h.v.gen, &p.f, p.inPort); got != h.want[i] {
+					t.Fatalf("op %d: the view of generation %d now gives probe %d %s, it gave %s", op, h.v.gen, i, describe(got), describe(h.want[i]))
+				}
+			}
+			samePtrs(fmt.Sprintf("op %d: the view of generation %d", op, h.v.gen), entriesAt(h.v.tuples, h.v.gen, h.v.n), h.entries)
 		}
 		cov.steps++
 		cov.maxRules, cov.maxShapes = max(cov.maxRules, len(o.entries)), max(cov.maxShapes, len(shapes))
-		checkLookups(t, tbl, o, probes, rec[11], now, cov)
+		want := checkLookups(t, tbl, o, probes, rec[11], now, cov)
+		views = append(views, held{tbl.view.Load(), slices.Clone(o.entries), want})
+		if len(views) > heldViews {
+			views = slices.Delete(views, 0, 1)
+		}
 	}
 }
 
@@ -419,8 +461,8 @@ func (a counters) since(b counters) counters {
 // oracle for every probe: Peek picks the oracle's entry and moves no
 // counter; LookupBatch picks it too and moves entry and table counters
 // by exactly what the same requests, a frame at a time through Lookup,
-// move them.
-func checkLookups(t testing.TB, tbl *Table, o *oracle, probes []probe, salt int, now time.Time, cov *coverage) {
+// move them. It returns the oracle's answers.
+func checkLookups(t testing.TB, tbl *Table, o *oracle, probes []probe, salt int, now time.Time, cov *coverage) []*Entry {
 	t.Helper()
 	start := snapshot(tbl, o.entries)
 	want := make([]*Entry, len(probes))
@@ -479,6 +521,7 @@ func checkLookups(t testing.TB, tbl *Table, o *oracle, probes []probe, salt int,
 	if !reflect.DeepEqual(single, batch) {
 		t.Fatalf("Lookup moved %+v, LookupBatch %+v", single, batch)
 	}
+	return want
 }
 
 func describe(e *Entry) string {
@@ -517,14 +560,17 @@ func TestTableIndexMatchesOracle(t *testing.T) {
 	}
 	t.Logf("%+v", cov)
 	if cov.maxRules < 300 || cov.maxShapes < 12 || cov.hits < cov.steps || cov.misses < cov.steps ||
-		cov.ties < 1000 || cov.crossTies < 1000 || cov.replaced < 100 || cov.respelt < 100 || cov.refused < 100 {
+		cov.ties < 1000 || cov.crossTies < 1000 || cov.replaced < 100 || cov.respelt < 100 || cov.refused < 100 ||
+		cov.grown < 1000 || cov.compacted < 100 {
 		t.Fatalf("schedules too sparse to test the index: %+v", cov)
 	}
 }
 
 // FuzzTableIndex drives the same checker from bytes. The corpus under
 // testdata/fuzz holds miss_storm's table in miniature — its four mask
-// shapes and the scratch /32 rule added and strictly deleted over them.
+// shapes and the scratch /32 rule added and strictly deleted over them —
+// and one shape grown through three rebuilds, then compacted and
+// emptied by two wildcard deletes.
 func FuzzTableIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) { checkSchedule(t, data, new(coverage)) })
@@ -588,5 +634,79 @@ func TestTableViewAllOrNothing(t *testing.T) {
 	wg.Wait()
 	if n := sawLow.Load(); n != 0 {
 		t.Fatalf("readers saw the priority-100 rule %d times while the priority-200 rule over it was being removed with it", n)
+	}
+}
+
+// TestTableHeldViewUnderChurn pins the generation contract under -race:
+// readers hold a view and re-probe it while the writer fills one shape
+// with 4,096 rules (rebuilding its table as it grows), replaces a third,
+// strictly deletes a third and wildcard-deletes the rest. A held view
+// must keep every answer and its entry count.
+func TestTableHeldViewUnderChurn(t *testing.T) {
+	const n = 4096
+	tbl := NewTable(0)
+	frames := make([]*packet.Frame, 64)
+	for i := range frames {
+		src := packet.IPv4FromUint32(uint32(0x10000 + i*n/len(frames)))
+		frames[i] = mkFrame(t, src, packet.IPv4FromUint32(0xb), 1, 2) // macPairRules' MACs
+	}
+	var stop atomic.Bool
+	var overlapped atomic.Int64 // held views re-probed after a later write
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want := make([]*Entry, len(frames))
+			for !stop.Load() {
+				v := tbl.view.Load()
+				for i, f := range frames {
+					want[i] = classify(v.tuples, v.gen, f, 1)
+					if want[i] != nil && want[i].Match.EthSrc != f.Eth.Src {
+						t.Errorf("generation %d gives frame %d the rule for %v", v.gen, i, want[i].Match.EthSrc)
+						return
+					}
+				}
+				for range 8 {
+					runtime.Gosched()
+					for i, f := range frames {
+						if got := classify(v.tuples, v.gen, f, 1); got != want[i] {
+							t.Errorf("generation %d gave frame %d %s, now %s", v.gen, i, describe(want[i]), describe(got))
+							return
+						}
+					}
+				}
+				if got := len(entriesAt(v.tuples, v.gen, v.n)); got != v.n {
+					t.Errorf("generation %d holds %d entries, now %d", v.gen, v.n, got)
+					return
+				}
+				if tbl.Gen() > v.gen {
+					overlapped.Add(1)
+				}
+			}
+		}()
+	}
+	for round := 0; round < 2; round++ {
+		rules, dst := macPairRules(n)
+		fill(t, tbl, rules)
+		for i := 0; i < n; i += 3 {
+			e := &Entry{Match: rules[i].Match, Priority: rules[i].Priority, Actions: []zof.Action{zof.Output(3)}}
+			if err := tbl.Add(e, false, t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 1; i < n; i += 3 {
+			if got := tbl.DeleteStrict(rules[i].Match, rules[i].Priority); len(got) != 1 {
+				t.Fatalf("round %d: DeleteStrict of rule %d removed %d", round, i, len(got))
+			}
+		}
+		if got := tbl.Delete(dst); len(got) != n-n/3 || tbl.Len() != 0 {
+			t.Fatalf("round %d: Delete removed %d of %d, left %d", round, len(got), n-n/3, tbl.Len())
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if overlapped.Load() == 0 {
+		t.Fatal("no reader held a view across a write")
 	}
 }

@@ -8,9 +8,10 @@
 // Concurrency model: Table follows the read-copy-update discipline of
 // the software datapath. Mutations (Add/Modify/Delete/Sweep) must be
 // externally serialized — the switch's control mutex does this — and
-// each mutation publishes a fresh immutable view of the index through
-// an atomic pointer; the index is a persistent structure, so the new
-// view shares everything the mutation did not touch with the old one.
+// each mutation publishes the next generation of the index through an
+// atomic pointer. The index is edited in place, but a write only adds
+// leaves no published view can see and stamps the ones it removes dead
+// from the generation it is about to publish: a view never changes.
 // Lookup, Entries, Gen, Len and Stats read that view and are safe to
 // call concurrently with mutations and with each other; they never
 // block a writer and a writer never blocks them. Hit accounting uses
@@ -19,9 +20,9 @@
 package flowtable
 
 import (
+	"cmp"
 	"errors"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -183,16 +184,17 @@ func NewTable(maxSize int) *Table {
 	return t
 }
 
-// publish makes tuples, the index of the writer's current entry list,
-// the table's next generation.
+// publish makes the writer's state, indexed by tuples, the table's
+// next generation: t.gen+1, the one the write stamped its leaves with.
 func (t *Table) publish(tuples []tuple) {
 	t.gen++
-	t.view.Store(&tableView{tuples: tuples, n: len(t.entries), gen: t.gen})
+	t.view.Store(&tableView{tuples: settled(tuples), n: len(t.entries), gen: t.gen})
 }
 
 // pos returns where e sits, or would be inserted, in the writer's list.
 func (t *Table) pos(e *Entry) int {
-	return sort.Search(len(t.entries), func(i int) bool { return !before(t.entries[i], e) })
+	i, _ := slices.BinarySearchFunc(t.entries, e, order)
+	return i
 }
 
 // Len returns the number of installed entries.
@@ -232,11 +234,7 @@ func (t *Table) Entries() []*Entry {
 	if s := v.snap.Load(); s != nil {
 		return *s
 	}
-	s := make([]*Entry, 0, v.n)
-	for _, tp := range v.tuples {
-		s = tp.root.appendAll(s)
-	}
-	slices.SortFunc(s, order)
+	s := entriesAt(v.tuples, v.gen, v.n)
 	v.snap.Store(&s)
 	return s
 }
@@ -249,27 +247,36 @@ func (t *Table) Add(e *Entry, checkOverlap bool, now time.Time) error {
 	e.Created = now
 	e.lastUsed.Store(now.UnixNano())
 	tuples := t.view.Load().tuples
-	if old := identical(tuples, &e.Match, e.Priority); old != nil {
-		e.seq = old.seq
-		t.entries[t.pos(old)] = e
-		t.publish(edited(tuples, old, e))
-		return nil
-	}
-	if checkOverlap {
-		for _, old := range t.entries {
-			if old.Priority == e.Priority && old.Match.Overlaps(&e.Match) {
-				return ErrOverlap
+	s, old, k, h := locate(tuples, &e.Match, e.Priority)
+	if old != nil {
+		e.seq = old.e.seq
+		t.entries[t.pos(old.e)] = e
+		old.died.Store(t.gen + 1)
+	} else {
+		if checkOverlap {
+			for _, old := range t.entries {
+				if old.Priority == e.Priority && old.Match.Overlaps(&e.Match) {
+					return ErrOverlap
+				}
 			}
 		}
+		if t.maxSize > 0 && len(t.entries) >= t.maxSize {
+			return ErrTableFull
+		}
+		// Last of its priority: the highest seq so far.
+		t.seq++
+		e.seq = t.seq
+		t.entries = slices.Insert(t.entries, t.pos(e), e)
+		if s == nil {
+			s = &shape{}
+			s.buckets, s.prios = s.bucket0[:], s.prio0[:0]
+			i, _ := slices.BinarySearchFunc(tuples, e.Priority, func(x tuple, max uint16) int { return cmp.Compare(max, x.max) })
+			tuples = slices.Insert(slices.Clip(tuples), i, tuple{mask: maskOf(&e.Match), max: e.Priority, tab: s})
+		}
+		s.count(e.Priority, 1)
 	}
-	if t.maxSize > 0 && len(t.entries) >= t.maxSize {
-		return ErrTableFull
-	}
-	// Last of its priority: the highest seq so far.
-	t.seq++
-	e.seq = t.seq
-	t.entries = slices.Insert(t.entries, t.pos(e), e)
-	t.publish(edited(tuples, nil, e))
+	s.link(&leaf{hash: h, key: k, e: e, born: t.gen + 1})
+	t.publish(tuples)
 	return nil
 }
 
@@ -282,8 +289,11 @@ func (t *Table) Modify(m zof.Match, actions []zof.Action, cookie uint64) int {
 	n := 0
 	for i, e := range t.entries {
 		if m.Subsumes(&e.Match) {
-			t.entries[i] = e.cloneForModify(actions, cookie)
-			tuples = edited(tuples, e, t.entries[i])
+			ne := e.cloneForModify(actions, cookie)
+			t.entries[i] = ne
+			s, l, _, _ := locate(tuples, &e.Match, e.Priority)
+			l.died.Store(t.gen + 1)
+			s.link(&leaf{hash: l.hash, key: l.key, e: ne, born: t.gen + 1})
 			n++
 		}
 	}
@@ -325,14 +335,16 @@ func (t *Table) DeleteStrictByCookie(m zof.Match, priority uint16, cookie uint64
 // entry, which the index finds without a scan.
 func (t *Table) deleteOne(m zof.Match, priority uint16, cookie *uint64) []*Entry {
 	tuples := t.view.Load().tuples
-	e := identical(tuples, &m, priority)
-	if e == nil || cookie != nil && e.Cookie != *cookie {
+	s, l, _, _ := locate(tuples, &m, priority)
+	if l == nil || cookie != nil && l.e.Cookie != *cookie {
 		return nil
 	}
-	i := t.pos(e)
+	i := t.pos(l.e)
 	t.entries = slices.Delete(t.entries, i, i+1)
-	t.publish(edited(tuples, e, nil))
-	return []*Entry{e}
+	l.died.Store(t.gen + 1)
+	s.count(l.e.Priority, -1)
+	t.publish(tuples)
+	return []*Entry{l.e}
 }
 
 // Capacity returns the table's configured entry bound (0 = unbounded).
@@ -350,7 +362,9 @@ func (t *Table) DeleteFunc(pred func(*Entry) bool) []*Entry {
 	for _, e := range t.entries {
 		if pred(e) {
 			removed = append(removed, e)
-			tuples = edited(tuples, e, nil)
+			s, l, _, _ := locate(tuples, &e.Match, e.Priority)
+			l.died.Store(t.gen + 1)
+			s.count(e.Priority, -1)
 		} else {
 			kept = append(kept, e)
 		}
@@ -368,7 +382,8 @@ func (t *Table) DeleteFunc(pred func(*Entry) bool) []*Entry {
 // byte counters. Lock-free: it probes the published view and may run
 // concurrently with mutations, observing either the old or new state.
 func (t *Table) Lookup(f *packet.Frame, inPort uint32, bytes int, now time.Time) *Entry {
-	e := classify(t.view.Load().tuples, f, inPort)
+	v := t.view.Load()
+	e := classify(v.tuples, v.gen, f, inPort)
 	if e != nil {
 		e.TouchN(now, 1, uint64(bytes))
 	}
@@ -398,12 +413,12 @@ func (t *Table) LookupBatch(reqs []BatchLookup, inPort uint32, now time.Time) {
 	if len(reqs) == 0 {
 		return
 	}
-	tuples := t.view.Load().tuples
+	v := t.view.Load()
 	var total, matched uint64
 	for i := range reqs {
 		r := &reqs[i]
 		total += r.Packets
-		e := classify(tuples, r.Frame, inPort)
+		e := classify(v.tuples, v.gen, r.Frame, inPort)
 		r.Entry = e
 		if e != nil {
 			e.TouchN(now, r.Packets, r.Bytes)
@@ -421,7 +436,8 @@ func (t *Table) LookupBatch(reqs []BatchLookup, inPort uint32, now time.Time) {
 // effects. The explain-mode pipeline tracer (dataplane.Switch.Trace)
 // uses it so tracing a packet never perturbs flow or table statistics.
 func (t *Table) Peek(f *packet.Frame, inPort uint32) *Entry {
-	return classify(t.view.Load().tuples, f, inPort)
+	v := t.view.Load()
+	return classify(v.tuples, v.gen, f, inPort)
 }
 
 // Sweep removes all entries expired at now and returns them paired with

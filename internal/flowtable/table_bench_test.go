@@ -79,3 +79,62 @@ func BenchmarkTableMod(b *testing.B) {
 		})
 	}
 }
+
+// macPairRules are n rules of one shape, a MAC pair each toward one
+// destination: what flow_setup's far edge holds before its flush.
+func macPairRules(n int) (rules []*Entry, dst zof.Match) {
+	dst = zof.MatchAll()
+	dst.Wildcards &^= zof.WEthDst
+	dst.EthDst = packet.MACFromUint64(0xb)
+	for i := range n {
+		m := dst
+		m.Wildcards &^= zof.WEthSrc
+		m.EthSrc = packet.MACFromUint64(uint64(0x10000 + i))
+		rules = append(rules, &Entry{Match: m, Priority: 100, Actions: []zof.Action{zof.Output(2)}})
+	}
+	return rules, dst
+}
+
+func fill(tb testing.TB, tbl *Table, rules []*Entry) *Table {
+	for _, e := range rules {
+		if err := tbl.Add(e, false, t0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+// BenchmarkTableFill adds n MAC-pair rules to an empty table, one
+// FlowAdd at a time; BenchmarkTableFlush removes them in one wildcard
+// delete. Together they are a flow_setup cycle's table writes.
+func BenchmarkTableFill(b *testing.B) {
+	for _, n := range []int{512, 2048} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rules, _ := macPairRules(n)
+				b.StartTimer()
+				fill(b, NewTable(0), rules)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/add")
+		})
+	}
+}
+
+func BenchmarkTableFlush(b *testing.B) {
+	for _, n := range []int{512, 2048} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rules, dst := macPairRules(n)
+				tbl := fill(b, NewTable(0), rules)
+				b.StartTimer()
+				if got := tbl.Delete(dst); len(got) != n {
+					b.Fatalf("flush removed %d rules, want %d", len(got), n)
+				}
+			}
+		})
+	}
+}
