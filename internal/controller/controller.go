@@ -154,13 +154,11 @@ type Controller struct {
 
 	// shards carry the data-plane event stream (packet-ins, flow
 	// removals, port status); ctlShards are each worker's control lane —
-	// a small priority queue for lifecycle events (SwitchUp, SwitchDown,
-	// flowSync markers) that the worker drains ahead of its data shard.
-	// Without the lane, a takeover's SwitchUp queues behind a packet-in
-	// flood from already-active switches and the apps' intent reinstall
-	// is delayed unboundedly — while the reconciler, whose marker shares
-	// the fate, times out and flushes the dead master's rules anyway,
-	// leaving the switch forwarding on an empty table for the duration.
+	// a small priority queue for lifecycle events (SwitchUp, SwitchDown)
+	// that the worker drains ahead of its data shard. Without the lane,
+	// a takeover's SwitchUp queues behind a packet-in flood from
+	// already-active switches, and the apps' intent reinstall — and the
+	// stale-epoch flush that follows it — is delayed unboundedly.
 	shards    []chan queuedEvent
 	ctlShards []chan queuedEvent
 	quit      chan struct{}
@@ -338,16 +336,6 @@ func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
 	_, reconnect = c.lastEpoch[sc.dpid]
 	c.lastEpoch[sc.dpid] = sc.epoch
 	sc.reconnect = reconnect
-	if reconnect && c.cfg.Mastership == nil {
-		// Block audits until reconcileFlows has flushed stale-epoch
-		// leftovers: an audit pass running first could re-add intended
-		// flows under their old-epoch cookies, which the reconciler
-		// would then flush from the switch AND the store, destroying
-		// intent. The flag drops when the reconcile pass completes.
-		// (Under deferred mastership the flag rises in ActivateSwitch
-		// instead — no reconcile runs before activation.)
-		sc.reconciling.Store(true)
-	}
 	old := *c.switches.Load()
 	next := make(switchMap, len(old)+1)
 	for k, v := range old {
@@ -367,18 +355,32 @@ func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
 		// Under deferred mastership the SwitchUp waits for
 		// ActivateSwitch — apps must not program a switch this
 		// instance does not yet own.
+		up := SwitchUp{DPID: sc.dpid, Features: sc.features, Reconnect: reconnect}
+		if reconnect {
+			// A returning DPID may carry flows from its previous
+			// session: its SwitchUp carries the session, and dispatch
+			// flushes the leftovers once the apps have reinstalled.
+			// Audits wait for that flush: an audit pass running first
+			// could re-add intended flows under their old-epoch cookies,
+			// which the reconciler would then flush from the switch AND
+			// the store, destroying intent. The gate rises before
+			// active, which the auditor checks first, and drops when the
+			// reconcile pass completes.
+			sc.reconciling.Store(true)
+			up.reconcile = sc
+		}
 		sc.active.Store(true)
-		c.post(SwitchUp{DPID: sc.dpid, Features: sc.features, Reconnect: reconnect})
+		c.post(up)
 	}
 	return reconnect, true
 }
 
 // ActivateSwitch releases a deferred activation (Config.Mastership):
-// it posts the SwitchUp apps install against and, when the DPID is
-// returning, runs the cookie-epoch reconciliation pass that flushes
-// the previous owner's flows once the apps have reinstalled — the
-// takeover path: intent is re-derived, stale rules are strictly
-// deleted, traffic under still-valid rules keeps flowing throughout.
+// it posts the SwitchUp apps install against, and dispatch follows it
+// with the cookie-epoch reconciliation pass that flushes the previous
+// owner's flows once the apps have reinstalled — the takeover path:
+// intent is re-derived, stale rules are strictly deleted, traffic
+// under still-valid rules keeps flowing throughout.
 // Idempotent; an error means the DPID is not connected here.
 func (c *Controller) ActivateSwitch(dpid uint64) error {
 	sc, ok := c.Switch(dpid)
@@ -401,10 +403,8 @@ func (c *Controller) ActivateSwitch(dpid uint64) error {
 	// rules are there either way. The pass is cheap when the table is
 	// clean (one stats round trip, zero deletes).
 	sc.reconciling.Store(true) // audit gate up before apps reinstall
-	c.connWG.Add(1)
 	c.mu.Unlock()
-	c.postBlocking(SwitchUp{DPID: dpid, Features: sc.features, Reconnect: sc.reconnect})
-	go c.reconcileFlows(sc)
+	c.postBlocking(SwitchUp{DPID: dpid, Features: sc.features, Reconnect: sc.reconnect, reconcile: sc})
 	return nil
 }
 
@@ -535,14 +535,6 @@ func (c *Controller) serve(raw net.Conn) {
 		sc.close()
 		return
 	}
-	if reconnect && c.cfg.Mastership == nil {
-		// A returning DPID may carry flows from its previous session;
-		// once the apps have reinstalled under the fresh epoch, flush
-		// the leftovers. (Deferred mastership runs this pass from
-		// ActivateSwitch instead, after the lease is won.)
-		c.connWG.Add(1)
-		go c.reconcileFlows(sc)
-	}
 	if c.cfg.ProbeInterval > 0 {
 		c.connWG.Add(1)
 		go c.keepalive(sc)
@@ -628,20 +620,9 @@ func eventKey(ev Event) uint64 {
 		return e.SrcDPID
 	case LinkDown:
 		return e.SrcDPID
-	case flowSync:
-		return e.dpid
 	default:
 		return 0
 	}
-}
-
-// flowSync is an internal marker event: riding a DPID's FIFO shard, its
-// dispatch proves every event posted ahead of it for that switch —
-// notably a SwitchUp — has been handled. The reconciler uses it to
-// sequence the stale-flow flush after the apps' reinstalls.
-type flowSync struct {
-	dpid uint64
-	done chan struct{}
 }
 
 // shardFor spreads keys across n shards; the Fibonacci multiplier keeps
@@ -656,8 +637,9 @@ func shardFor(key uint64, n int) int {
 
 // post enqueues an event on its DPID's shard, dropping (with a log line
 // and a counter tick) if that shard is saturated — backpressure must
-// not deadlock connection readers. Posts racing shutdown are silently
-// discarded.
+// not deadlock connection readers. A shed SwitchUp starts its reconcile
+// pass at once: no app will reinstall for it. Posts racing shutdown are
+// silently discarded.
 func (c *Controller) post(ev Event) {
 	select {
 	case <-c.quit:
@@ -677,6 +659,9 @@ func (c *Controller) post(ev Event) {
 	default:
 		c.stats.Dropped.Inc()
 		c.cfg.Logf("dispatch shard full; dropping %T", ev)
+		if up, ok := ev.(SwitchUp); ok && up.reconcile != nil {
+			c.startReconcile(up.reconcile)
+		}
 	}
 }
 
@@ -709,9 +694,7 @@ func (c *Controller) postBlocking(ev Event) {
 
 // dispatchLoop drains one worker's two lanes, control first: a
 // lifecycle event never waits behind the data backlog, only behind the
-// event currently in flight. Within each lane FIFO holds, which is the
-// ordering the reconciler's flowSync marker relies on (it must follow
-// the SwitchUp posted before it — both ride the control lane).
+// event currently in flight. Within each lane FIFO holds.
 func (c *Controller) dispatchLoop(ctl, events <-chan queuedEvent) {
 	defer c.loopWG.Done()
 	run := func(qe queuedEvent) {
@@ -742,12 +725,11 @@ func (c *Controller) dispatchLoop(ctl, events <-chan queuedEvent) {
 	}
 }
 
-// laneFor picks the shard set an event rides: lifecycle events (and the
-// reconciler's ordering marker) take the control lane, everything else
-// the data lane.
+// laneFor picks the shard set an event rides: lifecycle events take the
+// control lane, everything else the data lane.
 func (c *Controller) laneFor(ev Event) []chan queuedEvent {
 	switch ev.(type) {
-	case SwitchUp, SwitchDown, flowSync:
+	case SwitchUp, SwitchDown:
 		return c.ctlShards
 	}
 	return c.shards
@@ -761,10 +743,10 @@ func (c *Controller) dispatch(qe queuedEvent) {
 		}
 	}()
 	apps := *c.apps.Load()
-
-	if fs, ok := ev.(flowSync); ok {
-		close(fs.done)
-		return
+	if up, ok := ev.(SwitchUp); ok && up.reconcile != nil {
+		// The flush follows every app's reinstall, a panicking one's
+		// too: each handler has sent its installs before returning.
+		defer c.startReconcile(up.reconcile)
 	}
 	var spans []obs.AppSpan
 	if qe.traced {

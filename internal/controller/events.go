@@ -7,16 +7,22 @@ import "repro/internal/zof"
 // (doc.go).
 type Event any
 
-// SwitchUp fires when a datapath completes its handshake. Reconnect is
-// set when the DPID has been connected before (the session is a
-// re-attach after a crash or control-channel flap): handlers holding
-// per-switch state should reinstall it — the controller flushes flows
-// left over from the previous session once they have (cookie-epoch
-// reconciliation, see SwitchConn.Epoch).
+// SwitchUp fires when a datapath completes its handshake, or when a
+// cluster instance activates a switch it now owns. Reconnect is set
+// when the DPID has been connected before (the session is a re-attach
+// after a crash or control-channel flap): handlers holding per-switch
+// state should reinstall it, sending before they return. Once every app
+// has handled a re-attach's or an activation's SwitchUp, dispatch
+// starts the cookie-epoch reconciliation that flushes flows left over
+// from an earlier session (see SwitchConn.Epoch).
 type SwitchUp struct {
 	DPID      uint64
 	Features  zof.FeaturesReply
 	Reconnect bool
+
+	// reconcile is the session whose stale flows dispatch flushes after
+	// this event; nil when there is nothing to reconcile.
+	reconcile *SwitchConn
 }
 
 // SwitchDown fires when a datapath's session ends.

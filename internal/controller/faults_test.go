@@ -308,6 +308,19 @@ type reinstaller struct {
 	rules map[uint64]zof.Match
 }
 
+// newReinstaller pushes n rules, cookies 1..n, each matching its own
+// source MAC.
+func newReinstaller(n int) *reinstaller {
+	a := &reinstaller{rules: make(map[uint64]zof.Match)}
+	for i := uint64(1); i <= uint64(n); i++ {
+		m := zof.MatchAll()
+		m.Wildcards &^= zof.WEthSrc
+		m.EthSrc[5] = byte(i)
+		a.rules[i] = m
+	}
+	return a
+}
+
 func (a *reinstaller) Name() string { return "reinstaller" }
 func (a *reinstaller) SwitchUp(c *Controller, ev SwitchUp) {
 	sc, ok := c.Switch(ev.DPID)
@@ -345,13 +358,7 @@ func TestReconnectReconciliation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	app := &reinstaller{rules: make(map[uint64]zof.Match)}
-	for i := uint64(1); i <= 4; i++ {
-		m := zof.MatchAll()
-		m.Wildcards &^= zof.WEthSrc
-		m.EthSrc[5] = byte(i)
-		app.rules[i] = m
-	}
+	app := newReinstaller(4)
 	ctl.Use(app)
 	ctl.Use(rec)
 
@@ -408,6 +415,137 @@ func TestReconnectReconciliation(t *testing.T) {
 	}
 	if rec, _ := ctl.Metrics().Value("controller.liveness.reconciles"); rec < 1 {
 		t.Error("no reconciliation pass completed")
+	}
+}
+
+// holdReconnect holds every re-attach's SwitchUp for hold, as a handler
+// waiting out a Txn against a mute switch does.
+type holdReconnect struct{ hold time.Duration }
+
+func (holdReconnect) Name() string { return "hold-reconnect" }
+func (h holdReconnect) SwitchUp(c *Controller, ev SwitchUp) {
+	if ev.Reconnect {
+		time.Sleep(h.hold)
+	}
+}
+func (holdReconnect) SwitchDown(c *Controller, ev SwitchDown) {}
+
+// TestReconciliationWaitsForSlowApp holds a re-attach's SwitchUp in an
+// app ahead of the reinstaller for longer than the reconcile timeout.
+// The flush must still follow the reinstall: of the four old-epoch
+// rules only the one retired while disconnected is stale; the other
+// three are replaced under the fresh epoch, never flushed first.
+func TestReconciliationWaitsForSlowApp(t *testing.T) {
+	ctl, err := New(Config{DispatchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	app := newReinstaller(4)
+	rec := &lifeRec{}
+	ctl.Use(holdReconnect{reconcileTimeout + time.Second}, app, rec)
+
+	sw := dataplane.NewSwitch(dataplane.Config{DPID: 6})
+	sw.AddPort(1, "p", 10)
+	dp1, err := attach(sw, netem.NewChannel(ctl.Serve))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp1.Close()
+	waitUntil(t, 2*time.Second, func() bool { return sw.FlowCount() == 4 })
+	dp1.Close()
+	waitUntil(t, 2*time.Second, func() bool { _, d := rec.counts(); return d == 1 })
+	app.retire(1)
+
+	dp2, err := attach(sw, netem.NewChannel(ctl.Serve))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp2.Close()
+	waitUntil(t, reconcileTimeout+5*time.Second, func() bool {
+		n, _ := ctl.Metrics().Value("controller.liveness.reconciles")
+		return n == 1
+	})
+	sc, ok := ctl.Switch(6)
+	if !ok {
+		t.Fatal("switch not registered after re-attach")
+	}
+	waitUntil(t, 2*time.Second, func() bool {
+		rep, err := sc.Stats(&zof.StatsRequest{
+			Kind: zof.StatsFlow, TableID: 0xff, Match: zof.MatchAll(),
+		}, time.Second)
+		if err != nil || len(rep.Flows) != 3 {
+			return false
+		}
+		for _, f := range rep.Flows {
+			if CookieEpoch(f.Cookie) != sc.Epoch() {
+				return false
+			}
+		}
+		return true
+	})
+	if got, _ := ctl.Metrics().Value("controller.liveness.stale_flows"); got != 1 {
+		t.Errorf("stale flows flushed = %d, want 1 (the retired rule only)", got)
+	}
+}
+
+// gate holds the dispatch worker on a SwitchDown for DPID 0: it closes
+// held, then waits for open.
+type gate struct{ held, open chan struct{} }
+
+func (gate) Name() string                        { return "gate" }
+func (gate) SwitchUp(c *Controller, ev SwitchUp) {}
+func (g gate) SwitchDown(c *Controller, ev SwitchDown) {
+	if ev.DPID == 0 {
+		close(g.held)
+		<-g.open
+	}
+}
+
+// TestReconciliationAfterShedSwitchUp fills the control lane behind a
+// stuck handler, so a re-attach's SwitchUp is shed. No app will
+// reinstall for it, so the pass must start at once and flush every
+// old-epoch rule while the worker is still stuck.
+func TestReconciliationAfterShedSwitchUp(t *testing.T) {
+	ctl, err := New(Config{DispatchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	app := newReinstaller(4)
+	g := gate{held: make(chan struct{}), open: make(chan struct{})}
+	rec := &lifeRec{}
+	ctl.Use(g, app, rec)
+
+	sw := dataplane.NewSwitch(dataplane.Config{DPID: 7})
+	sw.AddPort(1, "p", 10)
+	dp1, err := attach(sw, netem.NewChannel(ctl.Serve))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp1.Close()
+	waitUntil(t, 2*time.Second, func() bool { return sw.FlowCount() == 4 })
+	dp1.Close()
+	waitUntil(t, 2*time.Second, func() bool { _, d := rec.counts(); return d == 1 })
+
+	// One SwitchDown holds the worker; then the lane fills.
+	defer close(g.open)
+	ctl.InjectEvent(SwitchDown{})
+	<-g.held
+	for len(ctl.ctlShards[0]) < cap(ctl.ctlShards[0]) {
+		ctl.InjectEvent(SwitchDown{DPID: 1})
+	}
+	dp2, err := attach(sw, netem.NewChannel(ctl.Serve))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp2.Close()
+	waitUntil(t, 2*time.Second, func() bool { return sw.FlowCount() == 0 })
+	if got, _ := ctl.Metrics().Value("controller.liveness.stale_flows"); got != 4 {
+		t.Errorf("stale flows flushed = %d, want 4", got)
+	}
+	if ctl.stats.Dropped.Value() != 1 {
+		t.Error("the re-attach's SwitchUp was not shed")
 	}
 }
 

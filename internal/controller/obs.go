@@ -158,8 +158,6 @@ func eventKindName(ev Event) string {
 		return "link_down"
 	case HostLearned:
 		return "host_learned"
-	case flowSync:
-		return "flow_sync"
 	default:
 		return fmt.Sprintf("%T", ev)
 	}

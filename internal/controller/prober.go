@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/zof"
 )
@@ -38,6 +36,15 @@ func (c *Controller) keepalive(sc *SwitchConn) {
 	}
 }
 
+// startReconcile runs sc's reconcile pass in the background, counted in
+// loopWG so that Close waits for it. Adding to loopWG is safe from both
+// callers: a dispatch worker, which loopWG already counts, and post
+// shedding registerSwitch's SwitchUp under mu, before Close can wait.
+func (c *Controller) startReconcile(sc *SwitchConn) {
+	c.loopWG.Add(1)
+	go c.reconcileFlows(sc)
+}
+
 // reconcileFlows is the resync step of a re-attach: a returning DPID
 // may still hold flows from its previous session (control-channel flap
 // without a crash). Apps reinstall their state on the Reconnect
@@ -46,28 +53,12 @@ func (c *Controller) keepalive(sc *SwitchConn) {
 // Each delete is strict (exact match+priority) and cookie-filtered, so
 // a delete aimed at a stale entry can never remove a fresh entry that
 // replaced it under the same match — the reconciliation is race-free
-// against concurrent reinstalls.
+// against concurrent reinstalls. It starts once every app has handled
+// the SwitchUp, so its stats request follows their installs on the
+// ordered stream and one pass suffices.
 func (c *Controller) reconcileFlows(sc *SwitchConn) {
-	defer c.connWG.Done()
+	defer c.loopWG.Done()
 	defer sc.reconciling.Store(false)
-	// Order the pass after the apps' reinstalls: a marker through the
-	// DPID's dispatch shard proves the SwitchUp ahead of it has been
-	// handled (per-switch FIFO), and a barrier then proves the installs
-	// those handlers sent have been processed by the datapath. Neither
-	// is needed for correctness — epoch filtering is precise whenever
-	// the pass runs — but it makes one pass suffice.
-	marker := make(chan struct{})
-	c.post(flowSync{dpid: sc.dpid, done: marker})
-	select {
-	case <-marker:
-		_ = sc.Barrier(reconcileTimeout)
-	case <-sc.done:
-		return
-	case <-c.quit:
-		return
-	case <-time.After(reconcileTimeout):
-		// Saturated shard dropped the marker; reconcile anyway.
-	}
 	rep, err := sc.Stats(&zof.StatsRequest{
 		Kind:    zof.StatsFlow,
 		TableID: 0xff,

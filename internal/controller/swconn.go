@@ -50,9 +50,9 @@ type SwitchConn struct {
 	// transactions acquire participants in ascending DPID order.
 	txnMu sync.Mutex
 
-	// reconciling is set from registration until the post-reconnect
-	// stale-epoch flush completes; the auditor skips the switch while
-	// it holds (see registerSwitch).
+	// reconciling is set from a re-attach's or an activation's SwitchUp
+	// until the stale-epoch flush behind it completes; the auditor skips
+	// the switch while it holds (see registerSwitch).
 	reconciling atomic.Bool
 
 	// active reports whether SwitchUp has been posted for this
@@ -400,16 +400,9 @@ func joinRejected(rejected []AsyncError, err error) error {
 }
 
 // Barrier blocks until the datapath has processed everything sent
-// before it.
+// before it: a fence with an empty batch.
 func (s *SwitchConn) Barrier(timeout time.Duration) error {
-	rep, err := s.request(&zof.BarrierRequest{}, timeout)
-	if err != nil {
-		return err
-	}
-	if _, ok := rep.(*zof.BarrierReply); !ok {
-		return zof.ErrTypeMismatch
-	}
-	return nil
+	return fenceAll([]*SwitchConn{s}, make([][]zof.Message, 1), timeout)[0].err
 }
 
 // Stats performs a synchronous statistics request.

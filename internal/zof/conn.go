@@ -161,7 +161,7 @@ func (c *Conn) Send(msg Message) (uint32, error) {
 func (c *Conn) SendXID(msg Message, xid uint32) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.writeLocked(msg, xid); err != nil {
+	if err := c.writeLocked([]Message{msg}, []uint32{xid}); err != nil {
 		return err
 	}
 	return c.finishLocked()
@@ -169,17 +169,16 @@ func (c *Conn) SendXID(msg Message, xid uint32) error {
 
 // SendBatch frames every message back to back with fresh XIDs and
 // flushes once: a burst of flow-mods or packet-outs costs one flush
-// (one syscall) instead of one per message.
+// (one syscall) instead of one per message. A batch is written whole
+// or not at all: if any message fails to frame, none is sent.
 func (c *Conn) SendBatch(msgs ...Message) error {
 	if len(msgs) == 0 {
 		return nil
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	for _, m := range msgs {
-		if err := c.writeLocked(m, c.NextXID()); err != nil {
-			return err
-		}
+	if err := c.writeLocked(msgs, nil); err != nil {
+		return err
 	}
 	return c.flushLocked()
 }
@@ -198,38 +197,41 @@ func (c *Conn) SendBatchXIDs(msgs []Message, xids []uint32) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	for i, m := range msgs {
-		if err := c.writeLocked(m, xids[i]); err != nil {
-			return err
-		}
+	if err := c.writeLocked(msgs, xids); err != nil {
+		return err
 	}
 	return c.flushLocked()
 }
 
-// Flush forces any buffered writes to the transport.
-func (c *Conn) Flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.flushLocked()
-}
-
-// writeLocked encodes msg into the shared scratch buffer and copies it
-// into the write buffer. Callers hold wmu.
-func (c *Conn) writeLocked(msg Message, xid uint32) error {
+// writeLocked frames msgs back to back in the shared scratch buffer —
+// under xids, or fresh XIDs when xids is nil — and copies the frames
+// into the write buffer only once every one has framed, so a batch is
+// buffered whole or not at all. Callers hold wmu.
+func (c *Conn) writeLocked(msgs []Message, xids []uint32) error {
 	if err := c.Err(); err != nil {
 		return err
 	}
-	b, err := MarshalAppend(c.scratch[:0], msg, xid)
-	if err != nil {
-		return err
+	b := c.scratch[:0]
+	for i, m := range msgs {
+		var xid uint32
+		if xids != nil {
+			xid = xids[i]
+		} else {
+			xid = c.NextXID()
+		}
+		var err error
+		if b, err = MarshalAppend(b, m, xid); err != nil {
+			c.scratch = b[:0]
+			return err
+		}
 	}
 	c.scratch = b[:0]
 	if _, err := c.bw.Write(b); err != nil {
 		return c.fail(err)
 	}
-	c.pending++
+	c.pending += len(msgs)
 	if c.stats != nil {
-		c.stats.TxMsgs.Inc()
+		c.stats.TxMsgs.Add(uint64(len(msgs)))
 		c.stats.TxBytes.Add(uint64(len(b)))
 	}
 	return nil

@@ -2,6 +2,7 @@ package zof
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -221,5 +222,46 @@ func TestSendBatchXIDs(t *testing.T) {
 	}
 	if err := ca.SendBatchXIDs(msgs, xids[:1]); err == nil {
 		t.Fatal("length mismatch accepted")
+	}
+}
+
+// TestSendBatchWholeOrNothing sends batches whose second message cannot
+// frame (9,000 actions overrun the 16-bit length). The call fails with
+// ErrMessageTooBig and nothing of the batch reaches the peer: the next
+// message it receives is the one sent after.
+func TestSendBatchWholeOrNothing(t *testing.T) {
+	a, b := tcpPair(t)
+	ca, cb := NewConn(a), NewConn(b)
+	defer ca.Close()
+	defer cb.Close()
+
+	huge := &FlowMod{Command: FlowAdd, Match: MatchAll(), BufferID: NoBuffer,
+		Actions: make([]Action, 9000)}
+	for i := range huge.Actions {
+		huge.Actions[i] = Output(1)
+	}
+	for _, tc := range []struct {
+		name string
+		send func(msgs ...Message) error
+	}{
+		{"SendBatch", ca.SendBatch},
+		{"SendBatchXIDs", func(msgs ...Message) error {
+			return ca.SendBatchXIDs(msgs, []uint32{ca.NextXID(), ca.NextXID()})
+		}},
+	} {
+		name, send := tc.name, tc.send
+		if err := send(benchFlowMod(), huge); !errors.Is(err, ErrMessageTooBig) {
+			t.Fatalf("%s = %v, want ErrMessageTooBig", name, err)
+		}
+		if _, err := ca.Send(&Experimenter{Data: []byte(name)}); err != nil {
+			t.Fatal(err)
+		}
+		msg, _, err := cb.Receive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, ok := msg.(*Experimenter); !ok || string(e.Data) != name {
+			t.Fatalf("%s: peer received %v ahead of the next send", name, msg.Type())
+		}
 	}
 }

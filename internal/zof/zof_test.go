@@ -1,6 +1,7 @@
 package zof
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"net"
@@ -54,8 +55,10 @@ func sampleActions() []Action {
 	}
 }
 
-func TestRoundTripAllMessages(t *testing.T) {
-	msgs := []Message{
+// allMessages builds one or more messages of every type; the fuzz
+// corpus under testdata/fuzz/FuzzUnmarshal holds their frames.
+func allMessages() []Message {
+	return []Message{
 		&Hello{},
 		&Error{Code: ErrCodeBadMatch, Detail: "no such field"},
 		&EchoRequest{Data: []byte("ping")},
@@ -99,7 +102,10 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&GroupMod{Command: GroupDelete, GroupID: 9},
 		&Experimenter{Experimenter: 0x7a656e, ExpType: 3, Data: []byte(`{"term":7}`)},
 	}
-	for _, msg := range msgs {
+}
+
+func TestRoundTripAllMessages(t *testing.T) {
+	for _, msg := range allMessages() {
 		got := roundTrip(t, msg)
 		if !reflect.DeepEqual(got, msg) {
 			t.Errorf("%v round trip:\n got %#v\nwant %#v", msg.Type(), got, msg)
@@ -445,8 +451,45 @@ func TestConnCloseUnblocksReceive(t *testing.T) {
 	cb.Close()
 }
 
+// checkUnmarshal is FuzzUnmarshal's property, shared with the seeded
+// test: Unmarshal never panics, and a frame it accepts re-marshals to a
+// frame it accepts again and that re-marshals to the same bytes.
+func checkUnmarshal(t *testing.T, b []byte) {
+	t.Helper()
+	msg, h, err := Unmarshal(b)
+	if err != nil {
+		return
+	}
+	once, err := Marshal(msg, h.XID)
+	if err != nil {
+		t.Fatalf("accepted %x; re-marshal: %v", b, err)
+	}
+	again, h2, err := Unmarshal(once)
+	if err != nil {
+		t.Fatalf("accepted %x; its re-marshal %x is refused: %v", b, once, err)
+	}
+	if h2.Type != h.Type || h2.XID != h.XID {
+		t.Fatalf("accepted %x; re-marshal header %+v, want type %v xid %d", b, h2, h.Type, h.XID)
+	}
+	twice, err := Marshal(again, h2.XID)
+	if err != nil || !bytes.Equal(twice, once) {
+		t.Fatalf("accepted %x; re-marshal %x re-marshals to %x (%v)", b, once, twice, err)
+	}
+}
+
+// TestFuzzUnmarshalNeverPanics runs checkUnmarshal over random frames
+// with a valid header and over every corpus message with a few bytes
+// flipped.
 func TestFuzzUnmarshalNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var seeds [][]byte
+	for _, msg := range allMessages() {
+		b, err := Marshal(msg, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
 	for i := 0; i < 20000; i++ {
 		n := rng.Intn(120)
 		b := make([]byte, n)
@@ -459,8 +502,20 @@ func TestFuzzUnmarshalNeverPanics(t *testing.T) {
 				b[3] = byte(n)
 			}
 		}
-		_, _, _ = Unmarshal(b)
+		checkUnmarshal(t, b)
+
+		m := bytes.Clone(seeds[i%len(seeds)])
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			m[rng.Intn(len(m))] ^= byte(1 + rng.Intn(255))
+		}
+		checkUnmarshal(t, m)
 	}
+}
+
+// FuzzUnmarshal checks checkUnmarshal's property on arbitrary bytes,
+// from a corpus of one frame per message type.
+func FuzzUnmarshal(f *testing.F) {
+	f.Fuzz(checkUnmarshal)
 }
 
 func TestNextXIDNeverZero(t *testing.T) {
