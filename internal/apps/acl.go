@@ -14,15 +14,14 @@ import (
 // a failed commit undoes the map change so the security posture never
 // silently diverges from what the caller was told.
 type ACL struct {
-	mu       sync.Mutex
-	rules    map[uint64]zof.Match // id -> match
-	next     uint64
-	Priority uint16
+	mu    sync.Mutex
+	rules map[uint64]zof.Match // id -> match
+	next  uint64
 }
 
 // NewACL returns the app.
 func NewACL() *ACL {
-	return &ACL{rules: make(map[uint64]zof.Match), Priority: 60000}
+	return &ACL{rules: make(map[uint64]zof.Match)}
 }
 
 // Name implements controller.App.
@@ -41,7 +40,7 @@ func (a *ACL) Deny(c *controller.Controller, m zof.Match) uint64 {
 		txn.Flow(sc.DPID(), &zof.FlowMod{
 			Command:  zof.FlowAdd,
 			Match:    m,
-			Priority: a.Priority,
+			Priority: aclPriority,
 			Cookie:   id,
 			BufferID: zof.NoBuffer,
 			// No actions: drop.
@@ -71,7 +70,7 @@ func (a *ACL) Allow(c *controller.Controller, id uint64) bool {
 		txn.Flow(sc.DPID(), &zof.FlowMod{
 			Command:  zof.FlowDeleteStrict,
 			Match:    m,
-			Priority: a.Priority,
+			Priority: aclPriority,
 			BufferID: zof.NoBuffer,
 		})
 	}
@@ -88,7 +87,7 @@ func (a *ACL) install(sc *controller.SwitchConn, m zof.Match, id uint64) {
 	_ = sc.InstallFlow(&zof.FlowMod{
 		Command:  zof.FlowAdd,
 		Match:    m,
-		Priority: a.Priority,
+		Priority: aclPriority,
 		Cookie:   id,
 		BufferID: zof.NoBuffer,
 		// No actions: drop.

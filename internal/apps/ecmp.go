@@ -20,9 +20,6 @@ type ECMPRouting struct {
 	// groupFor caches (dpid, dst-mac) -> installed group id, so repeated
 	// flows toward the same host reuse one group per switch.
 	groupFor map[ecmpKey]uint32
-
-	IdleTimeout uint16
-	Priority    uint16
 }
 
 type ecmpKey struct {
@@ -33,10 +30,8 @@ type ecmpKey struct {
 // NewECMPRouting returns the app.
 func NewECMPRouting() *ECMPRouting {
 	return &ECMPRouting{
-		nextGroup:   0x0ec0000,
-		groupFor:    make(map[ecmpKey]uint32),
-		IdleTimeout: 300,
-		Priority:    210, // above the plain Routing app
+		nextGroup: 0x0ec0000,
+		groupFor:  make(map[ecmpKey]uint32),
 	}
 }
 
@@ -125,8 +120,8 @@ func (e *ECMPRouting) PacketIn(c *controller.Controller, ev controller.PacketInE
 		fm := &zof.FlowMod{
 			Command:     zof.FlowAdd,
 			Match:       match,
-			Priority:    e.Priority,
-			IdleTimeout: e.IdleTimeout,
+			Priority:    ecmpPriority,
+			IdleTimeout: routingIdle,
 			BufferID:    zof.NoBuffer,
 			Actions:     []zof.Action{action},
 		}

@@ -1,8 +1,3 @@
-// Package apps provides the standard zen control applications: L2
-// learning with storm-safe flooding, reactive shortest-path routing,
-// ACL enforcement, VIP load balancing and statistics collection. Each
-// is an ordinary controller.App — the keynote's point that network
-// control is just software.
 package apps
 
 import (
@@ -23,10 +18,8 @@ import (
 // discovered topology plus host ports, so looped topologies do not
 // storm.
 type LearningSwitch struct {
-	mu          sync.Mutex
-	macs        map[uint64]map[packet.MAC]uint32 // dpid -> mac -> port
-	IdleTimeout uint16                           // seconds; default 60
-	HardTimeout uint16
+	mu   sync.Mutex
+	macs map[uint64]map[packet.MAC]uint32 // dpid -> mac -> port
 
 	// installs counts flows installed toward learned destinations;
 	// floods counts spanning-tree packet-out floods. Published as
@@ -37,7 +30,7 @@ type LearningSwitch struct {
 
 // NewLearningSwitch returns the app.
 func NewLearningSwitch() *LearningSwitch {
-	return &LearningSwitch{macs: make(map[uint64]map[packet.MAC]uint32), IdleTimeout: 60}
+	return &LearningSwitch{macs: make(map[uint64]map[packet.MAC]uint32)}
 }
 
 // Name implements controller.App.
@@ -100,9 +93,8 @@ func (l *LearningSwitch) PacketIn(c *controller.Controller, ev controller.Packet
 		_ = sc.InstallFlow(&zof.FlowMod{
 			Command:     zof.FlowAdd,
 			Match:       m,
-			Priority:    100,
-			IdleTimeout: l.IdleTimeout,
-			HardTimeout: l.HardTimeout,
+			Priority:    learningPriority,
+			IdleTimeout: learningIdle,
 			BufferID:    ev.Msg.BufferID,
 			Actions:     []zof.Action{zof.Output(outPort)},
 		})

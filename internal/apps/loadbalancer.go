@@ -20,20 +20,16 @@ type LoadBalancer struct {
 	mu       sync.Mutex
 	backends []packet.IPv4Addr
 	// Decisions records flow -> backend (tests and ops visibility).
-	decisions   map[packet.FlowKey]packet.IPv4Addr
-	IdleTimeout uint16
-	Priority    uint16
+	decisions map[packet.FlowKey]packet.IPv4Addr
 }
 
 // NewLoadBalancer creates a balancer for vip.
 func NewLoadBalancer(vip packet.IPv4Addr, backends ...packet.IPv4Addr) *LoadBalancer {
 	return &LoadBalancer{
-		VIP:         vip,
-		VIPMAC:      packet.MACFromUint64(0x02FE00000000 | uint64(vip.Uint32())),
-		backends:    append([]packet.IPv4Addr(nil), backends...),
-		decisions:   make(map[packet.FlowKey]packet.IPv4Addr),
-		IdleTimeout: 60,
-		Priority:    30000,
+		VIP:       vip,
+		VIPMAC:    packet.MACFromUint64(0x02FE00000000 | uint64(vip.Uint32())),
+		backends:  append([]packet.IPv4Addr(nil), backends...),
+		decisions: make(map[packet.FlowKey]packet.IPv4Addr),
 	}
 }
 
@@ -109,8 +105,8 @@ func (lb *LoadBalancer) PacketIn(c *controller.Controller, ev controller.PacketI
 	}
 	fwdActs = append(fwdActs, zof.Output(out))
 	fwdMod := &zof.FlowMod{
-		Command: zof.FlowAdd, Match: fwd, Priority: lb.Priority,
-		IdleTimeout: lb.IdleTimeout, BufferID: ev.Msg.BufferID, Actions: fwdActs,
+		Command: zof.FlowAdd, Match: fwd, Priority: lbPriority,
+		IdleTimeout: lbIdle, BufferID: ev.Msg.BufferID, Actions: fwdActs,
 	}
 
 	// Reverse rule: backend -> client rewritten to come from the VIP,
@@ -134,8 +130,8 @@ func (lb *LoadBalancer) PacketIn(c *controller.Controller, ev controller.PacketI
 		zof.Output(ev.Msg.InPort),
 	}
 	revMod := &zof.FlowMod{
-		Command: zof.FlowAdd, Match: rev, Priority: lb.Priority,
-		IdleTimeout: lb.IdleTimeout, BufferID: zof.NoBuffer, Actions: revActs,
+		Command: zof.FlowAdd, Match: rev, Priority: lbPriority,
+		IdleTimeout: lbIdle, BufferID: zof.NoBuffer, Actions: revActs,
 	}
 	// The NAT rule pair is one burst: one write, one syscall. Order is
 	// the contract: the rule carrying the packet-in's BufferID releases

@@ -20,11 +20,6 @@ import (
 type Routing struct {
 	// Flushes counts LinkDown-triggered network-wide flushes (tests).
 	Flushes atomic.Uint64
-	// Debugf, when set, traces install/flush decisions (tests).
-	Debugf func(format string, args ...any)
-
-	IdleTimeout uint16
-	Priority    uint16
 
 	// routes counts paths installed (one per routed MAC pair per
 	// packet-in); fenceFailed counts set-ups abandoned because a hop
@@ -60,8 +55,8 @@ func (s *setup) rule(i int, buffer uint32) *zof.FlowMod {
 	return &zof.FlowMod{
 		Command:     zof.FlowAdd,
 		Match:       s.match,
-		Priority:    s.r.Priority,
-		IdleTimeout: s.r.IdleTimeout,
+		Priority:    routingPriority,
+		IdleTimeout: routingIdle,
 		BufferID:    buffer,
 		Actions:     []zof.Action{zof.Output(out)},
 	}
@@ -91,7 +86,7 @@ func (s *setup) release() {
 
 // NewRouting returns the app.
 func NewRouting() *Routing {
-	return &Routing{IdleTimeout: 300, Priority: 200}
+	return &Routing{}
 }
 
 // Name implements controller.App.
@@ -122,9 +117,6 @@ func (r *Routing) PacketIn(c *controller.Controller, ev controller.PacketInEvent
 	route, ok := c.NIB().Topology().Path(topo.NodeID(ev.DPID), topo.NodeID(dst.DPID))
 	if !ok {
 		return false
-	}
-	if r.Debugf != nil {
-		r.Debugf("routing: install %v->%v via %v (pktin @%d)", f.Eth.Src, f.Eth.Dst, route.Nodes, ev.DPID)
 	}
 	s := &setup{
 		r:       r,
@@ -170,9 +162,6 @@ func (r *Routing) LinkUp(c *controller.Controller, ev controller.LinkUp) {}
 // notification.
 func (r *Routing) LinkDown(c *controller.Controller, ev controller.LinkDown) {
 	r.Flushes.Add(1)
-	if r.Debugf != nil {
-		r.Debugf("routing: flush-all on LinkDown %d:%d-%d:%d", ev.SrcDPID, ev.SrcPort, ev.DstDPID, ev.DstPort)
-	}
 	for _, sc := range c.Switches() {
 		m := zof.MatchAll() // wildcard delete of everything reactive
 		_ = sc.InstallFlow(&zof.FlowMod{Command: zof.FlowDelete, Match: m,

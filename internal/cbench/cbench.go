@@ -20,6 +20,13 @@ import (
 	"repro/internal/zof"
 )
 
+const (
+	// hosts is the emulated host population per switch.
+	hosts = 64
+	// firstDPID numbers the emulated switches.
+	firstDPID = 1000
+)
+
 // Config shapes a run.
 type Config struct {
 	// Addr is the controller's southbound address.
@@ -31,10 +38,6 @@ type Config struct {
 	Window int
 	// Duration bounds the run.
 	Duration time.Duration
-	// Hosts is the emulated host population per switch.
-	Hosts int
-	// FirstDPID numbers the emulated switches (default 1000).
-	FirstDPID uint64
 }
 
 // Result aggregates a run.
@@ -63,12 +66,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = time.Second
 	}
-	if cfg.Hosts <= 0 {
-		cfg.Hosts = 64
-	}
-	if cfg.FirstDPID == 0 {
-		cfg.FirstDPID = 1000
-	}
 	res := Result{Latency: obs.NewHistogram()}
 	var responses atomic.Uint64
 
@@ -83,7 +80,7 @@ func Run(cfg Config) (Result, error) {
 			if err := runSwitch(cfg, dpid, seed, stop, &responses, res.Latency); err != nil {
 				errs <- err
 			}
-		}(cfg.FirstDPID+uint64(i), int64(i)*7919+1)
+		}(firstDPID+uint64(i), int64(i)*7919+1)
 	}
 	wg.Wait()
 	res.Duration = time.Since(start)
@@ -199,7 +196,7 @@ func (s *Switch) Await() (time.Duration, error) {
 func runSwitch(cfg Config, dpid uint64, seed int64, stop time.Time,
 	responses *atomic.Uint64, lat *obs.Histogram) error {
 
-	s, err := Dial(cfg.Addr, dpid, cfg.Hosts, seed)
+	s, err := Dial(cfg.Addr, dpid, hosts, seed)
 	if err != nil {
 		return err
 	}

@@ -24,6 +24,16 @@ import (
 	"repro/internal/zof"
 )
 
+const (
+	// peerMisses is the heartbeat miss budget of the peer-death fast
+	// path: an instance silent for peerMisses heartbeat intervals has
+	// its leases expired early, ahead of their TTL.
+	peerMisses = 3
+	// roleTimeout bounds the SetRole exchange with a switch during
+	// claim and stand-down.
+	roleTimeout = 2 * time.Second
+)
+
 // Config tunes an Instance.
 type Config struct {
 	// ID is this instance's index in the cluster (0-based, unique).
@@ -40,18 +50,9 @@ type Config struct {
 	LeaseTTL time.Duration
 	// HeartbeatInterval is the renewal and gossip cadence (default
 	// LeaseTTL/3 — several renewals fit one TTL, so a single lost
-	// heartbeat never causes a spurious election).
+	// heartbeat never causes a spurious election). It also bounds each
+	// write to a peer and spaces the redials of a dead one.
 	HeartbeatInterval time.Duration
-	// PeerMisses is the heartbeat miss budget of the peer-death fast
-	// path: an instance silent for PeerMisses×HeartbeatInterval has
-	// its leases expired early, ahead of their TTL (default 3).
-	PeerMisses int
-	// RedialBackoff rate-limits redials to a dead peer (default
-	// HeartbeatInterval).
-	RedialBackoff time.Duration
-	// RoleTimeout bounds the SetRole exchange with a switch during
-	// claim and stand-down (default 2s).
-	RoleTimeout time.Duration
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -148,15 +149,6 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = cfg.LeaseTTL / 3
 	}
-	if cfg.PeerMisses <= 0 {
-		cfg.PeerMisses = 3
-	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = cfg.HeartbeatInterval
-	}
-	if cfg.RoleTimeout <= 0 {
-		cfg.RoleTimeout = 2 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -194,7 +186,7 @@ func (in *Instance) Join(peers map[int]func() (net.Conn, error)) {
 			continue
 		}
 		in.peers = append(in.peers,
-			newPeerLink(id, dial, in.cfg.HeartbeatInterval, in.cfg.RedialBackoff, &in.sent))
+			newPeerLink(id, dial, in.cfg.HeartbeatInterval, &in.sent))
 	}
 	if s := uint64(len(in.peers) + 1); s > in.stride {
 		in.stride = s
@@ -247,17 +239,6 @@ func (in *Instance) IsMaster(dpid uint64) bool {
 	return l != nil && l.holder == in.cfg.ID
 }
 
-// Leases snapshots the lease table.
-func (in *Instance) Leases() []LeaseInfo {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]LeaseInfo, 0, len(in.leases))
-	for dpid, l := range in.leases {
-		out = append(out, LeaseInfo{DPID: dpid, Holder: l.holder, Term: l.term, Expires: l.expire})
-	}
-	return out
-}
-
 // Lease returns dpid's lease record, if known.
 func (in *Instance) Lease(dpid uint64) (LeaseInfo, bool) {
 	in.mu.Lock()
@@ -276,7 +257,6 @@ func (in *Instance) Takeovers() uint64           { return in.takeovers.Load() }
 func (in *Instance) Deposals() uint64            { return in.deposals.Load() }
 func (in *Instance) LastTakeover() time.Duration { return time.Duration(in.takeoverNanos.Load()) }
 func (in *Instance) DeltasApplied() uint64       { return in.applied.Load() }
-func (in *Instance) HeartbeatsReceived() uint64  { return in.heartbeatsRecv.Load() }
 func (in *Instance) VersionVector() map[int]uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -342,7 +322,7 @@ func (in *Instance) maybeAcquire(dpid uint64) {
 
 	start := time.Now()
 	in.broadcast(&envelope{Kind: kindClaim, DPID: dpid, Term: term})
-	_, err := sc.SetRole(zof.RoleMaster, term, in.cfg.RoleTimeout)
+	_, err := sc.SetRole(zof.RoleMaster, term, roleTimeout)
 	if err == nil {
 		err = in.c.ActivateSwitch(dpid)
 	}
@@ -395,7 +375,7 @@ func (in *Instance) standDown(dpid uint64, term uint64) {
 	in.cfg.Logf("cluster %d: deposed from %#x by term %d", in.cfg.ID, dpid, term)
 	if sc, ok := in.c.Switch(dpid); ok {
 		go func() {
-			_, _ = sc.SetRole(zof.RoleSlave, term, in.cfg.RoleTimeout)
+			_, _ = sc.SetRole(zof.RoleSlave, term, roleTimeout)
 		}()
 	}
 	in.c.DeactivateSwitch(dpid)
@@ -526,7 +506,7 @@ func (in *Instance) heartbeat() {
 // separate, so expiring early risks a dual claim only briefly and the
 // term fencing at the switch resolves it.
 func (in *Instance) expireDeadPeers() {
-	budget := time.Duration(in.cfg.PeerMisses) * in.cfg.HeartbeatInterval
+	budget := peerMisses * in.cfg.HeartbeatInterval
 	now := time.Now()
 	in.mu.Lock()
 	for id, seen := range in.peerSeen {

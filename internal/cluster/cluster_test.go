@@ -51,7 +51,6 @@ func startMember(t *testing.T, id, size int, apps ...controller.App) *member {
 		Controller:        ctl,
 		LeaseTTL:          240 * time.Millisecond,
 		HeartbeatInterval: 40 * time.Millisecond,
-		PeerMisses:        3,
 		Logf:              t.Logf,
 	})
 	if err != nil {

@@ -90,7 +90,7 @@ type peerLink struct {
 	lastDial time.Time
 }
 
-func newPeerLink(id int, dial func() (net.Conn, error), ioTimeout, redialBackoff time.Duration, sent *atomic.Uint64) *peerLink {
+func newPeerLink(id int, dial func() (net.Conn, error), interval time.Duration, sent *atomic.Uint64) *peerLink {
 	p := &peerLink{
 		id:   id,
 		dial: dial,
@@ -99,7 +99,7 @@ func newPeerLink(id int, dial func() (net.Conn, error), ioTimeout, redialBackoff
 		sent: sent,
 	}
 	p.wg.Add(1)
-	go p.sendLoop(ioTimeout, redialBackoff)
+	go p.sendLoop(interval)
 	return p
 }
 
@@ -114,14 +114,14 @@ func (p *peerLink) enqueue(env *envelope) {
 	}
 }
 
-func (p *peerLink) sendLoop(ioTimeout, redialBackoff time.Duration) {
+func (p *peerLink) sendLoop(interval time.Duration) {
 	defer p.wg.Done()
 	for {
 		select {
 		case <-p.quit:
 			return
 		case env := <-p.out:
-			if p.write(env, ioTimeout, redialBackoff) == nil {
+			if p.write(env, interval) == nil {
 				p.sent.Add(1)
 			}
 		}
@@ -130,12 +130,12 @@ func (p *peerLink) sendLoop(ioTimeout, redialBackoff time.Duration) {
 
 // write marshals env into an Experimenter frame and writes it to the
 // peer, dialing first if needed. The handshake and every write are
-// bounded by ioTimeout (one heartbeat interval) — a partitioned peer
-// must cost a bounded stall, never wedge the sender (a handshake
-// against a blackhole would otherwise block forever waiting for a Hello
-// that was discarded). Errors drop the connection; the next write past
-// the backoff redials.
-func (p *peerLink) write(env *envelope, ioTimeout, redialBackoff time.Duration) error {
+// bounded by interval (one heartbeat) — a partitioned peer must cost a
+// bounded stall, never wedge the sender (a handshake against a
+// blackhole would otherwise block forever waiting for a Hello that was
+// discarded). Errors drop the connection; the first write one interval
+// past the last dial redials.
+func (p *peerLink) write(env *envelope, interval time.Duration) error {
 	data, err := json.Marshal(env)
 	if err != nil {
 		return err
@@ -144,7 +144,7 @@ func (p *peerLink) write(env *envelope, ioTimeout, redialBackoff time.Duration) 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.conn == nil {
-		if time.Since(p.lastDial) < redialBackoff {
+		if time.Since(p.lastDial) < interval {
 			return net.ErrClosed
 		}
 		p.lastDial = time.Now()
@@ -152,7 +152,7 @@ func (p *peerLink) write(env *envelope, ioTimeout, redialBackoff time.Duration) 
 		if err != nil {
 			return err
 		}
-		raw.SetDeadline(time.Now().Add(ioTimeout))
+		raw.SetDeadline(time.Now().Add(interval))
 		conn := zof.NewConn(raw)
 		if err := conn.Handshake(); err != nil {
 			conn.Close()
@@ -161,7 +161,7 @@ func (p *peerLink) write(env *envelope, ioTimeout, redialBackoff time.Duration) 
 		raw.SetDeadline(time.Time{})
 		p.conn, p.raw = conn, raw
 	}
-	p.raw.SetWriteDeadline(time.Now().Add(ioTimeout))
+	p.raw.SetWriteDeadline(time.Now().Add(interval))
 	_, err = p.conn.Send(msg)
 	p.raw.SetWriteDeadline(time.Time{})
 	if err != nil {

@@ -86,12 +86,10 @@ type Config struct {
 	// TraceOff regardless — flip it at runtime via Tracing().SetMode or
 	// POST /v1/trace/mode.
 	TraceBuffer int
-	// ErrorHandler receives asynchronous zof.Error replies that belong
-	// to no pending request and no in-flight fence — the fire-and-forget
-	// failures that used to vanish. Called from the connection's read
-	// goroutine: do not block. Nil logs them via Logf instead.
-	ErrorHandler func(AsyncError)
-	// Logf receives diagnostics; nil silences them.
+	// Logf receives diagnostics, among them every asynchronous
+	// zof.Error that belongs to no pending request and no in-flight
+	// fence (each also counted as controller.async_errors); nil
+	// silences them.
 	Logf func(format string, args ...any)
 }
 
@@ -580,12 +578,7 @@ func (c *Controller) serve(raw net.Conn) {
 				break
 			}
 			c.asyncErrors.Inc()
-			ae := AsyncError{DPID: sc.dpid, XID: h.XID, Code: m.Code, Detail: m.Detail}
-			if c.cfg.ErrorHandler != nil {
-				c.cfg.ErrorHandler(ae)
-			} else {
-				c.cfg.Logf("async error: %v", ae)
-			}
+			c.cfg.Logf("async error: %v", AsyncError{DPID: sc.dpid, XID: h.XID, Code: m.Code, Detail: m.Detail})
 		default:
 			if !sc.resolve(h.XID, msg) {
 				c.cfg.Logf("unsolicited %v from %#x", msg.Type(), sc.dpid)

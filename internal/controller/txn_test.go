@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,24 +275,29 @@ func TestTxnUnknownSwitchAborts(t *testing.T) {
 }
 
 // TestTxnAsyncErrorHandler: an Error reply that matches no pending
-// request and no transaction watcher must reach the controller-level
-// handler with DPID, XID and code attached.
+// request and no fence is counted as controller.async_errors and logged
+// through Logf with its DPID, XID and code.
 func TestTxnAsyncErrorHandler(t *testing.T) {
-	var got atomic.Pointer[AsyncError]
-	ctl, sws := txnHarness(t, Config{
-		ErrorHandler: func(e AsyncError) { got.Store(&e) },
-	}, dataplane.Config{DPID: 1})
+	var mu sync.Mutex
+	var lines []string
+	ctl, sws := txnHarness(t, Config{Logf: func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}}, dataplane.Config{DPID: 1})
 	// An unsolicited install with a dangling group reference draws an
 	// async Error the controller did not request.
 	sc, _ := ctl.Switch(1)
+	xid := sc.conn.NextXID() + 1 // nothing else writes on this connection
 	_ = sc.InstallFlow(&zof.FlowMod{Command: zof.FlowAdd, Match: txnMatch(0),
 		Priority: 100, BufferID: zof.NoBuffer,
 		Actions: []zof.Action{zof.Group(404)}})
-	waitUntil(t, 2*time.Second, func() bool { return got.Load() != nil })
-	e := got.Load()
-	if e.DPID != 1 || e.Code != zof.ErrCodeBadGroup || e.XID == 0 {
-		t.Errorf("async error = %+v", *e)
-	}
+	want := fmt.Sprintf("async error: switch 0x1 rejected xid %d: bad-group", xid)
+	waitUntil(t, 2*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.ContainsFunc(lines, func(l string) bool { return strings.HasPrefix(l, want) })
+	})
 	if n, _ := ctl.Metrics().Value("controller.async_errors"); n != 1 {
 		t.Errorf("counter = %d", n)
 	}

@@ -116,7 +116,6 @@ func TestRoutingReroutesAroundFailure(t *testing.T) {
 	g.AddLink(topo.Link{A: 3, B: 4, APort: 2, BPort: 2, Capacity: 1000})
 
 	routing := apps.NewRouting()
-	routing.Debugf = t.Logf
 	n, err := Start(Options{
 		Graph: g,
 		Apps:  []controller.App{routing, apps.NewLearningSwitch()},

@@ -53,11 +53,11 @@ func stateOf(sw *Switch) flowState {
 // FlowAdd, a frame the new rule matches classifies to it or to a rule
 // that beats it.
 func checkFlowModInput(t testing.TB, data []byte, cov *flowModCoverage) {
-	sw := NewSwitch(Config{DPID: 1, NumTables: 2, TableSize: 4})
+	sw := NewSwitch(Config{DPID: 1, NumTables: 2, TableSizes: []int{4, 4}})
 	for no := uint32(1); no <= 2; no++ {
 		sw.AddPort(no, "", 1000).SetTx(func([]byte) {})
 	}
-	sw.SetController(func(zof.Message) {})
+	sw.AddControllerSink(func(zof.Message) {})
 	sw.buffers.put(1, parkedFrame(t))
 	for range maxControlFrames {
 		h, err := zof.DecodeHeader(data)

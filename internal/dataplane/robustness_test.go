@@ -66,10 +66,10 @@ func TestTableCapacityReply(t *testing.T) {
 	}
 }
 
-// TestTableSizesOverride: TableSizes caps individual tables while
-// TableSize remains the default for the rest.
+// TestTableSizesOverride: TableSizes caps individual tables, and a
+// table past its end is unbounded.
 func TestTableSizesOverride(t *testing.T) {
-	sw, _ := testSwitch(t, Config{NumTables: 2, TableSize: 8, TableSizes: []int{1}})
+	sw, _ := testSwitch(t, Config{NumTables: 2, TableSizes: []int{1}})
 	var rep replyCapture
 	sw.Process(flowAdd(1, 10, zof.Output(2)), 1, rep.fn)
 	sw.Process(flowAdd(2, 10, zof.Output(2)), 2, rep.fn) // table 0 full
@@ -77,7 +77,7 @@ func TestTableSizesOverride(t *testing.T) {
 	if e.Code != zof.ErrCodeTableFull {
 		t.Fatalf("code = %s", zof.ErrCodeName(e.Code))
 	}
-	// Table 1 keeps the default size.
+	// Table 1 has no cap.
 	fm := flowAdd(3, 10, zof.Output(2))
 	fm.TableID = 1
 	var rep2 replyCapture
@@ -125,7 +125,7 @@ func TestBadGroupReferenceRejected(t *testing.T) {
 func TestGroupDeleteCascades(t *testing.T) {
 	sw, _ := testSwitch(t, Config{})
 	var removed []zof.Message
-	sw.SetController(func(m zof.Message) {
+	sw.AddControllerSink(func(m zof.Message) {
 		if _, ok := m.(*zof.FlowRemoved); ok {
 			removed = append(removed, m)
 		}

@@ -11,30 +11,10 @@ import (
 	"repro/internal/zof"
 )
 
-// SessionState is the session manager's externally visible phase.
-type SessionState int32
-
-// Session manager states.
-const (
-	SessionConnecting SessionState = iota // dialing the controller
-	SessionConnected                      // a Datapath session is live
-	SessionBackoff                        // waiting out a backoff delay
-	SessionStopped                        // Close called or attempts exhausted
-)
-
-func (s SessionState) String() string {
-	switch s {
-	case SessionConnecting:
-		return "connecting"
-	case SessionConnected:
-		return "connected"
-	case SessionBackoff:
-		return "backoff"
-	case SessionStopped:
-		return "stopped"
-	}
-	return fmt.Sprintf("SessionState(%d)", int32(s))
-}
+// backoffJitter spreads each redial delay by ±20 % so a restarting
+// controller is not hit by a synchronized reconnect storm from its whole
+// fleet.
+const backoffJitter = 0.2
 
 // SessionConfig tunes a Session.
 type SessionConfig struct {
@@ -52,14 +32,6 @@ type SessionConfig struct {
 	MinBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 5s).
 	MaxBackoff time.Duration
-	// Jitter spreads each delay by ±Jitter×delay so a restarting
-	// controller is not hit by a synchronized reconnect storm from its
-	// whole fleet (default 0.2; 0 keeps pure exponential, negative
-	// disables jitter explicitly).
-	Jitter float64
-	// MaxAttempts gives up after this many consecutive failed dials
-	// (0 = retry forever). A successful session resets the count.
-	MaxAttempts int
 	// ProbeInterval enables switch-side liveness probing: every
 	// interval the manager round-trips an Echo on the live session,
 	// each bounded by the interval, and a full miss budget closes it —
@@ -73,11 +45,6 @@ type SessionConfig struct {
 	// Seed makes the jitter deterministic for tests; 0 derives one from
 	// the DPID and the clock.
 	Seed int64
-	// OnState, when set, observes every state change; err is non-nil
-	// for transitions caused by a failure. Called from the manager
-	// goroutine — keep it fast and do not call Session methods that
-	// block on the manager (Close) from inside it.
-	OnState func(state SessionState, attempt int, err error)
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -85,14 +52,14 @@ type SessionConfig struct {
 // Session keeps one switch attached to its controller across failures:
 // it dials, hands the transport to Attach, waits for the session to
 // die (controller restart, channel reset, liveness eviction on the far
-// end, or the switch-side prober's own eviction), and redials under
-// exponential backoff with jitter — rotating through the configured
-// endpoint list, so a clustered control plane's standby is dialed as
-// soon as the master is gone. Re-attach resync is driven by the
-// controller side — the fresh handshake announces the returning DPID,
-// apps reinstall on the Reconnect SwitchUp, and cookie reconciliation
-// flushes stale flows — so the switch side only has to keep the
-// channel coming back.
+// end, or the switch-side prober's own eviction), and redials until
+// Close under exponential backoff with jitter — rotating through the
+// configured endpoint list, so a clustered control plane's standby is
+// dialed as soon as the master is gone. Re-attach resync is driven by
+// the controller side — the fresh handshake announces the returning
+// DPID, apps reinstall on the Reconnect SwitchUp, and cookie
+// reconciliation flushes stale flows — so the switch side only has to
+// keep the channel coming back.
 type Session struct {
 	sw  *Switch
 	cfg SessionConfig
@@ -101,9 +68,9 @@ type Session struct {
 	dp     *Datapath
 	closed bool
 
-	state    atomic.Int32
-	sessions atomic.Uint64 // established sessions (1 = initial connect)
-	attempts atomic.Uint64 // dials attempted
+	connected atomic.Bool
+	sessions  atomic.Uint64 // established sessions (1 = initial connect)
+	attempts  atomic.Uint64 // dials attempted
 
 	// Switch-side liveness accounting (see SessionConfig.ProbeInterval).
 	liveness zof.ProbeStats
@@ -112,9 +79,9 @@ type Session struct {
 	done chan struct{}
 }
 
-// StartSession launches the manager for sw; it runs until Close (or
-// MaxAttempts consecutive dial failures). The first connection attempt
-// starts immediately; use WaitConnected to block for it.
+// StartSession launches the manager for sw; it runs until Close. The
+// first connection attempt starts immediately; use WaitConnected to
+// block for it.
 func StartSession(sw *Switch, cfg SessionConfig) *Session {
 	if cfg.MinBackoff <= 0 {
 		cfg.MinBackoff = 50 * time.Millisecond
@@ -124,11 +91,6 @@ func StartSession(sw *Switch, cfg SessionConfig) *Session {
 	}
 	if cfg.MaxBackoff < cfg.MinBackoff {
 		cfg.MaxBackoff = cfg.MinBackoff
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = 0.2
-	} else if cfg.Jitter < 0 {
-		cfg.Jitter = 0
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(sw.DPID())*131 + time.Now().UnixNano()
@@ -146,11 +108,8 @@ func StartSession(sw *Switch, cfg SessionConfig) *Session {
 	return s
 }
 
-// State returns the manager's current phase.
-func (s *Session) State() SessionState { return SessionState(s.state.Load()) }
-
 // Connected reports whether a session is currently live.
-func (s *Session) Connected() bool { return s.State() == SessionConnected }
+func (s *Session) Connected() bool { return s.connected.Load() }
 
 // Sessions returns how many sessions have been established (1 after the
 // initial connect; each successful reconnect increments it).
@@ -172,12 +131,15 @@ func (s *Session) Datapath() *Datapath {
 	return s.dp
 }
 
-// WaitConnected blocks until a session is live or the timeout elapses.
+// WaitConnected blocks until a session is live, the manager has
+// stopped, or the timeout elapses.
 func (s *Session) WaitConnected(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for !s.Connected() {
-		if s.State() == SessionStopped {
+		select {
+		case <-s.done:
 			return fmt.Errorf("session manager stopped")
+		default:
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("dpid %#x not connected within %v", s.sw.DPID(), timeout)
@@ -187,8 +149,8 @@ func (s *Session) WaitConnected(timeout time.Duration) error {
 	return nil
 }
 
-// Done is closed when the manager exits (Close, or MaxAttempts
-// exhausted).
+// Done is closed when the manager exits: after Close, or at once when
+// no endpoint is configured.
 func (s *Session) Done() <-chan struct{} { return s.done }
 
 // Close stops the manager and tears down any live session.
@@ -209,15 +171,9 @@ func (s *Session) Close() error {
 	return nil
 }
 
-func (s *Session) setState(st SessionState, attempt int, err error) {
-	s.state.Store(int32(st))
-	if s.cfg.OnState != nil {
-		s.cfg.OnState(st, attempt, err)
-	}
-}
-
 // backoffDelay is the wait before consecutive failed attempt n (n ≥ 1):
-// MinBackoff doubled per failure, capped at MaxBackoff, spread ±Jitter.
+// MinBackoff doubled per failure, capped at MaxBackoff, spread
+// ±backoffJitter.
 func (s *Session) backoffDelay(n int, rng *rand.Rand) time.Duration {
 	d := s.cfg.MinBackoff
 	for i := 1; i < n && d < s.cfg.MaxBackoff; i++ {
@@ -226,18 +182,12 @@ func (s *Session) backoffDelay(n int, rng *rand.Rand) time.Duration {
 	if d > s.cfg.MaxBackoff {
 		d = s.cfg.MaxBackoff
 	}
-	if s.cfg.Jitter > 0 {
-		d += time.Duration((2*rng.Float64() - 1) * s.cfg.Jitter * float64(d))
-		if d < 0 {
-			d = 0
-		}
-	}
-	return d
+	return d + time.Duration((2*rng.Float64()-1)*backoffJitter*float64(d))
 }
 
 func (s *Session) run() {
 	defer close(s.done)
-	defer s.state.Store(int32(SessionStopped))
+	defer s.connected.Store(false)
 	if len(s.cfg.Dial) == 0 {
 		s.cfg.Logf("session %#x: no controller endpoints configured", s.sw.DPID())
 		return
@@ -252,7 +202,6 @@ func (s *Session) run() {
 		default:
 		}
 		ep := idx % len(s.cfg.Dial)
-		s.setState(SessionConnecting, failures+1, nil)
 		s.attempts.Add(1)
 		var dp *Datapath
 		raw, err := s.cfg.Dial[ep]()
@@ -262,15 +211,9 @@ func (s *Session) run() {
 		if err != nil {
 			failures++
 			idx++ // this endpoint is down; try the next one
-			if s.cfg.MaxAttempts > 0 && failures >= s.cfg.MaxAttempts {
-				s.cfg.Logf("session %#x: giving up after %d attempts: %v", s.sw.DPID(), failures, err)
-				s.setState(SessionStopped, failures, err)
-				return
-			}
 			d := s.backoffDelay(failures, rng)
 			s.cfg.Logf("session %#x: endpoint %d failed (attempt %d): %v; retrying in %v",
 				s.sw.DPID(), ep, failures, err, d)
-			s.setState(SessionBackoff, failures, err)
 			select {
 			case <-s.quit:
 				return
@@ -289,7 +232,7 @@ func (s *Session) run() {
 		s.mu.Unlock()
 		failures = 0
 		s.sessions.Add(1)
-		s.setState(SessionConnected, 0, nil)
+		s.connected.Store(true)
 		if s.cfg.ProbeInterval > 0 {
 			go s.keepalive(dp)
 		}
@@ -300,6 +243,7 @@ func (s *Session) run() {
 			return
 		case <-dp.Done():
 		}
+		s.connected.Store(false)
 		s.mu.Lock()
 		s.dp = nil
 		s.mu.Unlock()
@@ -312,7 +256,6 @@ func (s *Session) run() {
 		d := s.backoffDelay(1, rng)
 		s.cfg.Logf("session %#x: endpoint %d lost; redialing endpoint %d in %v",
 			s.sw.DPID(), ep, idx%len(s.cfg.Dial), d)
-		s.setState(SessionBackoff, 1, nil)
 		select {
 		case <-s.quit:
 			return

@@ -8,12 +8,11 @@ import (
 
 // TestBackoffDelaySchedule pins the reconnect backoff contract:
 // exponential growth from MinBackoff, capped at MaxBackoff, spread by
-// at most ±Jitter around the nominal delay.
+// at most ±backoffJitter around the nominal delay.
 func TestBackoffDelaySchedule(t *testing.T) {
 	s := &Session{cfg: SessionConfig{
 		MinBackoff: 10 * time.Millisecond,
 		MaxBackoff: 80 * time.Millisecond,
-		Jitter:     0.2,
 	}}
 	rng := rand.New(rand.NewSource(1))
 	nominal := []time.Duration{
@@ -33,26 +32,6 @@ func TestBackoffDelaySchedule(t *testing.T) {
 			if got < lo || got > hi {
 				t.Fatalf("backoffDelay(%d) = %v outside [%v, %v]", n, got, lo, hi)
 			}
-		}
-	}
-}
-
-// TestBackoffDelayNoJitter checks the pure exponential schedule.
-func TestBackoffDelayNoJitter(t *testing.T) {
-	s := &Session{cfg: SessionConfig{
-		MinBackoff: 5 * time.Millisecond,
-		MaxBackoff: 40 * time.Millisecond,
-	}}
-	rng := rand.New(rand.NewSource(1))
-	for n, want := range map[int]time.Duration{
-		1: 5 * time.Millisecond,
-		2: 10 * time.Millisecond,
-		3: 20 * time.Millisecond,
-		4: 40 * time.Millisecond,
-		9: 40 * time.Millisecond,
-	} {
-		if got := s.backoffDelay(n, rng); got != want {
-			t.Errorf("backoffDelay(%d) = %v, want %v", n, got, want)
 		}
 	}
 }

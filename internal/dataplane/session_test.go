@@ -171,45 +171,44 @@ func TestSessionProbeEvictsBlackholedController(t *testing.T) {
 // refused is a dialer whose controller is down.
 func refused() (net.Conn, error) { return nil, syscall.ECONNREFUSED }
 
-// TestSessionDialBackoffAndGiveUp points the manager at a dead endpoint
-// with a small attempt budget: it must retry with backoff, then stop.
-func TestSessionDialBackoffAndGiveUp(t *testing.T) {
+// TestSessionRedialsUntilClose points the manager at a dead endpoint:
+// it must keep redialing, each wait longer than the last up to
+// MaxBackoff, and stop only when closed.
+func TestSessionRedialsUntilClose(t *testing.T) {
 	sw := dataplane.NewSwitch(dataplane.Config{DPID: 12})
 	var mu sync.Mutex
-	var states []dataplane.SessionState
+	var dials []time.Time
 	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
-		Dial:        []func() (net.Conn, error){refused}, // nothing listens here
-		MinBackoff:  time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-		MaxAttempts: 3,
-		Seed:        1,
-		OnState: func(st dataplane.SessionState, attempt int, err error) {
+		Dial: []func() (net.Conn, error){func() (net.Conn, error) {
 			mu.Lock()
-			states = append(states, st)
+			dials = append(dials, time.Now())
 			mu.Unlock()
-		},
+			return refused()
+		}},
+		MinBackoff: 5 * time.Millisecond,
+		MaxBackoff: 20 * time.Millisecond,
+		Seed:       1,
 	})
+	waitFor(t, 5*time.Second, "six dials", func() bool { return sess.Attempts() >= 6 })
 	select {
 	case <-sess.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("manager did not give up")
+		t.Fatal("manager stopped before Close")
+	default:
 	}
-	if sess.State() != dataplane.SessionStopped {
-		t.Errorf("state = %v, want stopped", sess.State())
-	}
-	if got := sess.Attempts(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
+	sess.Close()
+	select {
+	case <-sess.Done():
+	default:
+		t.Fatal("Close returned before the manager stopped")
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	var backoffs int
-	for _, st := range states {
-		if st == dataplane.SessionBackoff {
-			backoffs++
+	// The waits before dials 2..4 double from MinBackoff to MaxBackoff:
+	// 5, 10 and 20 ms nominal, none shorter than its −20 % jitter floor.
+	for i, ms := range []time.Duration{4, 8, 16} {
+		if gap := dials[i+1].Sub(dials[i]); gap < ms*time.Millisecond {
+			t.Errorf("wait before dial %d = %v, want ≥ %v", i+2, gap, ms*time.Millisecond)
 		}
-	}
-	if backoffs != 2 { // attempts 1 and 2 back off; attempt 3 gives up
-		t.Errorf("backoff transitions = %d, want 2", backoffs)
 	}
 }
 

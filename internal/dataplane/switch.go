@@ -23,8 +23,7 @@ const missSendLen = 128
 type Config struct {
 	DPID       uint64
 	NumTables  int   // default 1
-	TableSize  int   // max entries per table; 0 = unbounded
-	TableSizes []int // per-table capacity override; index = table id, 0 = unbounded
+	TableSizes []int // per-table capacity; index = table id, absent or 0 = unbounded
 	DropOnMiss bool  // true: drop instead of packet-in on table miss
 	Clock      func() time.Time
 }
@@ -95,7 +94,7 @@ func NewSwitch(cfg Config) *Switch {
 		controllers: make(map[int]func(zof.Message)),
 	}
 	for i := 0; i < cfg.NumTables; i++ {
-		size := cfg.TableSize
+		size := 0
 		if i < len(cfg.TableSizes) {
 			size = cfg.TableSizes[i]
 		}
@@ -141,20 +140,6 @@ func (s *Switch) publishLocked() {
 
 // DPID returns the datapath id.
 func (s *Switch) DPID() uint64 { return s.cfg.DPID }
-
-// SetController wires a single async switch-to-controller channel,
-// replacing all registered sinks (nil clears). Single-controller
-// deployments and tests use this; HA sessions use AddControllerSink.
-func (s *Switch) SetController(fn func(zof.Message)) {
-	s.mu.Lock()
-	clear(s.controllers)
-	if fn != nil {
-		s.controllers[s.nextSink] = fn
-		s.nextSink++
-	}
-	s.publishLocked()
-	s.mu.Unlock()
-}
 
 // AddControllerSink registers an additional controller channel and
 // returns its id for RemoveControllerSink.

@@ -164,7 +164,7 @@ func TestSwitchDownPortDropsTraffic(t *testing.T) {
 func TestSwitchPacketInAndRelease(t *testing.T) {
 	sw, caps := testSwitch(t, Config{})
 	var ins []*zof.PacketIn
-	sw.SetController(func(m zof.Message) {
+	sw.AddControllerSink(func(m zof.Message) {
 		if pi, ok := m.(*zof.PacketIn); ok {
 			ins = append(ins, pi)
 		}
@@ -205,7 +205,7 @@ func TestBufferEvictionIsCounted(t *testing.T) {
 	for _, n := range []int{bufferSlots, bufferSlots + 1} {
 		sw, _ := testSwitch(t, Config{})
 		var first *zof.PacketIn
-		sw.SetController(func(m zof.Message) {
+		sw.AddControllerSink(func(m zof.Message) {
 			if pi, ok := m.(*zof.PacketIn); ok && first == nil {
 				first = pi
 			}
@@ -393,7 +393,7 @@ func TestFlowTimeoutsEmitRemoved(t *testing.T) {
 	now := testClockBase
 	sw, _ := testSwitch(t, Config{Clock: func() time.Time { return now }})
 	var removed []*zof.FlowRemoved
-	sw.SetController(func(m zof.Message) {
+	sw.AddControllerSink(func(m zof.Message) {
 		if fr, ok := m.(*zof.FlowRemoved); ok {
 			removed = append(removed, fr)
 		}

@@ -169,7 +169,7 @@ func TestTraceParityFastFailover(t *testing.T) {
 func TestTraceMissPacketIn(t *testing.T) {
 	sw, _ := testSwitch(t, Config{})
 	var packetIns int
-	sw.SetController(func(m zof.Message) {
+	sw.AddControllerSink(func(m zof.Message) {
 		if _, ok := m.(*zof.PacketIn); ok {
 			packetIns++
 		}

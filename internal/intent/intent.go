@@ -106,13 +106,6 @@ func NewManager(g *topo.Graph, inst Installer) *Manager {
 	}
 }
 
-// SetGraph replaces the topology snapshot (e.g. after discovery).
-func (m *Manager) SetGraph(g *topo.Graph) {
-	m.mu.Lock()
-	m.graph = g.Clone()
-	m.mu.Unlock()
-}
-
 // Submit compiles and installs an intent.
 func (m *Manager) Submit(in Intent) error {
 	m.mu.Lock()

@@ -30,15 +30,11 @@ type TunnelConfig struct {
 	RemoteIP  packet.IPv4Addr
 	LocalMAC  packet.MAC
 	RemoteMAC packet.MAC
-	UDPPort   uint16 // outer UDP destination port; default 4789
 }
 
 func (c *TunnelConfig) fill() {
 	if c.Name == "" {
 		c.Name = "vxlan"
-	}
-	if c.UDPPort == 0 {
-		c.UDPPort = DefaultVXLANPort
 	}
 }
 
@@ -67,7 +63,7 @@ func NewTunnelEncap(cfg TunnelConfig) *TunnelEncap {
 	vx := b.Append(vxlanHeaderLen)
 	binary.BigEndian.PutUint32(vx[0:4], uint32(vxlanFlagVNI)<<24)
 	binary.BigEndian.PutUint32(vx[4:8], (cfg.VNI&0xffffff)<<8)
-	udp := packet.UDP{DstPort: cfg.UDPPort}
+	udp := packet.UDP{DstPort: DefaultVXLANPort}
 	udp.SerializeTo(b)
 	ip := packet.IPv4{Flags: packet.IPv4DontFragment, TTL: 64, Protocol: packet.ProtoUDP, Src: cfg.LocalIP, Dst: cfg.RemoteIP}
 	ip.SerializeTo(b)
@@ -151,7 +147,7 @@ func (t *TunnelDecap) Process(p *Packet) { p.Verdict = t.decap(p) }
 // decode) when the layer bit is set.
 func (t *TunnelDecap) decap(p *Packet) Verdict {
 	f := p.Frame
-	if !f.Has(packet.LayerIPv4) || !f.Has(packet.LayerUDP) || f.UDP.DstPort != t.cfg.UDPPort {
+	if !f.Has(packet.LayerIPv4) || !f.Has(packet.LayerUDP) || f.UDP.DstPort != DefaultVXLANPort {
 		if p.Explain {
 			p.Note = "not a vxlan frame, drop"
 		} else {

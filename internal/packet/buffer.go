@@ -71,8 +71,3 @@ func (b *Buffer) Append(n int) []byte {
 func (b *Buffer) AppendBytes(p []byte) {
 	copy(b.Append(len(p)), p)
 }
-
-// PrependBytes copies p in front of the current contents.
-func (b *Buffer) PrependBytes(p []byte) {
-	copy(b.Prepend(len(p)), p)
-}

@@ -97,13 +97,14 @@ func (a *Allocation) MeanUtilization() float64 {
 	return sum / float64(len(a.LinkCap))
 }
 
+// quantum is the progressive-filling step as a fraction of the largest
+// demand: smaller is fairer but slower.
+const quantum = 0.01
+
 // Config tunes the TE solver.
 type Config struct {
 	// KPaths is how many shortest paths each commodity may split over.
 	KPaths int
-	// Quantum is the progressive-filling step as a fraction of the
-	// largest demand (default 1/100): smaller is fairer but slower.
-	Quantum float64
 	// Headroom keeps every link below (1-Headroom)*capacity, the
 	// scratch SWAN leaves for congestion-free updates.
 	Headroom float64
@@ -117,9 +118,6 @@ type Config struct {
 func Solve(g *topo.Graph, demands workload.Matrix, cfg Config) (*Allocation, error) {
 	if cfg.KPaths <= 0 {
 		cfg.KPaths = 4
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 0.01
 	}
 	if cfg.Headroom < 0 || cfg.Headroom >= 1 {
 		return nil, fmt.Errorf("te: headroom %v out of range [0,1)", cfg.Headroom)
@@ -165,7 +163,7 @@ func Solve(g *topo.Graph, demands workload.Matrix, cfg Config) (*Allocation, err
 	if maxDemand <= 0 {
 		return &Allocation{LinkLoad: load, LinkCap: cap_}, nil
 	}
-	quantum := maxDemand * cfg.Quantum
+	step := maxDemand * quantum
 
 	// residual returns the spare capacity of path i of st.
 	residual := func(st *state, i int) float64 {
@@ -193,7 +191,7 @@ func Solve(g *topo.Graph, demands workload.Matrix, cfg Config) (*Allocation, err
 		if pick == nil {
 			break
 		}
-		want := math.Min(quantum, pick.alloc.Demand.Rate-pick.alloc.Allocated)
+		want := math.Min(step, pick.alloc.Demand.Rate-pick.alloc.Allocated)
 		if want <= 1e-12 {
 			pick.frozen = true
 			continue

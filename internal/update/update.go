@@ -67,14 +67,6 @@ type Violation struct {
 	Capacity float64
 }
 
-// Overload returns load/capacity.
-func (v Violation) Overload() float64 {
-	if v.Capacity <= 0 {
-		return math.Inf(1)
-	}
-	return v.Load / v.Capacity
-}
-
 // StepViolations computes the worst-case transient overloads of the
 // single asynchronous transition a -> b against full link capacities.
 func StepViolations(a, b *te.Allocation, caps map[topo.LinkKey]float64) []Violation {

@@ -84,7 +84,7 @@ type Conn struct {
 func NewConn(raw net.Conn) *Conn {
 	return &Conn{
 		raw:    raw,
-		br:     bufio.NewReaderSize(raw, 64<<10),
+		br:     bufio.NewReaderSize(raw, 64<<10), // holds any frame (see receive)
 		bw:     bufio.NewWriterSize(raw, 64<<10),
 		dead:   make(chan struct{}),
 		echoes: make(map[uint32]chan []byte),
@@ -286,7 +286,10 @@ func (c *Conn) Receive() (Message, Header, error) {
 	}
 }
 
-// receive reads and decodes one frame.
+// receive reads and decodes one frame. The body is decoded where it
+// lies in the read buffer, which is larger than any frame the 16-bit
+// Length can declare, so memory is spent on bytes received, never on
+// bytes claimed; every DecodeBody copies what it keeps.
 func (c *Conn) receive() (Message, Header, error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
@@ -296,16 +299,19 @@ func (c *Conn) receive() (Message, Header, error) {
 	if err != nil {
 		return nil, h, err
 	}
-	body := make([]byte, int(h.Length)-HeaderLen)
-	if _, err := io.ReadFull(c.br, body); err != nil {
+	body, err := c.br.Peek(int(h.Length) - HeaderLen)
+	if err != nil {
 		return nil, h, c.fail(err)
 	}
 	msg := NewMessage(h.Type)
 	if msg == nil {
-		return nil, h, ErrBadType
+		err = ErrBadType
+	} else if err = msg.DecodeBody(body); err != nil {
+		err = fmt.Errorf("decoding %v: %w", h.Type, err)
 	}
-	if err := msg.DecodeBody(body); err != nil {
-		return nil, h, fmt.Errorf("decoding %v: %w", h.Type, err)
+	c.br.Discard(len(body)) // buffered by Peek, so it cannot fail
+	if err != nil {
+		return nil, h, err
 	}
 	if c.stats != nil {
 		c.stats.RxMsgs.Inc()

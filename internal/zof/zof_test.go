@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/packet"
@@ -452,17 +453,27 @@ func TestConnCloseUnblocksReceive(t *testing.T) {
 }
 
 // checkUnmarshal is FuzzUnmarshal's property, shared with the seeded
-// test: Unmarshal never panics, and a frame it accepts re-marshals to a
-// frame it accepts again and that re-marshals to the same bytes.
+// test: Unmarshal never panics; a frame it accepts re-marshals to a
+// frame it accepts again and that re-marshals to the same bytes; and
+// the decoded message keeps no reference into its input, so
+// overwriting the input leaves its re-marshal unchanged (Conn.receive
+// decodes in place in its read buffer).
 func checkUnmarshal(t *testing.T, b []byte) {
 	t.Helper()
-	msg, h, err := Unmarshal(b)
+	in := bytes.Clone(b)
+	msg, h, err := Unmarshal(in)
 	if err != nil {
 		return
 	}
 	once, err := Marshal(msg, h.XID)
 	if err != nil {
 		t.Fatalf("accepted %x; re-marshal: %v", b, err)
+	}
+	for i := range in {
+		in[i] ^= 0xff
+	}
+	if after, _ := Marshal(msg, h.XID); !bytes.Equal(after, once) {
+		t.Fatalf("accepted %x; the message aliases its input: re-marshal %x became %x", b, once, after)
 	}
 	again, h2, err := Unmarshal(once)
 	if err != nil {
@@ -516,6 +527,38 @@ func TestFuzzUnmarshalNeverPanics(t *testing.T) {
 // from a corpus of one frame per message type.
 func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(checkUnmarshal)
+}
+
+// TestReceiveAllocatesForBytesReceived: the largest frame a header can
+// declare still decodes, and a peer that declares that much and then
+// closes costs the reader what it sent, not what it claimed.
+func TestReceiveAllocatesForBytesReceived(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	c := NewConn(a)
+	defer c.Close()
+	largest, err := Marshal(&Experimenter{Data: make([]byte, MaxMessageLen-HeaderLen-8)}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		b.Write(largest)
+		b.Write(largest[:HeaderLen]) // claims MaxMessageLen bytes, sends none
+		b.Close()
+	}()
+	if msg, _, err := c.Receive(); err != nil || len(msg.(*Experimenter).Data) != len(largest)-HeaderLen-8 {
+		t.Fatalf("largest frame: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = c.Receive()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no body was accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<10 {
+		t.Errorf("receiving an 8-byte header that claims %d bytes allocated %d bytes", MaxMessageLen, n)
+	}
 }
 
 func TestNextXIDNeverZero(t *testing.T) {
