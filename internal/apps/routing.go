@@ -35,31 +35,19 @@ type Routing struct {
 // one to arrive releases the buffered frame — or does not, if any hop
 // failed.
 type setup struct {
-	r       *Routing
-	match   zof.Match
-	hops    []*controller.SwitchConn // path order; hops[0] took the packet-in
-	ports   []uint32                 // ports[i]: hop i's port toward hop i+1
-	dstPort uint32                   // the last hop's port to the host
-	buffer  uint32                   // the packet-in's BufferID
+	r    *Routing
+	hops []hop // path order; hops[0] took the packet-in
 
 	left   atomic.Int32
 	failed atomic.Bool
 }
 
-// rule is hop i's FlowMod.
-func (s *setup) rule(i int, buffer uint32) *zof.FlowMod {
-	out := s.dstPort
-	if i < len(s.ports) {
-		out = s.ports[i]
-	}
-	return &zof.FlowMod{
-		Command:     zof.FlowAdd,
-		Match:       s.match,
-		Priority:    routingPriority,
-		IdleTimeout: routingIdle,
-		BufferID:    buffer,
-		Actions:     []zof.Action{zof.Output(out)},
-	}
+// hop is one switch of the path and the rule it gets, built with the
+// set-up: one allocation holds every hop's FlowMod and its action.
+type hop struct {
+	sc  *controller.SwitchConn
+	fm  zof.FlowMod
+	out [1]zof.Action
 }
 
 // arrive takes one downstream hop's fence result; nil means it took its rule.
@@ -77,7 +65,7 @@ func (s *setup) arrive(err error) {
 // and only onto a whole path.
 func (s *setup) release() {
 	r := s.r
-	if s.failed.Load() || s.hops[0].SendBatch(s.rule(0, s.buffer)) != nil {
+	if s.failed.Load() || s.hops[0].sc.SendBatch(&s.hops[0].fm) != nil {
 		r.fenceFailed.Inc()
 		return
 	}
@@ -118,23 +106,34 @@ func (r *Routing) PacketIn(c *controller.Controller, ev controller.PacketInEvent
 	if !ok {
 		return false
 	}
-	s := &setup{
-		r:       r,
-		match:   zof.MatchAll(),
-		hops:    make([]*controller.SwitchConn, len(route.Nodes)),
-		ports:   route.Ports,
-		dstPort: dst.Port,
-		buffer:  ev.Msg.BufferID,
-	}
-	s.match.Wildcards &^= zof.WEthSrc | zof.WEthDst
-	s.match.EthSrc = f.Eth.Src
-	s.match.EthDst = f.Eth.Dst
+	match := zof.MatchAll()
+	match.Wildcards &^= zof.WEthSrc | zof.WEthDst
+	match.EthSrc = f.Eth.Src
+	match.EthDst = f.Eth.Dst
+	s := &setup{r: r, hops: make([]hop, len(route.Nodes))}
 	// Every hop needs a live session before anything is sent anywhere:
 	// a path with a hole in it is not worth releasing a frame into.
 	for i, node := range route.Nodes {
-		if s.hops[i], ok = c.Switch(uint64(node)); !ok {
+		h := &s.hops[i]
+		if h.sc, ok = c.Switch(uint64(node)); !ok {
 			r.fenceFailed.Inc()
 			return true
+		}
+		out, buffer := dst.Port, zof.NoBuffer
+		if i < len(route.Ports) {
+			out = route.Ports[i]
+		}
+		if i == 0 {
+			buffer = ev.Msg.BufferID
+		}
+		h.out[0] = zof.Output(out)
+		h.fm = zof.FlowMod{
+			Command:     zof.FlowAdd,
+			Match:       match,
+			Priority:    routingPriority,
+			IdleTimeout: routingIdle,
+			BufferID:    buffer,
+			Actions:     h.out[:],
 		}
 	}
 	// Each downstream hop gets its rule and a barrier in one flush; the
@@ -148,7 +147,7 @@ func (r *Routing) PacketIn(c *controller.Controller, ev controller.PacketInEvent
 	s.left.Store(int32(down))
 	arrive := s.arrive
 	for i := down; i > 0; i-- {
-		s.hops[i].SendFenced(arrive, s.rule(i, zof.NoBuffer))
+		s.hops[i].sc.SendFenced(arrive, &s.hops[i].fm)
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,5 +188,42 @@ func TestSendFencedConcurrentWithClose(t *testing.T) {
 	waitUntil(t, 2*time.Second, func() bool { return calls.Load() == workers*each })
 	if n := pendingReplies(sc); n != 0 {
 		t.Errorf("%d reply handlers leaked", n)
+	}
+}
+
+// TestFenceRejectsByBlock: an Error whose XID lies in a fence's block
+// of op XIDs is filed with that fence and no other; the XIDs just
+// outside a block — the one before it, and the fence's own barrier
+// after it — are filed with no fence.
+func TestFenceRejectsByBlock(t *testing.T) {
+	sc := &SwitchConn{dpid: 1, pending: map[uint32]waiter{}}
+	var a error
+	var b []AsyncError
+	sc.expect(103, waiter{done: func(err error) { a = err }, first: 100, n: 3})
+	sc.expect(106, waiter{collect: func(rej []AsyncError, _ error) { b = rej }, first: 104, n: 2})
+	for _, tc := range []struct {
+		xid   uint32
+		filed bool
+	}{{99, false}, {100, true}, {102, true}, {103, false}, {104, true}, {106, false}} {
+		if got := sc.reject(tc.xid, &zof.Error{Code: zof.ErrCodeBadGroup}); got != tc.filed {
+			t.Errorf("reject(%d) = %v, want %v", tc.xid, got, tc.filed)
+		}
+	}
+	sc.resolve(103, &zof.BarrierReply{})
+	sc.resolve(106, &zof.BarrierReply{})
+	var xids []uint32
+	if joined, ok := a.(interface{ Unwrap() []error }); ok {
+		for _, err := range joined.Unwrap() {
+			var ae AsyncError
+			if errors.As(err, &ae) {
+				xids = append(xids, ae.XID)
+			}
+		}
+	}
+	if !slices.Equal(xids, []uint32{100, 102}) {
+		t.Errorf("fence [100, 103) = %v, want the rejections of 100 and 102", a)
+	}
+	if len(b) != 1 || b[0].XID != 104 {
+		t.Errorf("fence [104, 106) collected %v, want the rejection of 104", b)
 	}
 }

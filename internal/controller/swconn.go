@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,12 +72,15 @@ type SwitchConn struct {
 }
 
 // waiter awaits the reply to one XID: a blocked request's reply
-// channel, or a fence's callback, which also owns its batch's op XIDs
-// (ops) and collects their Errors (rejected) until the reply.
+// channel, or a fence's callback — SendFenced's done, which gets the
+// rejections joined into its error, or fenceAll's collect, which gets
+// them apart. A fence also owns its batch's op XIDs, the block of n
+// from first, and collects their Errors (rejected) until the reply.
 type waiter struct {
 	reply    chan<- zof.Message
-	done     func(rejected []AsyncError, err error)
-	ops      []uint32
+	done     func(error)
+	collect  func(rejected []AsyncError, err error)
+	first, n uint32
 	rejected []AsyncError
 }
 
@@ -87,19 +89,28 @@ type waiter struct {
 // blocks: a reply channel has room for the one send, and a fence's
 // callback must not block.
 func (w waiter) answer(rep zof.Message) {
-	if w.done == nil {
+	if w.reply != nil {
 		w.reply <- rep
 		return
 	}
 	switch m := rep.(type) {
 	case nil:
-		w.done(w.rejected, zof.ErrConnClosed)
+		w.finish(zof.ErrConnClosed)
 	case *zof.BarrierReply:
-		w.done(w.rejected, nil)
+		w.finish(nil)
 	case *zof.Error:
-		w.done(w.rejected, m)
+		w.finish(m)
 	default:
-		w.done(w.rejected, zof.ErrTypeMismatch)
+		w.finish(zof.ErrTypeMismatch)
+	}
+}
+
+// finish runs a fence's callback with the barrier's outcome err.
+func (w waiter) finish(err error) {
+	if w.done != nil {
+		w.done(joinRejected(w.rejected, err))
+	} else {
+		w.collect(w.rejected, err)
 	}
 }
 
@@ -246,14 +257,14 @@ func (s *SwitchConn) take(xid uint32) (waiter, bool) {
 	return w, ok
 }
 
-// reject files an Error with the in-flight fence whose batch holds its
+// reject files an Error with the in-flight fence whose block holds its
 // XID; false means no fence owns it. The scan runs on the Error path
 // only — replies are map hits.
 func (s *SwitchConn) reject(xid uint32, e *zof.Error) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for fence, w := range s.pending {
-		if slices.Contains(w.ops, xid) {
+		if xid-w.first < w.n {
 			w.rejected = append(w.rejected, AsyncError{DPID: s.dpid, XID: xid, Code: e.Code, Detail: e.Detail})
 			s.pending[fence] = w
 			return true
@@ -308,30 +319,27 @@ func (s *SwitchConn) request(msg zof.Message, timeout time.Duration) (zof.Messag
 // (Config.ProbeInterval), and the eviction fails the fence.
 func (s *SwitchConn) SendFenced(done func(error), msgs ...zof.Message) {
 	s.intend(msgs...)
-	s.fence(func(rejected []AsyncError, err error) { done(joinRejected(rejected, err)) }, msgs...)
+	s.fence(waiter{done: done}, msgs...)
 }
 
 // fence is SendFenced's mechanism, shared by every writer that must
 // learn its batch landed: msgs go out as they are — no stamping, no
-// recording — with a BarrierRequest behind them in one flush, and done
-// gets the batch's rejections with the barrier's outcome. It returns
-// the barrier's XID, which a waiter giving up takes back out of pending
-// so that done never runs.
-func (s *SwitchConn) fence(done func(rejected []AsyncError, err error), msgs ...zof.Message) uint32 {
-	batch := make([]zof.Message, len(msgs)+1)
-	xids := make([]uint32, len(batch))
-	for i, m := range msgs {
-		batch[i], xids[i] = m, s.conn.NextXID()
-	}
-	xid := s.conn.NextXID()
-	batch[len(msgs)], xids[len(msgs)] = &zof.BarrierRequest{}, xid
-	if !s.expect(xid, waiter{done: done, ops: xids[:len(msgs)]}) {
-		done(nil, zof.ErrConnClosed)
+// recording — as one XID block with a BarrierRequest behind them in
+// one flush, and w's callback gets the batch's rejections with the
+// barrier's outcome. It returns the barrier's XID, which a waiter
+// giving up takes back out of pending so that the callback never runs.
+func (s *SwitchConn) fence(w waiter, msgs ...zof.Message) uint32 {
+	var buf [8]zof.Message // a routing hop's batch needs no heap
+	batch := append(append(buf[:0], msgs...), &zof.BarrierRequest{})
+	w.first, w.n = s.conn.ReserveXIDs(len(batch)), uint32(len(msgs))
+	xid := w.first + w.n
+	if !s.expect(xid, w) {
+		w.finish(zof.ErrConnClosed)
 		return xid
 	}
-	if err := s.conn.SendBatchXIDs(batch, xids); err != nil {
+	if err := s.conn.SendBatchXID(w.first, batch...); err != nil {
 		if w, ok := s.take(xid); ok {
-			done(w.rejected, err)
+			w.finish(err)
 		}
 	}
 	return xid
@@ -358,9 +366,9 @@ func fenceAll(conns []*SwitchConn, batches [][]zof.Message, timeout time.Duratio
 	res := make([]fenceResult, len(conns))
 	xids := make([]uint32, len(conns))
 	for i, sc := range conns {
-		xids[i] = sc.fence(func(rejected []AsyncError, err error) {
+		xids[i] = sc.fence(waiter{collect: func(rejected []AsyncError, err error) {
 			answers <- answer{i, fenceResult{rejected, err}}
-		}, batches[i]...)
+		}}, batches[i]...)
 	}
 	var expired <-chan time.Time
 	if timeout > 0 {

@@ -452,7 +452,8 @@ func (s *Switch) Tick(now time.Time) {
 }
 
 // Process handles one controller-to-switch message, invoking reply for
-// each response (with the request's xid).
+// each response (with the request's xid). An installed FlowMod keeps
+// its Actions slice, so the caller must not mutate it afterwards.
 func (s *Switch) Process(msg zof.Message, xid uint32, reply func(zof.Message, uint32)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -552,7 +553,7 @@ func (s *Switch) flowModLocked(m *zof.FlowMod) error {
 			Match:       m.Match,
 			Priority:    m.Priority,
 			Cookie:      m.Cookie,
-			Actions:     append([]zof.Action(nil), m.Actions...),
+			Actions:     m.Actions,
 			Flags:       m.Flags,
 			IdleTimeout: time.Duration(m.IdleTimeout) * time.Second,
 			HardTimeout: time.Duration(m.HardTimeout) * time.Second,
@@ -564,7 +565,7 @@ func (s *Switch) flowModLocked(m *zof.FlowMod) error {
 		if err := s.validateActionsLocked(m.Actions); err != nil {
 			return err
 		}
-		t.Modify(m.Match, append([]zof.Action(nil), m.Actions...), m.Cookie)
+		t.Modify(m.Match, m.Actions, m.Cookie)
 	case zof.FlowDelete:
 		if m.Flags&zof.FlagCookieFilter != 0 {
 			s.emitRemoved(m.TableID, t.DeleteByCookie(m.Match, m.Cookie), now)

@@ -61,6 +61,10 @@ type Entry struct {
 	// inherited by whatever replaces the entry in place, immutable once
 	// published. Ties between equal priorities go to the lower seq.
 	seq uint64
+
+	// leaf is the entry's first leaf, linked by Add or Modify in the
+	// entry's own allocation; a rebuild moves it into a slab.
+	leaf leaf
 }
 
 // Packets returns the entry's packet counter.
@@ -242,7 +246,8 @@ func (t *Table) Entries() []*Entry {
 // Add installs a new entry per OpenFlow FlowAdd: an existing entry with
 // identical match and priority is replaced (counters reset); with
 // checkOverlap set, an entry whose match overlaps an existing one's at
-// equal priority is refused.
+// equal priority is refused. The table takes e, which must not have
+// been added before: its first leaf is the one inside it.
 func (t *Table) Add(e *Entry, checkOverlap bool, now time.Time) error {
 	e.Created = now
 	e.lastUsed.Store(now.UnixNano())
@@ -275,7 +280,8 @@ func (t *Table) Add(e *Entry, checkOverlap bool, now time.Time) error {
 		}
 		s.count(e.Priority, 1)
 	}
-	s.link(&leaf{hash: h, key: k, e: e, born: t.gen + 1})
+	e.leaf = leaf{hash: h, key: k, e: e, born: t.gen + 1}
+	s.link(&e.leaf)
 	t.publish(tuples)
 	return nil
 }
@@ -293,7 +299,8 @@ func (t *Table) Modify(m zof.Match, actions []zof.Action, cookie uint64) int {
 			t.entries[i] = ne
 			s, l, _, _ := locate(tuples, &e.Match, e.Priority)
 			l.died.Store(t.gen + 1)
-			s.link(&leaf{hash: l.hash, key: l.key, e: ne, born: t.gen + 1})
+			ne.leaf = leaf{hash: l.hash, key: l.key, e: ne, born: t.gen + 1}
+			s.link(&ne.leaf)
 			n++
 		}
 	}

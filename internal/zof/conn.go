@@ -3,7 +3,6 @@ package zof
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -141,10 +140,19 @@ func (c *Conn) flusher() {
 }
 
 // NextXID returns a fresh transaction id (never 0).
-func (c *Conn) NextXID() uint32 {
+func (c *Conn) NextXID() uint32 { return c.ReserveXIDs(1) }
+
+// ReserveXIDs reserves n ≥ 1 consecutive transaction ids in one step
+// and returns the first: first, first+1, ..., first+n-1, none of them 0.
+// A block that would wrap through 0 is abandoned and the next one taken.
+func (c *Conn) ReserveXIDs(n int) uint32 {
+	if n < 1 {
+		panic("zof: ReserveXIDs of no XIDs")
+	}
 	for {
-		if x := c.xid.Add(1); x != 0 {
-			return x
+		last := c.xid.Add(uint32(n))
+		if first := last - uint32(n) + 1; first != 0 && first <= last {
+			return first
 		}
 	}
 }
@@ -161,7 +169,7 @@ func (c *Conn) Send(msg Message) (uint32, error) {
 func (c *Conn) SendXID(msg Message, xid uint32) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.writeLocked([]Message{msg}, []uint32{xid}); err != nil {
+	if err := c.writeLocked(xid, msg); err != nil {
 		return err
 	}
 	return c.finishLocked()
@@ -175,52 +183,38 @@ func (c *Conn) SendBatch(msgs ...Message) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.writeLocked(msgs, nil); err != nil {
-		return err
-	}
-	return c.flushLocked()
+	return c.SendBatchXID(c.ReserveXIDs(len(msgs)), msgs...)
 }
 
-// SendBatchXIDs frames msgs with caller-assigned XIDs (one per
-// message, pre-allocated via NextXID) and flushes once. It exists for
-// callers that must register reply routing for the XIDs before the
-// messages can reach the peer — a fenced batch whose Error replies may
-// come back the instant it is written.
-func (c *Conn) SendBatchXIDs(msgs []Message, xids []uint32) error {
-	if len(msgs) != len(xids) {
-		return fmt.Errorf("zof: %d messages with %d xids", len(msgs), len(xids))
-	}
+// SendBatchXID is SendBatch under the caller's XID block: msgs[i] goes
+// out as first+i, with first reserved by ReserveXIDs(len(msgs)). It
+// exists for callers that must register reply routing for the XIDs
+// before the messages can reach the peer — a fenced batch whose Error
+// replies may come back the instant it is written.
+func (c *Conn) SendBatchXID(first uint32, msgs ...Message) error {
 	if len(msgs) == 0 {
 		return nil
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.writeLocked(msgs, xids); err != nil {
+	if err := c.writeLocked(first, msgs...); err != nil {
 		return err
 	}
 	return c.flushLocked()
 }
 
-// writeLocked frames msgs back to back in the shared scratch buffer —
-// under xids, or fresh XIDs when xids is nil — and copies the frames
-// into the write buffer only once every one has framed, so a batch is
-// buffered whole or not at all. Callers hold wmu.
-func (c *Conn) writeLocked(msgs []Message, xids []uint32) error {
+// writeLocked frames msgs back to back in the shared scratch buffer,
+// msgs[i] under XID first+i, and copies the frames into the write
+// buffer only once every one has framed, so a batch is buffered whole
+// or not at all. Callers hold wmu.
+func (c *Conn) writeLocked(first uint32, msgs ...Message) error {
 	if err := c.Err(); err != nil {
 		return err
 	}
 	b := c.scratch[:0]
 	for i, m := range msgs {
-		var xid uint32
-		if xids != nil {
-			xid = xids[i]
-		} else {
-			xid = c.NextXID()
-		}
 		var err error
-		if b, err = MarshalAppend(b, m, xid); err != nil {
+		if b, err = MarshalAppend(b, m, first+uint32(i)); err != nil {
 			c.scratch = b[:0]
 			return err
 		}
@@ -291,11 +285,12 @@ func (c *Conn) Receive() (Message, Header, error) {
 // Length can declare, so memory is spent on bytes received, never on
 // bytes claimed; every DecodeBody copies what it keeps.
 func (c *Conn) receive() (Message, Header, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	hdr, err := c.br.Peek(HeaderLen)
+	if err != nil {
 		return nil, Header{}, c.fail(err)
 	}
-	h, err := DecodeHeader(hdr[:])
+	h, err := DecodeHeader(hdr)
+	c.br.Discard(HeaderLen) // buffered by Peek, so it cannot fail
 	if err != nil {
 		return nil, h, err
 	}

@@ -194,10 +194,9 @@ func BenchmarkMarshalAppend(b *testing.B) {
 	}
 }
 
-// TestSendBatchXIDs writes a burst under caller-assigned XIDs — the
-// transaction engine's pre-registered-watcher path — and rejects a
-// length mismatch without writing anything.
-func TestSendBatchXIDs(t *testing.T) {
+// TestSendBatchXID writes a burst under a caller-reserved XID block —
+// the fence's pre-registered-reply path: message i goes out as first+i.
+func TestSendBatchXID(t *testing.T) {
 	a, b := tcpPair(t)
 	ca, cb := NewConn(a), NewConn(b)
 	defer ca.Close()
@@ -208,7 +207,7 @@ func TestSendBatchXIDs(t *testing.T) {
 	for i := range xids {
 		xids[i] = uint32(9000 + i)
 	}
-	if err := ca.SendBatchXIDs(msgs, xids); err != nil {
+	if err := ca.SendBatchXID(xids[0], msgs...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range msgs {
@@ -219,9 +218,6 @@ func TestSendBatchXIDs(t *testing.T) {
 		if h.XID != xids[i] {
 			t.Errorf("message %d: xid %d, want %d", i, h.XID, xids[i])
 		}
-	}
-	if err := ca.SendBatchXIDs(msgs, xids[:1]); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }
 
@@ -245,8 +241,8 @@ func TestSendBatchWholeOrNothing(t *testing.T) {
 		send func(msgs ...Message) error
 	}{
 		{"SendBatch", ca.SendBatch},
-		{"SendBatchXIDs", func(msgs ...Message) error {
-			return ca.SendBatchXIDs(msgs, []uint32{ca.NextXID(), ca.NextXID()})
+		{"SendBatchXID", func(msgs ...Message) error {
+			return ca.SendBatchXID(ca.ReserveXIDs(len(msgs)), msgs...)
 		}},
 	} {
 		name, send := tc.name, tc.send

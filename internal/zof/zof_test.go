@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/packet"
@@ -570,6 +571,68 @@ func TestNextXIDNeverZero(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if c.NextXID() == 0 {
 			t.Fatal("NextXID returned 0 across wraparound")
+		}
+	}
+}
+
+// TestReserveXIDs: a block is n consecutive XIDs, never holds 0 — a
+// block that would wrap through it is skipped — and blocks reserved
+// concurrently never share an XID.
+func TestReserveXIDs(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	c := NewConn(a)
+	c.xid.Store(^uint32(0) - 3)
+	for _, tc := range []struct {
+		n     int
+		first uint32
+	}{
+		{2, ^uint32(0) - 2},
+		{1, ^uint32(0)},
+		{2, 2}, // 0, 1 would hold 0: skipped
+		{3, 4}, // 4, 5, 6
+		{1, 7},
+	} {
+		if first := c.ReserveXIDs(tc.n); first != tc.first {
+			t.Fatalf("ReserveXIDs(%d) = %#x, want %#x", tc.n, first, tc.first)
+		}
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ReserveXIDs(0) returned; a block of no XIDs has no first")
+			}
+		}()
+		c.ReserveXIDs(0)
+	}()
+
+	const workers, blocks = 4, 500
+	c.xid.Store(^uint32(0) - 1000) // the blocks below cross the wrap
+	got := make([][]uint32, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < blocks; k++ {
+				n := 1 + (w+k)%4
+				first := c.ReserveXIDs(n)
+				for i := 0; i < n; i++ {
+					got[w] = append(got[w], first+uint32(i))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[uint32]bool{}
+	for _, xids := range got {
+		for _, x := range xids {
+			if x == 0 || seen[x] {
+				t.Fatalf("XID %#x reserved twice or zero", x)
+			}
+			seen[x] = true
 		}
 	}
 }
