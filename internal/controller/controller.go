@@ -125,6 +125,23 @@ type DispatchStats struct {
 // pointer; writers clone under c.mu and republish.
 type switchMap map[uint64]*SwitchConn
 
+// version pairs an RCU-published value with a channel that is closed
+// when the next version replaces it. A waiter loads the pair, tests
+// its condition on v, then waits on next: a publish between the load
+// and the wait has already closed next, so no wake-up is lost.
+type version[T any] struct {
+	v    T
+	next chan struct{}
+}
+
+// publish makes v the current version behind p and wakes every waiter
+// on the version it replaces. Publishers must be serialized.
+func publish[T any](p *atomic.Pointer[version[T]], v T) {
+	if old := p.Swap(&version[T]{v: v, next: make(chan struct{})}); old != nil {
+		close(old.next)
+	}
+}
+
 // Controller is the zen control plane.
 type Controller struct {
 	cfg  Config
@@ -147,7 +164,7 @@ type Controller struct {
 	// audited back to the configuration the controller still intends.
 	stores map[uint64]*FlowStore
 
-	switches atomic.Pointer[switchMap]
+	switches atomic.Pointer[version[switchMap]]
 	apps     atomic.Pointer[[]appEntry]
 
 	// shards carry the data-plane event stream (packet-ins, flow
@@ -229,8 +246,7 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.txnStats.Latency = obs.NewHistogram()
 	c.registerMetrics()
-	empty := make(switchMap)
-	c.switches.Store(&empty)
+	publish(&c.switches, make(switchMap))
 	noApps := []appEntry(nil)
 	c.apps.Store(&noApps)
 	c.disc = newDiscovery(c)
@@ -287,13 +303,13 @@ func (c *Controller) Use(apps ...App) {
 
 // Switch returns the live connection for dpid. Lock-free.
 func (c *Controller) Switch(dpid uint64) (*SwitchConn, bool) {
-	s, ok := (*c.switches.Load())[dpid]
+	s, ok := c.switches.Load().v[dpid]
 	return s, ok
 }
 
 // Switches snapshots the live connections. Lock-free.
 func (c *Controller) Switches() []*SwitchConn {
-	m := *c.switches.Load()
+	m := c.switches.Load().v
 	out := make([]*SwitchConn, 0, len(m))
 	for _, s := range m {
 		out = append(out, s)
@@ -334,7 +350,7 @@ func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
 	_, reconnect = c.lastEpoch[sc.dpid]
 	c.lastEpoch[sc.dpid] = sc.epoch
 	sc.reconnect = reconnect
-	old := *c.switches.Load()
+	old := c.switches.Load().v
 	next := make(switchMap, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -346,7 +362,7 @@ func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
 		prev.close()
 	}
 	next[sc.dpid] = sc
-	c.switches.Store(&next)
+	publish(&c.switches, next)
 	c.nib.addSwitch(sc.features)
 	if c.cfg.Mastership == nil {
 		// Single-instance mode: every connection activates itself.
@@ -444,7 +460,7 @@ func (c *Controller) MarkSeen(dpid uint64) {
 func (c *Controller) unregisterSwitch(sc *SwitchConn) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := *c.switches.Load()
+	old := c.switches.Load().v
 	if old[sc.dpid] != sc {
 		return false // a newer session owns this DPID now
 	}
@@ -454,7 +470,7 @@ func (c *Controller) unregisterSwitch(sc *SwitchConn) bool {
 			next[k] = v
 		}
 	}
-	c.switches.Store(&next)
+	publish(&c.switches, next)
 	c.nib.removeSwitch(sc.dpid)
 	// A connection that never activated told the apps nothing; its
 	// death is likewise none of their business.
@@ -824,18 +840,22 @@ func (c *Controller) Barrier(timeout time.Duration) error {
 }
 
 // WaitForSwitches blocks until n datapaths are connected or the timeout
-// elapses. It polls the registry snapshot without locking.
+// elapses. It wakes on each registry change, so it returns on the n-th
+// registration, not on a later timer tick; that switch's SwitchUp may
+// not have reached the apps yet.
 func (c *Controller) WaitForSwitches(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		got := len(*c.switches.Load())
-		if got >= n {
+		reg := c.switches.Load()
+		if len(reg.v) >= n {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("only %d of %d switches connected", got, n)
+		select {
+		case <-reg.next:
+		case <-deadline.C:
+			return fmt.Errorf("only %d of %d switches connected", len(reg.v), n)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

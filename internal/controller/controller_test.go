@@ -344,6 +344,48 @@ func TestWaitForSwitchesTimeout(t *testing.T) {
 	}
 }
 
+// TestWaitForSwitchesWakesOnRegistration: a waiter for three switches
+// is still waiting while two are registered and returns on the third,
+// and a wait that times out reports the registry's count.
+func TestWaitForSwitchesWakesOnRegistration(t *testing.T) {
+	ctl, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	waited := make(chan error, 1)
+	go func() { waited <- ctl.WaitForSwitches(3, 10*time.Second) }()
+	connect := func(dpid uint64) {
+		sw := dataplane.NewSwitch(dataplane.Config{DPID: dpid})
+		sw.AddPort(1, "p1", 1000)
+		dp, err := attach(sw, netem.NewChannel(ctl.Serve))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dp.Close() })
+	}
+
+	connect(1)
+	connect(2)
+	if err := ctl.WaitForSwitches(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-waited:
+		t.Fatalf("waiter for 3 switches returned with 2 registered: %v", err)
+	default:
+	}
+	err = ctl.WaitForSwitches(3, 20*time.Millisecond)
+	if want := "only 2 of 3 switches connected"; err == nil || err.Error() != want {
+		t.Fatalf("timed-out wait: %v, want %q", err, want)
+	}
+
+	connect(3)
+	if err := <-waited; err != nil {
+		t.Fatalf("waiter for 3 switches after the third registered: %v", err)
+	}
+}
+
 func TestCloseIdempotent(t *testing.T) {
 	ctl, err := New(Config{})
 	if err != nil {

@@ -115,7 +115,11 @@ func readMsg(r io.Reader) (zof.Message, zof.Header, error) {
 // post a SwitchDown — a newer connection owns the DPID.
 func TestDupDPIDReconnectTeardown(t *testing.T) {
 	rec := &lifeRec{}
-	ctl, _, _ := newTestController(t, nil, 1)
+	// rec must join after the first session's SwitchUp is dispatched:
+	// WaitForSwitches returns on registration, which precedes dispatch.
+	initial := &recorder{}
+	ctl, _, _ := newTestController(t, initial, 1)
+	waitUntil(t, 2*time.Second, func() bool { ups, _, _ := initial.counts(); return ups == 1 })
 	ctl.Use(rec)
 	first, _ := ctl.Switch(1)
 

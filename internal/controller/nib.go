@@ -37,9 +37,10 @@ type NIB struct {
 	// graph is the writers' working copy (guarded by mu); topology is
 	// what readers see — an immutable snapshot republished, under the
 	// next version, by every mutation that changes the graph and by no
-	// other. Packet-in handlers load it and never take mu for topology.
+	// other. Packet-in handlers load it and never take mu for topology;
+	// WatchTopology's callers wait on its next channel.
 	graph    *topo.Graph
-	topology atomic.Pointer[topo.Snapshot]
+	topology atomic.Pointer[version[*topo.Snapshot]]
 }
 
 // NewNIB returns an empty NIB.
@@ -52,13 +53,13 @@ func NewNIB() *NIB {
 		byIP:       make(map[packet.IPv4Addr]packet.MAC),
 		infraPorts: make(map[uint64]map[uint32]bool),
 	}
-	n.topology.Store(n.graph.Snapshot(0))
+	publish(&n.topology, n.graph.Snapshot(0))
 	return n
 }
 
 // publishLocked republishes the topology after a change to the graph.
 func (n *NIB) publishLocked() {
-	n.topology.Store(n.graph.Snapshot(n.topology.Load().Version() + 1))
+	publish(&n.topology, n.graph.Snapshot(n.Topology().Version()+1))
 }
 
 func (n *NIB) addSwitch(f zof.FeaturesReply) {
@@ -258,7 +259,16 @@ func (n *NIB) Port(dpid uint64, no uint32) (zof.PortInfo, bool) {
 // version-stamped, with the shortest-path trees and the flood forest
 // derived from it memoised inside. This is what a packet-in handler
 // routes on — one atomic load, no lock, no copy.
-func (n *NIB) Topology() *topo.Snapshot { return n.topology.Load() }
+func (n *NIB) Topology() *topo.Snapshot { return n.topology.Load().v }
+
+// WatchTopology returns the published topology and a channel that is
+// closed when a newer snapshot replaces it. A caller waiting for the
+// topology to reach some condition tests the snapshot, then waits on
+// the channel: no publish between the two can go unseen.
+func (n *NIB) WatchTopology() (*topo.Snapshot, <-chan struct{}) {
+	t := n.topology.Load()
+	return t.v, t.next
+}
 
 // Graph returns a private mutable copy of the inter-switch topology,
 // for planners that want a graph they may break (simulated failures,

@@ -324,3 +324,42 @@ func checkNIBSnapshot(t *testing.T, seed int64, step int, a, b *NIB, m *nibModel
 		}
 	}
 }
+
+// TestNIBWatchTopologyReleasesOnPublish: a waiter holding version v's
+// channel is released exactly when v+1 is published. Re-discovering a
+// live link publishes nothing, so it releases nobody.
+func TestNIBWatchTopologyReleasesOnPublish(t *testing.T) {
+	n := NewNIB()
+	n.addSwitch(nibFeatures(1, 1))
+	n.addSwitch(nibFeatures(2, 1))
+	n.addLink(1, 1, 2, 1)
+	snap, changed := n.WatchTopology()
+
+	if n.addLink(1, 1, 2, 1) {
+		t.Fatal("re-discovering a live link reported a change")
+	}
+	select {
+	case <-changed:
+		t.Fatal("re-discovering a live link released a waiter")
+	default:
+	}
+	if now, _ := n.WatchTopology(); now != snap {
+		t.Fatalf("re-discovery published version %d over %d", now.Version(), snap.Version())
+	}
+
+	n.setPort(1, zof.PortInfo{No: 1, State: zof.PortStateLinkDown})
+	select {
+	case <-changed:
+	default:
+		t.Fatal("publishing the next version did not release its waiter")
+	}
+	next, nextChanged := n.WatchTopology()
+	if next.Version() != snap.Version()+1 {
+		t.Fatalf("released at version %d, want %d", next.Version(), snap.Version()+1)
+	}
+	select {
+	case <-nextChanged:
+		t.Fatal("the newest version's channel is already closed")
+	default:
+	}
+}

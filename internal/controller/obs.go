@@ -79,7 +79,7 @@ func (c *Controller) registerMetrics() {
 	})
 	r.RegisterFunc("controller.dispatch.shards", func() int64 { return int64(len(c.shards)) })
 
-	r.RegisterFunc("controller.switches", func() int64 { return int64(len(*c.switches.Load())) })
+	r.RegisterFunc("controller.switches", func() int64 { return int64(len(c.switches.Load().v)) })
 	r.RegisterCounter("controller.async_errors", &c.asyncErrors)
 
 	r.RegisterCounter("controller.liveness.probes", &c.liveness.Probes)

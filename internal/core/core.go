@@ -31,6 +31,10 @@ type Options struct {
 // connectTimeout bounds each switch's session setup.
 const connectTimeout = 5 * time.Second
 
+// reprobeInterval is how long DiscoverLinks waits on the NIB before it
+// probes again: the fallback for an LLDP frame that was lost.
+const reprobeInterval = 10 * time.Millisecond
+
 // Network is a running zen deployment: control plane + emulated data
 // plane, fully connected.
 type Network struct {
@@ -88,18 +92,28 @@ func (n *Network) AddHost(name string, node topo.NodeID, ip packet.IPv4Addr) (*n
 }
 
 // DiscoverLinks drives LLDP probing until the NIB holds want links or
-// the timeout passes.
+// the timeout passes. It returns on the topology publish that reaches
+// want, and probes again every reprobeInterval until then, in case an
+// LLDP frame was lost.
 func (n *Network) DiscoverLinks(want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	nib := n.Controller.NIB()
+	n.Controller.Probe()
+	reprobe := time.NewTimer(reprobeInterval)
+	defer reprobe.Stop()
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		n.Controller.Probe()
-		time.Sleep(10 * time.Millisecond)
-		got := n.Controller.NIB().Topology().NumLinks()
-		if got >= want {
+		snap, changed := nib.WatchTopology()
+		if snap.NumLinks() >= want {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("discovered %d links, want %d", got, want)
+		select {
+		case <-changed:
+		case <-reprobe.C:
+			n.Controller.Probe()
+			reprobe.Reset(reprobeInterval)
+		case <-deadline.C:
+			return fmt.Errorf("discovered %d links, want %d", snap.NumLinks(), want)
 		}
 	}
 }

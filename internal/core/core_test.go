@@ -525,3 +525,41 @@ func TestStartOpensNoSocket(t *testing.T) {
 		}
 	}
 }
+
+// TestDiscoverLinksReprobesLostFrame: a link that is down during the
+// first LLDP probe and restored after it is found by DiscoverLinks'
+// re-probe. Nothing else probes here (periodic discovery is off), so
+// a DiscoverLinks that probed once would time out with one link.
+func TestDiscoverLinksReprobesLostFrame(t *testing.T) {
+	n, err := Start(Options{Graph: topo.Linear(3, 1000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	var lost topo.LinkKey
+	for _, l := range n.Emu.Graph.Links() {
+		if l.A == 3 || l.B == 3 {
+			lost = l.Key()
+		}
+	}
+	if err := n.Emu.FailLink(lost); err != nil {
+		t.Fatal(err)
+	}
+	// The other link appears only once a probe has gone out; that
+	// probe lost the failed link's frames.
+	restored := make(chan error, 1)
+	go func() {
+		snap, changed := n.Controller.NIB().WatchTopology()
+		for snap.NumLinks() == 0 {
+			<-changed
+			snap, changed = n.Controller.NIB().WatchTopology()
+		}
+		restored <- n.Emu.RestoreLink(lost)
+	}()
+	if err := n.DiscoverLinks(2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-restored; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -68,15 +68,30 @@ type Session struct {
 	dp     *Datapath
 	closed bool
 
-	connected atomic.Bool
-	sessions  atomic.Uint64 // established sessions (1 = initial connect)
-	attempts  atomic.Uint64 // dials attempted
+	// link is whether a session is live, paired with a channel closed
+	// at the next connect or disconnect; only run publishes it.
+	link     atomic.Pointer[linkState]
+	sessions atomic.Uint64 // established sessions (1 = initial connect)
+	attempts atomic.Uint64 // dials attempted
 
 	// Switch-side liveness accounting (see SessionConfig.ProbeInterval).
 	liveness zof.ProbeStats
 
 	quit chan struct{}
 	done chan struct{}
+}
+
+// linkState is one published value of Session.link. A waiter loads it,
+// tests up, then waits on next: a transition between the two has
+// already closed next, so no wake-up is lost.
+type linkState struct {
+	up   bool
+	next chan struct{}
+}
+
+// setConnected publishes up and wakes every waiter on the old state.
+func (s *Session) setConnected(up bool) {
+	close(s.link.Swap(&linkState{up: up, next: make(chan struct{})}).next)
 }
 
 // StartSession launches the manager for sw; it runs until Close. The
@@ -104,12 +119,13 @@ func StartSession(sw *Switch, cfg SessionConfig) *Session {
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	s.link.Store(&linkState{next: make(chan struct{})})
 	go s.run()
 	return s
 }
 
 // Connected reports whether a session is currently live.
-func (s *Session) Connected() bool { return s.connected.Load() }
+func (s *Session) Connected() bool { return s.link.Load().up }
 
 // Sessions returns how many sessions have been established (1 after the
 // initial connect; each successful reconnect increments it).
@@ -132,21 +148,24 @@ func (s *Session) Datapath() *Datapath {
 }
 
 // WaitConnected blocks until a session is live, the manager has
-// stopped, or the timeout elapses.
+// stopped, or the timeout elapses. It wakes on each connect and
+// disconnect.
 func (s *Session) WaitConnected(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for !s.Connected() {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		st := s.link.Load()
+		if st.up {
+			return nil
+		}
 		select {
+		case <-st.next:
 		case <-s.done:
 			return fmt.Errorf("session manager stopped")
-		default:
-		}
-		if time.Now().After(deadline) {
+		case <-deadline.C:
 			return fmt.Errorf("dpid %#x not connected within %v", s.sw.DPID(), timeout)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	return nil
 }
 
 // Done is closed when the manager exits: after Close, or at once when
@@ -187,7 +206,7 @@ func (s *Session) backoffDelay(n int, rng *rand.Rand) time.Duration {
 
 func (s *Session) run() {
 	defer close(s.done)
-	defer s.connected.Store(false)
+	defer s.setConnected(false)
 	if len(s.cfg.Dial) == 0 {
 		s.cfg.Logf("session %#x: no controller endpoints configured", s.sw.DPID())
 		return
@@ -232,7 +251,7 @@ func (s *Session) run() {
 		s.mu.Unlock()
 		failures = 0
 		s.sessions.Add(1)
-		s.connected.Store(true)
+		s.setConnected(true)
 		if s.cfg.ProbeInterval > 0 {
 			go s.keepalive(dp)
 		}
@@ -243,7 +262,7 @@ func (s *Session) run() {
 			return
 		case <-dp.Done():
 		}
-		s.connected.Store(false)
+		s.setConnected(false)
 		s.mu.Lock()
 		s.dp = nil
 		s.mu.Unlock()

@@ -233,3 +233,50 @@ func TestSessionCloseWhileBackingOff(t *testing.T) {
 		t.Fatal("Close blocked on the backoff timer")
 	}
 }
+
+// TestSessionWaitConnected: while no session is up WaitConnected times
+// out with its usual error, a waiter is released by the connect the
+// manager publishes, and a manager that has exited answers "session
+// manager stopped".
+func TestSessionWaitConnected(t *testing.T) {
+	ctl, err := controller.New(controller.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	channel := netem.NewChannel(ctl.Serve)
+	defer channel.Close()
+
+	gate := make(chan struct{})
+	sw := dataplane.NewSwitch(dataplane.Config{DPID: 15})
+	sw.AddPort(1, "p", 10)
+	sess := dataplane.StartSession(sw, dataplane.SessionConfig{
+		Dial: []func() (net.Conn, error){func() (net.Conn, error) {
+			<-gate
+			return channel.Dial()
+		}},
+		Seed: 1,
+	})
+	defer sess.Close()
+	open := sync.OnceFunc(func() { close(gate) })
+	defer open() // before Close, which waits out a dial in progress
+
+	err = sess.WaitConnected(20 * time.Millisecond)
+	if want := "dpid 0xf not connected within 20ms"; err == nil || err.Error() != want {
+		t.Fatalf("wait with the dial held: %v, want %q", err, want)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- sess.WaitConnected(10 * time.Second) }()
+	open()
+	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
+	if !sess.Connected() {
+		t.Fatal("WaitConnected returned with no live session")
+	}
+
+	idle := dataplane.StartSession(dataplane.NewSwitch(dataplane.Config{DPID: 16}), dataplane.SessionConfig{})
+	if err := idle.WaitConnected(10 * time.Second); err == nil || err.Error() != "session manager stopped" {
+		t.Fatalf("wait on a stopped manager: %v", err)
+	}
+}

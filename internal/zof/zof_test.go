@@ -550,6 +550,7 @@ func TestReceiveAllocatesForBytesReceived(t *testing.T) {
 	if msg, _, err := c.Receive(); err != nil || len(msg.(*Experimenter).Data) != len(largest)-HeaderLen-8 {
 		t.Fatalf("largest frame: %v", err)
 	}
+	warmRuntime()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, _, err = c.Receive()
@@ -560,6 +561,34 @@ func TestReceiveAllocatesForBytesReceived(t *testing.T) {
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<10 {
 		t.Errorf("receiving an 8-byte header that claims %d bytes allocated %d bytes", MaxMessageLen, n)
 	}
+}
+
+// warmRuntime parks idle OS threads, so the runtime need not create
+// one inside a window measured with runtime.MemStats. TotalAlloc counts
+// the whole process, and the snapshot ReadMemStats takes is followed by
+// its own restart of the world, which wakes an idle P. With no idle
+// thread to run it, the runtime creates one, and its m, g0, gsignal
+// and two profiling stacks cost 5,504 bytes of heap inside the window.
+// Each of 2×GOMAXPROCS goroutines holds a thread until all are held,
+// then gives it back idle: more idle threads than there are Ps.
+func warmRuntime() {
+	n := 2 * runtime.GOMAXPROCS(0)
+	var held, exited sync.WaitGroup
+	held.Add(n)
+	exited.Add(n)
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			defer exited.Done()
+			runtime.LockOSThread()
+			held.Done()
+			<-release
+			runtime.UnlockOSThread()
+		}()
+	}
+	held.Wait()
+	close(release)
+	exited.Wait()
 }
 
 func TestNextXIDNeverZero(t *testing.T) {
