@@ -11,6 +11,7 @@ package controller
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -119,7 +120,7 @@ func (c *Controller) AuditSwitch(sc *SwitchConn) (AuditReport, error) {
 		if got.Cookie != want.Cookie ||
 			got.IdleTimeout != want.IdleTimeout ||
 			got.HardTimeout != want.HardTimeout ||
-			!actionsEqual(got.Actions, want.Actions) {
+			!slices.Equal(got.Actions, want.Actions) {
 			rep.Mismatched++
 			repairs = append(repairs, want.flowMod(k))
 		}
@@ -129,18 +130,7 @@ func (c *Controller) AuditSwitch(sc *SwitchConn) (AuditReport, error) {
 			continue
 		}
 		rep.Alien++
-		// Cookie-filtered strict delete: if an app installs intent for
-		// this key while the repair is in flight, the new rule's cookie
-		// differs and the delete cannot take it out.
-		repairs = append(repairs, &zof.FlowMod{
-			Command:  zof.FlowDeleteStrict,
-			TableID:  k.TableID,
-			Match:    k.Match,
-			Priority: k.Priority,
-			Cookie:   got.Cookie,
-			Flags:    zof.FlagCookieFilter,
-			BufferID: zof.NoBuffer,
-		})
+		repairs = append(repairs, k.deleteCookie(got.Cookie))
 	}
 
 	if len(repairs) > 0 {
@@ -156,18 +146,6 @@ func (c *Controller) AuditSwitch(sc *SwitchConn) (AuditReport, error) {
 	c.auditStats.Alien.Add(uint64(rep.Alien))
 	c.auditStats.Expired.Add(uint64(rep.Expired))
 	return rep, nil
-}
-
-func actionsEqual(a, b []zof.Action) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // auditLoop drives periodic anti-entropy passes over every connected

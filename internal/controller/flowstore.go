@@ -51,9 +51,35 @@ func (f IntendedFlow) flowMod(k FlowKey) *zof.FlowMod {
 	}
 }
 
+// deleteCookie builds the cookie-filtered strict delete of the rule at
+// k installed under cookie: if an app reinstalls k while the delete is
+// in flight, the new rule's cookie differs and the delete misses it.
+func (k FlowKey) deleteCookie(cookie uint64) *zof.FlowMod {
+	return &zof.FlowMod{
+		Command:  zof.FlowDeleteStrict,
+		TableID:  k.TableID,
+		Match:    k.Match,
+		Priority: k.Priority,
+		Cookie:   cookie,
+		Flags:    zof.FlagCookieFilter,
+		BufferID: zof.NoBuffer,
+	}
+}
+
+func (f IntendedFlow) equal(g IntendedFlow) bool {
+	return f.Cookie == g.Cookie && f.Flags == g.Flags && f.IdleTimeout == g.IdleTimeout &&
+		f.HardTimeout == g.HardTimeout && slices.Equal(f.Actions, g.Actions)
+}
+
 // groupMod rebuilds the GroupMod that would reinstall g as id.
 func (g IntendedGroup) groupMod(cmd uint8, id uint32) *zof.GroupMod {
 	return &zof.GroupMod{Command: cmd, GroupType: g.GroupType, GroupID: id, Buckets: g.Buckets}
+}
+
+func (g IntendedGroup) equal(h IntendedGroup) bool {
+	return g.GroupType == h.GroupType && slices.EqualFunc(g.Buckets, h.Buckets, func(a, b zof.GroupBucket) bool {
+		return a.Weight == b.Weight && a.WatchPort == b.WatchPort && slices.Equal(a.Actions, b.Actions)
+	})
 }
 
 // storeState is the intended configuration of one switch. Mutations
@@ -153,6 +179,18 @@ func (st *storeState) applyGroupMod(m *zof.GroupMod) {
 	}
 }
 
+// apply applies the mods among msgs in order and skips the rest.
+func (st *storeState) apply(msgs []zof.Message) {
+	for _, m := range msgs {
+		switch mod := m.(type) {
+		case *zof.FlowMod:
+			st.applyFlowMod(mod)
+		case *zof.GroupMod:
+			st.applyGroupMod(mod)
+		}
+	}
+}
+
 func flowReferencesGroup(acts []zof.Action, gid uint32) bool {
 	for _, a := range acts {
 		if a.Type == zof.ActGroup && a.Port == gid {
@@ -185,14 +223,7 @@ func NewFlowStore() *FlowStore {
 func (fs *FlowStore) Record(msgs ...zof.Message) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for _, m := range msgs {
-		switch mod := m.(type) {
-		case *zof.FlowMod:
-			fs.st.applyFlowMod(mod)
-		case *zof.GroupMod:
-			fs.st.applyGroupMod(mod)
-		}
-	}
+	fs.st.apply(msgs)
 }
 
 // RemoveIfCookie drops the intended entry at k if its cookie matches
@@ -239,121 +270,42 @@ func (fs *FlowStore) Len() int {
 	return len(fs.st.flows)
 }
 
-// stage computes, without committing anything, the undo batch for ops:
-// the messages that, sent after all of ops landed, restore the intended
-// state that held before the transaction — each op's inverse, the last
-// op's first. Each inverse is computed against the state produced by
-// the preceding ops (a cloned working copy), so chains like
-// delete-then-readd invert correctly.
-func (fs *FlowStore) stage(ops []zof.Message) []zof.Message {
+// undo returns the messages that, sent after ops, restore the intent
+// the store holds now: it applies ops to a copy of the intended state
+// and diffs the copy against it. A commit that aborts never writes to
+// the store, so at abort time the store is the pre-transaction intent
+// plus whatever apps recorded meanwhile — a rule an app retracted while
+// the fence was out stays retracted. The batch runs flow deletes, then
+// group deletes, then group restores, then flow re-adds: the switch
+// checks group references on FlowAdd, and a group delete cascades onto
+// the flows naming it, which the re-adds put back.
+func (fs *FlowStore) undo(ops []zof.Message) []zof.Message {
 	fs.mu.Lock()
-	work := fs.st.clone()
-	fs.mu.Unlock()
-	inverse := make([][]zof.Message, len(ops))
-	for i, op := range ops {
-		inverse[i] = invertOp(&work, op)
-		switch mod := op.(type) {
-		case *zof.FlowMod:
-			work.applyFlowMod(mod)
-		case *zof.GroupMod:
-			work.applyGroupMod(mod)
+	defer fs.mu.Unlock()
+	before, after := &fs.st, fs.st.clone()
+	after.apply(ops)
+	var flowDels, groupDels, groupRestores, flowReadds []zof.Message
+	for k, f := range after.flows {
+		if _, ok := before.flows[k]; !ok {
+			flowDels = append(flowDels, k.deleteCookie(f.Cookie))
 		}
 	}
-	slices.Reverse(inverse)
-	return slices.Concat(inverse...)
-}
-
-// invertOp returns the messages undoing op given pre-op state st.
-func invertOp(st *storeState, op zof.Message) []zof.Message {
-	switch m := op.(type) {
-	case *zof.FlowMod:
-		return invertFlowMod(st, m)
-	case *zof.GroupMod:
-		return invertGroupMod(st, m)
-	}
-	return nil
-}
-
-func invertFlowMod(st *storeState, m *zof.FlowMod) []zof.Message {
-	var inv []zof.Message
-	switch m.Command {
-	case zof.FlowAdd:
-		k := FlowKey{m.TableID, m.Match, m.Priority}
-		if prev, ok := st.flows[k]; ok {
-			inv = append(inv, prev.flowMod(k))
-		} else {
-			// Nothing was there: undo is a cookie-filtered strict delete,
-			// so a concurrent reinstall under a different cookie survives
-			// the rollback.
-			inv = append(inv, &zof.FlowMod{
-				Command:  zof.FlowDeleteStrict,
-				TableID:  m.TableID,
-				Match:    m.Match,
-				Priority: m.Priority,
-				Cookie:   m.Cookie,
-				Flags:    zof.FlagCookieFilter,
-				BufferID: zof.NoBuffer,
-			})
-		}
-	case zof.FlowModify:
-		for k, f := range st.flows {
-			if k.TableID == m.TableID && m.Match.Subsumes(&k.Match) {
-				inv = append(inv, f.flowMod(k))
-			}
-		}
-	case zof.FlowDelete:
-		for k, f := range st.flows {
-			if k.TableID != m.TableID || !m.Match.Subsumes(&k.Match) {
-				continue
-			}
-			if m.Flags&zof.FlagCookieFilter != 0 && f.Cookie != m.Cookie {
-				continue
-			}
-			inv = append(inv, f.flowMod(k))
-		}
-	case zof.FlowDeleteStrict:
-		k := FlowKey{m.TableID, m.Match, m.Priority}
-		if f, ok := st.flows[k]; ok {
-			if m.Flags&zof.FlagCookieFilter == 0 || f.Cookie == m.Cookie {
-				inv = append(inv, f.flowMod(k))
-			}
+	for id := range after.groups {
+		if _, ok := before.groups[id]; !ok {
+			groupDels = append(groupDels, &zof.GroupMod{Command: zof.GroupDelete, GroupID: id})
 		}
 	}
-	return inv
-}
-
-func invertGroupMod(st *storeState, m *zof.GroupMod) []zof.Message {
-	var inv []zof.Message
-	switch m.Command {
-	case zof.GroupAdd:
-		if _, exists := st.groups[m.GroupID]; !exists {
-			inv = append(inv, &zof.GroupMod{Command: zof.GroupDelete, GroupID: m.GroupID})
-		}
-	case zof.GroupModify:
-		if prev, ok := st.groups[m.GroupID]; ok {
-			inv = append(inv, prev.groupMod(zof.GroupModify, m.GroupID))
-		} else {
-			inv = append(inv, &zof.GroupMod{Command: zof.GroupDelete, GroupID: m.GroupID})
-		}
-	case zof.GroupDelete:
-		prev, ok := st.groups[m.GroupID]
-		if !ok {
-			return nil
-		}
-		// Restore the group first, then the flows its delete cascaded
-		// away — the switch validates group references on FlowAdd.
-		inv = append(inv, prev.groupMod(zof.GroupAdd, m.GroupID))
-		for k, f := range st.flows {
-			if flowReferencesGroup(f.Actions, m.GroupID) {
-				inv = append(inv, f.flowMod(k))
-			}
+	for id, g := range before.groups {
+		if now, ok := after.groups[id]; !ok {
+			groupRestores = append(groupRestores, g.groupMod(zof.GroupAdd, id))
+		} else if !g.equal(now) {
+			groupRestores = append(groupRestores, g.groupMod(zof.GroupModify, id))
 		}
 	}
-	return inv
-}
-
-// commit applies ops to the intended state for real — called once a
-// transaction's barrier fence confirms every op landed.
-func (fs *FlowStore) commit(ops []zof.Message) {
-	fs.Record(ops...)
+	for k, f := range before.flows {
+		if now, ok := after.flows[k]; !ok || !f.equal(now) {
+			flowReadds = append(flowReadds, f.flowMod(k))
+		}
+	}
+	return slices.Concat(flowDels, groupDels, groupRestores, flowReadds)
 }

@@ -1,0 +1,227 @@
+package controller
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"testing"
+
+	"repro/internal/zof"
+)
+
+// undoMatches are the matches the undo checker draws keys from, chosen
+// so that deletes and modifies subsume one another: the wildcard, two
+// destinations, and the first destination narrowed to either of two
+// in-ports.
+var undoMatches = func() []zof.Match {
+	dst := func(b byte) zof.Match {
+		m := zof.MatchAll()
+		m.Wildcards &^= zof.WEthDst
+		m.EthDst = [6]byte{2, 0, 0, 0, 0, b}
+		return m
+	}
+	port := func(p uint32) zof.Match {
+		m := dst(1)
+		m.Wildcards &^= zof.WInPort
+		m.InPort = p
+		return m
+	}
+	return []zof.Match{zof.MatchAll(), dst(1), dst(2), port(1), port(2)}
+}()
+
+// undoKey is key i of the checker's 20: two tables, five matches, two
+// priorities.
+func undoKey(i byte) FlowKey {
+	return FlowKey{TableID: i % 2, Match: undoMatches[int(i/2)%len(undoMatches)], Priority: 10 + 10*uint16(i/10%2)}
+}
+
+// undoFlow derives a rule from b: one of four cookies, and an output
+// to one of two ports or a group from groups.
+func undoFlow(b byte, groups []uint32) IntendedFlow {
+	f := IntendedFlow{Cookie: 1 + uint64(b&3), Actions: []zof.Action{zof.Output(1 + uint32(b>>2&1))}}
+	if b&8 != 0 && len(groups) > 0 {
+		f.Actions = []zof.Action{zof.Group(groups[int(b>>4)%len(groups)])}
+	}
+	return f
+}
+
+// undoGroup derives one of four group contents from b.
+func undoGroup(b byte) IntendedGroup {
+	g := IntendedGroup{GroupType: zof.GroupTypeSelect,
+		Buckets: []zof.GroupBucket{{Weight: 1, Actions: []zof.Action{zof.Output(1 + uint32(b&1))}}}}
+	if b&2 != 0 {
+		g.GroupType = zof.GroupTypeAll
+	}
+	return g
+}
+
+// undoCoverage says what a set of chains exercised.
+type undoCoverage struct {
+	chains, emptyUndos, cascades, filterMisses                int
+	flowDels, groupDels, groupAdds, groupModifies, flowReadds int
+}
+
+// checkTxnUndo builds a consistent pre-state and a chain of ops from
+// data and requires that applying the ops and then the store's undo of
+// them gives back the pre-state, flows and groups. data[0]'s low four
+// bits name the groups 1–4 that exist and data[1] how many flows are
+// installed, two bytes each (a key and a rule); every flow that names
+// a group names one of those. Three bytes then make an op: a kind (bit
+// 4 sets FlagCookieFilter on a flow command), a key or group, and the
+// rule or contents. Along the way every undo message must change the
+// state it is applied to, and no re-add may name a group that is not
+// there yet: the switch refuses such a FlowAdd.
+func checkTxnUndo(t testing.TB, data []byte, cov *undoCoverage) {
+	t.Helper()
+	if len(data) < 2 {
+		return
+	}
+	pre := newStoreState()
+	var gids []uint32
+	for id := uint32(1); id <= 4; id++ {
+		if data[0]>>(id-1)&1 != 0 {
+			pre.groups[id] = undoGroup(data[0] >> 4 >> (id % 2))
+			gids = append(gids, id)
+		}
+	}
+	rec := data[2:]
+	for n := int(data[1]) % 12; n > 0 && len(rec) >= 2; n, rec = n-1, rec[2:] {
+		pre.flows[undoKey(rec[0])] = undoFlow(rec[1], gids)
+	}
+	var ops []zof.Message
+	for ; len(rec) >= 3; rec = rec[3:] {
+		k, f := undoKey(rec[1]), undoFlow(rec[2], []uint32{1, 2, 3, 4, 5})
+		fm := &zof.FlowMod{TableID: k.TableID, Match: k.Match, Priority: k.Priority,
+			Cookie: f.Cookie, Actions: f.Actions, BufferID: zof.NoBuffer}
+		if rec[0]&0x10 != 0 {
+			fm.Flags = zof.FlagCookieFilter
+		}
+		gid := 1 + uint32(rec[1]%5)
+		g := undoGroup(rec[2])
+		switch rec[0] % 7 {
+		case 0:
+			fm.Command = zof.FlowAdd
+		case 1:
+			fm.Command = zof.FlowModify
+		case 2:
+			fm.Command = zof.FlowDelete
+		case 3:
+			fm.Command = zof.FlowDeleteStrict
+		case 4:
+			ops = append(ops, g.groupMod(zof.GroupAdd, gid))
+			continue
+		case 5:
+			ops = append(ops, g.groupMod(zof.GroupModify, gid))
+			continue
+		case 6:
+			ops = append(ops, &zof.GroupMod{Command: zof.GroupDelete, GroupID: gid})
+			continue
+		}
+		ops = append(ops, fm)
+	}
+
+	fs := &FlowStore{st: pre.clone()}
+	undo := fs.undo(ops)
+	if diff := stateDiff(&fs.st, &pre); diff != "" {
+		t.Fatalf("undo wrote to the store: %s", diff)
+	}
+	st := pre.clone()
+	for _, op := range ops {
+		switch m := op.(type) {
+		case *zof.FlowMod:
+			if m.Flags&zof.FlagCookieFilter != 0 && m.Command >= zof.FlowDelete {
+				bare, unfiltered := st.clone(), *m
+				unfiltered.Flags = 0
+				bare.applyFlowMod(&unfiltered)
+				st.applyFlowMod(m)
+				if len(bare.flows) < len(st.flows) {
+					cov.filterMisses++ // the cookie spared a rule
+				}
+				continue
+			}
+			st.applyFlowMod(m)
+		case *zof.GroupMod:
+			n := len(st.flows)
+			st.applyGroupMod(m)
+			if len(st.flows) < n {
+				cov.cascades++
+			}
+		}
+	}
+	for i, op := range undo {
+		was := st.clone()
+		switch m := op.(type) {
+		case *zof.FlowMod:
+			switch m.Command {
+			case zof.FlowAdd:
+				cov.flowReadds++
+				for _, a := range m.Actions {
+					if _, ok := st.groups[a.Port]; a.Type == zof.ActGroup && !ok {
+						t.Fatalf("undo[%d] re-adds a flow naming group %d before it exists", i, a.Port)
+					}
+				}
+			case zof.FlowDeleteStrict:
+				cov.flowDels++
+			}
+			st.applyFlowMod(m)
+		case *zof.GroupMod:
+			switch m.Command {
+			case zof.GroupAdd:
+				cov.groupAdds++
+			case zof.GroupModify:
+				cov.groupModifies++
+			case zof.GroupDelete:
+				cov.groupDels++
+			}
+			st.applyGroupMod(m)
+		}
+		if stateDiff(&st, &was) == "" {
+			t.Fatalf("undo[%d] %+v changes nothing", i, op)
+		}
+	}
+	if diff := stateDiff(&st, &pre); diff != "" {
+		t.Fatalf("ops then undo left %s\nops: %d, undo: %d", diff, len(ops), len(undo))
+	}
+	cov.chains++
+	if len(undo) == 0 {
+		cov.emptyUndos++
+	}
+}
+
+// stateDiff names the first difference between two states, or "".
+func stateDiff(a, b *storeState) string {
+	if !maps.EqualFunc(a.flows, b.flows, IntendedFlow.equal) {
+		return fmt.Sprintf("flows %v, want %v", a.flows, b.flows)
+	}
+	if !maps.EqualFunc(a.groups, b.groups, IntendedGroup.equal) {
+		return fmt.Sprintf("groups %v, want %v", a.groups, b.groups)
+	}
+	return ""
+}
+
+// TestTxnUndoRestoresIntent drives the checker with seeded chains of
+// one to 24 ops over up to eleven pre-installed flows.
+func TestTxnUndoRestoresIntent(t *testing.T) {
+	var cov undoCoverage
+	for seed := 0; seed < 2000; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		data := make([]byte, 2+2*11+3*(1+rng.Intn(24)))
+		rng.Read(data)
+		checkTxnUndo(t, data, &cov)
+	}
+	t.Logf("%+v", cov)
+	if cov.chains != 2000 || cov.emptyUndos < 5 || cov.cascades < 400 || cov.filterMisses < 600 ||
+		cov.flowDels < 1000 || cov.groupDels < 1000 || cov.groupAdds < 400 || cov.groupModifies < 400 ||
+		cov.flowReadds < 2000 {
+		t.Fatalf("chains too sparse to test the undo: %+v", cov)
+	}
+}
+
+// FuzzTxnUndo drives the same checker from bytes. The corpus under
+// testdata/fuzz deletes a group that flows name and adds it back with
+// other buckets, replaces a rule and then wildcard-deletes its table,
+// and runs cookie-filtered deletes that hit one rule and miss another.
+func FuzzTxnUndo(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) { checkTxnUndo(t, data, new(undoCoverage)) })
+}

@@ -73,15 +73,7 @@ func (c *Controller) reconcileFlows(sc *SwitchConn) {
 		if CookieEpoch(f.Cookie) == sc.epoch {
 			continue
 		}
-		dels = append(dels, &zof.FlowMod{
-			Command:  zof.FlowDeleteStrict,
-			TableID:  f.TableID,
-			Match:    f.Match,
-			Priority: f.Priority,
-			Cookie:   f.Cookie,
-			Flags:    zof.FlagCookieFilter,
-			BufferID: zof.NoBuffer,
-		})
+		dels = append(dels, FlowKey{f.TableID, f.Match, f.Priority}.deleteCookie(f.Cookie))
 	}
 	if len(dels) > 0 {
 		if err := sc.SendBatch(dels...); err != nil {

@@ -43,8 +43,8 @@ type SwitchConn struct {
 	store *FlowStore
 
 	// txnMu serializes transactional commits and anti-entropy audits
-	// touching this switch: a commit's inverse-op computation and its
-	// sends must not interleave with another commit's, and the auditor
+	// touching this switch: a commit's sends and its undo
+	// computation must not interleave with another commit's, and the auditor
 	// must not mistake a mid-commit flow for drift. Multi-switch
 	// transactions acquire participants in ascending DPID order.
 	txnMu sync.Mutex

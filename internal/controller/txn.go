@@ -5,12 +5,12 @@
 // Error for the ops ahead of it has been delivered — the barrier IS the
 // error-collection window, and the fence hands both over together. Any
 // rejection, transport failure, or fence timeout aborts the commit and
-// triggers an automatic rollback: inverse operations, computed against
-// the intended-state store at staging time, are fenced the same way.
-// The store itself only commits after every fence came back clean, so
-// a failed transaction leaves the intended state — and, after rollback
-// (or reconnect plus anti-entropy repair for a dead switch), the
-// physical state — exactly as it was.
+// triggers an automatic rollback, fenced the same way: the store's diff
+// between its intent at abort time and that intent with the ops applied.
+// The store itself only records the ops after every fence came back
+// clean, so a failed transaction leaves the intended state — and, after
+// rollback (or reconnect plus anti-entropy repair for a dead switch),
+// the physical state — exactly as it was.
 package controller
 
 import (
@@ -45,13 +45,13 @@ type TxnStats struct {
 	// Aborts counts transactions that failed (rejection, transport
 	// error, or fence timeout) and attempted rollback.
 	Aborts obs.Counter
-	// Rollbacks counts aborts whose inverse ops were fence-verified.
+	// Rollbacks counts aborts whose undo batches were fence-verified.
 	Rollbacks obs.Counter
 	// RollbackFailures counts aborts whose rollback could not be fully
 	// verified on a still-connected switch; the anti-entropy auditor is
 	// the backstop.
 	RollbackFailures obs.Counter
-	// Latency distributes successful commit times (stage → fence).
+	// Latency distributes successful commit times (stamp → fence).
 	Latency *obs.Histogram
 }
 
@@ -63,7 +63,7 @@ type TxnError struct {
 	// Err is the transport or fence failure, if any.
 	Err error
 	// RolledBack is true when every still-connected participant's
-	// inverse ops were applied and fence-verified. Participants whose
+	// undo batch was applied and fence-verified. Participants whose
 	// connection died are skipped: their store was never updated, so
 	// reconnect-time reinstall plus the auditor restore pre-transaction
 	// intent.
@@ -130,9 +130,9 @@ func (t *Txn) Pending() int {
 	return n
 }
 
-// Commit stamps and stages every op, fences one batch per switch — all
-// out at once, their outcomes awaited under one Config.TxnTimeout — and
-// either commits the intended state or rolls the switches back. It
+// Commit stamps every op, fences one batch per switch — all out at
+// once, their outcomes awaited under one Config.TxnTimeout — and either
+// records the ops in the intended state or rolls the switches back. It
 // returns nil on success and a *TxnError on failure. Nothing is ever
 // re-sent — FlowAdd is idempotent but GroupAdd is not — so a lost op
 // surfaces as a fence failure and the auditor repairs any residue.
@@ -178,16 +178,13 @@ func (t *Txn) Commit() error {
 		}
 	}()
 
-	// Stage: stamp FlowAdds with each session's epoch, then compute the
-	// undo batches against the current intended state.
-	undo := make([][]zof.Message, len(conns))
+	// Stamp FlowAdds with each session's epoch.
 	for i, sc := range conns {
 		for _, op := range ops[i] {
 			if fm, ok := op.(*zof.FlowMod); ok {
 				sc.stamp(fm)
 			}
 		}
-		undo[i] = sc.store.stage(ops[i])
 	}
 
 	var rejections []AsyncError
@@ -200,7 +197,7 @@ func (t *Txn) Commit() error {
 	}
 	if fenceErr == nil && len(rejections) == 0 {
 		for i, sc := range conns {
-			sc.store.commit(ops[i])
+			sc.store.Record(ops[i]...)
 		}
 		stats.Commits.Inc()
 		stats.Latency.Observe(time.Since(start))
@@ -209,7 +206,7 @@ func (t *Txn) Commit() error {
 
 	// Abort: undo what may have landed. The store was never touched.
 	stats.Aborts.Inc()
-	rbErr := t.rollback(conns, undo)
+	rbErr := t.rollback(conns, ops)
 	if rbErr == nil {
 		stats.Rollbacks.Inc()
 	} else {
@@ -223,13 +220,17 @@ func (t *Txn) Commit() error {
 	}
 }
 
-// rollback fences every participant's undo batch, all at once under a
-// second TxnTimeout, and returns what it could not verify. A switch
-// whose session died — before or during the rollback — is not a
+// rollback fences every participant's undo of its ops, all at once
+// under a second TxnTimeout, and returns what it could not verify. A
+// switch whose session died — before or during the rollback — is not a
 // failure: its state is gone or unreachable, and because the store
 // still holds pre-transaction intent, session reinstall and the
 // anti-entropy auditor converge it back.
-func (t *Txn) rollback(conns []*SwitchConn, undo [][]zof.Message) error {
+func (t *Txn) rollback(conns []*SwitchConn, ops [][]zof.Message) error {
+	undo := make([][]zof.Message, len(conns))
+	for i, sc := range conns {
+		undo[i] = sc.store.undo(ops[i])
+	}
 	var failed error
 	for i, r := range fenceAll(conns, undo, t.c.cfg.TxnTimeout) {
 		select {

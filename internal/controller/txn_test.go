@@ -62,8 +62,24 @@ func tableSnapshot(t *testing.T, sc *SwitchConn) string {
 	if err != nil {
 		t.Fatalf("stats from %#x: %v", sc.DPID(), err)
 	}
-	lines := make([]string, 0, len(rep.Flows))
-	for _, f := range rep.Flows {
+	return renderFlows(rep.Flows)
+}
+
+// intentSnapshot renders the store's intended flows for dpid in
+// tableSnapshot's form.
+func intentSnapshot(ctl *Controller, dpid uint64) string {
+	var flows []zof.FlowStats
+	for k, f := range ctl.IntendedFlows(dpid) {
+		flows = append(flows, zof.FlowStats{TableID: k.TableID, Priority: k.Priority, Match: k.Match,
+			Cookie: f.Cookie, IdleTimeout: f.IdleTimeout, HardTimeout: f.HardTimeout, Actions: f.Actions})
+	}
+	return renderFlows(flows)
+}
+
+// renderFlows renders flows one sorted line each, without counters.
+func renderFlows(flows []zof.FlowStats) string {
+	lines := make([]string, 0, len(flows))
+	for _, f := range flows {
 		lines = append(lines, fmt.Sprintf("t%d p%d %v c%#x it%d ht%d %v",
 			f.TableID, f.Priority, f.Match, f.Cookie, f.IdleTimeout, f.HardTimeout, f.Actions))
 	}
@@ -251,6 +267,73 @@ func TestTxnGroupRollback(t *testing.T) {
 	}
 	if len(ctl.IntendedFlows(1)) != 1 {
 		t.Error("store diverged")
+	}
+}
+
+// TestTxnRollbackKeepsConcurrentRetract: an app retracts a rule while
+// a transaction that replaces it is on the wire, and the transaction
+// then aborts. The undo is taken from the store at abort time, so it
+// deletes the replacement and does not bring the retracted rule back:
+// the switch ends as the store says. An undo taken from the intent
+// before the commit would put the old rule back on the switch, though
+// the store no longer holds it.
+func TestTxnRollbackKeepsConcurrentRetract(t *testing.T) {
+	ctl, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	channel := netem.NewChannel(ctl.Serve)
+	defer channel.Close()
+	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
+	sw.AddPort(1, "p1", 1000)
+	sw.AddPort(2, "p2", 1000)
+	dp, err := attach(sw, channel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Close()
+	if err := ctl.WaitForSwitches(1, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := ctl.Switch(1)
+	k := &zof.FlowMod{Command: zof.FlowAdd, Match: txnMatch(0), Priority: 100,
+		Cookie: 0xAAA, BufferID: zof.NoBuffer, Actions: []zof.Action{zof.Output(1)}}
+	if err := sc.InstallFlow(k); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Barrier(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// An app retracts the rule while the policy judges its replacement;
+	// the policy then refuses the second add.
+	retract := &zof.FlowMod{Command: zof.FlowDeleteStrict, Match: k.Match,
+		Priority: k.Priority, BufferID: zof.NoBuffer}
+	channel.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
+		switch {
+		case fm.Command != zof.FlowAdd:
+		case fm.Cookie&(1<<48-1) == 0xBBB:
+			sc.store.Record(retract) // an app's retract records before it sends
+		case fm.Cookie&(1<<48-1) == 0xCCC:
+			return netem.FlowModReject, zof.ErrCodeTableFull
+		}
+		return netem.FlowModPass, 0
+	})
+	txn := ctl.NewTxn()
+	txn.Flow(1, &zof.FlowMod{Command: zof.FlowAdd, Match: k.Match, Priority: k.Priority,
+		Cookie: 0xBBB, BufferID: zof.NoBuffer, Actions: []zof.Action{zof.Output(2)}})
+	txn.Flow(1, &zof.FlowMod{Command: zof.FlowAdd, Match: txnMatch(1), Priority: 100,
+		Cookie: 0xCCC, BufferID: zof.NoBuffer, Actions: []zof.Action{zof.Output(2)}})
+	err = txn.Commit()
+	channel.SetFlowModPolicy(nil)
+	var terr *TxnError
+	if !errors.As(err, &terr) || !terr.RolledBack {
+		t.Fatalf("commit = %v, want a rolled-back TxnError", err)
+	}
+	if got, want := tableSnapshot(t, sc), intentSnapshot(ctl, 1); got != want {
+		t.Errorf("switch holds %d flows, store %d:\n got: %s\nwant: %s",
+			sw.FlowCount(), len(ctl.IntendedFlows(1)), got, want)
 	}
 }
 
@@ -610,11 +693,5 @@ func tableSnapshotQuiet(sc *SwitchConn) string {
 	if err != nil {
 		return "<err>"
 	}
-	lines := make([]string, 0, len(rep.Flows))
-	for _, f := range rep.Flows {
-		lines = append(lines, fmt.Sprintf("t%d p%d %v c%#x it%d ht%d %v",
-			f.TableID, f.Priority, f.Match, f.Cookie, f.IdleTimeout, f.HardTimeout, f.Actions))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	return renderFlows(rep.Flows)
 }
