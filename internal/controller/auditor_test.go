@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -215,4 +216,147 @@ func TestAuditVsConcurrentInstalls(t *testing.T) {
 	if len(ctl.IntendedFlows(1)) != installers*perInstaller {
 		t.Errorf("store holds %d, want %d", len(ctl.IntendedFlows(1)), installers*perInstaller)
 	}
+}
+
+// auditEpoch is the session epoch the diff checker audits under; its
+// rules carry it or the epoch before.
+const auditEpoch = 2
+
+// auditFlow derives a rule from b: epoch 1 or auditEpoch, one of two
+// app cookies, an output to one of two ports, and an idle timeout when
+// bit 3 is set.
+func auditFlow(b byte) IntendedFlow {
+	f := IntendedFlow{Cookie: sessionCookie(1+uint64(b&1), 1+uint64(b>>1&1)),
+		Actions: []zof.Action{zof.Output(1 + uint32(b>>2&1))}}
+	if b&8 != 0 {
+		f.IdleTimeout = 30
+	}
+	return f
+}
+
+// auditCoverage says what a set of diffs exercised.
+type auditCoverage struct {
+	diffs, firsts, kept, stale, staleRetired, alien, missing, mismatched, expired int
+}
+
+// checkAuditDiff builds an intended state and a switch table from data
+// and requires that auditDiff's repairs, applied to the table through
+// the store's own mod semantics (the switch's model), and its
+// retirements, applied to the intent, leave the two equal. data[0]'s
+// low bit makes it a session's first pass. Two bytes then place one
+// rule: the top two bits of the first put it in the intent only, on
+// the switch only, on both, or on both with the switch's derived from
+// the second byte's high nibble; the rest names one of the 20 keys.
+// Along the way: an entry equal on both sides draws no repair (unless
+// a first pass finds it under another epoch), every repair and every
+// retirement changes the state it meets, and after a first pass no
+// entry the switch held under another epoch is left.
+func checkAuditDiff(t testing.TB, data []byte, cov *auditCoverage) {
+	t.Helper()
+	if len(data) < 1 {
+		return
+	}
+	first := data[0]&1 != 0
+	intended, held := newStoreState(), newStoreState()
+	for rec := data[1:]; len(rec) >= 2; rec = rec[2:] {
+		k, f := undoKey(rec[0]&63%20), auditFlow(rec[1])
+		switch rec[0] >> 6 {
+		case 0:
+			intended.flows[k] = f
+		case 1:
+			held.flows[k] = f
+		case 2:
+			intended.flows[k], held.flows[k] = f, f
+		case 3:
+			intended.flows[k], held.flows[k] = f, auditFlow(rec[1]>>4)
+		}
+	}
+	var actual []zof.FlowStats
+	for k, f := range held.flows {
+		actual = append(actual, zof.FlowStats{TableID: k.TableID, Priority: k.Priority, Match: k.Match,
+			Cookie: f.Cookie, IdleTimeout: f.IdleTimeout, HardTimeout: f.HardTimeout, Actions: f.Actions})
+	}
+
+	rep, repairs, retire := auditDiff(intended.clone().flows, actual, auditEpoch, first)
+	named := make(map[FlowKey]bool)
+	sw := held.clone()
+	for i, m := range repairs {
+		fm := m.(*zof.FlowMod)
+		named[FlowKey{fm.TableID, fm.Match, fm.Priority}] = true
+		was := sw.clone()
+		sw.applyFlowMod(fm)
+		if stateDiff(&sw, &was) == "" {
+			t.Fatalf("repair[%d] %+v changes nothing", i, fm)
+		}
+	}
+	want := intended.clone()
+	for k, cookie := range retire {
+		was := want.clone()
+		want.applyFlowMod(k.deleteCookie(cookie))
+		if stateDiff(&want, &was) == "" {
+			t.Fatalf("retirement of %v under %#x changes nothing", k, cookie)
+		}
+	}
+	if diff := stateDiff(&sw, &want); diff != "" {
+		t.Fatalf("after the pass the switch holds %s\nrepairs: %d, retired: %d", diff, len(repairs), len(retire))
+	}
+	for k, f := range held.flows {
+		foreign := CookieEpoch(f.Cookie) != auditEpoch
+		if g, ok := intended.flows[k]; ok && g.equal(f) && !(first && foreign) {
+			cov.kept++
+			if named[k] {
+				t.Fatalf("entry %v equal on both sides drew a repair", k)
+			}
+		}
+		if first && foreign {
+			if now, ok := sw.flows[k]; ok && now.Cookie == f.Cookie {
+				t.Fatalf("first pass left %v under foreign cookie %#x", k, f.Cookie)
+			}
+			if _, ok := retire[k]; ok {
+				cov.staleRetired++
+			}
+		}
+	}
+	if rep.Stale > 0 && !first {
+		t.Fatalf("a periodic pass flushed %d stale entries", rep.Stale)
+	}
+	if n := rep.Repairs(); n != len(repairs) {
+		t.Fatalf("report counts %d repairs, diff sent %d", n, len(repairs))
+	}
+	cov.diffs++
+	if first {
+		cov.firsts++
+	}
+	cov.stale += rep.Stale
+	cov.alien += rep.Alien
+	cov.missing += rep.Missing
+	cov.mismatched += rep.Mismatched
+	cov.expired += rep.Expired
+}
+
+// TestAuditDiffRepairsToIntent drives the checker with seeded tables of
+// up to 16 placed rules, half of them first passes.
+func TestAuditDiffRepairsToIntent(t *testing.T) {
+	var cov auditCoverage
+	for seed := 0; seed < 2000; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		data := make([]byte, 1+2*(1+rng.Intn(16)))
+		rng.Read(data)
+		checkAuditDiff(t, data, &cov)
+	}
+	t.Logf("%+v", cov)
+	if cov.diffs != 2000 || cov.firsts < 900 || cov.kept < 1000 || cov.stale < 1000 || cov.staleRetired < 1000 ||
+		cov.alien < 1000 || cov.missing < 1000 || cov.mismatched < 1000 || cov.expired < 1000 {
+		t.Fatalf("tables too sparse to test the diff: %+v", cov)
+	}
+}
+
+// FuzzAuditDiff drives the same checker from bytes. The corpus under
+// testdata/fuzz holds a first pass that retires an old-epoch rule held
+// on both sides, one that replaces a stale entry with the intent at its
+// key, and a periodic pass that meets an alien, an expired and a
+// mismatched rule.
+func FuzzAuditDiff(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) { checkAuditDiff(t, data, new(auditCoverage)) })
 }

@@ -21,12 +21,9 @@ const (
 	handshakeTimeout = 5 * time.Second
 	// discoveryInterval is the LLDP probing period.
 	discoveryInterval = 500 * time.Millisecond
-	// reconcileTimeout bounds the flow-stats query of the
-	// post-reconnect cookie reconciliation pass.
+	// reconcileTimeout bounds the stats query and the repair fence of
+	// one audit pass, a session's first pass or a periodic one.
 	reconcileTimeout = 5 * time.Second
-	// auditTimeout bounds the stats query and the repair fence of one
-	// audit pass.
-	auditTimeout = 2 * time.Second
 )
 
 // Config tunes a Controller.
@@ -373,13 +370,14 @@ func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
 		if reconnect {
 			// A returning DPID may carry flows from its previous
 			// session: its SwitchUp carries the session, and dispatch
-			// flushes the leftovers once the apps have reinstalled.
-			// Audits wait for that flush: an audit pass running first
-			// could re-add intended flows under their old-epoch cookies,
-			// which the reconciler would then flush from the switch AND
-			// the store, destroying intent. The gate rises before
-			// active, which the auditor checks first, and drops when the
-			// reconcile pass completes.
+			// runs the session's first audit pass, which flushes the
+			// leftovers, once the apps have reinstalled. Periodic audits
+			// wait for it: one running while a handler still reinstalls
+			// would re-add intent the switch lost under its old-epoch
+			// cookies, which the first pass would then retire from the
+			// switch AND the store, destroying intent. The gate rises
+			// before active, which the auditor checks first, and drops
+			// when the first pass ends.
 			sc.reconciling.Store(true)
 			up.reconcile = sc
 		}
@@ -391,7 +389,7 @@ func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
 
 // ActivateSwitch releases a deferred activation (Config.Mastership):
 // it posts the SwitchUp apps install against, and dispatch follows it
-// with the cookie-epoch reconciliation pass that flushes the previous
+// with the session's first audit pass, which flushes the previous
 // owner's flows once the apps have reinstalled — the takeover path:
 // intent is re-derived, stale rules are strictly deleted, traffic
 // under still-valid rules keeps flowing throughout.
@@ -410,12 +408,12 @@ func (c *Controller) ActivateSwitch(dpid uint64) error {
 		c.mu.Unlock()
 		return nil // already active
 	}
-	// Unlike the single-instance reconnect path, activation reconciles
-	// unconditionally: a standby's connection may predate the takeover
-	// (it was already attached, just inactive), so "first registration
-	// here" proves nothing about the flow table — the dead master's
-	// rules are there either way. The pass is cheap when the table is
-	// clean (one stats round trip, zero deletes).
+	// Unlike the single-instance reconnect path, activation runs a
+	// first pass unconditionally: a standby's connection may predate
+	// the takeover (it was already attached, just inactive), so "first
+	// registration here" proves nothing about the flow table — the dead
+	// master's rules are there either way. The pass is cheap when the
+	// table is clean (one stats round trip, zero repairs).
 	sc.reconciling.Store(true) // audit gate up before apps reinstall
 	c.mu.Unlock()
 	c.postBlocking(SwitchUp{DPID: dpid, Features: sc.features, Reconnect: sc.reconnect, reconcile: sc})
@@ -440,7 +438,7 @@ func (c *Controller) DeactivateSwitch(dpid uint64) {
 // counts as a reconnect even if this instance never owned a session to
 // it. A cluster standby calls it when replication tells it the switch
 // exists: on takeover the switch arrives carrying the dead master's
-// flows, and only the reconnect path reconciles them away.
+// flows, and only the reconnect path's first pass flushes them.
 func (c *Controller) MarkSeen(dpid uint64) {
 	c.mu.Lock()
 	if _, ok := c.lastEpoch[dpid]; !ok {
@@ -646,9 +644,9 @@ func shardFor(key uint64, n int) int {
 
 // post enqueues an event on its DPID's shard, dropping (with a log line
 // and a counter tick) if that shard is saturated — backpressure must
-// not deadlock connection readers. A shed SwitchUp starts its reconcile
-// pass at once: no app will reinstall for it. Posts racing shutdown are
-// silently discarded.
+// not deadlock connection readers. A shed SwitchUp starts its session's
+// first audit pass at once: no app will reinstall for it. Posts racing
+// shutdown are silently discarded.
 func (c *Controller) post(ev Event) {
 	select {
 	case <-c.quit:
@@ -669,7 +667,7 @@ func (c *Controller) post(ev Event) {
 		c.stats.Dropped.Inc()
 		c.cfg.Logf("dispatch shard full; dropping %T", ev)
 		if up, ok := ev.(SwitchUp); ok && up.reconcile != nil {
-			c.startReconcile(up.reconcile)
+			c.startFirstPass(up.reconcile)
 		}
 	}
 }
@@ -753,9 +751,10 @@ func (c *Controller) dispatch(qe queuedEvent) {
 	}()
 	apps := *c.apps.Load()
 	if up, ok := ev.(SwitchUp); ok && up.reconcile != nil {
-		// The flush follows every app's reinstall, a panicking one's
-		// too: each handler has sent its installs before returning.
-		defer c.startReconcile(up.reconcile)
+		// The first pass follows every app's reinstall, a panicking
+		// one's too: each handler has sent its installs before
+		// returning.
+		defer c.startFirstPass(up.reconcile)
 	}
 	var spans []obs.AppSpan
 	if qe.traced {

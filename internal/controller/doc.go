@@ -17,8 +17,8 @@
 //	SwitchHandler      SwitchUp, SwitchDown     datapath lifecycle; SwitchUp.
 //	                                            Reconnect marks a re-attach whose
 //	                                            per-switch state must be
-//	                                            reinstalled before the cookie-
-//	                                            epoch reconciliation flushes the
+//	                                            reinstalled before the session's
+//	                                            first audit pass flushes the
 //	                                            old session's flows
 //	PacketInHandler    PacketIn (returns bool)  packet-ins; returning true
 //	                                            consumes the packet — later apps

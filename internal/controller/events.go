@@ -13,15 +13,16 @@ type Event any
 // after a crash or control-channel flap): handlers holding per-switch
 // state should reinstall it, sending before they return. Once every app
 // has handled a re-attach's or an activation's SwitchUp, dispatch
-// starts the cookie-epoch reconciliation that flushes flows left over
-// from an earlier session (see SwitchConn.Epoch).
+// starts the session's first audit pass, which flushes flows left over
+// from an earlier session (see SwitchConn.Epoch) and restores intent
+// the switch lost.
 type SwitchUp struct {
 	DPID      uint64
 	Features  zof.FeaturesReply
 	Reconnect bool
 
-	// reconcile is the session whose stale flows dispatch flushes after
-	// this event; nil when there is nothing to reconcile.
+	// reconcile is the session whose first audit pass dispatch starts
+	// after this event; nil when there is nothing to reconcile.
 	reconcile *SwitchConn
 }
 

@@ -3,6 +3,7 @@ package controller
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -550,6 +551,160 @@ func TestReconciliationAfterShedSwitchUp(t *testing.T) {
 	}
 	if ctl.stats.Dropped.Value() != 1 {
 		t.Error("the re-attach's SwitchUp was not shed")
+	}
+}
+
+// reattachRig is one switch, DPID 9, holding four rules a committed
+// Txn installed and no app re-asserts, on a controller with the given
+// audit interval.
+type reattachRig struct {
+	ctl     *Controller
+	channel *netem.Channel
+	dp      *dataplane.Datapath
+	sw      *dataplane.Switch
+	before  string // the switch's table after the commit
+}
+
+func newReattachRig(t *testing.T, audit time.Duration, apps ...App) *reattachRig {
+	t.Helper()
+	ctl, err := New(Config{AuditInterval: audit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctl.Close() })
+	ctl.Use(apps...)
+	r := &reattachRig{ctl: ctl, channel: netem.NewChannel(ctl.Serve)}
+	t.Cleanup(func() { r.channel.Close() })
+	r.attach(t, false)
+	txn := ctl.NewTxn()
+	for i := 0; i < 4; i++ {
+		txn.Flow(9, &zof.FlowMod{Command: zof.FlowAdd, Match: txnMatch(i), Priority: 100,
+			Cookie: uint64(i + 1), BufferID: zof.NoBuffer, Actions: []zof.Action{zof.Output(2)}})
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := ctl.Switch(9)
+	r.before = tableSnapshot(t, sc)
+	return r
+}
+
+// attach starts a session for the rig's switch, a new empty one when
+// crashed, and waits for it to register.
+func (r *reattachRig) attach(t *testing.T, crashed bool) {
+	t.Helper()
+	if r.sw == nil || crashed {
+		r.sw = dataplane.NewSwitch(dataplane.Config{DPID: 9})
+		r.sw.AddPort(1, "p1", 1000)
+		r.sw.AddPort(2, "p2", 1000)
+	}
+	dp, err := attach(r.sw, r.channel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dp.Close() })
+	r.dp = dp
+	waitUntil(t, 2*time.Second, func() bool { _, ok := r.ctl.Switch(9); return ok })
+}
+
+// reattach ends the session — on a crash the switch's table goes with
+// it — and attaches again.
+func (r *reattachRig) reattach(t *testing.T, crashed bool) {
+	t.Helper()
+	r.dp.Close()
+	waitUntil(t, 2*time.Second, func() bool { _, ok := r.ctl.Switch(9); return !ok })
+	r.attach(t, crashed)
+}
+
+// TestReconciliationContract pins what a re-attach does with old-epoch
+// intent no app re-asserts, with the periodic auditor off and on. A
+// flap leaves the switch its table: the four rules are an earlier
+// session's leftovers, retired from switch and store. A crash-restart
+// empties the switch: the intent it lost is restored from the store,
+// cookies and all. Either way the switch's table ends equal to the
+// store.
+func TestReconciliationContract(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		for _, audit := range []time.Duration{0, 20 * time.Millisecond} {
+			t.Run(fmt.Sprintf("crash=%v/audit=%v", crash, audit), func(t *testing.T) {
+				r := newReattachRig(t, audit)
+				r.reattach(t, crash)
+				waitUntil(t, 5*time.Second, func() bool {
+					n, _ := r.ctl.Metrics().Value("controller.liveness.reconciles")
+					return n == 1
+				})
+				sc, ok := r.ctl.Switch(9)
+				if !ok {
+					t.Fatal("switch not registered after re-attach")
+				}
+				want, flows, stale := "", 0, int64(4)
+				if crash {
+					want, flows, stale = r.before, 4, 0
+				}
+				if table, intent := tableSnapshot(t, sc), intentSnapshot(r.ctl, 9); table != want || intent != want {
+					t.Errorf("switch %d flows, store %d; want %d in both, cookies unchanged\nswitch:\n%s\nstore:\n%s",
+						r.sw.FlowCount(), len(r.ctl.IntendedFlows(9)), flows, table, intent)
+				}
+				if got, _ := r.ctl.Metrics().Value("controller.liveness.stale_flows"); got != stale {
+					t.Errorf("stale flows = %d, want %d", got, stale)
+				}
+			})
+		}
+	}
+}
+
+// TestReconciliationGateHoldsAudit holds a crash-restart's SwitchUp in
+// an app for ten audit intervals. Periodic audits must wait for the
+// first pass: one run meanwhile would re-add the lost old-epoch intent,
+// and the first pass would then flush it from switch and store as an
+// earlier session's leftovers.
+func TestReconciliationGateHoldsAudit(t *testing.T) {
+	r := newReattachRig(t, 10*time.Millisecond, holdReconnect{100 * time.Millisecond})
+	r.reattach(t, true)
+	waitUntil(t, 5*time.Second, func() bool {
+		n, _ := r.ctl.Metrics().Value("controller.liveness.reconciles")
+		return n == 1
+	})
+	audits, _ := r.ctl.Metrics().Value("controller.audit.audits")
+	waitUntil(t, 5*time.Second, func() bool {
+		n, _ := r.ctl.Metrics().Value("controller.audit.audits")
+		return n >= audits+2
+	})
+	sc, _ := r.ctl.Switch(9)
+	if table, intent := tableSnapshot(t, sc), intentSnapshot(r.ctl, 9); table != r.before || intent != r.before {
+		t.Errorf("switch %d flows, store %d; want the 4 committed in both\nswitch:\n%s\nstore:\n%s",
+			r.sw.FlowCount(), len(r.ctl.IntendedFlows(9)), table, intent)
+	}
+}
+
+// TestReconciliationCountsFailedPass rejects the stale deletes of a
+// flap's first pass. The failure is counted as an audit failure, not a
+// completed reconcile, and the gate still drops: once the switch
+// accepts deletes again, periodic audits flush the leftovers the pass
+// already retired from the store.
+func TestReconciliationCountsFailedPass(t *testing.T) {
+	r := newReattachRig(t, 20*time.Millisecond)
+	r.channel.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
+		if fm.Command == zof.FlowDeleteStrict {
+			return netem.FlowModReject, zof.ErrCodeBadRequest
+		}
+		return netem.FlowModPass, 0
+	})
+	r.reattach(t, false)
+	waitUntil(t, 5*time.Second, func() bool {
+		n, _ := r.ctl.Metrics().Value("controller.audit.failures")
+		return n >= 1
+	})
+	if n, _ := r.ctl.Metrics().Value("controller.liveness.reconciles"); n != 0 {
+		t.Errorf("reconciles = %d after a failed first pass, want 0", n)
+	}
+	r.channel.SetFlowModPolicy(nil)
+	waitUntil(t, 5*time.Second, func() bool {
+		n, _ := r.ctl.Metrics().Value("controller.audit.audits")
+		return n >= 1
+	})
+	if n, m := r.sw.FlowCount(), len(r.ctl.IntendedFlows(9)); n != 0 || m != 0 {
+		t.Errorf("switch %d flows, store %d after a periodic audit; want 0 and 0", n, m)
 	}
 }
 

@@ -113,8 +113,7 @@ func (st *storeState) clone() storeState {
 
 // applyFlowMod mirrors the datapath's flow-mod semantics onto the
 // intended state, including the cookie-filter delete variants — so the
-// reconciler's stale-epoch flushes and the apps' deletes keep store and
-// switch in lockstep. Capacity and overlap are not modelled: the store
+// apps' deletes keep store and switch in lockstep. Capacity and overlap are not modelled: the store
 // records intent, and a switch rejection surfaces through the
 // transactional or async-error paths instead.
 func (st *storeState) applyFlowMod(m *zof.FlowMod) {

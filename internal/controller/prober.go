@@ -7,13 +7,16 @@ import (
 
 // LivenessStats are the fault-tolerance layer's health counters: the
 // keepalive's probe/miss/eviction counts and last detection latency,
-// summed over every switch, and the reconciler's stale-flow flushes.
+// summed over every switch, and what the first audit pass of a
+// re-attached or activated session flushed.
 type LivenessStats struct {
 	zof.ProbeStats
-	// StaleFlows counts flow entries flushed by post-reconnect cookie
-	// reconciliation.
+	// StaleFlows counts flow entries a session's first audit pass
+	// deleted because an earlier session's epoch stamped their cookie,
+	// counted as the deletes are sent.
 	StaleFlows obs.Counter
-	// Reconciles counts completed reconciliation passes.
+	// Reconciles counts first audit passes that completed; a failed one
+	// counts in controller.audit.failures instead.
 	Reconciles obs.Counter
 }
 
@@ -34,55 +37,4 @@ func (c *Controller) keepalive(sc *SwitchConn) {
 	if err != nil {
 		c.cfg.Logf("liveness: evicted %#x after a full miss budget (last: %v)", sc.dpid, err)
 	}
-}
-
-// startReconcile runs sc's reconcile pass in the background, counted in
-// loopWG so that Close waits for it. Adding to loopWG is safe from both
-// callers: a dispatch worker, which loopWG already counts, and post
-// shedding registerSwitch's SwitchUp under mu, before Close can wait.
-func (c *Controller) startReconcile(sc *SwitchConn) {
-	c.loopWG.Add(1)
-	go c.reconcileFlows(sc)
-}
-
-// reconcileFlows is the resync step of a re-attach: a returning DPID
-// may still hold flows from its previous session (control-channel flap
-// without a crash). Apps reinstall their state on the Reconnect
-// SwitchUp under the fresh session epoch; this pass then queries the
-// flow table and deletes every entry stamped with a different epoch.
-// Each delete is strict (exact match+priority) and cookie-filtered, so
-// a delete aimed at a stale entry can never remove a fresh entry that
-// replaced it under the same match — the reconciliation is race-free
-// against concurrent reinstalls. It starts once every app has handled
-// the SwitchUp, so its stats request follows their installs on the
-// ordered stream and one pass suffices.
-func (c *Controller) reconcileFlows(sc *SwitchConn) {
-	defer c.loopWG.Done()
-	defer sc.reconciling.Store(false)
-	rep, err := sc.Stats(&zof.StatsRequest{
-		Kind:    zof.StatsFlow,
-		TableID: 0xff,
-		Match:   zof.MatchAll(),
-	}, reconcileTimeout)
-	if err != nil {
-		c.cfg.Logf("reconcile %#x: flow stats: %v", sc.dpid, err)
-		return
-	}
-	var dels []zof.Message
-	for _, f := range rep.Flows {
-		if CookieEpoch(f.Cookie) == sc.epoch {
-			continue
-		}
-		dels = append(dels, FlowKey{f.TableID, f.Match, f.Priority}.deleteCookie(f.Cookie))
-	}
-	if len(dels) > 0 {
-		if err := sc.SendBatch(dels...); err != nil {
-			c.cfg.Logf("reconcile %#x: flush: %v", sc.dpid, err)
-			return
-		}
-		c.liveness.StaleFlows.Add(uint64(len(dels)))
-		c.cfg.Logf("reconcile %#x: flushed %d stale flows (epoch != %d)",
-			sc.dpid, len(dels), sc.epoch)
-	}
-	c.liveness.Reconciles.Inc()
 }

@@ -13,7 +13,7 @@ import (
 
 // cookieEpochShift places the session epoch in the upper 16 bits of
 // every controller-installed flow cookie; the low 48 bits remain the
-// app's. Reconciliation after a reconnect keys on these bits: entries
+// app's. A session's first audit pass keys on these bits: entries
 // stamped with an earlier epoch are stale leftovers of a previous
 // session and are flushed once the apps have reinstalled.
 const cookieEpochShift = 48
@@ -49,9 +49,10 @@ type SwitchConn struct {
 	// transactions acquire participants in ascending DPID order.
 	txnMu sync.Mutex
 
-	// reconciling is set from a re-attach's or an activation's SwitchUp
-	// until the stale-epoch flush behind it completes; the auditor skips
-	// the switch while it holds (see registerSwitch).
+	// reconciling means this session's first audit pass has not run:
+	// it rises with a re-attach's or an activation's SwitchUp and drops
+	// when the pass behind it ends. Periodic audits skip the switch
+	// while it holds (see registerSwitch).
 	reconciling atomic.Bool
 
 	// active reports whether SwitchUp has been posted for this
@@ -222,7 +223,7 @@ func (s *SwitchConn) record(msgs ...zof.Message) {
 
 // stamp embeds the session epoch into a FlowAdd's cookie. App cookies
 // live in the low 48 bits; the upper 16 identify the installing
-// session so reconciliation can flush leftovers of a dead one.
+// session so a first audit pass can flush leftovers of a dead one.
 func (s *SwitchConn) stamp(fm *zof.FlowMod) {
 	if fm.Command == zof.FlowAdd {
 		fm.Cookie = sessionCookie(s.epoch, fm.Cookie)

@@ -49,8 +49,8 @@ type E10Result struct {
 	// A participant crashing mid-commit (connection severed on the
 	// first transactional op, datapath restarted empty) must abort the
 	// transaction with survivors rolled back; the crashed switch
-	// converges back to pre-transaction intent via reconnect plus
-	// anti-entropy repair.
+	// converges back to pre-transaction intent via the re-attach's
+	// first audit pass.
 	CrashAborted         bool    `json:"crash_aborted"`
 	CrashSurvivorsIntact bool    `json:"crash_survivors_intact"`
 	CrashConverged       bool    `json:"crash_converged"`
@@ -293,7 +293,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	// reaches the switch; the victim's datapath restarts empty. The
 	// commit must abort with survivors rolled back; the victim's
 	// pre-transaction intent survives in the store and is restored by
-	// reconnect plus anti-entropy repair.
+	// the re-attach's first audit pass.
 	channel.SetFlowModPolicy(func(fm *zof.FlowMod) (netem.FlowModDecision, uint16) {
 		if fm.Command == zof.FlowAdd && fm.Cookie&(1<<48-1) == e10CrashCookie {
 			channel.DropConnections()
@@ -320,8 +320,8 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 		}
 	}
 	// Restart the victim empty and measure convergence back to the
-	// pre-transaction table, byte for byte (the auditor re-adds the
-	// recorded rules verbatim, cookies included).
+	// pre-transaction table, byte for byte (the first audit pass re-adds
+	// the recorded rules verbatim, cookies included).
 	vsw := twoPortSwitch(dataplane.Config{DPID: victim})
 	sess = dataplane.StartSession(vsw, dataplane.SessionConfig{
 		Dial:       []func() (net.Conn, error){channel.Dial},
@@ -383,7 +383,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 		fmt.Sprintf("%d switches (1 on a faultable channel), %d ops/switch per txn, %d pre-rules, audit every %v",
 			cfg.Switches, cfg.OpsPerSwitch, cfg.PreRules, cfg.AuditInterval),
 		"rollback intact = flow tables byte-identical (canonical FlowStats) to pre-transaction state",
-		"crash converge = mid-commit session death + empty restart → intent restored by reconnect + auditor",
+		"crash converge = mid-commit session death + empty restart → intent restored by the re-attach's first audit pass",
 	}
 	tbl.AddRow("commit p50 / p95 / mean", fmt.Sprintf("%.2f / %.2f / %.2f ms", res.CommitP50MS, res.CommitP95MS, res.CommitMeanMS))
 	tbl.AddRow("commits", fmt.Sprintf("%d (%d switches x %d ops)", res.TxnsCommitted, cfg.Switches, cfg.OpsPerSwitch))
