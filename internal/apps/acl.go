@@ -37,14 +37,7 @@ func (a *ACL) Deny(c *controller.Controller, m zof.Match) uint64 {
 	a.mu.Unlock()
 	txn := c.NewTxn()
 	for _, sc := range c.Switches() {
-		txn.Flow(sc.DPID(), &zof.FlowMod{
-			Command:  zof.FlowAdd,
-			Match:    m,
-			Priority: aclPriority,
-			Cookie:   id,
-			BufferID: zof.NoBuffer,
-			// No actions: drop.
-		})
+		txn.Flow(sc.DPID(), aclRule(m, id))
 	}
 	if err := txn.Commit(); err != nil {
 		return 0
@@ -83,15 +76,16 @@ func (a *ACL) Allow(c *controller.Controller, id uint64) bool {
 	return true
 }
 
-func (a *ACL) install(sc *controller.SwitchConn, m zof.Match, id uint64) {
-	_ = sc.InstallFlow(&zof.FlowMod{
+// aclRule is deny rule id's FlowAdd: m at the top of the ladder, no
+// actions (drop), filed under the ACL's owner id.
+func aclRule(m zof.Match, id uint64) *zof.FlowMod {
+	return &zof.FlowMod{
 		Command:  zof.FlowAdd,
 		Match:    m,
 		Priority: aclPriority,
-		Cookie:   id,
+		Cookie:   controller.OwnerCookie(ownerACL, id),
 		BufferID: zof.NoBuffer,
-		// No actions: drop.
-	})
+	}
 }
 
 // SwitchUp pushes the rule set to newly arrived switches.
@@ -107,7 +101,7 @@ func (a *ACL) SwitchUp(c *controller.Controller, ev controller.SwitchUp) {
 	}
 	a.mu.Unlock()
 	for id, m := range rules {
-		a.install(sc, m, id)
+		_ = sc.InstallFlow(aclRule(m, id))
 	}
 }
 

@@ -121,6 +121,7 @@ func (e *ECMPRouting) PacketIn(c *controller.Controller, ev controller.PacketInE
 			Command:     zof.FlowAdd,
 			Match:       match,
 			Priority:    ecmpPriority,
+			Cookie:      controller.OwnerCookie(ownerECMP, 0),
 			IdleTimeout: routingIdle,
 			BufferID:    zof.NoBuffer,
 			Actions:     []zof.Action{action},
@@ -151,16 +152,20 @@ func (e *ECMPRouting) ensureGroup(dpid uint64, dst packet.MAC) (uint32, bool) {
 	return e.nextGroup, false
 }
 
-// LinkDown drops all cached groups and flows: paths recompute on the
-// next packet (groups are re-pushed with fresh ids).
+// LinkDown deletes every cached group, whose cascade takes the flows
+// naming it, then flushes ECMP's other rules: paths recompute on the
+// next packet, which re-pushes groups under fresh ids.
 func (e *ECMPRouting) LinkDown(c *controller.Controller, ev controller.LinkDown) {
 	e.mu.Lock()
-	clear(e.groupFor)
+	groups := e.groupFor
+	e.groupFor = make(map[ecmpKey]uint32)
 	e.mu.Unlock()
-	for _, sc := range c.Switches() {
-		_ = sc.InstallFlow(&zof.FlowMod{Command: zof.FlowDelete,
-			Match: zof.MatchAll(), BufferID: zof.NoBuffer})
+	for key, gid := range groups {
+		if sc, ok := c.Switch(key.dpid); ok {
+			_ = sc.Send(&zof.GroupMod{Command: zof.GroupDelete, GroupID: gid})
+		}
 	}
+	flushOwned(c, ownerECMP)
 }
 
 // LinkUp implements controller.LinkHandler.

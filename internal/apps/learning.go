@@ -94,6 +94,7 @@ func (l *LearningSwitch) PacketIn(c *controller.Controller, ev controller.Packet
 			Command:     zof.FlowAdd,
 			Match:       m,
 			Priority:    learningPriority,
+			Cookie:      controller.OwnerCookie(ownerLearning, 0),
 			IdleTimeout: learningIdle,
 			BufferID:    ev.Msg.BufferID,
 			Actions:     []zof.Action{zof.Output(outPort)},

@@ -105,7 +105,7 @@ func (lb *LoadBalancer) PacketIn(c *controller.Controller, ev controller.PacketI
 	}
 	fwdActs = append(fwdActs, zof.Output(out))
 	fwdMod := &zof.FlowMod{
-		Command: zof.FlowAdd, Match: fwd, Priority: lbPriority,
+		Command: zof.FlowAdd, Match: fwd, Priority: lbPriority, Cookie: controller.OwnerCookie(ownerLB, 0),
 		IdleTimeout: lbIdle, BufferID: ev.Msg.BufferID, Actions: fwdActs,
 	}
 
@@ -130,7 +130,7 @@ func (lb *LoadBalancer) PacketIn(c *controller.Controller, ev controller.PacketI
 		zof.Output(ev.Msg.InPort),
 	}
 	revMod := &zof.FlowMod{
-		Command: zof.FlowAdd, Match: rev, Priority: lbPriority,
+		Command: zof.FlowAdd, Match: rev, Priority: lbPriority, Cookie: controller.OwnerCookie(ownerLB, 0),
 		IdleTimeout: lbIdle, BufferID: zof.NoBuffer, Actions: revActs,
 	}
 	// The NAT rule pair is one burst: one write, one syscall. Order is
@@ -181,6 +181,17 @@ func (lb *LoadBalancer) portToward(c *controller.Controller, dpid uint64, bh con
 	return route.Ports[0], true
 }
 
+// LinkDown flushes the balancer's rules: a forward rule leaves by
+// portToward's first hop, which the failure may have moved. Both rules
+// of each pair go, and the next packet of the flow reinstalls them on
+// its sticky backend.
+func (lb *LoadBalancer) LinkDown(c *controller.Controller, ev controller.LinkDown) {
+	flushOwned(c, ownerLB)
+}
+
+// LinkUp implements controller.LinkHandler.
+func (lb *LoadBalancer) LinkUp(c *controller.Controller, ev controller.LinkUp) {}
+
 // SwitchUp implements controller.SwitchHandler. The balancer is fully
 // reactive — NAT rules reinstall on the next packet of each flow — so
 // a reconnect needs no proactive reinstall; reconciliation flushing
@@ -200,3 +211,4 @@ func (lb *LoadBalancer) SwitchDown(c *controller.Controller, ev controller.Switc
 
 var _ controller.PacketInHandler = (*LoadBalancer)(nil)
 var _ controller.SwitchHandler = (*LoadBalancer)(nil)
+var _ controller.LinkHandler = (*LoadBalancer)(nil)

@@ -19,7 +19,7 @@ type NFSteer struct {
 	Match    zof.Match
 	StageIDs []uint32
 	Then     []zof.Action
-	Cookie   uint64
+	Cookie   uint64 // the low 40 bits are kept; the owner field is NFPolicy's
 }
 
 func (s NFSteer) flowMod() *zof.FlowMod {
@@ -33,7 +33,7 @@ func (s NFSteer) flowMod() *zof.FlowMod {
 		TableID:  s.TableID,
 		Match:    s.Match,
 		Priority: s.Priority,
-		Cookie:   s.Cookie,
+		Cookie:   controller.OwnerCookie(ownerNF, s.Cookie),
 		BufferID: zof.NoBuffer,
 		Actions:  acts,
 	}

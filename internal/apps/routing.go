@@ -16,7 +16,7 @@ import (
 // along it, then releases the packet — behind the downstream hops'
 // barrier replies, so the frame never meets a half-installed path and
 // a flow costs one packet-in. On topology changes it flushes the
-// affected flows so the next packet re-routes.
+// flows it installed, and no other app's, so the next packet re-routes.
 type Routing struct {
 	// Flushes counts LinkDown-triggered network-wide flushes (tests).
 	Flushes atomic.Uint64
@@ -131,6 +131,7 @@ func (r *Routing) PacketIn(c *controller.Controller, ev controller.PacketInEvent
 			Command:     zof.FlowAdd,
 			Match:       match,
 			Priority:    routingPriority,
+			Cookie:      controller.OwnerCookie(ownerRouting, 0),
 			IdleTimeout: routingIdle,
 			BufferID:    buffer,
 			Actions:     h.out[:],
@@ -155,17 +156,13 @@ func (r *Routing) PacketIn(c *controller.Controller, ev controller.PacketInEvent
 // LinkUp implements controller.LinkHandler.
 func (r *Routing) LinkUp(c *controller.Controller, ev controller.LinkUp) {}
 
-// LinkDown flushes every switch so paths recompute on demand. Flushing
-// network-wide (not just the switches on affected paths) also covers
-// an install triggered by an event queued before the failure
-// notification.
+// LinkDown flushes routing's rules from every switch so paths
+// recompute on demand. Flushing network-wide (not just the switches on
+// affected paths) also covers an install triggered by an event queued
+// before the failure notification.
 func (r *Routing) LinkDown(c *controller.Controller, ev controller.LinkDown) {
 	r.Flushes.Add(1)
-	for _, sc := range c.Switches() {
-		m := zof.MatchAll() // wildcard delete of everything reactive
-		_ = sc.InstallFlow(&zof.FlowMod{Command: zof.FlowDelete, Match: m,
-			BufferID: zof.NoBuffer})
-	}
+	flushOwned(c, ownerRouting)
 }
 
 var _ controller.PacketInHandler = (*Routing)(nil)

@@ -218,14 +218,19 @@ func (c *Controller) auditLoop() {
 	}
 }
 
+// FlowStore returns the intended-state store of dpid (nil if the DPID
+// has never connected).
+func (c *Controller) FlowStore(dpid uint64) *FlowStore {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stores[dpid]
+}
+
 // IntendedFlows snapshots the intended flows recorded for dpid (nil if
 // the DPID has never connected).
 func (c *Controller) IntendedFlows(dpid uint64) map[FlowKey]IntendedFlow {
-	c.mu.Lock()
-	fs := c.stores[dpid]
-	c.mu.Unlock()
-	if fs == nil {
-		return nil
+	if fs := c.FlowStore(dpid); fs != nil {
+		return fs.Flows()
 	}
-	return fs.Flows()
+	return nil
 }

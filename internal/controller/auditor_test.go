@@ -223,10 +223,10 @@ func TestAuditVsConcurrentInstalls(t *testing.T) {
 const auditEpoch = 2
 
 // auditFlow derives a rule from b: epoch 1 or auditEpoch, one of two
-// app cookies, an output to one of two ports, and an idle timeout when
-// bit 3 is set.
+// app cookies under one of four owners (bits 4–5), an output to one of
+// two ports, and an idle timeout when bit 3 is set.
 func auditFlow(b byte) IntendedFlow {
-	f := IntendedFlow{Cookie: sessionCookie(1+uint64(b&1), 1+uint64(b>>1&1)),
+	f := IntendedFlow{Cookie: sessionCookie(1+uint64(b&1), OwnerCookie(b>>4&3, 1+uint64(b>>1&1))),
 		Actions: []zof.Action{zof.Output(1 + uint32(b>>2&1))}}
 	if b&8 != 0 {
 		f.IdleTimeout = 30

@@ -359,29 +359,31 @@ func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
 		prev.close()
 	}
 	next[sc.dpid] = sc
+	// Single-instance mode: every connection activates itself, before
+	// the publish, so no caller finds it registered but inactive. Under
+	// deferred mastership the SwitchUp waits for ActivateSwitch — apps
+	// must not program a switch this instance does not yet own.
+	single := c.cfg.Mastership == nil
+	if single {
+		// A returning DPID may carry flows from its previous session:
+		// its SwitchUp carries the session, and dispatch runs the
+		// session's first audit pass, which flushes the leftovers, once
+		// the apps have reinstalled. Periodic audits wait for it: one
+		// running while a handler still reinstalls would re-add intent
+		// the switch lost under its old-epoch cookies, which the first
+		// pass would then retire from the switch AND the store,
+		// destroying intent. The gate rises before active, which the
+		// auditor checks first, and drops when the first pass ends.
+		sc.reconciling.Store(reconnect)
+		sc.active.Store(true)
+	}
 	publish(&c.switches, next)
 	c.nib.addSwitch(sc.features)
-	if c.cfg.Mastership == nil {
-		// Single-instance mode: every connection activates itself.
-		// Under deferred mastership the SwitchUp waits for
-		// ActivateSwitch — apps must not program a switch this
-		// instance does not yet own.
+	if single {
 		up := SwitchUp{DPID: sc.dpid, Features: sc.features, Reconnect: reconnect}
 		if reconnect {
-			// A returning DPID may carry flows from its previous
-			// session: its SwitchUp carries the session, and dispatch
-			// runs the session's first audit pass, which flushes the
-			// leftovers, once the apps have reinstalled. Periodic audits
-			// wait for it: one running while a handler still reinstalls
-			// would re-add intent the switch lost under its old-epoch
-			// cookies, which the first pass would then retire from the
-			// switch AND the store, destroying intent. The gate rises
-			// before active, which the auditor checks first, and drops
-			// when the first pass ends.
-			sc.reconciling.Store(true)
 			up.reconcile = sc
 		}
-		sc.active.Store(true)
 		c.post(up)
 	}
 	return reconnect, true

@@ -51,18 +51,19 @@ func (f IntendedFlow) flowMod(k FlowKey) *zof.FlowMod {
 	}
 }
 
-// deleteCookie builds the cookie-filtered strict delete of the rule at
-// k installed under cookie: if an app reinstalls k while the delete is
-// in flight, the new rule's cookie differs and the delete misses it.
+// deleteCookie builds the strict delete of the rule at k installed
+// under exactly cookie (the all-ones mask): if an app reinstalls k
+// while the delete is in flight, the new rule's cookie differs and the
+// delete misses it.
 func (k FlowKey) deleteCookie(cookie uint64) *zof.FlowMod {
 	return &zof.FlowMod{
-		Command:  zof.FlowDeleteStrict,
-		TableID:  k.TableID,
-		Match:    k.Match,
-		Priority: k.Priority,
-		Cookie:   cookie,
-		Flags:    zof.FlagCookieFilter,
-		BufferID: zof.NoBuffer,
+		Command:    zof.FlowDeleteStrict,
+		TableID:    k.TableID,
+		Match:      k.Match,
+		Priority:   k.Priority,
+		Cookie:     cookie,
+		CookieMask: ^uint64(0),
+		BufferID:   zof.NoBuffer,
 	}
 }
 
@@ -112,8 +113,8 @@ func (st *storeState) clone() storeState {
 }
 
 // applyFlowMod mirrors the datapath's flow-mod semantics onto the
-// intended state, including the cookie-filter delete variants — so the
-// apps' deletes keep store and switch in lockstep. Capacity and overlap are not modelled: the store
+// intended state, including the deletes' cookie filter — so the apps'
+// deletes keep store and switch in lockstep. Capacity and overlap are not modelled: the store
 // records intent, and a switch rejection surfaces through the
 // transactional or async-error paths instead.
 func (st *storeState) applyFlowMod(m *zof.FlowMod) {
@@ -136,20 +137,14 @@ func (st *storeState) applyFlowMod(m *zof.FlowMod) {
 		}
 	case zof.FlowDelete:
 		for k, f := range st.flows {
-			if k.TableID != m.TableID || !m.Match.Subsumes(&k.Match) {
-				continue
+			if k.TableID == m.TableID && m.CookieMatches(f.Cookie) && m.Match.Subsumes(&k.Match) {
+				delete(st.flows, k)
 			}
-			if m.Flags&zof.FlagCookieFilter != 0 && f.Cookie != m.Cookie {
-				continue
-			}
-			delete(st.flows, k)
 		}
 	case zof.FlowDeleteStrict:
 		k := FlowKey{m.TableID, m.Match, m.Priority}
-		if f, ok := st.flows[k]; ok {
-			if m.Flags&zof.FlagCookieFilter == 0 || f.Cookie == m.Cookie {
-				delete(st.flows, k)
-			}
+		if f, ok := st.flows[k]; ok && m.CookieMatches(f.Cookie) {
+			delete(st.flows, k)
 		}
 	}
 }
@@ -260,13 +255,6 @@ func (fs *FlowStore) Groups() map[uint32]IntendedGroup {
 		out[k] = v
 	}
 	return out
-}
-
-// Len returns the number of intended flows.
-func (fs *FlowStore) Len() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.st.flows)
 }
 
 // undo returns the messages that, sent after ops, restore the intent

@@ -35,14 +35,20 @@ func undoKey(i byte) FlowKey {
 	return FlowKey{TableID: i % 2, Match: undoMatches[int(i/2)%len(undoMatches)], Priority: 10 + 10*uint16(i/10%2)}
 }
 
-// undoFlow derives a rule from b: one of four cookies, and an output
-// to one of two ports or a group from groups.
+// undoFlow derives a rule from b: one of four app cookies under one of
+// four owners, and an output to one of two ports or a group from groups.
 func undoFlow(b byte, groups []uint32) IntendedFlow {
-	f := IntendedFlow{Cookie: 1 + uint64(b&3), Actions: []zof.Action{zof.Output(1 + uint32(b>>2&1))}}
+	f := IntendedFlow{Cookie: OwnerCookie(b>>6, 1+uint64(b&3)), Actions: []zof.Action{zof.Output(1 + uint32(b>>2&1))}}
 	if b&8 != 0 && len(groups) > 0 {
 		f.Actions = []zof.Action{zof.Group(groups[int(b>>4)%len(groups)])}
 	}
 	return f
+}
+
+// drawnMask is the cookie mask sel draws for a delete: none, the exact
+// cookie, the owner field, or b's bits spread over every byte.
+func drawnMask(sel, b byte) uint64 {
+	return [4]uint64{0, ^uint64(0), CookieOwnerMask, uint64(b) * 0x0101_0101_0101_0101}[sel&3]
 }
 
 // undoGroup derives one of four group contents from b.
@@ -66,9 +72,9 @@ type undoCoverage struct {
 // them gives back the pre-state, flows and groups. data[0]'s low four
 // bits name the groups 1–4 that exist and data[1] how many flows are
 // installed, two bytes each (a key and a rule); every flow that names
-// a group names one of those. Three bytes then make an op: a kind (bit
-// 4 sets FlagCookieFilter on a flow command), a key or group, and the
-// rule or contents. Along the way every undo message must change the
+// a group names one of those. Three bytes then make an op: a kind (bits
+// 4–5 draw a flow command's cookie mask), a key or group, and the rule
+// or contents. Along the way every undo message must change the
 // state it is applied to, and no re-add may name a group that is not
 // there yet: the switch refuses such a FlowAdd.
 func checkTxnUndo(t testing.TB, data []byte, cov *undoCoverage) {
@@ -92,10 +98,7 @@ func checkTxnUndo(t testing.TB, data []byte, cov *undoCoverage) {
 	for ; len(rec) >= 3; rec = rec[3:] {
 		k, f := undoKey(rec[1]), undoFlow(rec[2], []uint32{1, 2, 3, 4, 5})
 		fm := &zof.FlowMod{TableID: k.TableID, Match: k.Match, Priority: k.Priority,
-			Cookie: f.Cookie, Actions: f.Actions, BufferID: zof.NoBuffer}
-		if rec[0]&0x10 != 0 {
-			fm.Flags = zof.FlagCookieFilter
-		}
+			Cookie: f.Cookie, CookieMask: drawnMask(rec[0]>>4, rec[2]), Actions: f.Actions, BufferID: zof.NoBuffer}
 		gid := 1 + uint32(rec[1]%5)
 		g := undoGroup(rec[2])
 		switch rec[0] % 7 {
@@ -129,9 +132,9 @@ func checkTxnUndo(t testing.TB, data []byte, cov *undoCoverage) {
 	for _, op := range ops {
 		switch m := op.(type) {
 		case *zof.FlowMod:
-			if m.Flags&zof.FlagCookieFilter != 0 && m.Command >= zof.FlowDelete {
+			if m.CookieMask != 0 && m.Command >= zof.FlowDelete {
 				bare, unfiltered := st.clone(), *m
-				unfiltered.Flags = 0
+				unfiltered.CookieMask = 0
 				bare.applyFlowMod(&unfiltered)
 				st.applyFlowMod(m)
 				if len(bare.flows) < len(st.flows) {
@@ -220,7 +223,7 @@ func TestTxnUndoRestoresIntent(t *testing.T) {
 // FuzzTxnUndo drives the same checker from bytes. The corpus under
 // testdata/fuzz deletes a group that flows name and adds it back with
 // other buckets, replaces a rule and then wildcard-deletes its table,
-// and runs cookie-filtered deletes that hit one rule and miss another.
+// and runs exact-cookie deletes that hit one rule and miss another.
 func FuzzTxnUndo(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) { checkTxnUndo(t, data, new(undoCoverage)) })

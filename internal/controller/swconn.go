@@ -11,16 +11,29 @@ import (
 	"repro/internal/zof"
 )
 
-// cookieEpochShift places the session epoch in the upper 16 bits of
-// every controller-installed flow cookie; the low 48 bits remain the
-// app's. A session's first audit pass keys on these bits: entries
-// stamped with an earlier epoch are stale leftovers of a previous
-// session and are flushed once the apps have reinstalled.
-const cookieEpochShift = 48
+// A controller-installed flow cookie has three fields. Bits 48–63 are
+// the session epoch, stamped on every FlowAdd: a session's first audit
+// pass flushes entries stamped with an earlier epoch, the stale
+// leftovers of a previous session, once the apps have reinstalled.
+// Bits 40–47 name the app that owns the rule (OwnerCookie), so a delete
+// masked with CookieOwnerMask touches that app's rules and no other's.
+// Bits 0–39 are the app's own.
+const (
+	cookieEpochShift = 48
+	cookieOwnerShift = 40
+
+	// CookieOwnerMask selects a cookie's owner field.
+	CookieOwnerMask uint64 = 0xff << cookieOwnerShift
+)
 
 // sessionCookie embeds epoch into the upper bits of an app cookie.
 func sessionCookie(epoch, cookie uint64) uint64 {
 	return epoch<<cookieEpochShift | cookie&(1<<cookieEpochShift-1)
+}
+
+// OwnerCookie files an app's cookie bits under owner (0 is no owner).
+func OwnerCookie(owner uint8, cookie uint64) uint64 {
+	return uint64(owner)<<cookieOwnerShift | cookie&(1<<cookieOwnerShift-1)
 }
 
 // CookieEpoch extracts the session epoch a flow cookie was stamped
@@ -221,8 +234,8 @@ func (s *SwitchConn) record(msgs ...zof.Message) {
 	}
 }
 
-// stamp embeds the session epoch into a FlowAdd's cookie. App cookies
-// live in the low 48 bits; the upper 16 identify the installing
+// stamp embeds the session epoch into a FlowAdd's cookie. The owner
+// and app bits live in the low 48; the upper 16 identify the installing
 // session so a first audit pass can flush leftovers of a dead one.
 func (s *SwitchConn) stamp(fm *zof.FlowMod) {
 	if fm.Command == zof.FlowAdd {

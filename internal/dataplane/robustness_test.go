@@ -37,6 +37,61 @@ func flowAdd(i int, prio uint16, acts ...zof.Action) *zof.FlowMod {
 		Cookie: uint64(i), BufferID: zof.NoBuffer, Actions: acts}
 }
 
+// TestTableDeleteCookieMask pins the two delete commands' cookie
+// filter: an entry goes only if its cookie equals the mod's on the
+// mask's bits. The all-ones mask names one cookie (the audit's deletes:
+// one aimed at a stale entry cannot remove a fresh rule at the same
+// match); the owner mask names one app's rules whatever their epoch or
+// app bits; mask 0 filters nothing.
+func TestTableDeleteCookieMask(t *testing.T) {
+	sw, _ := testSwitch(t, Config{})
+	var rep replyCapture
+	const ownerMask = 0xff << 40
+	add := func(i int, prio uint16, cookie uint64) *zof.FlowMod {
+		fm := flowAdd(i, prio, zof.Output(2))
+		fm.Cookie = cookie
+		sw.Process(fm, uint32(i), rep.fn)
+		return fm
+	}
+	del := func(cmd uint8, m zof.Match, prio uint16, cookie, mask uint64) int {
+		before := sw.FlowCount()
+		sw.Process(&zof.FlowMod{Command: cmd, Match: m, Priority: prio, Cookie: cookie, CookieMask: mask,
+			BufferID: zof.NoBuffer}, 99, rep.fn)
+		return before - sw.FlowCount()
+	}
+	a := add(1, 10, 0x0001_01_0000000001)
+	b := add(2, 20, 0x0002_02_0000000002)
+	if n := del(zof.FlowDelete, zof.MatchAll(), 0, 0x0003_03_0000000003, ^uint64(0)); n != 0 {
+		t.Fatalf("wrong-cookie delete removed %d entries", n)
+	}
+	if n := del(zof.FlowDelete, zof.MatchAll(), 0, a.Cookie, ^uint64(0)); n != 1 || sw.tables[0].Entries()[0].Cookie != b.Cookie {
+		t.Fatalf("exact-cookie delete removed %d entries, want exactly a", n)
+	}
+	// Strict: cookie AND exact match+priority must agree.
+	if del(zof.FlowDeleteStrict, b.Match, 99, b.Cookie, ^uint64(0)) != 0 {
+		t.Fatal("strict delete ignored priority")
+	}
+	if del(zof.FlowDeleteStrict, b.Match, 20, 0xdead, ^uint64(0)) != 0 {
+		t.Fatal("strict delete ignored cookie")
+	}
+	if del(zof.FlowDeleteStrict, b.Match, 20, b.Cookie, ^uint64(0)) != 1 || sw.FlowCount() != 0 {
+		t.Fatal("strict delete missed its target")
+	}
+	// Owner mask: owner 2's rules go under any epoch and app bits.
+	add(1, 10, 0x0001_01_0000000001)
+	add(2, 10, 0x0001_02_0000000007)
+	add(3, 20, 0x0005_02_0000000001)
+	if n := del(zof.FlowDelete, zof.MatchAll(), 0, 0x02<<40, ownerMask); n != 2 || sw.tables[0].Entries()[0].Cookie>>40&0xff != 1 {
+		t.Fatalf("owner delete removed %d entries, want owner 2's two", n)
+	}
+	if del(zof.FlowDeleteStrict, a.Match, 10, 0x02<<40, ownerMask) != 0 {
+		t.Fatal("strict owner delete removed another owner's rule")
+	}
+	if del(zof.FlowDelete, zof.MatchAll(), 0, 0xdead, 0) != 1 || len(rep.msgs) != 0 {
+		t.Fatalf("unfiltered delete left %d flows, replies %v", sw.FlowCount(), rep.msgs)
+	}
+}
+
 // TestTableCapacityReply: per-table capacity overrides are enforced
 // with a table-full Error carrying the offending XID.
 func TestTableCapacityReply(t *testing.T) {

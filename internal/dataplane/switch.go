@@ -393,6 +393,9 @@ func (s *Switch) FlowCount() int {
 	return n
 }
 
+// GroupCount returns the number of installed groups (test aid).
+func (s *Switch) GroupCount() int { return len(s.pl.Load().groups) }
+
 // HandleFrame runs a frame arriving on inPort through the pipeline.
 // The data slice is borrowed for the duration of the call and never
 // mutated or retained — callers may reuse it immediately after return.
@@ -567,17 +570,13 @@ func (s *Switch) flowModLocked(m *zof.FlowMod) error {
 		}
 		t.Modify(m.Match, m.Actions, m.Cookie)
 	case zof.FlowDelete:
-		if m.Flags&zof.FlagCookieFilter != 0 {
-			s.emitRemoved(m.TableID, t.DeleteByCookie(m.Match, m.Cookie), now)
-		} else {
-			s.emitRemoved(m.TableID, t.Delete(m.Match), now)
-		}
+		s.emitRemoved(m.TableID, t.DeleteFunc(func(e *flowtable.Entry) bool {
+			return m.CookieMatches(e.Cookie) && m.Match.Subsumes(&e.Match)
+		}), now)
 	case zof.FlowDeleteStrict:
-		if m.Flags&zof.FlagCookieFilter != 0 {
-			s.emitRemoved(m.TableID, t.DeleteStrictByCookie(m.Match, m.Priority, m.Cookie), now)
-		} else {
-			s.emitRemoved(m.TableID, t.DeleteStrict(m.Match, m.Priority), now)
-		}
+		s.emitRemoved(m.TableID, t.DeleteStrictFunc(m.Match, m.Priority, func(e *flowtable.Entry) bool {
+			return m.CookieMatches(e.Cookie)
+		}), now)
 	default:
 		return fmt.Errorf("bad flow_mod command %d", m.Command)
 	}

@@ -184,7 +184,7 @@ func scriptedEntry(rec [opLen]int) *Entry {
 	return &Entry{
 		Match:    m,
 		Priority: uniPrios[rec[9]%4],
-		Cookie:   uint64(1 + rec[9]/4%3),
+		Cookie:   uint64(rec[9]/12%3)<<40 | uint64(1+rec[9]/4%3), // an owner field at bits 40-47, as the controller writes it
 		Actions:  []zof.Action{zof.Output(uint32(1 + rec[8]%4))},
 		// A quarter of the rules can expire (the op byte's high bits).
 		IdleTimeout: [16]time.Duration{12: 3 * time.Second, 13: 7 * time.Second, 15: 3 * time.Second}[rec[0]/16],
@@ -245,6 +245,12 @@ func scriptedFrame(s *script) probe {
 		}
 	}
 	return p
+}
+
+// drawnMask is the cookie mask a delete op draws from its record: none,
+// the exact cookie, the owner field (bits 40-47) or a scatter of bits.
+func drawnMask(rec [opLen]int) uint64 {
+	return [4]uint64{0, ^uint64(0), 0xff << 40, uint64(rec[11]) * 0x0101_0101_0101_0101}[rec[10]/2%4]
 }
 
 // maxScheduleOps bounds one schedule (the fuzzer would otherwise grow
@@ -350,8 +356,10 @@ func checkSchedule(t testing.TB, data []byte, cov *coverage) {
 				}
 				o.entries[i] = ne
 			}
-		case kind == 11:
-			samePtrs("Delete", tbl.Delete(e.Match), o.deleteIf(func(x *Entry) bool { return e.Match.Subsumes(&x.Match) }))
+		case kind == 11: // the switch's non-strict delete
+			del := zof.FlowMod{Match: e.Match, Cookie: e.Cookie, CookieMask: drawnMask(rec)}
+			pred := func(x *Entry) bool { return del.CookieMatches(x.Cookie) && del.Match.Subsumes(&x.Match) }
+			samePtrs("DeleteFunc, non-strict", tbl.DeleteFunc(pred), o.deleteIf(pred))
 		case kind == 12:
 			m, prio := e.Match, e.Priority
 			if target != nil && rec[10]%4 != 0 {
@@ -359,13 +367,15 @@ func checkSchedule(t testing.TB, data []byte, cov *coverage) {
 			}
 			samePtrs("DeleteStrict", tbl.DeleteStrict(m, prio),
 				o.deleteIf(func(x *Entry) bool { return x.Priority == prio && x.Match == m }))
-		case kind == 13 && target != nil && rec[10]%2 == 0:
-			m, prio, cookie := target.Match, target.Priority, uint64(1+rec[10]/2%3)
-			samePtrs("DeleteStrictByCookie", tbl.DeleteStrictByCookie(m, prio, cookie),
-				o.deleteIf(func(x *Entry) bool { return x.Cookie == cookie && x.Priority == prio && x.Match == m }))
-		case kind == 13:
-			samePtrs("DeleteByCookie", tbl.DeleteByCookie(e.Match, e.Cookie),
-				o.deleteIf(func(x *Entry) bool { return x.Cookie == e.Cookie && e.Match.Subsumes(&x.Match) }))
+		case kind == 13: // the switch's strict delete
+			del := zof.FlowMod{Match: e.Match, Priority: e.Priority, Cookie: e.Cookie, CookieMask: drawnMask(rec)}
+			if target != nil && rec[10]%2 == 0 {
+				del.Match, del.Priority = target.Match, target.Priority
+			}
+			samePtrs("DeleteStrictFunc", tbl.DeleteStrictFunc(del.Match, del.Priority, func(x *Entry) bool { return del.CookieMatches(x.Cookie) }),
+				o.deleteIf(func(x *Entry) bool {
+					return x.Priority == del.Priority && x.Match == del.Match && del.CookieMatches(x.Cookie)
+				}))
 		case kind == 14:
 			pred := func(x *Entry) bool { return x.Actions[0].Port == e.Actions[0].Port && x.Priority == e.Priority }
 			samePtrs("DeleteFunc", tbl.DeleteFunc(pred), o.deleteIf(pred))
@@ -626,7 +636,7 @@ func TestTableViewAllOrNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := tbl.Delete(zof.MatchAll()); len(got) != 2 {
+		if got := deleteSubsumed(tbl, zof.MatchAll()); len(got) != 2 {
 			t.Fatalf("round %d: Delete removed %d entries, want 2", round, len(got))
 		}
 	}
@@ -700,7 +710,7 @@ func TestTableHeldViewUnderChurn(t *testing.T) {
 				t.Fatalf("round %d: DeleteStrict of rule %d removed %d", round, i, len(got))
 			}
 		}
-		if got := tbl.Delete(dst); len(got) != n-n/3 || tbl.Len() != 0 {
+		if got := deleteSubsumed(tbl, dst); len(got) != n-n/3 || tbl.Len() != 0 {
 			t.Fatalf("round %d: Delete removed %d of %d, left %d", round, len(got), n-n/3, tbl.Len())
 		}
 	}

@@ -310,40 +310,19 @@ func (t *Table) Modify(m zof.Match, actions []zof.Action, cookie uint64) int {
 	return n
 }
 
-// Delete removes every entry subsumed by m (any priority) and returns
-// the removed entries for FlowRemoved generation.
-func (t *Table) Delete(m zof.Match) []*Entry {
-	return t.DeleteFunc(func(e *Entry) bool { return m.Subsumes(&e.Match) })
-}
-
 // DeleteStrict removes only the entry whose match and priority are
 // exactly m and priority.
 func (t *Table) DeleteStrict(m zof.Match, priority uint16) []*Entry {
-	return t.deleteOne(m, priority, nil)
+	return t.DeleteStrictFunc(m, priority, nil)
 }
 
-// DeleteByCookie removes every entry subsumed by m whose cookie equals
-// cookie exactly (zof.FlagCookieFilter semantics).
-func (t *Table) DeleteByCookie(m zof.Match, cookie uint64) []*Entry {
-	return t.DeleteFunc(func(e *Entry) bool {
-		return e.Cookie == cookie && m.Subsumes(&e.Match)
-	})
-}
-
-// DeleteStrictByCookie removes only the exact match+priority entry, and
-// only if its cookie equals cookie — the race-free primitive session
-// reconciliation uses: a delete aimed at a stale entry cannot remove a
-// fresh one installed under the same match with a different cookie.
-func (t *Table) DeleteStrictByCookie(m zof.Match, priority uint16, cookie uint64) []*Entry {
-	return t.deleteOne(m, priority, &cookie)
-}
-
-// deleteOne is the strict delete: rule identity names at most one
-// entry, which the index finds without a scan.
-func (t *Table) deleteOne(m zof.Match, priority uint16, cookie *uint64) []*Entry {
+// DeleteStrictFunc is the strict delete with a filter: rule identity
+// names at most one entry, which the index finds without a scan, and
+// it goes only if pred (when not nil) accepts it.
+func (t *Table) DeleteStrictFunc(m zof.Match, priority uint16, pred func(*Entry) bool) []*Entry {
 	tuples := t.view.Load().tuples
 	s, l, _, _ := locate(tuples, &m, priority)
-	if l == nil || cookie != nil && l.e.Cookie != *cookie {
+	if l == nil || pred != nil && !pred(l.e) {
 		return nil
 	}
 	i := t.pos(l.e)
@@ -358,10 +337,11 @@ func (t *Table) deleteOne(m zof.Match, priority uint16, cookie *uint64) []*Entry
 func (t *Table) Capacity() int { return t.maxSize }
 
 // DeleteFunc removes every entry for which pred returns true and
-// returns the removed entries. It is the general-purpose deletion
-// primitive the datapath uses for cross-cutting sweeps, e.g. cascading
-// a group delete onto the flows that reference the group. However many
-// entries go, readers see one new view: all of them gone, or none.
+// returns the removed entries. It is the datapath's non-strict delete
+// (pred: the mod's match subsumes the entry's and its cookie filter
+// passes) and its cross-cutting sweeps, e.g. cascading a group delete
+// onto the flows that reference the group. However many entries go,
+// readers see one new view: all of them gone, or none.
 func (t *Table) DeleteFunc(pred func(*Entry) bool) []*Entry {
 	tuples := t.view.Load().tuples
 	var removed []*Entry

@@ -35,6 +35,11 @@ func mkFrame(t testing.TB, src, dst packet.IPv4Addr, sp, dp uint16) *packet.Fram
 	return &f
 }
 
+// deleteSubsumed is the non-strict delete: every entry m subsumes.
+func deleteSubsumed(tbl *Table, m zof.Match) []*Entry {
+	return tbl.DeleteFunc(func(e *Entry) bool { return m.Subsumes(&e.Match) })
+}
+
 func dstMatch(dst packet.IPv4Addr, plen uint8, prio uint16) *Entry {
 	m := zof.MatchAll()
 	m.IPDst = dst
@@ -179,7 +184,7 @@ func TestTableDelete(t *testing.T) {
 	m := zof.MatchAll()
 	m.IPDst = packet.IPv4Addr{10, 0, 0, 0}
 	m.DstPrefix = 8
-	removed := tbl.Delete(m)
+	removed := deleteSubsumed(tbl, m)
 	if len(removed) != 2 || tbl.Len() != 1 {
 		t.Fatalf("removed %d, remaining %d", len(removed), tbl.Len())
 	}
@@ -381,52 +386,10 @@ func TestCacheKeyHashCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestDeleteByCookie pins the cookie-filtered delete semantics the
-// post-reconnect reconciler depends on: deletes remove only entries
-// whose cookie matches exactly, so a delete aimed at a stale session's
-// entry cannot remove a fresh entry that replaced it under the same
-// match and priority.
-func TestDeleteByCookie(t *testing.T) {
-	tbl := NewTable(0)
-	a := dstMatch(packet.IPv4Addr{10, 0, 0, 0}, 8, 10)
-	a.Cookie = 0x0001_000000000001
-	b := dstMatch(packet.IPv4Addr{10, 1, 0, 0}, 16, 20)
-	b.Cookie = 0x0002_000000000002
-	for _, e := range []*Entry{a, b} {
-		if err := tbl.Add(e, false, t0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Wrong cookie: nothing removed even though the match subsumes all.
-	if got := tbl.DeleteByCookie(zof.MatchAll(), 0x0003_000000000003); len(got) != 0 {
-		t.Fatalf("wrong-cookie delete removed %d entries", len(got))
-	}
-	if got := tbl.DeleteByCookie(zof.MatchAll(), a.Cookie); len(got) != 1 || got[0] != a {
-		t.Fatalf("cookie delete removed %v, want exactly a", got)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("len = %d, want 1", tbl.Len())
-	}
-
-	// Strict variant: cookie AND exact match+priority must agree.
-	if got := tbl.DeleteStrictByCookie(b.Match, 99, b.Cookie); len(got) != 0 {
-		t.Fatal("strict delete ignored priority")
-	}
-	if got := tbl.DeleteStrictByCookie(b.Match, 20, 0xdead); len(got) != 0 {
-		t.Fatal("strict delete ignored cookie")
-	}
-	if got := tbl.DeleteStrictByCookie(b.Match, 20, b.Cookie); len(got) != 1 {
-		t.Fatal("strict delete missed its target")
-	}
-	if tbl.Len() != 0 {
-		t.Fatalf("len = %d, want 0", tbl.Len())
-	}
-}
-
 // TestAddReplacementDefeatsStaleStrictDelete demonstrates why the
-// reconciler needs the cookie filter: Add replaces an entry with the
-// same match+priority, and a plain strict delete aimed at the old
-// entry would kill the replacement.
+// audit's deletes carry the exact cookie filter: Add replaces an entry
+// with the same match+priority, and a plain strict delete aimed at the
+// old entry would kill the replacement.
 func TestAddReplacementDefeatsStaleStrictDelete(t *testing.T) {
 	tbl := NewTable(0)
 	old := dstMatch(packet.IPv4Addr{10, 0, 0, 0}, 8, 10)
@@ -442,9 +405,12 @@ func TestAddReplacementDefeatsStaleStrictDelete(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("replacement kept %d entries, want 1", tbl.Len())
 	}
-	// The reconciler's cookie-filtered strict delete, aimed at the old
-	// session's cookie, must be a no-op against the replacement.
-	if got := tbl.DeleteStrictByCookie(old.Match, 10, old.Cookie); len(got) != 0 {
+	// The audit's strict delete, filtered on the old session's exact
+	// cookie as the switch runs it, must be a no-op against the
+	// replacement.
+	stale := zof.FlowMod{Command: zof.FlowDeleteStrict, Match: old.Match, Priority: 10, Cookie: old.Cookie, CookieMask: ^uint64(0)}
+	filter := func(e *Entry) bool { return stale.CookieMatches(e.Cookie) }
+	if got := tbl.DeleteStrictFunc(stale.Match, stale.Priority, filter); len(got) != 0 {
 		t.Fatal("cookie-filtered delete removed the fresh replacement")
 	}
 	if tbl.Len() != 1 {

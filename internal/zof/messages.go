@@ -308,20 +308,19 @@ const (
 const (
 	FlagSendFlowRemoved uint16 = 1 << iota
 	FlagCheckOverlap
-	// FlagCookieFilter restricts FlowDelete/FlowDeleteStrict to entries
-	// whose cookie equals the mod's Cookie exactly. This is what makes
-	// session reconciliation race-free: a delete aimed at a stale
-	// entry cannot remove a fresh entry that replaced it under the same
-	// match, because the replacement carries a different cookie.
-	FlagCookieFilter
 )
 
 // FlowMod installs, modifies or removes flow entries.
 type FlowMod struct {
-	Command     uint8
-	TableID     uint8
-	Match       Match
-	Cookie      uint64
+	Command uint8
+	TableID uint8
+	Match   Match
+	Cookie  uint64
+	// CookieMask narrows the two delete commands to the entries whose
+	// cookie equals Cookie on the mask's bits (OpenFlow 1.1's
+	// cookie_mask); 0 filters nothing, and all ones names one cookie
+	// exactly. Add and modify ignore it.
+	CookieMask  uint64
 	IdleTimeout uint16 // seconds; 0 = none
 	HardTimeout uint16 // seconds; 0 = none
 	Priority    uint16
@@ -335,6 +334,7 @@ func (m *FlowMod) AppendBody(b []byte) []byte {
 	b = append(b, m.Command, m.TableID)
 	b = m.Match.appendTo(b)
 	b = appendU64(b, m.Cookie)
+	b = appendU64(b, m.CookieMask)
 	b = appendU16(b, m.IdleTimeout)
 	b = appendU16(b, m.HardTimeout)
 	b = appendU16(b, m.Priority)
@@ -348,6 +348,7 @@ func (m *FlowMod) DecodeBody(b []byte) error {
 	m.TableID = r.u8()
 	m.Match.decodeFrom(&r)
 	m.Cookie = r.u64()
+	m.CookieMask = r.u64()
 	m.IdleTimeout = r.u16()
 	m.HardTimeout = r.u16()
 	m.Priority = r.u16()
@@ -362,6 +363,11 @@ func (m *FlowMod) DecodeBody(b []byte) error {
 	}
 	return nil
 }
+
+// CookieMatches reports whether a delete m may touch an entry carrying
+// cookie. It is the one place the cookie filter is written: the
+// switch, the controller's intent store and its audit all apply it.
+func (m *FlowMod) CookieMatches(cookie uint64) bool { return (cookie^m.Cookie)&m.CookieMask == 0 }
 
 // FlowRemoved reasons.
 const (

@@ -76,7 +76,7 @@ func allMessages() []Message {
 		&PacketIn{BufferID: NoBuffer, TotalLen: 99, InPort: 7, TableID: 1,
 			Reason: ReasonNoMatch, Cookie: 0xabc, Data: []byte{1, 2, 3}},
 		&PacketOut{BufferID: NoBuffer, InPort: 2, Actions: sampleActions(), Data: []byte{9, 8}},
-		&FlowMod{Command: FlowAdd, TableID: 0, Match: sampleMatch(), Cookie: 5,
+		&FlowMod{Command: FlowAdd, TableID: 0, Match: sampleMatch(), Cookie: 5, CookieMask: 0xff << 40,
 			IdleTimeout: 30, HardTimeout: 300, Priority: 1000, BufferID: NoBuffer,
 			Flags: FlagSendFlowRemoved, Actions: sampleActions()},
 		&FlowRemoved{Match: sampleMatch(), Cookie: 5, Priority: 1000,
