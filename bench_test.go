@@ -14,11 +14,11 @@ import (
 	"repro/internal/cbench"
 	"repro/internal/controller"
 	"repro/internal/experiments"
-	"repro/internal/intent"
 	"repro/internal/te"
 	"repro/internal/topo"
 	"repro/internal/update"
 	"repro/internal/workload"
+	"repro/internal/zof"
 )
 
 // --- E1: reactive flow setup ------------------------------------------------
@@ -180,7 +180,7 @@ func BenchmarkE5Recovery(b *testing.B) {
 		b.Fatal(err)
 	}
 	mgr, _, err := experiments.IntentMesh(g, edges,
-		intent.InstallerFunc(func([]intent.RuleOp) error { return nil }))
+		func(map[topo.NodeID][]zof.Message) error { return nil })
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -194,8 +194,14 @@ func TestDupDPIDReconnectHammer(t *testing.T) {
 		t.Cleanup(func() { dp.Close() })
 	}
 
-	// Converge: a session is registered and usable, the NIB agrees, and
-	// the event stream has settled.
+	// Converge: every round has registered (the controller numbers each
+	// registration's session epoch), the newest session is usable, the
+	// NIB agrees, and the recorder has seen as many SwitchUps.
+	waitUntil(t, 5*time.Second, func() bool {
+		ctl.mu.Lock()
+		defer ctl.mu.Unlock()
+		return ctl.nextEpoch == rounds
+	})
 	waitUntil(t, 5*time.Second, func() bool {
 		sc, ok := ctl.Switch(7)
 		if !ok || !ctl.NIB().HasSwitch(7) {
@@ -203,13 +209,7 @@ func TestDupDPIDReconnectHammer(t *testing.T) {
 		}
 		return sc.Barrier(time.Second) == nil
 	})
-	var lastUps int
-	waitUntil(t, 5*time.Second, func() bool {
-		ups, _ := rec.counts()
-		settled := ups == lastUps
-		lastUps = ups
-		return settled
-	})
+	waitUntil(t, 5*time.Second, func() bool { ups, _ := rec.counts(); return ups >= rounds })
 	ups, downs := rec.counts()
 	if downs != 0 {
 		t.Errorf("SwitchDown posted for displaced sessions: downs=%d, want 0", downs)

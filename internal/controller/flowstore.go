@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/topo"
 	"repro/internal/zof"
 )
 
@@ -258,41 +259,94 @@ func (fs *FlowStore) Groups() map[uint32]IntendedGroup {
 }
 
 // undo returns the messages that, sent after ops, restore the intent
-// the store holds now: it applies ops to a copy of the intended state
-// and diffs the copy against it. A commit that aborts never writes to
-// the store, so at abort time the store is the pre-transaction intent
-// plus whatever apps recorded meanwhile — a rule an app retracted while
-// the fence was out stays retracted. The batch runs flow deletes, then
-// group deletes, then group restores, then flow re-adds: the switch
-// checks group references on FlowAdd, and a group delete cascades onto
-// the flows naming it, which the re-adds put back.
+// the store holds now: the break-before-make diff from the intent with
+// ops applied back to the intent itself. A commit that aborts never
+// writes to the store, so at abort time the store is the
+// pre-transaction intent plus whatever apps recorded meanwhile — a rule
+// an app retracted while the fence was out stays retracted.
 func (fs *FlowStore) undo(ops []zof.Message) []zof.Message {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	before, after := &fs.st, fs.st.clone()
+	after := fs.st.clone()
 	after.apply(ops)
-	var flowDels, groupDels, groupRestores, flowReadds []zof.Message
-	for k, f := range after.flows {
-		if _, ok := before.flows[k]; !ok {
+	return diff(&after, &fs.st, breakBeforeMake)
+}
+
+// Transition returns, per node, the make-before-break batch that takes
+// a switch holding the mods in from[node] to the state the mods in
+// to[node] describe: each list is applied to an empty state, and only
+// what differs is sent. A node whose batch would be empty gets no
+// entry. Packages that keep desired state as wire messages (a TE
+// program, an intent's rules) commit what it returns.
+func Transition(from, to map[topo.NodeID][]zof.Message) map[topo.NodeID][]zof.Message {
+	ops := make(map[topo.NodeID][]zof.Message)
+	put := func(node topo.NodeID) {
+		a, b := newStoreState(), newStoreState()
+		a.apply(from[node])
+		b.apply(to[node])
+		if batch := diff(&a, &b, makeBeforeBreak); len(batch) > 0 {
+			ops[node] = batch
+		}
+	}
+	for node := range from {
+		put(node)
+	}
+	for node := range to {
+		if _, done := from[node]; !done {
+			put(node)
+		}
+	}
+	return ops
+}
+
+// diffOrder is the order in which diff concatenates its four classes.
+type diffOrder bool
+
+const (
+	// breakBeforeMake sends flow deletes, group deletes, group puts,
+	// then flow puts: table space is freed before anything is re-added.
+	// A group delete cascades onto the flows naming it; the flow puts
+	// put back any the target still holds.
+	breakBeforeMake diffOrder = false
+	// makeBeforeBreak sends group puts, flow puts, flow deletes, then
+	// group deletes: every prefix keeps the target's rules that from
+	// already held, and no flow ever names an absent group.
+	makeBeforeBreak diffOrder = true
+)
+
+// diff returns the messages that take a switch from one consistent
+// state (every group a flow names exists) to another: strict deletes
+// under the from cookie for flows the target lacks, deletes for its
+// missing groups, a GroupAdd or GroupModify for each group that is
+// absent or changed, and an add-or-replace FlowAdd for each flow that
+// is absent or not equal. The switch checks group references on
+// FlowAdd, so group puts always precede flow puts.
+func diff(from, to *storeState, order diffOrder) []zof.Message {
+	var flowDels, groupDels, groupPuts, flowPuts []zof.Message
+	for k, f := range from.flows {
+		if _, ok := to.flows[k]; !ok {
 			flowDels = append(flowDels, k.deleteCookie(f.Cookie))
 		}
 	}
-	for id := range after.groups {
-		if _, ok := before.groups[id]; !ok {
+	for id := range from.groups {
+		if _, ok := to.groups[id]; !ok {
 			groupDels = append(groupDels, &zof.GroupMod{Command: zof.GroupDelete, GroupID: id})
 		}
 	}
-	for id, g := range before.groups {
-		if now, ok := after.groups[id]; !ok {
-			groupRestores = append(groupRestores, g.groupMod(zof.GroupAdd, id))
-		} else if !g.equal(now) {
-			groupRestores = append(groupRestores, g.groupMod(zof.GroupModify, id))
+	for id, g := range to.groups {
+		if was, ok := from.groups[id]; !ok {
+			groupPuts = append(groupPuts, g.groupMod(zof.GroupAdd, id))
+		} else if !g.equal(was) {
+			groupPuts = append(groupPuts, g.groupMod(zof.GroupModify, id))
 		}
 	}
-	for k, f := range before.flows {
-		if now, ok := after.flows[k]; !ok || !f.equal(now) {
-			flowReadds = append(flowReadds, f.flowMod(k))
+	for k, f := range to.flows {
+		if was, ok := from.flows[k]; !ok || !f.equal(was) {
+			flowPuts = append(flowPuts, f.flowMod(k))
 		}
 	}
-	return slices.Concat(flowDels, groupDels, groupRestores, flowReadds)
+	if order == makeBeforeBreak {
+		return slices.Concat(groupPuts, flowPuts, flowDels, groupDels)
+	}
+	return slices.Concat(flowDels, groupDels, groupPuts, flowPuts)
 }

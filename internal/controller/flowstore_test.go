@@ -228,3 +228,195 @@ func FuzzTxnUndo(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) { checkTxnUndo(t, data, new(undoCoverage)) })
 }
+
+// diffCoverage says what a set of state pairs exercised.
+type diffCoverage struct {
+	pairs, emptyDiffs, unchanged                                          int
+	flowDels, groupDels, groupAdds, groupModifies, flowAdds, flowReplaces int
+}
+
+// checkStateDiff draws two consistent states from data and requires
+// that each order of their diff takes the first to the second. data[0]'s
+// low four bits name the groups 1–4 the first state holds and its high
+// four bits those the second holds; data[1] and data[2] give each
+// state's group contents, two bits a group. Four bytes then make a
+// flow: a key, where it lives (first only, second only, both, or both
+// unchanged, then naming only groups both hold) and the first's and the
+// second's rule. Along each batch every message must change the state
+// it meets and no FlowAdd may name an absent group. A make-before-break
+// batch must also never remove a rule whose key the second state holds
+// and never delete a group a flow still names.
+func checkStateDiff(t testing.TB, data []byte, cov *diffCoverage) {
+	t.Helper()
+	if len(data) < 3 {
+		return
+	}
+	from, to := newStoreState(), newStoreState()
+	var fromGids, toGids, shared []uint32
+	for id := uint32(1); id <= 4; id++ {
+		inFrom, inTo := data[0]>>(id-1)&1 != 0, data[0]>>(id+3)&1 != 0
+		if inFrom {
+			from.groups[id] = undoGroup(data[1] >> (2 * (id - 1)))
+			fromGids = append(fromGids, id)
+		}
+		if inTo {
+			to.groups[id] = undoGroup(data[2] >> (2 * (id - 1)))
+			toGids = append(toGids, id)
+		}
+		if inFrom && inTo {
+			shared = append(shared, id)
+		}
+	}
+	for rec := data[3:]; len(rec) >= 4; rec = rec[4:] {
+		k := undoKey(rec[0])
+		switch rec[1] % 4 {
+		case 0:
+			from.flows[k] = undoFlow(rec[2], fromGids)
+		case 1:
+			to.flows[k] = undoFlow(rec[3], toGids)
+		case 2:
+			from.flows[k], to.flows[k] = undoFlow(rec[2], fromGids), undoFlow(rec[3], toGids)
+		case 3:
+			from.flows[k] = undoFlow(rec[2], shared)
+			to.flows[k] = from.flows[k]
+		}
+	}
+	for k, f := range to.flows {
+		if g, ok := from.flows[k]; ok && f.equal(g) {
+			cov.unchanged++
+		}
+	}
+	fromWas, toWas := from.clone(), to.clone()
+	for _, order := range []diffOrder{breakBeforeMake, makeBeforeBreak} {
+		batch := diff(&from, &to, order)
+		if d := stateDiff(&from, &fromWas) + stateDiff(&to, &toWas); d != "" {
+			t.Fatalf("diff wrote to its arguments: %s", d)
+		}
+		st := from.clone()
+		for i, op := range batch {
+			was := st.clone()
+			if order == makeBeforeBreak && isDelete(op) && !holds(&st, &to) {
+				t.Fatalf("batch[%d] %+v breaks before the target is made", i, op)
+			}
+			switch m := op.(type) {
+			case *zof.FlowMod:
+				if m.Command == zof.FlowAdd {
+					for _, a := range m.Actions {
+						if _, ok := st.groups[a.Port]; a.Type == zof.ActGroup && !ok {
+							t.Fatalf("order %v: batch[%d] adds a flow naming absent group %d", order, i, a.Port)
+						}
+					}
+				}
+				st.applyFlowMod(m)
+			case *zof.GroupMod:
+				if m.Command == zof.GroupDelete && order == makeBeforeBreak {
+					for k, f := range st.flows {
+						if flowReferencesGroup(f.Actions, m.GroupID) {
+							t.Fatalf("batch[%d] deletes group %d while %+v names it", i, m.GroupID, k)
+						}
+					}
+				}
+				st.applyGroupMod(m)
+			}
+			if stateDiff(&st, &was) == "" {
+				t.Fatalf("order %v: batch[%d] %+v changes nothing", order, i, op)
+			}
+			if order == makeBeforeBreak {
+				for k := range to.flows {
+					_, had := was.flows[k]
+					if _, has := st.flows[k]; had && !has {
+						t.Fatalf("batch[%d] %+v removes %+v, which the target holds", i, op, k)
+					}
+				}
+			}
+		}
+		if d := stateDiff(&st, &to); d != "" {
+			t.Fatalf("order %v: from + diff left %s\nbatch: %d", order, d, len(batch))
+		}
+	}
+	cov.pairs++
+	batch := diff(&from, &to, makeBeforeBreak)
+	if len(batch) == 0 {
+		cov.emptyDiffs++
+	}
+	for _, op := range batch {
+		switch m := op.(type) {
+		case *zof.FlowMod:
+			if m.Command == zof.FlowDeleteStrict {
+				cov.flowDels++
+			} else if _, ok := from.flows[FlowKey{m.TableID, m.Match, m.Priority}]; ok {
+				cov.flowReplaces++
+			} else {
+				cov.flowAdds++
+			}
+		case *zof.GroupMod:
+			switch m.Command {
+			case zof.GroupAdd:
+				cov.groupAdds++
+			case zof.GroupModify:
+				cov.groupModifies++
+			case zof.GroupDelete:
+				cov.groupDels++
+			}
+		}
+	}
+}
+
+// isDelete reports whether op is a flow or group delete.
+func isDelete(op zof.Message) bool {
+	switch m := op.(type) {
+	case *zof.FlowMod:
+		return m.Command == zof.FlowDelete || m.Command == zof.FlowDeleteStrict
+	case *zof.GroupMod:
+		return m.Command == zof.GroupDelete
+	}
+	return false
+}
+
+// holds reports whether st holds every flow and group of target as is.
+func holds(st, target *storeState) bool {
+	for k, f := range target.flows {
+		if g, ok := st.flows[k]; !ok || !f.equal(g) {
+			return false
+		}
+	}
+	for id, g := range target.groups {
+		if h, ok := st.groups[id]; !ok || !g.equal(h) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStateDiff drives the checker with seeded pairs of up to twelve
+// flow records each. Every twentieth pair draws two equal states.
+func TestStateDiff(t *testing.T) {
+	var cov diffCoverage
+	for seed := 0; seed < 2000; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		data := make([]byte, 3+4*rng.Intn(13))
+		rng.Read(data)
+		if seed%20 == 0 {
+			data[0], data[2] = data[0]&0x0f|data[0]<<4, data[1]
+			for i := 4; i < len(data); i += 4 {
+				data[i] = 3
+			}
+		}
+		checkStateDiff(t, data, &cov)
+	}
+	t.Logf("%+v", cov)
+	if cov.pairs != 2000 || cov.emptyDiffs < 100 || cov.unchanged < 1000 || cov.flowDels < 1000 ||
+		cov.groupDels < 1000 || cov.groupAdds < 1000 || cov.groupModifies < 700 || cov.flowAdds < 1000 ||
+		cov.flowReplaces < 1500 {
+		t.Fatalf("pairs too sparse to test the diff: %+v", cov)
+	}
+}
+
+// FuzzStateDiff drives the same checker from bytes. The corpus under
+// testdata/fuzz repoints a flow from a retired group to a new one,
+// modifies a group an unchanged flow names, and moves a rule to
+// another owner's cookie beside a delete and an add.
+func FuzzStateDiff(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) { checkStateDiff(t, data, new(diffCoverage)) })
+}

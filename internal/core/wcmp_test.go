@@ -72,7 +72,7 @@ func TestWCMPTrafficSplit(t *testing.T) {
 	// Install over the wire; also a reverse path so ARP replies and
 	// return traffic reach h1 (plain flows, priority below the TE one).
 	for _, prog := range progs {
-		for node, msgs := range prog.FlowMods(opts) {
+		for node, msgs := range prog.FlowMods() {
 			sc, ok := n.Controller.Switch(uint64(node))
 			if !ok {
 				t.Fatalf("no switch %d", node)

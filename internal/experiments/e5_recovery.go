@@ -19,8 +19,8 @@ type E5Config struct {
 // IntentMesh submits one intent per unordered pair of ends to a fresh
 // manager over g and returns it with the id of the last intent (ids
 // run 1..last).
-func IntentMesh(g *topo.Graph, ends []topo.NodeID, inst intent.Installer) (*intent.Manager, intent.ID, error) {
-	mgr := intent.NewManager(g, inst)
+func IntentMesh(g *topo.Graph, ends []topo.NodeID, commit func(map[topo.NodeID][]zof.Message) error) (*intent.Manager, intent.ID, error) {
+	mgr := intent.NewManager(g, commit)
 	id := intent.ID(0)
 	for i := 0; i < len(ends); i++ {
 		for j := i + 1; j < len(ends); j++ {
@@ -90,10 +90,12 @@ func E5Recovery(cfg E5Config) (*Table, error) {
 		// Rule ops are counted, not installed: the measurement is pure
 		// control-plane recompile cost.
 		ops := 0
-		mgr, id, err := IntentMesh(tc.graph, tc.ends, intent.InstallerFunc(func(o []intent.RuleOp) error {
-			ops += len(o)
+		mgr, id, err := IntentMesh(tc.graph, tc.ends, func(o map[topo.NodeID][]zof.Message) error {
+			for _, msgs := range o {
+				ops += len(msgs)
+			}
 			return nil
-		}))
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}

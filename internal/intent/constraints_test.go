@@ -27,7 +27,7 @@ func pathUsesLink(p topo.Path, k topo.LinkKey) bool {
 
 func TestConstraintAvoidNode(t *testing.T) {
 	g := diamond() // 1-2-4 and 1-3-4
-	m := NewManager(g, newFakeNet())
+	m := NewManager(g, newFakeNet().Apply)
 	if err := m.Submit(Intent{ID: 1, Src: Endpoint{1, 10}, Dst: Endpoint{4, 20},
 		Match: matchFor(1, 4), Priority: 1,
 		Constraints: Constraints{AvoidNodes: []topo.NodeID{2}}}); err != nil {
@@ -54,7 +54,7 @@ func TestConstraintAvoidNode(t *testing.T) {
 
 func TestConstraintAvoidLink(t *testing.T) {
 	g := diamond()
-	m := NewManager(g, newFakeNet())
+	m := NewManager(g, newFakeNet().Apply)
 	bad := topo.LinkKey{A: 1, B: 2, APort: 1, BPort: 1}
 	if err := m.Submit(Intent{ID: 1, Src: Endpoint{1, 10}, Dst: Endpoint{4, 20},
 		Match: matchFor(1, 4), Priority: 1,
@@ -74,7 +74,7 @@ func TestConstraintWaypoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	core := g.Nodes()[0] // cores are numbered first
-	m := NewManager(g, newFakeNet())
+	m := NewManager(g, newFakeNet().Apply)
 	if err := m.Submit(Intent{ID: 1,
 		Src: Endpoint{edges[0], 10}, Dst: Endpoint{edges[7], 20},
 		Match: matchFor(1, 7), Priority: 1,
@@ -122,7 +122,7 @@ func TestConstraintWaypoint(t *testing.T) {
 
 func TestConstraintWaypointContradiction(t *testing.T) {
 	g := diamond()
-	m := NewManager(g, newFakeNet())
+	m := NewManager(g, newFakeNet().Apply)
 	err := m.Submit(Intent{ID: 1, Src: Endpoint{1, 10}, Dst: Endpoint{4, 20},
 		Match: matchFor(1, 4), Priority: 1,
 		Constraints: Constraints{Waypoint: 2, AvoidNodes: []topo.NodeID{2}}})

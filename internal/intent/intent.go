@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/obs"
 	"repro/internal/topo"
 	"repro/internal/zof"
@@ -51,23 +52,9 @@ type Intent struct {
 	Constraints Constraints
 }
 
-// RuleOp is one flow-table operation the compiler emits.
-type RuleOp struct {
-	DPID uint64
-	Mod  *zof.FlowMod
-}
-
-// Installer applies rule operations to the network. The controller's
-// switch connections satisfy this via a small adapter; tests use fakes.
-type Installer interface {
-	Apply(ops []RuleOp) error
-}
-
-// InstallerFunc adapts a function to Installer.
-type InstallerFunc func(ops []RuleOp) error
-
-// Apply implements Installer.
-func (f InstallerFunc) Apply(ops []RuleOp) error { return f(ops) }
+// rules maps each switch (topology node id, which zen equates with
+// DPID) to the wire messages that install an intent's part there.
+type rules = map[topo.NodeID][]zof.Message
 
 // Errors.
 var (
@@ -81,26 +68,30 @@ type record struct {
 	intent  Intent
 	path    topo.Path
 	optimal float64 // cost of the best path at submit time (stretch base)
-	rules   []RuleOp
+	rules   rules
 	failed  bool // currently uncompilable (no path)
 }
 
-// Manager owns the intent lifecycle.
+// Manager owns the intent lifecycle. Every change it makes to the
+// network is one commit of the make-before-break diff, per switch,
+// between the affected intents' old and new rules.
 type Manager struct {
-	mu        sync.Mutex
-	graph     *topo.Graph
-	installer Installer
-	records   map[ID]*record
+	mu      sync.Mutex
+	graph   *topo.Graph
+	commit  func(ops map[topo.NodeID][]zof.Message) error
+	records map[ID]*record
 
 	// Recompiles tracks per-event recompilation latency.
 	Recompiles *obs.Histogram
 }
 
 // NewManager builds a manager over an initial topology snapshot.
-func NewManager(g *topo.Graph, inst Installer) *Manager {
+// commit applies one batch of per-switch operations; the manager never
+// calls it with an empty map.
+func NewManager(g *topo.Graph, commit func(ops map[topo.NodeID][]zof.Message) error) *Manager {
 	return &Manager{
 		graph:      g.Clone(),
-		installer:  inst,
+		commit:     commit,
 		records:    make(map[ID]*record),
 		Recompiles: obs.NewHistogram(),
 	}
@@ -118,7 +109,7 @@ func (m *Manager) Submit(in Intent) error {
 		return err
 	}
 	rec.optimal = rec.path.Cost
-	if err := m.installer.Apply(rec.rules); err != nil {
+	if err := m.commit(controller.Transition(nil, rec.rules)); err != nil {
 		return fmt.Errorf("installing intent %d: %w", in.ID, err)
 	}
 	m.records[in.ID] = rec
@@ -134,7 +125,7 @@ func (m *Manager) Withdraw(id ID) error {
 		return ErrNotFound
 	}
 	delete(m.records, id)
-	return m.installer.Apply(deletions(rec))
+	return m.commit(controller.Transition(rec.rules, nil))
 }
 
 // compileLocked computes the path and rules for rec on the current
@@ -145,7 +136,7 @@ func (m *Manager) compileLocked(rec *record) error {
 	if !ok {
 		return ErrNoPath
 	}
-	var ops []RuleOp
+	byNode := make(rules, len(path.Nodes))
 	for i, node := range path.Nodes {
 		var out uint32
 		if i == len(path.Nodes)-1 {
@@ -157,20 +148,17 @@ func (m *Manager) compileLocked(rec *record) error {
 			}
 			out = p
 		}
-		ops = append(ops, RuleOp{
-			DPID: uint64(node),
-			Mod: &zof.FlowMod{
-				Command:  zof.FlowAdd,
-				Match:    in.Match,
-				Priority: in.Priority,
-				Cookie:   uint64(in.ID),
-				BufferID: zof.NoBuffer,
-				Actions:  []zof.Action{zof.Output(out)},
-			},
+		byNode[node] = append(byNode[node], &zof.FlowMod{
+			Command:  zof.FlowAdd,
+			Match:    in.Match,
+			Priority: in.Priority,
+			Cookie:   uint64(in.ID),
+			BufferID: zof.NoBuffer,
+			Actions:  []zof.Action{zof.Output(out)},
 		})
 	}
 	rec.path = path
-	rec.rules = ops
+	rec.rules = byNode
 	rec.failed = false
 	return nil
 }
@@ -216,23 +204,6 @@ func (m *Manager) constrainedPathLocked(in Intent) (topo.Path, bool) {
 	}, true
 }
 
-// deletions builds the rule removals for a record's current rules.
-func deletions(rec *record) []RuleOp {
-	out := make([]RuleOp, 0, len(rec.rules))
-	for _, op := range rec.rules {
-		out = append(out, RuleOp{
-			DPID: op.DPID,
-			Mod: &zof.FlowMod{
-				Command:  zof.FlowDeleteStrict,
-				Match:    op.Mod.Match,
-				Priority: op.Mod.Priority,
-				BufferID: zof.NoBuffer,
-			},
-		})
-	}
-	return out
-}
-
 // usesLink reports whether the record's path crosses the link.
 func usesLink(rec *record, k topo.LinkKey) bool {
 	for i := 0; i+1 < len(rec.path.Nodes); i++ {
@@ -245,9 +216,10 @@ func usesLink(rec *record, k topo.LinkKey) bool {
 }
 
 // OnLinkDown marks the link failed and recompiles every affected
-// intent, installing new rules and removing old ones. It returns how
-// many intents were rerouted and how many are now unroutable, plus the
-// total recompile+install duration (also recorded in Recompiles).
+// intent, committing the diff from their old rules to their new ones
+// (a hop both paths leave by the same port is not touched). It returns
+// how many intents were rerouted and how many are now unroutable, plus
+// the total recompile+install duration (also recorded in Recompiles).
 func (m *Manager) OnLinkDown(k topo.LinkKey) (rerouted, lost int, elapsed time.Duration) {
 	start := time.Now()
 	m.mu.Lock()
@@ -258,7 +230,7 @@ func (m *Manager) OnLinkDown(k topo.LinkKey) (rerouted, lost int, elapsed time.D
 		m.Recompiles.Observe(elapsed)
 		return 0, 0, elapsed
 	}
-	var ops []RuleOp
+	old, now := make(rules), make(rules)
 	for _, rec := range m.sortedRecordsLocked() {
 		if rec.failed {
 			// Previously unroutable: a failure cannot help, skip.
@@ -267,19 +239,17 @@ func (m *Manager) OnLinkDown(k topo.LinkKey) (rerouted, lost int, elapsed time.D
 		if !usesLink(rec, k) {
 			continue
 		}
-		ops = append(ops, deletions(rec)...)
+		merge(old, rec.rules)
 		if err := m.compileLocked(rec); err != nil {
 			rec.failed = true
 			rec.rules = nil
 			lost++
 			continue
 		}
-		ops = append(ops, rec.rules...)
+		merge(now, rec.rules)
 		rerouted++
 	}
-	if len(ops) > 0 {
-		_ = m.installer.Apply(ops)
-	}
+	m.commitLocked(old, now)
 	elapsed = time.Since(start)
 	m.Recompiles.Observe(elapsed)
 	return rerouted, lost, elapsed
@@ -292,7 +262,7 @@ func (m *Manager) OnLinkUp(k topo.LinkKey) (recovered int) {
 	if !m.graph.SetLinkDown(k, false) {
 		return 0
 	}
-	var ops []RuleOp
+	now := make(rules)
 	for _, rec := range m.sortedRecordsLocked() {
 		if !rec.failed {
 			continue
@@ -300,13 +270,26 @@ func (m *Manager) OnLinkUp(k topo.LinkKey) (recovered int) {
 		if err := m.compileLocked(rec); err != nil {
 			continue
 		}
-		ops = append(ops, rec.rules...)
+		merge(now, rec.rules)
 		recovered++
 	}
-	if len(ops) > 0 {
-		_ = m.installer.Apply(ops)
-	}
+	m.commitLocked(nil, now)
 	return recovered
+}
+
+// merge appends src's messages to dst's, switch by switch.
+func merge(dst, src rules) {
+	for node, msgs := range src {
+		dst[node] = append(dst[node], msgs...)
+	}
+}
+
+// commitLocked commits the diff from old to now, if there is one. A
+// failed commit is not retried: the records already name the new paths.
+func (m *Manager) commitLocked(old, now rules) {
+	if ops := controller.Transition(old, now); len(ops) > 0 {
+		_ = m.commit(ops)
+	}
 }
 
 func (m *Manager) sortedRecordsLocked() []*record {

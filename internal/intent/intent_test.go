@@ -12,8 +12,14 @@ import (
 // tests can assert on the installed state.
 type fakeNet struct {
 	mu   sync.Mutex
-	ops  []RuleOp
+	ops  []ruleOp
 	live map[uint64]map[ruleID]bool // dpid -> installed rules
+}
+
+// ruleOp is one FlowMod the manager committed, with its switch.
+type ruleOp struct {
+	DPID uint64
+	Mod  *zof.FlowMod
 }
 
 type ruleID struct {
@@ -25,9 +31,15 @@ func newFakeNet() *fakeNet {
 	return &fakeNet{live: make(map[uint64]map[ruleID]bool)}
 }
 
-func (f *fakeNet) Apply(ops []RuleOp) error {
+func (f *fakeNet) Apply(batch map[topo.NodeID][]zof.Message) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	var ops []ruleOp
+	for node, msgs := range batch {
+		for _, m := range msgs {
+			ops = append(ops, ruleOp{uint64(node), m.(*zof.FlowMod)})
+		}
+	}
 	for _, op := range ops {
 		f.ops = append(f.ops, op)
 		tbl := f.live[op.DPID]
@@ -82,7 +94,7 @@ func diamond() *topo.Graph {
 func TestSubmitInstallsPath(t *testing.T) {
 	g := diamond()
 	net := newFakeNet()
-	m := NewManager(g, net)
+	m := NewManager(g, net.Apply)
 	in := Intent{
 		ID:    1,
 		Src:   Endpoint{Node: 1, Port: 10},
@@ -101,7 +113,7 @@ func TestSubmitInstallsPath(t *testing.T) {
 		t.Fatalf("rules = %d", net.totalRules())
 	}
 	// Last hop egresses on the intent's destination port.
-	var lastOp RuleOp
+	var lastOp ruleOp
 	for _, op := range net.ops {
 		if op.DPID == 4 {
 			lastOp = op
@@ -126,7 +138,7 @@ func TestSubmitInstallsPath(t *testing.T) {
 func TestWithdrawRemovesRules(t *testing.T) {
 	g := diamond()
 	net := newFakeNet()
-	m := NewManager(g, net)
+	m := NewManager(g, net.Apply)
 	in := Intent{ID: 7, Src: Endpoint{1, 10}, Dst: Endpoint{4, 20},
 		Match: matchFor(1, 4), Priority: 500}
 	if err := m.Submit(in); err != nil {
@@ -149,7 +161,7 @@ func TestWithdrawRemovesRules(t *testing.T) {
 func TestLinkDownReroutes(t *testing.T) {
 	g := diamond()
 	net := newFakeNet()
-	m := NewManager(g, net)
+	m := NewManager(g, net.Apply)
 	if err := m.Submit(Intent{ID: 1, Src: Endpoint{1, 10}, Dst: Endpoint{4, 20},
 		Match: matchFor(1, 4), Priority: 500}); err != nil {
 		t.Fatal(err)
@@ -204,7 +216,7 @@ func TestLinkDownReroutes(t *testing.T) {
 func TestLinkDownExhaustsPaths(t *testing.T) {
 	g := topo.Linear(3, 100) // single path only
 	net := newFakeNet()
-	m := NewManager(g, net)
+	m := NewManager(g, net.Apply)
 	if err := m.Submit(Intent{ID: 1, Src: Endpoint{1, 5}, Dst: Endpoint{3, 6},
 		Match: matchFor(1, 3), Priority: 9}); err != nil {
 		t.Fatal(err)
@@ -239,7 +251,7 @@ func TestSubmitNoPath(t *testing.T) {
 	g := topo.New()
 	g.AddNode(1)
 	g.AddNode(2)
-	m := NewManager(g, newFakeNet())
+	m := NewManager(g, newFakeNet().Apply)
 	err := m.Submit(Intent{ID: 1, Src: Endpoint{1, 1}, Dst: Endpoint{2, 1},
 		Match: zof.MatchAll(), Priority: 1})
 	if err != ErrNoPath {
@@ -259,7 +271,7 @@ func TestManyIntentsManyFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := newFakeNet()
-	m := NewManager(g, net)
+	m := NewManager(g, net.Apply)
 	id := ID(0)
 	for i := 0; i < len(edges); i++ {
 		for j := i + 1; j < len(edges); j++ {

@@ -36,11 +36,14 @@ type CompileOptions struct {
 	// GroupIDBase numbers the generated groups (per commodity, one
 	// group per node that splits). Default 1000.
 	GroupIDBase uint32
-	// WeightDenom quantizes split weights (default 16).
-	WeightDenom int
-	// Priority for installed flow rules (default 400).
-	Priority uint16
 }
+
+const (
+	// weightDenom quantizes split weights: bucket weights sum to it.
+	weightDenom = 16
+	// priority is the priority of every installed TE rule.
+	priority = 400
+)
 
 // Compile turns an allocation into per-switch programs, merging each
 // commodity's path rates into per-node weighted next hops (WCMP, the
@@ -54,12 +57,6 @@ func Compile(a *Allocation, g *topo.Graph, opts CompileOptions) ([]Program, erro
 	}
 	if opts.GroupIDBase == 0 {
 		opts.GroupIDBase = 1000
-	}
-	if opts.WeightDenom <= 0 {
-		opts.WeightDenom = 16
-	}
-	if opts.Priority == 0 {
-		opts.Priority = 400
 	}
 	var programs []Program
 	groupID := opts.GroupIDBase
@@ -111,7 +108,7 @@ func Compile(a *Allocation, g *topo.Graph, opts CompileOptions) ([]Program, erro
 					nexts = append(nexts, next)
 				}
 				sortNodePaths(nexts, ca.Paths)
-				weights := QuantizeSplits(ca, opts.WeightDenom)
+				weights := QuantizeSplits(ca, weightDenom)
 				np.GroupID = groupID
 				groupID++
 				for i, next := range nexts {
@@ -211,10 +208,7 @@ func sortNodePaths(nodes []topo.NodeID, paths []PathAlloc) {
 
 // FlowMods renders a program as the wire messages to install it: one
 // optional GroupMod plus one FlowMod per node.
-func (p Program) FlowMods(opts CompileOptions) map[topo.NodeID][]zof.Message {
-	if opts.Priority == 0 {
-		opts.Priority = 400
-	}
+func (p Program) FlowMods() map[topo.NodeID][]zof.Message {
 	out := make(map[topo.NodeID][]zof.Message, len(p.Nodes))
 	for _, np := range p.Nodes {
 		var msgs []zof.Message
@@ -233,7 +227,7 @@ func (p Program) FlowMods(opts CompileOptions) map[topo.NodeID][]zof.Message {
 		msgs = append(msgs, &zof.FlowMod{
 			Command:  zof.FlowAdd,
 			Match:    np.Match,
-			Priority: opts.Priority,
+			Priority: priority,
 			BufferID: zof.NoBuffer,
 			Actions:  []zof.Action{action},
 		})

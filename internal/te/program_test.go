@@ -28,8 +28,7 @@ func testCompileOpts() CompileOptions {
 			m.DstPrefix = 32
 			return m
 		},
-		EgressPort:  func(topo.NodeID) uint32 { return 99 },
-		WeightDenom: 16,
+		EgressPort: func(topo.NodeID) uint32 { return 99 },
 	}
 }
 
@@ -79,7 +78,7 @@ func TestCompileDiamondSplit(t *testing.T) {
 		t.Errorf("dst = %+v", byNode[4])
 	}
 	// Rendering: src gets group+flow, middles get just a flow.
-	msgs := progs[0].FlowMods(testCompileOpts())
+	msgs := progs[0].FlowMods()
 	if len(msgs[1]) != 2 {
 		t.Fatalf("src messages = %d", len(msgs[1]))
 	}

@@ -13,6 +13,7 @@ package update
 import (
 	"fmt"
 
+	"repro/internal/controller"
 	"repro/internal/te"
 	"repro/internal/topo"
 	"repro/internal/zof"
@@ -23,13 +24,15 @@ type ExecOptions struct {
 	// Compile parameterizes the TE compiler (MatchFor and EgressPort
 	// are required, as for te.Compile).
 	Compile te.CompileOptions
-	// GroupIDStride separates the group-id ranges of adjacent
-	// configurations: configuration k allocates ids from
-	// Compile.GroupIDBase + (k%2)*GroupIDStride, so a transition's new
-	// groups never collide with the ones it is about to retire.
-	// Default 4096.
-	GroupIDStride uint32
 }
+
+// groupIDStride separates the group-id ranges of adjacent
+// configurations: configuration k allocates ids from
+// Compile.GroupIDBase + (k%2)*groupIDStride, so a transition's new
+// groups never collide with the ones it is about to retire, and a
+// make-before-break step never modifies a group that a flow not yet
+// repointed still uses.
+const groupIDStride = 4096
 
 // CommitFunc applies one transition's per-switch operations
 // atomically — all switches or none. The controller's Txn satisfies
@@ -47,85 +50,42 @@ type ExecReport struct {
 	FailedStep int // transition index that failed (valid when Aborted)
 }
 
-// compileAt compiles configuration index k of a plan with the
-// parity-staggered group-id base and normalized defaults (so delete
-// ops can reference the same priority the adds used).
-func compileAt(a *te.Allocation, g *topo.Graph, opts ExecOptions, k int) ([]te.Program, te.CompileOptions, error) {
+// compileAt renders configuration index k of a plan as per-switch
+// install messages, with the parity-staggered group-id base.
+func compileAt(a *te.Allocation, g *topo.Graph, opts ExecOptions, k int) (map[topo.NodeID][]zof.Message, error) {
 	co := opts.Compile
 	if co.GroupIDBase == 0 {
 		co.GroupIDBase = 1000
 	}
-	if co.Priority == 0 {
-		co.Priority = 400
-	}
-	stride := opts.GroupIDStride
-	if stride == 0 {
-		stride = 4096
-	}
-	co.GroupIDBase += uint32(k%2) * stride
+	co.GroupIDBase += uint32(k%2) * groupIDStride
 	progs, err := te.Compile(a, g, co)
-	return progs, co, err
-}
-
-// ruleKey identifies one installed TE rule: commodity rules share the
-// compile priority, so (node, match) is the identity.
-type ruleKey struct {
-	node  topo.NodeID
-	match zof.Match
+	if err != nil {
+		return nil, fmt.Errorf("update: compiling step %d: %w", k, err)
+	}
+	msgs := make(map[topo.NodeID][]zof.Message)
+	for _, pr := range progs {
+		for node, m := range pr.FlowMods() {
+			msgs[node] = append(msgs[node], m...)
+		}
+	}
+	return msgs, nil
 }
 
 // StepOps renders the transition from plan configuration fromIndex to
-// fromIndex+1 as per-switch operation lists, make-before-break: new
-// groups and replacement FlowAdds first (add-or-replace repoints
-// surviving commodities), then strict deletes for rules no new
-// configuration covers, then GroupDeletes for the outgoing
-// configuration's groups (whose referencing flows are, by then, all
-// repointed or deleted — the datapath's group-delete cascade finds
-// nothing).
+// fromIndex+1 as per-switch operation lists: each node's
+// make-before-break diff between the two configurations' rules. A rule
+// both configurations hold unchanged is not sent; a switch that needs
+// no change gets no entry.
 func StepOps(from, to *te.Allocation, g *topo.Graph, opts ExecOptions, fromIndex int) (map[topo.NodeID][]zof.Message, error) {
-	fromProgs, fromOpts, err := compileAt(from, g, opts, fromIndex)
+	fromMsgs, err := compileAt(from, g, opts, fromIndex)
 	if err != nil {
-		return nil, fmt.Errorf("update: compiling step %d: %w", fromIndex, err)
+		return nil, err
 	}
-	toProgs, toOpts, err := compileAt(to, g, opts, fromIndex+1)
+	toMsgs, err := compileAt(to, g, opts, fromIndex+1)
 	if err != nil {
-		return nil, fmt.Errorf("update: compiling step %d: %w", fromIndex+1, err)
+		return nil, err
 	}
-
-	ops := make(map[topo.NodeID][]zof.Message)
-	covered := make(map[ruleKey]bool)
-	for _, pr := range toProgs {
-		for node, msgs := range pr.FlowMods(toOpts) {
-			ops[node] = append(ops[node], msgs...)
-		}
-		for _, np := range pr.Nodes {
-			covered[ruleKey{np.Node, np.Match}] = true
-		}
-	}
-	for _, pr := range fromProgs {
-		for _, np := range pr.Nodes {
-			if covered[ruleKey{np.Node, np.Match}] {
-				continue
-			}
-			ops[np.Node] = append(ops[np.Node], &zof.FlowMod{
-				Command:  zof.FlowDeleteStrict,
-				Match:    np.Match,
-				Priority: fromOpts.Priority,
-				BufferID: zof.NoBuffer,
-			})
-		}
-	}
-	for _, pr := range fromProgs {
-		for _, np := range pr.Nodes {
-			if np.GroupID != 0 {
-				ops[np.Node] = append(ops[np.Node], &zof.GroupMod{
-					Command: zof.GroupDelete,
-					GroupID: np.GroupID,
-				})
-			}
-		}
-	}
-	return ops, nil
+	return controller.Transition(fromMsgs, toMsgs), nil
 }
 
 // InitialOps renders the plan's starting configuration (index 0) as
@@ -135,17 +95,11 @@ func (p *Plan) InitialOps(g *topo.Graph, opts ExecOptions) (map[topo.NodeID][]zo
 	if len(p.Steps) == 0 {
 		return nil, fmt.Errorf("update: empty plan")
 	}
-	progs, co, err := compileAt(p.Steps[0], g, opts, 0)
+	msgs, err := compileAt(p.Steps[0], g, opts, 0)
 	if err != nil {
 		return nil, err
 	}
-	ops := make(map[topo.NodeID][]zof.Message)
-	for _, pr := range progs {
-		for node, msgs := range pr.FlowMods(co) {
-			ops[node] = append(ops[node], msgs...)
-		}
-	}
-	return ops, nil
+	return controller.Transition(nil, msgs), nil
 }
 
 // Execute drives the plan against live switches through commit, one

@@ -3,9 +3,12 @@ package update
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/dataplane"
 	"repro/internal/te"
 	"repro/internal/topo"
 	"repro/internal/workload"
@@ -113,10 +116,10 @@ func TestStepOpsMakeBeforeBreak(t *testing.T) {
 	if got := opKinds(ops[3]); got != "F-" {
 		t.Errorf("node 3 ops = %s, want F-", got)
 	}
-	// Nodes 2 and 4 are covered by the new config: adds only.
+	// Nodes 2 and 4 hold the same rule in both configs: nothing to send.
 	for _, n := range []topo.NodeID{2, 4} {
-		if got := opKinds(ops[n]); got != "F+" {
-			t.Errorf("node %d ops = %s, want F+", n, got)
+		if got := opKinds(ops[n]); got != "" {
+			t.Errorf("node %d ops = %s, want none", n, got)
 		}
 	}
 	// The uncovered delete must use the compile priority so it hits the
@@ -234,4 +237,101 @@ func TestExecuteAbortsOnCommitFailure(t *testing.T) {
 	if !strings.Contains(err.Error(), "network at configuration 1") {
 		t.Errorf("error %q does not name the safe configuration", err)
 	}
+}
+
+// TestStepOpsSendOnlyChanges walks E4's first WAN transition at 10 %
+// scratch (seed 0, shift seed 1000) with one rule per (src, dst) on a
+// dataplane.Switch per node. The switches must accept every message of
+// InitialOps and of each StepOps batch, no FlowMod may leave its
+// switch's rules as they were, and each switch must end up with exactly
+// the rules the last configuration installs on an empty one.
+func TestStepOpsSendOnlyChanges(t *testing.T) {
+	g, _ := topo.WAN(1000)
+	m1 := workload.Gravity(g, 9000, 0)
+	old := solveOn(t, g, m1, 0.10)
+	target := solveOn(t, g, workload.Perturb(m1, 0.8, 1000), 0.10)
+	plan, err := (Planner{MaxIntermediates: 16}).Plan(old, target, Capacities(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ExecOptions{Compile: te.CompileOptions{
+		MatchFor: func(c te.CommodityAlloc) zof.Match {
+			m := zof.MatchAll()
+			m.Wildcards &^= zof.WEthSrc | zof.WEthDst
+			m.EthSrc[5], m.EthDst[5] = byte(c.Demand.Src), byte(c.Demand.Dst)
+			return m
+		},
+		EgressPort: func(topo.NodeID) uint32 { return 100 },
+	}}
+	switches := func() map[topo.NodeID]*dataplane.Switch {
+		sws := make(map[topo.NodeID]*dataplane.Switch)
+		for _, n := range g.Nodes() {
+			sws[n] = dataplane.NewSwitch(dataplane.Config{DPID: uint64(n), Clock: func() time.Time { return time.Unix(0, 0) }})
+		}
+		return sws
+	}
+	deliver := func(sws map[topo.NodeID]*dataplane.Switch, step string, ops map[topo.NodeID][]zof.Message) (flowMods, groupMods int) {
+		for node, batch := range ops {
+			for i, m := range batch {
+				was := switchRules(sws[node])
+				sws[node].Process(m, uint32(i), func(rep zof.Message, _ uint32) {
+					t.Fatalf("%s: node %d refused message %d %+v: %v", step, node, i, m, rep)
+				})
+				if _, ok := m.(*zof.GroupMod); ok {
+					groupMods++
+					continue
+				}
+				flowMods++
+				if maps.Equal(was, switchRules(sws[node])) {
+					t.Fatalf("%s: node %d message %d %+v changes nothing", step, node, i, m)
+				}
+			}
+		}
+		return flowMods, groupMods
+	}
+	sws := switches()
+	ops, err := plan.InitialOps(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, gm := deliver(sws, "initial", ops)
+	t.Logf("initial: %d FlowMods, %d GroupMods", f, gm)
+	var flowMods, groupMods int
+	last := len(plan.Steps) - 1
+	for i := 0; i < last; i++ {
+		ops, err := StepOps(plan.Steps[i], plan.Steps[i+1], g, opts, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, gm := deliver(sws, fmt.Sprintf("step %d", i), ops)
+		flowMods += f
+		groupMods += gm
+	}
+	t.Logf("%d transitions: %d FlowMods, %d GroupMods", last, flowMods, groupMods)
+	if last != 3 || flowMods == 0 {
+		t.Fatalf("plan of %d transitions with %d FlowMods: not the transition this test is about", last, flowMods)
+	}
+	want, err := compileAt(plan.Steps[last], g, opts, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := switches()
+	deliver(fresh, "fresh install", want)
+	for n, sw := range sws {
+		if got, want := switchRules(sw), switchRules(fresh[n]); !maps.Equal(got, want) {
+			t.Errorf("node %d after the update holds %d rules, a fresh install of the last configuration %d", n, len(got), len(want))
+		}
+	}
+}
+
+// switchRules lists a switch's rules, one string per rule.
+func switchRules(sw *dataplane.Switch) map[string]bool {
+	out := make(map[string]bool)
+	sw.Process(&zof.StatsRequest{Kind: zof.StatsFlow, TableID: 0xff, Match: zof.MatchAll()}, 0,
+		func(rep zof.Message, _ uint32) {
+			for _, f := range rep.(*zof.StatsReply).Flows {
+				out[fmt.Sprintf("%+v", f)] = true
+			}
+		})
+	return out
 }

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -528,6 +532,40 @@ func TestFuzzUnmarshalNeverPanics(t *testing.T) {
 // from a corpus of one frame per message type.
 func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(checkUnmarshal)
+}
+
+// TestFuzzUnmarshalCorpusIsCurrent requires the corpus to hold, file by
+// file in name order, each allMessages() entry as it encodes today with
+// XID i+1, so a wire change fails here until the corpus is re-encoded.
+func TestFuzzUnmarshalCorpusIsCurrent(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzUnmarshal")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := allMessages()
+	if len(files) != len(msgs) {
+		t.Fatalf("%s holds %d files, allMessages() %d messages", dir, len(files), len(msgs))
+	}
+	for i, f := range files {
+		want, err := Marshal(msgs[i], uint32(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		quoted, ok2 := strings.CutSuffix(quoted, ")")
+		got, err := strconv.Unquote(quoted)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s is not one []byte corpus entry: %q", f.Name(), raw)
+		}
+		if got != string(want) {
+			t.Errorf("%s is stale for %T; re-encoded it reads:\ngo test fuzz v1\n[]byte(%q)", f.Name(), msgs[i], want)
+		}
+	}
 }
 
 // TestReceiveAllocatesForBytesReceived: the largest frame a header can
