@@ -269,7 +269,7 @@ func (fs *FlowStore) undo(ops []zof.Message) []zof.Message {
 	defer fs.mu.Unlock()
 	after := fs.st.clone()
 	after.apply(ops)
-	return diff(&after, &fs.st, breakBeforeMake)
+	return diff(&after, &fs.st, breakBeforeMake, ^uint64(0))
 }
 
 // Transition returns, per node, the make-before-break batch that takes
@@ -277,16 +277,21 @@ func (fs *FlowStore) undo(ops []zof.Message) []zof.Message {
 // to[node] describe: each list is applied to an empty state, and only
 // what differs is sent. A node whose batch would be empty gets no
 // entry. Packages that keep desired state as wire messages (a TE
-// program, an intent's rules) commit what it returns.
+// program, an intent's rules) commit what it returns. Deletes match
+// their unstamped cookies under any session epoch (appCookieMask).
 func Transition(from, to map[topo.NodeID][]zof.Message) map[topo.NodeID][]zof.Message {
 	ops := make(map[topo.NodeID][]zof.Message)
+	a, b := newStoreState(), newStoreState()
 	put := func(node topo.NodeID) {
-		a, b := newStoreState(), newStoreState()
 		a.apply(from[node])
 		b.apply(to[node])
-		if batch := diff(&a, &b, makeBeforeBreak); len(batch) > 0 {
+		if batch := diff(&a, &b, makeBeforeBreak, appCookieMask); len(batch) > 0 {
 			ops[node] = batch
 		}
+		clear(a.flows)
+		clear(a.groups)
+		clear(b.flows)
+		clear(b.groups)
 	}
 	for node := range from {
 		put(node)
@@ -316,16 +321,18 @@ const (
 
 // diff returns the messages that take a switch from one consistent
 // state (every group a flow names exists) to another: strict deletes
-// under the from cookie for flows the target lacks, deletes for its
-// missing groups, a GroupAdd or GroupModify for each group that is
-// absent or changed, and an add-or-replace FlowAdd for each flow that
-// is absent or not equal. The switch checks group references on
-// FlowAdd, so group puts always precede flow puts.
-func diff(from, to *storeState, order diffOrder) []zof.Message {
+// under the from cookie's cookieMask bits for flows the target lacks,
+// deletes for its missing groups, a GroupAdd or GroupModify for each
+// group that is absent or changed, and an add-or-replace FlowAdd for
+// each flow that is absent or not equal. The switch checks group
+// references on FlowAdd, so group puts always precede flow puts.
+func diff(from, to *storeState, order diffOrder, cookieMask uint64) []zof.Message {
 	var flowDels, groupDels, groupPuts, flowPuts []zof.Message
 	for k, f := range from.flows {
 		if _, ok := to.flows[k]; !ok {
-			flowDels = append(flowDels, k.deleteCookie(f.Cookie))
+			del := k.deleteCookie(f.Cookie)
+			del.CookieMask = cookieMask
+			flowDels = append(flowDels, del)
 		}
 	}
 	for id := range from.groups {

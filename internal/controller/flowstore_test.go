@@ -288,7 +288,7 @@ func checkStateDiff(t testing.TB, data []byte, cov *diffCoverage) {
 	}
 	fromWas, toWas := from.clone(), to.clone()
 	for _, order := range []diffOrder{breakBeforeMake, makeBeforeBreak} {
-		batch := diff(&from, &to, order)
+		batch := diff(&from, &to, order, appCookieMask)
 		if d := stateDiff(&from, &fromWas) + stateDiff(&to, &toWas); d != "" {
 			t.Fatalf("diff wrote to its arguments: %s", d)
 		}
@@ -335,7 +335,7 @@ func checkStateDiff(t testing.TB, data []byte, cov *diffCoverage) {
 		}
 	}
 	cov.pairs++
-	batch := diff(&from, &to, makeBeforeBreak)
+	batch := diff(&from, &to, makeBeforeBreak, appCookieMask)
 	if len(batch) == 0 {
 		cov.emptyDiffs++
 	}

@@ -24,11 +24,14 @@ const (
 
 	// CookieOwnerMask selects a cookie's owner field.
 	CookieOwnerMask uint64 = 0xff << cookieOwnerShift
+
+	// appCookieMask selects the owner and app fields: a cookie unstamped.
+	appCookieMask uint64 = 1<<cookieEpochShift - 1
 )
 
 // sessionCookie embeds epoch into the upper bits of an app cookie.
 func sessionCookie(epoch, cookie uint64) uint64 {
-	return epoch<<cookieEpochShift | cookie&(1<<cookieEpochShift-1)
+	return epoch<<cookieEpochShift | cookie&appCookieMask
 }
 
 // OwnerCookie files an app's cookie bits under owner (0 is no owner).

@@ -109,7 +109,7 @@ func (m *Manager) Submit(in Intent) error {
 		return err
 	}
 	rec.optimal = rec.path.Cost
-	if err := m.commit(controller.Transition(nil, rec.rules)); err != nil {
+	if err := m.commitLocked(nil, rec.rules); err != nil {
 		return fmt.Errorf("installing intent %d: %w", in.ID, err)
 	}
 	m.records[in.ID] = rec
@@ -125,7 +125,7 @@ func (m *Manager) Withdraw(id ID) error {
 		return ErrNotFound
 	}
 	delete(m.records, id)
-	return m.commit(controller.Transition(rec.rules, nil))
+	return m.commitLocked(rec.rules, nil)
 }
 
 // compileLocked computes the path and rules for rec on the current
@@ -249,7 +249,7 @@ func (m *Manager) OnLinkDown(k topo.LinkKey) (rerouted, lost int, elapsed time.D
 		merge(now, rec.rules)
 		rerouted++
 	}
-	m.commitLocked(old, now)
+	_ = m.commitLocked(old, now)
 	elapsed = time.Since(start)
 	m.Recompiles.Observe(elapsed)
 	return rerouted, lost, elapsed
@@ -273,7 +273,7 @@ func (m *Manager) OnLinkUp(k topo.LinkKey) (recovered int) {
 		merge(now, rec.rules)
 		recovered++
 	}
-	m.commitLocked(nil, now)
+	_ = m.commitLocked(nil, now)
 	return recovered
 }
 
@@ -284,12 +284,13 @@ func merge(dst, src rules) {
 	}
 }
 
-// commitLocked commits the diff from old to now, if there is one. A
-// failed commit is not retried: the records already name the new paths.
-func (m *Manager) commitLocked(old, now rules) {
+// commitLocked commits the diff from old to now, if there is one. Link
+// handlers do not retry a failed commit: the records name the new paths.
+func (m *Manager) commitLocked(old, now rules) error {
 	if ops := controller.Transition(old, now); len(ops) > 0 {
-		_ = m.commit(ops)
+		return m.commit(ops)
 	}
+	return nil
 }
 
 func (m *Manager) sortedRecordsLocked() []*record {

@@ -317,3 +317,28 @@ func TestManyIntentsManyFailures(t *testing.T) {
 	}
 	t.Logf("recompiles: %v", m.Recompiles)
 }
+
+// TestWithdrawUnroutableCommitsNothing: an intent that lost its path
+// holds no rules, so withdrawing it has nothing to commit.
+func TestWithdrawUnroutableCommitsNothing(t *testing.T) {
+	net := newFakeNet()
+	commits := 0
+	m := NewManager(topo.Linear(3, 100), func(ops map[topo.NodeID][]zof.Message) error {
+		commits++
+		return net.Apply(ops)
+	})
+	if err := m.Submit(Intent{ID: 1, Src: Endpoint{1, 5}, Dst: Endpoint{3, 6},
+		Match: matchFor(1, 3), Priority: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if _, lost, _ := m.OnLinkDown(topo.LinkKey{A: 1, B: 2, APort: 1, BPort: 1}); lost != 1 {
+		t.Fatalf("lost = %d", lost)
+	}
+	was := commits
+	if err := m.Withdraw(1); err != nil {
+		t.Fatal(err)
+	}
+	if commits != was {
+		t.Errorf("withdrawing an unroutable intent made %d commits", commits-was)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataplane"
 	"repro/internal/te"
 	"repro/internal/topo"
@@ -320,6 +321,58 @@ func TestStepOpsSendOnlyChanges(t *testing.T) {
 	for n, sw := range sws {
 		if got, want := switchRules(sw), switchRules(fresh[n]); !maps.Equal(got, want) {
 			t.Errorf("node %d after the update holds %d rules, a fresh install of the last configuration %d", n, len(got), len(want))
+		}
+	}
+}
+
+// TestPlanOverTxnRetiresRules executes the split→single plan against
+// connected switches, committing InitialOps and each StepOps batch as
+// one controller transaction. The transaction stamps every FlowAdd's
+// cookie with the session epoch, which the compiled programs never
+// hold; the rule on the abandoned arm and node 1's select group must
+// still go from both the switch and the controller's intended state.
+func TestPlanOverTxnRetiresRules(t *testing.T) {
+	g := execGraph()
+	net, err := core.Start(core.Options{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Stop()
+	ctl := net.Controller
+	commit := func(_ int, ops map[topo.NodeID][]zof.Message) error {
+		txn := ctl.NewTxn()
+		for node, msgs := range ops {
+			txn.Add(uint64(node), msgs...)
+		}
+		return txn.Commit()
+	}
+	// state lists node's flows and groups on the switch and in the store.
+	state := func(node topo.NodeID) [4]int {
+		sw, fs := net.Emu.Switches[node], ctl.FlowStore(uint64(node))
+		return [4]int{sw.FlowCount(), len(fs.Flows()), sw.GroupCount(), len(fs.Groups())}
+	}
+	plan := &Plan{Steps: []*te.Allocation{allocSplit(g), allocUp(g)}}
+	ops, err := plan.InitialOps(g, execOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(0, ops); err != nil {
+		t.Fatal(err)
+	}
+	if got := state(3); got != [4]int{1, 1, 0, 0} {
+		t.Fatalf("node 3 after the bootstrap holds %v (switch flows, store flows, switch groups, store groups)", got)
+	}
+	if got := state(1); got != [4]int{1, 1, 1, 1} {
+		t.Fatalf("node 1 after the bootstrap holds %v (switch flows, store flows, switch groups, store groups)", got)
+	}
+	if rep, err := plan.Execute(g, execOpts(), commit); err != nil || rep.StepsApplied != 1 {
+		t.Fatalf("execute = %+v, %v", rep, err)
+	}
+	want := map[topo.NodeID][4]int{1: {1, 1, 0, 0}, 2: {1, 1, 0, 0}, 3: {}, 4: {1, 1, 0, 0}}
+	for node, w := range want {
+		if got := state(node); got != w {
+			t.Errorf("node %d after the update holds %v (switch flows, store flows, switch groups, store groups), want %v",
+				node, got, w)
 		}
 	}
 }

@@ -534,9 +534,11 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(checkUnmarshal)
 }
 
-// TestFuzzUnmarshalCorpusIsCurrent requires the corpus to hold, file by
-// file in name order, each allMessages() entry as it encodes today with
-// XID i+1, so a wire change fails here until the corpus is re-encoded.
+// TestFuzzUnmarshalCorpusIsCurrent requires each seed file NN_name of
+// the corpus to hold allMessages()[NN] as it encodes today with XID
+// NN+1, and every entry to have one, so a wire change fails here until
+// the corpus is re-encoded. Other files are inputs go test -fuzz saved
+// and are left to FuzzUnmarshal.
 func TestFuzzUnmarshalCorpusIsCurrent(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzUnmarshal")
 	files, err := os.ReadDir(dir)
@@ -544,10 +546,17 @@ func TestFuzzUnmarshalCorpusIsCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	msgs := allMessages()
-	if len(files) != len(msgs) {
-		t.Fatalf("%s holds %d files, allMessages() %d messages", dir, len(files), len(msgs))
-	}
-	for i, f := range files {
+	seeded := make([]bool, len(msgs))
+	for _, f := range files {
+		prefix, _, ok := strings.Cut(f.Name(), "_")
+		i, err := strconv.Atoi(prefix)
+		if !ok || len(prefix) != 2 || err != nil {
+			continue
+		}
+		if i >= len(msgs) || seeded[i] {
+			t.Fatalf("%s: allMessages() has no entry %d, or another seed file holds it", f.Name(), i)
+		}
+		seeded[i] = true
 		want, err := Marshal(msgs[i], uint32(i+1))
 		if err != nil {
 			t.Fatal(err)
@@ -564,6 +573,11 @@ func TestFuzzUnmarshalCorpusIsCurrent(t *testing.T) {
 		}
 		if got != string(want) {
 			t.Errorf("%s is stale for %T; re-encoded it reads:\ngo test fuzz v1\n[]byte(%q)", f.Name(), msgs[i], want)
+		}
+	}
+	for i, ok := range seeded {
+		if !ok {
+			t.Errorf("%s has no seed file %02d_ for %T", dir, i, msgs[i])
 		}
 	}
 }
