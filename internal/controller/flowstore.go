@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -302,6 +303,78 @@ func Transition(from, to map[topo.NodeID][]zof.Message) map[topo.NodeID][]zof.Me
 		}
 	}
 	return ops
+}
+
+// RuleTemplate is what every rule compiled from one Forwarding shares.
+type RuleTemplate struct {
+	Match       zof.Match
+	Priority    uint16
+	Cookie      uint64
+	IdleTimeout uint16 // seconds, wire units
+	// GroupID names the select group of a switch with several out-ports.
+	GroupID uint32
+}
+
+// CompileForwarding returns, per switch, the messages that install fw
+// under t, in the shape Transition takes. Out-ports of weight 0 are
+// dropped first. A switch left with one out-port gets a FlowAdd that
+// outputs to it; a switch left with several gets a select GroupAdd
+// with id t.GroupID, one bucket per port in the given order and
+// weights, then a FlowAdd that names the group; a switch left with
+// none gets no entry.
+func CompileForwarding(fw topo.Forwarding, t RuleTemplate) map[topo.NodeID][]zof.Message {
+	out := make(map[topo.NodeID][]zof.Message, len(fw))
+	for node, ports := range fw {
+		live, last := 0, uint32(0)
+		for _, p := range ports {
+			if p.Weight > 0 {
+				live, last = live+1, p.Port
+			}
+		}
+		if live == 0 {
+			continue
+		}
+		var msgs []zof.Message
+		action := zof.Output(last)
+		if live > 1 {
+			buckets := make([]zof.GroupBucket, 0, live)
+			for _, p := range ports {
+				if p.Weight > 0 {
+					buckets = append(buckets, zof.GroupBucket{Weight: p.Weight, Actions: []zof.Action{zof.Output(p.Port)}})
+				}
+			}
+			msgs = append(msgs, &zof.GroupMod{
+				Command:   zof.GroupAdd,
+				GroupType: zof.GroupTypeSelect,
+				GroupID:   t.GroupID,
+				Buckets:   buckets,
+			})
+			action = zof.Group(t.GroupID)
+		}
+		out[node] = append(msgs, &zof.FlowMod{
+			Command:     zof.FlowAdd,
+			Match:       t.Match,
+			Priority:    t.Priority,
+			Cookie:      t.Cookie,
+			IdleTimeout: t.IdleTimeout,
+			BufferID:    zof.NoBuffer,
+			Actions:     []zof.Action{action},
+		})
+	}
+	return out
+}
+
+// PairGroupID names the group that splits the traffic from src to dst:
+// src in the high 16 bits, dst in the low. A (src, dst) pair has one
+// rule per switch, and each switch has its own group table, so the id
+// is unique where it is used and stays the same from one configuration
+// to the next. A node id that does not fit in 16 bits is an error,
+// never a wrapped id.
+func PairGroupID(src, dst topo.NodeID) (uint32, error) {
+	if src > 0xffff || dst > 0xffff {
+		return 0, fmt.Errorf("controller: no group id for (%d, %d): node ids must be below 65536", src, dst)
+	}
+	return uint32(src)<<16 | uint32(dst), nil
 }
 
 // diffOrder is the order in which diff concatenates its four classes.

@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/topo"
 	"repro/internal/zof"
 )
 
@@ -419,4 +423,92 @@ func TestStateDiff(t *testing.T) {
 func FuzzStateDiff(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) { checkStateDiff(t, data, new(diffCoverage)) })
+}
+
+// TestCompileForwarding: one destination's forwarding and a rule
+// template compile to a plain output where one port survives the
+// zero-weight drop, and to a select group named by the (src, dst) pair
+// plus a FlowAdd naming it where several do.
+func TestCompileForwarding(t *testing.T) {
+	match := undoMatches[1]
+	flow := func(a zof.Action) *zof.FlowMod {
+		return &zof.FlowMod{Command: zof.FlowAdd, Match: match, Priority: 321, Cookie: 0xabc,
+			IdleTimeout: 30, BufferID: zof.NoBuffer, Actions: []zof.Action{a}}
+	}
+	group := func(id uint32, ports ...topo.WeightedPort) *zof.GroupMod {
+		g := &zof.GroupMod{Command: zof.GroupAdd, GroupType: zof.GroupTypeSelect, GroupID: id}
+		for _, p := range ports {
+			g.Buckets = append(g.Buckets, zof.GroupBucket{Weight: p.Weight, Actions: []zof.Action{zof.Output(p.Port)}})
+		}
+		return g
+	}
+	type msgs = []zof.Message
+	cases := []struct {
+		name     string
+		src, dst topo.NodeID
+		fw       topo.Forwarding
+		want     map[topo.NodeID][]zof.Message // nil: PairGroupID refuses the pair
+	}{
+		{"one port is a plain output", 1, 4,
+			topo.Forwarding{5: {{Port: 7, Weight: 1}}},
+			map[topo.NodeID][]zof.Message{5: msgs{flow(zof.Output(7))}}},
+		{"two ports are a group, then a flow naming it", 1, 4,
+			topo.Forwarding{1: {{Port: 1, Weight: 12}, {Port: 2, Weight: 4}}, 2: {{Port: 3, Weight: 16}}},
+			map[topo.NodeID][]zof.Message{
+				1: msgs{group(0x10004, topo.WeightedPort{Port: 1, Weight: 12}, topo.WeightedPort{Port: 2, Weight: 4}), flow(zof.Group(0x10004))},
+				2: msgs{flow(zof.Output(3))},
+			}},
+		{"buckets keep the given order and weights", 0xffff, 0xfffe,
+			topo.Forwarding{1: {{Port: 3, Weight: 1}, {Port: 1, Weight: 2}, {Port: 2, Weight: 3}}},
+			map[topo.NodeID][]zof.Message{1: msgs{
+				group(0xfffffffe, topo.WeightedPort{Port: 3, Weight: 1}, topo.WeightedPort{Port: 1, Weight: 2}, topo.WeightedPort{Port: 2, Weight: 3}),
+				flow(zof.Group(0xfffffffe))}}},
+		{"zero weights are dropped before the group", 1, 4,
+			topo.Forwarding{1: {{Port: 1, Weight: 8}, {Port: 2, Weight: 0}, {Port: 3, Weight: 8}}},
+			map[topo.NodeID][]zof.Message{1: msgs{
+				group(0x10004, topo.WeightedPort{Port: 1, Weight: 8}, topo.WeightedPort{Port: 3, Weight: 8}),
+				flow(zof.Group(0x10004))}}},
+		{"a hop left with one port is a plain output", 1, 4,
+			topo.Forwarding{1: {{Port: 1, Weight: 0}, {Port: 2, Weight: 16}}},
+			map[topo.NodeID][]zof.Message{1: msgs{flow(zof.Output(2))}}},
+		{"a hop left with no port gets nothing", 1, 4,
+			topo.Forwarding{1: {{Port: 1, Weight: 0}}, 2: nil},
+			map[topo.NodeID][]zof.Message{}},
+		{"a source id above 16 bits is refused", 1 << 16, 4, nil, nil},
+		{"a destination id above 16 bits is refused", 1, 70000, nil, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			id, err := PairGroupID(c.src, c.dst)
+			if c.want == nil {
+				if err == nil {
+					t.Fatalf("PairGroupID(%d, %d) = %#x, want an error", c.src, c.dst, id)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := CompileForwarding(c.fw, RuleTemplate{Match: match, Priority: 321, Cookie: 0xabc, IdleTimeout: 30, GroupID: id})
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("got:\n%s\nwant:\n%s", dumpRules(got), dumpRules(c.want))
+			}
+		})
+	}
+}
+
+// dumpRules prints per-node messages in node order.
+func dumpRules(rules map[topo.NodeID][]zof.Message) string {
+	nodes := make([]topo.NodeID, 0, len(rules))
+	for n := range rules {
+		nodes = append(nodes, n)
+	}
+	slices.Sort(nodes)
+	var b strings.Builder
+	for _, n := range nodes {
+		for _, m := range rules[n] {
+			fmt.Fprintf(&b, "  %d: %+v\n", n, m)
+		}
+	}
+	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/packet"
 	"repro/internal/te"
 	"repro/internal/topo"
@@ -13,10 +14,10 @@ import (
 
 // TestWCMPTrafficSplit closes the TE loop end to end: a solver
 // allocation for one commodity over the diamond is compiled to WCMP
-// programs (select group at the source), installed through the real
-// control channel, and verified by pushing many distinct flows and
-// checking both sides of the diamond carried traffic in roughly the
-// engineered proportion.
+// forwarding and then to rules (select group at the source), installed
+// through the real control channel, and verified by pushing many
+// distinct flows and checking both sides of the diamond carried
+// traffic in roughly the engineered proportion.
 func TestWCMPTrafficSplit(t *testing.T) {
 	g := topo.New()
 	g.AddLink(topo.Link{A: 1, B: 2, APort: 1, BPort: 1, Capacity: 10})
@@ -54,25 +55,25 @@ func TestWCMPTrafficSplit(t *testing.T) {
 			},
 		}},
 	}
-	opts := te.CompileOptions{
-		MatchFor: func(c te.CommodityAlloc) zof.Match {
-			m := zof.MatchAll()
-			m.Wildcards &^= zof.WEtherType
-			m.EtherType = packet.EtherTypeIPv4
-			m.IPDst = h4.IP
-			m.DstPrefix = 32
-			return m
-		},
-		EgressPort: func(topo.NodeID) uint32 { return at4.Port },
+	match := zof.MatchAll()
+	match.Wildcards &^= zof.WEtherType
+	match.EtherType = packet.EtherTypeIPv4
+	match.IPDst = h4.IP
+	match.DstPrefix = 32
+	progs, err := te.Compile(alloc, g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	progs, err := te.Compile(alloc, g, opts)
+	gid, err := controller.PairGroupID(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Install over the wire; also a reverse path so ARP replies and
 	// return traffic reach h1 (plain flows, priority below the TE one).
 	for _, prog := range progs {
-		for node, msgs := range prog.FlowMods() {
+		prog.Forwarding[4] = []topo.WeightedPort{{Port: at4.Port, Weight: 1}}
+		rules := controller.CompileForwarding(prog.Forwarding, controller.RuleTemplate{Match: match, Priority: 400, GroupID: gid})
+		for node, msgs := range rules {
 			sc, ok := n.Controller.Switch(uint64(node))
 			if !ok {
 				t.Fatalf("no switch %d", node)

@@ -136,29 +136,24 @@ func (m *Manager) compileLocked(rec *record) error {
 	if !ok {
 		return ErrNoPath
 	}
-	byNode := make(rules, len(path.Nodes))
+	fw := make(topo.Forwarding, len(path.Nodes))
+	ports := make([]topo.WeightedPort, len(path.Nodes))
 	for i, node := range path.Nodes {
-		var out uint32
-		if i == len(path.Nodes)-1 {
-			out = in.Dst.Port
-		} else {
-			p, ok := m.graph.PortToward(node, path.Nodes[i+1])
-			if !ok {
+		out := in.Dst.Port
+		if i+1 < len(path.Nodes) {
+			if out, ok = m.graph.PortToward(node, path.Nodes[i+1]); !ok {
 				return ErrNoPath
 			}
-			out = p
 		}
-		byNode[node] = append(byNode[node], &zof.FlowMod{
-			Command:  zof.FlowAdd,
-			Match:    in.Match,
-			Priority: in.Priority,
-			Cookie:   uint64(in.ID),
-			BufferID: zof.NoBuffer,
-			Actions:  []zof.Action{zof.Output(out)},
-		})
+		ports[i] = topo.WeightedPort{Port: out, Weight: 1}
+		fw[node] = ports[i : i+1]
 	}
 	rec.path = path
-	rec.rules = byNode
+	rec.rules = controller.CompileForwarding(fw, controller.RuleTemplate{
+		Match:    in.Match,
+		Priority: in.Priority,
+		Cookie:   uint64(in.ID),
+	})
 	rec.failed = false
 	return nil
 }

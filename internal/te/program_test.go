@@ -1,12 +1,11 @@
 package te
 
 import (
+	"slices"
 	"testing"
 
-	"repro/internal/packet"
 	"repro/internal/topo"
 	"repro/internal/workload"
-	"repro/internal/zof"
 )
 
 func diamondGraph() *topo.Graph {
@@ -16,20 +15,6 @@ func diamondGraph() *topo.Graph {
 	g.AddLink(topo.Link{A: 1, B: 3, APort: 2, BPort: 1, Capacity: 10})
 	g.AddLink(topo.Link{A: 3, B: 4, APort: 2, BPort: 2, Capacity: 10})
 	return g
-}
-
-func testCompileOpts() CompileOptions {
-	return CompileOptions{
-		MatchFor: func(c CommodityAlloc) zof.Match {
-			m := zof.MatchAll()
-			m.Wildcards &^= zof.WEtherType
-			m.EtherType = packet.EtherTypeIPv4
-			m.IPDst = packet.IPv4Addr{10, 0, 0, byte(c.Demand.Dst)}
-			m.DstPrefix = 32
-			return m
-		},
-		EgressPort: func(topo.NodeID) uint32 { return 99 },
-	}
 }
 
 func TestCompileDiamondSplit(t *testing.T) {
@@ -47,46 +32,27 @@ func TestCompileDiamondSplit(t *testing.T) {
 			},
 		}},
 	}
-	progs, err := Compile(alloc, g, testCompileOpts())
+	progs, err := Compile(alloc, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(progs) != 1 {
 		t.Fatalf("programs = %d", len(progs))
 	}
-	byNode := map[topo.NodeID]NodeProgram{}
-	for _, np := range progs[0].Nodes {
-		byNode[np.Node] = np
-	}
-	// Source splits 50/50 via a select group.
-	src := byNode[1]
-	if src.GroupID == 0 || len(src.Buckets) != 2 {
-		t.Fatalf("src program = %+v", src)
-	}
-	if src.Buckets[0].Weight != 8 || src.Buckets[1].Weight != 8 {
-		t.Errorf("weights = %d/%d", src.Buckets[0].Weight, src.Buckets[1].Weight)
+	fw := progs[0].Forwarding
+	// Source splits 50/50 over its two ports.
+	if want := []topo.WeightedPort{{Port: 1, Weight: 8}, {Port: 2, Weight: 8}}; !slices.Equal(fw[1], want) {
+		t.Fatalf("src ports = %+v, want %+v", fw[1], want)
 	}
 	// Middles forward plainly toward 4.
-	if byNode[2].GroupID != 0 || byNode[2].Output != 2 {
-		t.Errorf("node2 = %+v", byNode[2])
+	for _, n := range []topo.NodeID{2, 3} {
+		if want := []topo.WeightedPort{{Port: 2, Weight: 16}}; !slices.Equal(fw[n], want) {
+			t.Errorf("node %d ports = %+v, want %+v", n, fw[n], want)
+		}
 	}
-	if byNode[3].GroupID != 0 || byNode[3].Output != 2 {
-		t.Errorf("node3 = %+v", byNode[3])
-	}
-	// Destination egresses on the provided port.
-	if byNode[4].Output != 99 {
-		t.Errorf("dst = %+v", byNode[4])
-	}
-	// Rendering: src gets group+flow, middles get just a flow.
-	msgs := progs[0].FlowMods()
-	if len(msgs[1]) != 2 {
-		t.Fatalf("src messages = %d", len(msgs[1]))
-	}
-	if _, ok := msgs[1][0].(*zof.GroupMod); !ok {
-		t.Error("first src message not a GroupMod")
-	}
-	if len(msgs[2]) != 1 || len(msgs[4]) != 1 {
-		t.Error("middle/dst message counts wrong")
+	// The destination's egress is the caller's.
+	if ports, ok := fw[4]; ok {
+		t.Errorf("dst has ports %+v", ports)
 	}
 }
 
@@ -103,26 +69,50 @@ func TestCompileUnevenSplitQuantization(t *testing.T) {
 			},
 		}},
 	}
-	progs, err := Compile(alloc, g, testCompileOpts())
+	progs, err := Compile(alloc, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var src NodeProgram
-	for _, np := range progs[0].Nodes {
-		if np.Node == 1 {
-			src = np
-		}
-	}
+	src := progs[0].Forwarding[1]
 	total := 0
-	for _, b := range src.Buckets {
-		total += int(b.Weight)
+	for _, p := range src {
+		total += int(p.Weight)
 	}
 	if total != 16 {
-		t.Fatalf("weights sum %d, want 16 (buckets %+v)", total, src.Buckets)
+		t.Fatalf("weights sum %d, want 16 (ports %+v)", total, src)
 	}
 	// 12/4 split expected for 75/25.
-	if src.Buckets[0].Weight != 12 || src.Buckets[1].Weight != 4 {
-		t.Errorf("weights = %d/%d, want 12/4", src.Buckets[0].Weight, src.Buckets[1].Weight)
+	if src[0].Weight != 12 || src[1].Weight != 4 {
+		t.Errorf("weights = %d/%d, want 12/4", src[0].Weight, src[1].Weight)
+	}
+}
+
+// TestCompileZeroRatePath: a path granted no rate puts weight 0 on its
+// port where it branches off, and a node only it crosses gets no
+// forwarding.
+func TestCompileZeroRatePath(t *testing.T) {
+	g := diamondGraph()
+	alloc := &Allocation{
+		LinkCap: map[topo.LinkKey]float64{},
+		Commodities: []CommodityAlloc{{
+			Demand:    workload.Demand{Src: 1, Dst: 4, Rate: 10},
+			Allocated: 10,
+			Paths: []PathAlloc{
+				{Path: topo.Path{Nodes: []topo.NodeID{1, 2, 4}}, Rate: 10},
+				{Path: topo.Path{Nodes: []topo.NodeID{1, 3, 4}}, Rate: 0},
+			},
+		}},
+	}
+	progs, err := Compile(alloc, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := progs[0].Forwarding
+	if want := []topo.WeightedPort{{Port: 1, Weight: 16}, {Port: 2, Weight: 0}}; !slices.Equal(fw[1], want) {
+		t.Errorf("src ports = %+v, want %+v", fw[1], want)
+	}
+	if ports, ok := fw[3]; ok {
+		t.Errorf("node 3 carries nothing but has ports %+v", ports)
 	}
 }
 
@@ -149,7 +139,7 @@ func TestCompileLoopFallback(t *testing.T) {
 			},
 		}},
 	}
-	progs, err := Compile(alloc, g, testCompileOpts())
+	progs, err := Compile(alloc, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,24 +150,24 @@ func TestCompileLoopFallback(t *testing.T) {
 		t.Errorf("fallback kept rate %v, want the fattest (6)", progs[0].Commodity.Paths[0].Rate)
 	}
 	// No groups needed: single path.
-	for _, np := range progs[0].Nodes {
-		if np.GroupID != 0 {
-			t.Errorf("unexpected group at node %d", np.Node)
+	for node, ports := range progs[0].Forwarding {
+		if len(ports) != 1 {
+			t.Errorf("node %d has ports %+v, want one", node, ports)
 		}
 	}
 }
 
 func TestCompileSolvedWANHasNoLoops(t *testing.T) {
 	// Programs compiled from real solver output on the WAN never need
-	// more than the loop fallback, and every node program's next hops
-	// reach the destination.
+	// more than the loop fallback, every node's port weights sum to
+	// weightDenom, and some node splits.
 	g, _ := topo.WAN(1000)
 	demands := workload.Gravity(g, 12000, 9)
 	alloc, err := Solve(g, demands, Config{KPaths: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs, err := Compile(alloc, g, testCompileOpts())
+	progs, err := Compile(alloc, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,22 +176,23 @@ func TestCompileSolvedWANHasNoLoops(t *testing.T) {
 	}
 	groups := 0
 	for _, p := range progs {
-		for _, np := range p.Nodes {
-			if np.GroupID != 0 {
-				groups++
-				if len(np.Buckets) < 2 {
-					t.Fatalf("degenerate group at node %d: %+v", np.Node, np)
+		for node, ports := range p.Forwarding {
+			live, total := 0, 0
+			for _, wp := range ports {
+				total += int(wp.Weight)
+				if wp.Weight > 0 {
+					live++
 				}
+			}
+			if total != weightDenom {
+				t.Fatalf("node %d weights sum %d, want %d: %+v", node, total, weightDenom, ports)
+			}
+			if live > 1 {
+				groups++
 			}
 		}
 	}
 	if groups == 0 {
 		t.Error("WAN TE produced no multipath groups at all")
-	}
-}
-
-func TestCompileRequiresOptions(t *testing.T) {
-	if _, err := Compile(&Allocation{}, topo.New(), CompileOptions{}); err == nil {
-		t.Fatal("missing options accepted")
 	}
 }

@@ -33,6 +33,17 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
+// WeightedPort is one of a switch's out-ports toward a destination and
+// its share of the traffic, relative to the switch's other out-ports.
+type WeightedPort struct {
+	Port   uint32
+	Weight uint16
+}
+
+// Forwarding is one destination's forwarding: each switch's weighted
+// out-ports toward it.
+type Forwarding map[NodeID][]WeightedPort
+
 // pqItem is a priority-queue element for Dijkstra.
 type pqItem struct {
 	node NodeID

@@ -19,20 +19,17 @@ import (
 	"repro/internal/zof"
 )
 
-// ExecOptions tunes plan execution.
+// ExecOptions tunes plan execution. Both fields are required.
 type ExecOptions struct {
-	// Compile parameterizes the TE compiler (MatchFor and EgressPort
-	// are required, as for te.Compile).
-	Compile te.CompileOptions
+	// MatchFor builds the traffic selector for a commodity.
+	MatchFor func(c te.CommodityAlloc) zof.Match
+	// EgressPort maps a commodity's destination to the port leaving the
+	// fabric.
+	EgressPort func(dst topo.NodeID) uint32
 }
 
-// groupIDStride separates the group-id ranges of adjacent
-// configurations: configuration k allocates ids from
-// Compile.GroupIDBase + (k%2)*groupIDStride, so a transition's new
-// groups never collide with the ones it is about to retire, and a
-// make-before-break step never modifies a group that a flow not yet
-// repointed still uses.
-const groupIDStride = 4096
+// priority is the priority of every installed TE rule.
+const priority = 400
 
 // CommitFunc applies one transition's per-switch operations
 // atomically — all switches or none. The controller's Txn satisfies
@@ -51,20 +48,33 @@ type ExecReport struct {
 }
 
 // compileAt renders configuration index k of a plan as per-switch
-// install messages, with the parity-staggered group-id base.
+// install messages: each commodity's forwarding plus its egress at the
+// destination, under the commodity's match, with the select group of a
+// switch that splits it named by its (Src, Dst). So a commodity keeps
+// its group ids from one configuration to the next, and a re-split is
+// a GroupModify.
 func compileAt(a *te.Allocation, g *topo.Graph, opts ExecOptions, k int) (map[topo.NodeID][]zof.Message, error) {
-	co := opts.Compile
-	if co.GroupIDBase == 0 {
-		co.GroupIDBase = 1000
+	if opts.MatchFor == nil || opts.EgressPort == nil {
+		return nil, fmt.Errorf("update: ExecOptions.MatchFor and EgressPort are required")
 	}
-	co.GroupIDBase += uint32(k%2) * groupIDStride
-	progs, err := te.Compile(a, g, co)
+	progs, err := te.Compile(a, g)
 	if err != nil {
-		return nil, fmt.Errorf("update: compiling step %d: %w", k, err)
+		return nil, fmt.Errorf("update: compiling configuration %d: %w", k, err)
 	}
 	msgs := make(map[topo.NodeID][]zof.Message)
-	for _, pr := range progs {
-		for node, m := range pr.FlowMods() {
+	for _, prog := range progs {
+		d := prog.Commodity.Demand
+		gid, err := controller.PairGroupID(d.Src, d.Dst)
+		if err != nil {
+			return nil, fmt.Errorf("update: compiling configuration %d: %w", k, err)
+		}
+		prog.Forwarding[d.Dst] = []topo.WeightedPort{{Port: opts.EgressPort(d.Dst), Weight: 1}}
+		rules := controller.CompileForwarding(prog.Forwarding, controller.RuleTemplate{
+			Match:    opts.MatchFor(prog.Commodity),
+			Priority: priority,
+			GroupID:  gid,
+		})
+		for node, m := range rules {
 			msgs[node] = append(msgs[node], m...)
 		}
 	}
@@ -74,8 +84,9 @@ func compileAt(a *te.Allocation, g *topo.Graph, opts ExecOptions, k int) (map[to
 // StepOps renders the transition from plan configuration fromIndex to
 // fromIndex+1 as per-switch operation lists: each node's
 // make-before-break diff between the two configurations' rules. A rule
-// both configurations hold unchanged is not sent; a switch that needs
-// no change gets no entry.
+// or group both configurations hold unchanged is not sent, a group
+// whose buckets changed is one GroupModify, and a switch that needs no
+// change gets no entry.
 func StepOps(from, to *te.Allocation, g *topo.Graph, opts ExecOptions, fromIndex int) (map[topo.NodeID][]zof.Message, error) {
 	fromMsgs, err := compileAt(from, g, opts, fromIndex)
 	if err != nil {

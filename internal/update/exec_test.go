@@ -27,7 +27,7 @@ func execGraph() *topo.Graph {
 }
 
 func execOpts() ExecOptions {
-	return ExecOptions{Compile: te.CompileOptions{
+	return ExecOptions{
 		MatchFor: func(c te.CommodityAlloc) zof.Match {
 			m := zof.MatchAll()
 			m.Wildcards &^= zof.WEthDst
@@ -35,7 +35,7 @@ func execOpts() ExecOptions {
 			return m
 		},
 		EgressPort: func(dst topo.NodeID) uint32 { return 9 },
-	}}
+	}
 }
 
 // allocUp routes the commodity on the single path 1-2-4.
@@ -53,9 +53,14 @@ func allocUp(g *topo.Graph) *te.Allocation {
 	}
 }
 
-// allocSplit splits the commodity across both arms, so node 1 needs a
-// select group.
+// allocSplit splits the commodity 5/5 across both arms, so node 1
+// needs a select group.
 func allocSplit(g *topo.Graph) *te.Allocation {
+	return allocSplitAt(g, 5)
+}
+
+// allocSplitAt splits the commodity up/(10-up) across the arms.
+func allocSplitAt(g *topo.Graph, up float64) *te.Allocation {
 	return &te.Allocation{
 		LinkLoad: map[topo.LinkKey]float64{},
 		LinkCap:  Capacities(g),
@@ -63,8 +68,8 @@ func allocSplit(g *topo.Graph) *te.Allocation {
 			Demand:    workload.Demand{Src: 1, Dst: 4, Rate: 10},
 			Allocated: 10,
 			Paths: []te.PathAlloc{
-				{Path: topo.Path{Nodes: []topo.NodeID{1, 2, 4}, Cost: 2}, Rate: 5},
-				{Path: topo.Path{Nodes: []topo.NodeID{1, 3, 4}, Cost: 2}, Rate: 5},
+				{Path: topo.Path{Nodes: []topo.NodeID{1, 2, 4}, Cost: 2}, Rate: up},
+				{Path: topo.Path{Nodes: []topo.NodeID{1, 3, 4}, Cost: 2}, Rate: 10 - up},
 			},
 		}},
 	}
@@ -77,9 +82,12 @@ func opKinds(msgs []zof.Message) string {
 	for _, m := range msgs {
 		switch v := m.(type) {
 		case *zof.GroupMod:
-			if v.Command == zof.GroupAdd {
+			switch v.Command {
+			case zof.GroupAdd:
 				b.WriteString("G+")
-			} else {
+			case zof.GroupModify:
+				b.WriteString("G~")
+			default:
 				b.WriteString("G-")
 			}
 		case *zof.FlowMod:
@@ -129,47 +137,53 @@ func TestStepOpsMakeBeforeBreak(t *testing.T) {
 	if del.Priority != 400 {
 		t.Errorf("delete priority = %d, want normalized 400", del.Priority)
 	}
-	// The deleted group belongs to the outgoing configuration's id range
-	// (index 0 → unstaggered base).
-	gd := ops[1][1].(*zof.GroupMod)
-	if gd.GroupID < 1000 || gd.GroupID >= 1000+4096 {
-		t.Errorf("group delete id = %d, want in [1000,5096)", gd.GroupID)
+}
+
+// TestStepOpsSameConfigurationSendsNothing: a step between two equal
+// configurations, at either index parity, sends no message — not even
+// for the split commodity's select group.
+func TestStepOpsSameConfigurationSendsNothing(t *testing.T) {
+	g := execGraph()
+	for i := 0; i < 2; i++ {
+		ops, err := StepOps(allocSplit(g), allocSplit(g), g, execOpts(), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, msgs := range ops {
+			t.Errorf("step %d: node %d ops = %s, want none", i, n, opKinds(msgs))
+		}
 	}
 }
 
-// TestStepOpsParityStaggersGroupIDs: adjacent configurations allocate
-// group ids from disjoint ranges, so a transition's new groups never
-// collide with the ones it retires.
-func TestStepOpsParityStaggersGroupIDs(t *testing.T) {
+// TestStepOpsResplitIsOneGroupModify: moving the diamond's split from
+// 5/5 to 7.5/2.5 changes node 1's group buckets and nothing else, so
+// the step is one GroupModify of the commodity's group there.
+func TestStepOpsResplitIsOneGroupModify(t *testing.T) {
 	g := execGraph()
-	// single→split at even index: the incoming config (index 1) uses the
-	// staggered base.
-	ops, err := StepOps(allocUp(g), allocSplit(g), g, execOpts(), 0)
+	ops, err := StepOps(allocSplit(g), allocSplitAt(g, 7.5), g, execOpts(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var added uint32
-	for _, m := range ops[1] {
-		if gm, ok := m.(*zof.GroupMod); ok && gm.Command == zof.GroupAdd {
-			added = gm.GroupID
+	if len(ops) != 1 || opKinds(ops[1]) != "G~" {
+		for n, msgs := range ops {
+			t.Errorf("node %d ops = %s", n, opKinds(msgs))
 		}
+		t.Fatalf("want exactly G~ at node 1")
 	}
-	if added < 1000+4096 {
-		t.Errorf("incoming group id = %d, want staggered >= 5096", added)
+	gm := ops[1][0].(*zof.GroupMod)
+	if gm.GroupID != 1<<16|4 {
+		t.Errorf("group id = %#x, want the commodity's (1, 4) = 0x10004", gm.GroupID)
 	}
-	// The same transition starting at an odd index flips the parity.
-	ops, err = StepOps(allocUp(g), allocSplit(g), g, execOpts(), 1)
-	if err != nil {
-		t.Fatal(err)
+	if len(gm.Buckets) != 2 || gm.Buckets[0].Weight != 12 || gm.Buckets[1].Weight != 4 {
+		t.Errorf("buckets = %+v, want weights 12/4", gm.Buckets)
 	}
-	added = 0
-	for _, m := range ops[1] {
-		if gm, ok := m.(*zof.GroupMod); ok && gm.Command == zof.GroupAdd {
-			added = gm.GroupID
-		}
-	}
-	if added < 1000 || added >= 1000+4096 {
-		t.Errorf("incoming group id = %d, want unstaggered in [1000,5096)", added)
+}
+
+// TestStepOpsRequiresOptions: both ExecOptions fields are required.
+func TestStepOpsRequiresOptions(t *testing.T) {
+	g := execGraph()
+	if _, err := StepOps(allocUp(g), allocSplit(g), g, ExecOptions{}, 0); err == nil {
+		t.Fatal("missing options accepted")
 	}
 }
 
@@ -255,7 +269,7 @@ func TestStepOpsSendOnlyChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := ExecOptions{Compile: te.CompileOptions{
+	opts := ExecOptions{
 		MatchFor: func(c te.CommodityAlloc) zof.Match {
 			m := zof.MatchAll()
 			m.Wildcards &^= zof.WEthSrc | zof.WEthDst
@@ -263,7 +277,7 @@ func TestStepOpsSendOnlyChanges(t *testing.T) {
 			return m
 		},
 		EgressPort: func(topo.NodeID) uint32 { return 100 },
-	}}
+	}
 	switches := func() map[topo.NodeID]*dataplane.Switch {
 		sws := make(map[topo.NodeID]*dataplane.Switch)
 		for _, n := range g.Nodes() {
