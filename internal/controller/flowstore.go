@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -307,10 +306,9 @@ func Transition(from, to map[topo.NodeID][]zof.Message) map[topo.NodeID][]zof.Me
 
 // RuleTemplate is what every rule compiled from one Forwarding shares.
 type RuleTemplate struct {
-	Match       zof.Match
-	Priority    uint16
-	Cookie      uint64
-	IdleTimeout uint16 // seconds, wire units
+	Match    zof.Match
+	Priority uint16
+	Cookie   uint64
 	// GroupID names the select group of a switch with several out-ports.
 	GroupID uint32
 }
@@ -352,29 +350,15 @@ func CompileForwarding(fw topo.Forwarding, t RuleTemplate) map[topo.NodeID][]zof
 			action = zof.Group(t.GroupID)
 		}
 		out[node] = append(msgs, &zof.FlowMod{
-			Command:     zof.FlowAdd,
-			Match:       t.Match,
-			Priority:    t.Priority,
-			Cookie:      t.Cookie,
-			IdleTimeout: t.IdleTimeout,
-			BufferID:    zof.NoBuffer,
-			Actions:     []zof.Action{action},
+			Command:  zof.FlowAdd,
+			Match:    t.Match,
+			Priority: t.Priority,
+			Cookie:   t.Cookie,
+			BufferID: zof.NoBuffer,
+			Actions:  []zof.Action{action},
 		})
 	}
 	return out
-}
-
-// PairGroupID names the group that splits the traffic from src to dst:
-// src in the high 16 bits, dst in the low. A (src, dst) pair has one
-// rule per switch, and each switch has its own group table, so the id
-// is unique where it is used and stays the same from one configuration
-// to the next. A node id that does not fit in 16 bits is an error,
-// never a wrapped id.
-func PairGroupID(src, dst topo.NodeID) (uint32, error) {
-	if src > 0xffff || dst > 0xffff {
-		return 0, fmt.Errorf("controller: no group id for (%d, %d): node ids must be below 65536", src, dst)
-	}
-	return uint32(src)<<16 | uint32(dst), nil
 }
 
 // diffOrder is the order in which diff concatenates its four classes.

@@ -427,13 +427,13 @@ func FuzzStateDiff(f *testing.F) {
 
 // TestCompileForwarding: one destination's forwarding and a rule
 // template compile to a plain output where one port survives the
-// zero-weight drop, and to a select group named by the (src, dst) pair
-// plus a FlowAdd naming it where several do.
+// zero-weight drop, and to a select group with the template's id plus a
+// FlowAdd naming it where several do.
 func TestCompileForwarding(t *testing.T) {
 	match := undoMatches[1]
 	flow := func(a zof.Action) *zof.FlowMod {
 		return &zof.FlowMod{Command: zof.FlowAdd, Match: match, Priority: 321, Cookie: 0xabc,
-			IdleTimeout: 30, BufferID: zof.NoBuffer, Actions: []zof.Action{a}}
+			BufferID: zof.NoBuffer, Actions: []zof.Action{a}}
 	}
 	group := func(id uint32, ports ...topo.WeightedPort) *zof.GroupMod {
 		g := &zof.GroupMod{Command: zof.GroupAdd, GroupType: zof.GroupTypeSelect, GroupID: id}
@@ -444,52 +444,40 @@ func TestCompileForwarding(t *testing.T) {
 	}
 	type msgs = []zof.Message
 	cases := []struct {
-		name     string
-		src, dst topo.NodeID
-		fw       topo.Forwarding
-		want     map[topo.NodeID][]zof.Message // nil: PairGroupID refuses the pair
+		name string
+		gid  uint32
+		fw   topo.Forwarding
+		want map[topo.NodeID][]zof.Message
 	}{
-		{"one port is a plain output", 1, 4,
+		{"one port is a plain output", 7,
 			topo.Forwarding{5: {{Port: 7, Weight: 1}}},
 			map[topo.NodeID][]zof.Message{5: msgs{flow(zof.Output(7))}}},
-		{"two ports are a group, then a flow naming it", 1, 4,
+		{"two ports are a group, then a flow naming it", 7,
 			topo.Forwarding{1: {{Port: 1, Weight: 12}, {Port: 2, Weight: 4}}, 2: {{Port: 3, Weight: 16}}},
 			map[topo.NodeID][]zof.Message{
-				1: msgs{group(0x10004, topo.WeightedPort{Port: 1, Weight: 12}, topo.WeightedPort{Port: 2, Weight: 4}), flow(zof.Group(0x10004))},
+				1: msgs{group(7, topo.WeightedPort{Port: 1, Weight: 12}, topo.WeightedPort{Port: 2, Weight: 4}), flow(zof.Group(7))},
 				2: msgs{flow(zof.Output(3))},
 			}},
-		{"buckets keep the given order and weights", 0xffff, 0xfffe,
+		{"buckets keep the given order and weights", 0xfffffffe,
 			topo.Forwarding{1: {{Port: 3, Weight: 1}, {Port: 1, Weight: 2}, {Port: 2, Weight: 3}}},
 			map[topo.NodeID][]zof.Message{1: msgs{
 				group(0xfffffffe, topo.WeightedPort{Port: 3, Weight: 1}, topo.WeightedPort{Port: 1, Weight: 2}, topo.WeightedPort{Port: 2, Weight: 3}),
 				flow(zof.Group(0xfffffffe))}}},
-		{"zero weights are dropped before the group", 1, 4,
+		{"zero weights are dropped before the group", 7,
 			topo.Forwarding{1: {{Port: 1, Weight: 8}, {Port: 2, Weight: 0}, {Port: 3, Weight: 8}}},
 			map[topo.NodeID][]zof.Message{1: msgs{
-				group(0x10004, topo.WeightedPort{Port: 1, Weight: 8}, topo.WeightedPort{Port: 3, Weight: 8}),
-				flow(zof.Group(0x10004))}}},
-		{"a hop left with one port is a plain output", 1, 4,
+				group(7, topo.WeightedPort{Port: 1, Weight: 8}, topo.WeightedPort{Port: 3, Weight: 8}),
+				flow(zof.Group(7))}}},
+		{"a hop left with one port is a plain output", 7,
 			topo.Forwarding{1: {{Port: 1, Weight: 0}, {Port: 2, Weight: 16}}},
 			map[topo.NodeID][]zof.Message{1: msgs{flow(zof.Output(2))}}},
-		{"a hop left with no port gets nothing", 1, 4,
+		{"a hop left with no port gets nothing", 7,
 			topo.Forwarding{1: {{Port: 1, Weight: 0}}, 2: nil},
 			map[topo.NodeID][]zof.Message{}},
-		{"a source id above 16 bits is refused", 1 << 16, 4, nil, nil},
-		{"a destination id above 16 bits is refused", 1, 70000, nil, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			id, err := PairGroupID(c.src, c.dst)
-			if c.want == nil {
-				if err == nil {
-					t.Fatalf("PairGroupID(%d, %d) = %#x, want an error", c.src, c.dst, id)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := CompileForwarding(c.fw, RuleTemplate{Match: match, Priority: 321, Cookie: 0xabc, IdleTimeout: 30, GroupID: id})
+			got := CompileForwarding(c.fw, RuleTemplate{Match: match, Priority: 321, Cookie: 0xabc, GroupID: c.gid})
 			if !reflect.DeepEqual(got, c.want) {
 				t.Errorf("got:\n%s\nwant:\n%s", dumpRules(got), dumpRules(c.want))
 			}

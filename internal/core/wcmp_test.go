@@ -64,15 +64,11 @@ func TestWCMPTrafficSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gid, err := controller.PairGroupID(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Install over the wire; also a reverse path so ARP replies and
 	// return traffic reach h1 (plain flows, priority below the TE one).
 	for _, prog := range progs {
 		prog.Forwarding[4] = []topo.WeightedPort{{Port: at4.Port, Weight: 1}}
-		rules := controller.CompileForwarding(prog.Forwarding, controller.RuleTemplate{Match: match, Priority: 400, GroupID: gid})
+		rules := controller.CompileForwarding(prog.Forwarding, controller.RuleTemplate{Match: match, Priority: 400, GroupID: 1})
 		for node, msgs := range rules {
 			sc, ok := n.Controller.Switch(uint64(node))
 			if !ok {

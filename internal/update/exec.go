@@ -47,26 +47,25 @@ type ExecReport struct {
 	FailedStep int // transition index that failed (valid when Aborted)
 }
 
-// compileAt renders configuration index k of a plan as per-switch
-// install messages: each commodity's forwarding plus its egress at the
-// destination, under the commodity's match, with the select group of a
-// switch that splits it named by its (Src, Dst). So a commodity keeps
-// its group ids from one configuration to the next, and a re-split is
-// a GroupModify.
-func compileAt(a *te.Allocation, g *topo.Graph, opts ExecOptions, k int) (map[topo.NodeID][]zof.Message, error) {
+// compile renders a configuration as per-switch install messages: each
+// commodity's forwarding plus its egress at the destination, under the
+// commodity's match, with the select group of a switch that splits it
+// named by its (Src, Dst). So a commodity keeps its group ids from one
+// configuration to the next, and a re-split is a GroupModify.
+func compile(a *te.Allocation, g *topo.Graph, opts ExecOptions) (map[topo.NodeID][]zof.Message, error) {
 	if opts.MatchFor == nil || opts.EgressPort == nil {
 		return nil, fmt.Errorf("update: ExecOptions.MatchFor and EgressPort are required")
 	}
 	progs, err := te.Compile(a, g)
 	if err != nil {
-		return nil, fmt.Errorf("update: compiling configuration %d: %w", k, err)
+		return nil, err
 	}
 	msgs := make(map[topo.NodeID][]zof.Message)
 	for _, prog := range progs {
 		d := prog.Commodity.Demand
-		gid, err := controller.PairGroupID(d.Src, d.Dst)
+		gid, err := commodityKey{d.Src, d.Dst}.groupID()
 		if err != nil {
-			return nil, fmt.Errorf("update: compiling configuration %d: %w", k, err)
+			return nil, err
 		}
 		prog.Forwarding[d.Dst] = []topo.WeightedPort{{Port: opts.EgressPort(d.Dst), Weight: 1}}
 		rules := controller.CompileForwarding(prog.Forwarding, controller.RuleTemplate{
@@ -81,18 +80,18 @@ func compileAt(a *te.Allocation, g *topo.Graph, opts ExecOptions, k int) (map[to
 	return msgs, nil
 }
 
-// StepOps renders the transition from plan configuration fromIndex to
-// fromIndex+1 as per-switch operation lists: each node's
+// StepOps renders the transition from configuration from to
+// configuration to as per-switch operation lists: each node's
 // make-before-break diff between the two configurations' rules. A rule
 // or group both configurations hold unchanged is not sent, a group
 // whose buckets changed is one GroupModify, and a switch that needs no
 // change gets no entry.
-func StepOps(from, to *te.Allocation, g *topo.Graph, opts ExecOptions, fromIndex int) (map[topo.NodeID][]zof.Message, error) {
-	fromMsgs, err := compileAt(from, g, opts, fromIndex)
+func StepOps(from, to *te.Allocation, g *topo.Graph, opts ExecOptions) (map[topo.NodeID][]zof.Message, error) {
+	fromMsgs, err := compile(from, g, opts)
 	if err != nil {
 		return nil, err
 	}
-	toMsgs, err := compileAt(to, g, opts, fromIndex+1)
+	toMsgs, err := compile(to, g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -106,9 +105,9 @@ func (p *Plan) InitialOps(g *topo.Graph, opts ExecOptions) (map[topo.NodeID][]zo
 	if len(p.Steps) == 0 {
 		return nil, fmt.Errorf("update: empty plan")
 	}
-	msgs, err := compileAt(p.Steps[0], g, opts, 0)
+	msgs, err := compile(p.Steps[0], g, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("update: configuration 0: %w", err)
 	}
 	return controller.Transition(nil, msgs), nil
 }
@@ -121,10 +120,10 @@ func (p *Plan) InitialOps(g *topo.Graph, opts ExecOptions) (map[topo.NodeID][]zo
 func (p *Plan) Execute(g *topo.Graph, opts ExecOptions, commit CommitFunc) (ExecReport, error) {
 	var rep ExecReport
 	for i := 0; i+1 < len(p.Steps); i++ {
-		ops, err := StepOps(p.Steps[i], p.Steps[i+1], g, opts, i)
+		ops, err := StepOps(p.Steps[i], p.Steps[i+1], g, opts)
 		if err != nil {
 			rep.Aborted, rep.FailedStep = true, i
-			return rep, err
+			return rep, fmt.Errorf("update: transition %d: %w", i, err)
 		}
 		if err := commit(i, ops); err != nil {
 			rep.Aborted, rep.FailedStep = true, i

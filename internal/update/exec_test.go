@@ -111,7 +111,7 @@ func opKinds(msgs []zof.Message) string {
 // rule on the abandoned arm, and delete the outgoing group last.
 func TestStepOpsMakeBeforeBreak(t *testing.T) {
 	g := execGraph()
-	ops, err := StepOps(allocSplit(g), allocUp(g), g, execOpts(), 0)
+	ops, err := StepOps(allocSplit(g), allocUp(g), g, execOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,18 +140,16 @@ func TestStepOpsMakeBeforeBreak(t *testing.T) {
 }
 
 // TestStepOpsSameConfigurationSendsNothing: a step between two equal
-// configurations, at either index parity, sends no message — not even
-// for the split commodity's select group.
+// configurations sends no message — not even for the split commodity's
+// select group.
 func TestStepOpsSameConfigurationSendsNothing(t *testing.T) {
 	g := execGraph()
-	for i := 0; i < 2; i++ {
-		ops, err := StepOps(allocSplit(g), allocSplit(g), g, execOpts(), i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n, msgs := range ops {
-			t.Errorf("step %d: node %d ops = %s, want none", i, n, opKinds(msgs))
-		}
+	ops, err := StepOps(allocSplit(g), allocSplit(g), g, execOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, msgs := range ops {
+		t.Errorf("node %d ops = %s, want none", n, opKinds(msgs))
 	}
 }
 
@@ -160,7 +158,7 @@ func TestStepOpsSameConfigurationSendsNothing(t *testing.T) {
 // the step is one GroupModify of the commodity's group there.
 func TestStepOpsResplitIsOneGroupModify(t *testing.T) {
 	g := execGraph()
-	ops, err := StepOps(allocSplit(g), allocSplitAt(g, 7.5), g, execOpts(), 0)
+	ops, err := StepOps(allocSplit(g), allocSplitAt(g, 7.5), g, execOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,18 +169,45 @@ func TestStepOpsResplitIsOneGroupModify(t *testing.T) {
 		t.Fatalf("want exactly G~ at node 1")
 	}
 	gm := ops[1][0].(*zof.GroupMod)
-	if gm.GroupID != 1<<16|4 {
-		t.Errorf("group id = %#x, want the commodity's (1, 4) = 0x10004", gm.GroupID)
+	if gm.GroupID != 1<<31|1<<15|4 {
+		t.Errorf("group id = %#x, want the commodity's (1, 4) = 0x80008004", gm.GroupID)
 	}
 	if len(gm.Buckets) != 2 || gm.Buckets[0].Weight != 12 || gm.Buckets[1].Weight != 4 {
 		t.Errorf("buckets = %+v, want weights 12/4", gm.Buckets)
 	}
 }
 
+// TestCommodityGroupID: a commodity's group id packs (src, dst) under
+// the top bit, which keeps it clear of the ECMP app's ids (counted up
+// from 0x0ec0000); a node id past 15 bits is refused, never wrapped.
+func TestCommodityGroupID(t *testing.T) {
+	cases := []struct {
+		src, dst topo.NodeID
+		want     uint32 // 0: refused
+	}{
+		{1, 4, 0x80008004},
+		{236, 1, 0x80760001}, // src<<16|dst would be ECMP's first id, 0x0ec0001
+		{0, 0, 0x80000000},
+		{1<<15 - 1, 1<<15 - 1, 0xbfffffff},
+		{1 << 15, 1, 0},
+		{1, 1 << 15, 0},
+		{70000, 4, 0},
+	}
+	for _, c := range cases {
+		got, err := commodityKey{c.src, c.dst}.groupID()
+		switch {
+		case c.want == 0 && err == nil:
+			t.Errorf("groupID(%d, %d) = %#x, want an error", c.src, c.dst, got)
+		case c.want != 0 && (err != nil || got != c.want):
+			t.Errorf("groupID(%d, %d) = %#x, %v; want %#x", c.src, c.dst, got, err, c.want)
+		}
+	}
+}
+
 // TestStepOpsRequiresOptions: both ExecOptions fields are required.
 func TestStepOpsRequiresOptions(t *testing.T) {
 	g := execGraph()
-	if _, err := StepOps(allocUp(g), allocSplit(g), g, ExecOptions{}, 0); err == nil {
+	if _, err := StepOps(allocUp(g), allocSplit(g), g, ExecOptions{}); err == nil {
 		t.Fatal("missing options accepted")
 	}
 }
@@ -314,7 +339,7 @@ func TestStepOpsSendOnlyChanges(t *testing.T) {
 	var flowMods, groupMods int
 	last := len(plan.Steps) - 1
 	for i := 0; i < last; i++ {
-		ops, err := StepOps(plan.Steps[i], plan.Steps[i+1], g, opts, i)
+		ops, err := StepOps(plan.Steps[i], plan.Steps[i+1], g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +351,7 @@ func TestStepOpsSendOnlyChanges(t *testing.T) {
 	if last != 3 || flowMods == 0 {
 		t.Fatalf("plan of %d transitions with %d FlowMods: not the transition this test is about", last, flowMods)
 	}
-	want, err := compileAt(plan.Steps[last], g, opts, last)
+	want, err := compile(plan.Steps[last], g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,21 @@ type commodityKey struct {
 	src, dst topo.NodeID
 }
 
+// groupID names the select group that splits commodity k on any
+// switch: the top bit set, src in the next 15 bits, dst in the low 15.
+// A commodity has one rule per switch and each switch has its own group
+// table, so no two TE groups on a switch share an id, and a commodity
+// keeps its id from one configuration to the next. The top bit keeps
+// TE ids apart from the ids the ECMP app counts up from 0x0ec0000 on
+// the same switches. A node id that does not fit in 15 bits is an
+// error, never a wrapped id.
+func (k commodityKey) groupID() (uint32, error) {
+	if k.src >= 1<<15 || k.dst >= 1<<15 {
+		return 0, fmt.Errorf("update: no group id for (%d, %d): node ids must be below 32768", k.src, k.dst)
+	}
+	return 1<<31 | uint32(k.src)<<15 | uint32(k.dst), nil
+}
+
 // linkLoadsByCommodity explodes an allocation into per-commodity link
 // loads.
 func linkLoadsByCommodity(a *te.Allocation) map[commodityKey]map[topo.LinkKey]float64 {
