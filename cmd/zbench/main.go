@@ -8,6 +8,9 @@
 //	zbench -exp all              # everything, full parameters
 //	zbench -exp e3 -quick        # one experiment, reduced parameters
 //	zbench -exp all -json DIR    # also write DIR/BENCH_<id>.json per experiment
+//
+// -quick runs each experiment's reduced configuration, which is the one
+// the internal/experiments tests assert on.
 package main
 
 import (
@@ -26,7 +29,7 @@ func main() {
 		ids += ", " + e.ID
 	}
 	exp := flag.String("exp", "all", "one experiment id ("+ids+") or all")
-	quick := flag.Bool("quick", false, "reduced parameters for a fast pass")
+	quick := flag.Bool("quick", false, "reduced parameters for a fast pass: the configuration the package tests assert on")
 	seed := flag.Int64("seed", 1, "workload seed")
 	jsonDir := flag.String("json", "", "also write one machine-readable BENCH_<id>.json per experiment into this directory")
 	flag.Parse()

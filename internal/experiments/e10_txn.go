@@ -17,15 +17,6 @@ import (
 	"repro/internal/zof"
 )
 
-// E10Config parameterizes the transactional-programming experiment.
-type E10Config struct {
-	Switches      int           // transaction participants (default 4)
-	Txns          int           // committed transactions for the latency distribution (default 150)
-	OpsPerSwitch  int           // FlowAdds per switch per transaction (default 4)
-	PreRules      int           // pre-transaction intended rules per switch (default 8)
-	AuditInterval time.Duration // anti-entropy period (default 50ms)
-}
-
 // E10Result is the machine-readable output (BENCH_e10.json).
 type E10Result struct {
 	Switches        int     `json:"switches"`
@@ -63,8 +54,11 @@ type E10Result struct {
 	DriftRepairMS       float64 `json:"drift_repair_ms"`
 	DriftAuditIntervals float64 `json:"drift_audit_intervals"`
 
-	// With no drift, the auditor must stay quiet.
+	// With no drift, the auditor must stay quiet: QuiescentRepairs over
+	// the QuiescentAudits passes of a window of at least two passes per
+	// switch. Audits is every pass of the run.
 	QuiescentRepairs uint64 `json:"quiescent_repairs"`
+	QuiescentAudits  uint64 `json:"quiescent_audits"`
 	Audits           uint64 `json:"audits"`
 }
 
@@ -151,46 +145,25 @@ func e10WaitTable(ctl *controller.Controller, dpid uint64, want string, deadline
 	return time.Since(start), ok
 }
 
-func runE10(p Params) (*Table, any, error) {
-	cfg := E10Config{}
-	if p.Quick {
-		cfg.Switches = 3
-		cfg.Txns = 25
-		cfg.OpsPerSwitch = 2
-		cfg.PreRules = 4
-	}
-	return E10Transactions(cfg)
-}
-
 // E10Transactions measures the transactional flow-programming stack:
 // multi-switch commit latency, rollback correctness under an injected
 // rejection and under a mid-commit participant crash, and the
 // anti-entropy auditor's drift-repair convergence (DESIGN.md "State
 // ownership and the reconciliation contract").
-func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
-	if cfg.Switches <= 0 {
-		cfg.Switches = 4
-	}
-	if cfg.Txns <= 0 {
-		cfg.Txns = 150
-	}
-	if cfg.OpsPerSwitch <= 0 {
-		cfg.OpsPerSwitch = 4
-	}
-	if cfg.PreRules <= 0 {
-		cfg.PreRules = 8
-	}
-	if cfg.AuditInterval <= 0 {
-		cfg.AuditInterval = 50 * time.Millisecond
+func E10Transactions(p Params) (*Table, *E10Result, error) {
+	const auditEvery = 50 * time.Millisecond
+	switches, txns, opsPerSwitch, preRules := 4, 150, 4, 8
+	if p.Quick {
+		switches, txns, opsPerSwitch, preRules = 3, 10, 2, 4
 	}
 	res := &E10Result{
-		Switches:        cfg.Switches,
-		OpsPerSwitch:    cfg.OpsPerSwitch,
-		AuditIntervalMS: ms(cfg.AuditInterval),
+		Switches:        switches,
+		OpsPerSwitch:    opsPerSwitch,
+		AuditIntervalMS: ms(auditEvery),
 	}
 
 	ctl, err := controller.New(controller.Config{
-		AuditInterval: cfg.AuditInterval,
+		AuditInterval: auditEvery,
 		TxnTimeout:    2 * time.Second,
 	})
 	if err != nil {
@@ -209,7 +182,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 		Seed:       1,
 	})
 	defer func() { sess.Close() }()
-	for i := 2; i <= cfg.Switches; i++ {
+	for i := 2; i <= switches; i++ {
 		conn, err := direct.Dial()
 		if err != nil {
 			return nil, nil, err
@@ -220,15 +193,15 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 		}
 		defer dp.Close()
 	}
-	if err := ctl.WaitForSwitches(cfg.Switches, 5*time.Second); err != nil {
+	if err := ctl.WaitForSwitches(switches, 5*time.Second); err != nil {
 		return nil, nil, err
 	}
 
-	// Pre-transaction intended state: PreRules rules per switch,
+	// Pre-transaction intended state: preRules rules per switch,
 	// installed through one committed transaction.
 	pre := ctl.NewTxn()
 	for _, sc := range ctl.Switches() {
-		for r := 0; r < cfg.PreRules; r++ {
+		for r := 0; r < preRules; r++ {
 			pre.Flow(sc.DPID(), e10Add(r, uint64(0xE10000+r)))
 		}
 	}
@@ -237,12 +210,12 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	}
 
 	// Phase A — commit latency. Each transaction rewrites the same
-	// OpsPerSwitch rules on every switch under a fresh cookie (FlowAdd
+	// opsPerSwitch rules on every switch under a fresh cookie (FlowAdd
 	// replaces in place, so the tables do not grow).
-	for t := 0; t < cfg.Txns; t++ {
+	for t := 0; t < txns; t++ {
 		txn := ctl.NewTxn()
 		for _, sc := range ctl.Switches() {
-			for j := 0; j < cfg.OpsPerSwitch; j++ {
+			for j := 0; j < opsPerSwitch; j++ {
 				txn.Flow(sc.DPID(), e10Add(1000+j, uint64(0xE11000+t)))
 			}
 		}
@@ -366,31 +339,34 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	rep, ok := e10WaitTable(ctl, victim, before[victim], 10*time.Second)
 	res.DriftRepairMS = ms(rep)
 	res.DriftRepaired = ok
-	res.DriftAuditIntervals = float64(rep) / float64(cfg.AuditInterval)
+	res.DriftAuditIntervals = float64(rep) / float64(auditEvery)
 	if !ok {
 		return nil, nil, fmt.Errorf("injected drift was not repaired")
 	}
 
-	// Phase E — quiescence: with tables converged, further audit passes
-	// must repair nothing.
+	// Phase E — quiescence: with tables converged, at least two further
+	// passes per switch must repair nothing.
 	base := auditRepairs(ctl)
-	time.Sleep(4 * cfg.AuditInterval)
+	res.QuiescentAudits = waitAudits(ctl, uint64(2*switches), 10*time.Second)
 	res.QuiescentRepairs = auditRepairs(ctl) - base
 	res.Audits = metric(ctl, "controller.audit.audits")
+	if res.QuiescentAudits < uint64(2*switches) {
+		return nil, nil, fmt.Errorf("quiescence window saw %d audit passes, want %d", res.QuiescentAudits, 2*switches)
+	}
 
 	tbl := newTable("e10", "metric", "value")
 	tbl.Notes = []string{
 		fmt.Sprintf("%d switches (1 on a faultable channel), %d ops/switch per txn, %d pre-rules, audit every %v",
-			cfg.Switches, cfg.OpsPerSwitch, cfg.PreRules, cfg.AuditInterval),
+			switches, opsPerSwitch, preRules, auditEvery),
 		"rollback intact = flow tables byte-identical (canonical FlowStats) to pre-transaction state",
 		"crash converge = mid-commit session death + empty restart → intent restored by the re-attach's first audit pass",
 	}
 	tbl.AddRow("commit p50 / p95 / mean", fmt.Sprintf("%.2f / %.2f / %.2f ms", res.CommitP50MS, res.CommitP95MS, res.CommitMeanMS))
-	tbl.AddRow("commits", fmt.Sprintf("%d (%d switches x %d ops)", res.TxnsCommitted, cfg.Switches, cfg.OpsPerSwitch))
+	tbl.AddRow("commits", fmt.Sprintf("%d (%d switches x %d ops)", res.TxnsCommitted, switches, opsPerSwitch))
 	tbl.AddRow("reject: aborted/rolled-back/intact", fmt.Sprintf("%v / %v / %v", res.RejectAborted, res.RejectRolledBack, res.RejectTablesIntact))
 	tbl.AddRow("crash: aborted/survivors intact", fmt.Sprintf("%v / %v", res.CrashAborted, res.CrashSurvivorsIntact))
 	tbl.AddRow("crash converge", fmt.Sprintf("%.1f ms", res.CrashConvergeMS))
 	tbl.AddRow("drift repair", fmt.Sprintf("%.1f ms (%.2f audit intervals)", res.DriftRepairMS, res.DriftAuditIntervals))
-	tbl.AddRow("quiescent repairs", fmt.Sprintf("%d (over %d audits)", res.QuiescentRepairs, res.Audits))
+	tbl.AddRow("quiescent repairs", fmt.Sprintf("%d (over %d audits)", res.QuiescentRepairs, res.QuiescentAudits))
 	return tbl, res, nil
 }

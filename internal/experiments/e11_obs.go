@@ -11,15 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// E11Config parameterizes the observability-overhead experiment.
-type E11Config struct {
-	Switches    int           // cbench emulated switches (default 16)
-	Window      int           // outstanding packet-ins per switch (default 8)
-	Duration    time.Duration // per tracing mode (default 2s)
-	SampleEvery int           // sampled-mode decimation (default obs.DefaultSampleEvery)
-	TraceBuffer int           // flight-recorder ring capacity (default 1024)
-}
-
 // E11Point is one tracing mode under the same cbench load.
 type E11Point struct {
 	Mode        string  `json:"mode"`
@@ -47,26 +38,24 @@ type E11Result struct {
 	Points      []E11Point `json:"points"`
 }
 
-// e11Run drives one cbench load against a fresh controller with the
-// given tracing mode, reporting throughput plus what the recorder and
-// the per-app latency histogram captured.
-func e11Run(cfg E11Config, mode obs.TraceMode) (cbench.Result, int, float64, error) {
+// e11TraceBuffer is the flight-recorder ring every E11 mode runs with.
+const e11TraceBuffer = 1024
+
+// e11Run drives load against a fresh controller with the given tracing
+// mode, reporting throughput plus what the recorder and the per-app
+// latency histogram captured.
+func e11Run(load cbench.Config, mode obs.TraceMode) (cbench.Result, int, float64, error) {
 	ctl, err := cbenchTarget(controller.Config{
 		EventQueue:  1 << 16,
-		TraceBuffer: cfg.TraceBuffer,
+		TraceBuffer: e11TraceBuffer,
 	}, apps.NewLearningSwitch())
 	if err != nil {
 		return cbench.Result{}, 0, 0, err
 	}
 	defer ctl.Close()
-	ctl.Tracing().SetSampleEvery(cfg.SampleEvery)
 	ctl.Tracing().SetMode(mode)
-	res, err := cbench.Run(cbench.Config{
-		Addr:     ctl.Addr(),
-		Switches: cfg.Switches,
-		Window:   cfg.Window,
-		Duration: cfg.Duration,
-	})
+	load.Addr = ctl.Addr()
+	res, err := cbench.Run(load)
 	if err != nil {
 		return cbench.Result{}, 0, 0, err
 	}
@@ -78,55 +67,35 @@ func e11Run(cfg E11Config, mode obs.TraceMode) (cbench.Result, int, float64, err
 	return res, recorded, appP95, nil
 }
 
-func runE11(p Params) (*Table, any, error) {
-	cfg := E11Config{}
-	if p.Quick {
-		cfg.Switches = 4
-		cfg.Duration = 500 * time.Millisecond
-	}
-	return E11ObservabilityOverhead(cfg)
-}
-
 // E11ObservabilityOverhead measures the dispatch-throughput cost of
 // control-loop tracing: the same cbench load is answered with the
 // flight recorder off, sampled (1/N), and full. Baseline is off; the
 // other modes report throughput lost against it.
-func E11ObservabilityOverhead(cfg E11Config) (*Table, *E11Result, error) {
-	if cfg.Switches <= 0 {
-		cfg.Switches = 16
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 8
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 2 * time.Second
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = obs.DefaultSampleEvery
-	}
-	if cfg.TraceBuffer <= 0 {
-		cfg.TraceBuffer = 1024
+func E11ObservabilityOverhead(p Params) (*Table, *E11Result, error) {
+	load := cbench.Config{Switches: 16, Window: 8, Duration: 2 * time.Second}
+	if p.Quick {
+		load.Switches, load.Duration = 4, 500*time.Millisecond
 	}
 	res := &E11Result{
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
-		Switches:    cfg.Switches,
-		Window:      cfg.Window,
-		DurationMS:  cfg.Duration.Milliseconds(),
-		SampleEvery: cfg.SampleEvery,
+		Switches:    load.Switches,
+		Window:      load.Window,
+		DurationMS:  load.Duration.Milliseconds(),
+		SampleEvery: obs.DefaultSampleEvery,
 	}
 	tbl := newTable("e11", "mode", "rps", "overhead", "p50/p99", "recorded", "app p95")
 	tbl.Notes = []string{
 		fmt.Sprintf("sampled = every %dth event stamped; full = every event; ring capacity %d",
-			cfg.SampleEvery, cfg.TraceBuffer),
+			obs.DefaultSampleEvery, e11TraceBuffer),
 		fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d; %d switches, window %d, %v per mode",
-			res.GOMAXPROCS, res.NumCPU, cfg.Switches, cfg.Window, cfg.Duration),
+			res.GOMAXPROCS, res.NumCPU, load.Switches, load.Window, load.Duration),
 		"overhead is throughput lost vs mode=off; targets: sampled <3%, full <15%",
 	}
 
 	var baseline float64
 	for _, mode := range []obs.TraceMode{obs.TraceOff, obs.TraceSampled, obs.TraceFull} {
-		r, recorded, appP95, err := e11Run(cfg, mode)
+		r, recorded, appP95, err := e11Run(load, mode)
 		if err != nil {
 			return nil, nil, fmt.Errorf("E11 mode %s: %w", mode, err)
 		}

@@ -12,16 +12,6 @@ import (
 	"repro/internal/zof"
 )
 
-// E14Config parameterizes the controller-cluster failover experiment.
-type E14Config struct {
-	Switches          int           // switches across the cluster (default 4)
-	Rules             int           // intent rules per switch (default 8)
-	LeaseTTL          time.Duration // mastership lease TTL (default 300ms)
-	HeartbeatInterval time.Duration // east-west heartbeat period (default 60ms)
-	ProbeInterval     time.Duration // switch-side session probe period (default 20ms)
-	ProbeMisses       int           // probe misses before the session evicts (default 2)
-}
-
 // E14Failover is one master-loss scenario measured end to end.
 type E14Failover struct {
 	// TakeoverWallMS is fault onset → every orphaned switch converged
@@ -91,9 +81,18 @@ type e14Member struct {
 	in  *cluster.Instance
 }
 
+// The cluster's mastership lease and east-west heartbeat, and the
+// switch sessions' liveness probe, in every E14 run.
+const (
+	e14LeaseTTL    = 300 * time.Millisecond
+	e14Heartbeat   = 60 * time.Millisecond
+	e14Probe       = 20 * time.Millisecond
+	e14ProbeMisses = 2
+)
+
 // e14NewMember starts instance id of the two-instance cluster, running
-// the intent installer.
-func e14NewMember(id int, cfg E14Config) (*e14Member, error) {
+// the intent installer with rules rules per switch.
+func e14NewMember(id, rules int) (*e14Member, error) {
 	hooks := &cluster.Hooks{}
 	ctl, err := controller.New(controller.Config{
 		EpochOffset: uint64(id),
@@ -103,12 +102,12 @@ func e14NewMember(id int, cfg E14Config) (*e14Member, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl.Use(e14Installer{n: cfg.Rules})
+	ctl.Use(e14Installer{n: rules})
 	in, err := cluster.New(cluster.Config{
 		ID:                id,
 		Controller:        ctl,
-		LeaseTTL:          cfg.LeaseTTL,
-		HeartbeatInterval: cfg.HeartbeatInterval,
+		LeaseTTL:          e14LeaseTTL,
+		HeartbeatInterval: e14Heartbeat,
 		Logf:              e14Logf,
 	})
 	if err != nil {
@@ -184,15 +183,15 @@ func e14Orphan(ctl *controller.Controller, dpids []uint64) error {
 // master away — by crash (instance killed outright) or by partition
 // (instance alive but unreachable: east-west and southbound
 // blackholed, then healed to observe the stand-down).
-func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
+func e14Scenario(switchCount, rules int, partition bool) (E14Failover, error) {
 	var out E14Failover
 
-	m0, err := e14NewMember(0, cfg)
+	m0, err := e14NewMember(0, rules)
 	if err != nil {
 		return out, err
 	}
 	defer m0.stop()
-	m1, err := e14NewMember(1, cfg)
+	m1, err := e14NewMember(1, rules)
 	if err != nil {
 		return out, err
 	}
@@ -208,9 +207,9 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 	south0, south1 := netem.NewChannel(m0.ctl.Serve), netem.NewChannel(m1.ctl.Serve)
 	defer south0.Close()
 	part := netem.NewPartition(ew01, ew10, south0)
-	dpids := make([]uint64, cfg.Switches)
-	switches := make([]*dataplane.Switch, cfg.Switches)
-	sessions := make([]*dataplane.Session, cfg.Switches)
+	dpids := make([]uint64, switchCount)
+	switches := make([]*dataplane.Switch, switchCount)
+	sessions := make([]*dataplane.Session, switchCount)
 	for i := range switches {
 		dpids[i] = uint64(i + 1)
 		switches[i] = twoPortSwitch(dataplane.Config{DPID: dpids[i]})
@@ -218,19 +217,19 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 			Dial:          []func() (net.Conn, error){south0.Dial, south1.Dial},
 			MinBackoff:    10 * time.Millisecond,
 			MaxBackoff:    100 * time.Millisecond,
-			ProbeInterval: cfg.ProbeInterval,
-			ProbeMisses:   cfg.ProbeMisses,
+			ProbeInterval: e14Probe,
+			ProbeMisses:   e14ProbeMisses,
 			Seed:          int64(i + 1),
 		})
 		defer sessions[i].Close()
 	}
-	if !waitConverged(m0.ctl, dpids, cfg.Rules, 10*time.Second) {
+	if !waitConverged(m0.ctl, dpids, rules, 10*time.Second) {
 		return out, fmt.Errorf("initial convergence on instance 0 failed")
 	}
 	if err := e14Orphan(m0.ctl, dpids); err != nil {
 		return out, err
 	}
-	if !waitConverged(m0.ctl, dpids, cfg.Rules+1, 5*time.Second) {
+	if !waitConverged(m0.ctl, dpids, rules+1, 5*time.Second) {
 		return out, fmt.Errorf("orphan install did not settle")
 	}
 
@@ -244,7 +243,7 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 	} else {
 		m0.stop()
 	}
-	if !waitConverged(m1.ctl, dpids, cfg.Rules, 20*time.Second) {
+	if !waitConverged(m1.ctl, dpids, rules, 20*time.Second) {
 		return out, fmt.Errorf("takeover convergence on instance 1 failed: %s",
 			e14Describe(m1.ctl, dpids))
 	}
@@ -257,69 +256,46 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 	}
 	out.DetectMS = ms(det / time.Duration(len(sessions)))
 	out.StaleFlushed = metric(m1.ctl, "controller.liveness.stale_flows")
-	out.RulesRetained = uint64(cfg.Switches * cfg.Rules)
+	out.RulesRetained = uint64(switchCount * rules)
 
 	if partition {
 		// Heal: the deposed master learns the higher terms from the
 		// first heartbeats through and stands down everywhere.
 		part.Heal()
-		poll(10*time.Second, func() bool { return m0.in.Deposals() >= uint64(cfg.Switches) })
+		poll(10*time.Second, func() bool { return m0.in.Deposals() >= uint64(switchCount) })
 		out.Deposals = m0.in.Deposals()
 	}
 	out.Converged = true
 	return out, nil
 }
 
-func runE14(p Params) (*Table, any, error) {
-	cfg := E14Config{}
-	if p.Quick {
-		cfg.Switches = 2
-		cfg.Rules = 4
-	}
-	return E14ClusterFailover(cfg)
-}
-
 // E14ClusterFailover measures the distributed-control contract from
 // DESIGN.md "Cluster failover contract": lease-based mastership with
 // term fencing, replicated-NIB warm standbys, and epoch-selective
 // reconciliation, under both a crashed and a partitioned master.
-func E14ClusterFailover(cfg E14Config) (*Table, *E14Result, error) {
-	if cfg.Switches <= 0 {
-		cfg.Switches = 4
-	}
-	if cfg.Rules <= 0 {
-		cfg.Rules = 8
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 300 * time.Millisecond
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 60 * time.Millisecond
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 20 * time.Millisecond
-	}
-	if cfg.ProbeMisses <= 0 {
-		cfg.ProbeMisses = 2
+func E14ClusterFailover(p Params) (*Table, *E14Result, error) {
+	switches, rules := 4, 8
+	if p.Quick {
+		switches, rules = 2, 4
 	}
 	res := &E14Result{
-		Switches:    cfg.Switches,
-		Rules:       cfg.Rules,
-		LeaseTTLMS:  ms(cfg.LeaseTTL),
-		HeartbeatMS: ms(cfg.HeartbeatInterval),
+		Switches:    switches,
+		Rules:       rules,
+		LeaseTTLMS:  ms(e14LeaseTTL),
+		HeartbeatMS: ms(e14Heartbeat),
 	}
 	var err error
-	if res.Crash, err = e14Scenario(cfg, false); err != nil {
+	if res.Crash, err = e14Scenario(switches, rules, false); err != nil {
 		return nil, nil, fmt.Errorf("E14 crash: %w", err)
 	}
-	if res.Partition, err = e14Scenario(cfg, true); err != nil {
+	if res.Partition, err = e14Scenario(switches, rules, true); err != nil {
 		return nil, nil, fmt.Errorf("E14 partition: %w", err)
 	}
 
 	tbl := newTable("e14", "scenario", "takeover", "detect", "claim", "takeovers", "deposals", "flushed", "retained", "ok")
 	tbl.Notes = []string{
 		fmt.Sprintf("%d switches × %d rules; lease TTL %v, heartbeat %v, session probe %v × %d misses",
-			cfg.Switches, cfg.Rules, cfg.LeaseTTL, cfg.HeartbeatInterval, cfg.ProbeInterval, cfg.ProbeMisses),
+			switches, rules, e14LeaseTTL, e14Heartbeat, e14Probe, e14ProbeMisses),
 		"takeover = fault onset → all switches converged on the new master's epoch, under traffic",
 		"flushed counts only the dead master's orphan rules — intent is adopted in place, never wiped",
 	}

@@ -15,34 +15,6 @@ import (
 	"repro/internal/zof"
 )
 
-// E15Config parameterizes the stateful-NF experiment: a NAT + tunnel
-// overlay end to end, audited.
-type E15Config struct {
-	TickEvery     time.Duration // switch sweep period (default 5ms)
-	OverlayFlows  int           // distinct overlay connections per round (default 24)
-	OverlayRounds int           // rounds of fresh connections (default 3)
-	OverlayIdle   time.Duration // conntrack idle on the overlay edge (default 150ms)
-	AuditInterval time.Duration // anti-entropy period (default 25ms)
-}
-
-func (cfg *E15Config) fill() {
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = 5 * time.Millisecond
-	}
-	if cfg.OverlayFlows <= 0 {
-		cfg.OverlayFlows = 24
-	}
-	if cfg.OverlayRounds <= 0 {
-		cfg.OverlayRounds = 3
-	}
-	if cfg.OverlayIdle <= 0 {
-		cfg.OverlayIdle = 150 * time.Millisecond
-	}
-	if cfg.AuditInterval <= 0 {
-		cfg.AuditInterval = 25 * time.Millisecond
-	}
-}
-
 // E15Result is the machine-readable output (BENCH_e15.json).
 type E15Result struct {
 	OverlaySent       uint64  `json:"overlay_sent"`
@@ -57,30 +29,32 @@ type E15Result struct {
 // only hostB's replies (dst == e15Pub) take the inbound path.
 var e15Pub = packet.IPv4Addr{192, 0, 2, 1}
 
-func runE15(p Params) (*Table, any, error) {
-	cfg := E15Config{}
-	if p.Quick {
-		cfg.OverlayFlows = 8
-		cfg.OverlayRounds = 2
-	}
-	return E15StatefulNF(cfg)
-}
+// The switch sweep period, the overlay edge's conntrack idle timeout
+// and the anti-entropy period of every E15 run.
+const (
+	e15Tick  = 5 * time.Millisecond
+	e15Idle  = 150 * time.Millisecond
+	e15Audit = 25 * time.Millisecond
+)
 
 // E15StatefulNF measures the state behavior of the composable NF stage
 // layer: it stands up a NAT'd VXLAN overlay across a 3-switch fabric
 // and verifies the intended-state auditor never "repairs" steering
 // rules while conntrack state churns underneath them. (Per-frame stage
 // cost is zenbench's nf_chain workload.)
-func E15StatefulNF(cfg E15Config) (*Table, *E15Result, error) {
-	cfg.fill()
-	res := &E15Result{}
-	if err := e15Overlay(cfg, res); err != nil {
+func E15StatefulNF(p Params) (*Table, *E15Result, error) {
+	flows, rounds := 24, 3
+	if p.Quick {
+		flows, rounds = 8, 2
+	}
+	res, err := e15Overlay(flows, rounds)
+	if err != nil {
 		return nil, nil, err
 	}
 	tbl := newTable("e15", "sent", "echoed", "replies", "audits", "false repairs", "drain")
 	tbl.Notes = []string{
 		fmt.Sprintf("%d rounds × %d fresh connections, conntrack idle %v, audit every %v",
-			cfg.OverlayRounds, cfg.OverlayFlows, cfg.OverlayIdle, cfg.AuditInterval),
+			rounds, flows, e15Idle, e15Audit),
 		"drain = last reply → conntrack and NAT both empty on their own clock; steering rules untouched throughout",
 	}
 	tbl.AddRow(
@@ -95,30 +69,31 @@ func E15StatefulNF(cfg E15Config) (*Table, *E15Result, error) {
 }
 
 // e15Overlay runs the scenario: hostA -(SNAT, VXLAN)-> core -> hostB and
-// back, with the auditor watching the steering rules the whole time.
-func e15Overlay(cfg E15Config, res *E15Result) error {
+// back, rounds rounds of flows fresh connections, with the auditor
+// watching the steering rules the whole time.
+func e15Overlay(flows, rounds int) (*E15Result, error) {
 	nfp := apps.NewNFPolicy()
 	n, err := core.Start(core.Options{
 		Graph:      topo.Linear(3, 1000),
 		Apps:       []controller.App{nfp},
-		Controller: controller.Config{AuditInterval: cfg.AuditInterval},
+		Controller: controller.Config{AuditInterval: e15Audit},
 		Emu: netem.Config{
 			SwitchCfg: dataplane.Config{DropOnMiss: true},
-			TickEvery: cfg.TickEvery,
+			TickEvery: e15Tick,
 		},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer n.Stop()
 
 	hostA, err := n.AddHost("hostA", 1, packet.IPv4Addr{10, 0, 0, 1})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hostB, err := n.AddHost("hostB", 3, packet.IPv4Addr{10, 0, 0, 2})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Overlay NFs. edgeA (s1) owns conntrack+NAT and one tunnel end;
@@ -128,16 +103,16 @@ func e15Overlay(cfg E15Config, res *E15Result) error {
 	macA, macB := packet.MACFromUint64(0x02e1500000a1), packet.MACFromUint64(0x02e1500000b1)
 	tunA := nf.TunnelConfig{VNI: 7, LocalIP: tepA, RemoteIP: tepB, LocalMAC: macA, RemoteMAC: macB}
 	tunB := nf.TunnelConfig{VNI: 7, LocalIP: tepB, RemoteIP: tepA, LocalMAC: macB, RemoteMAC: macA}
-	ct := nf.NewConntrack(nf.ConntrackConfig{Idle: cfg.OverlayIdle})
+	ct := nf.NewConntrack(nf.ConntrackConfig{Idle: e15Idle})
 	nat := nf.NewNAT(nf.NATConfig{CT: ct, PublicIP: e15Pub})
 	for id, st := range map[uint32]nf.Stage{1: ct, 2: nat, 3: nf.NewTunnelEncap(tunA), 4: nf.NewTunnelDecap(tunA)} {
 		if err := edgeA.RegisterStage(id, st); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for id, st := range map[uint32]nf.Stage{3: nf.NewTunnelEncap(tunB), 4: nf.NewTunnelDecap(tunB)} {
 		if err := edgeB.RegisterStage(id, st); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -185,7 +160,7 @@ func e15Overlay(cfg E15Config, res *E15Result) error {
 			Then: []zof.Action{zof.Output(1)}, Cookie: 0xE15006},
 	)
 	if err != nil {
-		return fmt.Errorf("steering install: %w", err)
+		return nil, fmt.Errorf("steering install: %w", err)
 	}
 
 	hostA.SeedARP(hostB.IP, hostB.MAC)
@@ -194,35 +169,40 @@ func e15Overlay(cfg E15Config, res *E15Result) error {
 		hostB.SendUDP(src, dp, sp, payload)
 	}
 
-	// Let at least one audit pass see the freshly installed intent
-	// before we baseline.
-	time.Sleep(2 * cfg.AuditInterval)
+	// Let at least one audit pass per switch see the freshly installed
+	// intent before we baseline.
+	passes := uint64(len(n.Emu.Switches))
+	if waitAudits(n.Controller, passes, 5*time.Second) < passes {
+		return nil, fmt.Errorf("fewer than %d audit passes over the installed steering", passes)
+	}
 	repairs0, audits0 := auditRepairs(n.Controller), metric(n.Controller, "controller.audit.audits")
 
 	// Churn: rounds of fresh connections, spaced so audits interleave
 	// with entry creation and expiry.
-	var sent uint64
-	for r := 0; r < cfg.OverlayRounds; r++ {
-		for i := 0; i < cfg.OverlayFlows; i++ {
+	res := &E15Result{}
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < flows; i++ {
 			hostA.SendUDP(hostB.IP, uint16(30000+r*1000+i), 7777, []byte("e15"))
-			sent++
+			res.OverlaySent++
 		}
-		time.Sleep(2 * cfg.AuditInterval)
+		time.Sleep(2 * e15Audit)
 	}
-	poll(5*time.Second, func() bool { return hostA.RxUDP.Load() >= sent })
-	res.OverlaySent = sent
+	poll(5*time.Second, func() bool { return hostA.RxUDP.Load() >= res.OverlaySent })
 	res.OverlayEchoed = hostB.RxUDP.Load()
 	res.OverlayReplies = hostA.RxUDP.Load()
 
 	// Idle out: dynamic state must drain to zero on its own clock while
-	// the steering rules stay untouched.
+	// the steering rules stay untouched, through two more audit passes
+	// per switch.
 	start := time.Now()
 	res.DrainMS = -1
-	if poll(cfg.OverlayIdle+2*time.Second, func() bool { return ct.Entries() == 0 && nat.Bindings() == 0 }) {
+	if poll(e15Idle+2*time.Second, func() bool { return ct.Entries() == 0 && nat.Bindings() == 0 }) {
 		res.DrainMS = ms(time.Since(start))
 	}
-	time.Sleep(2 * cfg.AuditInterval)
+	if waitAudits(n.Controller, 2*passes, 5*time.Second) < 2*passes {
+		return nil, fmt.Errorf("fewer than %d audit passes after the drain", 2*passes)
+	}
 	res.AuditFalseRepairs = auditRepairs(n.Controller) - repairs0
 	res.AuditsRun = metric(n.Controller, "controller.audit.audits") - audits0
-	return nil
+	return res, nil
 }

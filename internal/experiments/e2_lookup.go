@@ -10,12 +10,6 @@ import (
 	"repro/internal/zof"
 )
 
-// E2Config parameterizes the lookup-scaling experiment.
-type E2Config struct {
-	Sizes   []int         // table sizes to sweep
-	Measure time.Duration // wall time per point (default 200ms)
-}
-
 // LookupFixture holds one populated flow table, the exact-match map it
 // is read against and the probe frames. The E2 experiment and the
 // repo's BenchmarkE2* share it.
@@ -109,9 +103,6 @@ func (fx *LookupFixture) CachedOp() LookupOp {
 
 // measureRate runs fn repeatedly for roughly d and returns ops/sec.
 func measureRate(d time.Duration, fn func(i int)) float64 {
-	if d <= 0 {
-		d = 200 * time.Millisecond
-	}
 	// Calibrate with growing batches so the clock is read rarely.
 	ops := 0
 	start := time.Now()
@@ -128,15 +119,6 @@ func measureRate(d time.Duration, fn func(i int)) float64 {
 	return float64(ops) / time.Since(start).Seconds()
 }
 
-func runE2(p Params) (*Table, any, error) {
-	cfg := E2Config{}
-	if p.Quick {
-		cfg.Sizes = []int{100, 1000, 10000}
-		cfg.Measure = 50 * time.Millisecond
-	}
-	return E2Lookup(cfg), nil, nil
-}
-
 // e2Shapes is the many-shapes column: lookup cost in the index is
 // O(mask shapes), and this is the factor the one-shape column hides.
 const e2Shapes = 8
@@ -148,23 +130,24 @@ const e2Shapes = 8
 // hash probe can do, and the microflow cache — key, hash, lock, one
 // 4-way set — is flat in table size and costs less than one shape's
 // probe once the table has outgrown the CPU's caches.
-func E2Lookup(cfg E2Config) *Table {
-	if len(cfg.Sizes) == 0 {
-		cfg.Sizes = []int{100, 1000, 10000, 100000}
+func E2Lookup(p Params) (*Table, any, error) {
+	sizes, measure := []int{100, 1000, 10000, 100000}, 200*time.Millisecond
+	if p.Quick {
+		sizes, measure = []int{100, 5000}, 50*time.Millisecond
 	}
 	t := newTable("e2", "entries", "table(1 shape)", fmt.Sprintf("table(%d shapes)", e2Shapes), "exact-map", "micro-cache")
 	t.Notes = []string{
 		"probes hit installed dst-prefix rules (/24; /24../17 in the 8-shape column); exact map keyed by 5-tuple",
 		"expected shape: exact ≫ table(1) > table(8); no column decays ~1/N; the micro-cache is flat in table size and passes table(1) from about 1,000 rules",
 	}
-	for _, n := range cfg.Sizes {
+	for _, n := range sizes {
 		fx := BuildLookupFixture(n, 1, int64(n))
 		one, many := fx.Ops(), BuildLookupFixture(n, e2Shapes, int64(n)).Ops()
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, op := range []LookupOp{one[0], many[0], one[1], fx.CachedOp()} {
-			row = append(row, f0(measureRate(cfg.Measure, op.Lookup)))
+			row = append(row, f0(measureRate(measure, op.Lookup)))
 		}
 		t.AddRow(row...)
 	}
-	return t
+	return t, nil, nil
 }

@@ -8,22 +8,6 @@ import (
 	"repro/internal/workload"
 )
 
-// E3Config parameterizes the WAN utilization experiment.
-type E3Config struct {
-	Scales []float64 // demand scale multipliers over the base matrix
-	KPaths int
-	Seed   int64
-}
-
-func runE3(p Params) (*Table, any, error) {
-	cfg := E3Config{Seed: p.Seed}
-	if p.Quick {
-		cfg.Scales = []float64{0.4, 0.8, 1.2, 2.0}
-	}
-	t, err := E3Utilization(cfg)
-	return t, nil, err
-}
-
 // E3Utilization reproduces the B4/SWAN headline figure: demand on the
 // 12-site WAN is swept from light to oversubscribed; at each point we
 // compare centralized TE (k-path max-min) against shortest-path
@@ -31,28 +15,27 @@ func runE3(p Params) (*Table, any, error) {
 // baseline strands capacity on the geographically cheap routes while
 // TE keeps delivering (~1.3x more at the knee) and drives mean
 // utilization toward 100%.
-func E3Utilization(cfg E3Config) (*Table, error) {
-	if len(cfg.Scales) == 0 {
-		cfg.Scales = []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5, 2.0}
-	}
-	if cfg.KPaths <= 0 {
-		cfg.KPaths = 4
+func E3Utilization(p Params) (*Table, any, error) {
+	const kPaths = 4
+	scales := []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.5, 2.0}
+	if p.Quick {
+		scales = []float64{0.2, 1.5}
 	}
 	g, _ := topo.WAN(1000)
 	// Base matrix sized so scale 1.0 sits at the interesting knee.
-	base := workload.Gravity(g, 10000, cfg.Seed+3)
+	base := workload.Gravity(g, 10000, p.Seed+3)
 
 	t := newTable("e3", "scale", "demand", "TE-deliv", "SP-deliv",
 		"TE-frac", "SP-frac", "gain", "TE-meanU", "SP-meanU")
 	t.Notes = []string{
-		fmt.Sprintf("12-site WAN, 1000 Mbps links, gravity demands, k=%d paths", cfg.KPaths),
+		fmt.Sprintf("12-site WAN, 1000 Mbps links, gravity demands, k=%d paths", kPaths),
 		"expected shape: gain ~1 at low load, rising to ~1.3x past the knee; TE meanU -> ~0.9",
 	}
-	for _, s := range cfg.Scales {
+	for _, s := range scales {
 		m := base.Scale(s)
-		alloc, err := te.Solve(g, m, te.Config{KPaths: cfg.KPaths})
+		alloc, err := te.Solve(g, m, te.Config{KPaths: kPaths})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sp := te.SolveShortestPath(g, m, 0)
 		gain := 1.0
@@ -66,16 +49,7 @@ func E3Utilization(cfg E3Config) (*Table, error) {
 			f2(gain), f2(alloc.MeanUtilization()), f2(sp.MeanUtilization()),
 		)
 	}
-	return t, nil
-}
-
-func runE3a(p Params) (*Table, any, error) {
-	var ks []int
-	if p.Quick {
-		ks = []int{1, 4}
-	}
-	t, err := E3aPathDiversity(ks, p.Seed)
-	return t, nil, err
+	return t, nil, nil
 }
 
 // E3aPathDiversity is the ablation over k: what path diversity buys.
@@ -85,12 +59,13 @@ func runE3a(p Params) (*Table, any, error) {
 // longer, so fairness spends more link-resource per delivered Mbps.
 // That fairness/efficiency tension is exactly why B4 splits per
 // priority class rather than maximizing raw throughput.
-func E3aPathDiversity(ks []int, seed int64) (*Table, error) {
-	if len(ks) == 0 {
-		ks = []int{1, 2, 4, 8}
+func E3aPathDiversity(p Params) (*Table, any, error) {
+	ks := []int{1, 2, 4, 8}
+	if p.Quick {
+		ks = []int{1, 4}
 	}
 	g, _ := topo.WAN(1000)
-	m := workload.Gravity(g, 12000, seed+3)
+	m := workload.Gravity(g, 12000, p.Seed+3)
 	sp := te.SolveShortestPath(g, m, 0)
 
 	t := newTable("e3a", "k", "delivered", "min-satisfaction", "gain-vs-SP", "meanU")
@@ -101,7 +76,7 @@ func E3aPathDiversity(ks []int, seed int64) (*Table, error) {
 	for _, k := range ks {
 		alloc, err := te.Solve(g, m, te.Config{KPaths: k})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		minSat := 1.0
 		for _, c := range alloc.Commodities {
@@ -115,5 +90,5 @@ func E3aPathDiversity(ks []int, seed int64) (*Table, error) {
 			f2(alloc.TotalAllocated()/sp.TotalAllocated()),
 			f2(alloc.MeanUtilization()))
 	}
-	return t, nil
+	return t, nil, nil
 }

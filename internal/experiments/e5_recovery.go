@@ -10,12 +10,6 @@ import (
 	"repro/internal/zof"
 )
 
-// E5Config parameterizes the failure-recovery experiment.
-type E5Config struct {
-	Failures int
-	Seed     int64
-}
-
 // IntentMesh submits one intent per unordered pair of ends to a fresh
 // manager over g and returns it with the id of the last intent (ids
 // run 1..last).
@@ -42,15 +36,6 @@ func IntentMesh(g *topo.Graph, ends []topo.NodeID, commit func(map[topo.NodeID][
 	return mgr, id, nil
 }
 
-func runE5(p Params) (*Table, any, error) {
-	cfg := E5Config{Seed: p.Seed}
-	if p.Quick {
-		cfg.Failures = 3
-	}
-	t, err := E5Recovery(cfg)
-	return t, nil, err
-}
-
 // E5Recovery measures failure recovery across topologies: submit an
 // all-pairs intent mesh, fail random links one at a time, record the
 // intent framework's recompile latency, rule churn, and path stretch;
@@ -58,9 +43,10 @@ func runE5(p Params) (*Table, any, error) {
 // every learned flow). Shape: intent recompiles complete in well under
 // a millisecond per event with surgical rule churn and stretch near 1,
 // while the spanning-tree baseline flushes the whole network.
-func E5Recovery(cfg E5Config) (*Table, error) {
-	if cfg.Failures <= 0 {
-		cfg.Failures = 10
+func E5Recovery(p Params) (*Table, any, error) {
+	failures := 10
+	if p.Quick {
+		failures = 3
 	}
 	t := newTable("e5", "topology", "intents", "failures", "reroute-p50", "reroute-p99",
 		"rules-touched/fail", "mean-stretch", "lost", "stp-recompute", "stp-flush")
@@ -75,7 +61,7 @@ func E5Recovery(cfg E5Config) (*Table, error) {
 	}
 	ft, edges, err := topo.FatTree(4, 1000)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wan, sites := topo.WAN(1000)
 	var siteIDs []topo.NodeID
@@ -86,7 +72,7 @@ func E5Recovery(cfg E5Config) (*Table, error) {
 		{"fat-tree-k4", ft, edges},
 		{"wan-12", wan, siteIDs},
 	} {
-		rng := rand.New(rand.NewSource(cfg.Seed + 7))
+		rng := rand.New(rand.NewSource(p.Seed + 7))
 		// Rule ops are counted, not installed: the measurement is pure
 		// control-plane recompile cost.
 		ops := 0
@@ -97,14 +83,14 @@ func E5Recovery(cfg E5Config) (*Table, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", tc.name, err)
+			return nil, nil, fmt.Errorf("%s: %w", tc.name, err)
 		}
 		installedOps := ops
 		ops = 0
 
 		links := tc.graph.Links()
 		lost := 0
-		for f := 0; f < cfg.Failures; f++ {
+		for f := 0; f < failures; f++ {
 			k := links[rng.Intn(len(links))].Key()
 			_, l, _ := mgr.OnLinkDown(k)
 			lost += l
@@ -135,15 +121,15 @@ func E5Recovery(cfg E5Config) (*Table, error) {
 
 		t.AddRow(tc.name,
 			fmt.Sprintf("%d", int(id)),
-			fmt.Sprintf("%d", cfg.Failures),
+			fmt.Sprintf("%d", failures),
 			mgr.Recompiles.Quantile(0.5).String(),
 			mgr.Recompiles.Quantile(0.99).String(),
-			fmt.Sprintf("%d", ops/(2*cfg.Failures)), // ops per down+up pair
+			fmt.Sprintf("%d", ops/(2*failures)), // ops per down+up pair
 			f2(meanStretch),
 			fmt.Sprintf("%d", lost),
 			stpPer.String(),
 			fmt.Sprintf("%d", installedOps), // full flush = everything reinstalled
 		)
 	}
-	return t, nil
+	return t, nil, nil
 }

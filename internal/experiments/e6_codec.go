@@ -59,13 +59,12 @@ func CodecBenches(size int) []CodecBench {
 	}
 }
 
-func runE6(Params) (*Table, any, error) { return E6Codec(), nil, nil }
-
 // E6Codec measures the packet substrate: decode, decode+flow-key, and
 // full-stack serialize, per frame size, with allocations per op.
 // Shape: zero allocations on the decode paths; decode throughput in
-// the millions per second per core for small frames.
-func E6Codec() *Table {
+// the millions per second per core for small frames. It has no reduced
+// configuration: testing.Benchmark sizes each run itself.
+func E6Codec(Params) (*Table, any, error) {
 	t := newTable("e6", "frame", "op", "ns/op", "allocs/op", "Mops/s")
 	t.Notes = []string{"expected shape: 0 allocs/op on decode; small-frame decode > 10 Mops/s"}
 	for _, size := range []int{64, 512, 1500} {
@@ -79,5 +78,5 @@ func E6Codec() *Table {
 			t.AddRow(fmt.Sprintf("%dB", size), cb.Op, f1(ns), fmt.Sprintf("%d", r.AllocsPerOp()), f2(mops))
 		}
 	}
-	return t
+	return t, nil, nil
 }

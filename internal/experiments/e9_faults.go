@@ -13,14 +13,6 @@ import (
 	"repro/internal/zof"
 )
 
-// E9Config parameterizes the control-channel recovery experiment.
-type E9Config struct {
-	ProbeInterval time.Duration   // liveness probe period (default 25ms)
-	MissBudgets   []int           // probe miss budgets to sweep (default 1,2,3)
-	Backoffs      []time.Duration // session MinBackoff values (default 10ms, 50ms)
-	Rules         int             // ACL rules installed as reconcilable state (default 16)
-}
-
 // E9Point is one (miss budget, backoff) configuration taken through the
 // full failure lifecycle: blackhole → eviction, heal → reconnect +
 // flow-state convergence, crash-restart → convergence from an empty
@@ -117,20 +109,23 @@ func waitFor[T any](ch <-chan T, timeout time.Duration) (ev T, ok bool) {
 	}
 }
 
+// e9Probe is the controller's liveness probe interval.
+const e9Probe = 25 * time.Millisecond
+
 // e9Point runs one configuration through the full lifecycle.
-func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9Point, error) {
+func e9Point(misses int, backoff time.Duration, rules int) (E9Point, error) {
 	pt := E9Point{
 		MissBudget:    misses,
 		BackoffMS:     ms(backoff),
-		DetectBoundMS: ms(pi * time.Duration(misses)),
+		DetectBoundMS: ms(e9Probe * time.Duration(misses)),
 	}
 	// ProbeTimeout strictly below the interval makes the detection bound
 	// hold with margin: the fatal streak's last probe times out before
 	// the tick that would start probe budget+1, so eviction lands at
 	// interval×(budget-1) + timeout < interval×budget.
 	ctl, err := controller.New(controller.Config{
-		ProbeInterval: pi,
-		ProbeTimeout:  pi * 4 / 5,
+		ProbeInterval: e9Probe,
+		ProbeTimeout:  e9Probe * 4 / 5,
 		ProbeMisses:   misses,
 	})
 	if err != nil {
@@ -178,7 +173,7 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	rec.drain()
 	t0 := time.Now()
 	channel.Blackhole(true)
-	if _, ok := waitFor(rec.downs, pi*time.Duration(misses+4)+2*time.Second); !ok {
+	if _, ok := waitFor(rec.downs, e9Probe*time.Duration(misses+4)+2*time.Second); !ok {
 		return pt, fmt.Errorf("liveness eviction not observed")
 	}
 	pt.DetectWallMS = ms(time.Since(t0))
@@ -241,47 +236,27 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	return pt, nil
 }
 
-func runE9(p Params) (*Table, any, error) {
-	cfg := E9Config{}
-	if p.Quick {
-		cfg.MissBudgets = []int{2}
-		cfg.Backoffs = []time.Duration{10 * time.Millisecond}
-		cfg.Rules = 8
-	}
-	return E9FaultRecovery(cfg)
-}
-
 // E9FaultRecovery sweeps liveness miss budgets and reconnect backoffs
 // through the blackhole → heal → crash-restart lifecycle, reporting
 // detection latency against its interval × budget bound, reconnect
 // time, and flow-state convergence time (DESIGN.md "Failure model and
 // reconnect contract").
-func E9FaultRecovery(cfg E9Config) (*Table, *E9Result, error) {
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 25 * time.Millisecond
+func E9FaultRecovery(p Params) (*Table, *E9Result, error) {
+	budgets, rules := []int{1, 2, 3}, 16
+	backoffs := []time.Duration{10 * time.Millisecond, 50 * time.Millisecond}
+	if p.Quick {
+		budgets, backoffs, rules = []int{2}, backoffs[:1], 8
 	}
-	if len(cfg.MissBudgets) == 0 {
-		cfg.MissBudgets = []int{1, 2, 3}
-	}
-	if len(cfg.Backoffs) == 0 {
-		cfg.Backoffs = []time.Duration{10 * time.Millisecond, 50 * time.Millisecond}
-	}
-	if cfg.Rules <= 0 {
-		cfg.Rules = 16
-	}
-	res := &E9Result{
-		ProbeIntervalMS: ms(cfg.ProbeInterval),
-		Rules:           cfg.Rules,
-	}
+	res := &E9Result{ProbeIntervalMS: ms(e9Probe), Rules: rules}
 	tbl := newTable("e9", "misses", "backoff", "detect (bound)", "wall", "reconnect", "flap conv", "crash conv", "stale", "ok")
 	tbl.Notes = []string{
-		fmt.Sprintf("probe interval %v; %d ACL rules as reconcilable state; 1/4 retired mid-partition", cfg.ProbeInterval, cfg.Rules),
+		fmt.Sprintf("probe interval %v; %d ACL rules as reconcilable state; 1/4 retired mid-partition", e9Probe, rules),
 		"detect = first missed probe → eviction, bound = interval × misses; wall adds the wait for the next probe tick",
 		"flap keeps the flow table populated (stale epochs flushed); crash restarts with an empty table under traffic",
 	}
-	for _, mb := range cfg.MissBudgets {
-		for _, bo := range cfg.Backoffs {
-			pt, err := e9Point(cfg.ProbeInterval, mb, bo, cfg.Rules)
+	for _, mb := range budgets {
+		for _, bo := range backoffs {
+			pt, err := e9Point(mb, bo, rules)
 			if err != nil {
 				return nil, nil, fmt.Errorf("E9 misses=%d backoff=%v: %w", mb, bo, err)
 			}

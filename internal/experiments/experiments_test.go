@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // parseF parses a rendered numeric cell.
@@ -36,11 +35,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestE1SmallRun(t *testing.T) {
-	tbl, err := E1FlowSetup(E1Config{
-		SwitchCounts: []int{1, 2},
-		Window:       4,
-		Duration:     200 * time.Millisecond,
-	})
+	tbl, _, err := E1FlowSetup(Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +50,7 @@ func TestE1SmallRun(t *testing.T) {
 }
 
 func TestE2ShapeHolds(t *testing.T) {
-	tbl := E2Lookup(E2Config{Sizes: []int{100, 5000}, Measure: 30 * time.Millisecond})
+	tbl, _, _ := E2Lookup(Params{Quick: true, Seed: 1})
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -77,7 +72,7 @@ func TestE2ShapeHolds(t *testing.T) {
 }
 
 func TestE3ShapeHolds(t *testing.T) {
-	tbl, err := E3Utilization(E3Config{Scales: []float64{0.2, 1.5}, Seed: 1})
+	tbl, _, err := E3Utilization(Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +92,7 @@ func TestE3ShapeHolds(t *testing.T) {
 }
 
 func TestE3aMonotoneInK(t *testing.T) {
-	tbl, err := E3aPathDiversity([]int{1, 4}, 1)
+	tbl, _, err := E3aPathDiversity(Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +104,7 @@ func TestE3aMonotoneInK(t *testing.T) {
 }
 
 func TestE4ShapeHolds(t *testing.T) {
-	tbl, err := E4Update(E4Config{Scratches: []float64{0.10}, Trials: 3, Seed: 5})
+	tbl, _, err := E4Update(Params{Quick: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +119,7 @@ func TestE4ShapeHolds(t *testing.T) {
 }
 
 func TestE5ShapeHolds(t *testing.T) {
-	tbl, err := E5Recovery(E5Config{Failures: 3, Seed: 2})
+	tbl, _, err := E5Recovery(Params{Quick: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +141,7 @@ func TestE5ShapeHolds(t *testing.T) {
 }
 
 func TestE6ZeroAllocDecode(t *testing.T) {
-	tbl := E6Codec()
+	tbl, _, _ := E6Codec(Params{Quick: true, Seed: 1})
 	for _, row := range tbl.Rows {
 		if strings.HasPrefix(row[1], "decode") && row[3] != "0" {
 			t.Errorf("%s %s allocates: %s allocs/op", row[0], row[1], row[3])
@@ -155,11 +150,7 @@ func TestE6ZeroAllocDecode(t *testing.T) {
 }
 
 func TestE9QuickLifecycle(t *testing.T) {
-	tbl, res, err := E9FaultRecovery(E9Config{
-		MissBudgets: []int{2},
-		Backoffs:    []time.Duration{10 * time.Millisecond},
-		Rules:       8,
-	})
+	tbl, res, err := E9FaultRecovery(Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +173,7 @@ func TestE9QuickLifecycle(t *testing.T) {
 }
 
 func TestE10QuickTransactions(t *testing.T) {
-	_, res, err := E10Transactions(E10Config{
-		Switches:     3,
-		Txns:         10,
-		OpsPerSwitch: 2,
-		PreRules:     4,
-	})
+	_, res, err := E10Transactions(Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +194,10 @@ func TestE10QuickTransactions(t *testing.T) {
 	if res.QuiescentRepairs != 0 {
 		t.Errorf("quiescent repairs = %d, want 0", res.QuiescentRepairs)
 	}
+	// The quiescence window held at least two audit passes per switch.
+	if res.QuiescentAudits < 2*uint64(res.Switches) {
+		t.Errorf("quiescent audits = %d, want >= %d", res.QuiescentAudits, 2*res.Switches)
+	}
 	if res.CommitP95MS <= 0 {
 		t.Errorf("commit latency missing: %+v", res)
 	}
@@ -216,7 +206,7 @@ func TestE10QuickTransactions(t *testing.T) {
 func TestE14QuickFailover(t *testing.T) {
 	e14Logf = t.Logf
 	defer func() { e14Logf = nil }()
-	tbl, res, err := E14ClusterFailover(E14Config{Switches: 2, Rules: 4})
+	tbl, res, err := E14ClusterFailover(Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +252,7 @@ func TestE14QuickFailover(t *testing.T) {
 // back, audits ran during the churn, none repaired a steering rule,
 // and the dynamic state drained on its own.
 func TestE15QuickOverlay(t *testing.T) {
-	tbl, res, err := E15StatefulNF(E15Config{OverlayFlows: 8, OverlayRounds: 2})
+	tbl, res, err := E15StatefulNF(Params{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

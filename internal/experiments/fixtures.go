@@ -133,6 +133,19 @@ func auditRepairs(ctl *controller.Controller) uint64 {
 		metric(ctl, "controller.audit.alien")
 }
 
+// waitAudits polls until ctl's auditor has finished n more passes (one
+// switch each) than when it was called, or deadline has passed, and
+// returns how many it saw.
+func waitAudits(ctl *controller.Controller, n uint64, deadline time.Duration) uint64 {
+	base := metric(ctl, "controller.audit.audits")
+	var seen uint64
+	poll(deadline, func() bool {
+		seen = metric(ctl, "controller.audit.audits") - base
+		return seen >= n
+	})
+	return seen
+}
+
 // cbenchTarget starts the system under test of a cbench load: a fresh
 // controller running app. The caller closes it.
 func cbenchTarget(cc controller.Config, app controller.App) (*controller.Controller, error) {

@@ -9,17 +9,18 @@ import (
 	"runtime/debug"
 )
 
-// Params is all a front end may vary. Everything else about an
-// experiment is its Config, defaulted (and reduced for Quick) in the
-// experiment's own file.
+// Params is all a front end may vary, and all an experiment takes: each
+// experiment writes its full and its reduced values once, as locals or
+// constants in its own file. The reduced ones are what the package's
+// tests assert on.
 type Params struct {
 	Quick bool  // reduced parameters for a fast pass
 	Seed  int64 // workload seed, for the experiments that draw one
 }
 
-// Experiment is one row of the registry. Run returns the rendered table
-// and, for E9 onward, the typed E*Result the committed BENCH_<id>.json
-// files hold; E1–E6 return a nil result.
+// Experiment is one row of the registry. Run is the experiment itself:
+// it returns the rendered table and, for E9 onward, the typed E*Result
+// the committed BENCH_<id>.json files hold; E1–E6 return a nil result.
 type Experiment struct {
 	ID    string // lower-case, as typed at `zbench -exp`
 	Title string
@@ -31,20 +32,26 @@ type Experiment struct {
 // newTable reads titles from it, and the tests walk it.
 func Registry() []Experiment {
 	return []Experiment{
-		{"e1", "reactive flow setup (cbench-style), learning app", runE1},
-		{"e1a", "app-logic cost: learning app vs null responder", runE1a},
-		{"e2", "flow table lookup scaling (lookups/sec)", runE2},
-		{"e3", "WAN delivered traffic and utilization: TE vs shortest path", runE3},
-		{"e3a", "ablation: path diversity k (demand 12000)", runE3a},
-		{"e4", "congestion-free updates: naive vs planned transitions", runE4},
-		{"e5", "failure recovery: intent recompile vs spanning-tree flush", runE5},
-		{"e6", "packet codec throughput", runE6},
-		{"e9", "control-channel fault recovery: detection, reconnect, convergence", runE9},
-		{"e10", "transactional flow programming: commit, rollback, anti-entropy", runE10},
-		{"e11", "observability overhead: dispatch throughput vs tracing mode (cbench, learning app)", runE11},
-		{"e14", "controller cluster: master failover under crash and partition", runE14},
-		{"e15", "stateful NF stages: audited NAT+VXLAN overlay under conntrack churn", runE15},
+		{"e1", "reactive flow setup (cbench-style), learning app", E1FlowSetup},
+		{"e1a", "app-logic cost: learning app vs null responder", E1aProactiveVsReactive},
+		{"e2", "flow table lookup scaling (lookups/sec)", E2Lookup},
+		{"e3", "WAN delivered traffic and utilization: TE vs shortest path", E3Utilization},
+		{"e3a", "ablation: path diversity k (demand 12000)", E3aPathDiversity},
+		{"e4", "congestion-free updates: naive vs planned transitions", E4Update},
+		{"e5", "failure recovery: intent recompile vs spanning-tree flush", E5Recovery},
+		{"e6", "packet codec throughput", E6Codec},
+		{"e9", "control-channel fault recovery: detection, reconnect, convergence", typed(E9FaultRecovery)},
+		{"e10", "transactional flow programming: commit, rollback, anti-entropy", typed(E10Transactions)},
+		{"e11", "observability overhead: dispatch throughput vs tracing mode (cbench, learning app)", typed(E11ObservabilityOverhead)},
+		{"e14", "controller cluster: master failover under crash and partition", typed(E14ClusterFailover)},
+		{"e15", "stateful NF stages: audited NAT+VXLAN overlay under conntrack churn", typed(E15StatefulNF)},
 	}
+}
+
+// typed lets a registry row hold an experiment whose result is a typed
+// E*Result.
+func typed[R any](run func(Params) (*Table, R, error)) func(Params) (*Table, any, error) {
+	return func(p Params) (*Table, any, error) { return run(p) }
 }
 
 // Env records where a report was measured.
