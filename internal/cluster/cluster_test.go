@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +130,11 @@ func (r *upRecorder) counts() (int, int) {
 	return len(r.ups), r.downs
 }
 
+// nibHas reports whether ctl's NIB lists dpid.
+func nibHas(ctl *controller.Controller, dpid uint64) bool {
+	return slices.ContainsFunc(ctl.NIB().Switches(), func(f zof.FeaturesReply) bool { return f.DPID == dpid })
+}
+
 // converged reports whether the switch registered at ctl holds exactly
 // want flows, all stamped with the live session's epoch.
 func converged(ctl *controller.Controller, dpid uint64, want int) bool {
@@ -203,7 +209,9 @@ func TestClusterMastershipFormation(t *testing.T) {
 
 // TestClusterNIBReplication: the master narrates its switch into the
 // delta log; the standby's NIB warms up without any switch connection
-// of its own, and the DPID is pre-marked seen for takeover.
+// of its own, and the DPID is pre-marked seen for takeover. A standby
+// that does hold a session to the switch keeps its entry whole through
+// the master's switch-down, and can still activate it.
 func TestClusterNIBReplication(t *testing.T) {
 	m0 := startMember(t, 0, 2)
 	m1 := startMember(t, 1, 2)
@@ -221,7 +229,7 @@ func TestClusterNIBReplication(t *testing.T) {
 
 	// Replication delivers the switch and its ports to the standby.
 	waitUntil(t, 3*time.Second, func() bool {
-		return m1.ctl.NIB().HasSwitch(9) && len(m1.ctl.NIB().Ports(9)) == 2
+		return nibHas(m1.ctl, 9) && len(m1.ctl.NIB().Ports(9)) == 2
 	})
 	if m1.in.DeltasApplied() == 0 {
 		t.Error("standby applied no deltas")
@@ -231,6 +239,31 @@ func TestClusterNIBReplication(t *testing.T) {
 		vv0, vv1 := m0.in.VersionVector(), m1.in.VersionVector()
 		return vv1[0] == vv0[0] && vv0[0] > 0
 	})
+
+	// The standby opens its own, inactive session to the switch, then
+	// applies the master's switch-down: that delta says the master lost
+	// its session, not that this one is gone.
+	dp1, err := attach(sw, m1.ctl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dp1.Close()
+	waitUntil(t, 2*time.Second, func() bool { _, ok := m1.ctl.Switch(9); return ok })
+	sc1, _ := m1.ctl.Switch(9)
+	if sc1.Active() {
+		t.Fatal("standby activated a switch whose lease instance 0 holds")
+	}
+	m1.in.apply(0, Delta{Kind: DeltaSwitchDown, DPID: 9})
+	if sc, ok := m1.ctl.Switch(9); !ok || sc != sc1 {
+		t.Fatalf("replicated switch-down dropped the standby's session (ok=%v)", ok)
+	}
+	if !nibHas(m1.ctl, 9) || len(m1.ctl.NIB().Ports(9)) != 2 || !m1.ctl.NIB().Graph().HasNode(9) {
+		t.Fatalf("replicated switch-down emptied the standby's entry: listed=%v ports=%d",
+			nibHas(m1.ctl, 9), len(m1.ctl.NIB().Ports(9)))
+	}
+	if err := m1.ctl.ActivateSwitch(9); err != nil || !sc1.Active() {
+		t.Fatalf("activating the kept session: err=%v active=%v", err, sc1.Active())
+	}
 }
 
 // TestClusterFailover is the headline path: a switch homed on instance

@@ -118,10 +118,6 @@ type DispatchStats struct {
 	Dropped obs.Counter
 }
 
-// switchMap is the RCU-published registry snapshot: readers load the
-// pointer; writers clone under c.mu and republish.
-type switchMap map[uint64]*SwitchConn
-
 // version pairs an RCU-published value with a channel that is closed
 // when the next version replaces it. A waiter loads the pair, tests
 // its condition on v, then waits on next: a publish between the load
@@ -148,7 +144,8 @@ type Controller struct {
 
 	// mu serializes mutators (switch registration, app registration,
 	// close). The hot paths — Switch, Switches, dispatch — read the
-	// atomic snapshots below and never take it.
+	// NIB's view and the app list with one atomic load and never take
+	// it.
 	mu     sync.Mutex
 	closed bool
 	// nextEpoch numbers sessions; lastEpoch remembers every DPID that
@@ -161,8 +158,7 @@ type Controller struct {
 	// audited back to the configuration the controller still intends.
 	stores map[uint64]*FlowStore
 
-	switches atomic.Pointer[version[switchMap]]
-	apps     atomic.Pointer[[]appEntry]
+	apps atomic.Pointer[[]appEntry]
 
 	// shards carry the data-plane event stream (packet-ins, flow
 	// removals, port status); ctlShards are each worker's control lane —
@@ -243,10 +239,9 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.txnStats.Latency = obs.NewHistogram()
 	c.registerMetrics()
-	publish(&c.switches, make(switchMap))
 	noApps := []appEntry(nil)
 	c.apps.Store(&noApps)
-	c.disc = newDiscovery(c)
+	c.disc = &discovery{c: c, seen: make(map[linkID]time.Time)}
 	c.loopWG.Add(1 + len(c.shards))
 	for i := range c.shards {
 		c.shards[i] = make(chan queuedEvent, cfg.EventQueue)
@@ -259,7 +254,8 @@ func New(cfg Config) (*Controller, error) {
 	// this address registers the instant the listener is served.
 	go c.acceptLoop()
 	if cfg.Discovery {
-		c.disc.start(discoveryInterval)
+		c.loopWG.Add(1)
+		go c.disc.run(discoveryInterval)
 	}
 	if cfg.AuditInterval > 0 {
 		c.loopWG.Add(1)
@@ -298,15 +294,17 @@ func (c *Controller) Use(apps ...App) {
 	c.mu.Unlock()
 }
 
-// Switch returns the live connection for dpid. Lock-free.
+// Switch returns the live connection for dpid, read from the NIB's
+// view. Lock-free.
 func (c *Controller) Switch(dpid uint64) (*SwitchConn, bool) {
-	s, ok := c.switches.Load().v[dpid]
+	s, ok := c.nib.current().sessions[dpid]
 	return s, ok
 }
 
-// Switches snapshots the live connections. Lock-free.
+// Switches snapshots the live connections, read from the NIB's view.
+// Lock-free.
 func (c *Controller) Switches() []*SwitchConn {
-	m := c.switches.Load().v
+	m := c.nib.current().sessions
 	out := make([]*SwitchConn, 0, len(m))
 	for _, s := range m {
 		out = append(out, s)
@@ -314,11 +312,11 @@ func (c *Controller) Switches() []*SwitchConn {
 	return out
 }
 
-// registerSwitch publishes sc in the registry (newest connection wins,
-// like OVS reconnects), assigns the session epoch, installs the NIB
-// entry and posts SwitchUp — all under c.mu, so registry state, NIB
-// state and the per-DPID SwitchUp/SwitchDown event order agree even
-// when an old session's teardown races a new session's registration.
+// registerSwitch assigns the session epoch, publishes sc in the NIB's
+// view (newest connection wins, like OVS reconnects) and posts
+// SwitchUp — all under c.mu, so the view and the per-DPID
+// SwitchUp/SwitchDown event order agree even when an old session's
+// teardown races a new session's registration.
 // It reports whether the DPID is returning (seen before) and false ok
 // when the controller is closed.
 func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
@@ -347,18 +345,6 @@ func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
 	_, reconnect = c.lastEpoch[sc.dpid]
 	c.lastEpoch[sc.dpid] = sc.epoch
 	sc.reconnect = reconnect
-	old := c.switches.Load().v
-	next := make(switchMap, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	if prev, dup := next[sc.dpid]; dup {
-		// Displaced session: close it now. Its serve goroutine's
-		// teardown will find itself no longer registered and skip the
-		// NIB removal and SwitchDown (see unregisterSwitch).
-		prev.close()
-	}
-	next[sc.dpid] = sc
 	// Single-instance mode: every connection activates itself, before
 	// the publish, so no caller finds it registered but inactive. Under
 	// deferred mastership the SwitchUp waits for ActivateSwitch — apps
@@ -377,8 +363,12 @@ func (c *Controller) registerSwitch(sc *SwitchConn) (reconnect, ok bool) {
 		sc.reconciling.Store(reconnect)
 		sc.active.Store(true)
 	}
-	publish(&c.switches, next)
-	c.nib.addSwitch(sc.features)
+	if prev := c.nib.putSwitch(sc.features, sc); prev != nil {
+		// Displaced session: close it now. Its serve goroutine's
+		// teardown will find itself no longer registered and skip the
+		// NIB removal and SwitchDown (see unregisterSwitch).
+		prev.close()
+	}
 	if single {
 		up := SwitchUp{DPID: sc.dpid, Features: sc.features, Reconnect: reconnect}
 		if reconnect {
@@ -452,26 +442,17 @@ func (c *Controller) MarkSeen(dpid uint64) {
 // unregisterSwitch tears down sc's registration — but only if sc is
 // still the registered connection for its dpid: after a dup-DPID
 // reconnect the displaced session must not wipe the new session's NIB
-// entry or tell apps a live switch went down. NIB removal and the
-// SwitchDown post happen under the same c.mu hold as the registry
-// update, mirroring registerSwitch, so per-DPID lifecycle events reach
-// the dispatch shard in registry order. Reports whether sc was the
-// registered connection (the caller fires the Mastership hook on true).
+// entry or tell apps a live switch went down. The view's update and
+// the SwitchDown post happen under one c.mu hold, mirroring
+// registerSwitch, so per-DPID lifecycle events reach the dispatch
+// shard in view order. Reports whether sc was the registered
+// connection (the caller fires the Mastership hook on true).
 func (c *Controller) unregisterSwitch(sc *SwitchConn) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.switches.Load().v
-	if old[sc.dpid] != sc {
+	if !c.nib.dropSwitch(sc.dpid, sc) {
 		return false // a newer session owns this DPID now
 	}
-	next := make(switchMap, len(old))
-	for k, v := range old {
-		if v != sc {
-			next[k] = v
-		}
-	}
-	publish(&c.switches, next)
-	c.nib.removeSwitch(sc.dpid)
 	// A connection that never activated told the apps nothing; its
 	// death is likewise none of their business.
 	if !c.closed && sc.active.Load() {
@@ -491,7 +472,6 @@ func (c *Controller) Close() error {
 	conns := c.Switches()
 	c.mu.Unlock()
 
-	c.disc.stop()
 	err := c.ln.Close()
 	for _, s := range conns {
 		s.close()
@@ -645,29 +625,20 @@ func shardFor(key uint64, n int) int {
 }
 
 // post enqueues an event on its DPID's shard, dropping (with a log line
-// and a counter tick) if that shard is saturated — backpressure must
-// not deadlock connection readers. A shed SwitchUp starts its session's
-// first audit pass at once: no app will reinstall for it. Posts racing
-// shutdown are silently discarded.
+// naming the switch and a counter tick) if that shard is saturated —
+// backpressure must not deadlock connection readers. A shed SwitchUp
+// starts its session's first audit pass at once: no app will reinstall
+// for it. Posts racing shutdown are silently discarded.
 func (c *Controller) post(ev Event) {
-	select {
-	case <-c.quit:
+	shard, qe, ok := c.queueFor(ev)
+	if !ok {
 		return
-	default:
 	}
-	qe := queuedEvent{ev: ev}
-	// One atomic load with tracing off; a timestamp only for events
-	// that sample in.
-	if c.rec.Sample() {
-		qe.traced = true
-		qe.enq = time.Now().UnixNano()
-	}
-	lane := c.laneFor(ev)
 	select {
-	case lane[shardFor(eventKey(ev), len(lane))] <- qe:
+	case shard <- qe:
 	default:
 		c.stats.Dropped.Inc()
-		c.cfg.Logf("dispatch shard full; dropping %T", ev)
+		c.cfg.Logf("dispatch shard full; dropping %T for %#x", ev, eventKey(ev))
 		if up, ok := ev.(SwitchUp); ok && up.reconcile != nil {
 			c.startFirstPass(up.reconcile)
 		}
@@ -684,21 +655,36 @@ func (c *Controller) post(ev Event) {
 // its worker drains, so the wait is bounded by dispatch progress; only
 // shutdown abandons the send.
 func (c *Controller) postBlocking(ev Event) {
+	if shard, qe, ok := c.queueFor(ev); ok {
+		select {
+		case shard <- qe:
+		case <-c.quit:
+		}
+	}
+}
+
+// queueFor returns ev's queue entry and the shard it rides — lifecycle
+// events take the control lane, everything else the data lane — or
+// false once the controller is shutting down.
+func (c *Controller) queueFor(ev Event) (chan<- queuedEvent, queuedEvent, bool) {
 	select {
 	case <-c.quit:
-		return
+		return nil, queuedEvent{}, false
 	default:
 	}
 	qe := queuedEvent{ev: ev}
+	// One atomic load with tracing off; a timestamp only for events
+	// that sample in.
 	if c.rec.Sample() {
 		qe.traced = true
 		qe.enq = time.Now().UnixNano()
 	}
-	lane := c.laneFor(ev)
-	select {
-	case lane[shardFor(eventKey(ev), len(lane))] <- qe:
-	case <-c.quit:
+	lane := c.shards
+	switch ev.(type) {
+	case SwitchUp, SwitchDown:
+		lane = c.ctlShards
 	}
+	return lane[shardFor(eventKey(ev), len(lane))], qe, true
 }
 
 // dispatchLoop drains one worker's two lanes, control first: a
@@ -732,16 +718,6 @@ func (c *Controller) dispatchLoop(ctl, events <-chan queuedEvent) {
 			run(qe)
 		}
 	}
-}
-
-// laneFor picks the shard set an event rides: lifecycle events take the
-// control lane, everything else the data lane.
-func (c *Controller) laneFor(ev Event) []chan queuedEvent {
-	switch ev.(type) {
-	case SwitchUp, SwitchDown:
-		return c.ctlShards
-	}
-	return c.shards
 }
 
 func (c *Controller) dispatch(qe queuedEvent) {
@@ -827,8 +803,8 @@ func (c *Controller) learnFromPacketIn(pi PacketInEvent) {
 // Barrier synchronizes with every connected datapath. Every switch is
 // fenced at once — a fleet-wide fence costs one RTT (plus the slowest
 // switch), not the sum — and the per-switch failures are joined. It
-// reads the lock-free registry snapshot, so a slow datapath never
-// stalls dispatch or registration.
+// reads the NIB's view lock-free, so a slow datapath never stalls
+// dispatch or registration.
 func (c *Controller) Barrier(timeout time.Duration) error {
 	switches := c.Switches()
 	var errs []error
@@ -841,21 +817,21 @@ func (c *Controller) Barrier(timeout time.Duration) error {
 }
 
 // WaitForSwitches blocks until n datapaths are connected or the timeout
-// elapses. It wakes on each registry change, so it returns on the n-th
-// registration, not on a later timer tick; that switch's SwitchUp may
-// not have reached the apps yet.
+// elapses. It wakes on each publish of the NIB's view, so it returns on
+// the n-th registration, not on a later timer tick; that switch's
+// SwitchUp may not have reached the apps yet.
 func (c *Controller) WaitForSwitches(n int, timeout time.Duration) error {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
-		reg := c.switches.Load()
-		if len(reg.v) >= n {
+		v := c.nib.view.Load()
+		if len(v.v.sessions) >= n {
 			return nil
 		}
 		select {
-		case <-reg.next:
+		case <-v.next:
 		case <-deadline.C:
-			return fmt.Errorf("only %d of %d switches connected", len(reg.v), n)
+			return fmt.Errorf("only %d of %d switches connected", len(v.v.sessions), n)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package controller
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -110,12 +112,12 @@ func TestSwitchLifecycleEvents(t *testing.T) {
 	rec := &recorder{}
 	ctl, _, dps := newTestController(t, rec, 2)
 	waitUntil(t, 2*time.Second, func() bool { u, _, _ := rec.counts(); return u == 2 })
-	if !ctl.NIB().HasSwitch(1) || !ctl.NIB().HasSwitch(2) {
+	if !hasSwitch(ctl.NIB(), 1) || !hasSwitch(ctl.NIB(), 2) {
 		t.Fatal("NIB missing switches")
 	}
 	dps[0].Close()
 	waitUntil(t, 2*time.Second, func() bool { _, d, _ := rec.counts(); return d == 1 })
-	if ctl.NIB().HasSwitch(1) {
+	if hasSwitch(ctl.NIB(), 1) {
 		t.Error("NIB kept departed switch")
 	}
 }
@@ -386,6 +388,67 @@ func TestWaitForSwitchesWakesOnRegistration(t *testing.T) {
 	}
 }
 
+// TestSwitchesAgreeWithNIB is the registration hammer: while 8
+// switches register at once, a reader spins reading Switches() and then
+// NIB().Switches() — the order in which a client reads /v1/health and
+// then /v1/switches — and every DPID the first lists must be in the
+// second, in every one of 500 rounds.
+func TestSwitchesAgreeWithNIB(t *testing.T) {
+	const switches, rounds = 8, 500
+	var missed []string
+	for round := 0; round < rounds; round++ {
+		ctl, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, read := make(chan struct{}), make(chan []string)
+		go func() {
+			var out []string
+			for {
+				select {
+				case <-stop:
+					read <- out
+					return
+				default:
+				}
+				sessions, listed := ctl.Switches(), ctl.NIB().Switches()
+				for _, sc := range sessions {
+					if !slices.ContainsFunc(listed, func(f zof.FeaturesReply) bool { return f.DPID == sc.DPID() }) {
+						out = append(out, fmt.Sprintf("round %d: %#x has a session but no NIB entry", round, sc.DPID()))
+					}
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		dps := make([]*dataplane.Datapath, switches)
+		for i := range dps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sw := dataplane.NewSwitch(dataplane.Config{DPID: uint64(i + 1)})
+				sw.AddPort(1, "p1", 1000)
+				dps[i], _ = attach(sw, netem.NewChannel(ctl.Serve))
+			}()
+		}
+		wg.Wait()
+		err = ctl.WaitForSwitches(switches, 5*time.Second)
+		close(stop)
+		missed = append(missed, <-read...)
+		for _, dp := range dps {
+			if dp != nil {
+				dp.Close()
+			}
+		}
+		ctl.Close()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if len(missed) > 0 {
+		t.Fatalf("%d reads saw a session the NIB did not list; first: %s", len(missed), missed[0])
+	}
+}
+
 func TestCloseIdempotent(t *testing.T) {
 	ctl, err := New(Config{})
 	if err != nil {
@@ -448,7 +511,7 @@ func TestNIBRemoveSwitchCleansLinks(t *testing.T) {
 	if nib.Graph().NumLinks() != 0 {
 		t.Fatal("stale link survived switch removal")
 	}
-	if nib.HasSwitch(2) {
+	if hasSwitch(nib, 2) {
 		t.Fatal("switch still present")
 	}
 }

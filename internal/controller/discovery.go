@@ -16,11 +16,8 @@ import (
 type discovery struct {
 	c *Controller
 
-	mu    sync.Mutex
-	seen  map[linkID]time.Time
-	stopC chan struct{}
-	wg    sync.WaitGroup
-	on    bool
+	mu   sync.Mutex
+	seen map[linkID]time.Time
 }
 
 type linkID struct {
@@ -38,62 +35,38 @@ func (l linkID) canonical() linkID {
 	return linkID{l.dstDPID, l.dstPort, l.srcDPID, l.srcPort}
 }
 
-func newDiscovery(c *Controller) *discovery {
-	return &discovery{c: c, seen: make(map[linkID]time.Time)}
-}
-
-func (d *discovery) start(interval time.Duration) {
-	d.mu.Lock()
-	if d.on {
-		d.mu.Unlock()
-		return
-	}
-	d.on = true
-	d.stopC = make(chan struct{})
-	d.mu.Unlock()
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-d.stopC:
-				return
-			case <-t.C:
-				d.Probe()
-				d.expire(3 * interval)
-			}
+// run probes every interval and ages out the links that stopped
+// confirming, until the controller closes.
+func (d *discovery) run(interval time.Duration) {
+	defer d.c.loopWG.Done()
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-d.c.quit:
+			return
+		case <-t.C:
+			d.Probe()
+			d.expire(3 * interval)
 		}
-	}()
-}
-
-func (d *discovery) stop() {
-	d.mu.Lock()
-	if !d.on {
-		d.mu.Unlock()
-		return
 	}
-	d.on = false
-	close(d.stopC)
-	d.mu.Unlock()
-	d.wg.Wait()
 }
 
 // Probe sends one LLDP frame out every port of every switch, batching
 // the per-switch burst into a single coalesced write. Exported through
 // the controller for tests and on-demand discovery.
 func (d *discovery) Probe() {
-	for _, sc := range d.c.Switches() {
+	v := d.c.nib.current()
+	for dpid, sc := range v.sessions {
 		var burst []zof.Message
-		for _, p := range d.c.nib.Ports(sc.dpid) {
+		for _, p := range v.features[dpid].Ports {
 			if !p.Up() {
 				continue
 			}
 			burst = append(burst, &zof.PacketOut{
 				BufferID: zof.NoBuffer,
 				Actions:  []zof.Action{zof.Output(p.No)},
-				Data:     buildLLDP(sc.dpid, p.No),
+				Data:     buildLLDP(dpid, p.No),
 			})
 		}
 		if len(burst) > 0 {
@@ -145,36 +118,31 @@ func (d *discovery) handlePortStatus(ps PortStatusEvent) {
 	if ps.Msg.Port.Up() {
 		return
 	}
-	d.mu.Lock()
-	var lost []linkID
-	for id := range d.seen {
-		if (id.srcDPID == ps.DPID && id.srcPort == ps.Msg.Port.No) ||
-			(id.dstDPID == ps.DPID && id.dstPort == ps.Msg.Port.No) {
-			lost = append(lost, id)
-			delete(d.seen, id)
-		}
-	}
-	d.mu.Unlock()
-	for _, id := range lost {
-		d.c.nib.removeLink(id.srcDPID, id.srcPort, id.dstDPID, id.dstPort)
-		d.c.post(LinkDown{SrcDPID: id.srcDPID, SrcPort: id.srcPort,
-			DstDPID: id.dstDPID, DstPort: id.dstPort})
-	}
+	d.lose(func(id linkID, _ time.Time) bool {
+		return (id.srcDPID == ps.DPID && id.srcPort == ps.Msg.Port.No) ||
+			(id.dstDPID == ps.DPID && id.dstPort == ps.Msg.Port.No)
+	})
 }
 
 // expire ages out links that stopped confirming.
 func (d *discovery) expire(maxAge time.Duration) {
 	cutoff := time.Now().Add(-maxAge)
+	d.lose(func(_ linkID, last time.Time) bool { return last.Before(cutoff) })
+}
+
+// lose forgets every seen link that lost reports lost, removes it from
+// the NIB and posts its LinkDown.
+func (d *discovery) lose(lost func(id linkID, last time.Time) bool) {
 	d.mu.Lock()
-	var lost []linkID
+	var ids []linkID
 	for id, last := range d.seen {
-		if last.Before(cutoff) {
-			lost = append(lost, id)
+		if lost(id, last) {
+			ids = append(ids, id)
 			delete(d.seen, id)
 		}
 	}
 	d.mu.Unlock()
-	for _, id := range lost {
+	for _, id := range ids {
 		d.c.nib.removeLink(id.srcDPID, id.srcPort, id.dstDPID, id.dstPort)
 		d.c.post(LinkDown{SrcDPID: id.srcDPID, SrcPort: id.srcPort,
 			DstDPID: id.dstDPID, DstPort: id.dstPort})

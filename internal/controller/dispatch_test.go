@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,18 +158,31 @@ func TestUseWhileDispatching(t *testing.T) {
 // Dropped counter.
 func TestOverflowDropsAreCounted(t *testing.T) {
 	slow := &slowApp{release: make(chan struct{})}
-	ctl, err := New(Config{DispatchWorkers: 2, EventQueue: 4})
+	var mu sync.Mutex
+	var logged []string
+	ctl, err := New(Config{DispatchWorkers: 2, EventQueue: 4, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
 	ctl.Use(slow)
 	for i := 0; i < 500; i++ {
-		ctl.InjectEvent(PacketInEvent{DPID: 1}) // one DPID: one shard, FIFO
+		ctl.InjectEvent(PacketInEvent{DPID: 0xd1}) // one DPID: one shard, FIFO
 	}
 	mv := func(name string) int64 { v, _ := ctl.Metrics().Value(name); return v }
 	if d := mv("controller.dispatch.dropped"); d == 0 {
 		t.Fatal("overflow not counted")
+	}
+	// The drop line names the switch whose event was shed.
+	mu.Lock()
+	named := slices.Contains(logged, "dispatch shard full; dropping controller.PacketInEvent for 0xd1")
+	mu.Unlock()
+	if !named {
+		t.Errorf("no drop line names the switch; logged %d lines", len(logged))
 	}
 	close(slow.release)
 	waitUntil(t, 2*time.Second, func() bool { return mv("controller.dispatch.queued") == 0 })

@@ -155,7 +155,7 @@ func TestDupDPIDReconnectTeardown(t *testing.T) {
 		t.Error("reconnect SwitchUp lacked Reconnect flag")
 	}
 	rec.mu.Unlock()
-	if !ctl.NIB().HasSwitch(1) {
+	if !hasSwitch(ctl.NIB(), 1) {
 		t.Error("NIB lost the switch during dup-DPID teardown")
 	}
 	cur, _ := ctl.Switch(1)
@@ -204,7 +204,7 @@ func TestDupDPIDReconnectHammer(t *testing.T) {
 	})
 	waitUntil(t, 5*time.Second, func() bool {
 		sc, ok := ctl.Switch(7)
-		if !ok || !ctl.NIB().HasSwitch(7) {
+		if !ok || !hasSwitch(ctl.NIB(), 7) {
 			return false
 		}
 		return sc.Barrier(time.Second) == nil
@@ -296,7 +296,7 @@ func TestLivenessEviction(t *testing.T) {
 	if _, ok := ctl.Switch(3); ok {
 		t.Error("evicted switch still registered")
 	}
-	if ctl.NIB().HasSwitch(3) {
+	if hasSwitch(ctl.NIB(), 3) {
 		t.Error("evicted switch still in NIB")
 	}
 	// Exactly one SwitchDown: no duplicate teardown events trail in.

@@ -169,15 +169,14 @@ func (c *Controller) HTTPHandler() http.Handler {
 	})
 	a.handle("GET", "/v1/switches", func(w http.ResponseWriter, r *http.Request, _ map[string]string) {
 		var out []switchJSON
-		for _, f := range c.nib.Switches() {
+		for _, f := range c.nib.current().features {
 			sj := switchJSON{DPID: f.DPID, NumTables: f.NumTables, Capabilities: f.Capabilities}
-			for _, p := range c.nib.Ports(f.DPID) {
+			for _, p := range f.Ports {
 				sj.Ports = append(sj.Ports, portJSON{
 					No: p.No, Name: p.Name, MAC: p.HWAddr.String(),
 					Up: p.Up(), SpeedMbps: p.SpeedMbps,
 				})
 			}
-			sort.Slice(sj.Ports, func(i, j int) bool { return sj.Ports[i].No < sj.Ports[j].No })
 			out = append(out, sj)
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].DPID < out[j].DPID })

@@ -10,6 +10,9 @@ import (
 	"repro/internal/zof"
 )
 
+// hasSwitch reports whether n's view holds an entry for dpid.
+func hasSwitch(n *NIB, dpid uint64) bool { _, ok := n.current().features[dpid]; return ok }
+
 func nibFeatures(dpid uint64, ports ...uint32) zof.FeaturesReply {
 	f := zof.FeaturesReply{DPID: dpid}
 	for _, p := range ports {
@@ -82,11 +85,11 @@ func TestNIBRemoveSwitchKeepsStolenIPIndex(t *testing.T) {
 func TestNIBApplyReplication(t *testing.T) {
 	n := NewNIB()
 	n.ApplySwitch(nibFeatures(7, 1, 2))
-	if !n.HasSwitch(7) {
+	if !hasSwitch(n, 7) {
 		t.Fatal("ApplySwitch did not install")
 	}
 	n.ApplyPort(7, zof.PortInfo{No: 3})
-	if _, ok := n.Port(7, 3); !ok {
+	if !slices.ContainsFunc(n.Ports(7), func(p zof.PortInfo) bool { return p.No == 3 }) {
 		t.Error("ApplyPort did not install")
 	}
 	n.ApplySwitch(nibFeatures(8, 1))
@@ -111,7 +114,7 @@ func TestNIBApplyReplication(t *testing.T) {
 		t.Error("ApplyRemoveLink reported no-op")
 	}
 	n.ApplyRemoveSwitch(7)
-	if n.HasSwitch(7) {
+	if hasSwitch(n, 7) {
 		t.Error("ApplyRemoveSwitch did not remove")
 	}
 	if _, ok := n.Host(h.MAC); ok {

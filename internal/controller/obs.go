@@ -79,7 +79,7 @@ func (c *Controller) registerMetrics() {
 	})
 	r.RegisterFunc("controller.dispatch.shards", func() int64 { return int64(len(c.shards)) })
 
-	r.RegisterFunc("controller.switches", func() int64 { return int64(len(c.switches.Load().v)) })
+	r.RegisterFunc("controller.switches", func() int64 { return int64(len(c.nib.current().sessions)) })
 	r.RegisterCounter("controller.async_errors", &c.asyncErrors)
 
 	r.RegisterCounter("controller.liveness.probes", &c.liveness.Probes)
@@ -103,7 +103,7 @@ func (c *Controller) registerMetrics() {
 	r.RegisterCounter("controller.audit.alien", &c.auditStats.Alien)
 	r.RegisterCounter("controller.audit.expired", &c.auditStats.Expired)
 
-	r.RegisterFunc("controller.nib.switches", func() int64 { return int64(len(c.nib.Switches())) })
+	r.RegisterFunc("controller.nib.switches", func() int64 { return int64(len(c.nib.current().features)) })
 	r.RegisterFunc("controller.nib.hosts", func() int64 { return int64(len(c.nib.Hosts())) })
 	r.RegisterFunc("controller.nib.links", func() int64 { return int64(c.nib.Topology().NumLinks()) })
 	// The topology snapshot's generation: a gauge that keeps moving is

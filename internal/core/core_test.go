@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,12 +410,15 @@ func TestSwitchDownCleansNIB(t *testing.T) {
 	if len(n.Controller.NIB().Switches()) != 2 {
 		t.Fatal("switches missing")
 	}
+	has := func(dpid uint64) bool {
+		return slices.ContainsFunc(n.Controller.NIB().Switches(), func(f zof.FeaturesReply) bool { return f.DPID == dpid })
+	}
 	// Kill switch 2's session.
 	n.datapaths[1].Close()
 	waitFor(t, 5*time.Second, func() bool {
-		return !n.Controller.NIB().HasSwitch(2)
+		return !has(2)
 	})
-	if n.Controller.NIB().HasSwitch(1) != true {
+	if has(1) != true {
 		t.Error("switch 1 vanished too")
 	}
 }

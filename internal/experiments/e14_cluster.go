@@ -179,10 +179,13 @@ func e14Orphan(ctl *controller.Controller, dpids []uint64) error {
 }
 
 // e14Scenario runs one master-loss lifecycle: build a two-instance
-// cluster, home every switch on instance 0, converge, then take the
-// master away — by crash (instance killed outright) or by partition
-// (instance alive but unreachable: east-west and southbound
-// blackholed, then healed to observe the stand-down).
+// cluster, wait until one instance masters every switch, converge,
+// then take that master away — by crash (instance killed outright) or
+// by partition (instance alive but unreachable: east-west and
+// southbound blackholed, then healed to observe the stand-down).
+// Every switch dials instance 0 first, but a session that flaps under
+// load re-homes onto instance 1 before the fault, so either instance
+// may be the master; the counters are read as deltas across the fault.
 func e14Scenario(switchCount, rules int, partition bool) (E14Failover, error) {
 	var out E14Failover
 
@@ -197,16 +200,16 @@ func e14Scenario(switchCount, rules int, partition bool) (E14Failover, error) {
 	}
 	defer m1.stop()
 
-	// East-west and instance 0's southbound ride netem Channels so one
-	// Cut isolates the master.
+	// East-west and each instance's southbound ride netem Channels so
+	// one Cut isolates the master.
 	ew01, ew10 := netem.NewChannel(m1.in.Serve), netem.NewChannel(m0.in.Serve)
 	defer ew01.Close()
 	defer ew10.Close()
 	m0.in.Join(map[int]func() (net.Conn, error){1: ew01.Dial})
 	m1.in.Join(map[int]func() (net.Conn, error){0: ew10.Dial})
-	south0, south1 := netem.NewChannel(m0.ctl.Serve), netem.NewChannel(m1.ctl.Serve)
-	defer south0.Close()
-	part := netem.NewPartition(ew01, ew10, south0)
+	south := []*netem.Channel{netem.NewChannel(m0.ctl.Serve), netem.NewChannel(m1.ctl.Serve)}
+	defer south[0].Close()
+	defer south[1].Close()
 	dpids := make([]uint64, switchCount)
 	switches := make([]*dataplane.Switch, switchCount)
 	sessions := make([]*dataplane.Session, switchCount)
@@ -214,7 +217,7 @@ func e14Scenario(switchCount, rules int, partition bool) (E14Failover, error) {
 		dpids[i] = uint64(i + 1)
 		switches[i] = twoPortSwitch(dataplane.Config{DPID: dpids[i]})
 		sessions[i] = dataplane.StartSession(switches[i], dataplane.SessionConfig{
-			Dial:          []func() (net.Conn, error){south0.Dial, south1.Dial},
+			Dial:          []func() (net.Conn, error){south[0].Dial, south[1].Dial},
 			MinBackoff:    10 * time.Millisecond,
 			MaxBackoff:    100 * time.Millisecond,
 			ProbeInterval: e14Probe,
@@ -223,13 +226,34 @@ func e14Scenario(switchCount, rules int, partition bool) (E14Failover, error) {
 		})
 		defer sessions[i].Close()
 	}
-	if !waitConverged(m0.ctl, dpids, rules, 10*time.Second) {
-		return out, fmt.Errorf("initial convergence on instance 0 failed")
+
+	// Formation ends when one instance masters every switch and the
+	// other holds that master's leases.
+	members, held := [2]*e14Member{m0, m1}, [2][]uint64{}
+	if !poll(10*time.Second, func() bool {
+		for i, m := range members {
+			held[i] = held[i][:0]
+			for _, d := range dpids {
+				if l, ok := members[1-i].in.Lease(d); m.in.IsMaster(d) && ok && l.Holder == i {
+					held[i] = append(held[i], d)
+				}
+			}
+		}
+		return len(held[0]) == switchCount || len(held[1]) == switchCount
+	}) {
+		return out, fmt.Errorf("formation split: instance 0 holds %v, instance 1 holds %v", held[0], held[1])
 	}
-	if err := e14Orphan(m0.ctl, dpids); err != nil {
+	master, standby := m0, m1
+	if len(held[1]) == switchCount {
+		master, standby = m1, m0
+	}
+	if !waitConverged(master.ctl, dpids, rules, 10*time.Second) {
+		return out, fmt.Errorf("initial convergence on instance %d failed", master.in.ID())
+	}
+	if err := e14Orphan(master.ctl, dpids); err != nil {
 		return out, err
 	}
-	if !waitConverged(m0.ctl, dpids, rules+1, 5*time.Second) {
+	if !waitConverged(master.ctl, dpids, rules+1, 5*time.Second) {
 		return out, fmt.Errorf("orphan install did not settle")
 	}
 
@@ -237,33 +261,36 @@ func e14Scenario(switchCount, rules int, partition bool) (E14Failover, error) {
 	defer stopTraffic()
 
 	// Take the master away.
+	takeovers, flushed, deposals := standby.in.Takeovers(),
+		metric(standby.ctl, "controller.liveness.stale_flows"), master.in.Deposals()
+	part := netem.NewPartition(ew01, ew10, south[master.in.ID()])
 	t0 := time.Now()
 	if partition {
 		part.Cut()
 	} else {
-		m0.stop()
+		master.stop()
 	}
-	if !waitConverged(m1.ctl, dpids, rules, 20*time.Second) {
-		return out, fmt.Errorf("takeover convergence on instance 1 failed: %s",
-			e14Describe(m1.ctl, dpids))
+	if !waitConverged(standby.ctl, dpids, rules, 20*time.Second) {
+		return out, fmt.Errorf("takeover convergence on instance %d failed: %s",
+			standby.in.ID(), e14Describe(standby.ctl, dpids))
 	}
 	out.TakeoverWallMS = ms(time.Since(t0))
-	out.Takeovers = m1.in.Takeovers()
-	out.ClaimMS = ms(m1.in.LastTakeover())
+	out.Takeovers = standby.in.Takeovers() - takeovers
+	out.ClaimMS = ms(standby.in.LastTakeover())
 	var det time.Duration
 	for _, s := range sessions {
 		det += s.LastDetection()
 	}
 	out.DetectMS = ms(det / time.Duration(len(sessions)))
-	out.StaleFlushed = metric(m1.ctl, "controller.liveness.stale_flows")
+	out.StaleFlushed = metric(standby.ctl, "controller.liveness.stale_flows") - flushed
 	out.RulesRetained = uint64(switchCount * rules)
 
 	if partition {
 		// Heal: the deposed master learns the higher terms from the
 		// first heartbeats through and stands down everywhere.
 		part.Heal()
-		poll(10*time.Second, func() bool { return m0.in.Deposals() >= uint64(switchCount) })
-		out.Deposals = m0.in.Deposals()
+		poll(10*time.Second, func() bool { return master.in.Deposals()-deposals >= uint64(switchCount) })
+		out.Deposals = master.in.Deposals() - deposals
 	}
 	out.Converged = true
 	return out, nil
